@@ -5,7 +5,7 @@
 //! Weights are plain `f32` row-major matrices; [`Mlp::macs_per_inference`]
 //! feeds the compute-cost models in `cicero-accel`.
 
-use crate::simd::{F32x8, LANES};
+use crate::simd::{self, Lanes};
 
 /// One dense layer: `y = W·x + b` with optional ReLU.
 #[derive(Debug, Clone, PartialEq)]
@@ -68,95 +68,136 @@ impl Layer {
     /// Evaluates the layer on a block of `k` samples in SoA layout.
     ///
     /// `input` is an `in_dim × k` matrix (`input[i * k + s]` = input `i` of
-    /// sample `s`); `out` is `out_dim × k`, same layout. The loop order is
-    /// output-row → input → sample: every weight is loaded **once per block**
-    /// instead of once per sample, and the contiguous inner sample loop
-    /// autovectorizes. Each sample's accumulation order (bias, then inputs in
-    /// ascending order, ReLU last) is exactly the scalar [`Layer::forward`]
-    /// order, so results are bit-identical per sample.
+    /// sample `s`); `out` is `out_dim × k`, same layout. One body,
+    /// [`BlockKernel`], runs at whatever vector width
+    /// [`simd::dispatch`](crate::simd::dispatch) selects; per sample the
+    /// result is bit-identical to [`Layer::forward`] at every width.
     fn forward_block(&self, input: &[f32], out: &mut [f32], k: usize) {
-        if crate::simd::kernels_enabled() && k >= LANES {
-            return self.forward_block_wide(input, out, k);
+        simd::dispatch(BlockKernel {
+            layer: self,
+            input,
+            out,
+            k,
+        });
+    }
+}
+
+/// Output rows per register tile. 4 rows × 16 samples is eight 8-lane
+/// accumulators: with the two input vectors and the weight broadcast they
+/// fill 11 of the 16 `ymm` registers, and every weight is loaded once per
+/// 16 samples, every input once per 4 rows.
+const TILE_ROWS: usize = 4;
+
+/// The block kernel of [`Layer::forward_block`], written once over
+/// [`Lanes`] and instantiated per backend by [`simd::dispatch`].
+///
+/// The output is cut into register tiles of [`TILE_ROWS`] rows × two `W`
+/// vectors of samples (leftover rows: a 2-row and a 1-row tile). Samples
+/// past the last full pair drop to one `W` group, then one `H` group, then
+/// one at a time — the same tile over `[f32; 1]`, so the tails are not a
+/// second body.
+///
+/// Bit-identical to [`Layer::forward`] per sample (see `crate::simd`
+/// module docs): each lane's accumulator starts from the bias, adds `w * x`
+/// terms in ascending input order (mul and add stay separate ops — no FMA
+/// contraction), and applies ReLU as `acc.max(0.0)` last. A tile's
+/// accumulators are independent (row, sample) cells, so holding many at
+/// once changes instruction-level parallelism, never a per-sample
+/// operation order.
+struct BlockKernel<'a> {
+    layer: &'a Layer,
+    input: &'a [f32],
+    out: &'a mut [f32],
+    k: usize,
+}
+
+impl simd::Kernel for BlockKernel<'_> {
+    #[inline(always)]
+    fn run<W: Lanes, H: Lanes>(mut self) {
+        debug_assert_eq!(self.input.len(), self.layer.in_dim * self.k);
+        debug_assert_eq!(self.out.len(), self.layer.out_dim * self.k);
+        let out_dim = self.layer.out_dim;
+        let mut r = 0;
+        while r + TILE_ROWS <= out_dim {
+            self.rows::<W, H, TILE_ROWS>(r);
+            r += TILE_ROWS;
         }
-        self.forward_block_scalar(input, out, k)
+        if r + 2 <= out_dim {
+            self.rows::<W, H, 2>(r);
+            r += 2;
+        }
+        if r < out_dim {
+            self.rows::<W, H, 1>(r);
+        }
+    }
+}
+
+impl BlockKernel<'_> {
+    /// Output rows `r0..r0 + R` over all `k` samples, widest group first.
+    #[inline(always)]
+    fn rows<W: Lanes, H: Lanes, const R: usize>(&mut self, r0: usize) {
+        let k = self.k;
+        let mut s = 0;
+        while s + 2 * W::N <= k {
+            self.tile::<W, R, 2>(r0, s);
+            s += 2 * W::N;
+        }
+        if s + W::N <= k {
+            self.tile::<W, R, 1>(r0, s);
+            s += W::N;
+        }
+        if s + H::N <= k {
+            self.tile::<H, R, 1>(r0, s);
+            s += H::N;
+        }
+        while s < k {
+            self.tile::<[f32; 1], R, 1>(r0, s);
+            s += 1;
+        }
     }
 
-    fn forward_block_scalar(&self, input: &[f32], out: &mut [f32], k: usize) {
-        debug_assert_eq!(input.len(), self.in_dim * k);
-        debug_assert_eq!(out.len(), self.out_dim * k);
-        for (r, orow) in out.chunks_exact_mut(k).enumerate() {
-            let row = &self.weights[r * self.in_dim..(r + 1) * self.in_dim];
-            orow.fill(self.biases[r]);
-            for (&w, xrow) in row.iter().zip(input.chunks_exact(k)) {
-                for (o, &x) in orow.iter_mut().zip(xrow) {
-                    *o += w * x;
-                }
+    /// One register tile: rows `r0..r0 + R` × samples `s0..s0 + C * V::N`.
+    // Indexed loops over the fixed-size arrays, not iterator chains: an
+    // unoptimised build (the tier-1 suite) pays a call per iterator step,
+    // and on the one-sample tail that is a handful of calls per MAC.
+    #[allow(clippy::needless_range_loop)]
+    #[inline(always)]
+    fn tile<V: Lanes, const R: usize, const C: usize>(&mut self, r0: usize, s0: usize) {
+        let Layer {
+            in_dim,
+            ref weights,
+            ref biases,
+            relu,
+            ..
+        } = *self.layer;
+        let k = self.k;
+        // Slices of exactly the length read, so the loops below carry one
+        // bounds check per input row and none per weight or lane group.
+        let mut wrows: [&[f32]; R] = [&[]; R];
+        let mut acc = [[V::splat(0.0); C]; R];
+        for r in 0..R {
+            wrows[r] = &weights[(r0 + r) * in_dim..][..in_dim];
+            acc[r] = [V::splat(biases[r0 + r]); C];
+        }
+        let mut x = [V::splat(0.0); C];
+        for i in 0..in_dim {
+            let xrow = &self.input[i * k + s0..][..C * V::N];
+            for c in 0..C {
+                x[c] = V::load(&xrow[c * V::N..]);
             }
-            if self.relu {
-                for o in orow.iter_mut() {
-                    *o = o.max(0.0);
+            for r in 0..R {
+                let w = V::splat(wrows[r][i]);
+                for c in 0..C {
+                    acc[r][c] = acc[r][c].add_mul(w, x[c]);
                 }
             }
         }
-    }
-
-    /// Explicit-SIMD [`Layer::forward_block_scalar`]: same layer→row→sample
-    /// loop order, but the sample dimension is processed 8 lanes at a time
-    /// ([`F32x8`]), with each weight broadcast across the lane group.
-    ///
-    /// Bit-identical to the scalar path (see `crate::simd` module docs):
-    /// each lane's accumulator starts from the bias, adds `w * x` terms in
-    /// the same ascending input order (mul and add stay separate ops — no
-    /// FMA contraction), and applies ReLU as `acc.max(0.0)` last. The two
-    /// accumulator chains per 16-sample group are independent *columns*, so
-    /// interleaving them changes instruction-level parallelism, never a
-    /// per-sample operation order. Samples past the last full lane group run
-    /// the scalar accumulation verbatim.
-    fn forward_block_wide(&self, input: &[f32], out: &mut [f32], k: usize) {
-        debug_assert_eq!(input.len(), self.in_dim * k);
-        debug_assert_eq!(out.len(), self.out_dim * k);
-        for (r, orow) in out.chunks_exact_mut(k).enumerate() {
-            let row = &self.weights[r * self.in_dim..(r + 1) * self.in_dim];
-            let bias = self.biases[r];
-            let mut s = 0;
-            while s + 2 * LANES <= k {
-                let mut acc0 = F32x8::splat(bias);
-                let mut acc1 = F32x8::splat(bias);
-                for (i, &w) in row.iter().enumerate() {
-                    let wv = F32x8::splat(w);
-                    let xrow = &input[i * k + s..];
-                    acc0 = acc0.add(wv.mul(F32x8::load(xrow)));
-                    acc1 = acc1.add(wv.mul(F32x8::load(&xrow[LANES..])));
-                }
-                if self.relu {
-                    let zero = F32x8::splat(0.0);
-                    acc0 = acc0.max(zero);
-                    acc1 = acc1.max(zero);
-                }
-                acc0.store(&mut orow[s..]);
-                acc1.store(&mut orow[s + LANES..]);
-                s += 2 * LANES;
-            }
-            while s + LANES <= k {
-                let mut acc = F32x8::splat(bias);
-                for (i, &w) in row.iter().enumerate() {
-                    acc = acc.add(F32x8::splat(w).mul(F32x8::load(&input[i * k + s..])));
-                }
-                if self.relu {
-                    acc = acc.max(F32x8::splat(0.0));
-                }
-                acc.store(&mut orow[s..]);
-                s += LANES;
-            }
-            for s in s..k {
-                let mut acc = bias;
-                for (i, &w) in row.iter().enumerate() {
-                    acc += w * input[i * k + s];
-                }
-                if self.relu {
-                    acc = acc.max(0.0);
-                }
-                orow[s] = acc;
+        let zero = V::splat(0.0);
+        for r in 0..R {
+            let orow = &mut self.out[(r0 + r) * k + s0..][..C * V::N];
+            for c in 0..C {
+                let a = if relu { acc[r][c].max(zero) } else { acc[r][c] };
+                a.store(&mut orow[c * V::N..]);
             }
         }
     }
@@ -307,11 +348,11 @@ impl Mlp {
 
     /// Runs the network on a block of `k` samples staged in SoA layout via
     /// [`MlpBlockScratch::stage`]. Activations are `dim × k` matrices
-    /// (`buf[i * k + s]`); every weight row is read once per block and the
-    /// inner sample loops autovectorize. Per sample, the result is
-    /// **bit-identical** to [`Mlp::forward_staged`] — the accumulation order
-    /// within each sample is unchanged; only the order *across* samples
-    /// differs, and samples never mix.
+    /// (`buf[i * k + s]`); every weight is read once per 16 samples and the
+    /// sample dimension runs at the host's vector width. Per sample, the
+    /// result is **bit-identical** to [`Mlp::forward_staged`] — the
+    /// accumulation order within each sample is unchanged; only the order
+    /// *across* samples differs, and samples never mix.
     ///
     /// Returns the `out_dim × k` output matrix. Allocation-free once the
     /// scratch capacities are warm.
@@ -571,28 +612,53 @@ mod tests {
 
     #[test]
     fn forward_block_wide_matches_scalar_bitwise() {
-        // Direct comparison of the two private layer kernels — independent
-        // of the process-wide `simd::kernels_enabled` switch, and covering
-        // every lane shape: 2-group main loop (k ≥ 16), single group
-        // (8 ≤ k < 16), scalar tail (k % 8 ≠ 0), and pure tail (k < 8).
-        for relu in [false, true] {
-            let mut layer = Layer::zeros(11, 9, relu);
-            for r in 0..9 {
-                layer.biases[r] = (r as f32 * 0.83).cos() * 0.2;
-                for c in 0..11 {
-                    layer.set(r, c, ((r * 31 + c * 7) as f32 * 0.113).sin());
-                }
+        // The one block-kernel body on every backend this host can run,
+        // against per-sample `Layer::forward` — independent of the
+        // process-wide `simd` switch. The sizes cover every tile shape:
+        // sample groups of 16, 8, 4 and 1 in every combination, and row
+        // tiles of 4, 2 and 1 (out_dim 9 = 4 + 4 + 1, 7 = 4 + 2 + 1).
+        for backend in simd::Backend::ALL {
+            if !backend.supported() {
+                println!("skipping {backend:?}: not supported in this build on this host");
+                continue;
             }
-            for k in [1usize, 5, 8, 13, 16, 24, 29, 64] {
-                let input: Vec<f32> = (0..11 * k)
-                    .map(|i| (i as f32 * 0.291).sin() * 2.5 - 0.6)
-                    .collect();
-                let mut scalar = vec![0.0f32; 9 * k];
-                let mut wide = vec![0.0f32; 9 * k];
-                layer.forward_block_scalar(&input, &mut scalar, k);
-                layer.forward_block_wide(&input, &mut wide, k);
-                for (i, (&a, &b)) in scalar.iter().zip(&wide).enumerate() {
-                    assert_eq!(a.to_bits(), b.to_bits(), "relu={relu} k={k} slot={i}");
+            for (relu, out_dim) in [false, true]
+                .into_iter()
+                .flat_map(|relu| [1usize, 7, 9, 64].map(|out_dim| (relu, out_dim)))
+            {
+                let mut layer = Layer::zeros(11, out_dim, relu);
+                for r in 0..out_dim {
+                    layer.biases[r] = (r as f32 * 0.83).cos() * 0.2;
+                    for c in 0..11 {
+                        layer.set(r, c, ((r * 31 + c * 7) as f32 * 0.113).sin());
+                    }
+                }
+                for k in [1usize, 3, 4, 5, 8, 13, 16, 24, 29, 64] {
+                    let input: Vec<f32> = (0..11 * k)
+                        .map(|i| (i as f32 * 0.291).sin() * 2.5 - 0.6)
+                        .collect();
+                    let mut block = vec![0.0f32; out_dim * k];
+                    simd::run_on(
+                        backend,
+                        BlockKernel {
+                            layer: &layer,
+                            input: &input,
+                            out: &mut block,
+                            k,
+                        },
+                    );
+                    let mut single = vec![0.0f32; out_dim];
+                    for s in 0..k {
+                        let x: Vec<f32> = (0..11).map(|i| input[i * k + s]).collect();
+                        layer.forward(&x, &mut single);
+                        for (r, &v) in single.iter().enumerate() {
+                            assert_eq!(
+                                block[r * k + s].to_bits(),
+                                v.to_bits(),
+                                "{backend:?} relu={relu} out_dim={out_dim} k={k} sample={s} row={r}"
+                            );
+                        }
+                    }
                 }
             }
         }

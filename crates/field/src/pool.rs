@@ -50,6 +50,7 @@ use std::marker::PhantomData;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::thread::Thread;
 
 /// Hard lane ceiling per checkout: lane bookkeeping lives in fixed-size
 /// stack arrays so a checkout never allocates. 64 lanes comfortably covers
@@ -68,10 +69,12 @@ struct Job {
     gate: *const Gate,
 }
 
-// SAFETY: the raw pointers are only dereferenced between dispatch and the
-// gate's completion, and `Checkout::run` does not return (even by unwinding)
-// until every dispatched lane has completed — the pointees are live for the
-// whole window in which a worker can touch them.
+// SAFETY: `data` is only dereferenced between dispatch and the lane's
+// `Gate::complete`, and `gate` only up to the decrement inside it;
+// `Checkout::run` does not return (even by unwinding) until every dispatched
+// lane has made that decrement — the pointees are live for the whole window
+// in which a worker can touch them. The closure behind `data` is `Sync`, and
+// every field of `Gate` is.
 unsafe impl Send for Job {}
 
 /// Monomorphic trampoline giving `Job` a thin function pointer instead of a
@@ -83,12 +86,20 @@ unsafe fn run_job<F: Fn(usize) + Sync>(data: *const (), lane: usize) {
 }
 
 /// The barrier one pass's lanes report to. Lives on the leader's stack —
-/// creating it never allocates.
+/// creating it never allocates — so it is gone the moment the leader sees
+/// `remaining == 0`: a lane's decrement must be its **last** access.
+///
+/// That rules out waking the leader through anything stored in the gate (a
+/// mutex and condvar here once were: the last lane locked and notified
+/// *after* its decrement, by which time the leader's spin could have
+/// returned and a later pass's gate could sit at the same address — a
+/// clobbered lock word, and now and then a lost wake-up). The leader parks
+/// instead, and each lane takes its own handle to the leader's thread
+/// before it decrements.
 struct Gate {
     remaining: AtomicUsize,
     panicked: AtomicBool,
-    mu: Mutex<()>,
-    cv: Condvar,
+    leader: Thread,
 }
 
 impl Gate {
@@ -96,18 +107,41 @@ impl Gate {
         Gate {
             remaining: AtomicUsize::new(lanes),
             panicked: AtomicBool::new(false),
-            mu: Mutex::new(()),
-            cv: Condvar::new(),
+            // A clone of the thread's own handle: a reference count, no
+            // allocation.
+            leader: std::thread::current(),
         }
     }
 
-    /// Called by each worker lane when its pass body returns.
-    fn complete(&self) {
-        if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-            // Pair the notify with the waiter's re-check under the mutex so
-            // the wake-up cannot be lost between its load and its wait.
-            let _g = self.mu.lock().unwrap();
-            self.cv.notify_all();
+    /// Called by each worker lane when its pass body returns (or panicked).
+    ///
+    /// Takes a pointer, not `&self`: the gate may be popped while this
+    /// function is still running, and a reference argument would promise
+    /// otherwise.
+    ///
+    /// # Safety
+    ///
+    /// `gate` must point to a gate whose count still includes the calling
+    /// lane, and the caller must not touch the gate again.
+    unsafe fn complete(gate: *const Gate, panicked: bool) {
+        // SAFETY: the leader cannot see `remaining == 0` before this lane's
+        // decrement below, so the gate is live for both accesses.
+        let leader = unsafe {
+            if panicked {
+                (*gate).panicked.store(true, Ordering::Release);
+            }
+            (*gate).leader.clone()
+        };
+        // SAFETY: as above. Release publishes this lane's writes (the pass
+        // body's and `panicked`) to the leader's acquiring load in `wait`;
+        // nothing after this line reads or writes the gate.
+        let last = unsafe { (*gate).remaining.fetch_sub(1, Ordering::AcqRel) == 1 };
+        if last {
+            // Our own handle: valid whether or not the gate still exists.
+            // If the leader's spin already returned, the token makes some
+            // later `park` of that thread return early, which `park`
+            // allows and `wait` re-checks for.
+            leader.unpark();
         }
     }
 
@@ -119,9 +153,11 @@ impl Gate {
             }
             std::hint::spin_loop();
         }
-        let mut g = self.mu.lock().unwrap();
+        // An `unpark` before this `park` leaves a token and the `park`
+        // returns at once, so the last lane's wake-up cannot be lost
+        // between the load and the park.
         while self.remaining.load(Ordering::Acquire) != 0 {
-            g = self.cv.wait(g).unwrap();
+            std::thread::park();
         }
     }
 }
@@ -185,13 +221,10 @@ fn worker_loop(shared: Arc<WorkerShared>) {
                 let result = catch_unwind(AssertUnwindSafe(|| unsafe {
                     (job.call)(job.data, job.lane)
                 }));
-                // SAFETY: the gate pointer is live until `complete` has been
-                // called by every lane (the leader waits for exactly that).
-                let gate = unsafe { &*job.gate };
-                if result.is_err() {
-                    gate.panicked.store(true, Ordering::Release);
-                }
-                gate.complete();
+                // SAFETY: the leader waits for this lane's decrement, which
+                // `complete` makes exactly once, and `job.gate` is not used
+                // after it.
+                unsafe { Gate::complete(job.gate, result.is_err()) };
                 if let Some(t0) = busy_t0 {
                     let t1 = telemetry::now_ns();
                     let dur = t1.saturating_sub(t0);
@@ -794,6 +827,41 @@ mod tests {
         drop(co);
         assert_eq!(pool.live_workers(), 1);
         assert_eq!(pool.idle_workers(), 1);
+    }
+
+    #[test]
+    fn empty_passes_never_lose_a_wakeup() {
+        // The gate's hazard: a pass so short that the leader's spin returns
+        // (and the next pass's gate reuses the stack slot) while the last
+        // lane of the previous pass is still inside `complete`. Thousands
+        // of empty passes on more lanes than the host has cores keep lanes
+        // descheduled right there; flipping the cap mixes retiring and
+        // respawning workers in. A lost wake-up parks the leader for good,
+        // so the passes run on a thread of their own under a watchdog.
+        let (done, watchdog) = std::sync::mpsc::channel();
+        let stress = std::thread::spawn(move || {
+            let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+            let lanes = (4 * cores).clamp(8, MAX_LANES - 1);
+            let pool = RenderPool::new(lanes);
+            let hits = AtomicU32::new(0);
+            let mut expected = 0;
+            for round in 0..400 {
+                pool.set_cap(if round % 3 == 2 { lanes / 2 } else { lanes });
+                let co = pool.checkout(lanes);
+                for _ in 0..25 {
+                    co.run(|_| {
+                        hits.fetch_add(1, Ordering::Relaxed);
+                    });
+                    expected += co.lanes() as u32;
+                }
+            }
+            assert_eq!(hits.load(Ordering::Relaxed), expected);
+            done.send(()).ok();
+        });
+        watchdog
+            .recv_timeout(std::time::Duration::from_secs(120))
+            .expect("a pool pass hung or panicked: lost wake-up at the gate");
+        stress.join().unwrap();
     }
 
     #[test]

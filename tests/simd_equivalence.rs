@@ -5,14 +5,17 @@
 //! ride the same determinism matrix as `render_threads` and `sample_block`:
 //! a pure throughput knob that never moves a pixel.
 //!
-//! Both paths are compiled into one binary (the wide kernels always build,
+//! All paths are compiled into one binary (the wide kernels always build,
 //! over the portable backend when the feature is off); which one the hot
-//! loops take is the process-wide `cicero_field::simd` switch. Each test
-//! here runs its workload with the kernels forced off (the scalar oracle)
-//! and forced on, and asserts byte equality. Without `--features simd` the
-//! switch is pinned off and both legs run scalar — the suite then degrades
-//! to a self-check, and CI additionally diffs digests across separately
-//! compiled feature builds.
+//! loops take is the process-wide `cicero_field::simd` switch and backend
+//! cap. Each test here runs its workload with the kernels forced off (the
+//! scalar oracle), then forced on under every backend the host can run —
+//! SSE2, and AVX where the CPU reports it, so the 128- and 256-bit
+//! instances of the MLP block kernel are both held to the oracle's bytes —
+//! and asserts byte equality. Without `--features simd` the switch is pinned
+//! off and no wide backend exists: the suite then runs the portable path
+//! twice as a self-check, and CI additionally diffs digests across
+//! separately compiled feature builds.
 //!
 //! The switch is process-global, so every test serializes on [`lock`]; the
 //! per-kernel bitwise tests live next to the kernels (no toggle needed),
@@ -25,7 +28,7 @@ use cicero::pipeline::{run_pipeline, PipelineConfig};
 use cicero::sparw::{warp_frame, WarpOptions};
 use cicero::Variant;
 use cicero_field::render::render_full;
-use cicero_field::simd;
+use cicero_field::simd::{self, Backend};
 use cicero_field::{
     bake, GatherPlan, GridConfig, HashConfig, NerfModel, RenderOptions, TensorConfig,
 };
@@ -41,16 +44,39 @@ const BLOCK_SIZES: [usize; 3] = [1, 16, 64];
 fn lock() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
     // A poisoned lock only means another equivalence test failed; the
-    // switch state is restored by `with_kernels` regardless.
+    // switch state is restored by `with_backend` regardless.
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Runs `f` with the wide kernels forced on or off, then restores the
-/// compiled-in default (on; a no-op without the feature).
-fn with_kernels<T>(on: bool, f: impl FnOnce() -> T) -> T {
-    simd::set_kernels_enabled(on);
+/// The backends each test holds to the scalar oracle: every wide one this
+/// build can run on this host, or — with none, i.e. without the `simd`
+/// feature — the portable one again.
+fn wide_backends() -> Vec<Backend> {
+    let (wide, missing): (Vec<_>, Vec<_>) = [Backend::Sse2, Backend::Avx]
+        .into_iter()
+        .partition(|b| b.supported());
+    for b in missing {
+        println!("skipping {b:?}: not supported in this build on this host");
+    }
+    if wide.is_empty() {
+        vec![Backend::Portable]
+    } else {
+        wide
+    }
+}
+
+/// Runs `f` with the kernels off (`None`, the scalar oracle) or on under a
+/// backend cap, then restores the compiled-in default (on, uncapped; a
+/// no-op without the feature).
+fn with_backend<T>(backend: Option<Backend>, f: impl FnOnce() -> T) -> T {
+    simd::set_kernels_enabled(backend.is_some());
+    simd::set_backend_cap(backend.unwrap_or(Backend::Avx));
+    if let Some(b) = backend {
+        assert_eq!(simd::backend(), b.name(), "cap did not take");
+    }
     let out = f();
     simd::set_kernels_enabled(true);
+    simd::set_backend_cap(Backend::Avx);
     out
 }
 
@@ -97,6 +123,7 @@ fn model_for(scene_name: &str) -> Box<dyn NerfModel> {
 #[test]
 fn wide_render_is_bit_identical_across_scenes_models_and_block_sizes() {
     let _guard = lock();
+    let backends = wide_backends();
     for scene_name in ["lego", "chair", "ship"] {
         let model = model_for(scene_name);
         let model = model.as_ref();
@@ -114,12 +141,15 @@ fn wide_render_is_bit_identical_across_scenes_models_and_block_sizes() {
             (frame, stats, events)
         };
         for block in BLOCK_SIZES {
-            let (frame, stats, events) = with_kernels(false, || collect(block));
-            let (w_frame, w_stats, w_events) = with_kernels(true, || collect(block));
+            let (frame, stats, events) = with_backend(None, || collect(block));
             assert!(stats.samples_processed > 0, "{scene_name}: empty render");
-            assert_eq!(w_frame, frame, "{scene_name}: frame, block {block}");
-            assert_eq!(w_stats, stats, "{scene_name}: stats, block {block}");
-            assert_eq!(w_events, events, "{scene_name}: sink stream, block {block}");
+            for &b in &backends {
+                let (w_frame, w_stats, w_events) = with_backend(Some(b), || collect(block));
+                let at = format!("{scene_name}, block {block}, {b:?}");
+                assert_eq!(w_frame, frame, "{at}: frame");
+                assert_eq!(w_stats, stats, "{at}: stats");
+                assert_eq!(w_events, events, "{at}: sink stream");
+            }
         }
     }
 }
@@ -129,6 +159,7 @@ fn wide_warp_passes_are_bit_identical() {
     // The SPARW splat / normalize / void-classify kernels, end to end on a
     // real rendered reference — covers both splat modes and the φ test.
     let _guard = lock();
+    let backends = wide_backends();
     let scene = library::scene_by_name("lego").unwrap();
     let k = Intrinsics::from_fov(48, 48, 0.9);
     let ref_cam = Camera::new(
@@ -152,10 +183,16 @@ fn wide_warp_passes_are_bit_identical() {
         },
     ] {
         let warp = || warp_frame(&reference, &ref_cam, &tgt_cam, scene.background(), &opts);
-        let scalar = with_kernels(false, warp);
-        let wide = with_kernels(true, warp);
-        assert_eq!(wide.frame, scalar.frame, "phi={:?}: frame", opts.phi);
-        assert_eq!(wide.status, scalar.status, "phi={:?}: status", opts.phi);
+        let scalar = with_backend(None, warp);
+        for &b in &backends {
+            let wide = with_backend(Some(b), warp);
+            assert_eq!(wide.frame, scalar.frame, "phi={:?} {b:?}: frame", opts.phi);
+            assert_eq!(
+                wide.status, scalar.status,
+                "phi={:?} {b:?}: status",
+                opts.phi
+            );
+        }
     }
 }
 
@@ -164,6 +201,7 @@ fn wide_pipeline_runs_are_bit_identical() {
     // Whole pipeline (render + warp + schedule) under SPARW and Cicero:
     // every wide kernel in one pass, with simulated reports compared.
     let _guard = lock();
+    let backends = wide_backends();
     for scene_name in ["lego", "ship"] {
         let scene = library::scene_by_name(scene_name).unwrap();
         let model = model_for(scene_name);
@@ -185,19 +223,16 @@ fn wide_pipeline_runs_are_bit_identical() {
                 };
                 run_pipeline(&scene, model, &traj, k, &cfg)
             };
-            let scalar = with_kernels(false, run);
-            let wide = with_kernels(true, run);
-            assert_eq!(
-                wide.frames, scalar.frames,
-                "{scene_name}/{variant:?}: frames"
-            );
-            assert_eq!(
-                wide.warp_totals, scalar.warp_totals,
-                "{scene_name}/{variant:?}: warp stats"
-            );
-            assert_eq!(wide.outcomes.len(), scalar.outcomes.len());
-            for (a, b) in wide.outcomes.iter().zip(&scalar.outcomes) {
-                assert_eq!(a.report, b.report, "{scene_name}/{variant:?}: report");
+            let scalar = with_backend(None, run);
+            for &b in &backends {
+                let wide = with_backend(Some(b), run);
+                let at = format!("{scene_name}/{variant:?}/{b:?}");
+                assert_eq!(wide.frames, scalar.frames, "{at}: frames");
+                assert_eq!(wide.warp_totals, scalar.warp_totals, "{at}: warp stats");
+                assert_eq!(wide.outcomes.len(), scalar.outcomes.len());
+                for (w, s) in wide.outcomes.iter().zip(&scalar.outcomes) {
+                    assert_eq!(w.report, s.report, "{at}: report");
+                }
             }
         }
     }
@@ -208,6 +243,7 @@ fn wide_serve_reports_are_bit_identical() {
     // Full service reports — frame records, latency percentiles, cache
     // economics — through the multi-session serve layer.
     let _guard = lock();
+    let backends = wide_backends();
     let lego = library::scene_by_name("lego").unwrap();
     let ship = library::scene_by_name("ship").unwrap();
     let models = [model_for("lego"), model_for("ship")];
@@ -260,8 +296,10 @@ fn wide_serve_reports_are_bit_identical() {
         }
         server.run()
     };
-    let scalar = with_kernels(false, serve);
-    let wide = with_kernels(true, serve);
+    let scalar = with_backend(None, serve);
     assert!(scalar.frames > 0, "empty serve run");
-    assert_eq!(wide, scalar, "full service report");
+    for &b in &backends {
+        let wide = with_backend(Some(b), serve);
+        assert_eq!(wide, scalar, "{b:?}: full service report");
+    }
 }

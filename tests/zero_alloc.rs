@@ -185,8 +185,15 @@ fn warmed_sample_loop_performs_zero_heap_allocations() {
     // inert and this leg re-measures the scalar path; with it, the toggle
     // stays on (the compiled-in default), so every pool and telemetry leg
     // below also runs the wide splat/normalize/classify warp passes under
-    // the same zero-alloc and zero-spawn assertions.
+    // the same zero-alloc and zero-spawn assertions. Which instance of the
+    // MLP block kernel that is depends on the host and on `CICERO_SIMD`
+    // (CI runs this suite once per cap), so say so: all of them keep their
+    // tile accumulators on the stack.
     cicero_field::simd::set_kernels_enabled(true);
+    println!(
+        "wide-kernel legs: simd::backend() = {}",
+        cicero_field::simd::backend()
+    );
     {
         let opts = RenderOptions {
             sample_block: cicero_field::DEFAULT_SAMPLE_BLOCK,
