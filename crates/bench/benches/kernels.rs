@@ -1,7 +1,8 @@
 //! `kernels` — scalar vs wide microbench for the explicit SIMD kernel layer
-//! (ISSUE 9, ISSUE 12): the decoder MLP's `forward_block` and the three
+//! (ISSUE 9, 12, 13): the decoder MLP's `forward_block` and the three
 //! encoding gathers, each timed with the runtime kernel switch off and then
-//! on under every backend cap the host supports (`sse2`, `avx`).
+//! on under every backend cap the host supports (`sse2`, `avx`). The
+//! gathers are timed on a cache-hot and a cache-cold working set.
 //!
 //! ```text
 //! cargo bench -p cicero-bench --features simd --bench kernels
@@ -50,8 +51,7 @@ fn throughput(samples_per_iter: usize, f: &mut impl FnMut() -> f32) -> f64 {
 }
 
 /// Times `f` with the wide kernels off, then on at each backend cap the
-/// host supports, and prints one line. Only `forward_block` has a body per
-/// backend; the gathers read the same under every cap.
+/// host supports, and prints one line.
 fn compare(name: &str, samples_per_iter: usize, mut f: impl FnMut() -> f32) {
     simd::set_kernels_enabled(false);
     let scalar = throughput(samples_per_iter, &mut f);
@@ -73,18 +73,53 @@ fn compare(name: &str, samples_per_iter: usize, mut f: impl FnMut() -> f32) {
     println!();
 }
 
-/// Deterministic sample positions spread over the encoding bounds.
-fn positions(n: usize) -> Vec<Vec3> {
-    (0..n)
-        .map(|i| {
-            let t = i as f32 * 0.537;
-            Vec3::new(
-                t.sin() * 0.9,
-                (t * 2.31).cos() * 0.9,
-                (t * 0.77).sin() * 0.9,
-            )
-        })
-        .collect()
+/// Samples per gather call, the renderer's default block.
+const GATHER_BLOCK: usize = 16;
+
+/// The two working sets every gather is timed on, so the compute floor and
+/// the cost of misses read as separate numbers: *hot* is 16 positions
+/// repeated (every entry row stays in L1), *cold* is 65 536 seeded uniform
+/// positions in the bounds (at the default table sizes each block lands on
+/// rows the previous ones did not touch).
+fn working_sets(bounds: Aabb) -> [(&'static str, Vec<Vec3>); 2] {
+    let mut state = 0x5eed_c1ce_0000_0001u64;
+    let mut unit = move || {
+        // splitmix64
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        ((z ^ (z >> 31)) >> 40) as f32 / (1u64 << 24) as f32
+    };
+    let size = bounds.size();
+    let cold: Vec<Vec3> = (0..1 << 16)
+        .map(|_| bounds.min + Vec3::new(size.x * unit(), size.y * unit(), size.z * unit()))
+        .collect();
+    [("hot", cold[..GATHER_BLOCK].to_vec()), ("cold", cold)]
+}
+
+/// One `compare` line per working set: `gather` fills `out` from a block
+/// of positions, `rows` feature rows per sample.
+fn compare_gather(
+    name: &str,
+    bounds: Aabb,
+    rows: usize,
+    gather: impl Fn(&[Vec3], &mut [f32], usize),
+) {
+    let mut out = vec![0.0f32; rows * GATHER_BLOCK];
+    for (set, ps) in working_sets(bounds) {
+        compare(&format!("{name} {set:<4}"), ps.len(), || {
+            for block in ps.chunks(GATHER_BLOCK) {
+                gather(black_box(block), &mut out, GATHER_BLOCK);
+            }
+            out[0]
+        });
+    }
+}
+
+/// A cheap, seedless fill value in `[-1, 1)` for table entry `i`.
+fn fill(i: usize) -> f32 {
+    ((i as u32).wrapping_mul(2_654_435_761) >> 8) as f32 / (1u32 << 23) as f32 - 1.0
 }
 
 fn main() {
@@ -117,86 +152,62 @@ fn main() {
         }
     }
 
-    // --- Encoding gathers, SoA block layout (`out[row * stride + s]`),
-    // feature widths at each family's defaults (all ≥ one F32x8 group).
-    println!("encoding gathers:");
-    let mut grid = DenseGrid::new(
-        GridConfig {
-            resolution: 32,
-            ..Default::default()
-        },
-        Aabb::centered_cube(1.0),
-    );
+    // --- Encoding gathers, SoA block layout (`out[row * stride + s]`), each
+    // family at its default (paper-scale) configuration, blocks of 16.
+    println!("encoding gathers (block {GATHER_BLOCK}):");
+    let bounds = Aabb::centered_cube(1.0);
+
+    let mut grid = DenseGrid::new(GridConfig::default(), bounds);
+    let channels = grid.config().channels;
     let n = grid.verts_per_axis() as u32;
+    let mut row = vec![0.0f32; channels];
     for z in 0..n {
         for y in 0..n {
             for x in 0..n {
-                let f: Vec<f32> = (0..grid.config().channels)
-                    .map(|c| ((x * 59 + y * 11 + z * 3) as usize + c) as f32 * 0.017)
-                    .map(f32::sin)
-                    .collect();
-                grid.set_vertex(x, y, z, &f);
+                let v = grid.vertex_index(x, y, z) as usize * channels;
+                row.iter_mut()
+                    .enumerate()
+                    .for_each(|(c, f)| *f = fill(v + c));
+                grid.set_vertex(x, y, z, &row);
             }
         }
     }
-    for block in BLOCKS {
-        let ps = positions(block);
-        let mut out = vec![0.0f32; grid.config().channels * block];
-        compare(&format!("grid   ch 12  block {block:>2}"), block, || {
-            grid.interpolate_block_into(black_box(&ps), &mut out, block);
-            out[0]
-        });
-    }
-
-    let mut hash = HashGrid::new(
-        HashConfig {
-            levels: 4,
-            base_resolution: 4,
-            max_resolution: 32,
-            table_size_log2: 12,
-            ..Default::default()
-        },
-        Aabb::centered_cube(1.0),
+    compare_gather(
+        "grid   160³ × 12  ",
+        bounds,
+        channels,
+        |ps, out, stride| grid.interpolate_block_into(ps, out, stride),
     );
+
+    let mut hash = HashGrid::new(HashConfig::default(), bounds);
     let feats = hash.config().features_per_entry;
-    for level in 0..4 {
-        for e in 0..hash.levels()[level].table_len as u64 {
-            let row: Vec<f32> = (0..feats as u64)
-                .map(|c| ((e * 13 + c + level as u64 * 5) as f32 * 0.173).sin())
-                .collect();
-            hash.entry_mut(level, e).copy_from_slice(&row);
+    for level in 0..hash.config().levels {
+        for e in 0..hash.levels()[level].table_len {
+            let entry = hash.entry_mut(level, e as u64);
+            entry
+                .iter_mut()
+                .enumerate()
+                .for_each(|(c, f)| *f = fill((e + level) * feats + c));
         }
     }
-    for block in BLOCKS {
-        let ps = positions(block);
-        let mut out = vec![0.0f32; 4 * feats * block];
-        compare(&format!("hash   4×f8   block {block:>2}"), block, || {
-            hash.interpolate_block_into(black_box(&ps), &mut out, block);
-            out[0]
-        });
-    }
-
-    let mut tensor = VmTensor::new(
-        TensorConfig {
-            resolution: 64,
-            ..Default::default()
-        },
-        Aabb::centered_cube(1.0),
+    let rows = hash.config().levels * feats;
+    compare_gather(
+        "hash   8 × 2¹⁹ × 8",
+        bounds,
+        rows,
+        |ps, out, stride| hash.interpolate_block_into(ps, out, stride),
     );
+
+    let mut tensor = VmTensor::new(TensorConfig::default(), bounds);
     for o in 0..3 {
         for (i, v) in tensor.plane_mut(o).iter_mut().enumerate() {
-            *v = ((i + o * 7) as f32 * 0.0137).sin();
+            *v = fill(i + o * 7);
         }
         for (i, v) in tensor.line_mut(o).iter_mut().enumerate() {
-            *v = ((i + o * 11) as f32 * 0.0231).cos();
+            *v = fill(i + o * 11);
         }
     }
-    for block in BLOCKS {
-        let ps = positions(block);
-        let mut out = vec![0.0f32; 7 * block];
-        compare(&format!("tensor ch 28  block {block:>2}"), block, || {
-            tensor.interpolate_block_into(black_box(&ps), &mut out, block);
-            out[0]
-        });
-    }
+    compare_gather("tensor 128² × 28  ", bounds, 7, |ps, out, stride| {
+        tensor.interpolate_block_into(ps, out, stride)
+    });
 }

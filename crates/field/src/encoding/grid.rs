@@ -6,9 +6,11 @@
 //! Fig. 1 ("each ray sample gathers and interpolates 3D features from eight
 //! vertices of the intersected voxel").
 
-use crate::encoding::{cell_fraction, trilinear_weights};
+use crate::encoding::{
+    cell_fraction, dense_corners, gather_level, normalize_chunk, trilinear_weights, CHUNK,
+};
 use crate::plan::{GatherPlan, LevelGather, RegionId};
-use crate::simd::{F32x8, LANES};
+use crate::simd::{self, Kernel, Lanes};
 use cicero_math::{Aabb, Vec3};
 
 /// Configuration of a dense feature grid.
@@ -48,7 +50,8 @@ impl DenseGrid {
     ///
     /// # Panics
     ///
-    /// Panics if `channels < 7` or `resolution == 0`.
+    /// Panics if `channels < 7`, `resolution == 0`, or the grid holds more
+    /// than `u32::MAX` feature values (the gather indexes them in `u32`).
     pub fn new(cfg: GridConfig, bounds: Aabb) -> Self {
         assert!(
             cfg.channels >= 7,
@@ -56,6 +59,10 @@ impl DenseGrid {
         );
         assert!(cfg.resolution > 0);
         let verts = (cfg.resolution + 1).pow(3);
+        assert!(
+            (verts as u64).saturating_mul(cfg.channels as u64) <= u32::MAX as u64,
+            "the grid's feature values must be indexable in u32"
+        );
         DenseGrid {
             cfg,
             bounds,
@@ -151,130 +158,38 @@ impl DenseGrid {
     /// SoA layout: channel `c` of sample `s` is written to
     /// `out[c * stride + s]` (the decoder's staged input matrix).
     ///
-    /// Per sample, the accumulation order (zero, then corners in ascending
-    /// binary order, zero-weight corners skipped) is exactly
-    /// [`DenseGrid::interpolate_into`]'s, so results are bit-identical to the
-    /// scalar path. Grid-constant work (resolution, channel count) is hoisted
-    /// out of the sample loop.
+    /// One body on every [`simd`] backend: per chunk of [`CHUNK`] samples,
+    /// [`gather_level`]'s index pass and then its accumulate pass, which
+    /// loads each vertex row as one vector. Bit-identical to
+    /// [`DenseGrid::interpolate_into`] per sample.
     ///
     /// # Panics
     ///
     /// Panics if `out` is too short or `stride < ps.len()`.
     pub fn interpolate_block_into(&self, ps: &[Vec3], out: &mut [f32], stride: usize) {
-        if crate::simd::kernels_enabled() && self.cfg.channels >= LANES {
-            return self.interpolate_block_wide(ps, out, stride);
-        }
-        self.interpolate_block_scalar(ps, out, stride)
-    }
-
-    fn interpolate_block_scalar(&self, ps: &[Vec3], out: &mut [f32], stride: usize) {
-        let ch = self.cfg.channels;
-        let res = self.cfg.resolution as u32;
         assert!(stride >= ps.len(), "stride shorter than the block");
-        assert!(out.len() >= ch * stride, "output matrix too short");
-        for (s, &p) in ps.iter().enumerate() {
-            let g = self.grid_coords(p);
-            let (cx, fx) = cell_fraction(g.x, res);
-            let (cy, fy) = cell_fraction(g.y, res);
-            let (cz, fz) = cell_fraction(g.z, res);
-            let w = trilinear_weights(fx, fy, fz);
-            for c in 0..ch {
-                out[c * stride + s] = 0.0;
-            }
-            for (corner, &weight) in w.iter().enumerate() {
-                if weight == 0.0 {
-                    continue;
-                }
-                let vx = cx + (corner as u32 & 1);
-                let vy = cy + ((corner as u32 >> 1) & 1);
-                let vz = cz + ((corner as u32 >> 2) & 1);
-                let base = self.vertex_index(vx, vy, vz) as usize * ch;
-                for (c, v) in self.data[base..base + ch].iter().enumerate() {
-                    out[c * stride + s] += weight * v;
-                }
-            }
-        }
-    }
-
-    /// Explicit-SIMD [`DenseGrid::interpolate_block_scalar`]: the lanes are
-    /// the *channels* of one sample — each corner's feature row is
-    /// contiguous in vertex-major `data`, so a corner contributes
-    /// `splat(weight) * load(row)` per 8-channel group.
-    ///
-    /// Bit-identical to the scalar path: the corner coordinates and
-    /// trilinear weights are computed by the same scalar code, the
-    /// zero-weight corner skip is preserved (so the term list per channel is
-    /// identical, in the same ascending corner order), and each channel's
-    /// register accumulator starts from 0.0 exactly like the scalar
-    /// in-memory accumulation. Channels past the last full group run the
-    /// scalar loop verbatim.
-    fn interpolate_block_wide(&self, ps: &[Vec3], out: &mut [f32], stride: usize) {
-        let ch = self.cfg.channels;
-        let res = self.cfg.resolution as u32;
-        assert!(stride >= ps.len(), "stride shorter than the block");
-        assert!(out.len() >= ch * stride, "output matrix too short");
-        let wide_ch = ch - ch % LANES;
-        for (s, &p) in ps.iter().enumerate() {
-            let g = self.grid_coords(p);
-            let (cx, fx) = cell_fraction(g.x, res);
-            let (cy, fy) = cell_fraction(g.y, res);
-            let (cz, fz) = cell_fraction(g.z, res);
-            let w = trilinear_weights(fx, fy, fz);
-            // Collect live corners in ascending order, keeping the scalar
-            // path's zero-weight skip so the term lists match exactly.
-            let mut bases = [0usize; 8];
-            let mut ws = [0.0f32; 8];
-            let mut live = 0;
-            for (corner, &weight) in w.iter().enumerate() {
-                if weight == 0.0 {
-                    continue;
-                }
-                let vx = cx + (corner as u32 & 1);
-                let vy = cy + ((corner as u32 >> 1) & 1);
-                let vz = cz + ((corner as u32 >> 2) & 1);
-                bases[live] = self.vertex_index(vx, vy, vz) as usize * ch;
-                ws[live] = weight;
-                live += 1;
-            }
-            for c0 in (0..wide_ch).step_by(LANES) {
-                let mut acc = F32x8::splat(0.0);
-                for j in 0..live {
-                    let row = &self.data[bases[j] + c0..];
-                    acc = acc.add(F32x8::splat(ws[j]).mul(F32x8::load(row)));
-                }
-                for (dc, &v) in acc.to_array().iter().enumerate() {
-                    out[(c0 + dc) * stride + s] = v;
-                }
-            }
-            for c in wide_ch..ch {
-                let mut acc = 0.0;
-                for j in 0..live {
-                    acc += ws[j] * self.data[bases[j] + c];
-                }
-                out[c * stride + s] = acc;
-            }
-        }
+        assert!(
+            out.len() >= self.cfg.channels * stride,
+            "output matrix too short"
+        );
+        simd::dispatch(BlockGather {
+            grid: self,
+            ps,
+            out,
+            stride,
+        });
     }
 
     /// The gather plan (memory touches) for a query at `p`.
     pub fn plan_at(&self, p: Vec3, region: RegionId) -> LevelGather {
         let g = self.grid_coords(p);
         let res = self.cfg.resolution as u32;
-        let (cx, _) = cell_fraction(g.x, res);
-        let (cy, _) = cell_fraction(g.y, res);
-        let (cz, _) = cell_fraction(g.z, res);
-        let mut entries = [0u64; 8];
-        for (corner, e) in entries.iter_mut().enumerate() {
-            let vx = cx + (corner as u32 & 1);
-            let vy = cy + ((corner as u32 >> 1) & 1);
-            let vz = cz + ((corner as u32 >> 2) & 1);
-            *e = self.vertex_index(vx, vy, vz);
-        }
+        let cell = [g.x, g.y, g.z].map(|u| cell_fraction(u, res).0);
         LevelGather {
             region,
             resolution: [res + 1, res + 1, res + 1],
-            cell: [cx, cy, cz],
-            entries,
+            cell,
+            entries: dense_corners(res + 1, cell).map(u64::from),
             entry_count: 8,
             entry_bytes: (self.cfg.channels as u32) * self.cfg.bytes_per_channel,
             dense: true,
@@ -303,9 +218,40 @@ impl DenseGrid {
     }
 }
 
+/// [`DenseGrid::interpolate_block_into`] as a [`Kernel`].
+struct BlockGather<'a> {
+    grid: &'a DenseGrid,
+    ps: &'a [Vec3],
+    out: &'a mut [f32],
+    stride: usize,
+}
+
+impl Kernel for BlockGather<'_> {
+    #[inline(always)]
+    fn run<W: Lanes, H: Lanes>(self) {
+        let (grid, stride) = (self.grid, self.stride);
+        let (res, ch) = (grid.cfg.resolution as u32, grid.cfg.channels);
+        for (ci, chunk) in self.ps.chunks(CHUNK).enumerate() {
+            let ns = normalize_chunk(&grid.bounds, chunk);
+            let (rows, ns) = (&mut self.out[ci * CHUNK..], &ns[..chunk.len()]);
+            gather_level::<W, H>(
+                &grid.data,
+                ch,
+                res,
+                ns,
+                |c| dense_corners(res + 1, c),
+                rows,
+                stride,
+            );
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::encoding::testing;
+    use crate::simd::Backend;
 
     fn small_grid() -> DenseGrid {
         DenseGrid::new(
@@ -318,16 +264,12 @@ mod tests {
         )
     }
 
-    #[test]
-    fn wide_block_interpolation_matches_scalar_bitwise() {
-        // Direct kernel-vs-kernel comparison, independent of the
-        // `simd::kernels_enabled` switch. 13 channels: one full F32x8 group
-        // plus a 5-channel scalar tail. Samples straddle interior cells,
-        // faces and the clamped boundary (exercising zero-weight corners).
+    /// A 4³ grid of `channels` per vertex, every vertex filled.
+    fn filled_grid(channels: usize) -> DenseGrid {
         let mut g = DenseGrid::new(
             GridConfig {
                 resolution: 4,
-                channels: 13,
+                channels,
                 bytes_per_channel: 2,
             },
             Aabb::centered_cube(1.0),
@@ -336,33 +278,58 @@ mod tests {
         for z in 0..n {
             for y in 0..n {
                 for x in 0..n {
-                    let f: Vec<f32> = (0..13)
+                    let f: Vec<f32> = (0..channels as u32)
                         .map(|c| ((x * 59 + y * 11 + z * 3 + c) as f32 * 0.211).sin())
                         .collect();
                     g.set_vertex(x, y, z, &f);
                 }
             }
         }
+        g
+    }
+
+    /// The block gather on one named backend, over a NaN-filled matrix.
+    fn gather_on(backend: Backend, g: &DenseGrid, ps: &[Vec3], stride: usize) -> Vec<f32> {
+        let mut out = vec![f32::NAN; g.cfg.channels * stride];
+        simd::run_on(
+            backend,
+            BlockGather {
+                grid: g,
+                ps,
+                out: &mut out,
+                stride,
+            },
+        );
+        out
+    }
+
+    #[test]
+    fn block_gather_matches_per_sample_bitwise() {
+        // 8 = one W group, 13 = W + H + a 1-lane tail.
+        for channels in [8, 13] {
+            let g = filled_grid(channels);
+            testing::assert_matches_per_sample(
+                &format!("{channels} channels"),
+                g.bounds(),
+                |backend, ps, stride| gather_on(backend, &g, ps, stride),
+                |p, out| g.interpolate_into(p, out),
+            );
+        }
+    }
+
+    #[test]
+    fn wide_block_interpolation_matches_scalar_bitwise() {
+        // Samples straddle interior cells, faces and the clamped boundary.
+        let g = filled_grid(13);
         let ps: Vec<Vec3> = (0..17)
             .map(|i| {
                 let t = i as f32 * 0.47;
                 Vec3::new(t.sin() * 1.1, (t * 1.9).cos() * 1.1, (t * 0.7).sin())
             })
             .collect();
-        let stride = ps.len() + 2;
-        let mut scalar = vec![f32::NAN; 13 * stride];
-        let mut wide = vec![f32::NAN; 13 * stride];
-        g.interpolate_block_scalar(&ps, &mut scalar, stride);
-        g.interpolate_block_wide(&ps, &mut wide, stride);
-        for s in 0..ps.len() {
-            for c in 0..13 {
-                assert_eq!(
-                    scalar[c * stride + s].to_bits(),
-                    wide[c * stride + s].to_bits(),
-                    "sample {s} channel {c}"
-                );
-            }
-        }
+        testing::assert_backends_agree(&ps, ps.len() + 2, |backend, ps, stride| {
+            gather_on(backend, &g, ps, stride)
+        });
     }
 
     #[test]

@@ -7,9 +7,11 @@
 //! §IV-A ("this reversion happens in, for instance, Instant-NGP from level 5
 //! (out of 8 levels) onwards").
 
-use crate::encoding::{cell_fraction, trilinear_weights};
+use crate::encoding::{
+    cell_fraction, corners, dense_corners, gather_level, normalize_chunk, trilinear_weights, CHUNK,
+};
 use crate::plan::{GatherPlan, LevelGather, RegionId};
-use crate::simd::{F32x8, LANES};
+use crate::simd::{self, Kernel, Lanes};
 use cicero_math::{Aabb, Vec3};
 
 /// Configuration of the hash encoding.
@@ -66,19 +68,45 @@ pub struct HashGrid {
 /// Instant-NGP's spatial hash primes.
 const PRIMES: [u64; 3] = [1, 2_654_435_761, 805_459_861];
 
+impl HashLevel {
+    /// Entry indices of the 8 corners of cell `c`, corner `b` at
+    /// `(b&1, (b>>1)&1, (b>>2)&1)`: [`HashGrid::entry_index`] for all of
+    /// them at once, in `u32`, with the y and z products shared. Hashed
+    /// levels wrap: the power-of-two mask keeps only low bits, and the low
+    /// 32 bits of the `u64` products are the `u32` products (`PRIMES` and
+    /// the mask fit `u32`; [`HashGrid::new`] checks the table does).
+    #[inline(always)]
+    fn corner_entries(&self, [cx, cy, cz]: [u32; 3]) -> [u32; 8] {
+        if self.dense {
+            return dense_corners(self.resolution as u32 + 1, [cx, cy, cz]);
+        }
+        let mask = self.table_len as u32 - 1;
+        let (p1, p2) = (PRIMES[1] as u32, PRIMES[2] as u32);
+        let y = [cy.wrapping_mul(p1), (cy + 1).wrapping_mul(p1)];
+        let z = [cz.wrapping_mul(p2), (cz + 1).wrapping_mul(p2)];
+        corners([cx, cx + 1], y, z, |x, y, z| (x ^ y ^ z) & mask)
+    }
+}
+
 impl HashGrid {
     /// Creates a zero-filled encoding.
     ///
     /// # Panics
     ///
-    /// Panics if `levels == 0`, resolutions are non-increasing, or
-    /// `features_per_entry < 7`.
+    /// Panics if `levels == 0`, resolutions are non-increasing,
+    /// `features_per_entry < 7`, or a level's table holds more than
+    /// `u32::MAX` feature values (the gather indexes them in `u32`).
     pub fn new(cfg: HashConfig, bounds: Aabb) -> Self {
         assert!(cfg.levels > 0);
         assert!(cfg.max_resolution >= cfg.base_resolution);
         assert!(
             cfg.features_per_entry >= 7,
             "per-level features must carry all decoder signals for residual baking"
+        );
+        assert!(
+            cfg.table_size_log2 < 32
+                && (cfg.features_per_entry as u64) << cfg.table_size_log2 <= u32::MAX as u64,
+            "a level's feature values must be indexable in u32"
         );
         let table_len = 1usize << cfg.table_size_log2;
         let growth = if cfg.levels > 1 {
@@ -213,123 +241,27 @@ impl HashGrid {
     /// [`HashGrid::interpolate_into`]) of sample `s` is written to
     /// `out[i * stride + s]`.
     ///
-    /// The level loop is outermost, hoisting every level-constant quantity
-    /// (resolution, table addressing mode, feature count) out of the sample
-    /// loop; per sample the accumulation order within a level (zero, corners
-    /// ascending) is unchanged from the scalar path, and levels write
-    /// disjoint rows — results are bit-identical to
-    /// [`HashGrid::interpolate_into`].
+    /// One body on every [`simd`] backend: per chunk of [`CHUNK`] samples
+    /// the positions are normalised once, then each level runs
+    /// [`gather_level`] — an index pass, then an accumulate pass that loads
+    /// each entry row as one vector. Bit-identical to
+    /// [`HashGrid::interpolate_into`] per sample.
     ///
     /// # Panics
     ///
     /// Panics if `out` is too short or `stride < ps.len()`.
     pub fn interpolate_block_into(&self, ps: &[Vec3], out: &mut [f32], stride: usize) {
-        if crate::simd::kernels_enabled() && self.cfg.features_per_entry >= LANES {
-            return self.interpolate_block_wide(ps, out, stride);
-        }
-        self.interpolate_block_scalar(ps, out, stride)
-    }
-
-    fn interpolate_block_scalar(&self, ps: &[Vec3], out: &mut [f32], stride: usize) {
-        let f = self.cfg.features_per_entry;
         assert!(stride >= ps.len(), "stride shorter than the block");
         assert!(
-            out.len() >= self.cfg.levels * f * stride,
+            out.len() >= self.cfg.levels * self.cfg.features_per_entry * stride,
             "output matrix too short"
         );
-        for (li, l) in self.levels.iter().enumerate() {
-            let res = l.resolution as u32;
-            let rscale = l.resolution as f32;
-            let rows = &mut out[li * f * stride..(li + 1) * f * stride];
-            for (s, &p) in ps.iter().enumerate() {
-                let g = self.bounds.normalize(p) * rscale;
-                let (cx, fx) = cell_fraction(g.x, res);
-                let (cy, fy) = cell_fraction(g.y, res);
-                let (cz, fz) = cell_fraction(g.z, res);
-                let w = trilinear_weights(fx, fy, fz);
-                for c in 0..f {
-                    rows[c * stride + s] = 0.0;
-                }
-                for (corner, &weight) in w.iter().enumerate() {
-                    if weight == 0.0 {
-                        continue;
-                    }
-                    let vx = cx + (corner as u32 & 1);
-                    let vy = cy + ((corner as u32 >> 1) & 1);
-                    let vz = cz + ((corner as u32 >> 2) & 1);
-                    let e = self.entry_index(li, vx, vy, vz);
-                    let base = e as usize * f;
-                    for (c, v) in l.data[base..base + f].iter().enumerate() {
-                        rows[c * stride + s] += weight * v;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Explicit-SIMD [`HashGrid::interpolate_block_scalar`]: lanes are the
-    /// features of one table entry (contiguous in entry-major level data),
-    /// so each live corner contributes `splat(weight) * load(entry_row)`
-    /// per 8-feature group. At the default `features_per_entry = 8` one
-    /// group covers a whole entry.
-    ///
-    /// Bit-identical to the scalar path: hashing / corner coordinates /
-    /// trilinear weights run the same scalar code (collected in ascending
-    /// corner order with the zero-weight skip preserved), and each
-    /// feature's register accumulator starts from 0.0 exactly like the
-    /// scalar in-memory accumulation. Features past the last full group run
-    /// the scalar loop verbatim.
-    fn interpolate_block_wide(&self, ps: &[Vec3], out: &mut [f32], stride: usize) {
-        let f = self.cfg.features_per_entry;
-        assert!(stride >= ps.len(), "stride shorter than the block");
-        assert!(
-            out.len() >= self.cfg.levels * f * stride,
-            "output matrix too short"
-        );
-        let wide_f = f - f % LANES;
-        for (li, l) in self.levels.iter().enumerate() {
-            let res = l.resolution as u32;
-            let rscale = l.resolution as f32;
-            let rows = &mut out[li * f * stride..(li + 1) * f * stride];
-            for (s, &p) in ps.iter().enumerate() {
-                let g = self.bounds.normalize(p) * rscale;
-                let (cx, fx) = cell_fraction(g.x, res);
-                let (cy, fy) = cell_fraction(g.y, res);
-                let (cz, fz) = cell_fraction(g.z, res);
-                let w = trilinear_weights(fx, fy, fz);
-                let mut bases = [0usize; 8];
-                let mut ws = [0.0f32; 8];
-                let mut live = 0;
-                for (corner, &weight) in w.iter().enumerate() {
-                    if weight == 0.0 {
-                        continue;
-                    }
-                    let vx = cx + (corner as u32 & 1);
-                    let vy = cy + ((corner as u32 >> 1) & 1);
-                    let vz = cz + ((corner as u32 >> 2) & 1);
-                    bases[live] = self.entry_index(li, vx, vy, vz) as usize * f;
-                    ws[live] = weight;
-                    live += 1;
-                }
-                for c0 in (0..wide_f).step_by(LANES) {
-                    let mut acc = F32x8::splat(0.0);
-                    for j in 0..live {
-                        let row = &l.data[bases[j] + c0..];
-                        acc = acc.add(F32x8::splat(ws[j]).mul(F32x8::load(row)));
-                    }
-                    for (dc, &v) in acc.to_array().iter().enumerate() {
-                        rows[(c0 + dc) * stride + s] = v;
-                    }
-                }
-                for c in wide_f..f {
-                    let mut acc = 0.0;
-                    for j in 0..live {
-                        acc += ws[j] * l.data[bases[j] + c];
-                    }
-                    rows[c * stride + s] = acc;
-                }
-            }
-        }
+        simd::dispatch(BlockGather {
+            grid: self,
+            ps,
+            out,
+            stride,
+        });
     }
 
     /// Sums per-level features into the 7 decoder signals (the residual
@@ -361,24 +293,16 @@ impl HashGrid {
     /// (allocation-free once warm).
     pub fn gather_plan_into(&self, p: Vec3, plan: &mut GatherPlan) {
         plan.clear();
+        let n = self.bounds.normalize(p);
         for (li, l) in self.levels.iter().enumerate() {
-            let g = self.bounds.normalize(p) * l.resolution as f32;
             let res = l.resolution as u32;
-            let (cx, _) = cell_fraction(g.x, res);
-            let (cy, _) = cell_fraction(g.y, res);
-            let (cz, _) = cell_fraction(g.z, res);
-            let mut entries = [0u64; 8];
-            for (corner, e) in entries.iter_mut().enumerate() {
-                let vx = cx + (corner as u32 & 1);
-                let vy = cy + ((corner as u32 >> 1) & 1);
-                let vz = cz + ((corner as u32 >> 2) & 1);
-                *e = self.entry_index(li, vx, vy, vz);
-            }
+            let g = n * res as f32;
+            let cell = [g.x, g.y, g.z].map(|u| cell_fraction(u, res).0);
             plan.levels.push(LevelGather {
                 region: RegionId(li as u16),
                 resolution: [res + 1, res + 1, res + 1],
-                cell: [cx, cy, cz],
-                entries,
+                cell,
+                entries: l.corner_entries(cell).map(u64::from),
                 entry_count: 8,
                 entry_bytes: self.cfg.features_per_entry as u32 * self.cfg.bytes_per_feature,
                 dense: l.dense,
@@ -406,9 +330,35 @@ impl HashGrid {
     }
 }
 
+/// [`HashGrid::interpolate_block_into`] as a [`Kernel`].
+struct BlockGather<'a> {
+    grid: &'a HashGrid,
+    ps: &'a [Vec3],
+    out: &'a mut [f32],
+    stride: usize,
+}
+
+impl Kernel for BlockGather<'_> {
+    #[inline(always)]
+    fn run<W: Lanes, H: Lanes>(self) {
+        let (grid, stride) = (self.grid, self.stride);
+        let f = grid.cfg.features_per_entry;
+        for (ci, chunk) in self.ps.chunks(CHUNK).enumerate() {
+            let ns = normalize_chunk(&grid.bounds, chunk);
+            for (li, l) in grid.levels.iter().enumerate() {
+                let rows = &mut self.out[li * f * stride + ci * CHUNK..];
+                let (res, ns) = (l.resolution as u32, &ns[..chunk.len()]);
+                gather_level::<W, H>(&l.data, f, res, ns, |c| l.corner_entries(c), rows, stride);
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::encoding::testing;
+    use crate::simd::Backend;
 
     fn grid() -> HashGrid {
         HashGrid::new(
@@ -424,51 +374,119 @@ mod tests {
         )
     }
 
-    #[test]
-    fn wide_block_interpolation_matches_scalar_bitwise() {
-        // Direct kernel-vs-kernel comparison, independent of the
-        // `simd::kernels_enabled` switch. 11 features: one full F32x8 group
-        // plus a 3-feature scalar tail, across dense and hashed levels.
+    /// A 4-level grid over a 2¹⁰ table (levels 0–1 dense, 2–3 hashed) with
+    /// `features` per entry, every entry filled.
+    fn filled_grid(features: usize) -> HashGrid {
         let mut g = HashGrid::new(
             HashConfig {
-                levels: 4,
-                base_resolution: 4,
-                max_resolution: 32,
-                table_size_log2: 10,
-                features_per_entry: 11,
-                bytes_per_feature: 2,
+                features_per_entry: features,
+                ..*grid().config()
             },
             Aabb::centered_cube(1.0),
         );
         for level in 0..4 {
             for e in 0..g.levels()[level].table_len as u64 {
-                let row: Vec<f32> = (0..11)
-                    .map(|c| ((e * 13 + c + level as u64 * 5) as f32 * 0.173).sin())
-                    .collect();
-                g.entry_mut(level, e).copy_from_slice(&row);
+                for (c, v) in g.entry_mut(level, e).iter_mut().enumerate() {
+                    *v = ((e * 13 + c as u64 + level as u64 * 5) as f32 * 0.173).sin();
+                }
             }
         }
+        g
+    }
+
+    /// The block gather on one named backend, over a NaN-filled matrix.
+    fn gather_on(backend: Backend, g: &HashGrid, ps: &[Vec3], stride: usize) -> Vec<f32> {
+        let mut out = vec![f32::NAN; g.cfg.levels * g.cfg.features_per_entry * stride];
+        simd::run_on(
+            backend,
+            BlockGather {
+                grid: g,
+                ps,
+                out: &mut out,
+                stride,
+            },
+        );
+        out
+    }
+
+    #[test]
+    fn block_gather_matches_per_sample_bitwise() {
+        // 7 = H + three 1-lane tails, 8 = W, 11 = W + tails, 16 = two W.
+        for features in [7, 8, 11, 16] {
+            let g = filled_grid(features);
+            assert!(g.levels()[1].dense && !g.levels()[2].dense);
+            testing::assert_matches_per_sample(
+                &format!("{features} features"),
+                g.bounds(),
+                |backend, ps, stride| gather_on(backend, &g, ps, stride),
+                |p, out| g.interpolate_into(p, out),
+            );
+        }
+    }
+
+    #[test]
+    fn wide_block_interpolation_matches_scalar_bitwise() {
+        // 11 features are one 8-lane group plus a 3-feature tail, across
+        // dense and hashed levels.
+        let g = filled_grid(11);
         let ps: Vec<Vec3> = (0..19)
             .map(|i| {
                 let t = i as f32 * 0.53;
                 Vec3::new(t.sin() * 1.1, (t * 2.3).cos() * 1.1, (t * 0.8).sin())
             })
             .collect();
-        let stride = ps.len() + 1;
-        let rows = 4 * 11;
-        let mut scalar = vec![f32::NAN; rows * stride];
-        let mut wide = vec![f32::NAN; rows * stride];
-        g.interpolate_block_scalar(&ps, &mut scalar, stride);
-        g.interpolate_block_wide(&ps, &mut wide, stride);
-        for s in 0..ps.len() {
-            for r in 0..rows {
-                assert_eq!(
-                    scalar[r * stride + s].to_bits(),
-                    wide[r * stride + s].to_bits(),
-                    "sample {s} row {r}"
-                );
+        testing::assert_backends_agree(&ps, ps.len() + 1, |backend, ps, stride| {
+            gather_on(backend, &g, ps, stride)
+        });
+    }
+
+    /// Cells of a `res³` grid from a seeded xorshift, the far corner first.
+    fn seeded_cells(res: u32, count: usize) -> impl Iterator<Item = [u32; 3]> {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64 ^ res as u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 33) as u32 % res
+        };
+        std::iter::once([res - 1; 3]).chain((1..count).map(move |_| [next(), next(), next()]))
+    }
+
+    #[test]
+    fn corner_entries_match_entry_index() {
+        // The shared-factor u32 form against the public u64 oracle, on the
+        // paper-scale table and on one small enough to wrap often.
+        for g in [
+            HashGrid::new(HashConfig::default(), Aabb::centered_cube(1.0)),
+            grid(),
+        ] {
+            for (li, l) in g.levels().iter().enumerate() {
+                for cell in seeded_cells(l.resolution as u32, 10_000) {
+                    for (b, &e) in l.corner_entries(cell).iter().enumerate() {
+                        let [x, y, z] = [0, 1, 2].map(|axis| cell[axis] + (b as u32 >> axis & 1));
+                        assert_eq!(
+                            e as u64,
+                            g.entry_index(li, x, y, z),
+                            "level {li} cell {cell:?} corner {b}"
+                        );
+                    }
+                }
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "indexable in u32")]
+    fn oversized_table_is_rejected() {
+        // 2³⁰ entries × 8 features overflow the u32 base index; the check
+        // fires before anything is allocated.
+        HashGrid::new(
+            HashConfig {
+                table_size_log2: 30,
+                ..Default::default()
+            },
+            Aabb::centered_cube(1.0),
+        );
     }
 
     #[test]

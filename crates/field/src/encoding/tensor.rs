@@ -10,16 +10,11 @@
 //! with its own distinctive memory footprint and access shape.
 
 use crate::plan::{GatherPlan, LevelGather, RegionId};
-use crate::simd::{F32x8, LANES};
+use crate::simd::{self, Kernel, Lanes};
 use cicero_math::{Aabb, Vec3};
 
 /// Number of decoder signals (mirrors `decoder::SIGNALS`).
 const SIGNALS: usize = 7;
-
-/// Widest channel count the SIMD tensor kernel handles (its per-orientation
-/// product buffer lives on the stack); wider configs use the scalar path.
-/// The default config is `7 signals × 4 components = 28` channels.
-const WIDE_MAX_CHANNELS: usize = 64;
 
 /// Configuration of the VM tensor encoding.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -133,14 +128,21 @@ impl VmTensor {
         &self.lines[o]
     }
 
+    /// Lower texel and lerp fraction of a continuous texel coordinate — the
+    /// one place a texel is addressed. `u` is never negative, so truncation
+    /// is the floor (and no libm call on baseline x86_64).
+    #[inline(always)]
+    fn texel_floor(&self, u: f32) -> (usize, f32) {
+        let x0 = (u as usize).min(self.cfg.resolution - 2);
+        (x0, (u - x0 as f32).clamp(0.0, 1.0))
+    }
+
     /// Bilinear sample of plane `o` at continuous texel coords, one channel.
     fn sample_plane(&self, o: usize, u: f32, v: f32, c: usize) -> f32 {
         let res = self.cfg.resolution;
         let ch = self.channels();
-        let x0 = (u.floor() as usize).min(res - 2);
-        let y0 = (v.floor() as usize).min(res - 2);
-        let fx = (u - x0 as f32).clamp(0.0, 1.0);
-        let fy = (v - y0 as f32).clamp(0.0, 1.0);
+        let (x0, fx) = self.texel_floor(u);
+        let (y0, fy) = self.texel_floor(v);
         let at = |x: usize, y: usize| self.planes[o][(y * res + x) * ch + c];
         let top = at(x0, y0) * (1.0 - fx) + at(x0 + 1, y0) * fx;
         let bot = at(x0, y0 + 1) * (1.0 - fx) + at(x0 + 1, y0 + 1) * fx;
@@ -149,10 +151,8 @@ impl VmTensor {
 
     /// Linear sample of line `o` at continuous texel coord, one channel.
     fn sample_line(&self, o: usize, w: f32, c: usize) -> f32 {
-        let res = self.cfg.resolution;
         let ch = self.channels();
-        let w0 = (w.floor() as usize).min(res - 2);
-        let fw = (w - w0 as f32).clamp(0.0, 1.0);
+        let (w0, fw) = self.texel_floor(w);
         self.lines[o][w0 * ch + c] * (1.0 - fw) + self.lines[o][(w0 + 1) * ch + c] * fw
     }
 
@@ -188,130 +188,24 @@ impl VmTensor {
     /// layout: signal `sig` of sample `s` is written to
     /// `out[sig * stride + s]`.
     ///
-    /// Each sample runs the exact scalar sequence of
-    /// [`VmTensor::interpolate_into`] — one normalization, then orientations
-    /// in storage order each adding its component sum — so results are
-    /// bit-identical to the scalar path; only the output lands in the
-    /// decoder's strided SoA matrix instead of a dense vector. The
-    /// per-block win for the tensor family comes from the shared batched
-    /// decode, not from reordering the (already texel-local) gathers.
+    /// One body on every [`simd`] backend: per sample and orientation the
+    /// texels are addressed once, the four plane taps and two line taps are
+    /// loaded as channel vectors, and their product streams into the
+    /// per-signal component sums in ascending channel order. Bit-identical
+    /// to [`VmTensor::interpolate_into`] per sample, at any channel count.
     ///
     /// # Panics
     ///
     /// Panics if `out` is too short or `stride < ps.len()`.
     pub fn interpolate_block_into(&self, ps: &[Vec3], out: &mut [f32], stride: usize) {
-        let ch = self.channels();
-        if crate::simd::kernels_enabled() && (LANES..=WIDE_MAX_CHANNELS).contains(&ch) {
-            return self.interpolate_block_wide(ps, out, stride);
-        }
-        self.interpolate_block_scalar(ps, out, stride)
-    }
-
-    fn interpolate_block_scalar(&self, ps: &[Vec3], out: &mut [f32], stride: usize) {
         assert!(stride >= ps.len(), "stride shorter than the block");
         assert!(out.len() >= SIGNALS * stride, "output matrix too short");
-        let k = self.cfg.components_per_signal;
-        for (s, &p) in ps.iter().enumerate() {
-            let n = self.bounds.normalize(p);
-            for sig in 0..SIGNALS {
-                out[sig * stride + s] = 0.0;
-            }
-            for (oi, o) in ORIENTATIONS.iter().enumerate() {
-                let (pu, pv, lw) = o.split(n);
-                let (u, v, w) = (self.texel(pu), self.texel(pv), self.texel(lw));
-                for sig in 0..SIGNALS {
-                    let mut acc = 0.0;
-                    for comp in 0..k {
-                        let c = sig * k + comp;
-                        acc += self.sample_plane(oi, u, v, c) * self.sample_line(oi, w, c);
-                    }
-                    out[sig * stride + s] += acc;
-                }
-            }
-        }
-    }
-
-    /// Explicit-SIMD [`VmTensor::interpolate_block_scalar`]: lanes are the
-    /// texel *channels* — at fixed texel coordinates, the four plane taps
-    /// and two line taps are each contiguous `channels()`-long rows, so the
-    /// whole bilinear × linear product evaluates 8 channels per [`F32x8`]
-    /// group into a stack buffer; the per-signal component reduction then
-    /// reads the buffer in the scalar path's ascending order.
-    ///
-    /// Bit-identical to the scalar path: texel coordinates and lerp
-    /// fractions come from the same scalar expressions as
-    /// [`VmTensor::sample_plane`] / [`VmTensor::sample_line`], each lane's
-    /// product uses the identical mul/add tree (no FMA contraction), and
-    /// both the component sum and the cross-orientation `+=` keep the
-    /// scalar order. Channels past the last full group run the scalar
-    /// expressions per lane. Configurations wider than
-    /// [`WIDE_MAX_CHANNELS`] fall back to the scalar kernel (see
-    /// `interpolate_block_into`).
-    fn interpolate_block_wide(&self, ps: &[Vec3], out: &mut [f32], stride: usize) {
-        assert!(stride >= ps.len(), "stride shorter than the block");
-        assert!(out.len() >= SIGNALS * stride, "output matrix too short");
-        let k = self.cfg.components_per_signal;
-        let ch = self.channels();
-        debug_assert!(ch <= WIDE_MAX_CHANNELS);
-        let res = self.cfg.resolution;
-        let wide_ch = ch - ch % LANES;
-        let mut prod = [0.0f32; WIDE_MAX_CHANNELS];
-        for (s, &p) in ps.iter().enumerate() {
-            let n = self.bounds.normalize(p);
-            for sig in 0..SIGNALS {
-                out[sig * stride + s] = 0.0;
-            }
-            for (oi, o) in ORIENTATIONS.iter().enumerate() {
-                let (pu, pv, lw) = o.split(n);
-                let (u, v, w) = (self.texel(pu), self.texel(pv), self.texel(lw));
-                // Same texel/fraction expressions as sample_plane/sample_line.
-                let x0 = (u.floor() as usize).min(res - 2);
-                let y0 = (v.floor() as usize).min(res - 2);
-                let fx = (u - x0 as f32).clamp(0.0, 1.0);
-                let fy = (v - y0 as f32).clamp(0.0, 1.0);
-                let w0 = (w.floor() as usize).min(res - 2);
-                let fw = (w - w0 as f32).clamp(0.0, 1.0);
-                let p00 = (y0 * res + x0) * ch;
-                let p10 = (y0 * res + x0 + 1) * ch;
-                let p01 = ((y0 + 1) * res + x0) * ch;
-                let p11 = ((y0 + 1) * res + x0 + 1) * ch;
-                let l0 = w0 * ch;
-                let l1 = (w0 + 1) * ch;
-                let plane = &self.planes[oi];
-                let line = &self.lines[oi];
-                for c0 in (0..wide_ch).step_by(LANES) {
-                    let vfx = F32x8::splat(fx);
-                    let gfx = F32x8::splat(1.0 - fx);
-                    let top = F32x8::load(&plane[p00 + c0..])
-                        .mul(gfx)
-                        .add(F32x8::load(&plane[p10 + c0..]).mul(vfx));
-                    let bot = F32x8::load(&plane[p01 + c0..])
-                        .mul(gfx)
-                        .add(F32x8::load(&plane[p11 + c0..]).mul(vfx));
-                    let pl = top
-                        .mul(F32x8::splat(1.0 - fy))
-                        .add(bot.mul(F32x8::splat(fy)));
-                    let ln = F32x8::load(&line[l0 + c0..])
-                        .mul(F32x8::splat(1.0 - fw))
-                        .add(F32x8::load(&line[l1 + c0..]).mul(F32x8::splat(fw)));
-                    pl.mul(ln).store(&mut prod[c0..]);
-                }
-                for c in wide_ch..ch {
-                    let top = plane[p00 + c] * (1.0 - fx) + plane[p10 + c] * fx;
-                    let bot = plane[p01 + c] * (1.0 - fx) + plane[p11 + c] * fx;
-                    let pl = top * (1.0 - fy) + bot * fy;
-                    let ln = line[l0 + c] * (1.0 - fw) + line[l1 + c] * fw;
-                    prod[c] = pl * ln;
-                }
-                for sig in 0..SIGNALS {
-                    let mut acc = 0.0;
-                    for comp in 0..k {
-                        acc += prod[sig * k + comp];
-                    }
-                    out[sig * stride + s] += acc;
-                }
-            }
-        }
+        simd::dispatch(BlockGather {
+            tensor: self,
+            ps,
+            out,
+            stride,
+        });
     }
 
     /// Gather plan: 4-entry bilinear reads on 3 planes (regions 0–2) and
@@ -333,10 +227,7 @@ impl VmTensor {
         let entry_bytes = self.channels() as u32 * self.cfg.bytes_per_value;
         for (oi, o) in ORIENTATIONS.iter().enumerate() {
             let (pu, pv, lw) = o.split(n);
-            let (u, v, w) = (self.texel(pu), self.texel(pv), self.texel(lw));
-            let x0 = (u.floor() as u32).min(res - 2);
-            let y0 = (v.floor() as u32).min(res - 2);
-            let w0 = (w.floor() as u32).min(res - 2);
+            let [x0, y0, w0] = [pu, pv, lw].map(|n| self.texel_floor(self.texel(n)).0 as u32);
             let mut pe = [0u64; 8];
             pe[0] = (y0 * res + x0) as u64;
             pe[1] = (y0 * res + x0 + 1) as u64;
@@ -387,9 +278,102 @@ impl VmTensor {
     }
 }
 
+/// [`VmTensor::interpolate_block_into`] as a [`Kernel`].
+struct BlockGather<'a> {
+    tensor: &'a VmTensor,
+    ps: &'a [Vec3],
+    out: &'a mut [f32],
+    stride: usize,
+}
+
+impl Kernel for BlockGather<'_> {
+    #[inline(always)]
+    fn run<W: Lanes, H: Lanes>(self) {
+        let (t, out, stride) = (self.tensor, self.out, self.stride);
+        let (res, ch, k) = (t.cfg.resolution, t.channels(), t.cfg.components_per_signal);
+        for (s, &p) in self.ps.iter().enumerate() {
+            let n = t.bounds.normalize(p);
+            for sig in 0..SIGNALS {
+                out[sig * stride + s] = 0.0;
+            }
+            for (oi, o) in ORIENTATIONS.iter().enumerate() {
+                let (pu, pv, lw) = o.split(n);
+                let [(x0, fx), (y0, fy), (w0, fw)] =
+                    [pu, pv, lw].map(|n| t.texel_floor(t.texel(n)));
+                let plane = &t.planes[oi][(y0 * res + x0) * ch..];
+                let line = &t.lines[oi][w0 * ch..];
+                let below = &plane[res * ch..];
+                let taps = Taps {
+                    rows: [plane, &plane[ch..], below, &below[ch..], line, &line[ch..]],
+                    fractions: [fx, fy, fw],
+                };
+                // The per-sample path's reduction: a signal's components
+                // summed from 0.0 in ascending order, the sum added to the
+                // signal's output once complete.
+                let (mut at, mut summed, mut acc) = (s, 0, 0.0);
+                let mut reduce = |products: &[f32]| {
+                    for &v in products {
+                        acc += v;
+                        summed += 1;
+                        if summed == k {
+                            out[at] += acc;
+                            (at, summed, acc) = (at + stride, 0, 0.0);
+                        }
+                    }
+                };
+                let mut c = 0;
+                while c + W::N <= ch {
+                    reduce(&taps.products::<W>(c)[..W::N]);
+                    c += W::N;
+                }
+                if c + H::N <= ch {
+                    reduce(&taps.products::<H>(c)[..H::N]);
+                    c += H::N;
+                }
+                while c < ch {
+                    reduce(&taps.products::<[f32; 1]>(c)[..1]);
+                    c += 1;
+                }
+            }
+        }
+    }
+}
+
+/// One sample's taps in one orientation: the channel rows of plane texels
+/// `(x0, y0)`, `(x0+1, y0)`, `(x0, y0+1)`, `(x0+1, y0+1)` and line texels
+/// `w0`, `w0+1`, and the lerp fractions along u, v and w.
+struct Taps<'a> {
+    rows: [&'a [f32]; 6],
+    fractions: [f32; 3],
+}
+
+impl Taps<'_> {
+    /// [`VmTensor::sample_plane`] times [`VmTensor::sample_line`] for
+    /// channels `c..c + V::N`, one lane each (the first `V::N` values).
+    #[inline(always)]
+    fn products<V: Lanes>(&self, c: usize) -> [f32; 8] {
+        // No `array::map` over the loads and splats: a `Lanes` op inside a
+        // std helper's closure is compiled outside the backend trampoline.
+        let [p00, p10, p01, p11, l0, l1] = self.rows;
+        let [fx, fy, fw] = self.fractions;
+        let (gx, fx) = (V::splat(1.0 - fx), V::splat(fx));
+        let top = V::load(&p00[c..]).mul(gx).add_mul(V::load(&p10[c..]), fx);
+        let bot = V::load(&p01[c..]).mul(gx).add_mul(V::load(&p11[c..]), fx);
+        let plane = top.mul(V::splat(1.0 - fy)).add_mul(bot, V::splat(fy));
+        let line = V::load(&l0[c..])
+            .mul(V::splat(1.0 - fw))
+            .add_mul(V::load(&l1[c..]), V::splat(fw));
+        let mut products = [0.0f32; 8];
+        plane.mul(line).store(&mut products);
+        products
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::encoding::testing;
+    use crate::simd::Backend;
 
     fn tensor() -> VmTensor {
         VmTensor::new(
@@ -402,20 +386,16 @@ mod tests {
         )
     }
 
-    #[test]
-    fn wide_block_interpolation_matches_scalar_bitwise() {
-        // Direct kernel-vs-kernel comparison, independent of the
-        // `simd::kernels_enabled` switch. 3 components → 21 channels: two
-        // full F32x8 groups plus a 5-channel scalar tail.
+    /// An 8-texel tensor of `components` per signal, every value filled.
+    fn filled_tensor(components: usize) -> VmTensor {
         let mut t = VmTensor::new(
             TensorConfig {
                 resolution: 8,
-                components_per_signal: 3,
+                components_per_signal: components,
                 bytes_per_value: 2,
             },
             Aabb::centered_cube(1.0),
         );
-        let ch = t.channels();
         for o in 0..3 {
             for (i, v) in t.plane_mut(o).iter_mut().enumerate() {
                 *v = ((i * 7 + o * 3) as f32 * 0.149).sin();
@@ -424,27 +404,54 @@ mod tests {
                 *v = ((i * 5 + o * 11) as f32 * 0.097).cos();
             }
         }
-        assert_eq!(ch, 21);
+        t
+    }
+
+    /// The block gather on one named backend, over a NaN-filled matrix.
+    fn gather_on(backend: Backend, t: &VmTensor, ps: &[Vec3], stride: usize) -> Vec<f32> {
+        let mut out = vec![f32::NAN; SIGNALS * stride];
+        simd::run_on(
+            backend,
+            BlockGather {
+                tensor: t,
+                ps,
+                out: &mut out,
+                stride,
+            },
+        );
+        out
+    }
+
+    #[test]
+    fn block_gather_matches_per_sample_bitwise() {
+        // Channels 7 = H + tails, 21 = two W + H + a tail, 35 = four W +
+        // tails; 3 and 5 components straddle the lane groups. 12 components
+        // are 84 channels, past the old kernel's 64-channel product buffer.
+        for components in [1, 3, 5, 12] {
+            let t = filled_tensor(components);
+            testing::assert_matches_per_sample(
+                &format!("{components} components"),
+                t.bounds(),
+                |backend, ps, stride| gather_on(backend, &t, ps, stride),
+                |p, out| t.interpolate_into(p, out),
+            );
+        }
+    }
+
+    #[test]
+    fn wide_block_interpolation_matches_scalar_bitwise() {
+        // 3 components are 21 channels, two 8-lane groups plus a tail.
+        let t = filled_tensor(3);
+        assert_eq!(t.channels(), 21);
         let ps: Vec<Vec3> = (0..15)
             .map(|i| {
                 let t = i as f32 * 0.43;
                 Vec3::new(t.sin() * 1.2, (t * 1.3).cos() * 1.2, (t * 0.9).sin())
             })
             .collect();
-        let stride = ps.len() + 4;
-        let mut scalar = vec![f32::NAN; SIGNALS * stride];
-        let mut wide = vec![f32::NAN; SIGNALS * stride];
-        t.interpolate_block_scalar(&ps, &mut scalar, stride);
-        t.interpolate_block_wide(&ps, &mut wide, stride);
-        for s in 0..ps.len() {
-            for sig in 0..SIGNALS {
-                assert_eq!(
-                    scalar[sig * stride + s].to_bits(),
-                    wide[sig * stride + s].to_bits(),
-                    "sample {s} signal {sig}"
-                );
-            }
-        }
+        testing::assert_backends_agree(&ps, ps.len() + 4, |backend, ps, stride| {
+            gather_on(backend, &t, ps, stride)
+        });
     }
 
     #[test]

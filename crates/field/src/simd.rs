@@ -8,13 +8,14 @@
 //! - [`F32x8`] is an 8-wide f32 vector backed by two SSE2 `__m128`
 //!   registers when the `simd` cargo feature is enabled on an x86_64 target
 //!   (SSE2 is baseline on x86_64, so it needs no CPU detection), and by a
-//!   plain `[f32; 8]` with per-lane loops everywhere else. The encoding
-//!   gathers and the SPARW row passes are written against it.
+//!   plain `[f32; 8]` with per-lane loops everywhere else. The SPARW row
+//!   passes are written against it.
 //! - [`Lanes`] + [`Kernel`] + [`dispatch`]: a kernel body written **once**
 //!   over an abstract lane vector and instantiated per [`Backend`] —
 //!   portable `[f32; N]`, the SSE2 pair, and a 256-bit AVX `__m256` that is
 //!   selected at run time (`is_x86_feature_detected!("avx")`, cached). The
-//!   MLP block kernel, where the time goes, runs this way.
+//!   MLP block kernel and the three encoding gathers, where the time goes,
+//!   run this way.
 //!
 //! | backend | 8-lane `W` | 4-lane `H` | selected when |
 //! |---|---|---|---|
@@ -85,15 +86,20 @@
 //!    the kernel, and extend `tests/simd_equivalence.rs` if the kernel
 //!    feeds a new end-to-end path.
 //!
-//! Over [`Lanes`] (one body at every width — worth it where the kernel is
-//! arithmetic-bound, as `Layer::forward_block` in `mlp.rs` is):
+//! Over [`Lanes`] (one body at every width, and no scalar twin to keep in
+//! step — `Layer::forward_block` in `mlp.rs` and `interpolate_block_into` of
+//! the three encodings):
 //!
 //! 1. Put the arguments in a struct and implement [`Kernel`] for it. Write
 //!    `run` against `W` (8 lanes), `H` (4 lanes) and `[f32; 1]` for the
 //!    tail, using only the [`Lanes`] ops, and mark it and its helpers
-//!    `#[inline(always)]`. There is no second, scalar copy: the portable
-//!    instance is the scalar path, and the per-element code it replaces
-//!    (`Layer::forward`) stays as the oracle.
+//!    `#[inline(always)]`. Keep [`Lanes`] ops out of closures handed to std
+//!    helpers (`array::map`, iterator adaptors): the helper is compiled
+//!    outside the AVX trampoline, so the ops inside it are calls, not
+//!    instructions (a tensor gather written that way ran at half speed).
+//!    There is no second, scalar copy: the portable instance is the scalar
+//!    path, and the per-element code it replaces (`Layer::forward`, the
+//!    encodings' `interpolate_into`) stays as the oracle.
 //! 2. Call [`dispatch`] where the loop used to be.
 //! 3. Test every backend with [`run_on`] against the oracle, skipping the
 //!    ones [`Backend::supported`] rules out on the host.
@@ -254,9 +260,10 @@ pub fn set_backend_cap(cap: Backend) {
     WIDEST.store(host_widest().min(cap).code(), Ordering::Relaxed);
 }
 
-/// One lane vector of a [`Kernel`] body: `N` f32 lanes and the ops a
-/// bias-first dot product with ReLU needs. Every op is per-lane IEEE-754
-/// identical to the scalar `+`, `*` and `f32::max`, on every implementor.
+/// One lane vector of a [`Kernel`] body: `N` f32 lanes and the ops the
+/// block kernels need (a bias-first dot product with ReLU; weighted sums
+/// and lerps of feature rows). Every op is per-lane IEEE-754 identical to
+/// the scalar `+`, `*` and `f32::max`, on every implementor.
 pub trait Lanes: Copy {
     /// Lane count.
     const N: usize;
@@ -266,6 +273,8 @@ pub trait Lanes: Copy {
     fn load(src: &[f32]) -> Self;
     /// Store lanes to `dst[0..N]`. Panics if `dst` is shorter than `N`.
     fn store(self, dst: &mut [f32]);
+    /// Lane-wise `self * o`, rounded once.
+    fn mul(self, o: Self) -> Self;
     /// Lane-wise `self + w * x`: a rounded multiply, then a rounded add —
     /// two ops, never fused.
     fn add_mul(self, w: Self, x: Self) -> Self;
@@ -297,6 +306,16 @@ impl<const N: usize> Lanes for [f32; N] {
 
     // Plain indexed loops: an unoptimised build (the tier-1 suite) pays a
     // call per iterator step, and this is its MLP.
+    #[inline(always)]
+    fn mul(mut self, o: Self) -> Self {
+        let mut i = 0;
+        while i < N {
+            self[i] *= o[i];
+            i += 1;
+        }
+        self
+    }
+
     #[inline(always)]
     fn add_mul(mut self, w: Self, x: Self) -> Self {
         let mut i = 0;
@@ -510,6 +529,11 @@ mod backend {
         }
 
         #[inline(always)]
+        fn mul(self, o: Self) -> Self {
+            F32x8::mul(self, o)
+        }
+
+        #[inline(always)]
         fn add_mul(self, w: Self, x: Self) -> Self {
             F32x8::add(self, F32x8::mul(w, x))
         }
@@ -548,6 +572,12 @@ mod backend {
             // SAFETY: the assert guarantees 4 writable f32s at `dst`;
             // storeu has no alignment requirement.
             unsafe { _mm_storeu_ps(dst.as_mut_ptr(), self.0) }
+        }
+
+        #[inline(always)]
+        fn mul(self, o: Self) -> Self {
+            // SAFETY: sse2 baseline (see `F32x8`); register-only.
+            Self(unsafe { _mm_mul_ps(self.0, o.0) })
         }
 
         #[inline(always)]
@@ -601,6 +631,12 @@ mod backend {
             // SAFETY: AVX detected (see type docs); the assert guarantees
             // 8 writable f32s at `dst`, and storeu needs no alignment.
             unsafe { _mm256_storeu_ps(dst.as_mut_ptr(), self.0) }
+        }
+
+        #[inline(always)]
+        fn mul(self, o: Self) -> Self {
+            // SAFETY: AVX detected (see type docs); register-only.
+            Self(unsafe { _mm256_mul_ps(self.0, o.0) })
         }
 
         #[inline(always)]

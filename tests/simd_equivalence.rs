@@ -11,7 +11,8 @@
 //! cap. Each test here runs its workload with the kernels forced off (the
 //! scalar oracle), then forced on under every backend the host can run —
 //! SSE2, and AVX where the CPU reports it, so the 128- and 256-bit
-//! instances of the MLP block kernel are both held to the oracle's bytes —
+//! instances of the MLP block kernel and of the encoding gathers are all
+//! held to the oracle's bytes —
 //! and asserts byte equality. Without `--features simd` the switch is pinned
 //! off and no wide backend exists: the suite then runs the portable path
 //! twice as a self-check, and CI additionally diffs digests across
@@ -30,10 +31,10 @@ use cicero::Variant;
 use cicero_field::render::render_full;
 use cicero_field::simd::{self, Backend};
 use cicero_field::{
-    bake, GatherPlan, GridConfig, HashConfig, NerfModel, RenderOptions, TensorConfig,
+    bake, GatherPlan, GridConfig, HashConfig, NerfModel, RenderOptions, RenderStats, TensorConfig,
 };
 use cicero_math::{Camera, Intrinsics, Pose, Vec3};
-use cicero_scene::ground_truth::render_frame;
+use cicero_scene::ground_truth::{render_frame, Frame};
 use cicero_scene::volume::MarchParams;
 use cicero_scene::{library, RadianceSource, Trajectory};
 use cicero_serve::{FrameServer, QosClass, ServeConfig, ServiceReport, SessionSpec};
@@ -120,6 +121,21 @@ fn model_for(scene_name: &str) -> Box<dyn NerfModel> {
     }
 }
 
+/// A full frame, its stats, and what a sink saw of every processed sample.
+type Render = (Frame, RenderStats, Vec<(u32, f32, u64, u64)>);
+
+fn render_with_events(model: &dyn NerfModel, cam: &Camera, block: usize) -> Render {
+    let opts = RenderOptions {
+        sample_block: block,
+        ..Default::default()
+    };
+    let mut events = Vec::new();
+    let mut sink =
+        |ray: u32, t: f32, p: &GatherPlan| events.push((ray, t, p.bytes(), p.entry_reads()));
+    let (frame, stats) = render_full(model, cam, &opts, &mut sink);
+    (frame, stats, events)
+}
+
 #[test]
 fn wide_render_is_bit_identical_across_scenes_models_and_block_sizes() {
     let _guard = lock();
@@ -128,18 +144,7 @@ fn wide_render_is_bit_identical_across_scenes_models_and_block_sizes() {
         let model = model_for(scene_name);
         let model = model.as_ref();
         let cam = bench_camera();
-        let collect = |block: usize| {
-            let opts = RenderOptions {
-                sample_block: block,
-                ..Default::default()
-            };
-            let mut events: Vec<(u32, f32, u64, u64)> = Vec::new();
-            let mut sink = |ray: u32, t: f32, p: &GatherPlan| {
-                events.push((ray, t, p.bytes(), p.entry_reads()))
-            };
-            let (frame, stats) = render_full(model, &cam, &opts, &mut sink);
-            (frame, stats, events)
-        };
+        let collect = |block| render_with_events(model, &cam, block);
         for block in BLOCK_SIZES {
             let (frame, stats, events) = with_backend(None, || collect(block));
             assert!(stats.samples_processed > 0, "{scene_name}: empty render");
@@ -150,6 +155,56 @@ fn wide_render_is_bit_identical_across_scenes_models_and_block_sizes() {
                 assert_eq!(w_stats, stats, "{at}: stats");
                 assert_eq!(w_events, events, "{at}: sink stream");
             }
+        }
+    }
+}
+
+#[test]
+fn block_gathers_render_bit_identically_at_every_feature_width() {
+    // Full frames through the hash and tensor block gathers at widths the
+    // default configs above do not reach: 11 features per entry (an 8-lane
+    // group plus three 1-lane tails) over six levels, dense then hashed;
+    // 21 and 35 tensor channels, where a signal's components straddle the
+    // lane groups. Frame, stats and sink stream per backend cap.
+    let _guard = lock();
+    let backends = wide_backends();
+    let scene = library::scene_by_name("chair").unwrap();
+    let hash = bake::bake_hash(
+        &scene,
+        &HashConfig {
+            levels: 6,
+            base_resolution: 4,
+            max_resolution: 32,
+            table_size_log2: 11,
+            features_per_entry: 11,
+            ..Default::default()
+        },
+    );
+    assert!((1..6).contains(&hash.encoding.first_hashed_level()));
+    let tensor = |components_per_signal| {
+        bake::bake_tensor(
+            &scene,
+            &TensorConfig {
+                resolution: 24,
+                components_per_signal,
+                ..Default::default()
+            },
+        )
+    };
+    let models: [(&str, Box<dyn NerfModel>); 3] = [
+        ("hash 6 x 11", Box::new(hash)),
+        ("tensor 21", Box::new(tensor(3))),
+        ("tensor 35", Box::new(tensor(5))),
+    ];
+    let cam = bench_camera();
+    for (name, model) in &models {
+        // One chunk and a bit: 20-sample blocks leave the gathers a 4-sample
+        // chunk after the full one.
+        let collect = || render_with_events(model.as_ref(), &cam, 20);
+        let scalar = with_backend(None, collect);
+        assert!(scalar.1.samples_processed > 0, "{name}: empty render");
+        for &b in &backends {
+            assert!(with_backend(Some(b), collect) == scalar, "{name}, {b:?}");
         }
     }
 }
