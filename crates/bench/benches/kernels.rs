@@ -2,7 +2,11 @@
 //! (ISSUE 9, 12, 13): the decoder MLP's `forward_block` and the three
 //! encoding gathers, each timed with the runtime kernel switch off and then
 //! on under every backend cap the host supports (`sse2`, `avx`). The
-//! gathers are timed on a cache-hot and a cache-cold working set.
+//! gathers are timed on a cache-hot and a cache-cold working set. Last, what
+//! the batched marcher hands those kernels (ISSUE 16): the cost of a
+//! candidate step through the lego occupancy, tested one by one and walked
+//! by clearance, and lanes evaluated per lane committed at blocks 4/16/64
+//! for a sink that observes samples and one that does not.
 //!
 //! ```text
 //! cargo bench -p cicero-bench --features simd --bench kernels
@@ -18,11 +22,14 @@
 //! runs a calibrated iteration count so each measurement spans ≥ 50 ms, and
 //! reads the best of five.
 
+use cicero_field::render::render_full;
 use cicero_field::simd::{self, Backend};
 use cicero_field::{
-    DenseGrid, GridConfig, HashConfig, HashGrid, Mlp, MlpBlockScratch, TensorConfig, VmTensor,
+    bake, DenseGrid, GatherPlan, GridConfig, HashConfig, HashGrid, Mlp, MlpBlockScratch, NerfModel,
+    NullSink, RenderOptions, TensorConfig, VmTensor,
 };
-use cicero_math::{Aabb, Vec3};
+use cicero_math::{Aabb, Camera, Intrinsics, Pose, Vec3};
+use cicero_telemetry::{self as telemetry, Counter};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -122,6 +129,108 @@ fn fill(i: usize) -> f32 {
     ((i as u32).wrapping_mul(2_654_435_761) >> 8) as f32 / (1u32 << 23) as f32 - 1.0
 }
 
+/// The batched marcher's side of the sample engine, on the lego grid model
+/// (occupancy 48³) seen by a 128² camera at the default step.
+fn marcher() {
+    let scene = cicero_scene::library::scene_by_name("lego").expect("library scene");
+    let config = GridConfig {
+        resolution: 48,
+        ..Default::default()
+    };
+    let model = bake::bake_grid(&scene, &config);
+    let camera = Camera::new(
+        Intrinsics::from_fov(128, 128, 0.9),
+        Pose::look_at(Vec3::new(0.3, 1.2, -2.6), Vec3::ZERO, Vec3::Y),
+    );
+    let step = RenderOptions::default().march.step;
+    let grid = &model.occupancy;
+    let rays: Vec<_> = (0..128 * 128)
+        .filter_map(|i| {
+            let ray = camera.primary_ray((i % 128) as f32 + 0.5, (i / 128) as f32 + 0.5);
+            let (t0, t1) = model.bounds().intersect(&ray)?;
+            Some((ray, t0, ((t1 - t0) / step).ceil() as u32))
+        })
+        .collect();
+    let candidates: u64 = rays.iter().map(|&(_, _, n)| n as u64).sum();
+
+    println!("march through the lego occupancy ({candidates} candidate steps, step {step}):");
+    // Both walks find the same occupied steps (returned, so the work stays).
+    let per_step = || {
+        let mut found = 0u32;
+        for &(ray, t0, n) in &rays {
+            for i in 0..n {
+                found += grid.occupied(ray.at(t0 + (i as f32 + 0.5) * step)) as u32;
+            }
+        }
+        found as f32
+    };
+    let mut looked_at = 0u64;
+    let mut by_clearance = || {
+        let (mut found, mut looked_sum) = (0u32, 0u64);
+        for (ray, t0, n) in &rays {
+            let mut from = 0;
+            while from < *n {
+                let (at, looked) = grid.first_occupied_step(ray, *t0, step, from, *n);
+                looked_sum += looked as u64;
+                found += (at < *n) as u32;
+                from = at + 1;
+            }
+        }
+        looked_at = looked_sum;
+        found as f32
+    };
+    assert_eq!(per_step(), by_clearance());
+    let every = throughput(candidates as usize, &mut || per_step());
+    let walked = throughput(candidates as usize, &mut by_clearance);
+    println!(
+        "  per-step occupied {:>6.2} ns/candidate | clearance walk {:>6.2} ns/candidate {:>5.2}x, looks at {:.1} % of them",
+        1e9 / every,
+        1e9 / walked,
+        walked / every,
+        100.0 * looked_at as f64 / candidates as f64
+    );
+
+    println!("one 128² frame, lanes evaluated / lanes committed:");
+    telemetry::enable();
+    let counters = [
+        Counter::SampleLanesEvaluated,
+        Counter::SampleLanesCommitted,
+        Counter::MarchStepsVisited,
+    ];
+    for block in [4usize, 16, 64] {
+        let opts = RenderOptions {
+            sample_block: block,
+            ..Default::default()
+        };
+        let counts = |observe: bool| {
+            let before = counters.map(telemetry::counter_value);
+            let (_, stats) = if observe {
+                render_full(
+                    &model,
+                    &camera,
+                    &opts,
+                    &mut |_: u32, _: f32, _: &GatherPlan| {},
+                )
+            } else {
+                render_full(&model, &camera, &opts, &mut NullSink)
+            };
+            let after = counters.map(telemetry::counter_value);
+            (
+                [0, 1, 2].map(|i| after[i] - before[i]),
+                stats.samples_indexed,
+            )
+        };
+        let ([seen, seen_kept, _], _) = counts(true);
+        let ([unseen, unseen_kept, looked_at], indexed) = counts(false);
+        println!(
+            "  block {block:>2}: observing sink {seen:>6} / {seen_kept} = {:.3} | NullSink {unseen:>6} / {unseen_kept} = {:.3} | {looked_at} of {indexed} indexed candidates looked at",
+            seen as f64 / seen_kept as f64,
+            unseen as f64 / unseen_kept as f64,
+        );
+    }
+    telemetry::disable();
+}
+
 fn main() {
     let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!(
@@ -210,4 +319,7 @@ fn main() {
     compare_gather("tensor 128² × 28  ", bounds, 7, |ps, out, stride| {
         tensor.interpolate_block_into(ps, out, stride)
     });
+    drop((grid, hash, tensor));
+
+    marcher();
 }

@@ -278,4 +278,60 @@ mod tests {
         let corner = model.bounds().max - cicero_math::Vec3::splat(1e-3);
         assert_eq!(src.density_at(corner), 0.0);
     }
+
+    /// What the batched renderer's plan elision rests on: a sample's gather
+    /// plan adds the same entry reads and bytes to the stats wherever the
+    /// sample is, so one plan per render tells both.
+    #[test]
+    fn plan_entry_reads_and_bytes_do_not_depend_on_the_position() {
+        use crate::encoding::{hash::HashConfig, tensor::TensorConfig};
+        let scene = library::scene_by_name("mic").unwrap();
+        let hash = HashConfig {
+            levels: 4,
+            base_resolution: 4,
+            max_resolution: 24,
+            table_size_log2: 10,
+            ..Default::default()
+        };
+        let models: [Box<dyn NerfModel>; 3] = [
+            Box::new(bake::bake_grid(
+                &scene,
+                &GridConfig {
+                    resolution: 12,
+                    ..Default::default()
+                },
+            )),
+            Box::new(bake::bake_hash(&scene, &hash)),
+            Box::new(bake::bake_tensor(
+                &scene,
+                &TensorConfig {
+                    resolution: 12,
+                    ..Default::default()
+                },
+            )),
+        ];
+        for model in &models {
+            let b = model.bounds();
+            // Inside, on grid vertices (cell corners, faces, the two
+            // extreme corners of the bounds) and outside.
+            let vertex = |x: f32, y: f32, z: f32| b.min + b.size() * Vec3::new(x, y, z) / 12.0;
+            let positions = [
+                b.center(),
+                b.min + b.size() * 0.317,
+                vertex(0.0, 0.0, 0.0),
+                vertex(12.0, 12.0, 12.0),
+                vertex(3.0, 7.0, 11.0),
+                vertex(12.0, 5.5, 0.0),
+                b.max + b.size(),
+                b.min - b.size() * 0.01,
+            ];
+            let mut plan = GatherPlan::default();
+            let costs = positions.map(|p| {
+                model.plan_into(p, &mut plan);
+                (plan.entry_reads(), plan.bytes())
+            });
+            assert!(costs[0].0 > 0 && costs[0].1 > 0);
+            assert_eq!(costs, [costs[0]; 8], "{:?}", model.kind());
+        }
+    }
 }

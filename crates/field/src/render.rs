@@ -9,11 +9,10 @@
 //! additionally produces the per-stage work counts that drive the hardware
 //! models (paper Fig. 3) and the memory traces (Fig. 4–6).
 
-use crate::decoder::Decoder;
 use crate::mlp::{MlpBlockScratch, MlpScratch};
 use crate::model::NerfModel;
 use crate::plan::{GatherPlan, GatherSink};
-use cicero_math::{Camera, Vec3};
+use cicero_math::{Camera, Ray, Vec3};
 use cicero_scene::ground_truth::Frame;
 use cicero_scene::volume::MarchParams;
 use cicero_telemetry as telemetry;
@@ -44,8 +43,15 @@ pub struct RenderOptions {
     pub use_occupancy: bool,
     /// Samples per SoA block of the batched plan→gather→MLP engine. `1`
     /// marches one sample at a time (the scalar path); larger values batch
-    /// up to this many processed samples of one ray per gather/decode so MLP
-    /// weight rows are re-read once per block instead of once per sample.
+    /// up to this many processed samples per gather/decode so MLP weight
+    /// rows are re-read once per block instead of once per sample. It is
+    /// also the number of rays the batched marcher keeps in flight. It does
+    /// *not* bound speculative work: for a sink that does not observe
+    /// samples a block holds one lane from each ray in flight, so no lane is
+    /// evaluated past an early exit at any block size (128² lego, lanes
+    /// evaluated ÷ committed: 1.000 at 4, 16 and 64); a sink that observes
+    /// keeps the ray-major order and with it up to a block of speculation
+    /// per early-exiting ray (1.03× / 1.18× / 1.69×).
     /// Pure throughput knob: frames, statistics and sink streams are
     /// **bit-identical** at every value. Defaults to the `SAMPLE_BLOCK`
     /// environment variable ([`DEFAULT_SAMPLE_BLOCK`] when unset).
@@ -70,7 +76,12 @@ impl Default for RenderOptions {
 pub struct RenderStats {
     /// Rays marched (pixels processed).
     pub rays: u64,
-    /// Candidate samples visited during Indexing (includes skipped ones).
+    /// Candidate samples of the Indexing stage, skipped ones included:
+    /// every step `t0 + (i + ½)·step < t1` of a ray up to and including the
+    /// one that early-exits it. This is the *modelled* count the hardware
+    /// models price, not the host's work: the batched marcher jumps over
+    /// provably empty candidates without looking at them (128² lego: 334 k
+    /// indexed, 126 k looked at) and still counts each one here.
     pub samples_indexed: u64,
     /// Samples that performed gathering + feature computation.
     pub samples_processed: u64,
@@ -131,12 +142,21 @@ impl RenderScratch {
     }
 }
 
-/// Per-ray marching context of the batched engine: the compositing
-/// accumulators of one ray whose samples are (or will be) parked in the
-/// current [`SampleBlock`], plus the bookkeeping that keeps stats and pixel
-/// writes bit-identical to the scalar marcher.
+/// One slot of the batched engine's set of rays in flight: a ray's march
+/// position and compositing accumulators, plus the bookkeeping that keeps
+/// stats and pixel writes bit-identical to the scalar marcher. A slot whose
+/// ray has no step left and no lane parked is free and takes the next pixel.
 #[derive(Debug, Clone, Default)]
 struct RayCtx {
+    /// Ray origin and unit direction.
+    origin: Vec3,
+    dir: Vec3,
+    /// Ray parameter where the ray enters the bounds.
+    t0: f32,
+    /// Next candidate step, and the number of steps with `t < t1`: the ray
+    /// marches while `next < steps`.
+    next: u32,
+    steps: u32,
     /// Dense per-frame ray index (row-major pixel order), for the sink.
     ray_id: u32,
     /// Pixel index within the output band.
@@ -153,28 +173,49 @@ struct RayCtx {
     opacity_acc: f32,
     /// Candidates indexed since this ray's last parked lane (or since its
     /// march began). Committed with the next lane, or — for rays that end
-    /// without terminating — at finalization; discarded when the ray
+    /// without terminating — when the ray finishes; discarded when the ray
     /// early-exits, exactly like the scalar `break`.
     pending: u64,
     /// This ray's uncommitted lanes in the current block.
     lanes: u32,
-    /// The march loop has finished (ray end or early exit).
-    done: bool,
     /// The transmittance early-exit fired; later lanes of this ray are
     /// speculative and must not be committed.
     stopped: bool,
 }
 
+impl RayCtx {
+    /// Writes the pixel of a ray whose march is over and whose lanes are all
+    /// committed, adding the trailing indexed candidates unless it early-exited.
+    fn finish(
+        &self,
+        background: Vec3,
+        surface_opacity: f32,
+        stats: &mut RenderStats,
+        out: &mut RowBand<'_>,
+    ) {
+        if !self.stopped {
+            stats.samples_indexed += self.pending;
+        }
+        let mut color = self.color;
+        color += background * self.transmittance;
+        out.color[self.idx] = color;
+        out.depth[self.idx] = if self.opacity_acc >= surface_opacity {
+            (self.depth_acc / self.opacity_acc) * self.z_scale
+        } else {
+            f32::INFINITY
+        };
+    }
+}
+
 /// SoA scratch of the batched sample engine: one block of up to K processed
-/// samples, gathered and decoded together. Blocks span rays — a ray that
-/// ends before the block is full hands the remaining lanes to the next ray
-/// of the band (the paper's tile locality argument: weight reuse should not
-/// be capped by per-ray sample counts).
+/// samples, gathered and decoded together, and the K slots of the rays in
+/// flight that fill it (the paper's tile locality argument: weight reuse
+/// should not be capped by per-ray sample counts).
 ///
 /// The marcher parks every processed sample in a lane (t, position, gather
 /// plan, ray slot); a full block — or the band-end tail — is then evaluated
 /// in one batched features→MLP→activations pass and *committed* lane by lane
-/// in march order against each lane's [`RayCtx`]. All buffers, including
+/// in park order against each lane's [`RayCtx`]. All buffers, including
 /// each lane's [`GatherPlan`] level vector and the MLP ping-pong matrices,
 /// are reused across blocks, rays and frames, so a warmed batched frame
 /// performs zero heap allocations.
@@ -186,20 +227,21 @@ struct SampleBlock {
     ps: Vec<Vec3>,
     /// Ray direction per lane (rays differ within a block).
     dirs: Vec<Vec3>,
-    /// Gather plan per lane (level buffers stay warm per lane).
+    /// Gather plan per lane (level buffers stay warm per lane); filled only
+    /// for sinks that observe samples.
     plans: Vec<GatherPlan>,
     /// Candidates indexed since the owning ray's previous lane (inclusive of
     /// this lane's own indexing step).
     indexed: Vec<u64>,
-    /// Index into `open` per lane.
+    /// Index into `rays` per lane.
     slots: Vec<u32>,
     /// Decoded density per lane.
     sigma: Vec<f32>,
     /// Decoded radiance per lane.
     rgb: Vec<Vec3>,
-    /// Rays with uncommitted lanes (every entry except possibly the last has
-    /// finished marching; only the most recent ray can still be mid-march).
-    open: Vec<RayCtx>,
+    /// The rays in flight, one slot per lane of a block. Slots are stable:
+    /// a ray stays in its slot until it is finished.
+    rays: Vec<RayCtx>,
     /// Ping-pong activation matrices of the block MLP kernel.
     mlp: MlpBlockScratch,
     /// Filled lanes.
@@ -212,7 +254,7 @@ struct SampleBlock {
 }
 
 impl SampleBlock {
-    /// Sizes every lane array for blocks of `k` samples.
+    /// Sizes every lane array for blocks of `k` samples and frees every slot.
     fn ensure(&mut self, k: usize) {
         if self.ts.len() < k {
             self.ts.resize(k, 0.0);
@@ -223,35 +265,41 @@ impl SampleBlock {
             self.slots.resize(k, 0);
             self.sigma.resize(k, 0.0);
             self.rgb.resize(k, Vec3::ZERO);
-            // Worst case: K single-lane finished rays plus the marching one.
-            self.open.reserve(k + 1);
         }
+        self.rays.clear();
+        self.rays.resize(k, RayCtx::default());
         self.count = 0;
-        self.open.clear();
         self.phase_mark = 0;
     }
 
-    /// Evaluates and commits the filled lanes.
+    /// Evaluates and commits the filled lanes, then finishes every ray whose
+    /// march is over.
     ///
     /// Evaluation is batched (SoA features, block MLP); **commitment** is
-    /// per-lane in march order and replicates the scalar loop exactly: stats
+    /// per-lane in park order and replicates the scalar loop exactly: stats
     /// and sink first, then compositing into the lane's [`RayCtx`], then the
     /// transmittance early-exit. When the exit fires at lane `j`, this ray's
     /// later lanes were evaluated speculatively but are *not* committed — no
     /// stats, no sink events, no compositing — so every observable output
-    /// matches the scalar path bit for bit; only the (discarded) speculative
-    /// arithmetic is extra, and it is bounded by one block.
+    /// matches the scalar path bit for bit.
+    ///
+    /// `per_sample` is the `(entry reads, bytes)` of any one sample's gather
+    /// plan when the sink does not observe samples, and `None` when it does:
+    /// then every lane carries its own plan for the sink, and is counted by
+    /// it. `visited` is the number of candidate steps the marcher looked at
+    /// since the previous flush (telemetry only).
     #[allow(clippy::too_many_arguments)]
     fn flush<M: NerfModel + ?Sized, S: GatherSink>(
         &mut self,
         model: &M,
-        decoder: &Decoder,
-        macs_per_sample: u64,
-        step: f32,
-        early_stop: f32,
+        march: &MarchParams,
+        per_sample: Option<(u64, u64)>,
+        visited: u64,
         sink: &mut S,
         stats: &mut RenderStats,
+        out: &mut RowBand<'_>,
     ) {
+        telemetry::add(telemetry::Counter::MarchStepsVisited, visited);
         let k = self.count;
         self.count = 0;
         if k == 0 {
@@ -261,6 +309,8 @@ impl SampleBlock {
         // since the previous flush, `gather` the SoA feature fetch; the MLP
         // and activation-decode spans are emitted inside `decode_block`.
         let t_flush = telemetry::is_enabled().then(telemetry::now_ns);
+        let decoder = model.decoder();
+        let macs_per_sample = decoder.modeled_macs_per_sample();
         let fd = decoder.feature_dim();
         let input = decoder.stage_block(&mut self.mlp, k);
         model.features_into_block(&self.ps[..k], &mut input[..fd * k], k);
@@ -278,73 +328,57 @@ impl SampleBlock {
             &mut self.sigma,
             &mut self.rgb,
         );
+        let processed_before = stats.samples_processed;
         for j in 0..k {
-            let ray = &mut self.open[self.slots[j] as usize];
+            let ray = &mut self.rays[self.slots[j] as usize];
             if ray.stopped {
                 continue; // speculative lane past this ray's early exit
             }
             stats.samples_indexed += self.indexed[j];
-            sink.on_sample(ray.ray_id, self.ts[j], &self.plans[j]);
+            let (entry_reads, bytes) = per_sample.unwrap_or_else(|| {
+                let plan = &self.plans[j];
+                sink.on_sample(ray.ray_id, self.ts[j], plan);
+                (plan.entry_reads(), plan.bytes())
+            });
             stats.samples_processed += 1;
-            stats.gather_entry_reads += self.plans[j].entry_reads();
-            stats.gather_bytes += self.plans[j].bytes();
+            stats.gather_entry_reads += entry_reads;
+            stats.gather_bytes += bytes;
             stats.mlp_macs += macs_per_sample;
             let sigma = self.sigma[j];
             if sigma <= 0.0 {
                 continue;
             }
-            let alpha = 1.0 - (-sigma * step).exp();
+            let alpha = 1.0 - (-sigma * march.step).exp();
             let weight = ray.transmittance * alpha;
             ray.color += self.rgb[j] * weight;
             ray.depth_acc += self.ts[j] * weight;
             ray.opacity_acc += weight;
             ray.transmittance *= 1.0 - alpha;
-            if ray.transmittance < early_stop {
+            if ray.transmittance < march.early_stop {
                 ray.transmittance = 0.0;
                 ray.stopped = true;
             }
         }
-        for ray in &mut self.open {
+        // Every lane is committed now: a ray that parked some and has
+        // early-exited or run out of steps is finished, and its slot is free.
+        let background = model.background();
+        for ray in self.rays.iter_mut().filter(|ray| ray.lanes > 0) {
             ray.lanes = 0;
+            if ray.stopped {
+                ray.next = ray.steps;
+            }
+            if ray.next == ray.steps {
+                ray.finish(background, march.surface_opacity, stats, out);
+            }
         }
+        let committed = stats.samples_processed - processed_before;
+        telemetry::add(telemetry::Counter::SampleLanesEvaluated, k as u64);
+        telemetry::add(telemetry::Counter::SampleLanesCommitted, committed);
         self.phase_mark = if t_flush.is_some() {
             telemetry::now_ns()
         } else {
             0
         };
-    }
-
-    /// Finalizes every finished ray whose lanes are all committed — adds the
-    /// trailing indexed candidates (unterminated rays only) and writes the
-    /// pixel — and drops it from `open`. After a flush every lane is
-    /// committed, so at most the still-marching last ray survives; between
-    /// flushes only the (lane-less) last ray can qualify, so retained slot
-    /// indices recorded in the block never shift.
-    fn retire(
-        &mut self,
-        background: Vec3,
-        surface_opacity: f32,
-        stats: &mut RenderStats,
-        out: &mut RowBand<'_>,
-    ) {
-        let (color_px, depth_px) = (&mut *out.color, &mut *out.depth);
-        self.open.retain_mut(|ray| {
-            if !ray.done || ray.lanes > 0 {
-                return true;
-            }
-            if !ray.stopped {
-                stats.samples_indexed += ray.pending;
-            }
-            let mut color = ray.color;
-            color += background * ray.transmittance;
-            color_px[ray.idx] = color;
-            depth_px[ray.idx] = if ray.opacity_acc >= surface_opacity {
-                (ray.depth_acc / ray.opacity_acc) * ray.z_scale
-            } else {
-                f32::INFINITY
-            };
-            false
-        });
     }
 }
 
@@ -550,14 +584,31 @@ pub(crate) fn render_rows<M: NerfModel + ?Sized, S: GatherSink>(
 
 /// The batched sample hot path: identical contract to [`render_rows`], but
 /// processed samples are gathered and decoded in SoA blocks of
-/// `opts.sample_block` (see [`SampleBlock`]). The marcher walks candidates
-/// exactly like the scalar loop and parks every processed sample in a lane;
-/// a ray that ends before the block fills hands the remaining lanes to the
-/// next ray of the band, so blocks stay full even when occupancy pruning and
-/// early exits leave few samples per ray. A block is evaluated when it fills
-/// (or at band end) through `features_into_block` → [`Decoder::decode_block`];
-/// [`SampleBlock::flush`]'s commit semantics keep frames, statistics and the
-/// sink stream bit-identical to the scalar path at any block size.
+/// `opts.sample_block` (see [`SampleBlock`]), and the marcher hands the
+/// kernels only work the scalar loop would also commit.
+///
+/// Up to `sample_block` rays are in flight, each in a stable slot. The
+/// marcher goes round the slots giving each ray a *turn*: the ray walks to
+/// its next occupied candidates ([`OccupancyGrid::first_occupied_step`]
+/// jumps over provably empty space, counting the candidates it jumps) and
+/// parks up to `turn` of them in the block. A ray that ends with nothing
+/// parked is finished on the spot and its slot takes the next masked pixel
+/// within the same turn, so blocks stay full; a full block is evaluated
+/// through `features_into_block` → [`crate::Decoder::decode_block`] and committed
+/// by [`SampleBlock::flush`].
+///
+/// `turn` is the one thing read from the sink. A sink that does not observe
+/// samples gets `turn = 1`: a block holds one lane from each of
+/// `sample_block` rays, every ray's early exit is known before its next lane
+/// is parked, and no lane is evaluated that is not committed (only when the
+/// band has fewer pixels left than slots do the remaining rays go round more
+/// than once per block, so the tail is not a string of tiny blocks). A sink
+/// that observes gets `turn = sample_block`: one ray marches at a time and
+/// keeps the turn across flushes until it ends, so lanes reach the sink in
+/// the scalar loop's ray-major order — at the price of evaluating, per
+/// early-exiting ray, the lanes it had parked past its exit.
+///
+/// [`OccupancyGrid::first_occupied_step`]: crate::OccupancyGrid::first_occupied_step
 fn render_rows_batched<M: NerfModel + ?Sized, S: GatherSink>(
     model: &M,
     camera: &Camera,
@@ -570,130 +621,128 @@ fn render_rows_batched<M: NerfModel + ?Sized, S: GatherSink>(
     let w = camera.intrinsics.width;
     let mut stats = RenderStats::default();
     let bounds = model.bounds();
-    let decoder = model.decoder();
-    let macs_per_sample = decoder.modeled_macs_per_sample();
     let background = model.background();
-    let step = opts.march.step;
-    let early_stop = opts.march.early_stop;
-    let surface_opacity = opts.march.surface_opacity;
+    let occupancy = opts.use_occupancy.then(|| model.occupancy());
+    let march = &opts.march;
+    let step = march.step;
     let kmax = opts.sample_block;
+    let observe = sink.observes_samples();
+    let turn = if observe { kmax } else { 1 };
+    // What a sample's plan adds to the stats is the same at every position,
+    // so a sink that will not look at plans gets none built: one, anywhere.
+    let per_sample = (!observe).then(|| {
+        model.plan_into(bounds.center(), &mut scratch.plan);
+        (scratch.plan.entry_reads(), scratch.plan.bytes())
+    });
     let block = &mut scratch.block;
     block.ensure(kmax);
+    let mut pixels = (out.y0 * w..out.y1 * w).filter(|&i| mask.is_none_or(|m| m[i]));
 
-    for y in out.y0..out.y1 {
-        for x in 0..w {
-            if let Some(m) = mask {
-                if !m[y * w + x] {
-                    continue;
+    let mut slot = 0;
+    // Consecutive turns that parked nothing; `kmax` of them is a whole round
+    // in which no ray marched and no pixel was left to start.
+    let mut idle = 0;
+    let mut visited = 0u64;
+    while idle < kmax {
+        let ray = &mut block.rays[slot];
+        let room = turn.min(kmax - block.count);
+        let mut parked = 0;
+        while parked < room {
+            if ray.next == ray.steps {
+                if ray.lanes > 0 {
+                    break; // ended; waits for its lanes to be committed
                 }
-            }
-            stats.rays += 1;
-            let ray_id = (y * w + x) as u32;
-            let (u, v) = (x as f32 + 0.5, y as f32 + 0.5);
-            let ray = camera.primary_ray(u, v);
-            let idx = (y - out.y0) * w + x;
-
-            let Some((t0, t1)) = bounds.intersect(&ray) else {
-                // No samples: write the pixel with the exact scalar
-                // arithmetic (zero accumulators, full transmittance) —
-                // including the surface-opacity conditional, which a
-                // degenerate `surface_opacity <= 0` configuration turns into
-                // a 0/0 depth exactly like the scalar path.
-                let (depth_acc, opacity_acc) = (0.0_f32, 0.0_f32);
-                let mut color = Vec3::ZERO;
-                color += background * 1.0_f32;
-                out.color[idx] = color;
-                out.depth[idx] = if opacity_acc >= surface_opacity {
-                    (depth_acc / opacity_acc) * camera.z_scale(u, v)
-                } else {
-                    f32::INFINITY
-                };
-                continue;
-            };
-
-            block.open.push(RayCtx {
-                ray_id,
-                idx,
-                z_scale: camera.z_scale(u, v),
-                color: Vec3::ZERO,
-                transmittance: 1.0,
-                depth_acc: 0.0,
-                opacity_acc: 0.0,
-                pending: 0,
-                lanes: 0,
-                done: false,
-                stopped: false,
-            });
-            let n = ((t1 - t0) / step).ceil() as u32;
-            // Candidates indexed since this ray's last parked lane, kept in a
-            // register through the candidate loop (the ray owns the block
-            // tail, so no other ray can interleave lanes).
-            let mut pending: u64 = 0;
-            let mut slot = block.open.len() - 1;
-            for i in 0..n {
-                let t = t0 + (i as f32 + 0.5) * step;
-                if t >= t1 {
-                    break;
-                }
-                let p = ray.at(t);
-                pending += 1;
-                if opts.use_occupancy && !model.occupancy().occupied(p) {
-                    continue;
-                }
-                let c = block.count;
-                block.ts[c] = t;
-                block.ps[c] = p;
-                block.dirs[c] = ray.dir;
-                model.plan_into(p, &mut block.plans[c]);
-                block.indexed[c] = pending;
-                pending = 0;
-                block.open[slot].lanes += 1;
-                block.slots[c] = slot as u32;
-                block.count = c + 1;
-                if block.count == kmax {
-                    block.flush(
-                        model,
-                        decoder,
-                        macs_per_sample,
-                        step,
-                        early_stop,
-                        sink,
-                        &mut stats,
-                    );
-                    block.retire(background, surface_opacity, &mut stats, &mut out);
-                    // Retirement kept at most this still-marching ray; if its
-                    // early exit fired during the flush, stop marching like
-                    // the scalar `break`.
-                    if block.open.last().is_some_and(|r| r.stopped) {
-                        break;
+                let Some(pixel) = pixels.next() else { break };
+                stats.rays += 1;
+                let (x, y) = (pixel % w, pixel / w);
+                let (u, v) = (x as f32 + 0.5, y as f32 + 0.5);
+                let primary = camera.primary_ray(u, v);
+                // Steps with `t < t1`: `t` never decreases with the step
+                // index, so they are a prefix and the scalar loop's
+                // `t >= t1` break is taken once, here.
+                let (t0, steps) = bounds.intersect(&primary).map_or((0.0, 0), |(t0, t1)| {
+                    let mut n = ((t1 - t0) / step).ceil() as u32;
+                    while n > 0 && t0 + ((n - 1) as f32 + 0.5) * step >= t1 {
+                        n -= 1;
                     }
-                    slot = block.open.len() - 1;
+                    (t0, n)
+                });
+                *ray = RayCtx {
+                    origin: primary.origin,
+                    dir: primary.dir,
+                    t0,
+                    steps,
+                    ray_id: pixel as u32,
+                    idx: pixel - out.y0 * w,
+                    z_scale: camera.z_scale(u, v),
+                    transmittance: 1.0,
+                    ..RayCtx::default()
+                };
+            }
+            let at = match occupancy {
+                Some(grid) => {
+                    let primary = Ray {
+                        origin: ray.origin,
+                        dir: ray.dir,
+                    };
+                    let (at, looked) =
+                        grid.first_occupied_step(&primary, ray.t0, step, ray.next, ray.steps);
+                    visited += looked as u64;
+                    at
                 }
+                None => ray.next,
+            };
+            ray.pending += (at - ray.next) as u64;
+            ray.next = at;
+            if at == ray.steps {
+                if ray.lanes == 0 {
+                    // Nothing of this ray is in the block: the pixel is
+                    // done, and the slot takes the next one.
+                    ray.finish(background, march.surface_opacity, &mut stats, &mut out);
+                }
+                continue;
             }
-            // Ray end (or early exit). Rays with lanes still parked in the
-            // block wait for the next flush; rays whose lanes are all
-            // committed finalize immediately so `open` stays bounded by the
-            // block size.
-            let ctx = block.open.last_mut().expect("current ray context");
-            ctx.pending = pending;
-            ctx.done = true;
-            if ctx.lanes == 0 {
-                block.retire(background, surface_opacity, &mut stats, &mut out);
+            let c = block.count;
+            let t = ray.t0 + (at as f32 + 0.5) * step;
+            let p = ray.origin + ray.dir * t;
+            block.ts[c] = t;
+            block.ps[c] = p;
+            block.dirs[c] = ray.dir;
+            if observe {
+                model.plan_into(p, &mut block.plans[c]);
             }
+            block.indexed[c] = ray.pending + 1;
+            block.slots[c] = slot as u32;
+            block.count = c + 1;
+            ray.pending = 0;
+            ray.next = at + 1;
+            ray.lanes += 1;
+            parked += 1;
         }
+        if block.count == kmax {
+            // The slot keeps the turn: an observed ray cut off by the block
+            // boundary marches on before any other ray parks a lane.
+            block.flush(
+                model, march, per_sample, visited, sink, &mut stats, &mut out,
+            );
+            visited = 0;
+            idle = 0;
+            continue;
+        }
+        idle = if parked == 0 { idle + 1 } else { 0 };
+        slot = (slot + 1) % kmax;
     }
-    // Band-end tail: evaluate the partial block and finalize every ray.
+    // Band-end tail: evaluate the partial block, which finishes every ray.
     block.flush(
-        model,
-        decoder,
-        macs_per_sample,
-        step,
-        early_stop,
-        sink,
-        &mut stats,
+        model, march, per_sample, visited, sink, &mut stats, &mut out,
     );
-    block.retire(background, surface_opacity, &mut stats, &mut out);
-    debug_assert!(block.open.is_empty(), "every ray must be finalized");
+    debug_assert!(
+        block
+            .rays
+            .iter()
+            .all(|ray| ray.next == ray.steps && ray.lanes == 0),
+        "every ray must be finished"
+    );
     stats
 }
 

@@ -315,11 +315,20 @@ pub enum Counter {
     OverloadBackpressure,
     /// Fleet admissions diverted off a saturated primary shard.
     OverloadDiversions,
+    /// Candidate steps the batched marcher looked at (space skipping makes
+    /// this less than `RenderStats::samples_indexed`, which counts every
+    /// candidate, looked at or jumped over).
+    MarchStepsVisited,
+    /// Lanes the batched sample engine gathered and decoded.
+    SampleLanesEvaluated,
+    /// Evaluated lanes that were committed (`RenderStats::samples_processed`
+    /// of the batched engine); the rest were parked past an early exit.
+    SampleLanesCommitted,
 }
 
 impl Counter {
     /// Number of counters (sizes the recorder's fixed array).
-    pub const COUNT: usize = 29;
+    pub const COUNT: usize = 32;
 
     /// Prometheus series name (without the `cicero_` prefix / `_total`
     /// suffix).
@@ -354,6 +363,9 @@ impl Counter {
             Counter::OverloadSheds => "overload_sheds",
             Counter::OverloadBackpressure => "overload_backpressure",
             Counter::OverloadDiversions => "overload_diversions",
+            Counter::MarchStepsVisited => "march_steps_visited",
+            Counter::SampleLanesEvaluated => "sample_lanes_evaluated",
+            Counter::SampleLanesCommitted => "sample_lanes_committed",
         }
     }
 
@@ -388,6 +400,9 @@ impl Counter {
             Counter::OverloadSheds,
             Counter::OverloadBackpressure,
             Counter::OverloadDiversions,
+            Counter::MarchStepsVisited,
+            Counter::SampleLanesEvaluated,
+            Counter::SampleLanesCommitted,
         ];
         ALL.get(v).copied()
     }

@@ -14,7 +14,8 @@ use cicero::pipeline::{run_pipeline, PipelineConfig};
 use cicero::Variant;
 use cicero_field::render::{render_full, render_masked};
 use cicero_field::{
-    bake, GatherPlan, GridConfig, HashConfig, NerfModel, NullSink, RenderOptions, TensorConfig,
+    bake, render_tiled, GatherPlan, GridConfig, HashConfig, NerfModel, NullSink, RenderOptions,
+    TensorConfig, TileOptions,
 };
 use cicero_math::{Camera, Intrinsics, Pose, Vec3};
 use cicero_scene::library;
@@ -125,6 +126,82 @@ fn batched_masked_render_matches_scalar() {
         let (frame, stats) = render(block);
         assert_eq!(frame, seq_frame, "masked frame, block {block}");
         assert_eq!(stats, seq_stats, "masked stats, block {block}");
+    }
+}
+
+#[test]
+fn interleaved_marcher_matches_scalar_on_small_masks_thin_bands_and_both_sink_kinds() {
+    // The shapes the slot-stable marcher has to get right beyond full
+    // frames: fewer rays than slots (the whole render is "band end"), a
+    // single row, one-row tile bands through the pool, rays that never skip
+    // (`use_occupancy: false`), and both values of the one parameter it
+    // reads from the sink — a closure observes (one ray marches at a time,
+    // the stream must come out ray-major), `NullSink` does not (one lane per
+    // ray per block, no plans built).
+    let model = model_for("lego");
+    let model = model.as_ref();
+    let (w, h) = (17usize, 17usize);
+    let cam = Camera::new(
+        Intrinsics::from_fov(w, h, 0.9),
+        Pose::look_at(Vec3::new(0.3, 1.2, -2.6), Vec3::ZERO, Vec3::Y),
+    );
+    let few: Vec<bool> = (0..w * h).map(|i| [143, 145, 161].contains(&i)).collect();
+    let one_row: Vec<bool> = (0..w * h).map(|i| i / w == 8).collect();
+    let masks: [(&str, Option<&[bool]>); 3] = [
+        ("full", None),
+        ("3 rays", Some(&few)),
+        ("one row", Some(&one_row)),
+    ];
+    let bands = [
+        TileOptions::default(), // sequential: the whole frame is one band
+        TileOptions {
+            threads: 2,
+            tile_rows: 1,
+        },
+    ];
+    for use_occupancy in [true, false] {
+        for (mask_name, mask) in masks {
+            let render = |block: usize, tile: &TileOptions, observe: bool| {
+                let opts = RenderOptions {
+                    march: MarchParams {
+                        step: 0.02,
+                        ..Default::default()
+                    },
+                    use_occupancy,
+                    sample_block: block,
+                };
+                let mut frame = cicero_scene::ground_truth::background_frame(
+                    &cicero_field::ModelSource(model),
+                    w,
+                    h,
+                );
+                let mut events: Vec<(u32, f32, u64, u64)> = Vec::new();
+                let stats = if observe {
+                    let mut sink = |ray: u32, t: f32, p: &GatherPlan| {
+                        events.push((ray, t, p.bytes(), p.entry_reads()))
+                    };
+                    render_tiled(model, &cam, &opts, mask, &mut frame, &mut sink, tile)
+                } else {
+                    render_tiled(model, &cam, &opts, mask, &mut frame, &mut NullSink, tile)
+                };
+                (frame, stats, events)
+            };
+            let (seq_frame, seq_stats, seq_events) = render(1, &bands[0], true);
+            assert!(seq_stats.samples_processed > 0);
+            for block in [2usize, 4, 16, 64] {
+                for tile in &bands {
+                    let case =
+                        format!("occupancy {use_occupancy}, {mask_name}, block {block}, {tile:?}");
+                    let (frame, stats, events) = render(block, tile, true);
+                    assert_eq!(frame, seq_frame, "observed frame: {case}");
+                    assert_eq!(stats, seq_stats, "observed stats: {case}");
+                    assert_eq!(events, seq_events, "sink stream: {case}");
+                    let (frame, stats, _) = render(block, tile, false);
+                    assert_eq!(frame, seq_frame, "unobserved frame: {case}");
+                    assert_eq!(stats, seq_stats, "unobserved stats: {case}");
+                }
+            }
+        }
     }
 }
 

@@ -113,8 +113,9 @@ fn warmed_sample_loop_performs_zero_heap_allocations() {
 
     // Both sample engines must hold the contract: the scalar marcher
     // (`sample_block == 1`) and the batched SoA engine (whose block scratch —
-    // lane arrays, per-lane plan levels, ping-pong activation matrices, open
-    // ray contexts — also lives in `RenderScratch` and warms on frame one).
+    // lane arrays, per-lane plan levels, ping-pong activation matrices, the
+    // slots of the rays in flight — also lives in `RenderScratch` and warms on
+    // frame one).
     for sample_block in [1usize, cicero_field::DEFAULT_SAMPLE_BLOCK] {
         for (name, model) in &models {
             let model = model.as_ref();
@@ -367,6 +368,15 @@ fn warmed_sample_loop_performs_zero_heap_allocations() {
             &mut scratch,
         );
         let events_before = telemetry::event_count();
+        let marcher_counts = || {
+            [
+                telemetry::Counter::MarchStepsVisited,
+                telemetry::Counter::SampleLanesEvaluated,
+                telemetry::Counter::SampleLanesCommitted,
+            ]
+            .map(telemetry::counter_value)
+        };
+        let counts_before = marcher_counts();
         let before = ALLOCATIONS.load(Ordering::SeqCst);
         let stats = render_masked_with(
             model,
@@ -388,6 +398,34 @@ fn warmed_sample_loop_performs_zero_heap_allocations() {
         assert!(
             telemetry::event_count() > events_before,
             "telemetry-on render recorded no spans"
+        );
+
+        // Lane accounting of the batched marcher (this is the only test in
+        // its binary, so the global counters see this render alone). A sink
+        // that does not observe gets one lane per ray per block, so no lane
+        // is evaluated past an early exit while the band still has a pixel
+        // for every slot; only the last `block - 1` rays can share blocks,
+        // and each of them can then lose at most `block - 1` lanes. And the
+        // walk through the occupancy looks at far fewer candidates than the
+        // render indexes.
+        let [visited, evaluated, committed] = {
+            let after = marcher_counts();
+            [0, 1, 2].map(|i| after[i] - counts_before[i])
+        };
+        let block = opts.sample_block as u64;
+        println!(
+            "marcher at block {block}: {visited} candidates visited of {} indexed, {evaluated} lanes evaluated, {committed} committed",
+            stats.samples_indexed
+        );
+        assert_eq!(committed, stats.samples_processed);
+        assert!(
+            evaluated - committed <= (block - 1) * (block - 1),
+            "{evaluated} lanes evaluated for {committed} committed at block {block}"
+        );
+        assert!(
+            visited >= committed && visited * 2 < stats.samples_indexed,
+            "{visited} candidates visited of {} indexed",
+            stats.samples_indexed
         );
 
         // Pool-parallel tile render: worker rings, busy/idle tallies, job
