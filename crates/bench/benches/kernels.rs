@@ -1,7 +1,7 @@
 //! `kernels` — scalar vs wide microbench for the explicit SIMD kernel layer
 //! (ISSUE 9, 12, 13): the decoder MLP's `forward_block` and the three
-//! encoding gathers, each timed with the runtime kernel switch off and then
-//! on under every backend cap the host supports (`sse2`, `avx`). The
+//! encoding gathers, each timed on the portable instance ("scalar") and
+//! then under every wider backend cap the host supports (`sse2`, `avx`). The
 //! gathers are timed on a cache-hot and a cache-cold working set. Last, what
 //! the batched marcher hands those kernels (ISSUE 16): the cost of a
 //! candidate step through the lego occupancy, tested one by one and walked
@@ -12,11 +12,10 @@
 //! cargo bench -p cicero-bench --features simd --bench kernels
 //! ```
 //!
-//! Without `--features simd` the switch is inert, no wide backend exists and
-//! only the scalar column prints. Each line reports Msamples/s per path plus
-//! the ratio to scalar; the recorded JSON matrix lives in
-//! `results/bench_simd.json` (written by `parallel_baseline --simd-out`),
-//! not here.
+//! Without `--features simd` no wide backend exists and only the scalar
+//! column prints. Each line reports Msamples/s per backend plus the ratio to
+//! scalar; the recorded figure is the frozen benchmark's
+//! `field.mlp.forward_block.ns_per_sample`, not this bench.
 //!
 //! Plain `fn main` timing (harness = false), minimum overhead: every kernel
 //! runs a calibrated iteration count so each measurement spans ≥ 50 ms, and
@@ -57,12 +56,11 @@ fn throughput(samples_per_iter: usize, f: &mut impl FnMut() -> f32) -> f64 {
     samples_per_iter as f64 * iters as f64 / best
 }
 
-/// Times `f` with the wide kernels off, then on at each backend cap the
+/// Times `f` on the portable instance, then at each wider backend cap the
 /// host supports, and prints one line.
 fn compare(name: &str, samples_per_iter: usize, mut f: impl FnMut() -> f32) {
-    simd::set_kernels_enabled(false);
+    simd::set_backend_cap(Backend::Portable);
     let scalar = throughput(samples_per_iter, &mut f);
-    simd::set_kernels_enabled(true);
     print!("  {name:<28} scalar {:>8.2} Msamples/s", scalar / 1e6);
     for cap in [Backend::Sse2, Backend::Avx] {
         if !cap.supported() {
@@ -235,7 +233,7 @@ fn main() {
     let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!(
         "kernels: simd compiled {} (backend {}), host cores {host_cores}",
-        simd::compiled(),
+        Backend::Sse2.supported(),
         simd::backend()
     );
 

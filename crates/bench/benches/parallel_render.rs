@@ -2,8 +2,8 @@
 //!
 //! The wall-clock counterpart of the simulated-SoC numbers: how fast the
 //! host actually renders a frame through `cicero_field::tiles` as worker
-//! threads scale. `parallel_baseline` (the `cicero-bench` binary) records
-//! the same sweep to `results/bench_parallel.json`.
+//! threads scale. The recorded figure for the thread axis is the frozen
+//! benchmark's `field.tiles.lanes2.speedup`.
 
 use cicero_bench::{bench_camera, bench_model};
 use cicero_field::tiles::{render_full_tiled, TileOptions};

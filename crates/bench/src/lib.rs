@@ -30,21 +30,6 @@ pub fn bench_model() -> GridModel {
     )
 }
 
-/// The bench model at the paper-scale decoder width (64 hidden units, the
-/// 10–100 KB weight regime of §II-B). [`bench_model`] executes a narrow
-/// 16-wide decoder for cheap CI smoke runs; kernel benchmarks that measure
-/// MLP weight-reuse effects (the batched sample engine) need the honest
-/// width, where Feature Computation dominates the frame as in the paper.
-pub fn bench_model_paper() -> GridModel {
-    bake::bake_grid(
-        &bench_scene(),
-        &GridConfig {
-            resolution: 48,
-            ..Default::default()
-        },
-    )
-}
-
 /// A camera looking at the bench scene.
 pub fn bench_camera(res: usize) -> Camera {
     Camera::new(

@@ -15,7 +15,7 @@
 //! diffuse-radiance approximation degrades there.
 
 use cicero_field::pool::{Bands, Checkout, RenderPool};
-use cicero_field::simd::{self, F32x8, LANES};
+use cicero_field::simd::{self, Kernel, Lanes};
 use cicero_math::{Camera, Mat3, Vec3};
 use cicero_scene::ground_truth::Frame;
 use cicero_telemetry as telemetry;
@@ -208,6 +208,10 @@ fn refill<T: Clone>(v: &mut Vec<T>, n: usize, fill: T) {
     v.resize(n, fill);
 }
 
+/// The widest lane vector a [`Kernel`] body meets (its `W`): the size of the
+/// stack arrays lanes are staged through.
+const MAX_LANES: usize = 8;
+
 /// Generates the splats of reference rows `rows` into `out` (cleared first).
 fn splat_rows(
     reference: &Frame,
@@ -218,44 +222,75 @@ fn splat_rows(
     out: &mut Vec<Splat>,
 ) {
     out.clear();
-    if simd::kernels_enabled() {
-        return splat_rows_wide(reference, ref_cam, tgt_cam, opts, rows, out);
-    }
-    splat_rows_scalar(reference, ref_cam, tgt_cam, opts, rows, out)
+    simd::dispatch(SplatRows {
+        reference,
+        ref_cam,
+        tgt_cam,
+        opts,
+        rows,
+        out,
+    });
 }
 
-/// Scalar splat pass (the oracle the wide pass must match bit for bit).
-fn splat_rows_scalar(
-    reference: &Frame,
-    ref_cam: &Camera,
-    tgt_cam: &Camera,
-    opts: &WarpOptions,
+/// The splat pass over a band of reference rows, as a [`Kernel`]: the
+/// reprojection chain for `W::N` consecutive pixels of a row runs through
+/// [`WarpChain`] (bit-identical to the camera methods, see its docs); the
+/// per-pixel finish — depth validity, behind-camera rejection, φ test, taps,
+/// pushes — is scalar code in [`push_splats`], in left-to-right pixel order.
+/// A row's last group is padded with non-finite depths: those lanes are
+/// computed and discarded like any background pixel.
+struct SplatRows<'a> {
+    reference: &'a Frame,
+    ref_cam: &'a Camera,
+    tgt_cam: &'a Camera,
+    opts: &'a WarpOptions,
     rows: std::ops::Range<usize>,
-    out: &mut Vec<Splat>,
-) {
-    let rw = ref_cam.intrinsics.width;
-    for y in rows {
-        for x in 0..rw {
-            let d = *reference.depth.get(x, y);
-            if !d.is_finite() {
-                continue;
+    out: &'a mut Vec<Splat>,
+}
+
+impl Kernel for SplatRows<'_> {
+    #[inline(always)]
+    fn run<W: Lanes, H: Lanes>(self) {
+        let rw = self.ref_cam.intrinsics.width;
+        let chain = WarpChain::new(self.ref_cam, self.tgt_cam);
+        let depth = self.reference.depth.pixels();
+        let mut us = [0.0f32; MAX_LANES];
+        for y in self.rows {
+            let v = W::splat(y as f32 + 0.5);
+            for x in (0..rw).step_by(W::N) {
+                let n = W::N.min(rw - x);
+                let mut d = [f32::INFINITY; MAX_LANES];
+                d[..n].copy_from_slice(&depth[y * rw + x..][..n]);
+                for (lane, u) in us.iter_mut().enumerate() {
+                    *u = (x + lane) as f32 + 0.5;
+                }
+                let [pwx, pwy, pwz, ut, vt, zt] = chain.run_staged(W::load(&us), v, W::load(&d));
+                for lane in 0..n {
+                    if !d[lane].is_finite() || zt[lane] <= 1e-6 {
+                        continue; // background, or behind the target camera — Eq. 2+3
+                    }
+                    push_splats(
+                        self.reference,
+                        self.ref_cam,
+                        self.tgt_cam,
+                        self.opts,
+                        x + lane,
+                        y,
+                        Vec3::new(pwx[lane], pwy[lane], pwz[lane]),
+                        ut[lane],
+                        vt[lane],
+                        zt[lane],
+                        self.out,
+                    );
+                }
             }
-            let (u, v) = (x as f32 + 0.5, y as f32 + 0.5);
-            let p_world = ref_cam.unproject_to_world(u, v, d); // Eq. 1 (+pose)
-            let Some((ut, vt, zt)) = tgt_cam.project_world(p_world) else {
-                continue; // behind the target camera — Eq. 2+3
-            };
-            push_splats(
-                reference, ref_cam, tgt_cam, opts, x, y, p_world, ut, vt, zt, out,
-            );
         }
     }
 }
 
 /// The tail of one splat-pass pixel: the φ rejection test, splat-mode tap
-/// weights, and bounds-checked pushes. Shared verbatim by the scalar and
-/// wide splat passes (the wide pass hands it per-lane values that are
-/// bit-identical to the scalar chain's, see [`WideWarpChain`]).
+/// weights, and bounds-checked pushes, on the per-lane values of
+/// [`WarpChain`].
 #[allow(clippy::too_many_arguments)]
 fn push_splats(
     reference: &Frame,
@@ -320,13 +355,14 @@ fn push_splats(
     }
 }
 
-/// Hoisted constants for the 8-lane reprojection chain
-/// `dst.project_world(src.unproject_to_world(u, v, d))`.
+/// Hoisted constants for the reprojection chain
+/// `dst.project_world(src.unproject_to_world(u, v, d))`, run on any
+/// [`Lanes`] vector. The camera methods are its oracle.
 ///
-/// Bit-identity argument, op by op against the scalar methods:
+/// Bit-identity argument, op by op against them:
 ///
-/// - `Intrinsics::unproject`: `(u - c) * d / focal` — the wide path issues
-///   the same sub / mul / div sequence per lane.
+/// - `Intrinsics::unproject`: `(u - c) * d / focal` — the chain issues the
+///   same sub / mul / div sequence per lane.
 /// - `Pose::to_world`: `rotation.rotate(p) + position` where
 ///   `Quat::rotate` is `to_mat3() * v` and `Mat3 * Vec3` expands to
 ///   `cols[0]*v.x + cols[1]*v.y + cols[2]*v.z` — per component that is
@@ -337,10 +373,10 @@ fn push_splats(
 /// - `Pose::to_camera`: `conjugate().rotate(p - position)` — componentwise
 ///   sub first, then the same matrix tree with the conjugate matrix.
 /// - `Intrinsics::project`: `focal * x / z + c` — same mul / div / add
-///   sequence; the wide path computes all lanes unconditionally (IEEE
-///   division never traps; z ≤ 1e-6 lanes produce garbage that callers
-///   discard exactly where the scalar path takes the `None` arm).
-struct WideWarpChain {
+///   sequence; the chain computes all lanes unconditionally (IEEE division
+///   never traps; z ≤ 1e-6 lanes produce garbage that callers discard
+///   exactly where `project` returns `None`).
+struct WarpChain {
     src_cx: f32,
     src_cy: f32,
     src_focal: f32,
@@ -353,16 +389,17 @@ struct WideWarpChain {
     dst_focal: f32,
 }
 
-/// One rotation-matrix row applied to 8 lanes: `(a*x + b*y) + c*z`, the
+/// One rotation-matrix row applied to every lane: `(a*x + b*y) + c*z`, the
 /// per-component tree of `Mat3 * Vec3` (two left-associated Vec3 adds).
-fn mat_row(a: f32, b: f32, c: f32, x: F32x8, y: F32x8, z: F32x8) -> F32x8 {
-    F32x8::splat(a)
+#[inline(always)]
+fn mat_row<V: Lanes>(a: f32, b: f32, c: f32, x: V, y: V, z: V) -> V {
+    V::splat(a)
         .mul(x)
-        .add(F32x8::splat(b).mul(y))
-        .add(F32x8::splat(c).mul(z))
+        .add_mul(V::splat(b), y)
+        .add_mul(V::splat(c), z)
 }
 
-impl WideWarpChain {
+impl WarpChain {
     fn new(src: &Camera, dst: &Camera) -> Self {
         Self {
             src_cx: src.intrinsics.cx,
@@ -378,161 +415,218 @@ impl WideWarpChain {
         }
     }
 
-    /// 8 lanes of unproject → to-world → to-camera → project. Returns
+    /// Every lane of unproject → to-world → to-camera → project. Returns
     /// `[p_world.x, p_world.y, p_world.z, u_dst, v_dst, z_dst]`; a lane is
-    /// valid (scalar `project` returns `Some`) iff its `z_dst > 1e-6`.
-    fn run(&self, u: F32x8, v: F32x8, d: F32x8) -> [F32x8; 6] {
-        let focal = F32x8::splat(self.src_focal);
-        let px = u.sub(F32x8::splat(self.src_cx)).mul(d).div(focal);
-        let py = v.sub(F32x8::splat(self.src_cy)).mul(d).div(focal);
-        let pz = d;
+    /// valid (`project` returns `Some`) iff its `z_dst > 1e-6`.
+    #[inline(always)]
+    fn run<V: Lanes>(&self, u: V, v: V, d: V) -> [V; 6] {
+        let focal = V::splat(self.src_focal);
+        let px = u.sub(V::splat(self.src_cx)).mul(d).div(focal);
+        let py = v.sub(V::splat(self.src_cy)).mul(d).div(focal);
         let m = &self.src_m;
-        let wx = mat_row(m.cols[0].x, m.cols[1].x, m.cols[2].x, px, py, pz)
-            .add(F32x8::splat(self.src_pos.x));
-        let wy = mat_row(m.cols[0].y, m.cols[1].y, m.cols[2].y, px, py, pz)
-            .add(F32x8::splat(self.src_pos.y));
-        let wz = mat_row(m.cols[0].z, m.cols[1].z, m.cols[2].z, px, py, pz)
-            .add(F32x8::splat(self.src_pos.z));
-        let qx = wx.sub(F32x8::splat(self.dst_pos.x));
-        let qy = wy.sub(F32x8::splat(self.dst_pos.y));
-        let qz = wz.sub(F32x8::splat(self.dst_pos.z));
+        let wx =
+            mat_row(m.cols[0].x, m.cols[1].x, m.cols[2].x, px, py, d).add(V::splat(self.src_pos.x));
+        let wy =
+            mat_row(m.cols[0].y, m.cols[1].y, m.cols[2].y, px, py, d).add(V::splat(self.src_pos.y));
+        let wz =
+            mat_row(m.cols[0].z, m.cols[1].z, m.cols[2].z, px, py, d).add(V::splat(self.src_pos.z));
+        let qx = wx.sub(V::splat(self.dst_pos.x));
+        let qy = wy.sub(V::splat(self.dst_pos.y));
+        let qz = wz.sub(V::splat(self.dst_pos.z));
         let mc = &self.dst_mc;
         let rx = mat_row(mc.cols[0].x, mc.cols[1].x, mc.cols[2].x, qx, qy, qz);
         let ry = mat_row(mc.cols[0].y, mc.cols[1].y, mc.cols[2].y, qx, qy, qz);
         let rz = mat_row(mc.cols[0].z, mc.cols[1].z, mc.cols[2].z, qx, qy, qz);
-        let df = F32x8::splat(self.dst_focal);
-        let ut = df.mul(rx).div(rz).add(F32x8::splat(self.dst_cx));
-        let vt = df.mul(ry).div(rz).add(F32x8::splat(self.dst_cy));
+        let df = V::splat(self.dst_focal);
+        let ut = df.mul(rx).div(rz).add(V::splat(self.dst_cx));
+        let vt = df.mul(ry).div(rz).add(V::splat(self.dst_cy));
         [wx, wy, wz, ut, vt, rz]
+    }
+
+    /// [`WarpChain::run`] with its six results stored to stack arrays, for
+    /// the per-lane scalar finish (lanes past `V::N` stay zero).
+    #[inline(always)]
+    fn run_staged<V: Lanes>(&self, u: V, v: V, d: V) -> [[f32; MAX_LANES]; 6] {
+        let mut staged = [[0.0f32; MAX_LANES]; 6];
+        let lanes = self.run(u, v, d);
+        let mut i = 0;
+        while i < 6 {
+            lanes[i].store(&mut staged[i]);
+            i += 1;
+        }
+        staged
     }
 }
 
-/// Explicit-SIMD splat pass: the reprojection chain for 8 consecutive
-/// reference-row pixels runs through [`WideWarpChain`] (bit-identical to
-/// the scalar camera methods, see its docs); the per-pixel finish — depth
-/// validity, behind-camera rejection, φ test, taps, pushes — stays scalar
-/// in [`push_splats`], in the same left-to-right pixel order. Row
-/// remainders run the scalar chain verbatim.
-fn splat_rows_wide(
-    reference: &Frame,
-    ref_cam: &Camera,
-    tgt_cam: &Camera,
-    opts: &WarpOptions,
-    rows: std::ops::Range<usize>,
-    out: &mut Vec<Splat>,
-) {
-    let rw = ref_cam.intrinsics.width;
-    let chain = WideWarpChain::new(ref_cam, tgt_cam);
-    let depth = reference.depth.pixels();
-    let mut us = [0.0f32; LANES];
-    for y in rows {
-        let v = F32x8::splat(y as f32 + 0.5);
-        let drow = &depth[y * rw..(y + 1) * rw];
-        let mut x = 0;
-        while x + LANES <= rw {
-            for (lane, u) in us.iter_mut().enumerate() {
-                *u = (x + lane) as f32 + 0.5;
-            }
-            let d = F32x8::load(&drow[x..]);
-            let [pwx, pwy, pwz, ut, vt, zt] = chain.run(F32x8::load(&us), v, d);
-            let (pwx, pwy, pwz) = (pwx.to_array(), pwy.to_array(), pwz.to_array());
-            let (ut, vt, zt) = (ut.to_array(), vt.to_array(), zt.to_array());
-            let d = d.to_array();
-            for lane in 0..LANES {
-                if !d[lane].is_finite() || zt[lane] <= 1e-6 {
-                    continue; // same skips as the scalar pass, per lane
-                }
-                let p_world = Vec3::new(pwx[lane], pwy[lane], pwz[lane]);
-                push_splats(
-                    reference,
-                    ref_cam,
-                    tgt_cam,
-                    opts,
-                    x + lane,
-                    y,
-                    p_world,
-                    ut[lane],
-                    vt[lane],
-                    zt[lane],
-                    out,
-                );
-            }
-            x += LANES;
+/// The normalize pass over one target band, as a [`Kernel`]: the weight
+/// reciprocal and normalized depth for `V::N` consecutive pixels run on
+/// lanes (`div` / `mul` are per-lane the scalar `1.0 / w` and `z * inv`),
+/// the per-pixel coverage gate, `Vec3` color scale and status write stay
+/// scalar. Uncovered lanes are computed and discarded (IEEE division never
+/// traps: a zero weight just yields an unused `inf`). The band's tail goes
+/// through the same group at `H` and then `[f32; 1]`.
+struct NormalizeBand<'a> {
+    acc_color: &'a [Vec3],
+    acc_z: &'a [f32],
+    acc_w: &'a [f32],
+    rej_w: &'a [f32],
+    /// Frame index of the band's first pixel.
+    base: usize,
+    cb: &'a mut [Vec3],
+    db: &'a mut [f32],
+    sb: &'a mut [PixelSource],
+}
+
+impl Kernel for NormalizeBand<'_> {
+    #[inline(always)]
+    fn run<W: Lanes, H: Lanes>(mut self) {
+        let len = self.sb.len();
+        let mut local = 0;
+        while local + W::N <= len {
+            self.group::<W>(local);
+            local += W::N;
         }
-        for (x, &d) in drow.iter().enumerate().skip(x) {
-            if !d.is_finite() {
+        if local + H::N <= len {
+            self.group::<H>(local);
+            local += H::N;
+        }
+        while local < len {
+            self.group::<[f32; 1]>(local);
+            local += 1;
+        }
+    }
+}
+
+impl NormalizeBand<'_> {
+    /// Band pixels `local..local + V::N`.
+    #[inline(always)]
+    fn group<V: Lanes>(&mut self, local: usize) {
+        let idx0 = self.base + local;
+        let (mut inv, mut dz) = ([0.0f32; MAX_LANES], [0.0f32; MAX_LANES]);
+        let winv = V::splat(1.0).div(V::load(&self.acc_w[idx0..]));
+        winv.store(&mut inv);
+        V::load(&self.acc_z[idx0..]).mul(winv).store(&mut dz);
+        for lane in 0..V::N {
+            let idx = idx0 + lane;
+            // Require near-full coverage: interior surface pixels integrate
+            // ~unit weight from their four contributing reference points,
+            // while silhouette-dilation fringes only catch tail weights and
+            // must stay holes (classified below) instead of smearing the
+            // object outline one pixel outward.
+            if self.acc_w[idx] < 0.75 {
                 continue;
             }
-            let (u, v) = (x as f32 + 0.5, y as f32 + 0.5);
-            let p_world = ref_cam.unproject_to_world(u, v, d);
-            let Some((ut, vt, zt)) = tgt_cam.project_world(p_world) else {
-                continue;
+            self.cb[local + lane] = self.acc_color[idx] * inv[lane];
+            self.db[local + lane] = dz[lane];
+            self.sb[local + lane] = if self.rej_w[idx] * 2.0 > self.acc_w[idx] {
+                PixelSource::RejectedByAngle
+            } else {
+                PixelSource::Warped
             };
-            push_splats(
-                reference, ref_cam, tgt_cam, opts, x, y, p_world, ut, vt, zt, out,
+        }
+    }
+}
+
+/// The void-classification pass over one target band, as a [`Kernel`]: hole
+/// pixels are collected into batches of `W::N` and their far-probe
+/// reprojection (target unproject at `void_probe_depth` → reference project)
+/// runs through [`WarpChain`]; the per-pixel finish — texel rounding,
+/// frustum / background test, warped-neighbor scan, write — stays scalar in
+/// [`classify_finish`]. Deferring a pixel's finish to its batch cannot
+/// change results: decisions read only the status *snapshot* and the
+/// reference frame, never in-band writes. The band's last batch runs partly
+/// filled; its spare lanes are computed and discarded.
+struct ClassifyBand<'a> {
+    reference: &'a Frame,
+    ref_cam: &'a Camera,
+    tgt_cam: &'a Camera,
+    opts: &'a WarpOptions,
+    snapshot: &'a [PixelSource],
+    background: Vec3,
+    /// First target row of the band.
+    y0: usize,
+    cb: &'a mut [Vec3],
+    sb: &'a mut [PixelSource],
+}
+
+impl Kernel for ClassifyBand<'_> {
+    #[inline(always)]
+    fn run<W: Lanes, H: Lanes>(mut self) {
+        let tw = self.tgt_cam.intrinsics.width;
+        let chain = WarpChain::new(self.tgt_cam, self.ref_cam);
+        let mut locs = [0usize; MAX_LANES];
+        let (mut us, mut vs) = ([0.0f32; MAX_LANES], [0.0f32; MAX_LANES]);
+        let mut n = 0;
+        for local in 0..self.sb.len() {
+            if self.sb[local] != PixelSource::Disoccluded {
+                continue;
+            }
+            let idx = self.y0 * tw + local;
+            locs[n] = local;
+            us[n] = (idx % tw) as f32 + 0.5;
+            vs[n] = (idx / tw) as f32 + 0.5;
+            n += 1;
+            if n == W::N {
+                self.flush::<W>(&chain, &locs[..n], &us, &vs);
+                n = 0;
+            }
+        }
+        self.flush::<W>(&chain, &locs[..n], &us, &vs);
+    }
+}
+
+impl ClassifyBand<'_> {
+    /// Probes and finishes the batched holes `locs`; `us` / `vs` lanes past
+    /// `locs.len()` hold stale pixels, computed and discarded.
+    #[inline(always)]
+    fn flush<V: Lanes>(
+        &mut self,
+        chain: &WarpChain,
+        locs: &[usize],
+        us: &[f32; MAX_LANES],
+        vs: &[f32; MAX_LANES],
+    ) {
+        let (tw, th) = (
+            self.tgt_cam.intrinsics.width,
+            self.tgt_cam.intrinsics.height,
+        );
+        let (rw, rh) = (
+            self.ref_cam.intrinsics.width,
+            self.ref_cam.intrinsics.height,
+        );
+        let probe = V::splat(self.opts.void_probe_depth);
+        let [_, _, _, ru, rv, rz] = chain.run_staged(V::load(us), V::load(vs), probe);
+        for (lane, &local) in locs.iter().enumerate() {
+            // A hole whose far probe lands on reference background is void.
+            let is_void = rz[lane] > 1e-6 && {
+                let rx = (ru[lane] - 0.5).round() as i64;
+                let ry = (rv[lane] - 0.5).round() as i64;
+                if rx >= 0 && ry >= 0 && rx < rw as i64 && ry < rh as i64 {
+                    !self
+                        .reference
+                        .depth
+                        .get(rx as usize, ry as usize)
+                        .is_finite()
+                } else {
+                    false // outside the reference frustum: must render
+                }
+            };
+            classify_finish(
+                self.snapshot,
+                self.background,
+                tw,
+                th,
+                self.y0 * tw + local,
+                is_void,
+                &mut self.cb[local],
+                &mut self.sb[local],
             );
         }
     }
 }
 
-/// Explicit-SIMD normalize pass over one target band: the weight
-/// reciprocal and normalized depth for 8 consecutive pixels run wide
-/// (`divps`/`mulps` are per-lane identical to the scalar `/` and `*`), the
-/// per-pixel coverage gate, Vec3 color scale and status write stay scalar.
-/// Uncovered lanes are computed and discarded exactly where the scalar
-/// path skips (IEEE division never traps — a zero weight just yields an
-/// unused `inf`). Band remainders run the scalar body.
-#[allow(clippy::too_many_arguments)]
-fn normalize_band_wide(
-    acc_color: &[Vec3],
-    acc_z: &[f32],
-    acc_w: &[f32],
-    rej_w: &[f32],
-    base: usize,
-    cb: &mut [Vec3],
-    db: &mut [f32],
-    sb: &mut [PixelSource],
-) {
-    let classify = |idx: usize| {
-        if rej_w[idx] * 2.0 > acc_w[idx] {
-            PixelSource::RejectedByAngle
-        } else {
-            PixelSource::Warped
-        }
-    };
-    let mut local = 0;
-    while local + LANES <= sb.len() {
-        let idx0 = base + local;
-        let inv = F32x8::splat(1.0).div(F32x8::load(&acc_w[idx0..]));
-        let dz = F32x8::load(&acc_z[idx0..]).mul(inv);
-        let inv = inv.to_array();
-        let dz = dz.to_array();
-        for lane in 0..LANES {
-            let idx = idx0 + lane;
-            if acc_w[idx] < 0.75 {
-                continue;
-            }
-            cb[local + lane] = acc_color[idx] * inv[lane];
-            db[local + lane] = dz[lane];
-            sb[local + lane] = classify(idx);
-        }
-        local += LANES;
-    }
-    for local in local..sb.len() {
-        let idx = base + local;
-        if acc_w[idx] < 0.75 {
-            continue;
-        }
-        let inv = 1.0 / acc_w[idx];
-        cb[local] = acc_color[idx] * inv;
-        db[local] = acc_z[idx] * inv;
-        sb[local] = classify(idx);
-    }
-}
-
-/// The tail of one void-classification pixel: the warped-neighbor scan and
-/// the Void / background write. Shared verbatim by the scalar and wide
-/// classify passes once `is_void` has been decided.
+/// The tail of one void-classification pixel, once `is_void` has been
+/// decided: the warped-neighbor scan and the Void / background write.
 #[allow(clippy::too_many_arguments)]
 fn classify_finish(
     snapshot: &[PixelSource],
@@ -567,101 +661,6 @@ fn classify_finish(
         // Rejected-by-angle pixels that lost the z-test race stay
         // disoccluded; color remains background until sparse NeRF.
         *cb = background;
-    }
-}
-
-/// Explicit-SIMD void-classification pass over one target band: hole
-/// pixels are gathered into 8-lane batches and their far-probe
-/// reprojection (target unproject at `void_probe_depth` → reference
-/// project) runs through [`WideWarpChain`]; the per-pixel finish — texel
-/// rounding, frustum/background test, warped-neighbor scan, write — stays
-/// scalar in [`classify_finish`]. Deferring a pixel's finish to its batch
-/// flush cannot change results: decisions read only the status *snapshot*
-/// and the reference frame, never in-band writes. The sub-batch remainder
-/// runs the scalar camera methods, which the chain matches bit for bit.
-#[allow(clippy::too_many_arguments)]
-fn classify_band_wide(
-    reference: &Frame,
-    ref_cam: &Camera,
-    tgt_cam: &Camera,
-    opts: &WarpOptions,
-    snapshot: &[PixelSource],
-    background: Vec3,
-    y0: usize,
-    cb: &mut [Vec3],
-    sb: &mut [PixelSource],
-) {
-    let (tw, th) = (tgt_cam.intrinsics.width, tgt_cam.intrinsics.height);
-    let (rw, rh) = (ref_cam.intrinsics.width, ref_cam.intrinsics.height);
-    let chain = WideWarpChain::new(tgt_cam, ref_cam);
-    let probe = F32x8::splat(opts.void_probe_depth);
-    let mut locs = [0usize; LANES];
-    let mut us = [0.0f32; LANES];
-    let mut vs = [0.0f32; LANES];
-    let mut n = 0;
-    for local in 0..sb.len() {
-        if sb[local] != PixelSource::Disoccluded {
-            continue;
-        }
-        let idx = y0 * tw + local;
-        locs[n] = local;
-        us[n] = (idx % tw) as f32 + 0.5;
-        vs[n] = (idx / tw) as f32 + 0.5;
-        n += 1;
-        if n < LANES {
-            continue;
-        }
-        n = 0;
-        let [_, _, _, ru, rv, rz] = chain.run(F32x8::load(&us), F32x8::load(&vs), probe);
-        let (ru, rv, rz) = (ru.to_array(), rv.to_array(), rz.to_array());
-        for lane in 0..LANES {
-            let local = locs[lane];
-            let is_void = rz[lane] > 1e-6 && {
-                let rx = (ru[lane] - 0.5).round() as i64;
-                let ry = (rv[lane] - 0.5).round() as i64;
-                if rx >= 0 && ry >= 0 && rx < rw as i64 && ry < rh as i64 {
-                    !reference.depth.get(rx as usize, ry as usize).is_finite()
-                } else {
-                    false // outside the reference frustum: must render
-                }
-            };
-            classify_finish(
-                snapshot,
-                background,
-                tw,
-                th,
-                y0 * tw + local,
-                is_void,
-                &mut cb[local],
-                &mut sb[local],
-            );
-        }
-    }
-    for j in 0..n {
-        let local = locs[j];
-        let far_world = tgt_cam.unproject_to_world(us[j], vs[j], opts.void_probe_depth);
-        let is_void = match ref_cam.project_world(far_world) {
-            Some((ru, rv, _)) => {
-                let rx = (ru - 0.5).round() as i64;
-                let ry = (rv - 0.5).round() as i64;
-                if rx >= 0 && ry >= 0 && rx < rw as i64 && ry < rh as i64 {
-                    !reference.depth.get(rx as usize, ry as usize).is_finite()
-                } else {
-                    false
-                }
-            }
-            None => false,
-        };
-        classify_finish(
-            snapshot,
-            background,
-            tw,
-            th,
-            y0 * tw + local,
-            is_void,
-            &mut cb[local],
-            &mut sb[local],
-        );
     }
 }
 
@@ -710,8 +709,8 @@ where
 }
 
 /// Wall-clock time spent in each warp pass, seconds — the per-pass
-/// breakdown the `parallel_baseline` microbench records. Accumulates across
-/// warps; zero a fresh instance per measurement window.
+/// breakdown the frozen benchmark reports as `core.sparw.*_ms`. Accumulates
+/// across warps; zero a fresh instance per measurement window.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct WarpTiming {
     /// Splat generation (pool pass 1).
@@ -822,7 +821,7 @@ pub fn warp_frame_into(
 }
 
 /// [`warp_frame_with`] that also accumulates the wall-clock per-pass
-/// breakdown into `timing` (microbench instrumentation).
+/// breakdown into `timing` (benchmark instrumentation).
 ///
 /// # Panics
 ///
@@ -1013,28 +1012,16 @@ fn warp_frame_impl(
         let (acc_color, acc_w) = (&scratch.acc_color, &scratch.acc_w);
         let (acc_z, rej_w) = (&scratch.acc_z, &scratch.rej_w);
         for_each_target_band(&co, frame, status, |y0, cb, db, sb| {
-            if simd::kernels_enabled() {
-                return normalize_band_wide(acc_color, acc_z, acc_w, rej_w, y0 * tw, cb, db, sb);
-            }
-            for (local, st) in sb.iter_mut().enumerate() {
-                let idx = y0 * tw + local;
-                // Require near-full coverage: interior surface pixels
-                // integrate ~unit weight from their four contributing
-                // reference points, while silhouette-dilation fringes only
-                // catch tail weights and must stay holes (classified below)
-                // instead of smearing the object outline one pixel outward.
-                if acc_w[idx] < 0.75 {
-                    continue;
-                }
-                let inv = 1.0 / acc_w[idx];
-                cb[local] = acc_color[idx] * inv;
-                db[local] = acc_z[idx] * inv;
-                *st = if rej_w[idx] * 2.0 > acc_w[idx] {
-                    PixelSource::RejectedByAngle
-                } else {
-                    PixelSource::Warped
-                };
-            }
+            simd::dispatch(NormalizeBand {
+                acc_color,
+                acc_z,
+                acc_w,
+                rej_w,
+                base: y0 * tw,
+                cb,
+                db,
+                sb,
+            });
         });
     }
 
@@ -1056,55 +1043,17 @@ fn warp_frame_impl(
     {
         let snapshot = &scratch.snapshot;
         for_each_target_band(&co, frame, status, |y0, cb, _db, sb| {
-            if simd::kernels_enabled() {
-                return classify_band_wide(
-                    reference, ref_cam, tgt_cam, opts, snapshot, background, y0, cb, sb,
-                );
-            }
-            for (local, st) in sb.iter_mut().enumerate() {
-                if *st != PixelSource::Disoccluded {
-                    continue;
-                }
-                let idx = y0 * tw + local;
-                let (tx, ty) = (idx % tw, idx / tw);
-                let (u, v) = (tx as f32 + 0.5, ty as f32 + 0.5);
-                let far_world = tgt_cam.unproject_to_world(u, v, opts.void_probe_depth);
-                let is_void = match ref_cam.project_world(far_world) {
-                    Some((ru, rv, _)) => {
-                        let rx = (ru - 0.5).round() as i64;
-                        let ry = (rv - 0.5).round() as i64;
-                        if rx >= 0 && ry >= 0 && rx < rw as i64 && ry < rh as i64 {
-                            !reference.depth.get(rx as usize, ry as usize).is_finite()
-                        } else {
-                            false // outside the reference frustum: must render
-                        }
-                    }
-                    None => false,
-                };
-                let near_surface = {
-                    let mut found = false;
-                    'scan: for dy in -1i64..=1 {
-                        for dx in -1i64..=1 {
-                            let (nx, ny) = (tx as i64 + dx, ty as i64 + dy);
-                            if nx < 0 || ny < 0 || nx >= tw as i64 || ny >= th as i64 {
-                                continue;
-                            }
-                            if snapshot[ny as usize * tw + nx as usize] == PixelSource::Warped {
-                                found = true;
-                                break 'scan;
-                            }
-                        }
-                    }
-                    found
-                };
-                if is_void && !near_surface {
-                    *st = PixelSource::Void;
-                } else {
-                    // Rejected-by-angle pixels that lost the z-test race stay
-                    // disoccluded; color remains background until sparse NeRF.
-                    cb[local] = background;
-                }
-            }
+            simd::dispatch(ClassifyBand {
+                reference,
+                ref_cam,
+                tgt_cam,
+                opts,
+                snapshot,
+                background,
+                y0,
+                cb,
+                sb,
+            });
         });
     }
 
@@ -1178,6 +1127,7 @@ fn warp_frame_impl(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cicero_field::simd::{run_on, Backend};
     use cicero_math::{Intrinsics, Pose};
     use cicero_scene::ground_truth::render_frame;
     use cicero_scene::volume::MarchParams;
@@ -1198,12 +1148,94 @@ mod tests {
         (scene, ref_cam, tgt_cam, reference)
     }
 
+    /// The backends this build can run on this host, with a skip note for
+    /// the others.
+    fn backends() -> Vec<Backend> {
+        let (run, skip): (Vec<_>, Vec<_>) = Backend::ALL.into_iter().partition(|b| b.supported());
+        for b in skip {
+            println!("skipping {b:?}: not supported in this build on this host");
+        }
+        run
+    }
+
+    /// Element counts that end in every kind of last group: shorter than one
+    /// 4-lane vector, exact, one over, and several groups with and without a
+    /// tail.
+    const WIDTHS: [usize; 5] = [5, 8, 13, 33, 64];
+
+    /// `n` chain inputs through every lane vector of a backend, the last
+    /// group of each padded the way the passes pad theirs.
+    struct ChainCheck<'a> {
+        src: &'a Camera,
+        dst: &'a Camera,
+        n: usize,
+        /// `(Some, None)` lanes of `project_world` seen so far.
+        seen: &'a mut (usize, usize),
+    }
+
+    impl Kernel for ChainCheck<'_> {
+        #[inline(always)]
+        fn run<W: Lanes, H: Lanes>(mut self) {
+            self.check::<W>();
+            self.check::<H>();
+            self.check::<[f32; 1]>();
+        }
+    }
+
+    impl ChainCheck<'_> {
+        #[inline(always)]
+        fn check<V: Lanes>(&mut self) {
+            let (src, dst) = (self.src, self.dst);
+            let (w, h) = (src.intrinsics.width as f32, src.intrinsics.height as f32);
+            let chain = WarpChain::new(src, dst);
+            for at in (0..self.n).step_by(V::N) {
+                let n = V::N.min(self.n - at);
+                let (mut us, mut vs) = ([0.0f32; MAX_LANES], [0.0f32; MAX_LANES]);
+                let mut ds = [f32::INFINITY; MAX_LANES];
+                for lane in 0..n {
+                    let i = (at + lane) as f32;
+                    us[lane] = (i * 7.3).sin().abs() * (w - 1.0) + 0.5;
+                    vs[lane] = (i * 3.1).cos().abs() * (h - 1.0) + 0.5;
+                    // Every fifth depth is background; the finite ones reach
+                    // from in front of `dst` to well behind it.
+                    if (at + lane) % 5 != 4 {
+                        ds[lane] = 0.5 + (i * 1.7).sin().abs() * 9.0;
+                    }
+                }
+                let [wx, wy, wz, ut, vt, zt] =
+                    chain.run_staged(V::load(&us), V::load(&vs), V::load(&ds));
+                for lane in (0..n).filter(|&lane| ds[lane].is_finite()) {
+                    let at = format!("{} lanes, element {}", V::N, at + lane);
+                    let p_world = src.unproject_to_world(us[lane], vs[lane], ds[lane]);
+                    assert_eq!(wx[lane].to_bits(), p_world.x.to_bits(), "{at}: wx");
+                    assert_eq!(wy[lane].to_bits(), p_world.y.to_bits(), "{at}: wy");
+                    assert_eq!(wz[lane].to_bits(), p_world.z.to_bits(), "{at}: wz");
+                    match dst.project_world(p_world) {
+                        Some((su, sv, sz)) => {
+                            self.seen.0 += 1;
+                            assert!(zt[lane] > 1e-6, "{at}: validity");
+                            assert_eq!(ut[lane].to_bits(), su.to_bits(), "{at}: u");
+                            assert_eq!(vt[lane].to_bits(), sv.to_bits(), "{at}: v");
+                            assert_eq!(zt[lane].to_bits(), sz.to_bits(), "{at}: z");
+                        }
+                        None => {
+                            self.seen.1 += 1;
+                            assert!(zt[lane] <= 1e-6, "{at}: validity");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn wide_warp_chain_matches_camera_methods_bitwise() {
-        // The lemma behind the wide splat and classify passes: 8 lanes of
-        // WideWarpChain must equal dst.project_world(src.unproject_to_world)
-        // bit for bit, including the world-space intermediate. Exercised in
-        // both chain directions over translated + rotated camera pairs.
+        // The lemma behind the splat and classify passes: every lane of
+        // WarpChain must equal dst.project_world(src.unproject_to_world) bit
+        // for bit, including the world-space intermediate, whatever its
+        // neighbours hold (background depths, points behind `dst`). Both
+        // chain directions over a translated + rotated camera pair that
+        // face each other, on every lane vector of every backend.
         let k = Intrinsics::from_fov(64, 48, 0.9);
         let cam_a = Camera::new(
             k,
@@ -1213,74 +1245,288 @@ mod tests {
             k,
             Pose::look_at(Vec3::new(-0.9, 0.4, 2.8), Vec3::new(0.2, 0.1, 0.0), Vec3::Y),
         );
-        for (src, dst) in [(&cam_a, &cam_b), (&cam_b, &cam_a)] {
-            let chain = WideWarpChain::new(src, dst);
-            for group in 0..4 {
-                let mut us = [0.0f32; LANES];
-                let mut vs = [0.0f32; LANES];
-                let mut ds = [0.0f32; LANES];
-                for lane in 0..LANES {
-                    let i = (group * LANES + lane) as f32;
-                    us[lane] = (i * 7.3).sin().abs() * 63.0 + 0.5;
-                    vs[lane] = (i * 3.1).cos().abs() * 47.0 + 0.5;
-                    ds[lane] = 0.5 + (i * 1.7).sin().abs() * 6.0;
-                }
-                let [wx, wy, wz, ut, vt, zt] =
-                    chain.run(F32x8::load(&us), F32x8::load(&vs), F32x8::load(&ds));
-                let (wx, wy, wz) = (wx.to_array(), wy.to_array(), wz.to_array());
-                let (ut, vt, zt) = (ut.to_array(), vt.to_array(), zt.to_array());
-                for lane in 0..LANES {
-                    let p_world = src.unproject_to_world(us[lane], vs[lane], ds[lane]);
-                    assert_eq!(wx[lane].to_bits(), p_world.x.to_bits(), "lane {lane} wx");
-                    assert_eq!(wy[lane].to_bits(), p_world.y.to_bits(), "lane {lane} wy");
-                    assert_eq!(wz[lane].to_bits(), p_world.z.to_bits(), "lane {lane} wz");
-                    match dst.project_world(p_world) {
-                        Some((su, sv, sz)) => {
-                            assert!(zt[lane] > 1e-6, "lane {lane} validity");
-                            assert_eq!(ut[lane].to_bits(), su.to_bits(), "lane {lane} u");
-                            assert_eq!(vt[lane].to_bits(), sv.to_bits(), "lane {lane} v");
-                            assert_eq!(zt[lane].to_bits(), sz.to_bits(), "lane {lane} z");
-                        }
-                        None => assert!(zt[lane] <= 1e-6, "lane {lane} validity"),
-                    }
+        for backend in backends() {
+            let mut seen = (0, 0);
+            for (src, dst) in [(&cam_a, &cam_b), (&cam_b, &cam_a)] {
+                for n in WIDTHS {
+                    let seen = &mut seen;
+                    run_on(backend, ChainCheck { src, dst, n, seen });
                 }
             }
+            assert!(
+                seen.0 > 0 && seen.1 > 0,
+                "{backend:?}: {seen:?} (in front, behind)"
+            );
         }
+    }
+
+    /// The splat pass one pixel at a time through the camera methods: what
+    /// [`SplatRows`] must reproduce on every backend.
+    fn reference_splats(
+        reference: &Frame,
+        ref_cam: &Camera,
+        tgt_cam: &Camera,
+        opts: &WarpOptions,
+    ) -> (Vec<Splat>, usize) {
+        let (mut out, mut behind) = (Vec::new(), 0);
+        for y in 0..reference.height() {
+            for x in 0..reference.width() {
+                let d = *reference.depth.get(x, y);
+                if !d.is_finite() {
+                    continue;
+                }
+                let (u, v) = (x as f32 + 0.5, y as f32 + 0.5);
+                let p_world = ref_cam.unproject_to_world(u, v, d); // Eq. 1 (+pose)
+                let Some((ut, vt, zt)) = tgt_cam.project_world(p_world) else {
+                    behind += 1;
+                    continue; // behind the target camera — Eq. 2+3
+                };
+                push_splats(
+                    reference, ref_cam, tgt_cam, opts, x, y, p_world, ut, vt, zt, &mut out,
+                );
+            }
+        }
+        (out, behind)
     }
 
     #[test]
     fn wide_splat_pass_matches_scalar_bitwise() {
-        // Direct kernel-vs-kernel comparison on real rendered references
-        // (finite + infinite depths, both splat modes, with and without the
-        // φ rejection test), independent of the `simd::kernels_enabled`
-        // switch. The 64-wide frame runs full lane groups only; the 35-wide
-        // frame adds a 3-pixel scalar row tail per row.
-        let (scene, ref_cam, tgt_cam, reference) = setup(0.12);
-        let narrow_k = Intrinsics::from_fov(35, 24, 0.9);
-        let narrow_ref_cam = Camera::new(narrow_k, ref_cam.pose);
-        let narrow_tgt_cam = Camera::new(narrow_k, tgt_cam.pose);
-        let narrow = render_frame(&scene, &narrow_ref_cam, &MarchParams::default());
-        let legs: [(&Frame, &Camera, &Camera, usize); 2] = [
-            (&reference, &ref_cam, &tgt_cam, 64),
-            (&narrow, &narrow_ref_cam, &narrow_tgt_cam, 24),
-        ];
-        for (frame, rc, tc, rows) in legs {
-            for phi in [None, Some(0.02)] {
-                for splat in [SplatMode::Bilinear, SplatMode::Nearest] {
+        // The one splat body on every backend against the per-pixel loop, on
+        // real rendered references at row widths that end in every kind of
+        // padded group: background (non-finite) depths, both splat modes,
+        // with and without the φ test, and a target camera inside the object
+        // looking away, so part of the point cloud is behind it.
+        let (scene, ref_cam, tgt_cam, _) = setup(0.12);
+        let inside = Pose::look_at(Vec3::new(0.0, 0.5, -0.2), Vec3::new(0.0, 0.3, 3.0), Vec3::Y);
+        let mut behind_total = 0;
+        for width in WIDTHS {
+            let k = Intrinsics::from_fov(width, 24, 0.9);
+            let rc = Camera::new(k, ref_cam.pose);
+            let frame = render_frame(&scene, &rc, &MarchParams::default());
+            assert!(frame.depth.pixels().iter().any(|d| !d.is_finite()));
+            for tgt_pose in [tgt_cam.pose, inside] {
+                let tc = Camera::new(k, tgt_pose);
+                for (phi, splat) in [
+                    (None, SplatMode::Nearest),
+                    (None, SplatMode::Bilinear),
+                    (Some(0.02), SplatMode::Bilinear),
+                ] {
                     let opts = WarpOptions {
                         splat,
                         phi,
                         ..Default::default()
                     };
-                    let mut scalar = Vec::new();
-                    let mut wide = Vec::new();
-                    splat_rows_scalar(frame, rc, tc, &opts, 0..rows, &mut scalar);
-                    splat_rows_wide(frame, rc, tc, &opts, 0..rows, &mut wide);
-                    assert!(!scalar.is_empty(), "splat={splat:?} phi={phi:?}: no splats");
-                    assert_eq!(scalar, wide, "splat={splat:?} phi={phi:?}");
+                    let (want, behind) = reference_splats(&frame, &rc, &tc, &opts);
+                    behind_total += behind;
+                    for backend in backends() {
+                        let mut got = Vec::new();
+                        run_on(
+                            backend,
+                            SplatRows {
+                                reference: &frame,
+                                ref_cam: &rc,
+                                tgt_cam: &tc,
+                                opts: &opts,
+                                rows: 0..24,
+                                out: &mut got,
+                            },
+                        );
+                        assert_eq!(got, want, "{backend:?} width={width} {splat:?} phi={phi:?}");
+                    }
+                }
+            }
+            let (front, _) = reference_splats(
+                &frame,
+                &rc,
+                &Camera::new(k, tgt_cam.pose),
+                &WarpOptions::default(),
+            );
+            assert!(!front.is_empty(), "width {width}: no splats");
+        }
+        assert!(behind_total > 0, "no point fell behind a target camera");
+    }
+
+    #[test]
+    fn wide_normalize_pass_matches_scalar_bitwise() {
+        // Bands of every tail shape cut out of larger accumulators (so the
+        // band is not the frame), with zero, sub-threshold, fractional and
+        // multi-splat weights and every share of rejected weight.
+        let total = 200;
+        let acc_w: Vec<f32> = (0..total)
+            .map(|i| [0.0, 0.4, 0.75, 1.0, 2.37][i % 5] * (1.0 + (i as f32 * 0.7).sin() * 0.01))
+            .collect();
+        let acc_z: Vec<f32> = (0..total)
+            .map(|i| acc_w[i] * (2.0 + (i as f32).cos()))
+            .collect();
+        let rej_w: Vec<f32> = (0..total)
+            .map(|i| acc_w[i] * [0.0, 0.5, 0.51, 1.0][i % 4])
+            .collect();
+        let acc_color: Vec<Vec3> = (0..total)
+            .map(|i| Vec3::new(acc_w[i] * 0.3, (i as f32 * 0.1).sin().abs(), 0.9))
+            .collect();
+        let mut seen = Vec::new();
+        for len in WIDTHS {
+            let base = 17;
+            // The per-pixel loop.
+            let mut want = (
+                vec![Vec3::ZERO; len],
+                vec![f32::INFINITY; len],
+                vec![PixelSource::Disoccluded; len],
+            );
+            for local in 0..len {
+                let idx = base + local;
+                if acc_w[idx] < 0.75 {
+                    continue;
+                }
+                let inv = 1.0 / acc_w[idx];
+                want.0[local] = acc_color[idx] * inv;
+                want.1[local] = acc_z[idx] * inv;
+                want.2[local] = if rej_w[idx] * 2.0 > acc_w[idx] {
+                    PixelSource::RejectedByAngle
+                } else {
+                    PixelSource::Warped
+                };
+            }
+            seen.extend_from_slice(&want.2);
+            for backend in backends() {
+                let mut got = (
+                    vec![Vec3::ZERO; len],
+                    vec![f32::INFINITY; len],
+                    vec![PixelSource::Disoccluded; len],
+                );
+                run_on(
+                    backend,
+                    NormalizeBand {
+                        acc_color: &acc_color,
+                        acc_z: &acc_z,
+                        acc_w: &acc_w,
+                        rej_w: &rej_w,
+                        base,
+                        cb: &mut got.0,
+                        db: &mut got.1,
+                        sb: &mut got.2,
+                    },
+                );
+                assert_eq!(got.2, want.2, "{backend:?} len {len}: status");
+                assert_eq!(got.0, want.0, "{backend:?} len {len}: color");
+                let bits = |d: &[f32]| d.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got.1), bits(&want.1), "{backend:?} len {len}: depth");
+            }
+        }
+        for status in [
+            PixelSource::Disoccluded,
+            PixelSource::Warped,
+            PixelSource::RejectedByAngle,
+        ] {
+            assert!(seen.contains(&status), "no {status:?} pixel");
+        }
+    }
+
+    #[test]
+    fn wide_classify_pass_matches_scalar_bitwise() {
+        // Bands holding 0, 1, 7, 8 and 9 holes (no batch, one partly filled,
+        // one short of full, exactly full, full plus one) against the
+        // per-pixel loop through the camera methods. Two targets: a small
+        // pan, whose far probes land on reference background or surface,
+        // and a camera turned away, whose probes leave the reference
+        // frustum or fall behind the reference camera.
+        let (_, ref_cam, tgt_cam, reference) = setup(0.12);
+        let away = Camera::new(
+            tgt_cam.intrinsics,
+            Pose::look_at(
+                Vec3::new(0.4, 1.3, -2.8),
+                Vec3::new(3.0, 1.0, -6.0),
+                Vec3::Y,
+            ),
+        );
+        let opts = WarpOptions::default();
+        let background = Vec3::new(0.1, 0.2, 0.3);
+        let (tw, th) = (64usize, 64usize);
+        let y0 = 8;
+        let band = y0 * tw..(y0 + 16) * tw;
+        let mut outcomes = (0, 0);
+        for tc in [&tgt_cam, &away] {
+            for holes in [0usize, 1, 7, 8, 9] {
+                // Holes scattered over the band; one other pixel in eleven is
+                // warped (so some holes have a warped neighbour and some do
+                // not), the rest already void.
+                let mut snapshot: Vec<PixelSource> = (0..tw * th)
+                    .map(|i| match i % 11 {
+                        0 => PixelSource::Warped,
+                        _ => PixelSource::Void,
+                    })
+                    .collect();
+                for j in 0..holes {
+                    snapshot[band.start + (j * 149 + 5) % band.len()] = PixelSource::Disoccluded;
+                }
+                // The per-pixel loop.
+                let mut want = (
+                    vec![Vec3::ZERO; band.len()],
+                    snapshot[band.clone()].to_vec(),
+                );
+                for local in 0..band.len() {
+                    if want.1[local] != PixelSource::Disoccluded {
+                        continue;
+                    }
+                    let idx = band.start + local;
+                    let (tx, ty) = (idx % tw, idx / tw);
+                    let (u, v) = (tx as f32 + 0.5, ty as f32 + 0.5);
+                    let far_world = tc.unproject_to_world(u, v, opts.void_probe_depth);
+                    let is_void = match ref_cam.project_world(far_world) {
+                        Some((ru, rv, _)) => {
+                            let rx = (ru - 0.5).round() as i64;
+                            let ry = (rv - 0.5).round() as i64;
+                            if rx >= 0 && ry >= 0 && rx < 64 && ry < 64 {
+                                !reference.depth.get(rx as usize, ry as usize).is_finite()
+                            } else {
+                                false // outside the reference frustum: must render
+                            }
+                        }
+                        None => false,
+                    };
+                    let near_surface = (-1i64..=1).any(|dy| {
+                        (-1i64..=1).any(|dx| {
+                            let (nx, ny) = (tx as i64 + dx, ty as i64 + dy);
+                            (0..tw as i64).contains(&nx)
+                                && (0..th as i64).contains(&ny)
+                                && snapshot[ny as usize * tw + nx as usize] == PixelSource::Warped
+                        })
+                    });
+                    if is_void && !near_surface {
+                        want.1[local] = PixelSource::Void;
+                        outcomes.0 += 1;
+                    } else {
+                        want.0[local] = background;
+                        outcomes.1 += 1;
+                    }
+                }
+                for backend in backends() {
+                    let mut got = (
+                        vec![Vec3::ZERO; band.len()],
+                        snapshot[band.clone()].to_vec(),
+                    );
+                    run_on(
+                        backend,
+                        ClassifyBand {
+                            reference: &reference,
+                            ref_cam: &ref_cam,
+                            tgt_cam: tc,
+                            opts: &opts,
+                            snapshot: &snapshot,
+                            background,
+                            y0,
+                            cb: &mut got.0,
+                            sb: &mut got.1,
+                        },
+                    );
+                    assert_eq!(got, want, "{backend:?}, {holes} holes");
                 }
             }
         }
+        assert!(
+            outcomes.0 > 0 && outcomes.1 > 0,
+            "{outcomes:?} (void, must render)"
+        );
     }
 
     #[test]

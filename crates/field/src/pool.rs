@@ -248,8 +248,8 @@ struct Registry {
 
 struct PoolInner {
     registry: Mutex<Registry>,
-    /// Total worker threads ever spawned — the microbench and the
-    /// zero-spawn acceptance check read this before/after timed frames.
+    /// Total worker threads ever spawned — the zero-spawn acceptance check
+    /// (`tests/zero_alloc.rs`) reads this before/after warmed frames.
     spawned_total: AtomicU64,
 }
 
@@ -829,6 +829,28 @@ mod tests {
         assert_eq!(pool.idle_workers(), 1);
     }
 
+    /// Runs `stress` on a thread of its own and fails if it is not done in
+    /// 120 s: a lost wake-up parks a pass for good, and that has to read as
+    /// a failed test, not as a hung suite.
+    fn under_watchdog(stress: impl FnOnce() + Send + 'static) {
+        let (done, watchdog) = std::sync::mpsc::channel();
+        let stress = std::thread::spawn(move || {
+            stress();
+            done.send(()).ok();
+        });
+        watchdog
+            .recv_timeout(std::time::Duration::from_secs(120))
+            .expect("a pool pass hung or panicked: lost wake-up at the gate");
+        stress.join().unwrap();
+    }
+
+    /// More lanes than the host has cores, so that at any moment some lane
+    /// is descheduled in the middle of whatever it was doing.
+    fn oversubscribed_lanes() -> usize {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        (4 * cores).clamp(8, MAX_LANES - 1)
+    }
+
     #[test]
     fn empty_passes_never_lose_a_wakeup() {
         // The gate's hazard: a pass so short that the leader's spin returns
@@ -836,12 +858,9 @@ mod tests {
         // lane of the previous pass is still inside `complete`. Thousands
         // of empty passes on more lanes than the host has cores keep lanes
         // descheduled right there; flipping the cap mixes retiring and
-        // respawning workers in. A lost wake-up parks the leader for good,
-        // so the passes run on a thread of their own under a watchdog.
-        let (done, watchdog) = std::sync::mpsc::channel();
-        let stress = std::thread::spawn(move || {
-            let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-            let lanes = (4 * cores).clamp(8, MAX_LANES - 1);
+        // respawning workers in.
+        under_watchdog(|| {
+            let lanes = oversubscribed_lanes();
             let pool = RenderPool::new(lanes);
             let hits = AtomicU32::new(0);
             let mut expected = 0;
@@ -856,12 +875,108 @@ mod tests {
                 }
             }
             assert_eq!(hits.load(Ordering::Relaxed), expected);
-            done.send(()).ok();
         });
-        watchdog
-            .recv_timeout(std::time::Duration::from_secs(120))
-            .expect("a pool pass hung or panicked: lost wake-up at the gate");
-        stress.join().unwrap();
+    }
+
+    /// 10³ passes in each of which one lane unwinds while the others are
+    /// mid-pass: a worker lane (a different one every pass) or the leader,
+    /// whose own unwind has to wait at the gate (`GateGuard`) for every lane
+    /// it dispatched. Each time the panic must reach the caller, no lane may
+    /// still be inside the closure — it borrows this frame's locals — and
+    /// the next pass on the same checkout must run on every lane.
+    fn panic_mid_pass(leader_panics: bool) {
+        struct Left<'a>(&'a AtomicU32);
+        impl Drop for Left<'_> {
+            fn drop(&mut self) {
+                self.0.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        under_watchdog(move || {
+            let pool = RenderPool::new(oversubscribed_lanes());
+            let co = pool.checkout(oversubscribed_lanes());
+            let lanes = co.lanes() as u32;
+            assert!(lanes > 2);
+            for pass in 0..1000 {
+                let victim = if leader_panics {
+                    0
+                } else {
+                    1 + pass % (co.lanes() - 1)
+                };
+                let (entered, left) = (AtomicU32::new(0), AtomicU32::new(0));
+                let outcome = catch_unwind(AssertUnwindSafe(|| {
+                    co.run(|lane| {
+                        entered.fetch_add(1, Ordering::Relaxed);
+                        let _left = Left(&left);
+                        if lane == victim {
+                            // Unwinds exactly like `panic!`, without the
+                            // hook's line on stderr a thousand times.
+                            std::panic::resume_unwind(Box::new("lane panic"));
+                        }
+                        std::thread::yield_now();
+                    });
+                }));
+                assert!(outcome.is_err(), "pass {pass}: the panic was swallowed");
+                assert_eq!(entered.load(Ordering::Relaxed), lanes, "pass {pass}");
+                assert_eq!(
+                    left.load(Ordering::Relaxed),
+                    lanes,
+                    "pass {pass}: a lane outlived the closure"
+                );
+                let hits = AtomicU32::new(0);
+                co.run(|_| {
+                    hits.fetch_add(1, Ordering::Relaxed);
+                });
+                assert_eq!(hits.load(Ordering::Relaxed), lanes, "after pass {pass}");
+            }
+        });
+    }
+
+    #[test]
+    fn worker_lane_panicking_mid_pass_reaches_the_caller_every_time() {
+        panic_mid_pass(false);
+    }
+
+    #[test]
+    fn leader_lane_panicking_mid_pass_waits_for_every_worker() {
+        panic_mid_pass(true);
+    }
+
+    #[test]
+    fn checkout_inside_a_lane_completes_and_returns_its_workers() {
+        // What the serve scheduler's reference fan-out does: sessions step on
+        // the lanes of one checkout, and a session that needs a reference
+        // renders it tile-parallel — a second checkout, taken and run from
+        // inside a lane of the first one's pass. The outer lanes ask for
+        // more workers than the cap leaves, so some nested checkouts come
+        // back short or empty and run inline.
+        under_watchdog(|| {
+            let pool = RenderPool::new(oversubscribed_lanes());
+            let outer = pool.checkout(3);
+            assert_eq!(outer.lanes(), 4);
+            let (granted, ran) = (AtomicU32::new(0), AtomicU32::new(0));
+            for _ in 0..200 {
+                outer.run(|_| {
+                    let inner = pool.checkout(3);
+                    granted.fetch_add(inner.lanes() as u32, Ordering::Relaxed);
+                    for _ in 0..3 {
+                        inner.run(|_| {
+                            ran.fetch_add(1, Ordering::Relaxed);
+                        });
+                    }
+                });
+            }
+            assert_eq!(
+                ran.load(Ordering::Relaxed),
+                3 * granted.load(Ordering::Relaxed)
+            );
+            assert!(granted.load(Ordering::Relaxed) > 200 * 4, "never nested");
+            drop(outer);
+            assert_eq!(
+                pool.idle_workers(),
+                pool.live_workers(),
+                "a nested checkout kept a worker"
+            );
+        });
     }
 
     #[test]

@@ -17,14 +17,14 @@ use cicero_scene::ground_truth::Frame;
 use cicero_scene::volume::MarchParams;
 use cicero_telemetry as telemetry;
 
-/// Default sample-block size of the batched engine: big enough that every
-/// MLP weight row amortizes over a SIMD-friendly sample vector, small enough
+/// Default sample-block size of the marcher: big enough that every MLP
+/// weight row amortizes over a SIMD-friendly sample vector, small enough
 /// that the SoA scratch stays cache-resident and partial tails stay cheap.
 pub const DEFAULT_SAMPLE_BLOCK: usize = 16;
 
-/// Reads the `SAMPLE_BLOCK` environment variable (the CI matrix uses it to
-/// run the whole suite through both engines), defaulting to
-/// [`DEFAULT_SAMPLE_BLOCK`]. `1` selects the scalar sample loop.
+/// Reads the `SAMPLE_BLOCK` environment variable (a CI leg uses it to run
+/// the whole suite at another lane count), defaulting to
+/// [`DEFAULT_SAMPLE_BLOCK`].
 pub fn env_sample_block() -> usize {
     std::env::var("SAMPLE_BLOCK")
         .ok()
@@ -41,12 +41,14 @@ pub struct RenderOptions {
     /// Skip samples in unoccupied space (stage I pruning). Enabled for both
     /// pixel-centric and memory-centric paths for a fair comparison.
     pub use_occupancy: bool,
-    /// Samples per SoA block of the batched plan→gather→MLP engine. `1`
-    /// marches one sample at a time (the scalar path); larger values batch
-    /// up to this many processed samples per gather/decode so MLP weight
-    /// rows are re-read once per block instead of once per sample. It is
-    /// also the number of rays the batched marcher keeps in flight. It does
-    /// *not* bound speculative work: for a sink that does not observe
+    /// Lanes per SoA block of the plan→gather→MLP engine: up to this many
+    /// processed samples share one gather/decode, so MLP weight rows are
+    /// re-read once per block instead of once per sample. There is one
+    /// marcher at every value — `1` is a one-lane block of the same engine,
+    /// and `0` is read as `1`; the per-sample loop lives on only as the test
+    /// oracle [`render_reference`]. It is also the number of rays the
+    /// marcher keeps in flight. It does *not* bound speculative work: for a
+    /// sink that does not observe
     /// samples a block holds one lane from each ray in flight, so no lane is
     /// evaluated past an early exit at any block size (128² lego, lanes
     /// evaluated ÷ committed: 1.000 at 4, 16 and 64); a sink that observes
@@ -116,22 +118,18 @@ impl RenderStats {
 
 /// Per-thread scratch buffers for the sample hot path.
 ///
-/// One scratch serves one rendering thread: the feature vector, the gather
-/// plan and the MLP ping-pong activations are all reused across every sample
-/// the thread processes, so after the first sample warms the capacities the
-/// inner loop performs **zero heap allocations** (verified by the
-/// `zero_alloc` integration test). Buffer contents never leak between
-/// samples — each use clears before filling — so rendering through a reused
-/// scratch is bit-identical to rendering through a fresh one.
+/// One scratch serves one rendering thread: the lane arrays, the gather
+/// plans and the MLP ping-pong activation matrices are all reused across
+/// every block the thread processes, so after the first frame warms the
+/// capacities the inner loop performs **zero heap allocations** (verified by
+/// the `zero_alloc` integration test). Buffer contents never leak between
+/// blocks — each use overwrites before reading — so rendering through a
+/// reused scratch is bit-identical to rendering through a fresh one.
 #[derive(Debug, Clone, Default)]
 pub struct RenderScratch {
-    /// Interpolated feature vector of the current sample.
-    feats: Vec<f32>,
-    /// Gather plan of the current sample.
+    /// The one plan built for a sink that does not observe samples.
     plan: GatherPlan,
-    /// Decoder MLP activations.
-    mlp: MlpScratch,
-    /// SoA block scratch of the batched sample engine.
+    /// SoA block scratch of the sample engine.
     block: SampleBlock,
 }
 
@@ -142,10 +140,11 @@ impl RenderScratch {
     }
 }
 
-/// One slot of the batched engine's set of rays in flight: a ray's march
-/// position and compositing accumulators, plus the bookkeeping that keeps
-/// stats and pixel writes bit-identical to the scalar marcher. A slot whose
-/// ray has no step left and no lane parked is free and takes the next pixel.
+/// One slot of the marcher's set of rays in flight: a ray's march position
+/// and compositing accumulators, plus the bookkeeping that keeps stats and
+/// pixel writes bit-identical to the per-sample [`render_reference`]. A slot
+/// whose ray has no step left and no lane parked is free and takes the next
+/// pixel.
 #[derive(Debug, Clone, Default)]
 struct RayCtx {
     /// Ray origin and unit direction.
@@ -174,7 +173,7 @@ struct RayCtx {
     /// Candidates indexed since this ray's last parked lane (or since its
     /// march began). Committed with the next lane, or — for rays that end
     /// without terminating — when the ray finishes; discarded when the ray
-    /// early-exits, exactly like the scalar `break`.
+    /// early-exits, exactly like the reference loop's `break`.
     pending: u64,
     /// This ray's uncommitted lanes in the current block.
     lanes: u32,
@@ -207,7 +206,7 @@ impl RayCtx {
     }
 }
 
-/// SoA scratch of the batched sample engine: one block of up to K processed
+/// SoA scratch of the sample engine: one block of up to K processed
 /// samples, gathered and decoded together, and the K slots of the rays in
 /// flight that fill it (the paper's tile locality argument: weight reuse
 /// should not be capped by per-ray sample counts).
@@ -276,12 +275,12 @@ impl SampleBlock {
     /// march is over.
     ///
     /// Evaluation is batched (SoA features, block MLP); **commitment** is
-    /// per-lane in park order and replicates the scalar loop exactly: stats
-    /// and sink first, then compositing into the lane's [`RayCtx`], then the
-    /// transmittance early-exit. When the exit fires at lane `j`, this ray's
+    /// per-lane in park order and replicates [`render_reference`] exactly:
+    /// stats and sink first, then compositing into the lane's [`RayCtx`], then
+    /// the transmittance early-exit. When the exit fires at lane `j`, this ray's
     /// later lanes were evaluated speculatively but are *not* committed — no
     /// stats, no sink events, no compositing — so every observable output
-    /// matches the scalar path bit for bit.
+    /// matches the reference loop bit for bit.
     ///
     /// `per_sample` is the `(entry reads, bytes)` of any one sample's gather
     /// plan when the sink does not observe samples, and `None` when it does:
@@ -305,9 +304,9 @@ impl SampleBlock {
         if k == 0 {
             return;
         }
-        // Phase spans (batched engine): `plan` covers the march/fill interval
-        // since the previous flush, `gather` the SoA feature fetch; the MLP
-        // and activation-decode spans are emitted inside `decode_block`.
+        // Phase spans: `plan` covers the march/fill interval since the
+        // previous flush, `gather` the SoA feature fetch; the MLP and
+        // activation-decode spans are emitted inside `decode_block`.
         let t_flush = telemetry::is_enabled().then(telemetry::now_ns);
         let decoder = model.decoder();
         let macs_per_sample = decoder.modeled_macs_per_sample();
@@ -470,6 +469,18 @@ pub fn render_masked_with<M: NerfModel + ?Sized, S: GatherSink>(
     sink: &mut S,
     scratch: &mut RenderScratch,
 ) -> RenderStats {
+    check_inputs(camera, mask, frame);
+    let band = RowBand {
+        y0: 0,
+        y1: camera.intrinsics.height,
+        color: frame.color.pixels_mut(),
+        depth: frame.depth.pixels_mut(),
+    };
+    render_rows(model, camera, opts, mask, band, sink, scratch)
+}
+
+/// Panics unless `mask` (when given) and `frame` have the camera's size.
+pub(crate) fn check_inputs(camera: &Camera, mask: Option<&[bool]>, frame: &Frame) {
     let (w, h) = (camera.intrinsics.width, camera.intrinsics.height);
     if let Some(m) = mask {
         assert_eq!(m.len(), w * h, "mask must cover every pixel");
@@ -479,48 +490,47 @@ pub fn render_masked_with<M: NerfModel + ?Sized, S: GatherSink>(
         (w, h),
         "frame/camera size mismatch"
     );
-    let band = RowBand {
-        y0: 0,
-        y1: h,
-        color: frame.color.pixels_mut(),
-        depth: frame.depth.pixels_mut(),
-    };
-    render_rows(model, camera, opts, mask, band, sink, scratch)
 }
 
-/// The sample hot path: marches every (masked) ray of rows `out.y0..out.y1`
-/// into the band buffers. All per-sample state lives in `scratch`; the loop
-/// allocates nothing. Both the sequential renderers and the tile workers of
-/// [`crate::tiles`] funnel through here, which is what makes the parallel
-/// output bit-identical to the sequential one.
-pub(crate) fn render_rows<M: NerfModel + ?Sized, S: GatherSink>(
+/// The per-sample reference renderer: the oracle the marcher is held to, and
+/// nothing else — no production path calls it.
+///
+/// Same contract as [`render_masked`], computed the obvious way: one ray at a
+/// time in row-major order, an `occupied(p)` test at every step, and per
+/// processed sample one `plan_into` (handed to `sink`, whatever it observes),
+/// one `features_into` and one `decode_into`, through buffers of its own. It
+/// ignores `opts.sample_block`. Frame, [`RenderStats`] and sink stream of
+/// [`render_masked`] / [`crate::tiles::render_tiled`] equal this function's
+/// bit for bit at every `sample_block` and thread count; the tests that say
+/// "the oracle" call it.
+///
+/// # Panics
+///
+/// Panics if the mask length or frame dimensions mismatch the camera.
+pub fn render_reference<M: NerfModel + ?Sized, S: GatherSink>(
     model: &M,
     camera: &Camera,
     opts: &RenderOptions,
     mask: Option<&[bool]>,
-    out: RowBand<'_>,
+    frame: &mut Frame,
     sink: &mut S,
-    scratch: &mut RenderScratch,
 ) -> RenderStats {
-    if opts.sample_block > 1 {
-        return render_rows_batched(model, camera, opts, mask, out, sink, scratch);
-    }
-    let w = camera.intrinsics.width;
+    check_inputs(camera, mask, frame);
+    let (w, h) = (camera.intrinsics.width, camera.intrinsics.height);
     let mut stats = RenderStats::default();
     let bounds = model.bounds();
     let decoder = model.decoder();
     let macs_per_sample = decoder.modeled_macs_per_sample();
     let background = model.background();
+    let (mut plan, mut feats, mut mlp) = (GatherPlan::default(), Vec::new(), MlpScratch::new());
 
-    for y in out.y0..out.y1 {
+    for y in 0..h {
         for x in 0..w {
-            if let Some(m) = mask {
-                if !m[y * w + x] {
-                    continue;
-                }
+            let idx = y * w + x;
+            if mask.is_some_and(|m| !m[idx]) {
+                continue;
             }
             stats.rays += 1;
-            let ray_id = (y * w + x) as u32;
             let (u, v) = (x as f32 + 0.5, y as f32 + 0.5);
             let ray = camera.primary_ray(u, v);
 
@@ -543,15 +553,14 @@ pub(crate) fn render_rows<M: NerfModel + ?Sized, S: GatherSink>(
                         continue;
                     }
                     // Stage G: gather + interpolate features.
-                    model.plan_into(p, &mut scratch.plan);
-                    sink.on_sample(ray_id, t, &scratch.plan);
+                    model.plan_into(p, &mut plan);
+                    sink.on_sample(idx as u32, t, &plan);
                     stats.samples_processed += 1;
-                    stats.gather_entry_reads += scratch.plan.entry_reads();
-                    stats.gather_bytes += scratch.plan.bytes();
-                    model.features_into(p, &mut scratch.feats);
+                    stats.gather_entry_reads += plan.entry_reads();
+                    stats.gather_bytes += plan.bytes();
+                    model.features_into(p, &mut feats);
                     // Stage F: decode.
-                    let (sigma, radiance) =
-                        decoder.decode_into(&scratch.feats, ray.dir, &mut scratch.mlp);
+                    let (sigma, radiance) = decoder.decode_into(&feats, ray.dir, &mut mlp);
                     stats.mlp_macs += macs_per_sample;
                     if sigma <= 0.0 {
                         continue;
@@ -570,9 +579,8 @@ pub(crate) fn render_rows<M: NerfModel + ?Sized, S: GatherSink>(
             }
 
             color += background * transmittance;
-            let idx = (y - out.y0) * w + x;
-            out.color[idx] = color;
-            out.depth[idx] = if opacity_acc >= opts.march.surface_opacity {
+            frame.color.pixels_mut()[idx] = color;
+            frame.depth.pixels_mut()[idx] = if opacity_acc >= opts.march.surface_opacity {
                 (depth_acc / opacity_acc) * camera.z_scale(u, v)
             } else {
                 f32::INFINITY
@@ -582,10 +590,14 @@ pub(crate) fn render_rows<M: NerfModel + ?Sized, S: GatherSink>(
     stats
 }
 
-/// The batched sample hot path: identical contract to [`render_rows`], but
-/// processed samples are gathered and decoded in SoA blocks of
-/// `opts.sample_block` (see [`SampleBlock`]), and the marcher hands the
-/// kernels only work the scalar loop would also commit.
+/// The sample hot path: marches every (masked) ray of rows `out.y0..out.y1`
+/// into the band buffers, gathering and decoding processed samples in SoA
+/// blocks of `opts.sample_block` lanes (see [`SampleBlock`]; zero is read as
+/// one), and hands the kernels only work [`render_reference`] would also
+/// commit. All per-sample state lives in `scratch`; the loop allocates
+/// nothing. Both the sequential renderers and the tile workers of
+/// [`crate::tiles`] funnel through here, which is what makes the parallel
+/// output bit-identical to the sequential one.
 ///
 /// Up to `sample_block` rays are in flight, each in a stable slot. The
 /// marcher goes round the slots giving each ray a *turn*: the ray walks to
@@ -605,11 +617,11 @@ pub(crate) fn render_rows<M: NerfModel + ?Sized, S: GatherSink>(
 /// than once per block, so the tail is not a string of tiny blocks). A sink
 /// that observes gets `turn = sample_block`: one ray marches at a time and
 /// keeps the turn across flushes until it ends, so lanes reach the sink in
-/// the scalar loop's ray-major order — at the price of evaluating, per
+/// the reference loop's ray-major order — at the price of evaluating, per
 /// early-exiting ray, the lanes it had parked past its exit.
 ///
 /// [`OccupancyGrid::first_occupied_step`]: crate::OccupancyGrid::first_occupied_step
-fn render_rows_batched<M: NerfModel + ?Sized, S: GatherSink>(
+pub(crate) fn render_rows<M: NerfModel + ?Sized, S: GatherSink>(
     model: &M,
     camera: &Camera,
     opts: &RenderOptions,
@@ -625,7 +637,7 @@ fn render_rows_batched<M: NerfModel + ?Sized, S: GatherSink>(
     let occupancy = opts.use_occupancy.then(|| model.occupancy());
     let march = &opts.march;
     let step = march.step;
-    let kmax = opts.sample_block;
+    let kmax = opts.sample_block.max(1);
     let observe = sink.observes_samples();
     let turn = if observe { kmax } else { 1 };
     // What a sample's plan adds to the stats is the same at every position,
@@ -658,7 +670,7 @@ fn render_rows_batched<M: NerfModel + ?Sized, S: GatherSink>(
                 let (u, v) = (x as f32 + 0.5, y as f32 + 0.5);
                 let primary = camera.primary_ray(u, v);
                 // Steps with `t < t1`: `t` never decreases with the step
-                // index, so they are a prefix and the scalar loop's
+                // index, so they are a prefix and the reference loop's
                 // `t >= t1` break is taken once, here.
                 let (t0, steps) = bounds.intersect(&primary).map_or((0.0, 0), |(t0, t1)| {
                     let mut n = ((t1 - t0) / step).ceil() as u32;

@@ -1,39 +1,34 @@
-//! Explicit wide-vector kernels: an `f32x8` wrapper, a lane-vector trait
-//! for kernels that run at the host's real width, and a portable fallback.
+//! Explicit wide-vector kernels: a lane-vector trait, kernels written once
+//! over it, and run-time dispatch to the host's real vector width.
 //!
-//! The SoA sample engine (PR 5) relies on the autovectorizer to find lanes in
+//! The SoA sample engine (PR 5) relied on the autovectorizer to find lanes in
 //! `forward_block` and the batched feature gathers. This module makes the
-//! lanes explicit, at two levels:
-//!
-//! - [`F32x8`] is an 8-wide f32 vector backed by two SSE2 `__m128`
-//!   registers when the `simd` cargo feature is enabled on an x86_64 target
-//!   (SSE2 is baseline on x86_64, so it needs no CPU detection), and by a
-//!   plain `[f32; 8]` with per-lane loops everywhere else. The SPARW row
-//!   passes are written against it.
-//! - [`Lanes`] + [`Kernel`] + [`dispatch`]: a kernel body written **once**
-//!   over an abstract lane vector and instantiated per [`Backend`] —
-//!   portable `[f32; N]`, the SSE2 pair, and a 256-bit AVX `__m256` that is
-//!   selected at run time (`is_x86_feature_detected!("avx")`, cached). The
-//!   MLP block kernel and the three encoding gathers, where the time goes,
-//!   run this way.
+//! lanes explicit: [`Lanes`] + [`Kernel`] + [`dispatch`] — a kernel body
+//! written **once** over an abstract lane vector and instantiated per
+//! [`Backend`]: portable `[f32; N]`, a pair of SSE2 `__m128` registers, and
+//! a 256-bit AVX `__m256` that is selected at run time
+//! (`is_x86_feature_detected!("avx")`, cached). What runs on [`Lanes`]: the
+//! MLP block kernel (`Layer::forward_block`), the three encoding gathers
+//! (`interpolate_block_into`) and the SPARW splat, normalize and
+//! void-classify passes of `cicero::sparw`.
 //!
 //! | backend | 8-lane `W` | 4-lane `H` | selected when |
 //! |---|---|---|---|
 //! | `avx` | one `__m256` | one `__m128` | feature on, x86_64, CPU reports AVX |
-//! | `sse2` | two `__m128` ([`F32x8`]) | one `__m128` | feature on, x86_64 |
-//! | `portable` | `[f32; 8]` | `[f32; 4]` | kernels off, feature off, or another target |
+//! | `sse2` | two `__m128` | one `__m128` | feature on, x86_64 |
+//! | `portable` | `[f32; 8]` | `[f32; 4]` | capped, feature off, or another target |
 //!
 //! # Determinism contract
 //!
-//! The wide kernels must be **bit-identical** to the scalar paths they
-//! replace, so the whole determinism suite holds on every backend. The
-//! rules every wide kernel follows:
+//! Every backend must produce the **same bits** as the per-element code a
+//! kernel replaces, so the whole determinism suite holds on every backend.
+//! The rules every kernel follows:
 //!
 //! - **Same expression tree per lane.** Each lane of a wide op computes
-//!   exactly the scalar expression: `_mm_add_ps` / `_mm_mul_ps` /
-//!   `_mm_div_ps` / `_mm_max_ps` are per-lane IEEE-754 identical to the
-//!   scalar `+`, `*`, `/` and `f32::max`. No `rsqrt`/`rcp` approximations,
-//!   no horizontal ops.
+//!   exactly the scalar expression: `_mm_add_ps` / `_mm_sub_ps` /
+//!   `_mm_mul_ps` / `_mm_div_ps` / `_mm_max_ps` are per-lane IEEE-754
+//!   identical to the scalar `+`, `-`, `*`, `/` and `f32::max`. No
+//!   `rsqrt`/`rcp` approximations, no horizontal ops.
 //! - **No FMA contraction.** Rust never contracts `a * b + c` into a fused
 //!   multiply-add (rustc compiles with contraction off), and this module
 //!   only emits mul-then-add pairs — the scalar and wide paths round
@@ -51,44 +46,28 @@
 //!   the operand lives.
 //! - **Operand order preserved.** `max` keeps the scalar operand order
 //!   (`acc.max(0.0)`, not `0.0.max(acc)`) so NaN propagation matches maxss.
-//! - **Scalar tails run the scalar code.** Remainder lanes (block size not
-//!   a multiple of 8, trailing channels) fall through to the untouched
-//!   scalar loops — or, in a [`Kernel`], to the same body over `[f32; 1]` —
-//!   which is trivially bit-identical.
+//! - **Tails run the same body.** Remainder lanes (block size not a
+//!   multiple of 8, trailing channels or pixels) go through the kernel body
+//!   once more over `H` and then `[f32; 1]`, or are padded into a full
+//!   vector whose extra lanes are computed and discarded; neither is a
+//!   second copy of the math.
 //!
 //! # Runtime dispatch
 //!
-//! Compiling with `--features simd` makes the wide kernels *available*;
-//! whether hot loops route through them is a process-wide runtime switch so
-//! one binary can compare the paths (the equivalence tests and the
-//! `kernels` bench flip it). The switch defaults to **on** when the feature
-//! is compiled in, and can be disabled with `CICERO_SIMD=0` (or `off`).
-//! Without the feature, [`kernels_enabled`] is always `false`.
-//!
-//! With the switch on, [`dispatch`] runs a [`Kernel`] on the widest backend
-//! the host supports; [`backend`] names it. `CICERO_SIMD=sse2`, or
-//! [`set_backend_cap`], holds it to a narrower one. That cap exists for the
-//! equivalence tests and the bench and is not part of any configuration:
-//! the output does not depend on it.
+//! Compiling with `--features simd` makes the x86 backends *available*;
+//! [`dispatch`] runs a [`Kernel`] on the widest one the host supports, and
+//! [`backend`] names it. One process-wide cap narrows that: `CICERO_SIMD=sse2`
+//! holds it to SSE2, `CICERO_SIMD=0` (or `off`, `false`) to the portable
+//! instance, and [`set_backend_cap`] overrides the environment so one binary
+//! can compare the instances (the equivalence tests and the `kernels` bench
+//! do). The cap is not part of any configuration: the output does not
+//! depend on it. Without the feature everything runs the portable instance.
 //!
 //! # Adding a wide kernel
 //!
-//! Over [`F32x8`] (8 channels or pixels at a time, one width):
-//!
-//! 1. Write the scalar loop first; it stays in place as the fallback and
-//!    the oracle.
-//! 2. Express the inner loop over [`F32x8`] groups with the same
-//!    accumulation order and operand order, and finish with the scalar
-//!    code for the `len % 8` tail.
-//! 3. Dispatch with `if simd::kernels_enabled() { wide(...); return; }` at
-//!    the top of the scalar function.
-//! 4. Add a bitwise unit test (wide vs scalar over irregular sizes) next to
-//!    the kernel, and extend `tests/simd_equivalence.rs` if the kernel
-//!    feeds a new end-to-end path.
-//!
-//! Over [`Lanes`] (one body at every width, and no scalar twin to keep in
-//! step — `Layer::forward_block` in `mlp.rs` and `interpolate_block_into` of
-//! the three encodings):
+//! There is one recipe, and no scalar twin to keep in step
+//! (`Layer::forward_block` in `mlp.rs`, `interpolate_block_into` of the
+//! three encodings, the row and band passes of `cicero::sparw`):
 //!
 //! 1. Put the arguments in a struct and implement [`Kernel`] for it. Write
 //!    `run` against `W` (8 lanes), `H` (4 lanes) and `[f32; 1]` for the
@@ -97,9 +76,13 @@
 //!    helpers (`array::map`, iterator adaptors): the helper is compiled
 //!    outside the AVX trampoline, so the ops inside it are calls, not
 //!    instructions (a tensor gather written that way ran at half speed).
-//!    There is no second, scalar copy: the portable instance is the scalar
-//!    path, and the per-element code it replaces (`Layer::forward`, the
-//!    encodings' `interpolate_into`) stays as the oracle.
+//!    The same goes for a pool band closure: call [`dispatch`] *inside* the
+//!    closure, once per band, and keep the lane ops in the kernel's own
+//!    `#[inline(always)]` methods — never hand the kernel a closure to call
+//!    per group. There is no second, scalar copy: the portable instance is
+//!    the scalar path, and the per-element code the kernel replaces
+//!    (`Layer::forward`, the encodings' `interpolate_into`,
+//!    `Camera::unproject_to_world` / `project_world`) stays as the oracle.
 //! 2. Call [`dispatch`] where the loop used to be.
 //! 3. Test every backend with [`run_on`] against the oracle, skipping the
 //!    ones [`Backend::supported`] rules out on the host.
@@ -113,10 +96,6 @@
 #![cfg_attr(all(feature = "simd", target_arch = "x86_64"), allow(unsafe_code))]
 
 use std::sync::atomic::{AtomicU8, Ordering};
-
-/// Lane count of [`F32x8`]. Wide kernels process `LANES` samples (or
-/// channels) per group and fall back to scalar code for the remainder.
-pub const LANES: usize = 8;
 
 /// The vector backends a [`Kernel`] is instantiated for, narrowest first
 /// (the order is the cap order: a cap admits itself and everything below).
@@ -159,73 +138,41 @@ impl Backend {
     }
 }
 
-// Process-wide kernel switch: 0 = unset (read CICERO_SIMD on first use),
-// 1 = off, 2 = on.
-static KERNELS: AtomicU8 = AtomicU8::new(0);
-
-// The widest backend the on-path dispatches, as `Backend::code`: the host's
-// widest, lowered by `CICERO_SIMD=sse2` or `set_backend_cap`. 0 = unset
-// (detect and read the environment on first use).
+// The widest backend `dispatch` selects, as `Backend::code`: the host's
+// widest, lowered by `CICERO_SIMD` or `set_backend_cap`. 0 = unset (detect
+// and read the environment on first use).
 static WIDEST: AtomicU8 = AtomicU8::new(0);
 
-/// Whether the `simd` cargo feature was compiled in.
-pub const fn compiled() -> bool {
-    cfg!(feature = "simd")
-}
-
-/// Name of the backend [`dispatch`] selects right now: `"avx"` or `"sse2"`
-/// with the kernels on, `"portable"` with them off or not compiled in.
+/// Name of the backend [`dispatch`] selects right now: `"avx"`, `"sse2"` or
+/// `"portable"`.
 pub fn backend() -> &'static str {
     dispatched().name()
 }
 
-/// The backend [`dispatch`] selects right now: [`Backend::Portable`] while
-/// the kernels are off, otherwise the host's widest under the cap.
+/// The backend [`dispatch`] selects right now: the host's widest under the
+/// cap ([`Backend::Portable`] without the `simd` feature).
 #[inline]
 pub fn dispatched() -> Backend {
-    if !kernels_enabled() {
-        return Backend::Portable;
-    }
     match WIDEST.load(Ordering::Relaxed) {
         0 => init_widest(),
         code => Backend::from_code(code),
     }
 }
 
-/// Should hot loops route through the wide kernels right now?
-///
-/// Always `false` without the `simd` feature. With it, defaults to `true`
-/// unless `CICERO_SIMD=0`/`off` is set or [`set_kernels_enabled`] turned
-/// the kernels off.
-#[inline]
-pub fn kernels_enabled() -> bool {
-    if !compiled() {
-        return false;
-    }
-    match KERNELS.load(Ordering::Relaxed) {
-        2 => true,
-        1 => false,
-        _ => init_from_env(),
-    }
-}
-
-#[cold]
-fn init_from_env() -> bool {
-    let on = !matches!(
-        std::env::var("CICERO_SIMD").as_deref(),
-        Ok("0") | Ok("off") | Ok("false")
-    );
-    KERNELS.store(if on { 2 } else { 1 }, Ordering::Relaxed);
-    on
-}
-
 #[cold]
 fn init_widest() -> Backend {
-    set_backend_cap(match std::env::var("CICERO_SIMD").as_deref() {
-        Ok("sse2") => Backend::Sse2,
-        _ => Backend::Avx,
-    });
+    set_backend_cap(cap_from_env(std::env::var("CICERO_SIMD").ok().as_deref()));
     Backend::from_code(WIDEST.load(Ordering::Relaxed))
+}
+
+/// The cap a `CICERO_SIMD` value asks for: `0`, `off` and `false` mean the
+/// portable instance, `sse2` means SSE2, anything else (or unset) no cap.
+fn cap_from_env(value: Option<&str>) -> Backend {
+    match value {
+        Some("0" | "off" | "false") => Backend::Portable,
+        Some("sse2") => Backend::Sse2,
+        _ => Backend::Avx,
+    }
 }
 
 /// The widest backend this process can run: compiled in, and for AVX
@@ -243,27 +190,20 @@ fn host_widest() -> Backend {
     Backend::Portable
 }
 
-/// Force the wide kernels on or off for this process (overrides the
-/// `CICERO_SIMD` environment default). A no-op without the `simd` feature:
-/// the wide path cannot be enabled if it was not compiled in — though the
-/// wide kernel *functions* are always compiled (over the portable backend)
-/// so their unit tests run in every configuration.
-pub fn set_kernels_enabled(on: bool) {
-    KERNELS.store(if on { 2 } else { 1 }, Ordering::Relaxed);
-}
-
-/// Caps the backend [`dispatch`] selects while the kernels are on
-/// (overrides the `CICERO_SIMD=sse2` environment default); the host's
-/// widest still applies, so [`Backend::Avx`] means "no cap". Only the
-/// equivalence tests and the `kernels` bench have a reason to call it.
+/// Caps the backend [`dispatch`] selects (overrides the `CICERO_SIMD`
+/// environment default); the host's widest still applies, so
+/// [`Backend::Avx`] means "no cap" and [`Backend::Portable`] is what
+/// "scalar" means. Only the equivalence tests and the `kernels` bench have
+/// a reason to call it.
 pub fn set_backend_cap(cap: Backend) {
     WIDEST.store(host_widest().min(cap).code(), Ordering::Relaxed);
 }
 
 /// One lane vector of a [`Kernel`] body: `N` f32 lanes and the ops the
-/// block kernels need (a bias-first dot product with ReLU; weighted sums
-/// and lerps of feature rows). Every op is per-lane IEEE-754 identical to
-/// the scalar `+`, `*` and `f32::max`, on every implementor.
+/// kernels need (a bias-first dot product with ReLU; weighted sums and lerps
+/// of feature rows; the pinhole reprojection chain). Every op is per-lane
+/// IEEE-754 identical to the scalar expression its docs name, on every
+/// implementor.
 pub trait Lanes: Copy {
     /// Lane count.
     const N: usize;
@@ -273,17 +213,32 @@ pub trait Lanes: Copy {
     fn load(src: &[f32]) -> Self;
     /// Store lanes to `dst[0..N]`. Panics if `dst` is shorter than `N`.
     fn store(self, dst: &mut [f32]);
-    /// Lane-wise `self * o`, rounded once.
+    /// Lane-wise `self + o`, rounded once.
+    fn add(self, o: Self) -> Self;
+    /// Lane-wise `self - o`, rounded once.
+    fn sub(self, o: Self) -> Self;
+    /// Lane-wise `self * o`, rounded once (never contracted with a
+    /// following add).
     fn mul(self, o: Self) -> Self;
+    /// Lane-wise `self / o`, correctly rounded like the scalar `/` (no
+    /// reciprocal approximation); a zero or non-finite divisor yields the
+    /// scalar's `inf` / NaN and never traps.
+    fn div(self, o: Self) -> Self;
     /// Lane-wise `self + w * x`: a rounded multiply, then a rounded add —
     /// two ops, never fused.
     fn add_mul(self, w: Self, x: Self) -> Self;
-    /// Lane-wise `self.max(o)`; see [`F32x8::max`] for the operand rule.
+    /// Lane-wise `self.max(o)`. Bit-identical to scalar `f32::max` as long
+    /// as `o` has no NaN or -0.0 lanes (`maxps` returns the second operand
+    /// on NaN or ±0 ties, which then coincides with scalar maximumNumber
+    /// semantics) — the kernels only ever pass `o = splat(0.0)`, the ReLU
+    /// threshold, which satisfies both.
     fn max(self, o: Self) -> Self;
 }
 
 /// The portable backend, at any width: `[f32; 1]` is the scalar tail of
 /// every instance.
+// Plain indexed loops: an unoptimised build (the tier-1 suite) pays a call
+// per iterator step, and this is its MLP.
 impl<const N: usize> Lanes for [f32; N] {
     const N: usize = N;
 
@@ -304,13 +259,41 @@ impl<const N: usize> Lanes for [f32; N] {
         dst[..N].copy_from_slice(&self);
     }
 
-    // Plain indexed loops: an unoptimised build (the tier-1 suite) pays a
-    // call per iterator step, and this is its MLP.
+    #[inline(always)]
+    fn add(mut self, o: Self) -> Self {
+        let mut i = 0;
+        while i < N {
+            self[i] += o[i];
+            i += 1;
+        }
+        self
+    }
+
+    #[inline(always)]
+    fn sub(mut self, o: Self) -> Self {
+        let mut i = 0;
+        while i < N {
+            self[i] -= o[i];
+            i += 1;
+        }
+        self
+    }
+
     #[inline(always)]
     fn mul(mut self, o: Self) -> Self {
         let mut i = 0;
         while i < N {
             self[i] *= o[i];
+            i += 1;
+        }
+        self
+    }
+
+    #[inline(always)]
+    fn div(mut self, o: Self) -> Self {
+        let mut i = 0;
+        while i < N {
+            self[i] /= o[i];
             i += 1;
         }
         self
@@ -355,8 +338,8 @@ pub fn dispatch<K: Kernel>(kernel: K) {
     run_on(dispatched(), kernel)
 }
 
-/// Runs `kernel` on one named backend, whatever the process-wide switch
-/// says (the per-kernel bitwise tests compare backends this way).
+/// Runs `kernel` on one named backend, whatever the process-wide cap says
+/// (the per-kernel bitwise tests compare backends this way).
 ///
 /// # Panics
 ///
@@ -369,7 +352,7 @@ pub fn run_on<K: Kernel>(backend: Backend, kernel: K) {
         // SAFETY: `supported` just confirmed the CPU reports AVX.
         Backend::Avx => unsafe { backend::run_avx(kernel) },
         #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        Backend::Sse2 => kernel.run::<F32x8, backend::F32x4>(),
+        Backend::Sse2 => kernel.run::<backend::F32x8, backend::F32x4>(),
         // Off x86_64 `supported` admits nothing wider than portable.
         _ => kernel.run::<[f32; 8], [f32; 4]>(),
     }
@@ -379,173 +362,18 @@ pub fn run_on<K: Kernel>(backend: Backend, kernel: K) {
 mod backend {
     use super::{Kernel, Lanes};
     use std::arch::x86_64::{
-        __m128, __m256, _mm256_add_ps, _mm256_loadu_ps, _mm256_max_ps, _mm256_mul_ps,
-        _mm256_set1_ps, _mm256_storeu_ps, _mm_add_ps, _mm_div_ps, _mm_loadu_ps, _mm_max_ps,
-        _mm_mul_ps, _mm_set1_ps, _mm_storeu_ps, _mm_sub_ps,
+        __m128, __m256, _mm256_add_ps, _mm256_div_ps, _mm256_loadu_ps, _mm256_max_ps,
+        _mm256_mul_ps, _mm256_set1_ps, _mm256_storeu_ps, _mm256_sub_ps, _mm_add_ps, _mm_div_ps,
+        _mm_loadu_ps, _mm_max_ps, _mm_mul_ps, _mm_set1_ps, _mm_storeu_ps, _mm_sub_ps,
     };
 
-    /// 8 f32 lanes in two SSE2 registers (lo = lanes 0–3, hi = lanes 4–7).
+    /// 4 f32 lanes in one SSE2 register: the 4-sample tail group of the
+    /// SSE2 and AVX instances, and each half of the SSE2 [`F32x8`].
     ///
     /// SAFETY note shared by every intrinsic call below: SSE/SSE2 are part
     /// of the x86_64 baseline ABI, statically enabled for every x86_64
     /// target, so the `#[target_feature]` requirement on the intrinsics is
     /// always met; the register-only intrinsics touch no memory.
-    #[derive(Clone, Copy)]
-    pub struct F32x8 {
-        lo: __m128,
-        hi: __m128,
-    }
-
-    // Named `add`/`mul`/... rather than operator traits: kernel call
-    // sites chain them explicitly (`acc.add(w.mul(x))`), mirroring the
-    // documented accumulation order; `impl Add` would also invite silent
-    // operator mixing with scalars.
-    #[allow(clippy::should_implement_trait)]
-    impl F32x8 {
-        /// All 8 lanes set to `v`.
-        #[inline]
-        pub fn splat(v: f32) -> Self {
-            // SAFETY: sse2 baseline (see type docs); register-only.
-            let r = unsafe { _mm_set1_ps(v) };
-            Self { lo: r, hi: r }
-        }
-
-        /// Load lanes from `src[0..8]`. Panics if `src` is shorter than 8.
-        #[inline]
-        pub fn load(src: &[f32]) -> Self {
-            assert!(src.len() >= super::LANES, "F32x8::load needs 8 elements");
-            // SAFETY: the assert guarantees 8 readable f32s at `src`;
-            // loadu has no alignment requirement.
-            unsafe {
-                Self {
-                    lo: _mm_loadu_ps(src.as_ptr()),
-                    hi: _mm_loadu_ps(src.as_ptr().add(4)),
-                }
-            }
-        }
-
-        /// Store lanes to `dst[0..8]`. Panics if `dst` is shorter than 8.
-        #[inline]
-        pub fn store(self, dst: &mut [f32]) {
-            assert!(dst.len() >= super::LANES, "F32x8::store needs 8 elements");
-            // SAFETY: the assert guarantees 8 writable f32s at `dst`;
-            // storeu has no alignment requirement.
-            unsafe {
-                _mm_storeu_ps(dst.as_mut_ptr(), self.lo);
-                _mm_storeu_ps(dst.as_mut_ptr().add(4), self.hi);
-            }
-        }
-
-        /// Lane-wise `a + b` (addps ≡ per-lane scalar `+`).
-        #[inline]
-        pub fn add(self, o: Self) -> Self {
-            // SAFETY: sse2 baseline (see type docs); register-only.
-            unsafe {
-                Self {
-                    lo: _mm_add_ps(self.lo, o.lo),
-                    hi: _mm_add_ps(self.hi, o.hi),
-                }
-            }
-        }
-
-        /// Lane-wise `a - b`.
-        #[inline]
-        pub fn sub(self, o: Self) -> Self {
-            // SAFETY: sse2 baseline (see type docs); register-only.
-            unsafe {
-                Self {
-                    lo: _mm_sub_ps(self.lo, o.lo),
-                    hi: _mm_sub_ps(self.hi, o.hi),
-                }
-            }
-        }
-
-        /// Lane-wise `a * b` (never contracted with a following add).
-        #[inline]
-        pub fn mul(self, o: Self) -> Self {
-            // SAFETY: sse2 baseline (see type docs); register-only.
-            unsafe {
-                Self {
-                    lo: _mm_mul_ps(self.lo, o.lo),
-                    hi: _mm_mul_ps(self.hi, o.hi),
-                }
-            }
-        }
-
-        /// Lane-wise `a / b` (divps: correctly rounded, ≡ scalar `/`).
-        #[inline]
-        pub fn div(self, o: Self) -> Self {
-            // SAFETY: sse2 baseline (see type docs); register-only.
-            unsafe {
-                Self {
-                    lo: _mm_div_ps(self.lo, o.lo),
-                    hi: _mm_div_ps(self.hi, o.hi),
-                }
-            }
-        }
-
-        /// Lane-wise `self.max(o)`. Bit-identical to scalar `f32::max` as
-        /// long as `o` has no NaN or -0.0 lanes (maxps returns the second
-        /// operand on NaN or ±0 ties, which then coincides with scalar
-        /// maximumNumber semantics) — the kernels only ever pass
-        /// `o = splat(0.0)`, the relu threshold, which satisfies both.
-        #[inline]
-        pub fn max(self, o: Self) -> Self {
-            // SAFETY: sse2 baseline (see type docs); register-only.
-            unsafe {
-                Self {
-                    lo: _mm_max_ps(self.lo, o.lo),
-                    hi: _mm_max_ps(self.hi, o.hi),
-                }
-            }
-        }
-
-        /// Copy lanes out to an array (for scalar-side scatters).
-        #[inline]
-        pub fn to_array(self) -> [f32; 8] {
-            let mut out = [0.0f32; 8];
-            self.store(&mut out);
-            out
-        }
-    }
-
-    /// The SSE2 8-lane vector of a [`Kernel`]: the register pair above.
-    impl Lanes for F32x8 {
-        const N: usize = 8;
-
-        #[inline(always)]
-        fn splat(v: f32) -> Self {
-            F32x8::splat(v)
-        }
-
-        #[inline(always)]
-        fn load(src: &[f32]) -> Self {
-            F32x8::load(src)
-        }
-
-        #[inline(always)]
-        fn store(self, dst: &mut [f32]) {
-            F32x8::store(self, dst)
-        }
-
-        #[inline(always)]
-        fn mul(self, o: Self) -> Self {
-            F32x8::mul(self, o)
-        }
-
-        #[inline(always)]
-        fn add_mul(self, w: Self, x: Self) -> Self {
-            F32x8::add(self, F32x8::mul(w, x))
-        }
-
-        #[inline(always)]
-        fn max(self, o: Self) -> Self {
-            F32x8::max(self, o)
-        }
-    }
-
-    /// 4 f32 lanes in one SSE2 register: the 4-sample tail group of the
-    /// SSE2 and AVX instances. Same SAFETY note as [`F32x8`].
     #[derive(Clone, Copy)]
     pub struct F32x4(__m128);
 
@@ -554,7 +382,7 @@ mod backend {
 
         #[inline(always)]
         fn splat(v: f32) -> Self {
-            // SAFETY: sse2 baseline (see `F32x8`); register-only.
+            // SAFETY: sse2 baseline (see type docs); register-only.
             Self(unsafe { _mm_set1_ps(v) })
         }
 
@@ -575,21 +403,94 @@ mod backend {
         }
 
         #[inline(always)]
+        fn add(self, o: Self) -> Self {
+            // SAFETY: sse2 baseline (see type docs); register-only.
+            Self(unsafe { _mm_add_ps(self.0, o.0) })
+        }
+
+        #[inline(always)]
+        fn sub(self, o: Self) -> Self {
+            // SAFETY: sse2 baseline (see type docs); register-only.
+            Self(unsafe { _mm_sub_ps(self.0, o.0) })
+        }
+
+        #[inline(always)]
         fn mul(self, o: Self) -> Self {
-            // SAFETY: sse2 baseline (see `F32x8`); register-only.
+            // SAFETY: sse2 baseline (see type docs); register-only.
             Self(unsafe { _mm_mul_ps(self.0, o.0) })
         }
 
         #[inline(always)]
+        fn div(self, o: Self) -> Self {
+            // SAFETY: sse2 baseline (see type docs); register-only.
+            Self(unsafe { _mm_div_ps(self.0, o.0) })
+        }
+
+        #[inline(always)]
         fn add_mul(self, w: Self, x: Self) -> Self {
-            // SAFETY: sse2 baseline (see `F32x8`); register-only.
+            // SAFETY: sse2 baseline (see type docs); register-only.
             Self(unsafe { _mm_add_ps(self.0, _mm_mul_ps(w.0, x.0)) })
         }
 
         #[inline(always)]
         fn max(self, o: Self) -> Self {
-            // SAFETY: sse2 baseline (see `F32x8`); register-only.
+            // SAFETY: sse2 baseline (see type docs); register-only.
             Self(unsafe { _mm_max_ps(self.0, o.0) })
+        }
+    }
+
+    /// The SSE2 8-lane vector of a [`Kernel`]: two [`F32x4`] registers
+    /// (lanes 0–3, lanes 4–7), every op applied to each half.
+    #[derive(Clone, Copy)]
+    pub struct F32x8(F32x4, F32x4);
+
+    impl Lanes for F32x8 {
+        const N: usize = 8;
+
+        #[inline(always)]
+        fn splat(v: f32) -> Self {
+            Self(F32x4::splat(v), F32x4::splat(v))
+        }
+
+        #[inline(always)]
+        fn load(src: &[f32]) -> Self {
+            Self(F32x4::load(src), F32x4::load(&src[4..]))
+        }
+
+        #[inline(always)]
+        fn store(self, dst: &mut [f32]) {
+            self.0.store(dst);
+            self.1.store(&mut dst[4..]);
+        }
+
+        #[inline(always)]
+        fn add(self, o: Self) -> Self {
+            Self(self.0.add(o.0), self.1.add(o.1))
+        }
+
+        #[inline(always)]
+        fn sub(self, o: Self) -> Self {
+            Self(self.0.sub(o.0), self.1.sub(o.1))
+        }
+
+        #[inline(always)]
+        fn mul(self, o: Self) -> Self {
+            Self(self.0.mul(o.0), self.1.mul(o.1))
+        }
+
+        #[inline(always)]
+        fn div(self, o: Self) -> Self {
+            Self(self.0.div(o.0), self.1.div(o.1))
+        }
+
+        #[inline(always)]
+        fn add_mul(self, w: Self, x: Self) -> Self {
+            Self(self.0.add_mul(w.0, x.0), self.1.add_mul(w.1, x.1))
+        }
+
+        #[inline(always)]
+        fn max(self, o: Self) -> Self {
+            Self(self.0.max(o.0), self.1.max(o.1))
         }
     }
 
@@ -602,9 +503,10 @@ mod backend {
     /// SAFETY note shared by every intrinsic call below: each runs inlined
     /// into [`run_avx`], which [`super::run_on`] enters only after the CPU
     /// reported AVX; the register-only intrinsics touch no memory.
-    /// `vaddps` / `vmulps` / `vmaxps` on a `ymm` register are the `xmm`
-    /// ops on eight lanes instead of four: per lane the same IEEE-754
-    /// result, and a separate `mul` and `add` are never fused.
+    /// `vaddps` / `vsubps` / `vmulps` / `vdivps` / `vmaxps` on a `ymm`
+    /// register are the `xmm` ops on eight lanes instead of four: per lane
+    /// the same IEEE-754 result, and a separate `mul` and `add` are never
+    /// fused.
     #[derive(Clone, Copy)]
     struct F32x8Avx(__m256);
 
@@ -634,9 +536,27 @@ mod backend {
         }
 
         #[inline(always)]
+        fn add(self, o: Self) -> Self {
+            // SAFETY: AVX detected (see type docs); register-only.
+            Self(unsafe { _mm256_add_ps(self.0, o.0) })
+        }
+
+        #[inline(always)]
+        fn sub(self, o: Self) -> Self {
+            // SAFETY: AVX detected (see type docs); register-only.
+            Self(unsafe { _mm256_sub_ps(self.0, o.0) })
+        }
+
+        #[inline(always)]
         fn mul(self, o: Self) -> Self {
             // SAFETY: AVX detected (see type docs); register-only.
             Self(unsafe { _mm256_mul_ps(self.0, o.0) })
+        }
+
+        #[inline(always)]
+        fn div(self, o: Self) -> Self {
+            // SAFETY: AVX detected (see type docs); register-only.
+            Self(unsafe { _mm256_div_ps(self.0, o.0) })
         }
 
         #[inline(always)]
@@ -663,196 +583,184 @@ mod backend {
     }
 }
 
-#[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-mod backend {
-    /// Portable 8-lane fallback: per-lane loops over `[f32; 8]`. Same
-    /// per-lane expression trees as the SSE2 backend, so results are
-    /// bit-identical across backends too.
-    #[derive(Clone, Copy)]
-    pub struct F32x8([f32; 8]);
-
-    // Named `add`/`mul`/... rather than operator traits: kernel call
-    // sites chain them explicitly (`acc.add(w.mul(x))`), mirroring the
-    // documented accumulation order; `impl Add` would also invite silent
-    // operator mixing with scalars.
-    #[allow(clippy::should_implement_trait)]
-    impl F32x8 {
-        /// All 8 lanes set to `v`.
-        #[inline]
-        pub fn splat(v: f32) -> Self {
-            Self([v; 8])
-        }
-
-        /// Load lanes from `src[0..8]`. Panics if `src` is shorter than 8.
-        #[inline]
-        pub fn load(src: &[f32]) -> Self {
-            let mut lanes = [0.0f32; 8];
-            lanes.copy_from_slice(&src[..super::LANES]);
-            Self(lanes)
-        }
-
-        /// Store lanes to `dst[0..8]`. Panics if `dst` is shorter than 8.
-        #[inline]
-        pub fn store(self, dst: &mut [f32]) {
-            dst[..super::LANES].copy_from_slice(&self.0);
-        }
-
-        /// Lane-wise `a + b`.
-        #[inline]
-        pub fn add(mut self, o: Self) -> Self {
-            for (a, b) in self.0.iter_mut().zip(o.0) {
-                *a += b;
-            }
-            self
-        }
-
-        /// Lane-wise `a - b`.
-        #[inline]
-        pub fn sub(mut self, o: Self) -> Self {
-            for (a, b) in self.0.iter_mut().zip(o.0) {
-                *a -= b;
-            }
-            self
-        }
-
-        /// Lane-wise `a * b`.
-        #[inline]
-        pub fn mul(mut self, o: Self) -> Self {
-            for (a, b) in self.0.iter_mut().zip(o.0) {
-                *a *= b;
-            }
-            self
-        }
-
-        /// Lane-wise `a / b`.
-        #[inline]
-        pub fn div(mut self, o: Self) -> Self {
-            for (a, b) in self.0.iter_mut().zip(o.0) {
-                *a /= b;
-            }
-            self
-        }
-
-        /// Lane-wise `self.max(o)` (scalar `f32::max` semantics).
-        #[inline]
-        pub fn max(mut self, o: Self) -> Self {
-            for (a, b) in self.0.iter_mut().zip(o.0) {
-                *a = a.max(b);
-            }
-            self
-        }
-
-        /// Copy lanes out to an array (for scalar-side scatters).
-        #[inline]
-        pub fn to_array(self) -> [f32; 8] {
-            self.0
-        }
-    }
-}
-
-pub use backend::F32x8;
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Runs `kernel` on every backend this build can run on this host.
+    fn on_every_backend<K: Kernel + Copy>(kernel: K) {
+        for backend in Backend::ALL {
+            if !backend.supported() {
+                println!("skipping {backend:?}: not supported in this build on this host");
+                continue;
+            }
+            run_on(backend, kernel);
+        }
+    }
+
+    /// A test body run once per lane vector of a backend: its `W`, its `H`
+    /// and the `[f32; 1]` tail every kernel uses.
+    trait PerVector: Copy {
+        fn check<V: Lanes>(self);
+    }
+
+    #[derive(Clone, Copy)]
+    struct OnEachVector<T>(T);
+
+    impl<T: PerVector> Kernel for OnEachVector<T> {
+        #[inline(always)]
+        fn run<W: Lanes, H: Lanes>(self) {
+            assert_eq!((W::N, H::N), (8, 4));
+            self.0.check::<W>();
+            self.0.check::<H>();
+            self.0.check::<[f32; 1]>();
+        }
+    }
+
+    #[derive(Clone, Copy)]
+    struct LanewiseOps;
+
+    impl PerVector for LanewiseOps {
+        #[inline(always)]
+        fn check<V: Lanes>(self) {
+            // Signed zeros, tiny and huge magnitudes, a zero and an infinite
+            // divisor, NaNs. No lane performs an invalid operation (0 · ∞,
+            // ∞ − ∞, 0 / 0): the NaN those *create* is the one value a
+            // constant-folded scalar expression may spell differently from
+            // the hardware. `max` is held to its documented contract: any
+            // left operand, 0.0 on the right.
+            let a = [1.5f32, -2.25, 0.0, 1e-30, 3.75e8, -0.0, f32::NAN, 123.456];
+            let b = [0.5f32, 3.0, -1.0, 1e30, 0.0, 4.0, -7.0, f32::INFINITY];
+            let w = [-0.75f32, 1e-20, 2.0, f32::NAN, 0.1, 9.0, 1.0, -1e10];
+            type ScalarOp = fn(f32, f32, f32) -> f32;
+            for at in (0..8).step_by(V::N) {
+                let (va, vb, vw) = (V::load(&a[at..]), V::load(&b[at..]), V::load(&w[at..]));
+                let checks: [(&str, V, ScalarOp); 6] = [
+                    ("add", va.add(vb), |x, y, _| x + y),
+                    ("sub", va.sub(vb), |x, y, _| x - y),
+                    ("mul", va.mul(vb), |x, y, _| x * y),
+                    ("div", va.div(vb), |x, y, _| x / y),
+                    ("add_mul", va.add_mul(vw, vb), |x, y, w| x + w * y),
+                    ("max", vw.max(V::splat(0.0)), |_, _, w| w.max(0.0)),
+                ];
+                for (op, wide, scalar) in checks {
+                    let mut got = [0.0f32; 8];
+                    wide.store(&mut got);
+                    for (lane, i) in (at..at + V::N).enumerate() {
+                        let want = scalar(a[i], b[i], w[i]);
+                        assert_eq!(
+                            got[lane].to_bits(),
+                            want.to_bits(),
+                            "{op} on {} lanes, element {i}",
+                            V::N
+                        );
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn lanewise_ops_match_scalar_bitwise() {
-        let a = [1.5f32, -2.25, 0.0, 1e-30, 3.75e8, -0.0, 7.0, 123.456];
-        let b = [0.5f32, 3.0, -1.0, 1e30, 2.5, 4.0, -7.0, 0.001];
-        let va = F32x8::load(&a);
-        let vb = F32x8::load(&b);
-        type ScalarOp = fn(f32, f32) -> f32;
-        let checks: [(F32x8, ScalarOp); 5] = [
-            (va.add(vb), |x, y| x + y),
-            (va.sub(vb), |x, y| x - y),
-            (va.mul(vb), |x, y| x * y),
-            (va.div(vb), |x, y| x / y),
-            (va.max(vb), |x, y| x.max(y)),
-        ];
-        for (wide, scalar) in checks {
-            let got = wide.to_array();
-            for i in 0..LANES {
-                assert_eq!(got[i].to_bits(), scalar(a[i], b[i]).to_bits(), "lane {i}");
+        on_every_backend(OnEachVector(LanewiseOps));
+    }
+
+    #[derive(Clone, Copy)]
+    struct MulAddChain;
+
+    impl PerVector for MulAddChain {
+        #[inline(always)]
+        fn check<V: Lanes>(self) {
+            // The kernel idiom: acc starts from a splat, then ascending
+            // `acc += w * x` terms. Must match the scalar loop bit for bit.
+            let xs: Vec<f32> = (0..32).map(|i| (i as f32 * 0.37).sin() * 3.0).collect();
+            let ws: Vec<f32> = (0..4).map(|i| 0.71f32.powi(i) - 0.4).collect();
+            let bias = 0.125f32;
+
+            let mut acc = V::splat(bias);
+            for (i, &w) in ws.iter().enumerate() {
+                acc = acc.add_mul(V::splat(w), V::load(&xs[i * 8..]));
+            }
+            let mut wide = [0.0f32; 8];
+            acc.max(V::splat(0.0)).store(&mut wide);
+
+            for lane in 0..V::N {
+                let mut acc = bias;
+                for (i, &w) in ws.iter().enumerate() {
+                    acc += w * xs[i * 8 + lane];
+                }
+                acc = acc.max(0.0);
+                assert_eq!(
+                    wide[lane].to_bits(),
+                    acc.to_bits(),
+                    "lane {lane} of {}",
+                    V::N
+                );
             }
         }
     }
 
     #[test]
     fn mul_add_chain_matches_scalar_accumulation() {
-        // The kernel idiom: acc starts from a splat, then ascending
-        // `acc += w * x` terms. Must match the scalar loop bit for bit.
-        let xs: Vec<f32> = (0..32).map(|i| (i as f32 * 0.37).sin() * 3.0).collect();
-        let ws: Vec<f32> = (0..4).map(|i| 0.71f32.powi(i) - 0.4).collect();
-        let bias = 0.125f32;
+        on_every_backend(OnEachVector(MulAddChain));
+    }
 
-        let mut acc = F32x8::splat(bias);
-        for (i, &w) in ws.iter().enumerate() {
-            acc = acc.add(F32x8::splat(w).mul(F32x8::load(&xs[i * 8..])));
-        }
-        let wide = acc.max(F32x8::splat(0.0)).to_array();
+    #[derive(Clone, Copy)]
+    struct LoadStore;
 
-        for lane in 0..LANES {
-            let mut acc = bias;
-            for (i, &w) in ws.iter().enumerate() {
-                acc += w * xs[i * 8 + lane];
-            }
-            acc = acc.max(0.0);
-            assert_eq!(wide[lane].to_bits(), acc.to_bits(), "lane {lane}");
+    impl PerVector for LoadStore {
+        #[inline(always)]
+        fn check<V: Lanes>(self) {
+            let src = [1.0f32, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0];
+            let mut dst = [0.0f32; 9];
+            V::load(&src).store(&mut dst);
+            assert_eq!(&dst[..V::N], &src[..V::N]);
+            assert!(dst[V::N..].iter().all(|&x| x == 0.0), "{} lanes", V::N);
         }
     }
 
     #[test]
     fn load_store_round_trip() {
-        let src = [1.0f32, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0];
-        let v = F32x8::load(&src);
-        let mut dst = [0.0f32; 9];
-        v.store(&mut dst);
-        assert_eq!(&dst[..8], &src[..8]);
-        assert_eq!(dst[8], 0.0);
-        assert_eq!(v.to_array(), [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]);
-    }
-
-    /// The switch and the cap are process-wide; the tests that set them
-    /// take turns. (Other tests of this crate render while these flip the
-    /// switch, which is fine: every backend computes the same bits.)
-    fn switch_lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
+        on_every_backend(OnEachVector(LoadStore));
     }
 
     #[test]
     fn toggle_reflects_feature_gate() {
-        let _guard = switch_lock();
-        set_kernels_enabled(true);
-        assert_eq!(kernels_enabled(), compiled());
-        set_kernels_enabled(false);
-        assert!(!kernels_enabled());
-        assert_eq!(backend(), "portable");
-        // Leave the switch on (the compiled-in default) for other tests.
-        set_kernels_enabled(true);
+        // What `CICERO_SIMD` asks for, and what the build can give: every
+        // "off" spelling is the portable cap, and without the feature (or
+        // off x86_64) no cap can select anything wider.
+        for off in ["0", "off", "false"] {
+            assert_eq!(cap_from_env(Some(off)), Backend::Portable);
+        }
+        assert_eq!(cap_from_env(Some("sse2")), Backend::Sse2);
+        for uncapped in [None, Some("avx"), Some("1"), Some("")] {
+            assert_eq!(cap_from_env(uncapped), Backend::Avx);
+        }
+        assert!(Backend::Portable.supported());
+        assert_eq!(
+            Backend::Sse2.supported(),
+            cfg!(all(feature = "simd", target_arch = "x86_64"))
+        );
     }
 
     #[test]
     fn backend_matches_compilation() {
-        let _guard = switch_lock();
-        set_kernels_enabled(true);
+        // The cap is process-wide. Other tests of this crate render while
+        // this one moves it, which is fine: every backend computes the same
+        // bits.
         set_backend_cap(Backend::Avx);
-        if compiled() && cfg!(target_arch = "x86_64") {
+        if Backend::Sse2.supported() {
             // What was dispatched: AVX where the CPU has it, else SSE2.
             let widest = Backend::ALL.into_iter().rfind(|b| b.supported());
             assert_eq!(Some(dispatched()), widest);
             assert!(matches!(backend(), "avx" | "sse2"));
-            assert!(Backend::Sse2.supported());
             set_backend_cap(Backend::Sse2);
             assert_eq!(backend(), "sse2");
-            set_backend_cap(Backend::Portable);
-            assert_eq!(backend(), "portable");
-            assert!(kernels_enabled(), "the cap narrows, the switch stays on");
-            set_backend_cap(Backend::Avx);
         } else {
-            assert_eq!(backend(), "portable");
-            assert!(!Backend::Sse2.supported() && !Backend::Avx.supported());
+            assert!(!Backend::Avx.supported());
         }
+        set_backend_cap(Backend::Portable);
+        assert_eq!(backend(), "portable");
+        set_backend_cap(Backend::Avx);
     }
 }

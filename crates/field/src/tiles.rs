@@ -24,22 +24,18 @@
 //! ([`crate::NullSink`]; [`GatherSink::observes_samples`] returns `false`)
 //! skip the buffering entirely — the common quality-rendering path carries no
 //! trace overhead.
-//!
-//! [`render_tiled_scoped`] preserves the previous engine — fresh scoped
-//! threads and per-tile staging buffers every frame — purely as the
-//! spawn-overhead comparator for the `parallel_baseline` microbench.
 
 use crate::model::NerfModel;
 use crate::plan::{GatherPlan, GatherSink, LevelGather, NullSink};
 use crate::pool::{FrameTiles, RenderPool};
 use crate::render::{
-    render_rows, with_thread_scratch, RenderOptions, RenderScratch, RenderStats, RowBand,
+    check_inputs, render_rows, with_thread_scratch, RenderOptions, RenderScratch, RenderStats,
+    RowBand,
 };
-use cicero_math::{Camera, Vec3};
+use cicero_math::Camera;
 use cicero_scene::ground_truth::Frame;
 use cicero_telemetry as telemetry;
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Tile-engine options.
@@ -138,7 +134,7 @@ std::thread_local! {
     static TILE_SCRATCH: RefCell<TileScratch> = RefCell::new(TileScratch::default());
 }
 
-/// Tile/lane geometry shared by both engines.
+/// Tile/lane geometry of a frame `h` rows tall.
 fn tile_geometry(h: usize, tile: &TileOptions) -> (usize, usize, usize) {
     // Shrink tiles when the frame is shorter than `threads × tile_rows`, so
     // small frames still split across every lane instead of collapsing to
@@ -148,18 +144,6 @@ fn tile_geometry(h: usize, tile: &TileOptions) -> (usize, usize, usize) {
     let n_tiles = h.div_ceil(tile_rows);
     let workers = threads.min(n_tiles.max(1));
     (tile_rows, n_tiles, workers)
-}
-
-fn check_inputs(camera: &Camera, mask: Option<&[bool]>, frame: &Frame) {
-    let (w, h) = (camera.intrinsics.width, camera.intrinsics.height);
-    if let Some(m) = mask {
-        assert_eq!(m.len(), w * h, "mask must cover every pixel");
-    }
-    assert_eq!(
-        (frame.width(), frame.height()),
-        (w, h),
-        "frame/camera size mismatch"
-    );
 }
 
 /// Renders the pixels selected by `mask` (or all pixels when `None`) into an
@@ -296,165 +280,6 @@ pub fn render_full_tiled<M: NerfModel + ?Sized, S: GatherSink>(
     (frame, stats)
 }
 
-/// One rendered tile of the legacy scoped engine.
-struct TileOut {
-    y0: usize,
-    y1: usize,
-    color: Vec<Vec3>,
-    depth: Vec<f32>,
-    stats: RenderStats,
-    trace: Option<TileTrace>,
-}
-
-/// The previous tile engine: fresh `std::thread::scope` workers and per-tile
-/// staging buffers **every frame**. Output is bit-identical to
-/// [`render_tiled`]; the only difference is cost — per-frame thread spawns,
-/// per-tile allocations and a merge copy. Kept exclusively as the
-/// spawn-overhead comparator for the `parallel_baseline` microbench; new
-/// code should always use [`render_tiled`].
-///
-/// # Panics
-///
-/// Same contract as [`render_tiled`].
-pub fn render_tiled_scoped<M: NerfModel + ?Sized, S: GatherSink>(
-    model: &M,
-    camera: &Camera,
-    opts: &RenderOptions,
-    mask: Option<&[bool]>,
-    frame: &mut Frame,
-    sink: &mut S,
-    tile: &TileOptions,
-) -> RenderStats {
-    check_inputs(camera, mask, frame);
-    let (w, h) = (camera.intrinsics.width, camera.intrinsics.height);
-    let (tile_rows, n_tiles, workers) = tile_geometry(h, tile);
-    if workers <= 1 {
-        return crate::render::render_masked(model, camera, opts, mask, frame, sink);
-    }
-
-    let buffer_trace = sink.observes_samples();
-    let next_tile = AtomicUsize::new(0);
-    let mut slots: Vec<Option<TileOut>> = (0..n_tiles).map(|_| None).collect();
-
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let next_tile = &next_tile;
-                s.spawn(move || {
-                    let mut scratch = RenderScratch::new();
-                    let mut done: Vec<(usize, TileOut)> = Vec::new();
-                    loop {
-                        let t = next_tile.fetch_add(1, Ordering::Relaxed);
-                        if t >= n_tiles {
-                            break;
-                        }
-                        let y0 = t * tile_rows;
-                        let y1 = ((t + 1) * tile_rows).min(h);
-                        let mut color = vec![Vec3::ZERO; (y1 - y0) * w];
-                        let mut depth = vec![f32::INFINITY; (y1 - y0) * w];
-                        let band = RowBand {
-                            y0,
-                            y1,
-                            color: &mut color,
-                            depth: &mut depth,
-                        };
-                        let (stats, trace) = if buffer_trace {
-                            let mut trace = TileTrace::default();
-                            let stats = render_rows(
-                                model,
-                                camera,
-                                opts,
-                                mask,
-                                band,
-                                &mut trace,
-                                &mut scratch,
-                            );
-                            (stats, Some(trace))
-                        } else {
-                            let stats = render_rows(
-                                model,
-                                camera,
-                                opts,
-                                mask,
-                                band,
-                                &mut NullSink,
-                                &mut scratch,
-                            );
-                            (stats, None)
-                        };
-                        done.push((
-                            t,
-                            TileOut {
-                                y0,
-                                y1,
-                                color,
-                                depth,
-                                stats,
-                                trace,
-                            },
-                        ));
-                    }
-                    done
-                })
-            })
-            .collect();
-        for handle in handles {
-            for (t, out) in handle.join().expect("tile render worker panicked") {
-                slots[t] = Some(out);
-            }
-        }
-    });
-
-    let mut stats = RenderStats::default();
-    let frame_color = frame.color.pixels_mut();
-    let frame_depth = frame.depth.pixels_mut();
-    let mut replay_plan = GatherPlan::default();
-    for slot in slots {
-        let out = slot.expect("every tile was claimed by a worker");
-        match mask {
-            // Unmasked: blit whole rows.
-            None => {
-                let rows = (out.y1 - out.y0) * w;
-                frame_color[out.y0 * w..out.y0 * w + rows].copy_from_slice(&out.color);
-                frame_depth[out.y0 * w..out.y0 * w + rows].copy_from_slice(&out.depth);
-            }
-            // Masked: unmasked pixels keep their previous frame content
-            // (sparse SPARW renders write into warped frames).
-            Some(m) => {
-                for y in out.y0..out.y1 {
-                    for x in 0..w {
-                        if m[y * w + x] {
-                            frame_color[y * w + x] = out.color[(y - out.y0) * w + x];
-                            frame_depth[y * w + x] = out.depth[(y - out.y0) * w + x];
-                        }
-                    }
-                }
-            }
-        }
-        stats.accumulate(&out.stats);
-        if let Some(trace) = &out.trace {
-            trace.replay(sink, &mut replay_plan);
-        }
-    }
-    stats
-}
-
-/// [`render_tiled_scoped`] over a fresh full frame — the microbench's
-/// spawn-overhead comparator for [`render_full_tiled`].
-pub fn render_full_tiled_scoped<M: NerfModel + ?Sized, S: GatherSink>(
-    model: &M,
-    camera: &Camera,
-    opts: &RenderOptions,
-    sink: &mut S,
-    tile: &TileOptions,
-) -> (Frame, RenderStats) {
-    let (w, h) = (camera.intrinsics.width, camera.intrinsics.height);
-    let mut frame =
-        cicero_scene::ground_truth::background_frame(&crate::model::ModelSource(model), w, h);
-    let stats = render_tiled_scoped(model, camera, opts, None, &mut frame, sink, tile);
-    (frame, stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -498,12 +323,6 @@ mod tests {
                 render_full_tiled(&model, &cam, &opts, &mut NullSink, &tile);
             assert_eq!(par_frame, seq_frame, "{threads} threads");
             assert_eq!(par_stats, seq_stats, "{threads} threads");
-            // The legacy scoped engine stays the pool's bit-exact twin (the
-            // microbench relies on comparing like with like).
-            let (scoped_frame, scoped_stats) =
-                render_full_tiled_scoped(&model, &cam, &opts, &mut NullSink, &tile);
-            assert_eq!(scoped_frame, seq_frame, "scoped, {threads} threads");
-            assert_eq!(scoped_stats, seq_stats, "scoped, {threads} threads");
         }
     }
 
@@ -581,18 +400,20 @@ mod tests {
         };
         // Warm-up spawns at most the checked-out workers.
         let (first, _) = render_full_tiled(&model, &cam, &opts, &mut NullSink, &tile);
-        let before = RenderPool::global().spawned_total();
-        for _ in 0..5 {
-            let (again, _) = render_full_tiled(&model, &cam, &opts, &mut NullSink, &tile);
-            assert_eq!(again, first);
-        }
-        // Other tests share the global pool, so tolerate *their* spawns only
-        // if they raced in; sequential runs of this test see exactly zero.
-        let spawned = RenderPool::global().spawned_total() - before;
-        assert!(
-            spawned <= 2,
-            "warmed pool renders spawned {spawned} threads"
-        );
+        // Other tests share the global pool and can grow it while this one
+        // measures (an 8-lane render beside it spawns up to seven workers).
+        // The pool only ever grows to peak demand, so a window somebody
+        // raced into is measured again; renders that spawned by themselves
+        // would do so in every window.
+        let reused = (0..5).any(|_| {
+            let before = RenderPool::global().spawned_total();
+            for _ in 0..5 {
+                let (again, _) = render_full_tiled(&model, &cam, &opts, &mut NullSink, &tile);
+                assert_eq!(again, first);
+            }
+            RenderPool::global().spawned_total() == before
+        });
+        assert!(reused, "warmed pool renders keep spawning threads");
     }
 
     #[test]

@@ -36,6 +36,12 @@ fn snapshot_rings(rec: &Recorder) -> Vec<Arc<crate::ThreadRing>> {
     rings
 }
 
+/// Events the snapshotted rings have wrapped over: a reader must know the
+/// export is short by this many.
+fn events_dropped(rings: &[Arc<crate::ThreadRing>]) -> u64 {
+    rings.iter().map(|r| r.dropped()).sum()
+}
+
 /// One decoded ring slot.
 struct Event {
     kind: u64,
@@ -109,6 +115,13 @@ pub(crate) fn chrome_trace(rec: Option<&Recorder>) -> String {
     );
     if let Some(rec) = rec {
         let rings = snapshot_rings(rec);
+        emit(
+            format!(
+                "{{\"ph\":\"M\",\"pid\":0,\"name\":\"events_dropped\",\"args\":{{\"count\":{}}}}}",
+                events_dropped(&rings)
+            ),
+            &mut out,
+        );
         let mut sim_tracks: Vec<u32> = Vec::new();
         for ring in &rings {
             emit(
@@ -228,6 +241,12 @@ pub(crate) fn prometheus_text(rec: Option<&Recorder>) -> String {
         let _ = writeln!(out, "cicero_{name}_count {count}");
     }
     let rings = snapshot_rings(rec);
+    let _ = writeln!(out, "# TYPE cicero_telemetry_events_dropped_total counter");
+    let _ = writeln!(
+        out,
+        "cicero_telemetry_events_dropped_total {}",
+        events_dropped(&rings)
+    );
     let _ = writeln!(out, "# TYPE cicero_pool_worker_busy_ns counter");
     let _ = writeln!(out, "# TYPE cicero_pool_worker_idle_ns counter");
     let _ = writeln!(out, "# TYPE cicero_pool_worker_jobs counter");

@@ -198,6 +198,17 @@ impl ThreadRing {
         w[slot + 5].store(c, Ordering::Relaxed);
         self.head.store(head + 1, Ordering::Release);
     }
+
+    /// Events in the live window. Read from `head` at snapshot time, like
+    /// [`ThreadRing::dropped`]: `push` keeps no tally of either.
+    fn retained(&self) -> u64 {
+        self.head.load(Ordering::Acquire).min(self.capacity as u64)
+    }
+
+    /// Events pushed and since overwritten.
+    fn dropped(&self) -> u64 {
+        self.head.load(Ordering::Acquire) - self.retained()
+    }
 }
 
 thread_local! {
@@ -464,18 +475,26 @@ pub fn worker_idle_ns(ns: u64) {
     });
 }
 
-/// Total events currently retained across all thread rings.
-pub fn event_count() -> u64 {
+/// Sums `per_ring` over every thread ring.
+fn sum_rings(per_ring: impl Fn(&ThreadRing) -> u64) -> u64 {
     match GLOBAL.get() {
-        Some(rec) => rec
-            .rings
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|r| r.head.load(Ordering::Acquire).min(r.capacity as u64))
-            .sum(),
+        Some(rec) => rec.rings.lock().unwrap().iter().map(|r| per_ring(r)).sum(),
         None => 0,
     }
+}
+
+/// Total events currently retained across all thread rings.
+pub fn event_count() -> u64 {
+    sum_rings(ThreadRing::retained)
+}
+
+/// Total events the rings have overwritten since the last [`reset`]: a ring
+/// keeps its newest `capacity` events and wraps over the rest silently, so a
+/// trace or a per-phase total read from the rings is short by this many
+/// events. Exported as `cicero_telemetry_events_dropped_total`; when it is
+/// not zero, raise [`enable_with_capacity`] or trace a shorter run.
+pub fn events_dropped() -> u64 {
+    sum_rings(ThreadRing::dropped)
 }
 
 // ---------------------------------------------------------------------------
@@ -554,12 +573,31 @@ mod tests {
         assert!(prom.contains("cicero_frame_ns_sum 500"), "{prom}");
         assert!(prom.contains("le=\"+Inf\""), "{prom}");
 
-        // Ring wrap: capacity bounds retention, pushes never fail.
+        // Ring wrap: capacity bounds retention, pushes never fail, and what
+        // was overwritten is counted and exported, not silent.
+        assert_eq!(events_dropped(), 0);
+        assert!(
+            prom.contains("cicero_telemetry_events_dropped_total 0"),
+            "{prom}"
+        );
         reset();
-        for i in 0..200u64 {
+        for i in 0..100u64 {
             instant(Phase::CacheMiss, i, 0);
         }
         assert_eq!(event_count(), 64);
+        assert_eq!(events_dropped(), 36);
+        let prom = prometheus_text();
+        assert!(
+            prom.contains("cicero_telemetry_events_dropped_total 36"),
+            "{prom}"
+        );
+        let trace = chrome_trace();
+        assert!(
+            trace.contains("\"name\":\"events_dropped\",\"args\":{\"count\":36}"),
+            "{trace}"
+        );
+        reset();
+        assert_eq!(events_dropped(), 0);
 
         // Worker tallies surface as labelled series.
         worker_busy_ns(123);

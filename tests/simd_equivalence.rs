@@ -5,21 +5,20 @@
 //! ride the same determinism matrix as `render_threads` and `sample_block`:
 //! a pure throughput knob that never moves a pixel.
 //!
-//! All paths are compiled into one binary (the wide kernels always build,
-//! over the portable backend when the feature is off); which one the hot
-//! loops take is the process-wide `cicero_field::simd` switch and backend
-//! cap. Each test here runs its workload with the kernels forced off (the
-//! scalar oracle), then forced on under every backend the host can run —
+//! Every backend is compiled into one binary (the kernels always build,
+//! over the portable lane vectors when the feature is off); which instance
+//! the hot loops take is the process-wide `cicero_field::simd` backend cap.
+//! Each test here runs its workload capped to the portable instance (the
+//! scalar oracle), then under every wider backend the host can run —
 //! SSE2, and AVX where the CPU reports it, so the 128- and 256-bit
-//! instances of the MLP block kernel and of the encoding gathers are all
-//! held to the oracle's bytes —
-//! and asserts byte equality. Without `--features simd` the switch is pinned
-//! off and no wide backend exists: the suite then runs the portable path
-//! twice as a self-check, and CI additionally diffs digests across
-//! separately compiled feature builds.
+//! instances of the MLP block kernel, of the encoding gathers and of the
+//! SPARW passes are all held to the oracle's bytes — and asserts byte
+//! equality. Without `--features simd` no wide backend exists: the suite
+//! then runs the portable path twice as a self-check, and CI additionally
+//! diffs digests across separately compiled feature builds.
 //!
-//! The switch is process-global, so every test serializes on [`lock`]; the
-//! per-kernel bitwise tests live next to the kernels (no toggle needed),
+//! The cap is process-global, so every test serializes on [`lock`]; the
+//! per-kernel bitwise tests live next to the kernels (no cap needed),
 //! and the wide path's zero-allocation leg lives in `tests/zero_alloc.rs`
 //! (the counting allocator is process-global too).
 
@@ -41,11 +40,11 @@ use cicero_serve::{FrameServer, QosClass, ServeConfig, ServiceReport, SessionSpe
 
 const BLOCK_SIZES: [usize; 3] = [1, 16, 64];
 
-/// Serializes tests that flip the process-wide kernel switch.
+/// Serializes tests that move the process-wide backend cap.
 fn lock() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
     // A poisoned lock only means another equivalence test failed; the
-    // switch state is restored by `with_backend` regardless.
+    // cap is restored by `with_backend` regardless.
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
@@ -66,25 +65,20 @@ fn wide_backends() -> Vec<Backend> {
     }
 }
 
-/// Runs `f` with the kernels off (`None`, the scalar oracle) or on under a
-/// backend cap, then restores the compiled-in default (on, uncapped; a
-/// no-op without the feature).
-fn with_backend<T>(backend: Option<Backend>, f: impl FnOnce() -> T) -> T {
-    simd::set_kernels_enabled(backend.is_some());
-    simd::set_backend_cap(backend.unwrap_or(Backend::Avx));
-    if let Some(b) = backend {
-        assert_eq!(simd::backend(), b.name(), "cap did not take");
-    }
+/// Runs `f` capped to `backend` ([`Backend::Portable`] is the scalar
+/// oracle), then lifts the cap again.
+fn with_backend<T>(backend: Backend, f: impl FnOnce() -> T) -> T {
+    simd::set_backend_cap(backend);
+    assert_eq!(simd::backend(), backend.name(), "cap did not take");
     let out = f();
-    simd::set_kernels_enabled(true);
     simd::set_backend_cap(Backend::Avx);
     out
 }
 
-fn bench_camera() -> Camera {
+/// A `side`² camera; odd sides, so lane groups always end in a ragged tail.
+fn camera(side: usize) -> Camera {
     Camera::new(
-        // Odd size: lane groups always end in a ragged scalar tail.
-        Intrinsics::from_fov(33, 33, 0.9),
+        Intrinsics::from_fov(side, side, 0.9),
         Pose::look_at(Vec3::new(0.3, 1.2, -2.6), Vec3::ZERO, Vec3::Y),
     )
 }
@@ -143,13 +137,16 @@ fn wide_render_is_bit_identical_across_scenes_models_and_block_sizes() {
     for scene_name in ["lego", "chair", "ship"] {
         let model = model_for(scene_name);
         let model = model.as_ref();
-        let cam = bench_camera();
-        let collect = |block| render_with_events(model, &cam, block);
         for block in BLOCK_SIZES {
-            let (frame, stats, events) = with_backend(None, || collect(block));
+            // A one-lane block is the same engine with every sample its own
+            // flush; an unoptimised build pays several times more per sample
+            // for it, so it gets a quarter of the rays.
+            let cam = if block == 1 { camera(17) } else { camera(33) };
+            let collect = |block| render_with_events(model, &cam, block);
+            let (frame, stats, events) = with_backend(Backend::Portable, || collect(block));
             assert!(stats.samples_processed > 0, "{scene_name}: empty render");
             for &b in &backends {
-                let (w_frame, w_stats, w_events) = with_backend(Some(b), || collect(block));
+                let (w_frame, w_stats, w_events) = with_backend(b, || collect(block));
                 let at = format!("{scene_name}, block {block}, {b:?}");
                 assert_eq!(w_frame, frame, "{at}: frame");
                 assert_eq!(w_stats, stats, "{at}: stats");
@@ -196,15 +193,15 @@ fn block_gathers_render_bit_identically_at_every_feature_width() {
         ("tensor 21", Box::new(tensor(3))),
         ("tensor 35", Box::new(tensor(5))),
     ];
-    let cam = bench_camera();
+    let cam = camera(33);
     for (name, model) in &models {
         // One chunk and a bit: 20-sample blocks leave the gathers a 4-sample
         // chunk after the full one.
         let collect = || render_with_events(model.as_ref(), &cam, 20);
-        let scalar = with_backend(None, collect);
+        let scalar = with_backend(Backend::Portable, collect);
         assert!(scalar.1.samples_processed > 0, "{name}: empty render");
         for &b in &backends {
-            assert!(with_backend(Some(b), collect) == scalar, "{name}, {b:?}");
+            assert!(with_backend(b, collect) == scalar, "{name}, {b:?}");
         }
     }
 }
@@ -238,9 +235,9 @@ fn wide_warp_passes_are_bit_identical() {
         },
     ] {
         let warp = || warp_frame(&reference, &ref_cam, &tgt_cam, scene.background(), &opts);
-        let scalar = with_backend(None, warp);
+        let scalar = with_backend(Backend::Portable, warp);
         for &b in &backends {
-            let wide = with_backend(Some(b), warp);
+            let wide = with_backend(b, warp);
             assert_eq!(wide.frame, scalar.frame, "phi={:?} {b:?}: frame", opts.phi);
             assert_eq!(
                 wide.status, scalar.status,
@@ -278,9 +275,9 @@ fn wide_pipeline_runs_are_bit_identical() {
                 };
                 run_pipeline(&scene, model, &traj, k, &cfg)
             };
-            let scalar = with_backend(None, run);
+            let scalar = with_backend(Backend::Portable, run);
             for &b in &backends {
-                let wide = with_backend(Some(b), run);
+                let wide = with_backend(b, run);
                 let at = format!("{scene_name}/{variant:?}/{b:?}");
                 assert_eq!(wide.frames, scalar.frames, "{at}: frames");
                 assert_eq!(wide.warp_totals, scalar.warp_totals, "{at}: warp stats");
@@ -351,10 +348,10 @@ fn wide_serve_reports_are_bit_identical() {
         }
         server.run()
     };
-    let scalar = with_backend(None, serve);
+    let scalar = with_backend(Backend::Portable, serve);
     assert!(scalar.frames > 0, "empty serve run");
     for &b in &backends {
-        let wide = with_backend(Some(b), serve);
+        let wide = with_backend(b, serve);
         assert_eq!(wide, scalar, "{b:?}: full service report");
     }
 }

@@ -111,12 +111,23 @@ fn warmed_sample_loop_performs_zero_heap_allocations() {
     );
     let opts = RenderOptions::default();
 
-    // Both sample engines must hold the contract: the scalar marcher
-    // (`sample_block == 1`) and the batched SoA engine (whose block scratch —
-    // lane arrays, per-lane plan levels, ping-pong activation matrices, the
-    // slots of the rays in flight — also lives in `RenderScratch` and warms on
-    // frame one).
+    // Every leg below runs the kernels — the MLP block kernel, the gathers,
+    // the SPARW passes — on whichever backend the build, the host and
+    // `CICERO_SIMD` select (CI runs this suite once per cap), so say which:
+    // all of them accumulate in registers and stage lanes through stack
+    // arrays, and none may add an allocation to a warmed frame.
+    println!("simd::backend() = {}", cicero_field::simd::backend());
+
+    // The marcher must hold the contract at both ends of its lane count: a
+    // one-lane block (every processed sample is its own flush) and the
+    // default block. Its scratch — lane arrays, per-lane plan levels,
+    // ping-pong activation matrices, the slots of the rays in flight — lives
+    // in `RenderScratch` and warms on frame one.
     for sample_block in [1usize, cicero_field::DEFAULT_SAMPLE_BLOCK] {
+        // An unoptimised one-lane block costs several times more per sample;
+        // a quarter of the rays warm and measure the same buffers.
+        let side = if sample_block == 1 { 16 } else { 32 };
+        let cam = Camera::new(Intrinsics::from_fov(side, side, 0.9), cam.pose);
         for (name, model) in &models {
             let model = model.as_ref();
             let opts = RenderOptions {
@@ -125,8 +136,8 @@ fn warmed_sample_loop_performs_zero_heap_allocations() {
             };
             let mut frame = cicero_scene::ground_truth::background_frame(
                 &cicero_field::ModelSource(model),
-                32,
-                32,
+                side,
+                side,
             );
             let mut scratch = RenderScratch::new();
             // Warm-up: grows every scratch capacity (features, plan levels,
@@ -173,67 +184,6 @@ fn warmed_sample_loop_performs_zero_heap_allocations() {
                 after - before,
                 0,
                 "{name}: warmed block-{sample_block} render_masked (thread-local scratch) allocated {} times",
-                after - before
-            );
-        }
-    }
-
-    // ---- The explicit SIMD kernel layer (ISSUE 9) ----
-    //
-    // The wide kernels accumulate entirely in registers and gather through
-    // the same warmed scratches, so forcing them on must not add a single
-    // allocation per warmed frame. Without `--features simd` the toggle is
-    // inert and this leg re-measures the scalar path; with it, the toggle
-    // stays on (the compiled-in default), so every pool and telemetry leg
-    // below also runs the wide splat/normalize/classify warp passes under
-    // the same zero-alloc and zero-spawn assertions. Which instance of the
-    // MLP block kernel that is depends on the host and on `CICERO_SIMD`
-    // (CI runs this suite once per cap), so say so: all of them keep their
-    // tile accumulators on the stack.
-    cicero_field::simd::set_kernels_enabled(true);
-    println!(
-        "wide-kernel legs: simd::backend() = {}",
-        cicero_field::simd::backend()
-    );
-    {
-        let opts = RenderOptions {
-            sample_block: cicero_field::DEFAULT_SAMPLE_BLOCK,
-            ..opts
-        };
-        for (name, model) in &models {
-            let model = model.as_ref();
-            let mut frame = cicero_scene::ground_truth::background_frame(
-                &cicero_field::ModelSource(model),
-                32,
-                32,
-            );
-            let mut scratch = RenderScratch::new();
-            render_masked_with(
-                model,
-                &cam,
-                &opts,
-                None,
-                &mut frame,
-                &mut NullSink,
-                &mut scratch,
-            );
-            let before = ALLOCATIONS.load(Ordering::SeqCst);
-            let stats = render_masked_with(
-                model,
-                &cam,
-                &opts,
-                None,
-                &mut frame,
-                &mut NullSink,
-                &mut scratch,
-            );
-            let after = ALLOCATIONS.load(Ordering::SeqCst);
-            assert!(stats.samples_processed > 0);
-            assert_eq!(
-                after - before,
-                0,
-                "{name}: warmed wide-kernel ({}) render allocated {} times",
-                cicero_field::simd::backend(),
                 after - before
             );
         }
