@@ -9,7 +9,7 @@ use cicero_bench::{bench_model, bench_scene};
 use cicero_math::Intrinsics;
 use cicero_scene::volume::MarchParams;
 use cicero_scene::Trajectory;
-use cicero_serve::{FrameServer, QosClass, ServeConfig, SessionSpec};
+use cicero_serve::{FrameServer, QosClass, ServeConfig, SessionSpec, Submission};
 use criterion::{criterion_group, criterion_main, Criterion};
 
 fn swarm_cfg(i: usize) -> PipelineConfig {
@@ -55,7 +55,7 @@ fn bench_serve(c: &mut Criterion) {
                 });
                 for i in 0..sessions {
                     server
-                        .submit(
+                        .submit(Submission::trajectory(
                             SessionSpec {
                                 name: format!("s{i}"),
                                 scene_key: "bench".into(),
@@ -71,7 +71,7 @@ fn bench_serve(c: &mut Criterion) {
                             &model,
                             &traj,
                             k,
-                        )
+                        ))
                         .unwrap();
                 }
                 server.run()

@@ -1,6 +1,5 @@
 //! `policy_baseline` — measures the serving core under each scheduling
-//! policy bundle and saves a JSON baseline, the serve-layer companion to
-//! `results/bench_parallel.json`.
+//! policy bundle and saves a JSON baseline.
 //!
 //! ```text
 //! cargo run --release -p cicero-bench --bin policy_baseline -- \
@@ -30,6 +29,7 @@ use cicero_scene::volume::MarchParams;
 use cicero_scene::{library, AnalyticScene, Trajectory};
 use cicero_serve::{
     FaultPlan, Fleet, FleetConfig, FrameServer, Policies, QosClass, ServeConfig, SessionSpec,
+    Submission,
 };
 use std::time::Instant;
 
@@ -167,13 +167,13 @@ fn run_policy(
                 },
             };
             if server
-                .submit(
+                .submit(Submission::trajectory(
                     spec,
                     &a.scene,
                     &a.model,
                     traj,
                     Intrinsics::from_fov(32, 32, 0.9),
-                )
+                ))
                 .is_ok()
             {
                 admitted += 1;
@@ -185,7 +185,7 @@ fn run_policy(
     // refuses it; the degrade ladder shrinks it until it fits.
     let flood_traj = Trajectory::orbit(&assets[0].scene, args.frames, 90.0);
     if server
-        .submit(
+        .submit(Submission::trajectory(
             SessionSpec {
                 name: "flood".into(),
                 scene_key: assets[0].name.to_string(),
@@ -206,7 +206,7 @@ fn run_policy(
             &assets[0].model,
             &flood_traj,
             Intrinsics::from_fov(256, 256, 0.9),
-        )
+        ))
         .is_ok()
     {
         admitted += 1;
@@ -351,13 +351,13 @@ fn run_fleet(shards: usize, assets: &[SceneAssets], args: &Args, plan: FaultPlan
                 },
             };
             fleet
-                .submit(
+                .submit(Submission::trajectory(
                     spec,
                     &a.scene,
                     &a.model,
                     traj,
                     Intrinsics::from_fov(32, 32, 0.9),
-                )
+                ))
                 .expect("fleet session admitted");
         }
     }

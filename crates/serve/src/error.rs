@@ -51,6 +51,13 @@ pub enum ServeError {
         /// Simulated seconds the client should wait before resubmitting.
         retry_after_s: f64,
     },
+    /// The submission itself is malformed — rejected at the door, before
+    /// admission, routing or the queue saw it, so nothing was admitted,
+    /// queued or counted.
+    InvalidSubmission {
+        /// Which field was wrong, and how.
+        reason: &'static str,
+    },
 }
 
 impl fmt::Display for ServeError {
@@ -75,6 +82,7 @@ impl fmt::Display for ServeError {
             ServeError::Overloaded { retry_after_s } => {
                 write!(f, "server overloaded; retry after {retry_after_s}s")
             }
+            ServeError::InvalidSubmission { reason } => write!(f, "invalid submission: {reason}"),
         }
     }
 }

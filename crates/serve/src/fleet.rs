@@ -54,22 +54,29 @@
 //! [`Fleet::run`] repeatedly picks the shard whose next batch is earliest
 //! (pre-dispatch readiness lower bound; ties to the lowest shard index),
 //! processes every heartbeat due at or before that time in
-//! `(time, shard)` order, then runs one scheduling round on the earliest
-//! alive shard. A shard therefore never serves a batch whose readiness
-//! estimate lies at or after its declared death; the actual batch may
-//! *complete* later (dispatch extends past the estimate), which is the
-//! usual crash-consistency window — frames in flight at the death instant
-//! were already irrevocably priced. Deterministic either way.
+//! `(time, shard)` order, then runs one drain step — the very step
+//! [`FrameServer::run`] loops over — on the earliest alive shard. A shard
+//! therefore never serves a batch whose readiness estimate lies at or after
+//! its declared death; the actual batch may *complete* later (dispatch
+//! extends past the estimate), which is the usual crash-consistency window —
+//! frames in flight at the death instant were already irrevocably priced.
+//! Deterministic either way.
+//!
+//! With armed [`OverloadControl`](crate::OverloadControl) the step pumps the
+//! picked shard's queue at its round's dispatch instant, exactly as a bare
+//! server does; the fleet then pumps the **sibling** shards' queues at that
+//! same instant (capacity that drained elsewhere admits queued work without
+//! waiting for that shard's own next round) and pulls ticket resolutions up
+//! to fleet level. A fleet of one has no siblings and is a bare server.
 
 use crate::error::ServeError;
 use crate::fault::{FaultKind, FaultPlan};
+use crate::overload::{Submission, SubmitOutcome, TicketId, TicketState};
 use crate::policy::{RecoveryPolicy, SceneHashRouting, ShardCandidate, ShardRoutingPolicy};
-use crate::report::{percentile, FrameRecord, ServiceReport};
-use crate::scheduler::{FrameServer, ServeConfig, SubmitOutcome, TicketId, TicketState};
+use crate::report::{rate, ServiceReport, Totals};
+use crate::scheduler::{FrameServer, ServeConfig};
 use crate::session::{SessionId, SessionSpec};
-use cicero_field::NerfModel;
 use cicero_math::{Intrinsics, Pose};
-use cicero_scene::{AnalyticScene, Trajectory};
 use cicero_telemetry as telemetry;
 use serde::Serialize;
 use std::sync::Arc;
@@ -325,39 +332,6 @@ impl<'a> Fleet<'a> {
         }
     }
 
-    /// Submits a whole-trajectory session, routed by the fleet's
-    /// [`ShardRoutingPolicy`]. Returns the **fleet-level** session id.
-    /// Errors if admission rejects it or every shard is dead.
-    pub fn submit(
-        &mut self,
-        spec: SessionSpec,
-        scene: &'a AnalyticScene,
-        model: &'a dyn NerfModel,
-        traj: &'a Trajectory,
-        intrinsics: Intrinsics,
-    ) -> Result<SessionId, ServeError> {
-        let shard = self.route_admission(&spec.scene_key)?;
-        let name = spec.name.clone();
-        let local = self.servers[shard].submit(spec, scene, model, traj, intrinsics)?;
-        Ok(self.register(shard, local, name))
-    }
-
-    /// Submits a streaming session (poses arrive via
-    /// [`push_pose`](Self::push_pose)), routed like [`submit`](Self::submit).
-    pub fn submit_stream(
-        &mut self,
-        spec: SessionSpec,
-        scene: &'a AnalyticScene,
-        model: &'a dyn NerfModel,
-        fps: f32,
-        intrinsics: Intrinsics,
-    ) -> Result<SessionId, ServeError> {
-        let shard = self.route_admission(&spec.scene_key)?;
-        let name = spec.name.clone();
-        let local = self.servers[shard].submit_stream(spec, scene, model, fps, intrinsics)?;
-        Ok(self.register(shard, local, name))
-    }
-
     /// The fleet's **divert before shed** step: if the primary shard has no
     /// immediate headroom but an alive sibling does, route the admission to
     /// the least-loaded such sibling (ties to the lowest shard index) instead
@@ -376,20 +350,13 @@ impl<'a> Fleet<'a> {
         {
             return primary;
         }
-        let mut best: Option<(f64, usize)> = None;
-        for i in 0..self.cfg.shards {
-            if i == primary || !self.alive[i] {
-                continue;
-            }
-            if !self.servers[i].direct_fit(spec, intrinsics, fps) {
-                continue;
-            }
-            let load = self.servers[i].admission().committed_load();
-            if best.is_none_or(|(bl, _)| load < bl) {
-                best = Some((load, i));
-            }
-        }
-        let Some((_, dest)) = best else {
+        // The least-loaded alive shard with immediate headroom — never the
+        // primary, which just failed that test.
+        let headroom = self.least(|i| {
+            let server = &self.servers[i];
+            (server.direct_fit(spec, intrinsics, fps)).then(|| server.admission().committed_load())
+        });
+        let Some((_, dest)) = headroom else {
             return primary; // no headroom anywhere: queue/shed on the primary
         };
         self.diversions += 1;
@@ -403,32 +370,11 @@ impl<'a> Fleet<'a> {
         dest
     }
 
-    /// Folds a shard-local [`SubmitOutcome`] into fleet-level numbering:
-    /// immediate admissions register a fleet session id, queued submissions
-    /// register a fleet ticket resolved by [`ticket`](Self::ticket).
-    fn register_outcome(
-        &mut self,
-        shard: usize,
-        outcome: SubmitOutcome,
-        name: String,
-    ) -> SubmitOutcome {
-        match outcome {
-            SubmitOutcome::Admitted(local) => {
-                SubmitOutcome::Admitted(self.register(shard, local, name))
-            }
-            SubmitOutcome::Queued(local_ticket) => {
-                self.ticket_homes.push((shard, local_ticket));
-                self.ticket_names.push(name);
-                self.ticket_states.push(TicketState::Pending);
-                SubmitOutcome::Queued(self.ticket_homes.len() - 1)
-            }
-        }
-    }
-
     /// Pulls shard-local ticket resolutions up to fleet level, registering a
-    /// fleet session id for every freshly admitted queued submission. Must
-    /// run after any pump and before any shard death is processed, so that
-    /// every admitted session has a fleet id when failover drains its shard.
+    /// fleet session id for every freshly admitted queued submission. Runs
+    /// wherever a pump can have run — after every submission and every drain
+    /// step, and so before any shard death is processed: every admitted
+    /// session has a fleet id when failover drains its shard.
     fn reconcile_tickets(&mut self) {
         for t in 0..self.ticket_homes.len() {
             if self.ticket_states[t] != TicketState::Pending {
@@ -447,54 +393,40 @@ impl<'a> Fleet<'a> {
         }
     }
 
-    /// Time-aware submission through the overload controller, with the
-    /// fleet's extra rung: **divert before shed**. The routing policy picks a
-    /// primary shard; if it has no immediate headroom but a sibling does, the
-    /// admission diverts there rather than queueing. Otherwise the primary's
-    /// queue/shed/backpressure semantics apply
-    /// (see [`FrameServer::submit_at`]). Returned ids and tickets are
-    /// fleet-level.
-    #[allow(clippy::too_many_arguments)]
-    pub fn submit_at(
-        &mut self,
-        now_s: f64,
-        spec: SessionSpec,
-        scene: &'a AnalyticScene,
-        model: &'a dyn NerfModel,
-        traj: &'a Trajectory,
-        intrinsics: Intrinsics,
-    ) -> Result<SubmitOutcome, ServeError> {
-        let primary = self.route_admission(&spec.scene_key)?;
-        let shard = self.divert_target(primary, &spec, intrinsics, traj.fps() as f64);
-        let name = spec.name.clone();
-        let outcome = self.servers[shard].submit_at(now_s, spec, scene, model, traj, intrinsics)?;
-        let outcome = self.register_outcome(shard, outcome, name);
-        // submit_at pumps the shard's queue internally; surface any queued
-        // admissions it unlocked before a later shard death could drain them.
+    /// Submits a session: route → divert → the shard's
+    /// [`submit`](FrameServer::submit) → register. The routing policy picks a
+    /// primary shard; with armed overload control the fleet adds one rung to
+    /// the ladder, **divert before shed**: if the primary has no immediate
+    /// headroom but a sibling does, the admission goes there rather than
+    /// queueing. Otherwise the primary's queue / shed / backpressure
+    /// semantics apply. Returned ids and tickets are **fleet-level**.
+    ///
+    /// # Errors
+    ///
+    /// Everything [`FrameServer::submit`] returns, and
+    /// [`ServeError::FleetDown`] when every shard is dead.
+    pub fn submit(&mut self, sub: Submission<'a>) -> Result<SubmitOutcome, ServeError> {
+        sub.validate()?;
+        let primary = self.route_admission(&sub.spec.scene_key)?;
+        let shard = self.divert_target(primary, &sub.spec, sub.intrinsics, sub.feed.fps());
+        let name = sub.spec.name.clone();
+        let outcome = self.servers[shard]
+            .submit(sub)
+            .map(|outcome| match outcome {
+                SubmitOutcome::Admitted(local) => {
+                    SubmitOutcome::Admitted(self.register(shard, local, name))
+                }
+                SubmitOutcome::Queued(local_ticket) => {
+                    self.ticket_homes.push((shard, local_ticket));
+                    self.ticket_names.push(name);
+                    self.ticket_states.push(TicketState::Pending);
+                    SubmitOutcome::Queued(self.ticket_homes.len() - 1)
+                }
+            });
+        // The shard's submit pumps its queue first, whatever it then answers
+        // the newcomer; surface any queued admissions that unlocked.
         self.reconcile_tickets();
-        Ok(outcome)
-    }
-
-    /// Time-aware streaming submission with fleet divert-before-shed; see
-    /// [`submit_at`](Self::submit_at). Buffer poses client-side until the
-    /// ticket resolves to [`TicketState::Admitted`].
-    pub fn submit_stream_at(
-        &mut self,
-        now_s: f64,
-        spec: SessionSpec,
-        scene: &'a AnalyticScene,
-        model: &'a dyn NerfModel,
-        fps: f32,
-        intrinsics: Intrinsics,
-    ) -> Result<SubmitOutcome, ServeError> {
-        let primary = self.route_admission(&spec.scene_key)?;
-        let shard = self.divert_target(primary, &spec, intrinsics, fps as f64);
-        let name = spec.name.clone();
-        let outcome =
-            self.servers[shard].submit_stream_at(now_s, spec, scene, model, fps, intrinsics)?;
-        let outcome = self.register_outcome(shard, outcome, name);
-        self.reconcile_tickets();
-        Ok(outcome)
+        outcome
     }
 
     /// Resolution state of a fleet-level queued-submission ticket; `None`
@@ -502,8 +434,7 @@ impl<'a> Fleet<'a> {
     /// usable with [`push_pose`](Self::push_pose) /
     /// [`close_stream`](Self::close_stream) wherever failover later moves
     /// the session.
-    pub fn ticket(&mut self, ticket: TicketId) -> Option<TicketState> {
-        self.reconcile_tickets();
+    pub fn ticket(&self, ticket: TicketId) -> Option<TicketState> {
         self.ticket_states.get(ticket).copied()
     }
 
@@ -543,21 +474,24 @@ impl<'a> Fleet<'a> {
             .map_err(|e| Self::globalize(e, id))
     }
 
-    /// Earliest pre-dispatch batch readiness among alive shards, with the
-    /// owning shard (ties to the lowest index). `None` when no alive shard
-    /// can serve.
-    fn earliest_ready(&self) -> Option<(f64, usize)> {
+    /// The alive shard with the least `key`, and that key (ties to the
+    /// lowest shard index). Shards whose key is `None` do not compete.
+    fn least(&self, key: impl Fn(usize) -> Option<f64>) -> Option<(f64, usize)> {
         let mut best: Option<(f64, usize)> = None;
-        for i in 0..self.cfg.shards {
-            if !self.alive[i] {
-                continue;
-            }
-            let t = self.servers[i].next_ready_s();
-            if t.is_finite() && best.is_none_or(|(bt, _)| t < bt) {
-                best = Some((t, i));
+        for i in (0..self.cfg.shards).filter(|&i| self.alive[i]) {
+            if let Some(k) = key(i) {
+                if best.is_none_or(|(least, _)| k < least) {
+                    best = Some((k, i));
+                }
             }
         }
         best
+    }
+
+    /// Earliest pre-dispatch batch readiness among alive shards, with the
+    /// owning shard. `None` when no alive shard can serve.
+    fn earliest_ready(&self) -> Option<(f64, usize)> {
+        self.least(|i| Some(self.servers[i].next_ready_s()).filter(|t| t.is_finite()))
     }
 
     /// Processes every heartbeat due at or before `until_s`, in
@@ -566,18 +500,12 @@ impl<'a> Fleet<'a> {
         loop {
             // The earliest pending beat among alive shards. Equal-time beats
             // (the common case — one shared interval) process in ascending
-            // shard order because the strict `<` keeps the first minimum.
-            let mut next: Option<(f64, usize)> = None;
-            for i in 0..self.cfg.shards {
-                if !self.alive[i] {
-                    continue;
-                }
+            // shard order.
+            let due = self.least(|i| {
                 let at = (self.hb_count[i] + 1) as f64 * self.cfg.heartbeat_interval_s;
-                if at <= until_s && next.is_none_or(|(bt, _)| at < bt) {
-                    next = Some((at, i));
-                }
-            }
-            let Some((at, shard)) = next else { break };
+                (at <= until_s).then_some(at)
+            });
+            let Some((at, shard)) = due else { break };
             let k = self.hb_count[shard];
             self.hb_count[shard] += 1;
             if plan.fires(FaultKind::ShardBrownout, shard as u64, k, 0) {
@@ -609,6 +537,7 @@ impl<'a> Fleet<'a> {
         // so their tickets resolve and their demand stays accounted. Live
         // sessions migrate below instead.
         self.servers[shard].shed_queue();
+        self.reconcile_tickets();
         let has_survivor = self.alive.iter().any(|&a| a);
         // Fleet-session ids of this shard's residents, by local id.
         let residents: Vec<(SessionId, SessionId)> = self
@@ -697,83 +626,50 @@ impl<'a> Fleet<'a> {
 
     /// Drains every session fleet-wide and produces the [`FleetReport`].
     ///
-    /// The loop interleaves shard scheduling rounds on one global simulated
+    /// The loop interleaves shard drain steps on one global simulated
     /// timeline: pick the shard whose next batch is earliest, process every
-    /// heartbeat due by then (deaths migrate sessions *before* the round
-    /// runs), then run that round on the earliest still-alive shard. With
-    /// one shard and no shard faults this degenerates to exactly
-    /// [`FrameServer::run`] — byte-for-byte.
+    /// heartbeat due by then (deaths migrate sessions *before* the step
+    /// runs), then run [`FrameServer::run`]'s own step on the earliest
+    /// still-alive shard and pump the siblings' queues at the instant it
+    /// acted. With one shard and no shard faults this is exactly
+    /// [`FrameServer::run`] — byte-for-byte, queue engaged or not.
     pub fn run(&mut self) -> FleetReport {
         let plan = self.cfg.base.faults;
-        let armed = self.cfg.base.overload.is_some();
         loop {
-            if let Some((t, _)) = self.earliest_ready() {
-                if let Some(plan) = &plan {
-                    self.process_heartbeats(plan, t);
-                }
+            if let (Some(plan), Some((t, _))) = (&plan, self.earliest_ready()) {
+                self.process_heartbeats(plan, t);
             }
             // Heartbeats may have killed the picked shard or shifted
             // readiness by adopting sessions elsewhere; re-pick among the
             // alive shards. Readiness only moves *forward* of the death time
-            // processed above, so the re-pick is deterministic.
-            let Some((t, _)) = self.earliest_ready() else {
-                if !armed {
-                    break;
-                }
-                // Every admitted batch has drained but submissions may still
-                // wait in shard queues: advance to the earliest SLO admission
-                // deadline fleet-wide and pump, which admits (possibly
-                // browned out) or sheds the frontier entry.
-                let frontier = (0..self.cfg.shards)
-                    .filter(|&i| self.alive[i])
-                    .filter_map(|i| self.servers[i].queue_frontier_s())
-                    .min_by(f64::total_cmp);
-                let Some(ft) = frontier else { break };
-                let before = self.queued();
-                for i in 0..self.cfg.shards {
-                    if self.alive[i] {
-                        self.servers[i].pump_overload(ft);
-                    }
-                }
-                self.reconcile_tickets();
-                if self.queued() >= before && self.earliest_ready().is_none() {
-                    break; // defensive: no entry resolved and nothing to run
-                }
-                continue;
+            // processed above, so the re-pick is deterministic. With every
+            // admitted batch drained, the shard holding the earliest queued
+            // SLO admission deadline steps: its drain step advances there.
+            let pick = self
+                .earliest_ready()
+                .or_else(|| self.least(|i| self.servers[i].queue_frontier_s()));
+            let Some((_, target)) = pick else { break };
+            let Some(t) = self.servers[target].drain_step() else {
+                break;
             };
-            if armed {
-                // Drained capacity admits queued work before the round runs,
-                // in ascending shard order — deterministic either way.
-                for i in 0..self.cfg.shards {
-                    if self.alive[i] {
-                        self.servers[i].pump_overload(t);
-                    }
+            for i in (0..self.cfg.shards).filter(|&i| i != target) {
+                if self.alive[i] {
+                    self.servers[i].pump_overload(t);
                 }
-                self.reconcile_tickets();
             }
-            let Some((_, target)) = self.earliest_ready() else {
-                continue;
-            };
-            self.servers[target].run_round();
+            self.reconcile_tickets();
         }
-
         for server in &mut self.servers {
             server.release_drained_loads();
         }
-        self.finish_report()
+        self.report()
     }
 
-    fn finish_report(&self) -> FleetReport {
-        let shards: Vec<ServiceReport> = self.servers.iter().map(|s| s.finish_report()).collect();
-        let frames: usize = shards.iter().map(|r| r.frames).sum();
-        let makespan_s = shards.iter().map(|r| r.makespan_s).fold(0.0, f64::max);
-        let mut latencies: Vec<f64> = shards
-            .iter()
-            .flat_map(|r| r.records.iter().map(FrameRecord::latency_s))
-            .collect();
-        let deadline_misses: u64 = shards.iter().map(|r| r.deadline_misses).sum();
+    fn report(&self) -> FleetReport {
+        let shards: Vec<ServiceReport> = self.servers.iter().map(|s| s.report()).collect();
+        let totals = Totals::of(shards.iter().flat_map(|r| r.records.iter()));
         let unrecovered: u64 = shards.iter().map(|r| r.faults.unrecovered).sum();
-        let expected = frames as u64 + self.lost_frames;
+        let expected = totals.frames as u64 + self.lost_frames;
         let mut migrations = self.migrations.clone();
         for (m, &(dest, local)) in migrations.iter_mut().zip(&self.migration_dest) {
             // The destination assigned a fresh local id at adoption, so every
@@ -790,26 +686,14 @@ impl<'a> Fleet<'a> {
             }
         }
         FleetReport {
-            frames,
-            makespan_s,
-            throughput_fps: if makespan_s > 0.0 {
-                frames as f64 / makespan_s
-            } else {
-                0.0
-            },
-            p50_latency_s: percentile(&mut latencies, 50.0),
-            p99_latency_s: percentile(&mut latencies, 99.0),
-            deadline_misses,
-            deadline_miss_rate: if frames > 0 {
-                deadline_misses as f64 / frames as f64
-            } else {
-                0.0
-            },
-            availability: if expected > 0 {
-                1.0 - (unrecovered + self.lost_frames) as f64 / expected as f64
-            } else {
-                1.0
-            },
+            frames: totals.frames,
+            makespan_s: totals.makespan_s,
+            throughput_fps: totals.throughput_fps,
+            p50_latency_s: totals.p50_latency_s,
+            p99_latency_s: totals.p99_latency_s,
+            deadline_misses: totals.deadline_misses,
+            deadline_miss_rate: totals.deadline_miss_rate,
+            availability: 1.0 - rate((unrecovered + self.lost_frames) as f64, expected as f64),
             shard_crashes: self.shard_crashes,
             shard_brownouts: self.shard_brownouts,
             heartbeat_misses: self.heartbeat_misses,

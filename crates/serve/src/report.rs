@@ -4,6 +4,7 @@
 use crate::cache::RefCacheStats;
 use crate::fault::FaultReport;
 use crate::policy::Degradation;
+use crate::scheduler::FrameServer;
 use crate::session::{QosClass, SessionId};
 use serde::Serialize;
 
@@ -224,6 +225,134 @@ impl ServiceReport {
     pub fn latency_percentile(&self, q: f64) -> f64 {
         let mut lat: Vec<f64> = self.records.iter().map(FrameRecord::latency_s).collect();
         percentile(&mut lat, q)
+    }
+}
+
+/// `n / d`, or zero when there is nothing to divide by — an empty run has no
+/// rate, not an undefined one.
+pub(crate) fn rate(n: f64, d: f64) -> f64 {
+    if d > 0.0 {
+        n / d
+    } else {
+        0.0
+    }
+}
+
+/// The figures every report derives from its frame records alone — one
+/// server's or a whole fleet's.
+pub(crate) struct Totals {
+    pub(crate) frames: usize,
+    pub(crate) makespan_s: f64,
+    pub(crate) throughput_fps: f64,
+    pub(crate) p50_latency_s: f64,
+    pub(crate) p99_latency_s: f64,
+    pub(crate) deadline_misses: u64,
+    pub(crate) deadline_miss_rate: f64,
+}
+
+impl Totals {
+    pub(crate) fn of<'r>(records: impl Iterator<Item = &'r FrameRecord> + Clone) -> Self {
+        let mut latencies: Vec<f64> = records.clone().map(FrameRecord::latency_s).collect();
+        let frames = latencies.len();
+        let makespan_s = records.clone().map(|r| r.completion_s).fold(0.0, f64::max);
+        let deadline_misses = records.filter(|r| r.missed_deadline()).count() as u64;
+        Totals {
+            frames,
+            makespan_s,
+            throughput_fps: rate(frames as f64, makespan_s),
+            p50_latency_s: percentile(&mut latencies, 50.0),
+            p99_latency_s: percentile(&mut latencies, 99.0),
+            deadline_misses,
+            deadline_miss_rate: rate(deadline_misses as f64, frames as f64),
+        }
+    }
+}
+
+/// Frames served and frames served on time per QoS class (indexed by
+/// [`QosClass::priority`]), over the sessions `sessions` summarizes —
+/// resident ones only: a fleet accounts a migrated session on its
+/// destination shard.
+pub(crate) fn class_tally(
+    sessions: &[SessionSummary],
+    records: &[FrameRecord],
+) -> ([u64; 3], [u64; 3]) {
+    let slots = sessions.iter().map(|s| s.id + 1).max().unwrap_or(0);
+    let mut class_of: Vec<Option<usize>> = vec![None; slots];
+    for s in sessions {
+        class_of[s.id] = Some(s.qos.priority() as usize);
+    }
+    let (mut served, mut on_time) = ([0u64; 3], [0u64; 3]);
+    for r in records {
+        if let Some(&Some(c)) = class_of.get(r.session) {
+            served[c] += 1;
+            on_time[c] += u64::from(!r.missed_deadline());
+        }
+    }
+    (served, on_time)
+}
+
+impl FrameServer<'_> {
+    /// The service report of everything served so far on this server's
+    /// timeline.
+    pub(crate) fn report(&self) -> ServiceReport {
+        let records = self.records.clone();
+        let totals = Totals::of(records.iter());
+        let sessions: Vec<SessionSummary> = self
+            .sessions
+            .iter()
+            .map(|s| SessionSummary {
+                id: s.id,
+                name: s.spec.name.clone(),
+                qos: s.spec.qos,
+                frames: s.latencies.len(),
+                mean_latency_s: rate(s.latencies.iter().sum(), s.latencies.len() as f64),
+                max_latency_s: s.latencies.iter().cloned().fold(0.0, f64::max),
+                deadline_misses: s.deadline_misses,
+                mean_psnr_db: s.mean_psnr(),
+                cache_hits: s.cache_hits,
+            })
+            .collect();
+        let mut faults = FaultReport::default();
+        if let Some(inj) = &self.injector {
+            faults = inj.report.clone();
+            faults.availability = 1.0 - rate(faults.unrecovered as f64, totals.frames as f64);
+        }
+        let mut overload = OverloadReport::default();
+        if let Some(st) = &self.overload {
+            overload = st.report.clone();
+            // Goodput: only frames that met their deadline count.
+            let on_time = totals.frames as u64 - totals.deadline_misses;
+            overload.goodput_fps = rate(on_time as f64, totals.makespan_s);
+            // Per-class SLO attainment over the demand the server knows
+            // about: served frames plus the frames shed sessions would have
+            // served.
+            let (served, met) = class_tally(&sessions, &records);
+            for c in 0..3 {
+                let demand = served[c] + overload.shed_frames_by_class[c];
+                if demand > 0 {
+                    overload.slo_attainment[c] = met[c] as f64 / demand as f64;
+                }
+            }
+        }
+        ServiceReport {
+            frames: totals.frames,
+            makespan_s: totals.makespan_s,
+            throughput_fps: totals.throughput_fps,
+            p50_latency_s: totals.p50_latency_s,
+            p99_latency_s: totals.p99_latency_s,
+            deadline_misses: totals.deadline_misses,
+            deadline_miss_rate: totals.deadline_miss_rate,
+            cache: self.cache.stats(),
+            reference_jobs: self.reference_jobs,
+            prefetch_jobs: self.prefetch_jobs,
+            degradations: self.degradations.clone(),
+            pool_utilization: self.pool.utilization(totals.makespan_s),
+            workers: self.pool.len(),
+            sessions,
+            records,
+            faults,
+            overload,
+        }
     }
 }
 

@@ -1,38 +1,49 @@
-//! The frame server: admission, batch scheduling and the simulated-time
-//! event loop multiplexing many sessions over the SoC pool.
+//! The frame server: the simulated-time event loop multiplexing many
+//! sessions over the SoC pool, one **round** at a time.
 //!
-//! # Scheduling model
+//! # A round is four stages
 //!
 //! Time is simulated: each frame's cost comes from the session's
-//! [`SocModel`](cicero_accel::soc::SocModel) pricing, and the
-//! [`WorkerPool`](cicero_accel::pool::WorkerPool) tracks per-worker
-//! availability. Every iteration the scheduler
+//! [`SocModel`] pricing, and the [`WorkerPool`] tracks per-worker
+//! availability. `FrameServer::run_round` is the list, and each stage's
+//! documentation states the determinism rule it obeys:
 //!
-//! 1. **batches reference renders**: for each session it looks one warping
-//!    window ahead ([`PipelineSession::upcoming_references`]); pending
-//!    references are resolved from the shared [`RefCache`] when a co-located
-//!    session already rendered a nearby pose (including one planned earlier
-//!    *in the same batch*), and the remaining misses are rendered together
-//!    on the host render pool, then committed across the least-loaded
+//! 1. `dispatch_references` — **batches reference renders** (plan →
+//!    prefetch → host render → commit, in `dispatch.rs`): for each session
+//!    it looks one warping window ahead
+//!    ([`PipelineSession::upcoming_references`](cicero::pipeline::PipelineSession::upcoming_references));
+//!    pending references are resolved from the shared [`RefCache`] when a
+//!    co-located session already rendered a nearby pose (including one
+//!    planned earlier *in the same batch*), and the remaining misses are
+//!    rendered together on the host render pool, then committed across the
 //!    simulated workers — generalizing the single-client reference/target
 //!    overlap of Fig. 10/11b to a fleet;
-//! 2. **serves a batch of target frames**: every session whose next frame is
-//!    ready (client arrival reached, warp source available) within half a
-//!    frame interval of the earliest one steps in this round. The batch is
-//!    ordered by QoS priority, then earliest deadline, then session id, and
-//!    each frame bills its un-amortized service time to the least-loaded
-//!    worker in that order — priced on *that worker's* SoC, so a pool of
-//!    faster or slower hardware than the clients assumed actually changes
-//!    the timeline.
+//! 2. `ready_batch` — **picks the target frames**: every session whose next
+//!    frame is ready (client arrival reached, warp source available) within
+//!    half a frame interval of the earliest one, ordered by QoS priority,
+//!    then earliest deadline, then session id;
+//! 3. `step_batch` — **renders them** on the host, concurrently when the
+//!    thread budget allows;
+//! 4. `commit_batch` — **bills them** in batch order: each frame's
+//!    un-amortized service time goes to the placement policy's worker,
+//!    priced on *that worker's* SoC, so a pool of faster or slower hardware
+//!    than the clients assumed actually changes the timeline.
+//!
+//! Jobs are placed, priced and (under an armed fault plan) recovered by
+//! `recovery.rs`, the same way for reference renders and target frames.
+//! `FrameServer::drain_step` wraps a round with the overload queue's pump
+//! ([`crate::overload`]); [`FrameServer::run`] and
+//! [`Fleet::run`](crate::Fleet::run) are loops over it, and
+//! [`run_replay`](crate::run_replay) calls it between client events.
 //!
 //! # Host concurrency
 //!
 //! Batch membership, ordering and all simulated bookkeeping depend only on
 //! simulated time — never on host threads — while the *execution* of a
 //! batch (pixel rendering and warping) fans out across the persistent
-//! [`RenderPool`](cicero_field::pool::RenderPool): with a host thread
-//! budget of `T` ([`ServeConfig::render_threads`]) a batch of `B` sessions
-//! steps on `min(B, T)` concurrent drivers, each session's own passes using
+//! [`RenderPool`]: with a host thread budget of `T`
+//! ([`ServeConfig::render_threads`]) a batch of `B` sessions steps on
+//! `min(B, T)` concurrent drivers, each session's own passes using
 //! `T / min(B, T)` lanes. Frames, statistics and the entire
 //! [`ServiceReport`] are therefore **bit-identical at any budget**;
 //! concurrency moves wall-clock only. `tests/parallel_determinism.rs`
@@ -42,32 +53,23 @@
 //! workstation speed (`SocConfig::remote.speedup_over_mobile`), matching the
 //! paper's remote accounting; everything else runs at SoC speed.
 
-use crate::admission::{AdmissionController, AdmissionError, AdmissionPolicy};
-use crate::cache::{CacheKey, CachedReference, RefCache, RefCacheConfig};
+use crate::admission::{AdmissionController, AdmissionPolicy};
+use crate::cache::{CachedReference, RefCache, RefCacheConfig};
 use crate::error::ServeError;
-use crate::fault::{FallbackRecord, FaultInjector, FaultKind, FaultPlan, FaultReport};
-use crate::policy::{
-    JobKind, LoadAdaptiveDegrade, PlacementJob, PlacementPolicy, Policies, QosAdmission, QosPolicy,
-    RecoveryPolicy,
-};
-use crate::report::{
-    percentile, DegradationRecord, FrameRecord, OverloadReport, ServiceReport, SessionSummary,
-};
-use crate::session::{ServeSession, SessionId, SessionManager, SessionSpec};
-use cicero::pipeline::{PipelineSession, SessionStep};
+use crate::fault::{FaultInjector, FaultKind, FaultPlan};
+use crate::overload::{OverloadControl, OverloadState};
+use crate::policy::{JobKind, Policies};
+use crate::recovery::{Job, SimCtx};
+use crate::report::{DegradationRecord, FrameRecord, ServiceReport};
+use crate::session::{ServeSession, SessionId, SessionManager};
+use cicero::pipeline::SessionStep;
 use cicero::schedule::FramePlan;
-use cicero::Scenario;
 use cicero_accel::pool::{PoolConfig, WorkerPool};
 use cicero_accel::soc::SocModel;
-use cicero_accel::FrameWorkload;
 use cicero_field::pool::RenderPool;
-use cicero_field::NerfModel;
-use cicero_math::{Intrinsics, Pose};
-use cicero_scene::ground_truth::Frame;
-use cicero_scene::{AnalyticScene, Trajectory};
+use cicero_math::Pose;
 use cicero_telemetry as telemetry;
-use std::collections::HashSet;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 /// Frame-server configuration.
 #[derive(Debug, Clone, Default)]
@@ -103,180 +105,11 @@ pub struct ServeConfig {
     /// to `None`. Faults and recoveries obey the same determinism contract
     /// as everything else: bit-identical reports at any host thread budget.
     pub faults: Option<FaultPlan>,
-    /// Arms SLO-aware overload control (see [`OverloadControl`]). `None`
-    /// keeps the historical admit-or-reject behavior byte-for-byte;
-    /// [`submit`](FrameServer::submit) never queues either way — only the
-    /// time-aware [`submit_at`](FrameServer::submit_at) /
-    /// [`submit_stream_at`](FrameServer::submit_stream_at) entry points
-    /// engage the queue.
+    /// Arms SLO-aware overload control (see [`OverloadControl`]): a
+    /// [`submit`](FrameServer::submit) that does not fit is queued instead
+    /// of rejected. `None` keeps admit-or-reject; an armed server whose
+    /// queue never engages serves byte-for-byte the same frames.
     pub overload: Option<OverloadControl>,
-}
-
-/// SLO-aware overload control: a bounded pending-admission queue with
-/// deadline-aware shedding, explicit backpressure and an optional brownout
-/// ladder, armed via [`ServeConfig::overload`].
-///
-/// When [`submit_at`](FrameServer::submit_at) cannot admit a session
-/// immediately it is **queued** rather than rejected; queued submissions
-/// admit in (QoS priority, arrival) order as drained sessions free capacity.
-/// A queued submission whose SLO admission deadline arrives before capacity
-/// does is admitted through the `brownout` degradation ladder (stretched
-/// window / halved resolution) — or **shed** when the ladder is absent or
-/// even its floor does not fit. When the queue itself overflows, the entry
-/// **predicted to miss its SLO** (least slack; not the newest arrival) is
-/// shed; if that is the incoming request it gets explicit backpressure —
-/// [`ServeError::Overloaded`] with a retry hint — instead of a queue slot.
-///
-/// All decisions depend only on simulated time and queue contents, so armed
-/// reports keep the standing contract: bit-identical at any host thread
-/// budget.
-#[derive(Debug, Clone, Copy)]
-pub struct OverloadControl {
-    /// Pending-admission queue capacity; `0` degenerates to backpressure on
-    /// every submission that cannot admit immediately.
-    pub queue_capacity: usize,
-    /// SLO admission deadline, in multiples of the class deadline: a queued
-    /// submission must start within
-    /// `deadline_frames × frame_interval × deadline_slack` of its requested
-    /// start or it is browned out / shed.
-    pub deadline_slack: f64,
-    /// Base of the backpressure retry hint:
-    /// `retry_after_s = min_retry_s × (1 + queue depth)`.
-    pub min_retry_s: f64,
-    /// Degradation ladder for queued submissions at their SLO deadline.
-    /// `None` sheds instead of browning out.
-    pub brownout: Option<LoadAdaptiveDegrade>,
-}
-
-impl Default for OverloadControl {
-    fn default() -> Self {
-        OverloadControl {
-            queue_capacity: 32,
-            deadline_slack: 8.0,
-            min_retry_s: 0.05,
-            brownout: Some(LoadAdaptiveDegrade::default()),
-        }
-    }
-}
-
-/// Handle for a queued submission, resolved by [`FrameServer::ticket`].
-pub type TicketId = usize;
-
-/// What [`FrameServer::submit_at`] did with a submission.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SubmitOutcome {
-    /// Admitted immediately; the session serves from its requested start.
-    Admitted(SessionId),
-    /// Queued behind the overload controller; poll
-    /// [`ticket`](FrameServer::ticket) after each run for the resolution.
-    Queued(TicketId),
-}
-
-impl SubmitOutcome {
-    /// The admitted session id, if admission was immediate.
-    pub fn session(&self) -> Option<SessionId> {
-        match self {
-            SubmitOutcome::Admitted(id) => Some(*id),
-            SubmitOutcome::Queued(_) => None,
-        }
-    }
-}
-
-/// Resolution state of a queued submission.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TicketState {
-    /// Still waiting in the pending-admission queue.
-    Pending,
-    /// Admitted (possibly degraded through the brownout ladder) as this
-    /// session.
-    Admitted(SessionId),
-    /// Shed: the server predicted the session would miss its SLO and
-    /// dropped it. Resubmitting later is allowed.
-    Shed,
-}
-
-/// What a queued submission will feed the pipeline once admitted.
-enum QueuedFeed<'a> {
-    /// A whole-trajectory session.
-    Trajectory(&'a Trajectory),
-    /// A streaming session; poses arrive via
-    /// [`push_pose`](FrameServer::push_pose) after admission.
-    Stream { fps: f32 },
-}
-
-/// One pending-admission queue entry.
-struct QueuedSubmission<'a> {
-    ticket: TicketId,
-    seq: u64,
-    spec: SessionSpec,
-    scene: &'a AnalyticScene,
-    model: &'a dyn NerfModel,
-    feed: QueuedFeed<'a>,
-    intrinsics: Intrinsics,
-    fps: f64,
-    /// Frames the session would serve — the shed-demand figure. Zero for
-    /// streaming submissions (their demand is unknown at submit time).
-    frames: u64,
-    enqueued_s: f64,
-    /// Latest simulated start that still meets the class SLO (with the
-    /// configured slack); past it the entry browns out or sheds.
-    deadline_to_start_s: f64,
-}
-
-impl QueuedSubmission<'_> {
-    /// Slack to the SLO admission deadline at `now`; the least-slack entry
-    /// is the shedding victim.
-    fn slack_s(&self, now: f64) -> f64 {
-        self.deadline_to_start_s - now
-    }
-}
-
-/// Live overload-control state: the armed knobs, the pending queue, ticket
-/// resolutions and the running counters.
-struct OverloadState<'a> {
-    ctl: OverloadControl,
-    queue: Vec<QueuedSubmission<'a>>,
-    tickets: Vec<TicketState>,
-    next_seq: u64,
-    report: OverloadReport,
-}
-
-impl<'a> OverloadState<'a> {
-    fn new(ctl: OverloadControl) -> Self {
-        OverloadState {
-            ctl,
-            queue: Vec::new(),
-            tickets: Vec::new(),
-            next_seq: 0,
-            report: OverloadReport::default(),
-        }
-    }
-
-    /// Orders the queue for a pump pass: QoS priority, then arrival order.
-    fn pump_order(&mut self) {
-        self.queue.sort_by_key(|q| (q.spec.qos.priority(), q.seq));
-    }
-
-    /// The shedding victim among queued entries at `now`: least slack,
-    /// ties to the lower QoS class, then to the newest arrival. `None` on an
-    /// empty queue.
-    fn victim(&self, now: f64) -> Option<usize> {
-        (0..self.queue.len()).min_by(|&i, &j| {
-            let (a, b) = (&self.queue[i], &self.queue[j]);
-            a.slack_s(now)
-                .total_cmp(&b.slack_s(now))
-                .then(b.spec.qos.priority().cmp(&a.spec.qos.priority()))
-                .then(b.seq.cmp(&a.seq))
-        })
-    }
-
-    fn note_shed(&mut self, spec: &SessionSpec, frames: u64) {
-        let class = spec.qos.priority() as usize;
-        self.report.sheds += 1;
-        self.report.sheds_by_class[class] += 1;
-        self.report.shed_frames_by_class[class] += frames;
-        telemetry::add(telemetry::Counter::OverloadSheds, 1);
-    }
 }
 
 /// Runs `work` over every entry, fanning out across up to `drivers`
@@ -285,7 +118,7 @@ impl<'a> OverloadState<'a> {
 /// within a lane the order is deterministic, but cross-lane interleaving is
 /// not — callers must keep all order-sensitive bookkeeping *out* of `work`
 /// and apply it afterwards in entry order.
-fn fan_out<T: Send>(entries: &[Mutex<T>], drivers: usize, work: impl Fn(&mut T) + Sync) {
+pub(crate) fn fan_out<T: Send>(entries: &[Mutex<T>], drivers: usize, work: impl Fn(&mut T) + Sync) {
     if drivers <= 1 || entries.len() <= 1 {
         for entry in entries {
             work(&mut entry.lock().unwrap());
@@ -307,17 +140,40 @@ fn fan_out<T: Send>(entries: &[Mutex<T>], drivers: usize, work: impl Fn(&mut T) 
 /// outlive the server; sessions borrow them. See the `serve_swarm` example
 /// for the intended shape.
 pub struct FrameServer<'a> {
-    cfg: ServeConfig,
-    pool: WorkerPool,
-    cache: RefCache,
-    admission: AdmissionController,
-    sessions: SessionManager<'a>,
-    injector: Option<FaultInjector>,
-    overload: Option<OverloadState<'a>>,
-    reference_jobs: u64,
-    prefetch_jobs: u64,
-    degradations: Vec<DegradationRecord>,
-    records: Vec<FrameRecord>,
+    // Crate-visible, not public: the server's stages and its report live in
+    // sibling modules (`overload`, `dispatch`, `report`).
+    pub(crate) cfg: ServeConfig,
+    pub(crate) pool: WorkerPool,
+    pub(crate) cache: RefCache,
+    pub(crate) admission: AdmissionController,
+    pub(crate) sessions: SessionManager<'a>,
+    pub(crate) injector: Option<FaultInjector>,
+    pub(crate) overload: Option<OverloadState<'a>>,
+    pub(crate) reference_jobs: u64,
+    pub(crate) prefetch_jobs: u64,
+    pub(crate) degradations: Vec<DegradationRecord>,
+    pub(crate) records: Vec<FrameRecord>,
+}
+
+/// One member of a ready batch: which session steps, when its frame became
+/// ready, and the keys the batch is ordered by.
+#[derive(Clone, Copy)]
+struct Ready {
+    session: SessionId,
+    ready_s: f64,
+    priority: u8,
+    deadline_s: f64,
+}
+
+/// One stepped frame awaiting its bill: the pre-step snapshot (arrival,
+/// plan) travels with the host result, so the commit never re-derives state
+/// from a stepped session.
+struct Stepped {
+    ready: Ready,
+    frame_index: usize,
+    arrival_s: f64,
+    plan: Option<FramePlan>,
+    step: SessionStep,
 }
 
 impl<'a> FrameServer<'a> {
@@ -350,510 +206,6 @@ impl<'a> FrameServer<'a> {
     /// Sessions admitted so far.
     pub fn session_count(&self) -> usize {
         self.sessions.len()
-    }
-
-    /// Runs the QoS policy over a submission: server-side thread override,
-    /// then admit / degrade / reject.
-    fn admit(
-        &mut self,
-        mut spec: SessionSpec,
-        intrinsics: Intrinsics,
-        fps: f64,
-    ) -> Result<QosAdmission, AdmissionError> {
-        if self.cfg.render_threads > 0 {
-            // Server-side override: the host's parallelism budget belongs to
-            // the deployment, not the client. This is only the initial lane
-            // count — the scheduler re-partitions the budget across each
-            // concurrently stepping batch. Bit-identical output, so this
-            // never affects cache sharing or reported quality.
-            spec.config.render_threads = self.cfg.render_threads;
-        }
-        let decision =
-            self.cfg
-                .policies
-                .qos
-                .clone()
-                .admit(&spec, intrinsics, fps, &mut self.admission);
-        if decision.is_err() {
-            telemetry::instant(
-                telemetry::Phase::Reject,
-                self.sessions.len() as u64,
-                spec.qos.priority() as u64,
-            );
-            telemetry::add(telemetry::Counter::Rejected, 1);
-        }
-        decision
-    }
-
-    /// Registers an admitted (possibly degraded) session and returns its id.
-    fn install_session(
-        &mut self,
-        adm: QosAdmission,
-        fps: f64,
-        pipe: PipelineSession<'a>,
-    ) -> SessionId {
-        let QosAdmission {
-            spec,
-            est_load,
-            degradation,
-            ..
-        } = adm;
-        let id = self.sessions.len();
-        let mut pipe = pipe;
-        // Frame spans of this session's pipeline now carry its serve id.
-        pipe.set_telemetry_id(id as u64);
-        telemetry::instant(
-            telemetry::Phase::Admit,
-            id as u64,
-            spec.qos.priority() as u64,
-        );
-        telemetry::add(telemetry::Counter::Admitted, 1);
-        if let Some(degradation) = degradation {
-            telemetry::instant(
-                telemetry::Phase::Degrade,
-                id as u64,
-                degradation.window.1 as u64,
-            );
-            telemetry::add(telemetry::Counter::Degraded, 1);
-            self.degradations.push(DegradationRecord {
-                session: id,
-                name: spec.name.clone(),
-                degradation,
-            });
-        }
-        let n_refs = pipe.reference_count();
-        // Reference frames are only interchangeable between sessions whose
-        // render configuration matches: fold everything that changes the
-        // pixels or the priced workload into the cache key alongside the
-        // caller's scene/model identity.
-        let cache_key = format!(
-            "{}|{:?}|{:?}|traffic={}",
-            spec.scene_key, spec.config.variant, spec.config.march, spec.config.collect_traffic
-        );
-        self.sessions.push(ServeSession {
-            id,
-            spec,
-            pipe,
-            frame_interval_s: 1.0 / fps,
-            ref_ready: vec![None; n_refs],
-            ref_faulted: vec![false; n_refs],
-            ingest_delay: Vec::new(),
-            pose_pushes: 0,
-            psnrs: Vec::new(),
-            cache_hits: 0,
-            deadline_misses: 0,
-            latencies: Vec::new(),
-            cache_key,
-            est_load,
-            load_released: false,
-            resume_floor_s: 0.0,
-        })
-    }
-
-    /// Submits a session over a complete trajectory. On admission the
-    /// session is queued for the next [`run`](Self::run); on rejection the
-    /// error says why. Under a degrading [`crate::policy::QosPolicy`] the
-    /// granted shape may differ from the requested one — the trade is
-    /// recorded in [`ServiceReport::degradations`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `traj` is empty or its fps is not positive.
-    pub fn submit(
-        &mut self,
-        spec: SessionSpec,
-        scene: &'a AnalyticScene,
-        model: &'a dyn NerfModel,
-        traj: &'a Trajectory,
-        intrinsics: Intrinsics,
-    ) -> Result<SessionId, ServeError> {
-        let fps = traj.fps() as f64;
-        assert!(fps > 0.0, "trajectory fps must be positive");
-        let adm = self.admit(spec, intrinsics, fps)?;
-        let pipe = PipelineSession::new(scene, model, traj, adm.intrinsics, &adm.spec.config);
-        Ok(self.install_session(adm, fps, pipe))
-    }
-
-    /// Submits a **streaming** session: admission happens now (from the
-    /// nominal `fps` and `intrinsics`), poses arrive later one at a time via
-    /// [`push_pose`](Self::push_pose), and [`close_stream`](Self::close_stream)
-    /// marks the feed complete. Feeding a captured trajectory pose-by-pose
-    /// and closing before [`run`](Self::run) produces a service report
-    /// **bit-identical** to [`submit`](Self::submit)ting it whole; poses that
-    /// arrive between `run` calls simply serve later (frames cannot be
-    /// scheduled before their window's poses exist).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `fps` is not positive.
-    pub fn submit_stream(
-        &mut self,
-        spec: SessionSpec,
-        scene: &'a AnalyticScene,
-        model: &'a dyn NerfModel,
-        fps: f32,
-        intrinsics: Intrinsics,
-    ) -> Result<SessionId, ServeError> {
-        assert!(fps > 0.0, "stream fps must be positive");
-        let adm = self.admit(spec, intrinsics, fps as f64)?;
-        let pipe =
-            PipelineSession::new_streaming(scene, model, fps, adm.intrinsics, &adm.spec.config);
-        Ok(self.install_session(adm, fps as f64, pipe))
-    }
-
-    /// Time-aware submission through the overload controller: admits
-    /// immediately when the pool has headroom, otherwise **queues** the
-    /// session instead of rejecting (see [`OverloadControl`]). `now_s` is the
-    /// client's submission instant on the simulated timeline.
-    ///
-    /// Without an armed [`ServeConfig::overload`] this is exactly
-    /// [`submit`](Self::submit) wrapped in [`SubmitOutcome::Admitted`].
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::Overloaded`] when the queue is full and this request is
-    /// the worst SLO risk — resubmit after the embedded retry hint. Other
-    /// admission errors (e.g. the hard session cap) pass through unchanged.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `traj` is empty or its fps is not positive.
-    pub fn submit_at(
-        &mut self,
-        now_s: f64,
-        spec: SessionSpec,
-        scene: &'a AnalyticScene,
-        model: &'a dyn NerfModel,
-        traj: &'a Trajectory,
-        intrinsics: Intrinsics,
-    ) -> Result<SubmitOutcome, ServeError> {
-        if self.overload.is_none() {
-            return self
-                .submit(spec, scene, model, traj, intrinsics)
-                .map(SubmitOutcome::Admitted);
-        }
-        let fps = traj.fps() as f64;
-        assert!(fps > 0.0, "trajectory fps must be positive");
-        let frames = traj.poses().len() as u64;
-        self.submit_overloaded(
-            now_s,
-            spec,
-            scene,
-            model,
-            QueuedFeed::Trajectory(traj),
-            intrinsics,
-            fps,
-            frames,
-        )
-    }
-
-    /// Time-aware **streaming** submission through the overload controller —
-    /// [`submit_stream`](Self::submit_stream) with queueing semantics; see
-    /// [`submit_at`](Self::submit_at). Buffer poses client-side until the
-    /// ticket resolves to [`TicketState::Admitted`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `fps` is not positive.
-    pub fn submit_stream_at(
-        &mut self,
-        now_s: f64,
-        spec: SessionSpec,
-        scene: &'a AnalyticScene,
-        model: &'a dyn NerfModel,
-        fps: f32,
-        intrinsics: Intrinsics,
-    ) -> Result<SubmitOutcome, ServeError> {
-        if self.overload.is_none() {
-            return self
-                .submit_stream(spec, scene, model, fps, intrinsics)
-                .map(SubmitOutcome::Admitted);
-        }
-        assert!(fps > 0.0, "stream fps must be positive");
-        self.submit_overloaded(
-            now_s,
-            spec,
-            scene,
-            model,
-            QueuedFeed::Stream { fps },
-            intrinsics,
-            fps as f64,
-            0,
-        )
-    }
-
-    /// Resolution state of a queued submission's ticket; `None` for unknown
-    /// tickets or on a server without armed overload control.
-    pub fn ticket(&self, ticket: TicketId) -> Option<TicketState> {
-        self.overload
-            .as_ref()
-            .and_then(|ov| ov.tickets.get(ticket).copied())
-    }
-
-    /// Pending-admission queue depth (0 without armed overload control).
-    pub fn queued(&self) -> usize {
-        self.overload.as_ref().map_or(0, |ov| ov.queue.len())
-    }
-
-    /// Whether this shard would admit `spec` immediately — empty queue and
-    /// capacity headroom. The fleet's side-effect-free diversion probe.
-    pub(crate) fn direct_fit(&self, spec: &SessionSpec, intrinsics: Intrinsics, fps: f64) -> bool {
-        self.overload.as_ref().is_none_or(|ov| ov.queue.is_empty())
-            && self
-                .admission
-                .would_fit(self.admission.estimate_load(spec, intrinsics, fps))
-    }
-
-    /// The armed submission path: pump, then direct-admit / enqueue / shed /
-    /// backpressure.
-    #[allow(clippy::too_many_arguments)]
-    fn submit_overloaded(
-        &mut self,
-        now_s: f64,
-        spec: SessionSpec,
-        scene: &'a AnalyticScene,
-        model: &'a dyn NerfModel,
-        feed: QueuedFeed<'a>,
-        intrinsics: Intrinsics,
-        fps: f64,
-        frames: u64,
-    ) -> Result<SubmitOutcome, ServeError> {
-        // Freshly drained capacity admits queued work *before* the newcomer:
-        // the queue is a FIFO per priority, not a stack.
-        self.pump_overload(now_s);
-        let direct = {
-            let ov = self.overload.as_ref().expect("overload armed");
-            ov.queue.is_empty()
-                && self
-                    .admission
-                    .would_fit(self.admission.estimate_load(&spec, intrinsics, fps))
-        };
-        if direct {
-            let adm = self.admit(spec, intrinsics, fps)?;
-            let pipe = Self::build_pipe(scene, model, feed, &adm);
-            return Ok(SubmitOutcome::Admitted(
-                self.install_session(adm, fps, pipe),
-            ));
-        }
-        let ctl = self.overload.as_ref().expect("overload armed").ctl;
-        let frame_interval_s = 1.0 / fps;
-        // The SLO admission deadline: the session must *start* within the
-        // slack-scaled class deadline of its requested start (floored at the
-        // submission instant — queueing cannot owe time before the client
-        // even asked).
-        let deadline_to_start_s = spec.start_offset_s.max(now_s)
-            + spec.qos.deadline_frames() * frame_interval_s * ctl.deadline_slack;
-        let ov = self.overload.as_mut().expect("overload armed");
-        let seq = ov.next_seq;
-        ov.next_seq += 1;
-        if ov.queue.len() >= ctl.queue_capacity {
-            // Overflow: shed the entry predicted to miss its SLO — the least
-            // slack across the queue *and* the incoming request (ties to the
-            // lower QoS class, then the newest arrival).
-            let incoming_slack = deadline_to_start_s - now_s;
-            let incoming_is_victim = match ov.victim(now_s) {
-                None => true, // zero-capacity queue: pure backpressure
-                Some(v) => {
-                    let q = &ov.queue[v];
-                    incoming_slack
-                        .total_cmp(&q.slack_s(now_s))
-                        .then(q.spec.qos.priority().cmp(&spec.qos.priority()))
-                        .then(q.seq.cmp(&seq))
-                        .is_lt()
-                }
-            };
-            if incoming_is_victim {
-                let depth = ov.queue.len();
-                ov.report.backpressure += 1;
-                telemetry::add(telemetry::Counter::OverloadBackpressure, 1);
-                return Err(ServeError::Overloaded {
-                    retry_after_s: ctl.min_retry_s * (1.0 + depth as f64),
-                });
-            }
-            let v = ov.victim(now_s).expect("non-empty queue has a victim");
-            let shed = ov.queue.remove(v);
-            ov.tickets[shed.ticket] = TicketState::Shed;
-            ov.note_shed(&shed.spec, shed.frames);
-            telemetry::instant(
-                telemetry::Phase::OverloadShed,
-                shed.ticket as u64,
-                shed.spec.qos.priority() as u64,
-            );
-        }
-        let ticket = ov.tickets.len();
-        let depth = ov.queue.len();
-        ov.report.enqueued += 1;
-        ov.report.queue_depth_hist[OverloadReport::depth_bucket(depth)] += 1;
-        ov.report.queue_peak = ov.report.queue_peak.max(depth as u64 + 1);
-        ov.tickets.push(TicketState::Pending);
-        telemetry::instant(
-            telemetry::Phase::OverloadEnqueue,
-            ticket as u64,
-            spec.qos.priority() as u64,
-        );
-        telemetry::add(telemetry::Counter::OverloadEnqueued, 1);
-        telemetry::observe(telemetry::Hist::OverloadQueueDepth, depth as u64);
-        ov.queue.push(QueuedSubmission {
-            ticket,
-            seq,
-            spec,
-            scene,
-            model,
-            feed,
-            intrinsics,
-            fps,
-            frames,
-            enqueued_s: now_s,
-            deadline_to_start_s,
-        });
-        Ok(SubmitOutcome::Queued(ticket))
-    }
-
-    /// Builds the pipeline for an admitted (possibly degraded) submission.
-    fn build_pipe(
-        scene: &'a AnalyticScene,
-        model: &'a dyn NerfModel,
-        feed: QueuedFeed<'a>,
-        adm: &QosAdmission,
-    ) -> PipelineSession<'a> {
-        match feed {
-            QueuedFeed::Trajectory(traj) => {
-                PipelineSession::new(scene, model, traj, adm.intrinsics, &adm.spec.config)
-            }
-            QueuedFeed::Stream { fps } => {
-                PipelineSession::new_streaming(scene, model, fps, adm.intrinsics, &adm.spec.config)
-            }
-        }
-    }
-
-    /// Drains the pending-admission queue at simulated instant `now_s`, in
-    /// (QoS priority, arrival) order: entries that fit admit at full
-    /// fidelity; entries at their SLO admission deadline brown out through
-    /// the configured ladder (or shed without one); the rest keep waiting.
-    /// A no-op on an empty queue — and therefore on every disarmed or
-    /// underloaded server.
-    pub(crate) fn pump_overload(&mut self, now_s: f64) {
-        if self.overload.as_ref().is_none_or(|ov| ov.queue.is_empty()) {
-            return;
-        }
-        // Drained sessions hand their capacity back before the queue pumps.
-        self.release_drained_loads();
-        let mut pending = {
-            let ov = self.overload.as_mut().expect("overload armed");
-            ov.pump_order();
-            std::mem::take(&mut ov.queue)
-        };
-        let mut requeue: Vec<QueuedSubmission<'a>> = Vec::new();
-        for q in pending.drain(..) {
-            let est = self.admission.estimate_load(&q.spec, q.intrinsics, q.fps);
-            if self.admission.would_fit(est) {
-                match self.admit(q.spec.clone(), q.intrinsics, q.fps) {
-                    Ok(adm) => {
-                        let pipe = Self::build_pipe(q.scene, q.model, q.feed, &adm);
-                        let id = self.install_session(adm, q.fps, pipe);
-                        // A queued session cannot serve before it was
-                        // admitted; late admission shows up as latency.
-                        self.sessions[id].resume_floor_s = now_s;
-                        let ov = self.overload.as_mut().expect("overload armed");
-                        ov.tickets[q.ticket] = TicketState::Admitted(id);
-                        ov.report.queue_admits += 1;
-                        ov.report.max_queue_wait_s =
-                            ov.report.max_queue_wait_s.max(now_s - q.enqueued_s);
-                    }
-                    Err(_) => {
-                        // The capacity probe passed but a hard limit (the
-                        // session cap) still refused: shed.
-                        let ov = self.overload.as_mut().expect("overload armed");
-                        ov.tickets[q.ticket] = TicketState::Shed;
-                        ov.note_shed(&q.spec, q.frames);
-                        telemetry::instant(
-                            telemetry::Phase::OverloadShed,
-                            q.ticket as u64,
-                            q.spec.qos.priority() as u64,
-                        );
-                    }
-                }
-            } else if now_s >= q.deadline_to_start_s {
-                // SLO deadline reached before capacity: brownout before
-                // shed, shed before serving predictably-late frames.
-                let ladder = self.overload.as_ref().expect("overload armed").ctl.brownout;
-                let browned = ladder.and_then(|ladder| {
-                    let mut spec = q.spec.clone();
-                    if self.cfg.render_threads > 0 {
-                        spec.config.render_threads = self.cfg.render_threads;
-                    }
-                    ladder
-                        .admit(&spec, q.intrinsics, q.fps, &mut self.admission)
-                        .ok()
-                });
-                match browned {
-                    Some(adm) => {
-                        let pipe = Self::build_pipe(q.scene, q.model, q.feed, &adm);
-                        let id = self.install_session(adm, q.fps, pipe);
-                        self.sessions[id].resume_floor_s = now_s;
-                        let ov = self.overload.as_mut().expect("overload armed");
-                        ov.tickets[q.ticket] = TicketState::Admitted(id);
-                        ov.report.brownout_admits += 1;
-                        ov.report.max_queue_wait_s =
-                            ov.report.max_queue_wait_s.max(now_s - q.enqueued_s);
-                    }
-                    None => {
-                        let ov = self.overload.as_mut().expect("overload armed");
-                        ov.tickets[q.ticket] = TicketState::Shed;
-                        ov.note_shed(&q.spec, q.frames);
-                        telemetry::instant(
-                            telemetry::Phase::OverloadShed,
-                            q.ticket as u64,
-                            q.spec.qos.priority() as u64,
-                        );
-                    }
-                }
-            } else {
-                requeue.push(q);
-            }
-        }
-        self.overload.as_mut().expect("overload armed").queue = requeue;
-    }
-
-    /// Records a fleet diversion *off* this shard: the fleet found it had no
-    /// immediate headroom and routed the admission to a sibling instead. A
-    /// no-op without armed overload control.
-    pub(crate) fn note_diversion(&mut self) {
-        if let Some(ov) = self.overload.as_mut() {
-            ov.report.diversions += 1;
-        }
-    }
-
-    /// Sheds every pending queue entry — the shard is dying and nothing will
-    /// ever pump its queue again. Admitted sessions are *not* touched (they
-    /// migrate through [`take_live_sessions`](Self::take_live_sessions)).
-    pub(crate) fn shed_queue(&mut self) {
-        let Some(ov) = self.overload.as_mut() else {
-            return;
-        };
-        let queue = std::mem::take(&mut ov.queue);
-        for q in queue {
-            ov.tickets[q.ticket] = TicketState::Shed;
-            ov.note_shed(&q.spec, q.frames);
-            telemetry::instant(
-                telemetry::Phase::OverloadShed,
-                q.ticket as u64,
-                q.spec.qos.priority() as u64,
-            );
-        }
-    }
-
-    /// Earliest SLO admission deadline across the pending queue — the
-    /// simulated instant the run loop must advance to when every admitted
-    /// session has drained but submissions still wait. `None` when nothing
-    /// is queued.
-    pub(crate) fn queue_frontier_s(&self) -> Option<f64> {
-        self.overload.as_ref().and_then(|ov| {
-            ov.queue
-                .iter()
-                .map(|q| q.deadline_to_start_s)
-                .min_by(f64::total_cmp)
-        })
     }
 
     /// Feeds one pose to a streaming session. Errors for whole-trajectory
@@ -899,414 +251,23 @@ impl<'a> FrameServer<'a> {
         Ok(())
     }
 
-    /// Simulated duration of a reference render priced on `soc` — the worker
-    /// that executes it: SoC speed locally, workstation speed for remote
-    /// sessions.
-    fn reference_duration(sess: &ServeSession<'_>, soc: &SocModel, w: &FrameWorkload) -> f64 {
-        match sess.spec.config.scenario {
-            Scenario::Local => soc.full_frame(w, sess.spec.config.variant).time_s,
-            Scenario::Remote => soc.remote_full_render_time(w),
-        }
-    }
-
-    /// Prices, caches and installs one freshly rendered reference — the
-    /// commit half of a reference job, always executed in deterministic
-    /// plan order on the simulated timeline.
-    ///
-    /// Demand renders (`JobKind::Reference`) install into the session and
-    /// publish to the cache. Speculative renders (`JobKind::Prefetch`)
-    /// publish to the cache **only** — the owning session's later demand
-    /// lookup then scores an ordinary, accounted hit, which keeps prefetch
-    /// economics visible in the report.
-    ///
-    /// With an armed injector each attempt may crash (partial bill +
-    /// quarantine) and the `recovery` ladder takes over: deterministic
-    /// backoff retries, then — for demand renders out of attempts — warping
-    /// from the best stale cached reference within the policy's pose-error
-    /// radius, then a final guaranteed degraded re-render. Crashed prefetch
-    /// renders are simply abandoned: speculation is not worth chasing.
-    #[allow(clippy::too_many_arguments)]
-    fn commit_reference(
-        placement: &dyn PlacementPolicy,
-        pool: &mut WorkerPool,
-        cache: &mut RefCache,
-        reference_jobs: &mut u64,
-        mut injector: Option<&mut FaultInjector>,
-        recovery: &dyn RecoveryPolicy,
-        sess: &mut ServeSession<'_>,
-        kind: JobKind,
-        r: usize,
-        pose: Pose,
-        mut dispatch_at: f64,
-        frame: Frame,
-        workload: FrameWorkload,
-    ) {
-        let frame = Arc::new(frame);
-        let domain: u64 = if kind == JobKind::Prefetch { 2 } else { 0 };
-        let mut attempt: u64 = 1;
-        let mut faulted = false;
-        // Crash ladder: each attempt draws independently on its keyed
-        // (session, reference, attempt | domain) triple.
-        while let Some(inj) = injector.as_deref_mut() {
-            if !inj.fires(
-                FaultKind::WorkerCrash,
-                sess.id as u64,
-                r as u64,
-                (attempt << 2) | domain,
-            ) {
-                break;
-            }
-            faulted = true;
-            let worker = placement.place(
-                &PlacementJob {
-                    kind,
-                    session: sess.id,
-                    scene_key: &sess.spec.scene_key,
-                    ready_at_s: dispatch_at,
-                },
-                pool,
-            );
-            let duration = Self::reference_duration(sess, &pool.workers()[worker].soc, &workload);
-            // The crashed attempt bills its partial progress, then the worker
-            // sits out its respawn window.
-            let failed = pool.assign(worker, dispatch_at, duration * inj.plan().crash_fraction);
-            pool.quarantine(worker, failed.end_s + recovery.quarantine_s(duration));
-            inj.report.worker_crashes += 1;
-            inj.report.quarantines += 1;
-            inj.report.respawns += 1;
-            telemetry::instant(telemetry::Phase::FaultInject, sess.id as u64, r as u64);
-            telemetry::add(telemetry::Counter::FaultsInjected, 1);
-            telemetry::instant(telemetry::Phase::Quarantine, worker as u64, 0);
-            telemetry::add(telemetry::Counter::Quarantines, 1);
-            if kind == JobKind::Prefetch {
-                // Abandon the speculation: the dispatched job is still
-                // accounted, but nothing is published.
-                *reference_jobs += 1;
-                return;
-            }
-            if attempt < u64::from(recovery.max_attempts()) {
-                let backoff = recovery.backoff_s(attempt as u32, duration);
-                inj.report.retries += 1;
-                inj.report.time_to_recover_s += (failed.end_s - dispatch_at) + backoff;
-                telemetry::instant(telemetry::Phase::FaultRetry, sess.id as u64, r as u64);
-                telemetry::add(telemetry::Counter::FaultRetries, 1);
-                dispatch_at = failed.end_s + backoff;
-                attempt += 1;
-                continue;
-            }
-            // Out of attempts — rung two: warp from the best stale cached
-            // reference within the policy's pose-error radius. Cicero's
-            // warping tolerates bounded pose error, so a nearby stale entry
-            // is a valid degraded warp source; installing it under its *own*
-            // pose keeps the warp geometry consistent.
-            if let Some(hit) = cache.best_within(
-                &sess.cache_key,
-                sess.pipe.intrinsics(),
-                &pose,
-                recovery.stale_pos_radius(),
-                recovery.stale_rot_radius(),
-            ) {
-                let frames = sess.pipe.reference_consumers(r);
-                inj.report.fallback_warps += 1;
-                inj.report.fallback_warp_frames += frames as u64;
-                inj.report.time_to_recover_s += failed.end_s - dispatch_at;
-                inj.report.fallbacks.push(FallbackRecord {
-                    session: sess.id,
-                    ref_index: r,
-                    pos_error: (hit.pose.position - pose.position).length(),
-                    rot_error: hit.pose.rotation.angle_to(pose.rotation),
-                    frames,
-                });
-                telemetry::instant(telemetry::Phase::FaultFallback, sess.id as u64, r as u64);
-                telemetry::add(telemetry::Counter::FaultFallbacks, 1);
-                telemetry::observe(telemetry::Hist::RetryAttempts, attempt - 1);
-                sess.pipe
-                    .install_reference(r, hit.pose, hit.frame.clone(), hit.workload.clone());
-                sess.ref_ready[r] = Some(failed.end_s.max(hit.available_at_s));
-                sess.ref_faulted[r] = true;
-                *reference_jobs += 1;
-                return;
-            }
-            // Rung three: nothing in radius — one final guaranteed
-            // (degraded) re-render, committed normally below.
-            inj.report.degraded_rerenders += 1;
-            inj.report.time_to_recover_s += failed.end_s - dispatch_at;
-            telemetry::instant(telemetry::Phase::FaultFallback, sess.id as u64, r as u64);
-            telemetry::add(telemetry::Counter::FaultFallbacks, 1);
-            dispatch_at = failed.end_s;
-            break;
-        }
-        let worker = placement.place(
-            &PlacementJob {
-                kind,
-                session: sess.id,
-                scene_key: &sess.spec.scene_key,
-                ready_at_s: dispatch_at,
-            },
-            pool,
-        );
-        let mut duration = Self::reference_duration(sess, &pool.workers()[worker].soc, &workload);
-        if let Some(inj) = injector {
-            if inj.fires(FaultKind::Straggler, sess.id as u64, r as u64, domain) {
-                duration *= inj.plan().straggler_factor;
-                inj.report.stragglers += 1;
-                faulted = true;
-                telemetry::instant(telemetry::Phase::FaultInject, sess.id as u64, r as u64);
-                telemetry::add(telemetry::Counter::FaultsInjected, 1);
-            }
-            if attempt > 1 {
-                telemetry::observe(telemetry::Hist::RetryAttempts, attempt - 1);
-            }
-        }
-        let span = pool.assign(worker, dispatch_at, duration);
-        telemetry::sim_span(
-            telemetry::Phase::ServeReference,
-            worker as u32,
-            span.start_s,
-            span.end_s,
-            sess.id as u64,
-            r as u64,
-        );
-        telemetry::add(telemetry::Counter::ServeReferenceJobs, 1);
-        let cached = CachedReference {
-            pose,
-            frame: frame.clone(),
-            workload: workload.clone(),
-            available_at_s: span.end_s,
+    /// Splits the server into the simulated-side state a commit pass bills
+    /// against and the sessions it bills for.
+    pub(crate) fn sim(&mut self) -> (SimCtx<'_>, &mut SessionManager<'a>) {
+        let sim = SimCtx {
+            pool: &mut self.pool,
+            cache: &mut self.cache,
+            injector: self.injector.as_mut(),
+            placement: self.cfg.policies.placement.as_ref(),
+            recovery: self.cfg.policies.recovery.as_ref(),
+            reference_jobs: &mut self.reference_jobs,
+            records: &mut self.records,
         };
-        if kind == JobKind::Prefetch {
-            cache.insert_prefetched(&sess.cache_key, sess.pipe.intrinsics(), cached);
-        } else {
-            cache.insert(&sess.cache_key, sess.pipe.intrinsics(), cached);
-            sess.pipe.install_reference(r, pose, frame, workload);
-            sess.ref_ready[r] = Some(span.end_s);
-            if faulted {
-                sess.ref_faulted[r] = true;
-            }
-        }
-        *reference_jobs += 1;
-    }
-
-    /// Phase A: resolve or dispatch every reference needed within the
-    /// lookahead horizon, as one batch.
-    ///
-    /// Three sub-phases keep the simulated timeline independent of host
-    /// concurrency: **plan** (sequential, session-id order) resolves cache
-    /// hits and dedupes same-cell requests planned within this batch;
-    /// **render** executes the missing full renders concurrently on the
-    /// host render pool; **commit** (sequential, plan order) prices each
-    /// render on the least-loaded simulated worker, publishes it to the
-    /// cache and installs it — bit-identical bookkeeping at any host
-    /// thread budget.
-    fn dispatch_references(&mut self) {
-        struct RefJob {
-            sess: SessionId,
-            r: usize,
-            kind: JobKind,
-            pose: Pose,
-            dispatch_at: f64,
-            rendered: Option<(Frame, FrameWorkload)>,
-        }
-
-        // Plan: hits install immediately; a miss whose quantized cell was
-        // already planned this batch defers to the producer's commit; the
-        // rest become render jobs.
-        let mut jobs: Vec<Mutex<RefJob>> = Vec::new();
-        let mut deferred: Vec<(SessionId, usize)> = Vec::new();
-        let mut pending: HashSet<CacheKey> = HashSet::new();
-        let mut requested: HashSet<(SessionId, usize)> = HashSet::new();
-        for sess in self.sessions.iter_mut().filter(|s| !s.pipe.is_done()) {
-            let horizon = self.cfg.lookahead.unwrap_or(sess.spec.config.window.max(1));
-            let dispatch_at = sess.arrival_s(sess.pipe.cursor()).max(sess.resume_floor_s);
-            for r in sess.pipe.upcoming_references(horizon) {
-                let pose = sess.pipe.reference_pose(r);
-                let intrinsics = sess.pipe.intrinsics();
-                // A cell already planned this batch cannot be in the cache
-                // (its producer's lookup just missed), so checking `pending`
-                // first is semantically free — and it keeps the stats equal
-                // to serial dispatch: the deferred sharer's only counted
-                // lookup is the hit it scores at commit time.
-                if [1.0f32, -1.0].iter().any(|&s| {
-                    pending.contains(&self.cache.cell(&sess.cache_key, intrinsics, &pose, s))
-                }) {
-                    deferred.push((sess.id, r));
-                    requested.insert((sess.id, r));
-                    continue;
-                }
-                // Corruption is detected at demand lookup: the resident entry
-                // is invalidated and the ordinary miss path below renders a
-                // fresh replacement.
-                if let Some(inj) = &mut self.injector {
-                    if inj.fires(FaultKind::CacheCorruption, sess.id as u64, r as u64, 0)
-                        && self.cache.invalidate(&sess.cache_key, intrinsics, &pose)
-                    {
-                        inj.report.cache_corruptions += 1;
-                        telemetry::instant(telemetry::Phase::FaultInject, sess.id as u64, r as u64);
-                        telemetry::add(telemetry::Counter::FaultsInjected, 1);
-                    }
-                }
-                if let Some(hit) = self.cache.lookup(&sess.cache_key, intrinsics, &pose) {
-                    sess.pipe.install_reference(
-                        r,
-                        hit.pose,
-                        hit.frame.clone(),
-                        hit.workload.clone(),
-                    );
-                    sess.ref_ready[r] = Some(hit.available_at_s);
-                    sess.cache_hits += 1;
-                } else {
-                    pending.insert(self.cache.cell(&sess.cache_key, intrinsics, &pose, 1.0));
-                    requested.insert((sess.id, r));
-                    jobs.push(Mutex::new(RefJob {
-                        sess: sess.id,
-                        r,
-                        kind: JobKind::Reference,
-                        pose,
-                        dispatch_at,
-                        rendered: None,
-                    }));
-                }
-            }
-        }
-
-        // Prefetch: when demand underfills the *simulated* pool, the policy
-        // may fill idle workers with the next window's predicted references.
-        // Candidates are scanned in session-id order past the demand
-        // horizon; `peek` probes keep demand hit/miss statistics untouched.
-        // The budget is a function of simulated state only, so prefetch
-        // decisions — like everything else here — are bit-identical at any
-        // host thread budget.
-        let prefetch_budget = self.cfg.policies.prefetch.budget(jobs.len(), &self.pool);
-        if prefetch_budget > 0 {
-            let mut remaining = prefetch_budget;
-            'sessions: for sess in self.sessions.iter().filter(|s| !s.pipe.is_done()) {
-                let window = sess.spec.config.window.max(1);
-                let horizon = self.cfg.lookahead.unwrap_or(window);
-                let extra = self.cfg.policies.prefetch.extra_horizon(window);
-                if extra == 0 {
-                    continue;
-                }
-                let dispatch_at = sess.arrival_s(sess.pipe.cursor()).max(sess.resume_floor_s);
-                for r in sess.pipe.upcoming_references(horizon + extra) {
-                    if requested.contains(&(sess.id, r)) {
-                        continue; // already a demand job this round
-                    }
-                    let pose = sess.pipe.reference_pose(r);
-                    let intrinsics = sess.pipe.intrinsics();
-                    if [1.0f32, -1.0].iter().any(|&s| {
-                        pending.contains(&self.cache.cell(&sess.cache_key, intrinsics, &pose, s))
-                    }) || self.cache.peek(&sess.cache_key, intrinsics, &pose)
-                    {
-                        continue; // someone is (or has) rendered this cell
-                    }
-                    pending.insert(self.cache.cell(&sess.cache_key, intrinsics, &pose, 1.0));
-                    jobs.push(Mutex::new(RefJob {
-                        sess: sess.id,
-                        r,
-                        kind: JobKind::Prefetch,
-                        pose,
-                        dispatch_at,
-                        rendered: None,
-                    }));
-                    remaining -= 1;
-                    if remaining == 0 {
-                        break 'sessions;
-                    }
-                }
-            }
-        }
-
-        // Render: the expensive full renders, fanned out across the host
-        // render pool (each render's own tile passes use the session's lane
-        // count, so nested checkouts divide whatever is left of the budget).
-        let budget = self.cfg.render_threads;
-        if !jobs.is_empty() {
-            if budget >= 1 {
-                let per = (budget / jobs.len().min(budget)).max(1);
-                for job in &jobs {
-                    let job = job.lock().unwrap();
-                    self.sessions[job.sess].pipe.set_render_threads(per);
-                }
-            }
-            let drivers = if budget >= 1 {
-                jobs.len().min(budget)
-            } else {
-                1
-            };
-            fan_out(&jobs, drivers, |job| {
-                job.rendered = Some(self.sessions[job.sess].pipe.render_reference(job.r));
-            });
-        }
-
-        // Commit: deterministic plan order, then resolve the deferred
-        // same-batch sharers against the now-published entries.
-        let placement = self.cfg.policies.placement.clone();
-        let recovery = self.cfg.policies.recovery.clone();
-        for job in jobs {
-            let job = job.into_inner().unwrap();
-            let (frame, workload) = job.rendered.expect("job was rendered");
-            if job.kind == JobKind::Prefetch {
-                self.prefetch_jobs += 1;
-                telemetry::add(telemetry::Counter::ServePrefetchJobs, 1);
-            }
-            Self::commit_reference(
-                placement.as_ref(),
-                &mut self.pool,
-                &mut self.cache,
-                &mut self.reference_jobs,
-                self.injector.as_mut(),
-                recovery.as_ref(),
-                &mut self.sessions[job.sess],
-                job.kind,
-                job.r,
-                job.pose,
-                job.dispatch_at,
-                frame,
-                workload,
-            );
-        }
-        for (id, r) in deferred {
-            let sess = &mut self.sessions[id];
-            let pose = sess.pipe.reference_pose(r);
-            let intrinsics = sess.pipe.intrinsics();
-            match self.cache.lookup(&sess.cache_key, intrinsics, &pose) {
-                Some(hit) => {
-                    sess.pipe.install_reference(
-                        r,
-                        hit.pose,
-                        hit.frame.clone(),
-                        hit.workload.clone(),
-                    );
-                    sess.ref_ready[r] = Some(hit.available_at_s);
-                    sess.cache_hits += 1;
-                }
-                // The producing entry was evicted between commit and resolve
-                // (tiny cache capacity): fall back to an own render.
-                None => {
-                    let dispatch_at = sess.arrival_s(sess.pipe.cursor()).max(sess.resume_floor_s);
-                    let (frame, workload) = sess.pipe.render_reference(r);
-                    Self::commit_reference(
-                        placement.as_ref(),
-                        &mut self.pool,
-                        &mut self.cache,
-                        &mut self.reference_jobs,
-                        self.injector.as_mut(),
-                        recovery.as_ref(),
-                        &mut self.sessions[id],
-                        JobKind::Reference,
-                        r,
-                        pose,
-                        dispatch_at,
-                        frame,
-                        workload,
-                    );
-                }
-            }
-        }
+        (sim, &mut self.sessions)
     }
 
     /// Readiness time of a session's next frame: client arrival (floored by
-    /// the post-failover resume floor, a no-op on unmigrated sessions),
+    /// the resume floor, a no-op on sessions never queued or migrated),
     /// gated by the availability of its warp source. A starved streaming
     /// session — next pose not yet pushed, or its warping window not yet
     /// fully planned — is never ready.
@@ -1314,7 +275,7 @@ impl<'a> FrameServer<'a> {
         if !sess.pipe.can_step() {
             return f64::INFINITY;
         }
-        let arrival = sess.arrival_s(sess.pipe.cursor()).max(sess.resume_floor_s);
+        let arrival = sess.next_arrival_s();
         match sess.pipe.next_plan() {
             Some(FramePlan::Warp { ref_index }) => {
                 arrival.max(sess.ref_ready[ref_index].unwrap_or(arrival))
@@ -1324,12 +285,13 @@ impl<'a> FrameServer<'a> {
     }
 
     /// Lower bound on the next round's dispatch time: the minimum
-    /// [`ready_time`](Self::ready_time) over live sessions *before* this
+    /// [`ready_time`](Self::ready_time) over live sessions *before* that
     /// round's references are dispatched (reference gating can only push
     /// readiness later). Infinite when no session can serve — exactly when
     /// [`run_round`](Self::run_round) would return `None`. The fleet uses
     /// this to order shard rounds on the global simulated timeline and to
-    /// gate heartbeat processing.
+    /// gate heartbeat processing; the replay harness to interleave rounds
+    /// with client events.
     pub(crate) fn next_ready_s(&self) -> f64 {
         self.sessions
             .iter()
@@ -1338,360 +300,212 @@ impl<'a> FrameServer<'a> {
             .fold(f64::INFINITY, f64::min)
     }
 
-    /// Runs one scheduling round — reference dispatch plus one ready batch
-    /// of target frames — and returns the batch's dispatch-readiness time,
-    /// or `None` when no session can serve (all drained, or every streaming
-    /// session starved).
-    ///
-    /// [`run`](Self::run) is a loop over this; a [`crate::Fleet`] instead
-    /// interleaves rounds of many shards on one simulated timeline. The
-    /// half-interval batching epsilon is recomputed from the current session
-    /// set each round: identical every round on a fixed set (so a bare
-    /// server is byte-identical to the historical single-loop form) and
-    /// correctly reflecting sessions adopted mid-run on a fleet shard.
+    /// Runs one scheduling round — the four stages of the module docs — and
+    /// returns the batch's dispatch-readiness time, or `None` when no
+    /// session can serve (all drained, or every streaming session starved).
     pub(crate) fn run_round(&mut self) -> Option<f64> {
-        let budget = self.cfg.render_threads;
-        let placement = self.cfg.policies.placement.clone();
-        let recovery = self.cfg.policies.recovery.clone();
-        let eps = 0.5
-            * self
-                .sessions
-                .iter()
-                .map(|s| s.frame_interval_s)
-                .fold(f64::INFINITY, f64::min)
-                .max(1e-9);
-
-        {
-            self.dispatch_references();
-
-            // The ready batch: everyone within eps of the earliest-ready
-            // frame, ordered by QoS priority, deadline, id. Membership and
-            // order depend only on simulated time.
-            let min_ready = self
-                .sessions
-                .iter()
-                .filter(|s| !s.pipe.is_done())
-                .map(|s| Self::ready_time(s))
-                .fold(f64::INFINITY, f64::min);
-            if !min_ready.is_finite() {
-                return None;
-            }
-            let mut batch: Vec<SessionId> = self
-                .sessions
-                .iter()
-                .filter(|s| !s.pipe.is_done())
-                .filter(|s| Self::ready_time(s) <= min_ready + eps)
-                .map(|s| s.id)
-                .collect();
-            batch.sort_by(|&a, &b| {
-                let (a, b) = (&self.sessions[a], &self.sessions[b]);
-                let ka = (a.spec.qos.priority(), a.deadline_s(a.pipe.cursor()));
-                let kb = (b.spec.qos.priority(), b.deadline_s(b.pipe.cursor()));
-                ka.0.cmp(&kb.0)
-                    .then(ka.1.total_cmp(&kb.1))
-                    .then(a.id.cmp(&b.id))
-            });
-
-            // Step the batch — concurrently when the budget allows,
-            // partitioning the host threads evenly across the drivers. The
-            // pre-step snapshot (arrival, readiness, plan) travels with
-            // each entry so bookkeeping below never re-derives state from a
-            // stepped session.
-            struct Stepped {
-                frame_index: usize,
-                arrival_s: f64,
-                ready_s: f64,
-                deadline_s: f64,
-                plan: Option<FramePlan>,
-                step: SessionStep,
-            }
-            let drivers = if budget >= 1 {
-                batch.len().min(budget)
-            } else {
-                1
-            };
-            let per_session = if budget >= 1 {
-                (budget / drivers).max(1)
-            } else {
-                0
-            };
-            let mut by_id: Vec<Option<&mut ServeSession<'a>>> = self.sessions.by_id_mut();
-            let entries: Vec<Mutex<(&mut ServeSession<'a>, Option<Stepped>)>> = batch
-                .iter()
-                .map(|&id| {
-                    let sess = by_id[id].take().expect("batch ids are distinct");
-                    if per_session >= 1 {
-                        sess.pipe.set_render_threads(per_session);
-                    }
-                    Mutex::new((sess, None))
-                })
-                .collect();
-            fan_out(&entries, drivers, |entry| {
-                let sess = &mut *entry.0;
-                let frame_index = sess.pipe.cursor();
-                entry.1 = Some(Stepped {
-                    frame_index,
-                    arrival_s: sess.arrival_s(frame_index),
-                    ready_s: Self::ready_time(sess),
-                    deadline_s: sess.deadline_s(frame_index),
-                    plan: sess.pipe.next_plan(),
-                    step: sess.pipe.step().expect("session not done"),
-                });
-            });
-
-            // Bookkeeping in batch order on the simulated timeline —
-            // identical whether the steps above ran serially or fanned out.
-            let batch_jobs = entries.len();
-            let mut batch_end = min_ready;
-            for entry in entries {
-                let (sess, stepped) = entry.into_inner().unwrap();
-                let st = stepped.expect("every batch entry stepped");
-                let mut ready = st.ready_s;
-                // A frame is fault-affected if its own job faults below or
-                // its warp source was fault-delayed — only those frames are
-                // eligible for watchdog accounting.
-                let mut affected = matches!(
-                    st.plan,
-                    Some(FramePlan::Warp { ref_index }) if sess.ref_faulted[ref_index]
-                );
-                if let Some(inj) = self.injector.as_mut() {
-                    // Target frames retry in place: their pixels exist
-                    // host-side, a crash only costs simulated time, and the
-                    // final attempt always succeeds (no fallback rungs).
-                    let mut attempt: u64 = 1;
-                    while attempt < u64::from(recovery.max_attempts())
-                        && inj.fires(
-                            FaultKind::WorkerCrash,
-                            sess.id as u64,
-                            st.frame_index as u64,
-                            (attempt << 2) | 1,
-                        )
-                    {
-                        affected = true;
-                        let worker = placement.place(
-                            &PlacementJob {
-                                kind: JobKind::Target,
-                                session: sess.id,
-                                scene_key: &sess.spec.scene_key,
-                                ready_at_s: ready,
-                            },
-                            &self.pool,
-                        );
-                        let duration = sess
-                            .pipe
-                            .service_time_on(&self.pool.workers()[worker].soc, &st.step);
-                        let failed =
-                            self.pool
-                                .assign(worker, ready, duration * inj.plan().crash_fraction);
-                        self.pool
-                            .quarantine(worker, failed.end_s + recovery.quarantine_s(duration));
-                        let backoff = recovery.backoff_s(attempt as u32, duration);
-                        inj.report.worker_crashes += 1;
-                        inj.report.quarantines += 1;
-                        inj.report.respawns += 1;
-                        inj.report.retries += 1;
-                        inj.report.time_to_recover_s += (failed.end_s - ready) + backoff;
-                        telemetry::instant(
-                            telemetry::Phase::FaultInject,
-                            sess.id as u64,
-                            st.frame_index as u64,
-                        );
-                        telemetry::add(telemetry::Counter::FaultsInjected, 1);
-                        telemetry::instant(telemetry::Phase::Quarantine, worker as u64, 0);
-                        telemetry::add(telemetry::Counter::Quarantines, 1);
-                        telemetry::instant(
-                            telemetry::Phase::FaultRetry,
-                            sess.id as u64,
-                            st.frame_index as u64,
-                        );
-                        telemetry::add(telemetry::Counter::FaultRetries, 1);
-                        ready = failed.end_s + backoff;
-                        attempt += 1;
-                    }
-                    if attempt > 1 {
-                        telemetry::observe(telemetry::Hist::RetryAttempts, attempt - 1);
-                    }
-                }
-                let worker = placement.place(
-                    &PlacementJob {
-                        kind: JobKind::Target,
-                        session: sess.id,
-                        scene_key: &sess.spec.scene_key,
-                        ready_at_s: ready,
-                    },
-                    &self.pool,
-                );
-                let mut duration = sess
-                    .pipe
-                    .service_time_on(&self.pool.workers()[worker].soc, &st.step);
-                if let Some(inj) = self.injector.as_mut() {
-                    if inj.fires(
-                        FaultKind::Straggler,
-                        sess.id as u64,
-                        st.frame_index as u64,
-                        1,
-                    ) {
-                        duration *= inj.plan().straggler_factor;
-                        inj.report.stragglers += 1;
-                        affected = true;
-                        telemetry::instant(
-                            telemetry::Phase::FaultInject,
-                            sess.id as u64,
-                            st.frame_index as u64,
-                        );
-                        telemetry::add(telemetry::Counter::FaultsInjected, 1);
-                    }
-                }
-                let span = self.pool.assign(worker, ready, duration);
-                // In-stream reference renders publish their availability —
-                // to the session itself and, like off-stream references, to
-                // the shared cache so co-located sessions reaching the same
-                // pose later skip the render.
-                if let Some(FramePlan::FullRender { ref_index }) = st.plan {
-                    sess.ref_ready[ref_index] = Some(span.end_s);
-                    if affected {
-                        sess.ref_faulted[ref_index] = true;
-                    }
-                    if let Some(workload) = sess.pipe.reference_workload().cloned() {
-                        let frame = sess
-                            .pipe
-                            .reference_frame(ref_index)
-                            .expect("in-stream reference was just materialized");
-                        self.cache.insert(
-                            &sess.cache_key,
-                            sess.pipe.intrinsics(),
-                            CachedReference {
-                                pose: sess.pipe.reference_pose(ref_index),
-                                frame,
-                                workload,
-                                available_at_s: span.end_s,
-                            },
-                        );
-                    }
-                }
-                telemetry::sim_span(
-                    telemetry::Phase::ServeFrame,
-                    span.worker as u32,
-                    span.start_s,
-                    span.end_s,
-                    sess.id as u64,
-                    st.frame_index as u64,
-                );
-                telemetry::add(telemetry::Counter::ServeFrames, 1);
-                batch_end = batch_end.max(span.end_s);
-                let record = FrameRecord {
-                    session: sess.id,
-                    frame_index: st.frame_index,
-                    arrival_s: st.arrival_s,
-                    start_s: span.start_s,
-                    completion_s: span.end_s,
-                    deadline_s: st.deadline_s,
-                    worker: span.worker,
-                    full_render: st.step.outcome.full_render,
-                };
-                if record.missed_deadline() {
-                    sess.deadline_misses += 1;
-                    // The watchdog converts fault-caused overruns into
-                    // accounted grants (within the policy's slack) instead
-                    // of silent misses; beyond the slack the frame counts
-                    // against availability. Deadline-miss statistics are
-                    // untouched either way — grants are accounting, not
-                    // forgiveness.
-                    if affected {
-                        if let Some(inj) = self.injector.as_mut() {
-                            let slack = recovery.watchdog_slack_s(sess.frame_interval_s);
-                            if record.completion_s <= record.deadline_s + slack {
-                                inj.report.watchdog_grants += 1;
-                                telemetry::instant(
-                                    telemetry::Phase::WatchdogGrant,
-                                    sess.id as u64,
-                                    st.frame_index as u64,
-                                );
-                                telemetry::add(telemetry::Counter::WatchdogGrants, 1);
-                            } else {
-                                inj.report.unrecovered += 1;
-                            }
-                        }
-                    }
-                }
-                sess.latencies.push(record.latency_s());
-                sess.record_outcome(&st.step.outcome);
-                self.records.push(record);
-            }
-            // One scheduler-track span per ready batch: dispatch readiness
-            // to last completion, sized by its job count.
-            telemetry::sim_span(
-                telemetry::Phase::ServeBatch,
-                telemetry::SIM_SCHEDULER_TRACK,
-                min_ready,
-                batch_end,
-                batch_jobs as u64,
-                0,
-            );
-            telemetry::add(telemetry::Counter::ServeBatches, 1);
-            telemetry::observe(telemetry::Hist::ServeBatchJobs, batch_jobs as u64);
-            Some(min_ready)
-        }
+        self.dispatch_references();
+        let (dispatch_s, batch) = self.ready_batch()?;
+        let stepped = self.step_batch(&batch);
+        self.commit_batch(dispatch_s, stepped);
+        Some(dispatch_s)
     }
 
-    /// Drains every admitted session and produces the service report.
+    /// Stage two: the ready batch and its dispatch instant — everyone within
+    /// half a frame interval of the earliest-ready frame, ordered by QoS
+    /// priority, deadline, id. `None` when nothing is ready.
+    ///
+    /// **Membership and order depend only on simulated time**: each live
+    /// session's ready time is computed once, here, and travels with the
+    /// batch. The batching epsilon is recomputed from the current session
+    /// set each round: identical every round on a fixed set, and correctly
+    /// reflecting sessions adopted mid-run on a fleet shard.
+    fn ready_batch(&self) -> Option<(f64, Vec<Ready>)> {
+        let mut batch: Vec<Ready> = self
+            .sessions
+            .iter()
+            .filter(|s| !s.pipe.is_done())
+            .map(|s| Ready {
+                session: s.id,
+                ready_s: Self::ready_time(s),
+                priority: s.spec.qos.priority(),
+                deadline_s: s.deadline_s(s.pipe.cursor()),
+            })
+            .filter(|r| r.ready_s.is_finite())
+            .collect();
+        let dispatch_s = batch.iter().map(|r| r.ready_s).reduce(f64::min)?;
+        let shortest_interval_s = self.sessions.iter().map(|s| s.frame_interval_s);
+        let eps = 0.5 * shortest_interval_s.fold(f64::INFINITY, f64::min).max(1e-9);
+        batch.retain(|r| r.ready_s <= dispatch_s + eps);
+        batch.sort_by(|a, b| {
+            (a.priority.cmp(&b.priority))
+                .then(a.deadline_s.total_cmp(&b.deadline_s))
+                .then(a.session.cmp(&b.session))
+        });
+        Some((dispatch_s, batch))
+    }
+
+    /// Stage three: steps every batch member's pipeline on the host —
+    /// concurrently when the budget allows, partitioning the host threads
+    /// evenly across the drivers — and returns the results in batch order.
+    ///
+    /// **Host threads decide who steps what, never what a step produces**: a
+    /// step reads and writes its own session only, and nothing simulated is
+    /// touched here.
+    fn step_batch(&mut self, batch: &[Ready]) -> Vec<Stepped> {
+        let budget = self.cfg.render_threads;
+        let drivers = batch.len().min(budget).max(1);
+        let ids: Vec<SessionId> = batch.iter().map(|r| r.session).collect();
+        let entries: Vec<Mutex<(&mut ServeSession<'a>, Ready, Option<Stepped>)>> =
+            (self.sessions.many_mut(&ids).into_iter().zip(batch))
+                .map(|(sess, &ready)| {
+                    if budget >= 1 {
+                        sess.pipe.set_render_threads((budget / drivers).max(1));
+                    }
+                    Mutex::new((sess, ready, None))
+                })
+                .collect();
+        fan_out(&entries, drivers, |(sess, ready, stepped)| {
+            let frame_index = sess.pipe.cursor();
+            *stepped = Some(Stepped {
+                ready: *ready,
+                frame_index,
+                arrival_s: sess.arrival_s(frame_index),
+                plan: sess.pipe.next_plan(),
+                step: sess.pipe.step().expect("session not done"),
+            });
+        });
+        (entries.into_iter())
+            .map(|entry| {
+                let (_, _, stepped) = entry.into_inner().unwrap();
+                stepped.expect("every batch entry stepped")
+            })
+            .collect()
+    }
+
+    /// Stage four: pricing, faults, records and telemetry for a stepped
+    /// batch dispatched at `dispatch_s`.
+    ///
+    /// **Sequential, in batch order, on the simulated timeline** — identical
+    /// whether the steps ran serially or fanned out.
+    fn commit_batch(&mut self, dispatch_s: f64, stepped: Vec<Stepped>) {
+        let (mut sim, sessions) = self.sim();
+        let batch_jobs = stepped.len() as u64;
+        let mut batch_end = dispatch_s;
+        for st in stepped {
+            let sess = &mut sessions[st.ready.session];
+            // A frame is fault-affected if its own job faults or its warp
+            // source was fault-delayed — only those frames are eligible for
+            // watchdog accounting.
+            let tainted = matches!(
+                st.plan,
+                Some(FramePlan::Warp { ref_index }) if sess.ref_faulted[ref_index]
+            );
+            // Target frames retry in place: the ladder never runs out (see
+            // `crash_ladder`), so there is no fallback rung to handle.
+            let job = Job::new(JobKind::Target, sess, st.frame_index);
+            let price = |soc: &SocModel| sess.pipe.service_time_on(soc, &st.step);
+            let ladder = sim.crash_ladder(&job, st.ready.ready_s, &price);
+            let (span, straggled) = sim.execute(&job, ladder.at_s, &price);
+            let affected = tainted || ladder.crashed || straggled;
+            if let Some(FramePlan::FullRender { ref_index }) = st.plan {
+                publish_in_stream(&mut sim, sess, ref_index, span.end_s, affected);
+            }
+            telemetry::sim_span(
+                telemetry::Phase::ServeFrame,
+                span.worker as u32,
+                span.start_s,
+                span.end_s,
+                sess.id as u64,
+                st.frame_index as u64,
+            );
+            telemetry::add(telemetry::Counter::ServeFrames, 1);
+            batch_end = batch_end.max(span.end_s);
+            let record = FrameRecord {
+                session: sess.id,
+                frame_index: st.frame_index,
+                arrival_s: st.arrival_s,
+                start_s: span.start_s,
+                completion_s: span.end_s,
+                deadline_s: st.ready.deadline_s,
+                worker: span.worker,
+                full_render: st.step.outcome.full_render,
+            };
+            if record.missed_deadline() {
+                sess.deadline_misses += 1;
+                if affected {
+                    sim.watchdog(sess.frame_interval_s, &record);
+                }
+            }
+            sess.latencies.push(record.latency_s());
+            sess.record_outcome(&st.step.outcome);
+            sim.records.push(record);
+        }
+        // One scheduler-track span per ready batch: dispatch readiness to
+        // last completion, sized by its job count.
+        telemetry::sim_span(
+            telemetry::Phase::ServeBatch,
+            telemetry::SIM_SCHEDULER_TRACK,
+            dispatch_s,
+            batch_end,
+            batch_jobs,
+            0,
+        );
+        telemetry::add(telemetry::Counter::ServeBatches, 1);
+        telemetry::observe(telemetry::Hist::ServeBatchJobs, batch_jobs);
+    }
+
+    /// One step of the drain: serve one round and pump the overload queue at
+    /// that round's dispatch instant; when nothing is ready, advance to the
+    /// earliest queued SLO admission deadline and pump there, so that every
+    /// queued entry is eventually admitted, browned out or shed. Returns the
+    /// instant the step acted at, or `None` when nothing moved — the server
+    /// is drained. A server whose queue is empty (every disarmed one) runs
+    /// exactly the round.
+    ///
+    /// The only place a round meets the queue: [`run`](Self::run) and
+    /// [`Fleet::run`](crate::Fleet::run) are loops over it, and
+    /// [`run_replay`](crate::run_replay) calls it between client events.
+    pub(crate) fn drain_step(&mut self) -> Option<f64> {
+        if let Some(t) = self.run_round() {
+            self.pump_overload(t);
+            return Some(t);
+        }
+        let t = self.queue_frontier_s()?;
+        let before = self.queued();
+        self.pump_overload(t);
+        // At the frontier the earliest-deadline entry always admits, browns
+        // out or sheds; the check only stops a hypothetical no-progress loop
+        // from hanging.
+        (self.queued() < before || self.next_ready_s().is_finite()).then_some(t)
+    }
+
+    /// Drains every admitted session — and, with armed
+    /// [`ServeConfig::overload`], every queued submission — and produces the
+    /// service report.
     ///
     /// The server lives on one simulated timeline: on a reused server
     /// (submit → run → submit → run) worker clocks, cache contents and
     /// session summaries carry over, and the report covers the server's
     /// whole lifetime — not just the latest call.
     ///
-    /// Sessions step in **ready batches** (see the module docs): every
-    /// session whose next frame is ready within half a frame interval of
-    /// the earliest one advances this round, concurrently on the host
-    /// render pool when [`ServeConfig::render_threads`] grants a budget.
-    /// The report is bit-identical at any budget.
-    ///
-    /// With armed [`ServeConfig::overload`] the loop additionally pumps the
-    /// pending-admission queue at every round's dispatch instant, and — when
-    /// all admitted work drains while submissions still wait — advances
-    /// simulated time to the earliest queued SLO deadline so every queued
-    /// entry is eventually admitted, browned out or shed. An armed server
-    /// whose queue never fills runs the identical round sequence.
+    /// Sessions step in **ready batches** (see the module docs), concurrently
+    /// on the host render pool when [`ServeConfig::render_threads`] grants a
+    /// budget. The report is bit-identical at any budget.
     pub fn run(&mut self) -> ServiceReport {
-        if self.overload.is_none() {
-            while self.run_round().is_some() {}
-        } else {
-            loop {
-                match self.run_round() {
-                    Some(t) => self.pump_overload(t),
-                    None => {
-                        let Some(t) = self.queue_frontier_s() else {
-                            break;
-                        };
-                        let before = self.queued();
-                        self.pump_overload(t);
-                        // At the frontier the earliest-deadline entry always
-                        // admits, browns out or sheds; this guard only stops
-                        // a hypothetical no-progress loop from hanging.
-                        if self.queued() >= before && !self.next_ready_s().is_finite() {
-                            break;
-                        }
-                    }
-                }
-            }
-        }
+        while self.drain_step().is_some() {}
         self.release_drained_loads();
-        self.finish_report()
+        self.report()
     }
 
     /// Hands drained sessions' committed capacity back to admission, so a
     /// reused server can admit new work.
     pub(crate) fn release_drained_loads(&mut self) {
-        let mut releases: Vec<f64> = Vec::new();
         for sess in self.sessions.iter_mut() {
             if sess.pipe.is_done() && !sess.load_released {
-                releases.push(sess.est_load);
                 sess.load_released = true;
+                self.admission.release(sess.est_load);
             }
-        }
-        for load in releases {
-            self.admission.release(load);
         }
     }
 
@@ -1746,122 +560,49 @@ impl<'a> FrameServer<'a> {
     pub(crate) fn session(&self, id: SessionId) -> &ServeSession<'a> {
         &self.sessions[id]
     }
+}
 
-    pub(crate) fn finish_report(&self) -> ServiceReport {
-        let records = self.records.clone();
-        let frames = records.len();
-        let faults = match &self.injector {
-            Some(inj) => {
-                let mut f = inj.report.clone();
-                f.availability = if frames > 0 {
-                    1.0 - f.unrecovered as f64 / frames as f64
-                } else {
-                    1.0
-                };
-                f
-            }
-            None => FaultReport::default(),
+/// An in-stream reference render publishes its availability — to the session
+/// itself and, like off-stream references, to the shared cache so co-located
+/// sessions reaching the same pose later skip the render.
+fn publish_in_stream(
+    sim: &mut SimCtx<'_>,
+    sess: &mut ServeSession<'_>,
+    ref_index: usize,
+    available_at_s: f64,
+    faulted: bool,
+) {
+    sess.ref_ready[ref_index] = Some(available_at_s);
+    if faulted {
+        sess.ref_faulted[ref_index] = true;
+    }
+    if let Some(workload) = sess.pipe.reference_workload().cloned() {
+        let frame = sess
+            .pipe
+            .reference_frame(ref_index)
+            .expect("in-stream reference was just materialized");
+        let cached = CachedReference {
+            pose: sess.pipe.reference_pose(ref_index),
+            frame,
+            workload,
+            available_at_s,
         };
-        let makespan_s = records.iter().map(|r| r.completion_s).fold(0.0, f64::max);
-        let overload = match &self.overload {
-            None => OverloadReport::default(),
-            Some(st) => {
-                let mut o = st.report.clone();
-                // Goodput: only frames that met their deadline count.
-                let on_time = records.iter().filter(|r| !r.missed_deadline()).count();
-                o.goodput_fps = if makespan_s > 0.0 {
-                    on_time as f64 / makespan_s
-                } else {
-                    0.0
-                };
-                // Per-class SLO attainment over the demand the server knows
-                // about: served frames plus the frames shed sessions would
-                // have served. Resident sessions only — a fleet accounts
-                // migrated sessions on their destination shard.
-                let mut class_of: Vec<Option<usize>> = vec![None; self.sessions.len()];
-                for s in self.sessions.iter() {
-                    class_of[s.id] = Some(s.spec.qos.priority() as usize);
-                }
-                let mut served = [0u64; 3];
-                let mut met = [0u64; 3];
-                for r in &records {
-                    if let Some(&Some(c)) = class_of.get(r.session) {
-                        served[c] += 1;
-                        if !r.missed_deadline() {
-                            met[c] += 1;
-                        }
-                    }
-                }
-                for c in 0..3 {
-                    let demand = served[c] + o.shed_frames_by_class[c];
-                    o.slo_attainment[c] = if demand > 0 {
-                        met[c] as f64 / demand as f64
-                    } else {
-                        1.0
-                    };
-                }
-                o
-            }
-        };
-        let mut latencies: Vec<f64> = records.iter().map(FrameRecord::latency_s).collect();
-        let deadline_misses = records.iter().filter(|r| r.missed_deadline()).count() as u64;
-        let sessions = self
-            .sessions
-            .iter()
-            .map(|s| SessionSummary {
-                id: s.id,
-                name: s.spec.name.clone(),
-                qos: s.spec.qos,
-                frames: s.latencies.len(),
-                mean_latency_s: if s.latencies.is_empty() {
-                    0.0
-                } else {
-                    s.latencies.iter().sum::<f64>() / s.latencies.len() as f64
-                },
-                max_latency_s: s.latencies.iter().cloned().fold(0.0, f64::max),
-                deadline_misses: s.deadline_misses,
-                mean_psnr_db: s.mean_psnr(),
-                cache_hits: s.cache_hits,
-            })
-            .collect();
-        ServiceReport {
-            frames,
-            makespan_s,
-            throughput_fps: if makespan_s > 0.0 {
-                frames as f64 / makespan_s
-            } else {
-                0.0
-            },
-            p50_latency_s: percentile(&mut latencies, 50.0),
-            p99_latency_s: percentile(&mut latencies, 99.0),
-            deadline_misses,
-            deadline_miss_rate: if frames > 0 {
-                deadline_misses as f64 / frames as f64
-            } else {
-                0.0
-            },
-            cache: self.cache.stats(),
-            reference_jobs: self.reference_jobs,
-            prefetch_jobs: self.prefetch_jobs,
-            degradations: self.degradations.clone(),
-            pool_utilization: self.pool.utilization(makespan_s),
-            workers: self.pool.len(),
-            sessions,
-            records,
-            faults,
-            overload,
-        }
+        sim.cache
+            .insert(&sess.cache_key, sess.pipe.intrinsics(), cached);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::session::QosClass;
+    use crate::session::{QosClass, SessionSpec};
+    use crate::{Policies, Submission};
     use cicero::pipeline::PipelineConfig;
     use cicero_field::{bake, GridConfig, GridModel};
+    use cicero_math::Intrinsics;
     use cicero_scene::library;
     use cicero_scene::volume::MarchParams;
+    use cicero_scene::{AnalyticScene, Trajectory};
 
     fn assets() -> (AnalyticScene, GridModel, Trajectory) {
         let scene = library::scene_by_name("lego").unwrap();
@@ -1911,16 +652,22 @@ mod tests {
             ..Default::default()
         });
         server
-            .submit(spec("a", QosClass::Standard, 0.0), &scene, &model, &traj, k)
+            .submit(Submission::trajectory(
+                spec("a", QosClass::Standard, 0.0),
+                &scene,
+                &model,
+                &traj,
+                k,
+            ))
             .unwrap();
         server
-            .submit(
+            .submit(Submission::trajectory(
                 spec("b", QosClass::Standard, 0.01),
                 &scene,
                 &model,
                 &traj,
                 k,
-            )
+            ))
             .unwrap();
         let report = server.run();
         assert_eq!(report.frames, 16);
@@ -1950,13 +697,13 @@ mod tests {
             ..Default::default()
         });
         server
-            .submit(
+            .submit(Submission::trajectory(
                 spec("a", QosClass::Interactive, 0.0),
                 &scene,
                 &model,
                 &traj,
                 k,
-            )
+            ))
             .unwrap();
         let report = server.run();
         assert_eq!(report.frames, traj.len());
@@ -1982,7 +729,7 @@ mod tests {
         let mut cfg = fast_cfg();
         cfg.collect_quality = true;
         server
-            .submit(
+            .submit(Submission::trajectory(
                 SessionSpec {
                     name: "q".into(),
                     scene_key: "lego".into(),
@@ -1994,7 +741,7 @@ mod tests {
                 &model,
                 &traj,
                 k,
-            )
+            ))
             .unwrap();
         let report = server.run();
         assert!(report.sessions[0].mean_psnr_db.is_finite());
@@ -2013,33 +760,33 @@ mod tests {
             ..Default::default()
         });
         server
-            .submit(
+            .submit(Submission::trajectory(
                 spec("first", QosClass::Standard, 0.0),
                 &scene,
                 &model,
                 &traj,
                 k,
-            )
+            ))
             .unwrap();
         assert!(server
-            .submit(
+            .submit(Submission::trajectory(
                 spec("too-many", QosClass::Standard, 0.0),
                 &scene,
                 &model,
                 &traj,
                 k
-            )
+            ))
             .is_err());
         server.run();
         // The drained session handed its slot and load back.
         server
-            .submit(
+            .submit(Submission::trajectory(
                 spec("second", QosClass::Standard, 0.0),
                 &scene,
                 &model,
                 &traj,
                 k,
-            )
+            ))
             .expect("capacity released after run()");
         assert!(server.admission().committed_load() > 0.0);
     }
@@ -2059,15 +806,21 @@ mod tests {
         // one), which mismatched configs do not affect.
         let solo_hits = |s: &SessionSpec| {
             let mut server = FrameServer::new(ServeConfig::default());
-            server.submit(s.clone(), &scene, &model, &traj, k).unwrap();
+            server
+                .submit(Submission::trajectory(s.clone(), &scene, &model, &traj, k))
+                .unwrap();
             server.run().sessions[0].cache_hits
         };
         let coarse_solo = solo_hits(&coarse);
         let fine_solo = solo_hits(&fine);
 
         let mut server = FrameServer::new(ServeConfig::default());
-        server.submit(coarse, &scene, &model, &traj, k).unwrap();
-        server.submit(fine, &scene, &model, &traj, k).unwrap();
+        server
+            .submit(Submission::trajectory(coarse, &scene, &model, &traj, k))
+            .unwrap();
+        server
+            .submit(Submission::trajectory(fine, &scene, &model, &traj, k))
+            .unwrap();
         let report = server.run();
         // Same scene_key, different march parameters: the frames are not
         // interchangeable, so co-locating the two sessions must not produce
@@ -2096,7 +849,13 @@ mod tests {
                 ..Default::default()
             });
             server
-                .submit(spec("a", QosClass::Standard, 0.0), &scene, &model, &traj, k)
+                .submit(Submission::trajectory(
+                    spec("a", QosClass::Standard, 0.0),
+                    &scene,
+                    &model,
+                    &traj,
+                    k,
+                ))
                 .unwrap();
             server.run()
         };
@@ -2124,23 +883,23 @@ mod tests {
             ..Default::default()
         });
         server
-            .submit(
+            .submit(Submission::trajectory(
                 spec("first", QosClass::Standard, 0.0),
                 &scene,
                 &model,
                 &traj,
                 k,
-            )
+            ))
             .unwrap();
         let r1 = server.run();
         server
-            .submit(
+            .submit(Submission::trajectory(
                 spec("second", QosClass::Standard, 0.0),
                 &scene,
                 &model,
                 &traj,
                 k,
-            )
+            ))
             .unwrap();
         let r2 = server.run();
         // One simulated timeline: the second report covers both runs and its
@@ -2166,7 +925,13 @@ mod tests {
                 ..Default::default()
             });
             server
-                .submit(spec("a", QosClass::Standard, 0.0), &scene, &model, &traj, k)
+                .submit(Submission::trajectory(
+                    spec("a", QosClass::Standard, 0.0),
+                    &scene,
+                    &model,
+                    &traj,
+                    k,
+                ))
                 .unwrap();
             server.run()
         };
@@ -2202,13 +967,13 @@ mod tests {
             let mut admitted = 0;
             for (i, offset) in [0.0, 0.004, 0.009, 0.013].into_iter().enumerate() {
                 if server
-                    .submit(
+                    .submit(Submission::trajectory(
                         spec(&format!("s{i}"), QosClass::Standard, offset),
                         scene,
                         model,
                         traj,
                         k,
-                    )
+                    ))
                     .is_ok()
                 {
                     admitted += 1;
@@ -2278,7 +1043,9 @@ mod tests {
             for (i, offset) in [0.0, 0.007].into_iter().enumerate() {
                 let mut s = spec(&format!("s{i}"), QosClass::Standard, offset);
                 s.config = cfg.clone();
-                server.submit(s, &scene, &model, &traj, k).unwrap();
+                server
+                    .submit(Submission::trajectory(s, &scene, &model, &traj, k))
+                    .unwrap();
             }
             server.run()
         };
@@ -2324,13 +1091,13 @@ mod tests {
         });
         for (i, offset) in [0.0, 0.005, 0.012].into_iter().enumerate() {
             server
-                .submit(
+                .submit(Submission::trajectory(
                     spec(&format!("s{i}"), QosClass::Standard, offset),
                     &scene,
                     &model,
                     &traj,
                     k,
-                )
+                ))
                 .unwrap();
         }
         let report = server.run();
@@ -2355,22 +1122,22 @@ mod tests {
             ..Default::default()
         });
         server
-            .submit(
+            .submit(Submission::trajectory(
                 spec("slow", QosClass::BestEffort, 0.0),
                 &scene,
                 &model,
                 &traj,
                 k,
-            )
+            ))
             .unwrap();
-        let fast = server.submit(
+        let fast = server.submit(Submission::trajectory(
             spec("fast", QosClass::Interactive, 0.0),
             &scene,
             &model,
             &traj,
             k,
-        );
-        let fast = fast.unwrap();
+        ));
+        let fast = fast.unwrap().session().unwrap();
         let report = server.run();
         let s = &report.sessions;
         assert!(

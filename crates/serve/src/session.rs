@@ -1,6 +1,7 @@
 //! Client sessions: what a tenant asks the frame server to render, and the
 //! [`SessionManager`] that owns the admitted fleet.
 
+use crate::cache::CachedReference;
 use crate::error::ServeError;
 use cicero::pipeline::{PipelineConfig, PipelineSession};
 use cicero::FrameOutcome;
@@ -141,6 +142,44 @@ pub(crate) struct ServeSession<'a> {
 }
 
 impl<'a> ServeSession<'a> {
+    /// The scheduler state of a freshly admitted session, at the head of its
+    /// schedule with nothing served yet.
+    pub(crate) fn new(
+        id: SessionId,
+        spec: SessionSpec,
+        pipe: PipelineSession<'a>,
+        fps: f64,
+        est_load: f64,
+    ) -> Self {
+        let n_refs = pipe.reference_count();
+        // Reference frames are only interchangeable between sessions whose
+        // render configuration matches: fold everything that changes the
+        // pixels or the priced workload into the cache key alongside the
+        // caller's scene/model identity.
+        let cache_key = format!(
+            "{}|{:?}|{:?}|traffic={}",
+            spec.scene_key, spec.config.variant, spec.config.march, spec.config.collect_traffic
+        );
+        ServeSession {
+            id,
+            spec,
+            pipe,
+            frame_interval_s: 1.0 / fps,
+            ref_ready: vec![None; n_refs],
+            ref_faulted: vec![false; n_refs],
+            ingest_delay: Vec::new(),
+            pose_pushes: 0,
+            psnrs: Vec::new(),
+            cache_hits: 0,
+            deadline_misses: 0,
+            latencies: Vec::new(),
+            cache_key,
+            est_load,
+            load_released: false,
+            resume_floor_s: 0.0,
+        }
+    }
+
     /// Arrival time of frame `i`: the client expects one frame per interval
     /// starting at its connection offset, shifted by any injected
     /// pose-stream stall delay accumulated up to that pose (deadlines shift
@@ -151,6 +190,21 @@ impl<'a> ServeSession<'a> {
             Some(d) => base + d,
             None => base,
         }
+    }
+
+    /// Earliest simulated time the session's next frame may serve and its
+    /// reference jobs dispatch: the frame's client arrival, floored by the
+    /// resume floor (a no-op on sessions never queued or migrated).
+    pub(crate) fn next_arrival_s(&self) -> f64 {
+        self.arrival_s(self.pipe.cursor()).max(self.resume_floor_s)
+    }
+
+    /// Installs a cached reference into slot `r` under its *own* pose (which
+    /// keeps the warp geometry consistent), usable from `ready_s`.
+    pub(crate) fn install_cached(&mut self, r: usize, hit: &CachedReference, ready_s: f64) {
+        self.pipe
+            .install_reference(r, hit.pose, hit.frame.clone(), hit.workload.clone());
+        self.ref_ready[r] = Some(ready_s);
     }
 
     /// Records one delivered streamed pose's ingest delay (`0.0` when the
@@ -239,11 +293,26 @@ impl<'a> SessionManager<'a> {
         self.slots.iter_mut().flatten()
     }
 
-    /// One `Option<&mut _>` per slot, **index-aligned with session ids**
-    /// (vacated slots yield `None`) — the scheduler's batch step relies on
-    /// `by_id[id]` addressing session `id` directly.
-    pub(crate) fn by_id_mut(&mut self) -> Vec<Option<&mut ServeSession<'a>>> {
-        self.slots.iter_mut().map(Option::as_mut).collect()
+    /// Disjoint `&mut`s to the sessions `ids` names, in `ids` order — the
+    /// scheduler's batch step hands one to each lane of the host fan-out.
+    /// Work and memory scale with the batch, not with every slot ever
+    /// allocated. Panics unless the ids are distinct and resident.
+    pub(crate) fn many_mut(&mut self, ids: &[SessionId]) -> Vec<&mut ServeSession<'a>> {
+        let mut by_id: Vec<usize> = (0..ids.len()).collect();
+        by_id.sort_unstable_by_key(|&k| ids[k]);
+        let mut picked: Vec<Option<&mut ServeSession<'a>>> = ids.iter().map(|_| None).collect();
+        // Walk the slots left to right, splitting off each wanted one.
+        let (mut rest, mut base) = (&mut self.slots[..], 0);
+        for k in by_id {
+            let (slot, tail) = std::mem::take(&mut rest)[ids[k] - base..]
+                .split_first_mut()
+                .expect("batch ids are distinct and in range");
+            picked[k] = slot.as_mut();
+            (rest, base) = (tail, ids[k] + 1);
+        }
+        (picked.into_iter())
+            .map(|s| s.expect("batch ids are resident"))
+            .collect()
     }
 
     /// The streaming session `id`, validated for pose ingestion: the id must

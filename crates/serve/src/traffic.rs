@@ -2,10 +2,9 @@
 //!
 //! A [`TrafficProfile`] is a **versioned, plain-text** record of a serving
 //! workload: session arrivals, QoS mix, scene popularity and pose-stream
-//! cadences. Profiles come from two places — a [`TrafficModel`] *generates*
-//! one from a seed (Zipf scene popularity, diurnal or flash-crowd arrival
-//! processes, jittered cadences), and a [`TrafficRecorder`] *records* one
-//! from any live [`FrameServer`]/[`Fleet`](crate::Fleet) run — and replay
+//! cadences. A [`TrafficModel`] *generates* one from a seed (Zipf scene
+//! popularity, diurnal or flash-crowd arrival processes, jittered cadences)
+//! or [`TrafficProfile::parse`] reads one back from text, and they replay
 //! identically either way: [`run_replay`] drives a server with open-loop
 //! session arrivals and closed-loop pose streaming, emitting a
 //! [`ReplayOutcome`] whose [`ServiceReport`] obeys the standing contract:
@@ -35,8 +34,9 @@
 
 use crate::error::ServeError;
 use crate::fault::{keyed_draw, keyed_unit};
-use crate::report::ServiceReport;
-use crate::scheduler::{FrameServer, ServeConfig, SubmitOutcome, TicketId, TicketState};
+use crate::overload::{Feed, Submission, SubmitOutcome, TicketId, TicketState};
+use crate::report::{class_tally, rate, ServiceReport};
+use crate::scheduler::{FrameServer, ServeConfig};
 use crate::session::{QosClass, SessionId, SessionSpec};
 use cicero::pipeline::PipelineConfig;
 use cicero_field::{bake, GridConfig, GridModel};
@@ -590,77 +590,6 @@ fn pick_weighted(u: f64, weights: &[f64], total: f64) -> usize {
     weights.len() - 1
 }
 
-/// Records a [`TrafficProfile`] from a live run: call
-/// [`note`](Self::note) alongside each submission, then
-/// [`finish`](Self::finish). The recorded profile replays through
-/// [`run_replay`] like a generated one.
-#[derive(Debug, Clone)]
-pub struct TrafficRecorder {
-    seed: u64,
-    sessions: Vec<TrafficSession>,
-}
-
-impl TrafficRecorder {
-    /// A recorder whose profile will carry `seed` (the replay client's
-    /// default retry-jitter seed).
-    pub fn new(seed: u64) -> Self {
-        TrafficRecorder {
-            seed,
-            sessions: Vec::new(),
-        }
-    }
-
-    /// Records one submission. `scene` must be a library scene name;
-    /// `frames`/`fps` describe the client's trajectory, `path`/`path_seed`
-    /// how to regenerate it.
-    #[allow(clippy::too_many_arguments)] // one flat record, not an API surface
-    pub fn note(
-        &mut self,
-        spec: &SessionSpec,
-        scene: &str,
-        frames: u32,
-        fps: f32,
-        streaming: bool,
-        path: PathKind,
-        path_seed: u64,
-    ) {
-        self.sessions.push(TrafficSession {
-            name: sanitize(&spec.name),
-            scene: sanitize(scene),
-            qos: spec.qos,
-            start_s: spec.start_offset_s,
-            frames,
-            fps,
-            streaming,
-            path,
-            path_seed,
-        });
-    }
-
-    /// Sessions recorded so far.
-    pub fn len(&self) -> usize {
-        self.sessions.len()
-    }
-
-    /// Whether nothing has been recorded yet.
-    pub fn is_empty(&self) -> bool {
-        self.sessions.is_empty()
-    }
-
-    /// Finishes the profile: sessions sorted into arrival order, duration
-    /// set to the last arrival (or zero when empty).
-    pub fn finish(mut self) -> TrafficProfile {
-        self.sessions
-            .sort_by(|a, b| a.start_s.total_cmp(&b.start_s).then(a.name.cmp(&b.name)));
-        let duration_s = self.sessions.iter().map(|s| s.start_s).fold(0.0, f64::max);
-        TrafficProfile {
-            seed: self.seed,
-            duration_s,
-            sessions: self.sessions,
-        }
-    }
-}
-
 /// Owned scene/model/trajectory assets backing one profile's replay. The
 /// borrowed-asset serving contract ([`FrameServer`] sessions borrow their
 /// scenes) means these must outlive the server; build them once and hand
@@ -808,7 +737,7 @@ pub struct ReplayOutcome {
     pub goodput_fps: f64,
 }
 
-/// Client-side session state during replay.
+/// Where one replayed client stands with the server.
 #[derive(Clone, Copy)]
 enum ClientState {
     /// Submitted and admitted; streaming sessions push poses directly.
@@ -819,6 +748,15 @@ enum ClientState {
     Dropped,
     /// Not yet submitted (or between backpressure retries).
     Idle,
+}
+
+/// One replayed client.
+struct Client {
+    state: ClientState,
+    /// Poses a streaming client produced while its submission waited.
+    buffered: Vec<Pose>,
+    /// The stream's close came due and has not been delivered yet.
+    close_due: bool,
 }
 
 /// One scheduled replay event.
@@ -834,7 +772,9 @@ enum Event {
 
 /// Deterministic time-ordered event queue: min-heap on
 /// `(time bits, insertion seq)` — f64 `to_bits` orders non-negative floats
-/// correctly, and the seq makes ties replay in insertion order.
+/// (infinity included) correctly, and the seq makes ties replay in insertion
+/// order. A time that is not a number is no event time:
+/// [`FrameServer::submit`] refuses the submission that would carry it.
 struct EventQueue {
     heap: BinaryHeap<Reverse<(u64, u64)>>,
     events: Vec<Event>,
@@ -849,7 +789,6 @@ impl EventQueue {
     }
 
     fn push(&mut self, t: f64, e: Event) {
-        debug_assert!(t >= 0.0 && t.is_finite(), "event times are non-negative");
         let seq = self.events.len() as u64;
         self.events.push(e);
         self.heap.push(Reverse((t.to_bits(), seq)));
@@ -867,6 +806,18 @@ impl EventQueue {
     }
 }
 
+/// One replay in flight: the server under test, the clients driving it and
+/// the events they have scheduled.
+struct Replay<'p> {
+    profile: &'p TrafficProfile,
+    assets: &'p TrafficAssets,
+    opts: &'p ReplayOptions,
+    server: FrameServer<'p>,
+    queue: EventQueue,
+    clients: Vec<Client>,
+    stats: ClientStats,
+}
+
 /// Replays `profile` against a fresh [`FrameServer`] built from
 /// `opts.cfg`: open-loop session arrivals, closed-loop pose streaming,
 /// seeded retry/backoff under backpressure. Same profile + same options ⇒
@@ -876,7 +827,9 @@ impl EventQueue {
 ///
 /// Propagates any [`ServeError`] the replay client cannot absorb
 /// (admission rejections, backpressure and shed tickets are absorbed and
-/// counted; everything else is a harness bug surfaced to the caller).
+/// counted; everything else — a malformed profile session the server
+/// refuses as [`ServeError::InvalidSubmission`], or a harness bug — is
+/// surfaced to the caller).
 pub fn run_replay(
     profile: &TrafficProfile,
     assets: &TrafficAssets,
@@ -887,21 +840,72 @@ pub fn run_replay(
         profile.sessions.len(),
         "assets must be built from this profile"
     );
-    let mut server = FrameServer::new(opts.cfg.clone());
-    let mut queue = EventQueue::new();
-    let mut clients: Vec<ClientState> = Vec::with_capacity(profile.sessions.len());
-    let mut buffered: Vec<Vec<Pose>> = Vec::with_capacity(profile.sessions.len());
-    let mut closed: Vec<bool> = vec![false; profile.sessions.len()];
-    let mut stats = ClientStats::default();
-
+    let mut replay = Replay {
+        profile,
+        assets,
+        opts,
+        server: FrameServer::new(opts.cfg.clone()),
+        queue: EventQueue::new(),
+        clients: Vec::with_capacity(profile.sessions.len()),
+        stats: ClientStats::default(),
+    };
     for (s, sess) in profile.sessions.iter().enumerate() {
-        clients.push(ClientState::Idle);
-        buffered.push(Vec::new());
-        queue.push(sess.start_s.max(0.0), Event::Submit { s, attempt: 0 });
+        replay.clients.push(Client {
+            state: ClientState::Idle,
+            buffered: Vec::new(),
+            close_due: false,
+        });
+        let submit = Event::Submit { s, attempt: 0 };
+        replay.queue.push(sess.start_s.max(0.0), submit);
+    }
+    replay.drive()?;
+    replay.server.release_drained_loads();
+    Ok(replay.outcome())
+}
+
+impl<'p> Replay<'p> {
+    /// Interleaves client events with the server's drain steps in simulated
+    /// time order until neither has anything left.
+    fn drive(&mut self) -> Result<(), ServeError> {
+        loop {
+            let t_round = self.server.next_ready_s();
+            match self.queue.peek_time() {
+                Some(te) if te <= t_round => {
+                    let (t, event) = self.queue.pop().expect("peeked event pops");
+                    match event {
+                        Event::Submit { s, attempt } => self.on_submit(s, attempt, t)?,
+                        Event::Pose { s, k } => self.on_pose(s, k)?,
+                        Event::Close { s } => {
+                            self.clients[s].close_due = true;
+                            self.settle(s)?;
+                        }
+                    }
+                }
+                _ if t_round.is_finite() => {
+                    self.server.drain_step();
+                }
+                _ => {
+                    // No events left and nothing ready. First settle the
+                    // clients whose tickets resolved during rounds: flushing
+                    // buffered poses may make new work ready. Otherwise
+                    // entries may still wait on their SLO deadlines, and the
+                    // drain step advances to the earliest.
+                    let mut progressed = false;
+                    for s in 0..self.clients.len() {
+                        progressed |= self.settle(s)?;
+                    }
+                    if !progressed && self.server.drain_step().is_none() {
+                        return Ok(());
+                    }
+                }
+            }
+        }
     }
 
-    let spec_of = |s: usize| -> SessionSpec {
-        let sess = &profile.sessions[s];
+    /// The [`SessionSpec`] profile session `s` submits.
+    fn spec_of(&self, s: usize) -> SessionSpec {
+        let sess = &self.profile.sessions[s];
+        let window = self.opts.window;
         SessionSpec {
             name: sess.name.clone(),
             scene_key: sess.scene.clone(),
@@ -909,275 +913,178 @@ pub fn run_replay(
             start_offset_s: sess.start_s,
             config: PipelineConfig {
                 window: if sess.qos == QosClass::Interactive {
-                    opts.window
+                    window
                 } else {
-                    opts.window + 2
+                    window + 2
                 },
                 march: MarchParams {
                     step: 0.04,
                     ..Default::default()
                 },
-                collect_quality: opts.collect_quality,
+                collect_quality: self.opts.collect_quality,
                 collect_traffic: false,
                 ..Default::default()
             },
         }
-    };
-
-    loop {
-        let t_round = server.next_ready_s();
-        match queue.peek_time() {
-            Some(te) if te <= t_round || !t_round.is_finite() => {
-                let (t, event) = queue.pop().expect("peeked event pops");
-                match event {
-                    Event::Submit { s, attempt } => {
-                        let sess = &profile.sessions[s];
-                        let spec = spec_of(s);
-                        if attempt == 0 {
-                            stats.submitted += 1;
-                        }
-                        let outcome = if sess.streaming {
-                            server.submit_stream_at(
-                                t,
-                                spec,
-                                &assets.scenes[assets.scene_of[s]].1,
-                                &assets.scenes[assets.scene_of[s]].2,
-                                sess.fps,
-                                opts.intrinsics,
-                            )
-                        } else {
-                            server.submit_at(
-                                t,
-                                spec,
-                                &assets.scenes[assets.scene_of[s]].1,
-                                &assets.scenes[assets.scene_of[s]].2,
-                                &assets.trajectories[s],
-                                opts.intrinsics,
-                            )
-                        };
-                        match outcome {
-                            Ok(SubmitOutcome::Admitted(id)) => {
-                                stats.admitted += 1;
-                                clients[s] = ClientState::Admitted(id);
-                                if sess.streaming {
-                                    schedule_stream(&mut queue, profile, opts.client_seed, s, t);
-                                }
-                            }
-                            Ok(SubmitOutcome::Queued(ticket)) => {
-                                stats.queued += 1;
-                                clients[s] = ClientState::Waiting(ticket);
-                                if sess.streaming {
-                                    schedule_stream(&mut queue, profile, opts.client_seed, s, t);
-                                }
-                            }
-                            Err(ServeError::Overloaded { retry_after_s }) => {
-                                stats.backpressured += 1;
-                                if attempt < opts.max_retries {
-                                    stats.retries += 1;
-                                    // Seeded jitter decorrelates the retry
-                                    // storm without an RNG to advance.
-                                    let jitter = keyed_unit(
-                                        opts.client_seed,
-                                        TAG_RETRY,
-                                        s as u64,
-                                        attempt as u64,
-                                        0,
-                                    );
-                                    let at = t + retry_after_s * (1.0 + jitter);
-                                    queue.push(
-                                        at,
-                                        Event::Submit {
-                                            s,
-                                            attempt: attempt + 1,
-                                        },
-                                    );
-                                } else {
-                                    stats.abandoned += 1;
-                                    clients[s] = ClientState::Dropped;
-                                }
-                            }
-                            Err(ServeError::Admission(_)) => {
-                                stats.rejected += 1;
-                                clients[s] = ClientState::Dropped;
-                            }
-                            Err(e) => return Err(e),
-                        }
-                    }
-                    Event::Pose { s, k } => {
-                        let pose = assets.trajectories[s].poses()[k];
-                        match clients[s] {
-                            ClientState::Admitted(id) => {
-                                server.push_pose(id, pose)?;
-                                stats.poses_pushed += 1;
-                            }
-                            ClientState::Waiting(ticket) => match server.ticket(ticket) {
-                                Some(TicketState::Admitted(id)) => {
-                                    flush_stream(&mut server, &mut buffered[s], id, &mut stats)?;
-                                    server.push_pose(id, pose)?;
-                                    stats.poses_pushed += 1;
-                                    clients[s] = ClientState::Admitted(id);
-                                }
-                                Some(TicketState::Shed) => {
-                                    clients[s] = ClientState::Dropped;
-                                    buffered[s].clear();
-                                }
-                                _ => buffered[s].push(pose),
-                            },
-                            _ => {}
-                        }
-                    }
-                    Event::Close { s } => match clients[s] {
-                        ClientState::Admitted(id) => {
-                            server.close_stream(id)?;
-                            closed[s] = true;
-                        }
-                        ClientState::Waiting(ticket) => {
-                            if let Some(TicketState::Admitted(id)) = server.ticket(ticket) {
-                                flush_stream(&mut server, &mut buffered[s], id, &mut stats)?;
-                                server.close_stream(id)?;
-                                clients[s] = ClientState::Admitted(id);
-                                closed[s] = true;
-                            }
-                            // Still pending: the final reconciliation pass
-                            // below flushes and closes once the ticket
-                            // resolves.
-                        }
-                        _ => {}
-                    },
-                }
-            }
-            _ if t_round.is_finite() => {
-                if let Some(t) = server.run_round() {
-                    server.pump_overload(t);
-                }
-            }
-            _ => {
-                // No events left and nothing ready. First reconcile
-                // streaming clients whose tickets resolved during rounds:
-                // flushing buffered poses may make new work ready.
-                let mut progressed = false;
-                for s in 0..clients.len() {
-                    if let ClientState::Waiting(ticket) = clients[s] {
-                        match server.ticket(ticket) {
-                            Some(TicketState::Admitted(id)) => {
-                                flush_stream(&mut server, &mut buffered[s], id, &mut stats)?;
-                                if profile.sessions[s].streaming && !closed[s] {
-                                    server.close_stream(id)?;
-                                    closed[s] = true;
-                                }
-                                clients[s] = ClientState::Admitted(id);
-                                progressed = true;
-                            }
-                            Some(TicketState::Shed) => {
-                                clients[s] = ClientState::Dropped;
-                                buffered[s].clear();
-                            }
-                            _ => {}
-                        }
-                    }
-                }
-                if progressed {
-                    continue;
-                }
-                // Queue entries may still wait on their SLO deadlines:
-                // advance to the earliest frontier and pump, exactly like
-                // the armed [`FrameServer::run`] loop.
-                let Some(ft) = server.queue_frontier_s() else {
-                    break;
-                };
-                let before = server.queued();
-                server.pump_overload(ft);
-                if server.queued() >= before && !server.next_ready_s().is_finite() {
-                    // Defensive: frontier pump resolved nothing and no
-                    // session can serve — reconcile once more next loop,
-                    // then the frontier (now unchanged) ends the replay.
-                    break;
-                }
-            }
-        }
     }
-    server.release_drained_loads();
 
-    // Queued outcomes resolve server-side whether or not a client polled its
-    // ticket again, so the authoritative counts come from the report.
-    let report = server.finish_report();
-    stats.queue_admitted = report.overload.queue_admits + report.overload.brownout_admits;
-    stats.shed = report.overload.sheds;
-
-    // Client-side SLO attainment against offered (not admitted) load.
-    let offered_frames = profile.offered_frames_by_class();
-    let mut class_of: Vec<Option<u8>> = Vec::new();
-    for summary in &report.sessions {
-        if class_of.len() <= summary.id {
-            class_of.resize(summary.id + 1, None);
-        }
-        class_of[summary.id] = Some(summary.qos.priority());
-    }
-    let mut ontime_frames = [0u64; 3];
-    for r in &report.records {
-        if let Some(Some(c)) = class_of.get(r.session) {
-            if !r.missed_deadline() {
-                ontime_frames[*c as usize] += 1;
-            }
-        }
-    }
-    let attainment = std::array::from_fn(|c| {
-        if offered_frames[c] == 0 {
-            1.0
+    /// Client `s` submits at `t` (attempt > 0: a retry after backpressure).
+    fn on_submit(&mut self, s: usize, attempt: u32, t: f64) -> Result<(), ServeError> {
+        let sess = &self.profile.sessions[s];
+        let (_, scene, model) = &self.assets.scenes[self.assets.scene_of[s]];
+        let feed = if sess.streaming {
+            Feed::Stream { fps: sess.fps }
         } else {
-            ontime_frames[c] as f64 / offered_frames[c] as f64
+            Feed::Trajectory(&self.assets.trajectories[s])
+        };
+        if attempt == 0 {
+            self.stats.submitted += 1;
         }
-    });
-    let ontime_total: u64 = ontime_frames.iter().sum();
-    let goodput_fps = if report.makespan_s > 0.0 {
-        ontime_total as f64 / report.makespan_s
-    } else {
-        0.0
-    };
-    Ok(ReplayOutcome {
-        report,
-        client: stats,
-        offered_frames,
-        ontime_frames,
-        attainment,
-        goodput_fps,
-    })
-}
-
-/// Schedules the pose cadence and close of streaming session `s` starting
-/// at its submission instant: pose `k` at `t + k/fps + jitter_k` with
-/// jitter under half an interval (cadence wobble can never reorder poses),
-/// close one interval after the last pose.
-fn schedule_stream(
-    queue: &mut EventQueue,
-    profile: &TrafficProfile,
-    client_seed: u64,
-    s: usize,
-    t: f64,
-) {
-    let sess = &profile.sessions[s];
-    let interval = 1.0 / sess.fps as f64;
-    let frames = sess.frames.max(1) as usize;
-    for k in 0..frames {
-        let jitter = 0.4 * interval * keyed_unit(client_seed, TAG_CADENCE, s as u64, k as u64, 1);
-        queue.push(t + k as f64 * interval + jitter, Event::Pose { s, k });
+        let outcome = self.server.submit(Submission {
+            spec: self.spec_of(s),
+            scene,
+            model,
+            feed,
+            intrinsics: self.opts.intrinsics,
+            at_s: t,
+        });
+        self.clients[s].state = match outcome {
+            Ok(SubmitOutcome::Admitted(id)) => {
+                self.stats.admitted += 1;
+                ClientState::Admitted(id)
+            }
+            Ok(SubmitOutcome::Queued(ticket)) => {
+                self.stats.queued += 1;
+                ClientState::Waiting(ticket)
+            }
+            Err(ServeError::Overloaded { retry_after_s }) if attempt < self.opts.max_retries => {
+                self.stats.backpressured += 1;
+                self.stats.retries += 1;
+                // Seeded jitter decorrelates the retry storm without an RNG
+                // to advance.
+                let jitter = keyed_unit(
+                    self.opts.client_seed,
+                    TAG_RETRY,
+                    s as u64,
+                    attempt as u64,
+                    0,
+                );
+                let retry = Event::Submit {
+                    s,
+                    attempt: attempt + 1,
+                };
+                self.queue.push(t + retry_after_s * (1.0 + jitter), retry);
+                ClientState::Idle
+            }
+            Err(ServeError::Overloaded { .. }) => {
+                self.stats.backpressured += 1;
+                self.stats.abandoned += 1;
+                ClientState::Dropped
+            }
+            Err(ServeError::Admission(_)) => {
+                self.stats.rejected += 1;
+                ClientState::Dropped
+            }
+            Err(e) => return Err(e),
+        };
+        if sess.streaming && outcome.is_ok() {
+            self.schedule_stream(s, t);
+        }
+        Ok(())
     }
-    queue.push(t + frames as f64 * interval + interval, Event::Close { s });
-}
 
-/// Flushes a streaming client's buffered poses into its freshly admitted
-/// session.
-fn flush_stream(
-    server: &mut FrameServer<'_>,
-    buffered: &mut Vec<Pose>,
-    id: SessionId,
-    stats: &mut ClientStats,
-) -> Result<(), ServeError> {
-    for pose in buffered.drain(..) {
-        server.push_pose(id, pose)?;
-        stats.poses_pushed += 1;
+    /// Schedules the pose cadence and close of streaming session `s`
+    /// starting at its submission instant: pose `k` at `t + k/fps +
+    /// jitter_k` with jitter under half an interval (cadence wobble can
+    /// never reorder poses), close one interval after the last pose.
+    fn schedule_stream(&mut self, s: usize, t: f64) {
+        let sess = &self.profile.sessions[s];
+        let interval = 1.0 / sess.fps as f64;
+        let frames = sess.frames.max(1) as usize;
+        for k in 0..frames {
+            let wobble = keyed_unit(self.opts.client_seed, TAG_CADENCE, s as u64, k as u64, 1);
+            let at = t + k as f64 * interval + 0.4 * interval * wobble;
+            self.queue.push(at, Event::Pose { s, k });
+        }
+        let close_at = t + frames as f64 * interval + interval;
+        self.queue.push(close_at, Event::Close { s });
     }
-    Ok(())
+
+    /// Streaming client `s` produces pose `k`: pushed if admitted, buffered
+    /// while its ticket is pending.
+    fn on_pose(&mut self, s: usize, k: usize) -> Result<(), ServeError> {
+        self.settle(s)?;
+        let pose = self.assets.trajectories[s].poses()[k];
+        match self.clients[s].state {
+            ClientState::Admitted(id) => {
+                self.server.push_pose(id, pose)?;
+                self.stats.poses_pushed += 1;
+            }
+            ClientState::Waiting(_) => self.clients[s].buffered.push(pose),
+            _ => {}
+        }
+        Ok(())
+    }
+
+    /// Brings client `s` up to date with the server: if its ticket resolved,
+    /// flush the buffered poses and mark it admitted — or dropped, if it was
+    /// shed; then deliver the stream close if one is due. Returns whether the
+    /// client was admitted just now.
+    fn settle(&mut self, s: usize) -> Result<bool, ServeError> {
+        let client = &mut self.clients[s];
+        let mut admitted_now = false;
+        if let ClientState::Waiting(ticket) = client.state {
+            match self.server.ticket(ticket) {
+                Some(TicketState::Admitted(id)) => {
+                    for pose in client.buffered.drain(..) {
+                        self.server.push_pose(id, pose)?;
+                        self.stats.poses_pushed += 1;
+                    }
+                    client.state = ClientState::Admitted(id);
+                    admitted_now = true;
+                }
+                Some(TicketState::Shed) => {
+                    client.state = ClientState::Dropped;
+                    client.buffered.clear();
+                }
+                _ => {}
+            }
+        }
+        if let (ClientState::Admitted(id), true) = (client.state, client.close_due) {
+            self.server.close_stream(id)?;
+            client.close_due = false;
+        }
+        Ok(admitted_now)
+    }
+
+    /// The server's report plus the client-side view of it.
+    fn outcome(self) -> ReplayOutcome {
+        // Queued outcomes resolve server-side whether or not a client polled
+        // its ticket again, so the authoritative counts come from the report.
+        let report = self.server.report();
+        let mut client = self.stats;
+        client.queue_admitted = report.overload.queue_admits + report.overload.brownout_admits;
+        client.shed = report.overload.sheds;
+        // Client-side SLO attainment against offered (not admitted) load.
+        let offered_frames = self.profile.offered_frames_by_class();
+        let (_, ontime_frames) = class_tally(&report.sessions, &report.records);
+        let attainment = std::array::from_fn(|c| {
+            if offered_frames[c] == 0 {
+                1.0
+            } else {
+                ontime_frames[c] as f64 / offered_frames[c] as f64
+            }
+        });
+        let ontime_total: u64 = ontime_frames.iter().sum();
+        ReplayOutcome {
+            goodput_fps: rate(ontime_total as f64, report.makespan_s),
+            report,
+            client,
+            offered_frames,
+            ontime_frames,
+            attainment,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1287,25 +1194,6 @@ mod tests {
             first > second,
             "zipf head scene should dominate: {first} vs {second}"
         );
-    }
-
-    #[test]
-    fn recorder_round_trips_through_replayable_profile() {
-        let mut rec = TrafficRecorder::new(5);
-        assert!(rec.is_empty());
-        let spec = SessionSpec {
-            name: "cam one".into(), // space must sanitize
-            scene_key: "lego".into(),
-            qos: QosClass::Standard,
-            start_offset_s: 0.25,
-            config: PipelineConfig::default(),
-        };
-        rec.note(&spec, "lego", 6, 30.0, false, PathKind::Orbit, 0);
-        assert_eq!(rec.len(), 1);
-        let p = rec.finish();
-        assert_eq!(p.sessions[0].name, "cam-one");
-        let q = TrafficProfile::parse(&p.to_text()).unwrap();
-        assert_eq!(p, q);
     }
 
     #[test]

@@ -17,7 +17,7 @@ use cicero::{Scenario, Variant};
 use cicero_field::{bake, GridConfig};
 use cicero_math::Intrinsics;
 use cicero_scene::{library, Trajectory};
-use cicero_serve::{FrameServer, QosClass, ServeConfig, SessionSpec};
+use cicero_serve::{FrameServer, QosClass, ServeConfig, SessionSpec, Submission};
 
 /// A CLI mistake is the *user's* error, not a pipeline fault: explain and
 /// exit instead of panicking with a backtrace.
@@ -110,7 +110,9 @@ fn main() {
         },
     };
     server
-        .submit(spec, &scene, &model, &traj, intrinsics)
+        .submit(Submission::trajectory(
+            spec, &scene, &model, &traj, intrinsics,
+        ))
         .unwrap_or_else(|e| fail("remote session rejected", e));
     let report = server.run();
     println!(

@@ -60,7 +60,7 @@ use cicero_scene::volume::MarchParams;
 use cicero_scene::{library, AnalyticScene, Trajectory};
 use cicero_serve::{
     FaultPlan, FaultReport, Fleet, FleetConfig, FleetReport, FrameServer, Policies, QosClass,
-    ServeConfig, ServeError, ServiceReport, SessionId, SessionSpec, SessionSummary,
+    ServeConfig, ServeError, ServiceReport, SessionId, SessionSpec, SessionSummary, Submission,
 };
 use cicero_telemetry as telemetry;
 
@@ -231,40 +231,22 @@ fn policies_for(name: &str) -> Policies {
 }
 
 /// The serve backend behind one swarm run: a bare [`FrameServer`], or a
-/// [`Fleet`] of them when `--shards` is given. Both expose the same
-/// submission surface, so the swarm loop is written once.
+/// [`Fleet`] of them when `--shards` is given. Both take the same
+/// [`Submission`], so the swarm loop is written once.
 enum Backend<'a> {
     Bare(Box<FrameServer<'a>>),
     Fleet(Box<Fleet<'a>>),
 }
 
 impl<'a> Backend<'a> {
-    fn submit(
-        &mut self,
-        spec: SessionSpec,
-        scene: &'a AnalyticScene,
-        model: &'a GridModel,
-        traj: &'a Trajectory,
-        intrinsics: Intrinsics,
-    ) -> Result<SessionId, ServeError> {
-        match self {
-            Backend::Bare(s) => s.submit(spec, scene, model, traj, intrinsics),
-            Backend::Fleet(f) => f.submit(spec, scene, model, traj, intrinsics),
-        }
-    }
-
-    fn submit_stream(
-        &mut self,
-        spec: SessionSpec,
-        scene: &'a AnalyticScene,
-        model: &'a GridModel,
-        fps: f32,
-        intrinsics: Intrinsics,
-    ) -> Result<SessionId, ServeError> {
-        match self {
-            Backend::Bare(s) => s.submit_stream(spec, scene, model, fps, intrinsics),
-            Backend::Fleet(f) => f.submit_stream(spec, scene, model, fps, intrinsics),
-        }
+    /// Submits to a swarm server, which is never armed with overload
+    /// control: the session is admitted now or refused.
+    fn submit(&mut self, sub: Submission<'a>) -> Result<SessionId, ServeError> {
+        let outcome = match self {
+            Backend::Bare(s) => s.submit(sub),
+            Backend::Fleet(f) => f.submit(sub),
+        }?;
+        Ok(outcome.session().expect("nothing queues without a queue"))
     }
 
     fn push_pose(&mut self, id: SessionId, pose: cicero_math::Pose) -> Result<(), ServeError> {
@@ -404,7 +386,7 @@ fn run_swarm(
                 // one at a time. Fully fed before the drain, so the report
                 // must be bit-identical to whole-trajectory submission.
                 let id = server
-                    .submit_stream(spec, &a.scene, &a.model, traj.fps(), k)
+                    .submit(Submission::stream(spec, &a.scene, &a.model, traj.fps(), k))
                     .unwrap_or_else(|e| fail("swarm session rejected", e));
                 for pose in traj.poses() {
                     server
@@ -416,7 +398,7 @@ fn run_swarm(
                     .unwrap_or_else(|e| fail("stream close refused", e));
             } else {
                 server
-                    .submit(spec, &a.scene, &a.model, traj, k)
+                    .submit(Submission::trajectory(spec, &a.scene, &a.model, traj, k))
                     .unwrap_or_else(|e| fail("swarm session rejected", e));
             }
         }
@@ -444,13 +426,13 @@ fn run_swarm(
                 ..Default::default()
             },
         };
-        match server.submit(
+        match server.submit(Submission::trajectory(
             flood,
             &assets[0].scene,
             &assets[0].model,
             &flood_traj,
             Intrinsics::from_fov(640, 640, 0.9),
-        ) {
+        )) {
             Err(e) => {
                 println!("\n[{policy}] admission control: flood session rejected ({e})");
                 true

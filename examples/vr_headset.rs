@@ -17,7 +17,10 @@ use cicero::Variant;
 use cicero_field::{bake, GridConfig};
 use cicero_math::Intrinsics;
 use cicero_scene::{library, Trajectory, TrajectoryKind};
-use cicero_serve::{FrameServer, OverloadControl, QosClass, ServeConfig, ServeError, SessionSpec};
+use cicero_serve::{
+    FrameServer, OverloadControl, QosClass, ServeConfig, ServeError, SessionSpec, Submission,
+    SubmitOutcome,
+};
 
 /// A CLI mistake is the *user's* error, not a pipeline fault: explain and
 /// exit instead of panicking with a backtrace.
@@ -115,8 +118,9 @@ fn main() {
 
     // The same headset, served: a live interactive session streamed
     // pose-by-pose through the scheduler with overload control armed. A
-    // lone headset always fits, but the match is the client idiom —
-    // explicit backpressure is an error value to branch on, not a crash.
+    // lone headset always fits, but the match is the client idiom — a
+    // queue ticket is an outcome and explicit backpressure an error value
+    // to branch on, not a crash.
     let mut server = FrameServer::new(ServeConfig {
         overload: Some(OverloadControl::default()),
         ..Default::default()
@@ -132,8 +136,18 @@ fn main() {
             ..Default::default()
         },
     };
-    let id = match server.submit_stream(spec, &scene, &model, traj.fps(), intrinsics) {
-        Ok(id) => id,
+    let id = match server.submit(Submission::stream(
+        spec,
+        &scene,
+        &model,
+        traj.fps(),
+        intrinsics,
+    )) {
+        Ok(SubmitOutcome::Admitted(id)) => id,
+        Ok(SubmitOutcome::Queued(ticket)) => fail(
+            "headset session queued",
+            format!("ticket {ticket}: buffer poses until it admits"),
+        ),
         Err(ServeError::Overloaded { retry_after_s }) => {
             fail(
                 "headset session pushed back",

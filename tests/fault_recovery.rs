@@ -22,7 +22,7 @@ use cicero_scene::volume::MarchParams;
 use cicero_scene::{library, AnalyticScene, Trajectory};
 use cicero_serve::{
     FaultPlan, FaultReport, FrameServer, QosClass, RetryWithBackoff, ServeConfig, ServiceReport,
-    SessionSpec,
+    SessionSpec, Submission,
 };
 
 fn assets(name: &str, frames: usize) -> (AnalyticScene, GridModel, Trajectory) {
@@ -89,17 +89,25 @@ fn serve_fleet(faults: Option<FaultPlan>, budget: usize) -> ServiceReport {
             (&ship, &ship_model, &ship_traj)
         };
         server
-            .submit(spec, scene, model, traj, Intrinsics::from_fov(24, 24, 0.9))
+            .submit(Submission::trajectory(
+                spec,
+                scene,
+                model,
+                traj,
+                Intrinsics::from_fov(24, 24, 0.9),
+            ))
             .unwrap();
     }
     let id = server
-        .submit_stream(
+        .submit(Submission::stream(
             spec("stream", QosClass::Standard, 0.009),
             &lego,
             &lego_model,
             lego_traj.fps(),
             Intrinsics::from_fov(24, 24, 0.9),
-        )
+        ))
+        .unwrap()
+        .session()
         .unwrap();
     for pose in lego_traj.poses() {
         server.push_pose(id, *pose).unwrap();
@@ -214,22 +222,22 @@ fn fallback_warps_stay_within_radius_and_psnr_floor() {
         ..Default::default()
     });
     server
-        .submit(
+        .submit(Submission::trajectory(
             spec("planter", QosClass::Standard, 0.0),
             &scene,
             &model,
             &traj,
             k,
-        )
+        ))
         .unwrap();
     server
-        .submit(
+        .submit(Submission::trajectory(
             spec("faller", QosClass::Standard, 0.004),
             &scene,
             &model,
             &shifted,
             k,
-        )
+        ))
         .unwrap();
     let report = server.run();
 
@@ -273,22 +281,22 @@ fn fallback_warps_stay_within_radius_and_psnr_floor() {
             ..Default::default()
         });
         server
-            .submit(
+            .submit(Submission::trajectory(
                 spec("planter", QosClass::Standard, 0.0),
                 &scene,
                 &model,
                 &traj,
                 k,
-            )
+            ))
             .unwrap();
         server
-            .submit(
+            .submit(Submission::trajectory(
                 spec("faller", QosClass::Standard, 0.004),
                 &scene,
                 &model,
                 &shifted,
                 k,
-            )
+            ))
             .unwrap();
         server.run()
     };
@@ -316,13 +324,15 @@ fn streaming_sessions_survive_stalls_and_resume_bit_identically() {
             ..Default::default()
         });
         let id = server
-            .submit_stream(
+            .submit(Submission::stream(
                 spec("chaotic", QosClass::Standard, 0.0),
                 &scene,
                 &model,
                 traj.fps(),
                 k,
-            )
+            ))
+            .unwrap()
+            .session()
             .unwrap();
         // Uneven chunks with a drain between each: the session must keep
         // making progress around the stalls, not just after the close.

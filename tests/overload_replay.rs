@@ -24,7 +24,7 @@ use cicero_scene::volume::MarchParams;
 use cicero_scene::{library, AnalyticScene, Trajectory};
 use cicero_serve::{
     run_replay, AdmissionPolicy, ArrivalProcess, Fleet, FleetConfig, FrameServer, OverloadControl,
-    OverloadReport, QosClass, ReplayOptions, ReplayOutcome, ServeConfig, SessionSpec,
+    OverloadReport, QosClass, ReplayOptions, ReplayOutcome, ServeConfig, SessionSpec, Submission,
     SubmitOutcome, TicketState, TrafficAssets, TrafficModel, TrafficProfile,
 };
 
@@ -181,7 +181,7 @@ fn disarmed_replay_matches_plain_submission_byte_for_byte() {
     for (i, sess) in profile.sessions.iter().enumerate() {
         let (_, scene, model) = scenes.iter().find(|(n, _, _)| n == &sess.scene).unwrap();
         server
-            .submit(
+            .submit(Submission::trajectory(
                 SessionSpec {
                     name: sess.name.clone(),
                     scene_key: sess.scene.clone(),
@@ -206,7 +206,7 @@ fn disarmed_replay_matches_plain_submission_byte_for_byte() {
                 model,
                 &trajs[i],
                 Intrinsics::from_fov(24, 24, 0.9),
-            )
+            ))
             .unwrap();
     }
     let plain = server.run();
@@ -380,11 +380,11 @@ fn shed_spec_resubmits_cleanly_once_load_drains() {
     });
     let intr = Intrinsics::from_fov(24, 24, 0.9);
     let first = server
-        .submit_at(0.0, spec("holder"), &scene, &model, &traj, intr)
+        .submit(Submission::trajectory(spec("holder"), &scene, &model, &traj, intr).at(0.0))
         .unwrap();
     assert!(matches!(first, SubmitOutcome::Admitted(_)));
     let queued = server
-        .submit_at(0.0, spec("victim"), &scene, &model, &traj, intr)
+        .submit(Submission::trajectory(spec("victim"), &scene, &model, &traj, intr).at(0.0))
         .unwrap();
     let SubmitOutcome::Queued(ticket) = queued else {
         panic!("second spec must queue behind max_sessions=1");
@@ -394,13 +394,9 @@ fn shed_spec_resubmits_cleanly_once_load_drains() {
     assert_eq!(report.overload.sheds, 1);
     // Load has drained; the identical spec now admits directly.
     let retry = server
-        .submit_at(
-            report.makespan_s,
-            spec("victim"),
-            &scene,
-            &model,
-            &traj,
-            intr,
+        .submit(
+            Submission::trajectory(spec("victim"), &scene, &model, &traj, intr)
+                .at(report.makespan_s),
         )
         .unwrap();
     assert!(
@@ -433,28 +429,30 @@ fn fleet_diverts_before_shedding_and_stays_deterministic() {
         // queueing behind max_sessions=1.
         for i in 0..2 {
             let outcome = fleet
-                .submit_at(
-                    0.0,
-                    SessionSpec {
-                        name: format!("s{i}"),
-                        scene_key: "lego".into(),
-                        qos: QosClass::Standard,
-                        start_offset_s: 0.002 * i as f64,
-                        config: PipelineConfig {
-                            window: 4,
-                            march: MarchParams {
-                                step: 0.05,
+                .submit(
+                    Submission::trajectory(
+                        SessionSpec {
+                            name: format!("s{i}"),
+                            scene_key: "lego".into(),
+                            qos: QosClass::Standard,
+                            start_offset_s: 0.002 * i as f64,
+                            config: PipelineConfig {
+                                window: 4,
+                                march: MarchParams {
+                                    step: 0.05,
+                                    ..Default::default()
+                                },
+                                collect_quality: true,
+                                collect_traffic: false,
                                 ..Default::default()
                             },
-                            collect_quality: true,
-                            collect_traffic: false,
-                            ..Default::default()
                         },
-                    },
-                    &scene,
-                    &model,
-                    &traj,
-                    intr,
+                        &scene,
+                        &model,
+                        &traj,
+                        intr,
+                    )
+                    .at(0.0),
                 )
                 .unwrap();
             assert!(

@@ -13,7 +13,7 @@ use cicero_accel::pool::PoolConfig;
 use cicero_field::{bake, GridConfig};
 use cicero_math::Intrinsics;
 use cicero_scene::{library, Trajectory};
-use cicero_serve::{FrameServer, QosClass, ServeConfig, SessionSpec};
+use cicero_serve::{FrameServer, QosClass, ServeConfig, SessionSpec, Submission};
 
 #[test]
 #[ignore = "paper-scale (800×800): run in release, CI does so explicitly"]
@@ -77,7 +77,7 @@ fn serve_layer_reproduces_direct_session_at_800() {
         ..Default::default()
     });
     server
-        .submit(
+        .submit(Submission::trajectory(
             SessionSpec {
                 name: "fig19".into(),
                 scene_key: "lego".into(),
@@ -89,7 +89,7 @@ fn serve_layer_reproduces_direct_session_at_800() {
             &model,
             &traj,
             k,
-        )
+        ))
         .unwrap();
     let report = server.run();
 

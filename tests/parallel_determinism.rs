@@ -21,7 +21,7 @@ use cicero_scene::volume::MarchParams;
 use cicero_scene::{library, RadianceSource, Trajectory};
 use cicero_serve::{
     FrameServer, IdleWorkerPrefetch, LoadAdaptiveDegrade, Policies, QosClass, SceneAffinity,
-    ServeConfig, SessionSpec,
+    ServeConfig, SessionSpec, Submission,
 };
 use cicero_telemetry as telemetry;
 
@@ -345,13 +345,13 @@ fn concurrent_multi_session_serving_matches_serial_stepping() {
                 },
             };
             server
-                .submit(
+                .submit(Submission::trajectory(
                     spec,
                     scenes[scene_ix],
                     &models[scene_ix],
                     &trajs[scene_ix],
                     k,
-                )
+                ))
                 .unwrap();
         }
         server.run()
@@ -467,13 +467,13 @@ fn non_default_policies_are_budget_deterministic() {
                 // Degrade mode intentionally saturates: rejections are fine,
                 // they must simply be identical across budgets.
                 if server
-                    .submit(
+                    .submit(Submission::trajectory(
                         spec,
                         scenes[scene_ix],
                         &models[scene_ix],
                         &trajs[scene_ix],
                         k,
-                    )
+                    ))
                     .is_ok()
                 {
                     admitted += 1;
@@ -597,7 +597,9 @@ fn telemetry_on_is_bit_identical_to_off() {
                     ..fast_cfg(Variant::Cicero, threads)
                 },
             };
-            server.submit(spec, &scene, &model, &traj, k).unwrap();
+            server
+                .submit(Submission::trajectory(spec, &scene, &model, &traj, k))
+                .unwrap();
         }
         server.run()
     };

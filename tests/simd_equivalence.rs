@@ -36,7 +36,7 @@ use cicero_math::{Camera, Intrinsics, Pose, Vec3};
 use cicero_scene::ground_truth::{render_frame, Frame};
 use cicero_scene::volume::MarchParams;
 use cicero_scene::{library, RadianceSource, Trajectory};
-use cicero_serve::{FrameServer, QosClass, ServeConfig, ServiceReport, SessionSpec};
+use cicero_serve::{FrameServer, QosClass, ServeConfig, ServiceReport, SessionSpec, Submission};
 
 const BLOCK_SIZES: [usize; 3] = [1, 16, 64];
 
@@ -337,13 +337,13 @@ fn wide_serve_reports_are_bit_identical() {
                 },
             };
             server
-                .submit(
+                .submit(Submission::trajectory(
                     spec,
                     scenes[scene_ix],
                     models[scene_ix].as_ref(),
                     &trajs[scene_ix],
                     k,
-                )
+                ))
                 .unwrap();
         }
         server.run()

@@ -12,7 +12,7 @@ use cicero_field::{bake, GridConfig, GridModel};
 use cicero_math::Intrinsics;
 use cicero_scene::volume::MarchParams;
 use cicero_scene::{library, AnalyticScene, Trajectory};
-use cicero_serve::{FrameServer, QosClass, ServeConfig, SessionSpec};
+use cicero_serve::{FrameServer, QosClass, ServeConfig, SessionSpec, Submission};
 
 fn assets() -> (AnalyticScene, GridModel, Trajectory) {
     let scene = library::scene_by_name("lego").unwrap();
@@ -105,14 +105,18 @@ fn streamed_sessions_report_identically_to_whole_trajectories() {
                 let spec = spec(&format!("s{i}"), variant, offset);
                 if streamed {
                     let id = server
-                        .submit_stream(spec, &scene, &model, traj.fps(), k)
+                        .submit(Submission::stream(spec, &scene, &model, traj.fps(), k))
+                        .unwrap()
+                        .session()
                         .unwrap();
                     for pose in traj.poses() {
                         server.push_pose(id, *pose).unwrap();
                     }
                     server.close_stream(id).unwrap();
                 } else {
-                    server.submit(spec, &scene, &model, &traj, k).unwrap();
+                    server
+                        .submit(Submission::trajectory(spec, &scene, &model, &traj, k))
+                        .unwrap();
                 }
             }
             server.run()
@@ -145,13 +149,15 @@ fn interleaved_push_and_run_drains_incrementally_and_deterministically() {
     let run_once = || {
         let mut server = FrameServer::new(ServeConfig::default());
         let id = server
-            .submit_stream(
+            .submit(Submission::stream(
                 spec("inc", Variant::Cicero, 0.0),
                 &scene,
                 &model,
                 traj.fps(),
                 k,
-            )
+            ))
+            .unwrap()
+            .session()
             .unwrap();
         let mut frames_after = Vec::new();
         // Feed in three uneven chunks with a drain after each.
