@@ -20,7 +20,7 @@ use cicero_field::render::RenderStats;
 use cicero_field::{Decoder, GatherPlan, GatherSink, NerfModel};
 use cicero_mem::{
     AddressMap, BankSim, BankSimConfig, BankStats, CacheStats, DramConfig, DramSim, DramStats,
-    FeatureLayout, LruCache, MVoxelConfig, MVoxelPartition, RitConfig,
+    LruCache, MVoxelConfig, MVoxelPartition, RitConfig,
 };
 
 /// Builds the [`AddressMap`] of a model's DRAM image.
@@ -94,6 +94,41 @@ pub struct PixelCentricReport {
     pub belady_trace: Option<Vec<u64>>,
 }
 
+/// One buffered sample of a wave: it read the banks
+/// `Wave::banks[start..start + len]`, and `next` is the same ray's following
+/// sample.
+#[derive(Debug, Clone, Copy)]
+struct WaveSample {
+    start: u32,
+    len: u32,
+    next: Option<u32>,
+}
+
+/// One in-flight ray of a wave: its first sample not yet replayed and its
+/// last buffered one.
+#[derive(Debug, Clone, Copy)]
+struct WaveRay {
+    ray_id: u32,
+    head: Option<u32>,
+    tail: u32,
+}
+
+/// The samples of up to `concurrent_rays` in-flight rays, waiting for their
+/// bank replay: flat arenas that a flush empties and the next wave refills,
+/// so buffering a sample allocates nothing once they have grown.
+#[derive(Debug, Default)]
+struct Wave {
+    /// Feature-major bank of every buffered entry read, sample after sample.
+    banks: Vec<usize>,
+    samples: Vec<WaveSample>,
+    /// In arrival order.
+    rays: Vec<WaveRay>,
+    /// The samples of one concurrent step, as `(start, len)` into `banks`.
+    step: Vec<(u32, u32)>,
+    /// The requests of one issue round.
+    round: Vec<usize>,
+}
+
 /// The pixel-centric traffic analyzer.
 pub struct PixelCentricTraffic {
     cfg: PixelCentricConfig,
@@ -101,8 +136,7 @@ pub struct PixelCentricTraffic {
     cache: LruCache,
     dram: DramSim,
     bank: BankSim,
-    /// Samples buffered per in-flight ray: (ray, per-sample entry lists).
-    wave: Vec<(u32, Vec<Vec<u64>>)>,
+    wave: Wave,
     belady_trace: Vec<u64>,
 }
 
@@ -118,7 +152,7 @@ impl PixelCentricTraffic {
                 ports_per_bank: cfg.bank_ports,
                 lanes: cfg.concurrent_rays,
             }),
-            wave: Vec::new(),
+            wave: Wave::default(),
             belady_trace: Vec::new(),
             cfg,
         }
@@ -126,19 +160,35 @@ impl PixelCentricTraffic {
 
     fn flush_wave(&mut self) {
         // Concurrent execution: at step k, every in-flight ray gathers its
-        // k-th sample; the 8 (×levels) vertex reads issue round-by-round.
-        let max_samples = self.wave.iter().map(|(_, s)| s.len()).max().unwrap_or(0);
-        for k in 0..max_samples {
-            let group: Vec<Vec<u64>> = self
-                .wave
-                .iter()
-                .filter_map(|(_, samples)| samples.get(k).cloned())
-                .collect();
-            if !group.is_empty() {
-                self.bank.replay_gather(&group, FeatureLayout::FeatureMajor);
+        // k-th sample; the 8 (×levels) vertex reads issue round-by-round
+        // (read 0 of every sample, then read 1, ... — the order of
+        // `BankSim::replay_gather`).
+        let wave = &mut self.wave;
+        loop {
+            wave.step.clear();
+            for ray in &mut wave.rays {
+                if let Some(head) = ray.head {
+                    let sample = wave.samples[head as usize];
+                    wave.step.push((sample.start, sample.len));
+                    ray.head = sample.next;
+                }
+            }
+            let Some(reads) = wave.step.iter().map(|&(_, len)| len).max() else {
+                break;
+            };
+            for read in 0..reads {
+                wave.round.clear();
+                for &(start, len) in &wave.step {
+                    if read < len {
+                        wave.round.push(wave.banks[(start + read) as usize]);
+                    }
+                }
+                self.bank.issue_round(&wave.round);
             }
         }
-        self.wave.clear();
+        wave.banks.clear();
+        wave.samples.clear();
+        wave.rays.clear();
     }
 
     /// Finishes analysis and returns the report.
@@ -159,34 +209,56 @@ impl PixelCentricTraffic {
 
 impl GatherSink for PixelCentricTraffic {
     fn on_sample(&mut self, ray_id: u32, _sample_t: f32, plan: &GatherPlan) {
-        let mut sample_entries = Vec::with_capacity(plan.entry_reads() as usize);
+        // The sample joins its ray in the wave, or opens a new ray — after a
+        // flush when the wave is full. Samples arrive ray by ray, so the ray
+        // is almost always the newest one.
+        let known = self.wave.rays.iter().rposition(|r| r.ray_id == ray_id);
+        if known.is_none() && self.wave.rays.len() == self.cfg.concurrent_rays {
+            self.flush_wave();
+        }
+        let index = self.wave.samples.len() as u32;
+        match known {
+            Some(r) => {
+                let ray = &mut self.wave.rays[r];
+                self.wave.samples[ray.tail as usize].next = Some(index);
+                ray.tail = index;
+            }
+            None => self.wave.rays.push(WaveRay {
+                ray_id,
+                head: Some(index),
+                tail: index,
+            }),
+        }
+        let start = self.wave.banks.len() as u32;
+        // The cache asserted its line size a power of two.
+        let line_shift = self.cfg.cache_line.trailing_zeros();
+        let banks = self.cfg.banks as u64;
         for lg in &plan.levels {
+            let entry_bytes = lg.entry_bytes as u64;
+            // Feature-major bank id: one feature vector per bank slot, so
+            // `addr / entry_bytes` — the region's first slot plus the entry.
+            let base_slot = self.addr.region_base(lg.region.0) / entry_bytes.max(1);
             for &e in lg.entries() {
+                self.wave.banks.push(((base_slot + e) % banks) as usize);
                 let addr = self.addr.address(lg.region.0, e, lg.entry_bytes);
-                // Feature-major bank id: one feature vector per bank slot.
-                sample_entries.push(addr / lg.entry_bytes.max(1) as u64);
-                let first = addr / self.cfg.cache_line;
-                let last = (addr + lg.entry_bytes as u64 - 1) / self.cfg.cache_line;
+                let first = addr >> line_shift;
+                let last = (addr + entry_bytes - 1) >> line_shift;
                 for line in first..=last {
                     if self.cfg.collect_belady_trace {
                         self.belady_trace.push(line);
                     }
-                    if !self.cache.access(line * self.cfg.cache_line) {
+                    if !self.cache.access(line << line_shift) {
                         self.dram
-                            .read(line * self.cfg.cache_line, self.cfg.cache_line as u32);
+                            .read(line << line_shift, self.cfg.cache_line as u32);
                     }
                 }
             }
         }
-        match self.wave.iter_mut().find(|(r, _)| *r == ray_id) {
-            Some((_, samples)) => samples.push(sample_entries),
-            None => {
-                if self.wave.len() == self.cfg.concurrent_rays {
-                    self.flush_wave();
-                }
-                self.wave.push((ray_id, vec![sample_entries]));
-            }
-        }
+        self.wave.samples.push(WaveSample {
+            start,
+            len: self.wave.banks.len() as u32 - start,
+            next: None,
+        });
     }
 }
 
@@ -327,26 +399,22 @@ impl GatherSink for StreamingTraffic {
                     self.partitions[r] = Some(part);
                 }
                 let part = self.partitions[r].as_ref().unwrap();
-                let mv = part.mvoxel_of_cell(lg.cell);
+                let (mv, halo) = part.sample_reads(lg.cell, lg.entries());
                 self.touched[r][mv] = true;
                 self.rit_records += 1;
-                for &e in lg.entries() {
-                    let coord = part.vertex_coord(e);
-                    if !part.contains_vertex(mv, coord) {
-                        self.halo_entries[r] += 1;
-                    }
-                }
+                self.halo_entries[r] += halo;
             } else {
                 // Reverted (hashed) region: cached random access, as the
                 // paper does for Instant-NGP's fine levels.
+                let line_shift = self.cfg.cache_line.trailing_zeros();
                 for &e in lg.entries() {
                     let addr = self.addr.address(lg.region.0, e, lg.entry_bytes);
-                    let first = addr / self.cfg.cache_line;
-                    let last = (addr + lg.entry_bytes as u64 - 1) / self.cfg.cache_line;
+                    let first = addr >> line_shift;
+                    let last = (addr + lg.entry_bytes as u64 - 1) >> line_shift;
                     for line in first..=last {
-                        if !self.hashed_cache.access(line * self.cfg.cache_line) {
+                        if !self.hashed_cache.access(line << line_shift) {
                             self.hashed_dram
-                                .read(line * self.cfg.cache_line, self.cfg.cache_line as u32);
+                                .read(line << line_shift, self.cfg.cache_line as u32);
                         }
                     }
                 }

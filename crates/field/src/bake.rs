@@ -51,16 +51,15 @@ impl Default for BakeOptions {
 /// mismatch becomes reconstruction error, standing in for training residual).
 pub fn signals_at(scene: &AnalyticScene, p: Vec3, model_shininess: f32) -> [f32; SIGNALS] {
     let mut s = [0.0_f32; SIGNALS];
-    let sigma = scene.density_at(p);
-    s[0] = inverse_softplus(sigma);
+    let near = scene.nearest(p);
+    s[0] = inverse_softplus(near.density());
     // Radiance signals only matter where interpolation can reach matter.
-    let (d, _) = scene.sdf(p);
-    if d < scene.shell_width * 2.0 {
-        let c = scene.diffuse_radiance_at(p);
+    if near.distance < scene.shell_width * 2.0 {
+        let (c, lobe) = near.surface();
         s[1] = c.x;
         s[2] = c.y;
         s[3] = c.z;
-        if let Some((q, m_mat)) = scene.specular_lobe_at(p) {
+        if let Some((q, m_mat)) = lobe {
             // q = refl · (spec·I)^(1/m_mat); re-fold for the model exponent.
             let strength = q.length().powf(m_mat);
             let q_model = q.normalized() * strength.powf(1.0 / model_shininess);
@@ -79,10 +78,15 @@ fn specular_head(scene: &AnalyticScene) -> Option<SpecularHead> {
 }
 
 fn bake_occupancy(scene: &AnalyticScene, res: usize) -> OccupancyGrid {
+    // The signed distance is the density's clearance (the union SDF is
+    // 1-Lipschitz and the shell's ramp is exactly zero outside it).
     OccupancyGrid::from_density(
         RadianceSource::bounds(scene),
         res,
-        |p| scene.density_at(p),
+        |p| {
+            let near = scene.nearest(p);
+            (near.density(), near.distance)
+        },
         1e-2,
     )
 }

@@ -37,7 +37,19 @@ impl OccupancyGrid {
     ///
     /// Panics if `res == 0`.
     pub fn from_fn(bounds: Aabb, res: usize, mut f: impl FnMut(Vec3) -> bool) -> Self {
+        Self::from_probe(bounds, res, |p| (f(p), 0.0))
+    }
+
+    /// [`Self::from_fn`] for a predicate that comes with a clearance:
+    /// `probe(p)` also returns a radius around `p` inside which the predicate
+    /// is false everywhere (`0.0`: no claim). A sub-sample whose clearance
+    /// covers the rest of its cell settles the cell without asking them.
+    fn from_probe(bounds: Aabb, res: usize, mut probe: impl FnMut(Vec3) -> (bool, f32)) -> Self {
         let cell = bounds.size() / res as f32;
+        // No two sub-samples of a cell are further apart than half its
+        // diagonal; the margin covers the rounding of their positions and
+        // of the clearance (see `cicero_scene::volume`'s).
+        let reach = cell.length() * 0.5 + 1e-4;
         Self::from_cells(bounds, res, |x, y, z| {
             let base =
                 bounds.min + Vec3::new(x as f32 * cell.x, y as f32 * cell.y, z as f32 * cell.z);
@@ -50,8 +62,12 @@ impl OccupancyGrid {
                                 (sy as f32 + 0.5) * cell.y * 0.5,
                                 (sz as f32 + 0.5) * cell.z * 0.5,
                             );
-                        if f(p) {
+                        let (hit, clearance) = probe(p);
+                        if hit {
                             return true;
+                        }
+                        if clearance > reach {
+                            return false;
                         }
                     }
                 }
@@ -60,15 +76,29 @@ impl OccupancyGrid {
         })
     }
 
-    /// Builds an occupancy grid from a density predicate with one cell of
-    /// dilation, so trilinear interpolation never reads outside marked cells.
+    /// Builds an occupancy grid of the cells where the density exceeds
+    /// `threshold`, with one cell of dilation, so trilinear interpolation
+    /// never reads outside marked cells.
+    ///
+    /// `sample(p)` returns the density at `p` and a radius around `p` inside
+    /// which the density is exactly zero — `0.0` (no claim) is always legal,
+    /// and so is any under-estimate. The grid is the same with and without
+    /// the claim; with it, empty space costs one sample per cell, not eight.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `threshold` is negative (a density of zero must not mark).
     pub fn from_density(
         bounds: Aabb,
         res: usize,
-        density: impl Fn(Vec3) -> f32,
+        sample: impl Fn(Vec3) -> (f32, f32),
         threshold: f32,
     ) -> Self {
-        let raw = Self::from_fn(bounds, res, |p| density(p) > threshold);
+        assert!(threshold >= 0.0, "negative density threshold");
+        let raw = Self::from_probe(bounds, res, |p| {
+            let (density, clearance) = sample(p);
+            (density > threshold, clearance)
+        });
         raw.dilated()
     }
 
@@ -297,11 +327,46 @@ mod tests {
         let g = OccupancyGrid::from_density(
             Aabb::centered_cube(1.0),
             8,
-            |p| if p.length() < 0.3 { 10.0 } else { 0.0 },
+            |p| (if p.length() < 0.3 { 10.0 } else { 0.0 }, 0.0),
             0.5,
         );
         // A point just outside the sphere but within one cell should be marked.
         assert!(g.occupied(Vec3::new(0.4, 0.0, 0.0)));
+    }
+
+    /// A density that states its clearance builds the same grid from far
+    /// fewer samples: the analytic scenes' bake, where the clearance is the
+    /// signed distance.
+    #[test]
+    fn clearance_saves_samples_and_changes_no_cell() {
+        use cicero_scene::{library, RadianceSource};
+        use std::cell::Cell;
+        for name in ["lego", "ship", "materials"] {
+            let scene = library::scene_by_name(name).unwrap();
+            let asked = Cell::new(0u32);
+            let build = |with_clearance: bool| {
+                asked.set(0);
+                let grid = OccupancyGrid::from_density(
+                    scene.bounds(),
+                    24,
+                    |p| {
+                        asked.set(asked.get() + 1);
+                        let near = scene.nearest(p);
+                        let clearance = if with_clearance { near.distance } else { 0.0 };
+                        (near.density(), clearance)
+                    },
+                    1e-2,
+                );
+                (grid, asked.get())
+            };
+            let (plain, plain_samples) = build(false);
+            let (skipping, samples) = build(true);
+            assert_eq!(skipping.dist, plain.dist, "{name}");
+            assert!(
+                samples * 2 < plain_samples,
+                "{name}: {samples} samples vs {plain_samples}"
+            );
+        }
     }
 
     #[test]
@@ -392,7 +457,7 @@ mod tests {
             .collect();
         let grids = [8, 48].map(|res| {
             let inside = |p: Vec3| blobs.iter().any(|&(c, r)| (p - c).length() < r);
-            OccupancyGrid::from_density(bounds, res, |p| inside(p) as u32 as f32, 0.5)
+            OccupancyGrid::from_density(bounds, res, |p| (inside(p) as u32 as f32, 0.0), 0.5)
         });
         let (mut candidates, mut looked_at) = (0, 0);
         for i in 0..48 {

@@ -57,6 +57,7 @@ impl AddressMap {
     }
 
     /// Base address of a region.
+    #[inline]
     pub fn region_base(&self, region: u16) -> u64 {
         self.bases[region as usize]
     }

@@ -124,23 +124,25 @@ impl BankSim {
             "more requests than lanes"
         );
         self.loads.fill(0);
+        let banks = self.cfg.banks;
+        let mut heaviest = 0u32;
         for &b in banks_hit {
-            self.loads[b % self.cfg.banks] += 1;
+            // Callers that replay whole frames reduce the bank themselves;
+            // only a request that was not pays the division here.
+            let load = &mut self.loads[if b < banks { b } else { b % banks }];
+            *load += 1;
+            heaviest = heaviest.max(*load);
         }
         let ports = self.cfg.ports_per_bank as u32;
-        let mut worst = 0u32;
-        let mut stalled = 0u64;
-        for &l in &self.loads {
-            if l == 0 {
-                continue;
-            }
-            let cycles = l.div_ceil(ports);
-            worst = worst.max(cycles);
-            stalled += l.saturating_sub(ports) as u64;
-        }
+        let stalled: u64 = self
+            .loads
+            .iter()
+            .map(|&l| l.saturating_sub(ports) as u64)
+            .sum();
         self.stats.requests += banks_hit.len() as u64;
         self.stats.stalled_requests += stalled;
-        self.stats.cycles += worst.max(1) as u64;
+        // The most loaded bank sets the round's length.
+        self.stats.cycles += heaviest.div_ceil(ports).max(1) as u64;
         self.stats.ideal_cycles += 1;
     }
 

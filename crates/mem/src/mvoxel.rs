@@ -170,6 +170,50 @@ impl MVoxelPartition {
         self.resolution.iter().map(|&r| r as u64).product()
     }
 
+    /// The MVoxel a sample in `cell` is assigned to, and how many of the
+    /// sample's `entries` (region-flat vertex indices) are halo reads:
+    /// vertices outside that MVoxel's core block.
+    ///
+    /// What [`Self::mvoxel_of_cell`] and a [`Self::contains_vertex`] test of
+    /// every entry's [`Self::vertex_coord`] say, without their six divisions
+    /// per entry. The block's vertex range is worked out once, and an entry
+    /// that is a corner of the cell — offset 0 or 1 along each axis, which
+    /// is every entry of a dense gather — is located by comparing its
+    /// distance from the cell's own index with the axis strides; any other
+    /// entry goes through `vertex_coord`.
+    pub fn sample_reads(&self, cell: [u32; 3], entries: &[u64]) -> (usize, u64) {
+        let block = [0, 1, 2].map(|a| cell[a] / self.dims[a]);
+        let id = ((block[2] * self.counts[1] + block[1]) * self.counts[0] + block[0]) as usize;
+        let lo = [0, 1, 2].map(|a| block[a] * self.dims[a]);
+        let (nx, ny) = (self.resolution[0] as u64, self.resolution[1] as u64);
+        let base = (cell[2] as u64 * ny + cell[1] as u64) * nx + cell[0] as u64;
+        let mut halo = 0;
+        for &e in entries {
+            // `e - base = ox + oy·nx + oz·nx·ny`; an entry before the cell
+            // wraps to a distance no offset explains.
+            let mut rest = e.wrapping_sub(base);
+            let oz = (rest >= nx * ny) as u64;
+            rest -= oz * nx * ny;
+            let oy = (rest >= nx) as u64;
+            rest -= oy * nx;
+            // The offsets name the entry's vertex only if they stay inside
+            // the row and the slice (the flat index wraps otherwise).
+            let coord = if rest <= 1 && cell[0] as u64 + rest < nx && cell[1] as u64 + oy < ny {
+                [
+                    cell[0] + rest as u32,
+                    cell[1] + oy as u32,
+                    cell[2] + oz as u32,
+                ]
+            } else {
+                self.vertex_coord(e)
+            };
+            debug_assert_eq!(coord, self.vertex_coord(e));
+            let inside = (0..3).all(|a| coord[a] >= lo[a] && coord[a] - lo[a] < self.dims[a]);
+            halo += !inside as u64;
+        }
+        (id, halo)
+    }
+
     /// Converts a region-flat vertex index (x-major: `(z·ny + y)·nx + x`)
     /// to its coordinate.
     pub fn vertex_coord(&self, flat: u64) -> [u32; 3] {
@@ -250,6 +294,44 @@ mod tests {
         assert_eq!(cfg.dims[1], 1);
         assert_eq!(cfg.dims[2], 1);
         assert!(cfg.dims[0] >= 32);
+    }
+
+    #[test]
+    fn sample_reads_match_the_per_entry_queries() {
+        // 3-D, plane and line regions with blocks that do not divide them,
+        // every cell, its corners and a few entries that are not corners.
+        let parts = [
+            MVoxelPartition::new([11, 7, 5], MVoxelConfig { dims: [4, 3, 2] }, 24),
+            MVoxelPartition::new([9, 6, 1], MVoxelConfig { dims: [4, 4, 1] }, 56),
+            MVoxelPartition::new([13, 1, 1], MVoxelConfig { dims: [8, 1, 1] }, 56),
+        ];
+        for p in &parts {
+            let [nx, ny, nz] = p.resolution;
+            let flat = |v: [u32; 3]| ((v[2] * ny + v[1]) * nx + v[0]) as u64;
+            let total = p.total_vertices();
+            for cz in 0..nz.max(2) - 1 {
+                for cy in 0..ny.max(2) - 1 {
+                    for cx in 0..nx - 1 {
+                        let cell = [cx, cy, cz];
+                        let mut entries: Vec<u64> = (0..8u32)
+                            .map(|b| [cx + (b & 1), cy + (b >> 1 & 1), cz + (b >> 2)])
+                            .filter(|v| v[1] < ny && v[2] < nz)
+                            .map(flat)
+                            .collect();
+                        // Not corners: the region's first and last vertex,
+                        // one two columns on, one two rows back.
+                        entries.extend([0, total - 1, (flat(cell) + 2).min(total - 1)]);
+                        entries.push(flat(cell).saturating_sub(2 * nx as u64));
+                        let id = p.mvoxel_of_cell(cell);
+                        let halo = entries
+                            .iter()
+                            .filter(|&&e| !p.contains_vertex(id, p.vertex_coord(e)))
+                            .count() as u64;
+                        assert_eq!(p.sample_reads(cell, &entries), (id, halo), "cell {cell:?}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

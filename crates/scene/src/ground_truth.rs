@@ -63,50 +63,6 @@ pub fn render_frame<S: RadianceSource + ?Sized>(
     Frame { color, depth }
 }
 
-/// Renders only the pixels selected by `mask` (row-major, `true` = render),
-/// writing into an existing frame. Used by SPARW's sparse NeRF stage.
-///
-/// Returns the number of rendered pixels.
-///
-/// # Panics
-///
-/// Panics if `mask` length differs from the frame pixel count or the frame
-/// dimensions differ from the camera's.
-pub fn render_sparse<S: RadianceSource + ?Sized>(
-    src: &S,
-    camera: &Camera,
-    params: &MarchParams,
-    mask: &[bool],
-    frame: &mut Frame,
-) -> usize {
-    let (w, h) = (camera.intrinsics.width, camera.intrinsics.height);
-    assert_eq!(mask.len(), w * h, "mask must cover every pixel");
-    assert_eq!(
-        (frame.width(), frame.height()),
-        (w, h),
-        "frame/camera size mismatch"
-    );
-    let mut rendered = 0;
-    for y in 0..h {
-        for x in 0..w {
-            if !mask[y * w + x] {
-                continue;
-            }
-            let (u, v) = (x as f32 + 0.5, y as f32 + 0.5);
-            let ray = camera.primary_ray(u, v);
-            let r = march_ray_auto(src, &ray, params);
-            *frame.color.get_mut(x, y) = r.color;
-            *frame.depth.get_mut(x, y) = if r.depth_t.is_finite() {
-                r.depth_t * camera.z_scale(u, v)
-            } else {
-                f32::INFINITY
-            };
-            rendered += 1;
-        }
-    }
-    rendered
-}
-
 /// Creates an all-background frame (used as the canvas for warping).
 pub fn background_frame<S: RadianceSource + ?Sized>(src: &S, w: usize, h: usize) -> Frame {
     Frame {
@@ -174,21 +130,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn sparse_render_only_touches_mask() {
-        let scene = sphere_scene();
-        let cam = camera(17, 17);
-        let full = render_frame(&scene, &cam, &MarchParams::default());
-        let mut partial = background_frame(&scene, 17, 17);
-        let mut mask = vec![false; 17 * 17];
-        mask[8 * 17 + 8] = true; // center only
-        let n = render_sparse(&scene, &cam, &MarchParams::default(), &mask, &mut partial);
-        assert_eq!(n, 1);
-        assert_eq!(partial.color.get(8, 8), full.color.get(8, 8));
-        // Untouched pixel keeps the background canvas value.
-        assert_eq!(*partial.depth.get(0, 0), f32::INFINITY);
     }
 
     #[test]

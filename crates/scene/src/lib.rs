@@ -46,5 +46,5 @@ pub mod volume;
 
 pub use material::{Material, Texture};
 pub use primitive::{Object, Shape};
-pub use scene::{AnalyticScene, RadianceSource, SceneBuilder};
+pub use scene::{AnalyticScene, Nearest, RadianceSource, SceneBuilder, SourceSample};
 pub use trajectory::{Trajectory, TrajectoryKind};

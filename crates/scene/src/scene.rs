@@ -24,6 +24,45 @@ pub trait RadianceSource {
     fn background(&self) -> Vec3 {
         Vec3::ZERO
     }
+
+    /// Everything [`crate::volume::march_ray`] asks of one sample point, in
+    /// one call: density, radiance toward `dir` where there is any, and the
+    /// source's [clearance](SourceSample::clearance) around `p`.
+    ///
+    /// The default answers from [`density_at`](Self::density_at) and
+    /// [`radiance_at`](Self::radiance_at) and reports no clearance, which
+    /// makes the marcher visit every step: it is the oracle an override is
+    /// held to. An override must return the same `sigma` and, where
+    /// `sigma > 0`, the same `radiance`, bit for bit; what it may add is one
+    /// evaluation shared between the two and a clearance.
+    fn sample_at(&self, p: Vec3, dir: Vec3) -> SourceSample {
+        let sigma = self.density_at(p);
+        SourceSample {
+            sigma,
+            radiance: if sigma > 0.0 {
+                self.radiance_at(p, dir)
+            } else {
+                Vec3::ZERO
+            },
+            clearance: 0.0,
+        }
+    }
+}
+
+/// A [`RadianceSource`] at one sample point (see
+/// [`RadianceSource::sample_at`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SourceSample {
+    /// Volume density σ at the point.
+    pub sigma: f32,
+    /// Radiance toward the ray direction; only read where `sigma > 0`.
+    pub radiance: Vec3,
+    /// A radius around the point inside which the density is **exactly**
+    /// zero: the marcher does not query samples nearer than this. `0.0` (no
+    /// claim) is always legal, and so is any under-estimate; an
+    /// over-estimate drops matter from the image. Only read where
+    /// `sigma <= 0`.
+    pub clearance: f32,
 }
 
 /// An analytic scene: SDF objects, a light, and a soft density shell.
@@ -45,8 +84,8 @@ pub struct AnalyticScene {
     pub sigma_max: f32,
     /// Soft-shell width in world units.
     pub shell_width: f32,
-    /// Directional light direction (pointing *from* the light).
-    pub light_dir: Vec3,
+    /// Unit vector toward the directional light.
+    to_light: Vec3,
     /// Directional light intensity.
     pub light_intensity: f32,
     /// Ambient light intensity.
@@ -80,43 +119,16 @@ impl AnalyticScene {
         self.objects.iter().any(|o| o.material.specular > 0.0)
     }
 
-    /// View-independent radiance: emissive + ambient + Lambertian diffuse.
-    ///
-    /// This is the part of the light field that warping can reuse exactly and
-    /// that baked encodings store per vertex.
-    pub fn diffuse_radiance_at(&self, p: Vec3) -> Vec3 {
-        match self.sdf(p).1 {
-            Some(i) => {
-                let obj = &self.objects[i];
-                let m = &obj.material;
-                let albedo = m.albedo.sample(p);
-                let n = obj.normal(p);
-                let l = -self.light_dir.normalized();
-                let diffuse = n.dot(l).max(0.0) * self.light_intensity;
-                m.emissive + albedo * (self.ambient + diffuse)
-            }
-            None => self.background,
+    /// Evaluates the union SDF at `p` once and keeps what it found; density,
+    /// shading and the baked signals of the point all derive from it.
+    pub fn nearest(&self, p: Vec3) -> Nearest<'_> {
+        let (distance, idx) = self.sdf(p);
+        Nearest {
+            scene: self,
+            p,
+            distance,
+            object: idx.map(|i| &self.objects[i]),
         }
-    }
-
-    /// The Phong specular lobe at `p`, folded for exact feature-space decode.
-    ///
-    /// Returns `q` such that the specular radiance toward ray direction `d`
-    /// is `max(0, q · (−d))^m` with `m = shininess`: `q` is the light's
-    /// mirror-reflection direction scaled by `(specular · intensity)^(1/m)`.
-    /// Returns `None` for diffuse points.
-    pub fn specular_lobe_at(&self, p: Vec3) -> Option<(Vec3, f32)> {
-        let i = self.sdf(p).1?;
-        let obj = &self.objects[i];
-        let m = &obj.material;
-        if m.specular <= 0.0 {
-            return None;
-        }
-        let n = obj.normal(p);
-        let l = -self.light_dir.normalized();
-        let refl = (n * (2.0 * n.dot(l)) - l).normalized();
-        let strength = m.specular * self.light_intensity;
-        Some((refl * strength.powf(1.0 / m.shininess), m.shininess))
     }
 
     /// The largest shininess exponent among specular materials (1.0 if none).
@@ -131,41 +143,94 @@ impl AnalyticScene {
             .map(|o| o.material.shininess)
             .fold(1.0, f32::max)
     }
+}
 
-    fn shade(&self, p: Vec3, view_dir: Vec3, obj: &Object) -> Vec3 {
+/// An [`AnalyticScene`] at one point, from one evaluation of its union SDF:
+/// the signed distance and the object that realises it.
+#[derive(Debug, Clone, Copy)]
+pub struct Nearest<'a> {
+    scene: &'a AnalyticScene,
+    p: Vec3,
+    /// Union signed distance at the point (`f32::INFINITY` in an empty
+    /// scene).
+    pub distance: f32,
+    object: Option<&'a Object>,
+}
+
+impl Nearest<'_> {
+    /// Volume density: zero outside the bounds, else the soft shell's ramp
+    /// from 0 at the surface to σ_max at depth `shell_width` inside.
+    pub fn density(&self) -> f32 {
+        let s = self.scene;
+        if !s.bounds.contains(self.p) {
+            return 0.0;
+        }
+        s.sigma_max * smoothstep(0.0, 1.0, -self.distance / s.shell_width)
+    }
+
+    /// View-independent radiance of `obj` at the point (emissive + ambient +
+    /// Lambertian diffuse) and, for a specular material, the light's mirror
+    /// direction about the surface normal.
+    fn lit(&self, obj: &Object) -> (Vec3, Option<Vec3>) {
+        let s = self.scene;
         let m = &obj.material;
-        let albedo = m.albedo.sample(p);
-        let n = obj.normal(p);
-        let l = -self.light_dir.normalized(); // toward the light
-        let diffuse = n.dot(l).max(0.0) * self.light_intensity;
-        let mut color = m.emissive + albedo * (self.ambient + diffuse);
-        if m.specular > 0.0 {
-            // Phong reflection term; `view_dir` points into the scene so the
-            // eye vector is `-view_dir`.
-            let v = -view_dir;
-            let refl = (n * (2.0 * n.dot(l)) - l).normalized();
-            let spec = refl.dot(v).max(0.0).powf(m.shininess) * m.specular * self.light_intensity;
+        let albedo = m.albedo.sample(self.p);
+        let n = obj.normal(self.p);
+        let l = s.to_light;
+        let diffuse = n.dot(l).max(0.0) * s.light_intensity;
+        let color = m.emissive + albedo * (s.ambient + diffuse);
+        let refl = (m.specular > 0.0).then(|| (n * (2.0 * n.dot(l)) - l).normalized());
+        (color, refl)
+    }
+
+    /// Radiance toward the ray propagation direction `dir`: the nearest
+    /// object's material shaded under the scene's light (the background in
+    /// an empty scene).
+    pub fn radiance(&self, dir: Vec3) -> Vec3 {
+        let Some(obj) = self.object else {
+            return self.scene.background;
+        };
+        let (mut color, refl) = self.lit(obj);
+        if let Some(refl) = refl {
+            // Phong reflection term; `dir` points into the scene so the eye
+            // vector is `-dir`.
+            let m = &obj.material;
+            let spec =
+                refl.dot(-dir).max(0.0).powf(m.shininess) * m.specular * self.scene.light_intensity;
             color += Vec3::splat(spec);
         }
         color
+    }
+
+    /// What a baked encoding stores per vertex: the view-independent
+    /// radiance — the part of the light field that warping can reuse
+    /// exactly — and the Phong lobe folded for exact feature-space decode.
+    ///
+    /// The lobe is `(q, m)` such that the specular radiance toward ray
+    /// direction `d` is `max(0, q · (−d))^m` with `m = shininess`: `q` is the
+    /// light's mirror-reflection direction scaled by
+    /// `(specular · intensity)^(1/m)`. `None` for diffuse points.
+    pub fn surface(&self) -> (Vec3, Option<(Vec3, f32)>) {
+        let Some(obj) = self.object else {
+            return (self.scene.background, None);
+        };
+        let (color, refl) = self.lit(obj);
+        let m = &obj.material;
+        let lobe = refl.map(|refl| {
+            let strength = m.specular * self.scene.light_intensity;
+            (refl * strength.powf(1.0 / m.shininess), m.shininess)
+        });
+        (color, lobe)
     }
 }
 
 impl RadianceSource for AnalyticScene {
     fn density_at(&self, p: Vec3) -> f32 {
-        if !self.bounds.contains(p) {
-            return 0.0;
-        }
-        let (d, _) = self.sdf(p);
-        // Ramp from 0 at the surface to σ_max at depth `shell_width` inside.
-        self.sigma_max * smoothstep(0.0, 1.0, -d / self.shell_width)
+        self.nearest(p).density()
     }
 
     fn radiance_at(&self, p: Vec3, dir: Vec3) -> Vec3 {
-        match self.sdf(p).1 {
-            Some(i) => self.shade(p, dir, &self.objects[i]),
-            None => self.background,
-        }
+        self.nearest(p).radiance(dir)
     }
 
     fn bounds(&self) -> Aabb {
@@ -174,6 +239,24 @@ impl RadianceSource for AnalyticScene {
 
     fn background(&self) -> Vec3 {
         self.background
+    }
+
+    /// One union-SDF evaluation serves the density and the shading, and the
+    /// clearance is the signed distance itself: the union of 1-Lipschitz
+    /// shapes is 1-Lipschitz, so every point nearer than `d > 0` has a
+    /// positive distance, and the shell's ramp is exactly zero there.
+    fn sample_at(&self, p: Vec3, dir: Vec3) -> SourceSample {
+        let near = self.nearest(p);
+        let sigma = near.density();
+        SourceSample {
+            sigma,
+            radiance: if sigma > 0.0 {
+                near.radiance(dir)
+            } else {
+                Vec3::ZERO
+            },
+            clearance: near.distance.max(0.0),
+        }
     }
 }
 
@@ -279,7 +362,7 @@ impl SceneBuilder {
             background: self.background,
             sigma_max: self.sigma_max,
             shell_width: self.shell_width,
-            light_dir: self.light_dir,
+            to_light: -self.light_dir.normalized(),
             light_intensity: self.light_intensity,
             ambient: self.ambient,
         }
@@ -344,7 +427,7 @@ mod tests {
         let p = Vec3::new(0.0, 0.99, 0.0);
         let r1 = s.radiance_at(p, Vec3::new(0.0, -1.0, 0.0));
         // View from the mirror direction of the light should differ.
-        let l = -s.light_dir.normalized();
+        let l = s.to_light;
         let n = Vec3::Y;
         let refl = (n * (2.0 * n.dot(l)) - l).normalized();
         let r2 = s.radiance_at(p, -refl);
@@ -381,8 +464,8 @@ mod tests {
         let p = Vec3::new(0.2, 0.95, 0.1);
         let dir = Vec3::new(0.1, -0.9, 0.3).normalized();
         let full = s.radiance_at(p, dir);
-        let diffuse = s.diffuse_radiance_at(p);
-        let (q, m) = s.specular_lobe_at(p).expect("specular");
+        let (diffuse, lobe) = s.nearest(p).surface();
+        let (q, m) = lobe.expect("specular");
         let spec = q.dot(-dir).max(0.0).powf(m);
         let recomposed = diffuse + Vec3::splat(spec);
         assert!(
@@ -394,7 +477,7 @@ mod tests {
     #[test]
     fn diffuse_scene_has_no_lobe() {
         let s = one_sphere();
-        assert!(s.specular_lobe_at(Vec3::new(0.0, 0.99, 0.0)).is_none());
+        assert!(s.nearest(Vec3::new(0.0, 0.99, 0.0)).surface().1.is_none());
         assert_eq!(s.dominant_shininess(), 1.0);
     }
 

@@ -49,15 +49,34 @@ pub struct MarchResult {
     pub depth_t: f32,
     /// Remaining transmittance after the volume.
     pub transmittance: f32,
-    /// Number of density/radiance queries performed.
+    /// Queries made of the source ([`RadianceSource::sample_at`] calls): the
+    /// steps of the interval minus those the source's clearance let the
+    /// marcher jump and those behind an early stop.
     pub samples: u32,
 }
+
+/// Held back from a source's clearance before it is turned into skipped
+/// steps. A clearance `c` read at step `i` proves the density zero at every
+/// point nearer than `c` to `ray.at(t_i)`, and step `i + j` lies `j·step`
+/// further along a unit direction — in exact arithmetic. In `f32`, with the
+/// library scenes' sample points at |p| ≲ 3 and their cameras' ray
+/// parameters at t ≲ 8, `t_i` and `ray.at(t_i)` are good to an ulp of 8
+/// (≈ 10⁻⁶), the direction's length to 10⁻⁷ of t, and the signed distance
+/// the clearance comes from to a few ulps of 3 (< 10⁻⁶); all of it together
+/// stays under 10⁻⁵, and the margin is ten times that.
+const CLEARANCE_MARGIN: f32 = 1e-4;
 
 /// Integrates `src` along `ray` over the parametric interval `[t0, t1]`.
 ///
 /// Samples are placed at interval midpoints (`t0 + (i + ½)·step`), which makes
 /// the quadrature exact for piecewise-constant fields aligned to the steps and
 /// keeps results independent of where `t0` falls relative to the volume.
+///
+/// An empty sample contributes nothing, so the steps inside the
+/// [clearance](crate::SourceSample::clearance) the source reports around one
+/// are not queried at all: the result is bit-identical to visiting every
+/// step, which is what a source without a clearance (the trait's default)
+/// still gets.
 pub fn march_ray<S: RadianceSource + ?Sized>(
     src: &S,
     ray: &Ray,
@@ -72,21 +91,25 @@ pub fn march_ray<S: RadianceSource + ?Sized>(
     let mut samples = 0u32;
 
     let n = ((t1 - t0) / params.step).ceil() as u32;
-    for i in 0..n {
+    let mut i = 0u32;
+    while i < n {
         let t = t0 + (i as f32 + 0.5) * params.step;
         if t >= t1 {
             break;
         }
-        let p = ray.at(t);
-        let sigma = src.density_at(p);
+        let s = src.sample_at(ray.at(t), ray.dir);
         samples += 1;
-        if sigma <= 0.0 {
+        i += 1;
+        if s.sigma <= 0.0 {
+            // Steps `i .. i + j` with `j·step <= clearance - margin` are
+            // empty too (a non-positive or NaN quotient casts to 0).
+            let jump = ((s.clearance - CLEARANCE_MARGIN) / params.step) as u32;
+            i = i.saturating_add(jump);
             continue;
         }
-        let alpha = 1.0 - (-sigma * params.step).exp();
+        let alpha = 1.0 - (-s.sigma * params.step).exp();
         let weight = transmittance * alpha;
-        let radiance = src.radiance_at(p, ray.dir);
-        color += radiance * weight;
+        color += s.radiance * weight;
         depth_acc += t * weight;
         opacity_acc += weight;
         transmittance *= 1.0 - alpha;

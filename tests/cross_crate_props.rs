@@ -92,6 +92,39 @@ proptest! {
         prop_assert!(opt.misses >= distinct.min(16));
     }
 
+    /// `LruCache` answers hit or miss exactly as a per-set recency list kept
+    /// the obvious way does — direct-mapped, one 16-way set and shapes in
+    /// between — on streams that repeat the previous line a quarter of the
+    /// time (a gather's pattern) and overflow every set.
+    #[test]
+    fn lru_cache_matches_a_naive_recency_list(
+        shape in 0usize..4,
+        stream in prop::collection::vec((0u64..96, 0u64..64, 0u32..4), 1..400),
+    ) {
+        let (sets, ways) = [(8usize, 1usize), (1, 16), (4, 16), (2, 3)][shape];
+        let mut cache = LruCache::new((sets * ways * 64) as u64, 64, ways);
+        let mut recency: Vec<Vec<u64>> = vec![Vec::new(); sets];
+        let mut previous = 0;
+        for (i, &(line, offset, repeat)) in stream.iter().enumerate() {
+            let line = if repeat == 0 { previous } else { line };
+            previous = line;
+            let set = &mut recency[line as usize % sets];
+            let found = set.iter().position(|&l| l == line);
+            if let Some(at) = found {
+                set.remove(at);
+            }
+            set.insert(0, line);
+            set.truncate(ways);
+            prop_assert_eq!(
+                cache.access(line * 64 + offset),
+                found.is_some(),
+                "access {} (line {}) of {} sets x {} ways", i, line, sets, ways
+            );
+        }
+        let hits = cache.stats().hits;
+        prop_assert_eq!(hits + cache.stats().misses, stream.len() as u64);
+    }
+
     /// DRAM accounting: bytes moved ≥ bytes asked for, and a pure stream is
     /// never slower than the same bytes random.
     #[test]

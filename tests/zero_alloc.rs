@@ -21,14 +21,20 @@
 //! scratches and materializes every ring; the measured frame then runs
 //! entirely on relaxed atomic stores.
 //!
+//! The traffic sinks joined (ISSUE 19): a frame rendered into a
+//! `PixelCentricTraffic` or a `StreamingTraffic` allocates for the sink's
+//! construction and for the growth of its arenas — a few dozen times, not
+//! once or more per sample.
+//!
 //! This file deliberately contains a single `#[test]` — the counter is
 //! process-global, and concurrent tests in the same binary would perturb it.
 
 use cicero::sparw::{warp_frame_into, WarpOptions, WarpResult, WarpScratch};
+use cicero::traffic::{PixelCentricConfig, PixelCentricTraffic, StreamingConfig, StreamingTraffic};
 use cicero_field::pool::RenderPool;
 use cicero_field::render::{render_masked, render_masked_with, RenderOptions, RenderScratch};
 use cicero_field::tiles::{render_tiled, TileOptions};
-use cicero_field::{bake, GridConfig, HashConfig, NerfModel, NullSink, TensorConfig};
+use cicero_field::{bake, GatherPlan, GridConfig, HashConfig, NerfModel, NullSink, TensorConfig};
 use cicero_math::{Camera, Intrinsics, Pose, Vec3};
 use cicero_scene::ground_truth::{render_frame, Frame};
 use cicero_scene::volume::MarchParams;
@@ -186,6 +192,61 @@ fn warmed_sample_loop_performs_zero_heap_allocations() {
                 "{name}: warmed block-{sample_block} render_masked (thread-local scratch) allocated {} times",
                 after - before
             );
+        }
+    }
+
+    // ---- The traffic sinks (ISSUE 19) ----
+    //
+    // A sink that observes samples gets a gather plan per lane from the
+    // marcher's warmed scratch; what is left to allocate is the sink itself
+    // (address map, cache tags, bank loads, one MVoxel partition per dense
+    // region) and the doubling of the pixel-centric wave's arenas.
+    {
+        let side = 48;
+        let cam = Camera::new(Intrinsics::from_fov(side, side, 0.9), cam.pose);
+        for (name, model) in &models {
+            let model = model.as_ref();
+            let mut frame = cicero_scene::ground_truth::background_frame(
+                &cicero_field::ModelSource(model),
+                side,
+                side,
+            );
+            // A small frame warms the per-lane plans of this thread's
+            // scratch (the legs above rendered into `NullSink`, which gets
+            // none).
+            let small = Camera::new(Intrinsics::from_fov(12, 12, 0.9), cam.pose);
+            let mut warm = cicero_scene::ground_truth::background_frame(
+                &cicero_field::ModelSource(model),
+                12,
+                12,
+            );
+            let mut counting = |_: u32, _: f32, _: &GatherPlan| {};
+            render_masked(model, &small, &opts, None, &mut warm, &mut counting);
+
+            let before = ALLOCATIONS.load(Ordering::SeqCst);
+            let mut sink = PixelCentricTraffic::new(model, PixelCentricConfig::default());
+            let stats = render_masked(model, &cam, &opts, None, &mut frame, &mut sink);
+            let pixel = sink.finish();
+            let mid = ALLOCATIONS.load(Ordering::SeqCst);
+            let mut sink = StreamingTraffic::new(model, StreamingConfig::default());
+            render_masked(model, &cam, &opts, None, &mut frame, &mut sink);
+            let streaming = sink.finish();
+            let after = ALLOCATIONS.load(Ordering::SeqCst);
+            let samples = stats.samples_processed;
+            assert!(samples > 1000, "{name}: {samples} samples");
+            assert!(pixel.bank.requests > 0 && streaming.rit_records > 0);
+            println!(
+                "{name}: {samples} samples, pixel-centric frame allocated {} times, streaming {}",
+                mid - before,
+                after - mid
+            );
+            for (sink, allocations) in [("pixel-centric", mid - before), ("streaming", after - mid)]
+            {
+                assert!(
+                    allocations <= 64,
+                    "{name}: a {sink} frame of {samples} samples allocated {allocations} times"
+                );
+            }
         }
     }
 
