@@ -80,11 +80,6 @@ impl NpuModel {
             * 1e-12;
         (mac_j + sram_j) * (1.0 + self.energy.accelerator_overhead)
     }
-
-    /// Peak MAC throughput, MAC/s.
-    pub fn peak_macs_per_sec(&self) -> f64 {
-        (self.cfg.array_rows * self.cfg.array_cols) as f64 * self.cfg.clock_hz
-    }
 }
 
 #[cfg(test)]

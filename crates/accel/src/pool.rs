@@ -46,7 +46,6 @@ pub struct Worker {
     pub soc: SocModel,
     free_at: f64,
     busy_s: f64,
-    jobs: u64,
     quarantines: u64,
 }
 
@@ -59,11 +58,6 @@ impl Worker {
     /// Total busy time accumulated, seconds.
     pub fn busy_seconds(&self) -> f64 {
         self.busy_s
-    }
-
-    /// Number of jobs executed.
-    pub fn jobs_run(&self) -> u64 {
-        self.jobs
     }
 
     /// Times this worker was quarantined after a simulated crash.
@@ -92,7 +86,6 @@ impl WorkerPool {
                     soc: SocModel::new(cfg.soc),
                     free_at: 0.0,
                     busy_s: 0.0,
-                    jobs: 0,
                     quarantines: 0,
                 })
                 .collect(),
@@ -132,18 +125,11 @@ impl WorkerPool {
         let end_s = start_s + duration;
         w.free_at = end_s;
         w.busy_s += duration;
-        w.jobs += 1;
         JobSpan {
             worker,
             start_s,
             end_s,
         }
-    }
-
-    /// Schedules a job on the least-loaded worker.
-    pub fn assign_least_loaded(&mut self, ready_at: f64, duration: f64) -> JobSpan {
-        let w = self.least_loaded();
-        self.assign(w, ready_at, duration)
     }
 
     /// Takes `worker` out of rotation until simulated time `until_s`,
@@ -160,11 +146,6 @@ impl WorkerPool {
     /// Total quarantines across the pool.
     pub fn quarantines(&self) -> u64 {
         self.workers.iter().map(|w| w.quarantines).sum()
-    }
-
-    /// Simulated time at which every worker is idle.
-    pub fn drained_at(&self) -> f64 {
-        self.workers.iter().map(|w| w.free_at).fold(0.0, f64::max)
     }
 
     /// Mean worker utilization over `[0, makespan]`.
@@ -204,14 +185,14 @@ mod tests {
             ..Default::default()
         });
         for _ in 0..6 {
-            pool.assign_least_loaded(0.0, 1.0);
+            let idlest = pool.least_loaded();
+            pool.assign(idlest, 0.0, 1.0);
         }
         // Round-robin-equivalent: every worker got two unit jobs.
         assert!(pool
             .workers()
             .iter()
-            .all(|w| (w.busy_seconds() - 2.0).abs() < 1e-12));
-        assert_eq!(pool.drained_at(), 2.0);
+            .all(|w| (w.busy_seconds() - 2.0).abs() < 1e-12 && w.free_at() == 2.0));
         assert!((pool.utilization(2.0) - 1.0).abs() < 1e-12);
     }
 

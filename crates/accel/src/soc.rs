@@ -16,7 +16,7 @@ use crate::gpu::GpuModel;
 use crate::gu::GuModel;
 use crate::npu::NpuModel;
 use crate::workload::{FrameWorkload, StageTimes};
-use cicero_mem::{DramConfig, DramSim};
+use cicero_mem::DramSim;
 
 /// Pipeline variants evaluated in the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -59,11 +59,6 @@ impl Variant {
     pub fn uses_gu(&self) -> bool {
         matches!(self, Variant::Cicero)
     }
-
-    /// Whether target frames are warped.
-    pub fn uses_sparw(&self) -> bool {
-        !matches!(self, Variant::Baseline)
-    }
 }
 
 /// Execution scenario (paper §V "Application Scenarios").
@@ -74,6 +69,30 @@ pub enum Scenario {
     /// Reference-frame NeRF on a tethered workstation GPU; warping and
     /// sparse NeRF on the device.
     Remote,
+}
+
+/// The frame a [`SocModel::price`] call prices: with [`Variant`] and
+/// [`Scenario`], the axes of the paper's frame-price table (§V).
+#[derive(Debug, Clone, Copy)]
+pub enum FrameKind<'a> {
+    /// A full NeRF render shown as a frame: every baseline frame, and a
+    /// warping session's bootstrap and on-trajectory references.
+    Full(&'a FrameWorkload),
+    /// A reference render off the frame stream, priced for its duration
+    /// alone. Remotely it runs on the workstation, whose energy is not
+    /// charged to the device (the paper's accounting).
+    Reference(&'a FrameWorkload),
+    /// A warped target frame. `target` is its own
+    /// [`SocModel::target_frame`] report; `reference` is the full-render
+    /// workload it warps from, shared by the `window` frames that do.
+    Window {
+        /// Full-render workload of the reference frame.
+        reference: &'a FrameWorkload,
+        /// The target's un-amortized report.
+        target: &'a FrameReport,
+        /// Frames warping from the reference.
+        window: usize,
+    },
 }
 
 /// Energy by component, joules.
@@ -165,13 +184,7 @@ impl SocModel {
         let mut sim = DramSim::new(self.cfg.dram);
         // Replay classified traffic.
         sim.read_streaming(w.dram.streaming_bytes);
-        let mut random = w.dram.random_bytes;
-        let burst = self.cfg.dram.burst_bytes as u64;
-        while random > 0 {
-            let chunk = random.min(burst);
-            sim.read_random(chunk);
-            random -= chunk;
-        }
+        sim.read_random(w.dram.random_bytes);
         (sim.time_seconds(), sim.energy_joules())
     }
 
@@ -244,27 +257,52 @@ impl SocModel {
         report
     }
 
-    /// Simulates the steady-state per-frame cost of a SPARW window under the
-    /// local scenario: the reference render shares the SoC with target
-    /// rendering, so its time and energy amortize over `window` frames
-    /// (resource contention — paper §VI-C).
-    pub fn sparw_local_frame(
+    /// The one place that knows which formula prices which frame under which
+    /// scenario. `frame_pixels` sizes the remote scenario's wireless
+    /// transfers; the local rows ignore it.
+    pub fn price(
         &self,
-        reference: &FrameWorkload,
-        target_sparse: &FrameWorkload,
-        window: usize,
+        scenario: Scenario,
         variant: Variant,
+        frame_pixels: u64,
+        frame: FrameKind<'_>,
     ) -> FrameReport {
-        self.sparw_local_from_reports(
-            &self.full_frame(reference, variant),
-            &self.target_frame(target_sparse, variant),
-            window,
-        )
+        match (frame, scenario) {
+            (FrameKind::Full(w) | FrameKind::Reference(w), Scenario::Local) => {
+                self.full_frame(w, variant)
+            }
+            (FrameKind::Full(w), Scenario::Remote) => self.baseline_remote_frame(w, frame_pixels),
+            (FrameKind::Reference(w), Scenario::Remote) => FrameReport {
+                time_s: self.remote_full_render_time(w),
+                ..Default::default()
+            },
+            (
+                FrameKind::Window {
+                    reference,
+                    target,
+                    window,
+                },
+                Scenario::Local,
+            ) => {
+                self.sparw_local_from_reports(&self.full_frame(reference, variant), target, window)
+            }
+            (
+                FrameKind::Window {
+                    reference,
+                    target,
+                    window,
+                },
+                Scenario::Remote,
+            ) => self.sparw_remote_frame(reference, target, window, frame_pixels),
+        }
     }
 
-    /// [`sparw_local_frame`](Self::sparw_local_frame) over reports that were
-    /// already priced, so callers holding a [`target_frame`](Self::target_frame)
-    /// report for other purposes do not pay the pricing twice.
+    /// The steady-state per-frame cost of a SPARW window under the local
+    /// scenario: the reference render shares the SoC with target rendering,
+    /// so its time and energy amortize over `window` frames (resource
+    /// contention — paper §VI-C). `ref_report` is the reference's
+    /// [`full_frame`](Self::full_frame) report, `tgt_report` the target's
+    /// [`target_frame`](Self::target_frame) report.
     pub fn sparw_local_from_reports(
         &self,
         ref_report: &FrameReport,
@@ -290,43 +328,19 @@ impl SocModel {
         }
     }
 
-    /// Per-frame cost under the remote scenario: reference frames render on
+    /// A window frame under the remote scenario: the reference renders on
     /// the workstation GPU (hidden behind local work unless it exceeds the
-    /// window budget) and their pixels stream back over the wireless link.
-    ///
-    /// `frame_pixels` sizes the per-reference-frame transfer (RGB-D, 6 B per
-    /// pixel). Returns the local-device report; remote GPU energy is not
-    /// charged to the device, matching the paper's accounting.
-    pub fn sparw_remote_frame(
+    /// window budget) and its pixels stream back over the wireless link,
+    /// RGB-D at 6 B per pixel. Returns the local-device report.
+    fn sparw_remote_frame(
         &self,
         reference: &FrameWorkload,
-        target_sparse: &FrameWorkload,
-        window: usize,
-        variant: Variant,
-        frame_pixels: u64,
-    ) -> FrameReport {
-        self.sparw_remote_from_reports(
-            &self.full_frame(reference, Variant::Baseline),
-            &self.target_frame(target_sparse, variant),
-            window,
-            frame_pixels,
-        )
-    }
-
-    /// [`sparw_remote_frame`](Self::sparw_remote_frame) over reports that
-    /// were already priced. `ref_local` must be the reference workload priced
-    /// as a local *baseline* render; it is rescaled to workstation speed
-    /// here.
-    pub fn sparw_remote_from_reports(
-        &self,
-        ref_local: &FrameReport,
         tgt_report: &FrameReport,
         window: usize,
         frame_pixels: u64,
     ) -> FrameReport {
         assert!(window >= 1);
-        // Remote render: baseline pixel-centric on a faster GPU.
-        let ref_remote_t = ref_local.time_s / self.cfg.remote.speedup_over_mobile;
+        let ref_remote_t = self.remote_full_render_time(reference);
 
         let bytes_per_frame = frame_pixels * 6 / window as u64; // RGB-D amortized
         let comm_t = bytes_per_frame as f64 / self.cfg.wireless.latency_bandwidth;
@@ -346,16 +360,14 @@ impl SocModel {
     }
 
     /// Wall time of a full *baseline* render of `w` on the remote
-    /// workstation tier (`remote.speedup_over_mobile` × mobile speed) — the
-    /// common factor behind remote frame pricing here and external
-    /// schedulers' remote reference billing.
-    pub fn remote_full_render_time(&self, w: &FrameWorkload) -> f64 {
+    /// workstation tier (`remote.speedup_over_mobile` × mobile speed).
+    fn remote_full_render_time(&self, w: &FrameWorkload) -> f64 {
         self.full_frame(w, Variant::Baseline).time_s / self.cfg.remote.speedup_over_mobile
     }
 
     /// The remote *baseline*: the workstation renders every frame; the device
     /// only receives pixels.
-    pub fn baseline_remote_frame(&self, full: &FrameWorkload, frame_pixels: u64) -> FrameReport {
+    fn baseline_remote_frame(&self, full: &FrameWorkload, frame_pixels: u64) -> FrameReport {
         let remote_t = self.remote_full_render_time(full);
         let bytes = frame_pixels * 3; // RGB stream
         let comm_t = bytes as f64 / self.cfg.wireless.latency_bandwidth;
@@ -371,11 +383,6 @@ impl SocModel {
             },
         }
     }
-
-    /// DRAM configuration helper (shared with experiment harnesses).
-    pub fn dram_config(&self) -> &DramConfig {
-        &self.cfg.dram
-    }
 }
 
 #[cfg(test)]
@@ -383,8 +390,27 @@ mod tests {
     use super::*;
     use cicero_mem::{BankStats, CacheStats, DramStats};
 
+    const PIXELS: u64 = 640_000; // 800×800
+
     fn soc() -> SocModel {
         SocModel::new(SocConfig::default())
+    }
+
+    /// The amortized price of a window frame whose target renders `sparse`.
+    fn window_frame(
+        soc: &SocModel,
+        scenario: Scenario,
+        variant: Variant,
+        reference: &FrameWorkload,
+        sparse: &FrameWorkload,
+        window: usize,
+    ) -> FrameReport {
+        let frame = FrameKind::Window {
+            reference,
+            target: &soc.target_frame(sparse, variant),
+            window,
+        };
+        soc.price(scenario, variant, PIXELS, frame)
     }
 
     fn full_frame_workload() -> FrameWorkload {
@@ -469,10 +495,11 @@ mod tests {
             misses: 0,
         };
 
+        let local = Scenario::Local;
         let baseline = soc.full_frame(&full, Variant::Baseline);
-        let sparw = soc.sparw_local_frame(&full, &sparse, 16, Variant::Sparw);
-        let sparw_fs = soc.sparw_local_frame(&fs, &sparse_fs, 16, Variant::SparwFs);
-        let cicero = soc.sparw_local_frame(&fs, &sparse_fs, 16, Variant::Cicero);
+        let sparw = window_frame(&soc, local, Variant::Sparw, &full, &sparse, 16);
+        let sparw_fs = window_frame(&soc, local, Variant::SparwFs, &fs, &sparse_fs, 16);
+        let cicero = window_frame(&soc, local, Variant::Cicero, &fs, &sparse_fs, 16);
 
         assert!(sparw.time_s < baseline.time_s, "SPARW speeds up");
         assert!(sparw_fs.time_s < sparw.time_s * 1.05, "FS does not regress");
@@ -484,7 +511,13 @@ mod tests {
 
     #[test]
     fn remote_baseline_energy_is_wireless_plus_static() {
-        let r = soc().baseline_remote_frame(&full_frame_workload(), 640_000);
+        let full = full_frame_workload();
+        let r = soc().price(
+            Scenario::Remote,
+            Variant::Baseline,
+            PIXELS,
+            FrameKind::Full(&full),
+        );
         assert_eq!(r.energy.gpu_j, 0.0);
         assert!(r.energy.wireless_j > 0.0);
         assert!(r.energy.static_j > 0.0);
@@ -493,33 +526,18 @@ mod tests {
 
     #[test]
     fn remote_cicero_hides_reference_rendering() {
-        let soc = soc();
-        let sparse = sparse_workload();
-        let r16 = soc.sparw_remote_frame(
-            &full_frame_workload(),
-            &sparse,
-            16,
-            Variant::Cicero,
-            640_000,
-        );
-        let r1 =
-            soc.sparw_remote_frame(&full_frame_workload(), &sparse, 1, Variant::Cicero, 640_000);
+        let (soc, full, sparse) = (soc(), full_frame_workload(), sparse_workload());
+        let remote = |n| window_frame(&soc, Scenario::Remote, Variant::Cicero, &full, &sparse, n);
+        let (r16, r1) = (remote(16), remote(1));
         assert!(r16.time_s < r1.time_s, "larger windows hide remote latency");
     }
 
     #[test]
     fn communication_latency_is_negligible() {
         // Paper: communication is 0.02% of average frame latency.
-        let soc = soc();
-        let sparse = sparse_workload();
-        let r = soc.sparw_remote_frame(
-            &full_frame_workload(),
-            &sparse,
-            16,
-            Variant::Cicero,
-            640_000,
-        );
-        let comm_t = (640_000u64 * 6 / 16) as f64 / soc.config().wireless.latency_bandwidth;
+        let (soc, full, sparse) = (soc(), full_frame_workload(), sparse_workload());
+        let r = window_frame(&soc, Scenario::Remote, Variant::Cicero, &full, &sparse, 16);
+        let comm_t = (PIXELS * 6 / 16) as f64 / soc.config().wireless.latency_bandwidth;
         assert!(
             comm_t / r.time_s < 0.05,
             "comm fraction {}",
@@ -532,9 +550,48 @@ mod tests {
         let soc = soc();
         let full = full_frame_workload();
         let sparse = sparse_workload();
-        let w4 = soc.sparw_local_frame(&full, &sparse, 4, Variant::Sparw);
-        let w16 = soc.sparw_local_frame(&full, &sparse, 16, Variant::Sparw);
-        assert!(w16.time_s < w4.time_s);
+        let local = |n| window_frame(&soc, Scenario::Local, Variant::Sparw, &full, &sparse, n);
+        assert!(local(16).time_s < local(4).time_s);
+    }
+
+    /// The whole table, to the bit: `(time_s, energy.total())` of a full
+    /// render and of a window frame at N = 1 and 16, per variant × scenario.
+    /// The words were printed by the commit before [`SocModel::price`]
+    /// existed, from the per-scenario methods its callers then chose between.
+    #[test]
+    fn price_reproduces_the_per_scenario_formulas_bit_for_bit() {
+        #[rustfmt::skip]
+        const WORDS: [[(u64, u64); 3]; 8] = [
+            // Baseline Local
+            [(0x3fef8b4122fb4590, 0x403182972d5dc11c), (0x3ff06890a170a661, 0x4032376a961a8704), (0x3fb9f4a190addc57, 0x3ffccfcdb92a1fa4)],
+            // Baseline Remote
+            [(0x3fb96e8902de596f, 0x3fd900fedfa46c34), (0x3fb9a0dde9c07b37, 0x3ff3604f5839067c), (0x3fa46a973818fb90, 0x3fe7609b64b32217)],
+            // Sparw Local
+            [(0x3fef8b4122fb4590, 0x403182972d5dc11c), (0x3ff06890a170a661, 0x4032376a961a8704), (0x3fb9f4a190addc57, 0x3ffccfcdb92a1fa4)],
+            // Sparw Remote
+            [(0x3fb96e8902de596f, 0x3fd900fedfa46c34), (0x3fb9a0dde9c07b37, 0x3ff3604f5839067c), (0x3fa46a973818fb90, 0x3fe7609b64b32217)],
+            // SparwFs Local
+            [(0x3fdb0c05eb32196a, 0x4016efdc6c10890d), (0x3fdc25244cf26e5c, 0x4017e0a0acefaf60), (0x3fa64ef6039bb445, 0x3fe2fe103d017723)],
+            // SparwFs Remote
+            [(0x3fb96e8902de596f, 0x3fd900fedfa46c34), (0x3fb9a0dde9c07b37, 0x3fe91ef57dde3bf5), (0x3f91ab108f766004, 0x3fd098a0a8272f44)],
+            // Cicero Local
+            [(0x3fdb0c05eb32196a, 0x3ffb35b53f9f351a), (0x3fdc25244cf26e5c, 0x3ffc5e01bc2fbfc3), (0x3fa64ef6039bb445, 0x3fc6dd3e8453efd8)],
+            // Cicero Remote
+            [(0x3fb96e8902de596f, 0x3fd900fedfa46c34), (0x3fb9a0dde9c07b37, 0x3fe3e96c70061eab), (0x3f91ab108f766004, 0x3fb8b63a31dbd2c6)],
+        ];
+        let (soc, full, sparse) = (soc(), full_frame_workload(), sparse_workload());
+        let mut expected = WORDS.iter();
+        for variant in Variant::ALL {
+            for scenario in [Scenario::Local, Scenario::Remote] {
+                let got = [
+                    soc.price(scenario, variant, PIXELS, FrameKind::Full(&full)),
+                    window_frame(&soc, scenario, variant, &full, &sparse, 1),
+                    window_frame(&soc, scenario, variant, &full, &sparse, 16),
+                ]
+                .map(|r| (r.time_s.to_bits(), r.energy.total().to_bits()));
+                assert_eq!(Some(&got), expected.next(), "{variant:?} / {scenario:?}");
+            }
+        }
     }
 
     fn scaled_down(s: &DramStats, k: u64) -> DramStats {

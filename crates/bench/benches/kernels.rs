@@ -9,11 +9,11 @@
 //! for a sink that observes samples and one that does not.
 //!
 //! ```text
-//! cargo bench -p cicero-bench --features simd --bench kernels
+//! cargo bench -p cicero-bench --bench kernels
 //! ```
 //!
-//! Without `--features simd` no wide backend exists and only the scalar
-//! column prints. Each line reports Msamples/s per backend plus the ratio to
+//! Off x86_64 no wide backend exists and only the scalar column prints.
+//! Each line reports Msamples/s per backend plus the ratio to
 //! scalar; the recorded figure is the frozen benchmark's
 //! `field.mlp.forward_block.ns_per_sample`, not this bench.
 //!
@@ -232,7 +232,7 @@ fn marcher() {
 fn main() {
     let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!(
-        "kernels: simd compiled {} (backend {}), host cores {host_cores}",
+        "kernels: wide backends {} (backend {}), host cores {host_cores}",
         Backend::Sse2.supported(),
         simd::backend()
     );

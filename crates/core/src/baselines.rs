@@ -9,7 +9,7 @@
 //!   accumulates error — "Temp-16 is the worst because it warps from previous
 //!   frames and accumulates errors" (§VI-A).
 
-use crate::sparw::{warp_frame_with, WarpOptions, WarpScratch};
+use crate::sparw::{warp_frame_into, WarpOptions, WarpResult, WarpScratch};
 use cicero_field::render::{
     render_full, render_masked_with, RenderOptions, RenderScratch, RenderStats,
 };
@@ -67,7 +67,8 @@ pub fn render_temp_chain<M: NerfModel + ?Sized>(
         } else {
             let prev_cam = traj.camera(i - 1, intrinsics);
             let prev_frame = &out[i - 1].0;
-            let warped = warp_frame_with(
+            let mut warped = WarpResult::empty();
+            warp_frame_into(
                 prev_frame,
                 &prev_cam,
                 &cam,
@@ -75,6 +76,7 @@ pub fn render_temp_chain<M: NerfModel + ?Sized>(
                 &WarpOptions::default(),
                 &mut warp_scratch,
                 1,
+                &mut warped,
             );
             let mask = warped.render_mask();
             let mut frame = warped.frame;

@@ -52,6 +52,6 @@ pub use pipeline::{
 };
 pub use schedule::{FramePlan, RefPlacement, Schedule};
 pub use sparw::{
-    warp_frame, warp_frame_into, warp_frame_timed, warp_frame_with, PixelSource, SplatMode,
-    WarpOptions, WarpResult, WarpScratch, WarpStats, WarpTiming,
+    warp_frame, warp_frame_into, warp_frame_timed, PixelSource, SplatMode, WarpOptions, WarpResult,
+    WarpScratch, WarpStats, WarpTiming,
 };

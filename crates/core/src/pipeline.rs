@@ -7,29 +7,28 @@
 //! under one of the paper's four variants (§V "Variants") and two scenarios
 //! ("Application Scenarios"), producing per-frame [`FrameOutcome`]s that the
 //! experiment harnesses aggregate into every speedup/energy/quality figure.
-//! [`run_ds2`] and [`run_temp`] run the comparison methods through the same
-//! machinery.
+//! Which formula prices which frame under which scenario is
+//! [`SocModel::price`]'s business, not this module's; the DS-2 and Temp-N
+//! comparison frames come from [`crate::baselines`].
 //!
 //! The incremental API exists so an external scheduler (the `cicero-serve`
 //! subsystem) can interleave frames from many concurrent sessions, batch the
 //! expensive reference renders across a worker pool, and inject shared
 //! reference frames via [`PipelineSession::install_reference`].
 
-use crate::baselines;
 use crate::schedule::{FramePlan, RefPlacement, Schedule};
-use crate::sparw::{warp_frame_with, WarpOptions, WarpScratch, WarpStats};
+use crate::sparw::{warp_frame_into, WarpOptions, WarpResult, WarpScratch, WarpStats};
 use crate::traffic::{
-    build_workload, PixelCentricConfig, PixelCentricReport, PixelCentricTraffic, StreamingConfig,
-    StreamingReport, StreamingTraffic,
+    build_workload, PixelCentricConfig, PixelCentricTraffic, StreamingConfig, StreamingTraffic,
 };
 use cicero_accel::config::SocConfig;
-use cicero_accel::soc::{FrameReport, Scenario, SocModel, Variant};
+use cicero_accel::soc::{FrameKind, FrameReport, Scenario, SocModel, Variant};
 use cicero_accel::FrameWorkload;
-use cicero_field::render::{env_sample_block, RenderOptions, RenderStats};
-use cicero_field::tiles::{env_render_threads, render_full_tiled, render_tiled, TileOptions};
-use cicero_field::{NerfModel, NullSink};
+use cicero_field::render::{env_sample_block, RenderOptions};
+use cicero_field::tiles::{env_render_threads, render_tiled, TileOptions};
+use cicero_field::{ModelSource, NerfModel, NullSink};
 use cicero_math::{metrics, Camera, Intrinsics, Pose};
-use cicero_scene::ground_truth::{render_frame, Frame};
+use cicero_scene::ground_truth::{background_frame, render_frame, Frame};
 use cicero_scene::volume::MarchParams;
 use cicero_scene::{AnalyticScene, Trajectory};
 use cicero_telemetry as telemetry;
@@ -157,87 +156,6 @@ impl PipelineRun {
         let vals: Vec<f64> = self.outcomes.iter().filter_map(|o| o.psnr_db).collect();
         metrics::mean_psnr_db(&vals)
     }
-
-    /// Mean stage-time breakdown across frames.
-    pub fn mean_stage_times(&self) -> cicero_accel::StageTimes {
-        let mut acc = cicero_accel::StageTimes::default();
-        for o in &self.outcomes {
-            acc.accumulate(&o.report.stages);
-        }
-        let n = self.outcomes.len().max(1) as f64;
-        cicero_accel::StageTimes {
-            indexing_s: acc.indexing_s / n,
-            gather_s: acc.gather_s / n,
-            mlp_s: acc.mlp_s / n,
-            warp_s: acc.warp_s / n,
-        }
-    }
-}
-
-/// Renders one full frame with the traffic analysis matching `variant`,
-/// returning the frame, stats and assembled workload.
-fn analyzed_full_render(
-    model: &dyn NerfModel,
-    cam: &Camera,
-    opts: &RenderOptions,
-    variant: Variant,
-    cfg: &PipelineConfig,
-) -> (Frame, RenderStats, FrameWorkload) {
-    let tile = TileOptions::with_threads(cfg.render_threads);
-    let (frame, stats, pc, fs) = if !cfg.collect_traffic {
-        let (frame, stats) = render_full_tiled(model, cam, opts, &mut NullSink, &tile);
-        (frame, stats, None, None)
-    } else if variant.fully_streaming() {
-        let mut sink = StreamingTraffic::new(model, streaming_cfg(cfg));
-        let (frame, stats) = render_full_tiled(model, cam, opts, &mut sink, &tile);
-        (frame, stats, None, Some(sink.finish()))
-    } else {
-        let mut sink = PixelCentricTraffic::new(model, pixel_cfg(cfg));
-        let (frame, stats) = render_full_tiled(model, cam, opts, &mut sink, &tile);
-        (frame, stats, Some(sink.finish()), None)
-    };
-    let w = build_workload(&stats, model.decoder(), pc.as_ref(), fs.as_ref(), None);
-    (frame, stats, w)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn analyzed_sparse_render(
-    model: &dyn NerfModel,
-    cam: &Camera,
-    opts: &RenderOptions,
-    mask: &[bool],
-    frame: &mut Frame,
-    variant: Variant,
-    cfg: &PipelineConfig,
-    warp: (u64, u64),
-) -> (RenderStats, FrameWorkload) {
-    let (stats, pc, fs): (
-        RenderStats,
-        Option<PixelCentricReport>,
-        Option<StreamingReport>,
-    ) = {
-        let tile = TileOptions::with_threads(cfg.render_threads);
-        if !cfg.collect_traffic {
-            let stats = render_tiled(model, cam, opts, Some(mask), frame, &mut NullSink, &tile);
-            (stats, None, None)
-        } else if variant.fully_streaming() {
-            let mut sink = StreamingTraffic::new(model, streaming_cfg(cfg));
-            let stats = render_tiled(model, cam, opts, Some(mask), frame, &mut sink, &tile);
-            (stats, None, Some(sink.finish()))
-        } else {
-            let mut sink = PixelCentricTraffic::new(model, pixel_cfg(cfg));
-            let stats = render_tiled(model, cam, opts, Some(mask), frame, &mut sink, &tile);
-            (stats, Some(sink.finish()), None)
-        }
-    };
-    let w = build_workload(
-        &stats,
-        model.decoder(),
-        pc.as_ref(),
-        fs.as_ref(),
-        Some(warp),
-    );
-    (stats, w)
 }
 
 fn pixel_cfg(cfg: &PipelineConfig) -> PixelCentricConfig {
@@ -255,19 +173,6 @@ fn streaming_cfg(cfg: &PipelineConfig) -> StreamingConfig {
         dram: cfg.soc.dram,
         ..Default::default()
     }
-}
-
-fn quality_of(
-    scene: &AnalyticScene,
-    cam: &Camera,
-    march: &MarchParams,
-    out: &Frame,
-) -> (Option<f64>, Option<f64>) {
-    let gt = render_frame(scene, cam, march);
-    (
-        Some(metrics::psnr(&out.color, &gt.color)),
-        Some(metrics::ssim(&out.color, &gt.color)),
-    )
 }
 
 /// The output of one [`PipelineSession::step`]: the displayed frame and its
@@ -391,46 +296,7 @@ impl<'a> PipelineSession<'a> {
         cfg: &PipelineConfig,
     ) -> Self {
         assert!(!traj.is_empty());
-        let schedule = if cfg.variant == Variant::Baseline {
-            None
-        } else {
-            Some(Schedule::plan(traj, cfg.window, cfg.ref_placement))
-        };
-        let n_refs = schedule.as_ref().map_or(0, |s| s.references.len());
-        let mut ref_use = vec![0usize; n_refs];
-        let mut in_stream_refs = vec![false; n_refs];
-        if let Some(s) = &schedule {
-            for p in &s.plans {
-                match p {
-                    FramePlan::Warp { ref_index } => ref_use[*ref_index] += 1,
-                    FramePlan::FullRender { ref_index } => in_stream_refs[*ref_index] = true,
-                }
-            }
-        }
-        PipelineSession {
-            scene,
-            model,
-            traj: TrajSource::Borrowed(traj),
-            intrinsics,
-            soc: SocModel::new(cfg.soc),
-            opts: RenderOptions {
-                march: cfg.march,
-                use_occupancy: true,
-                sample_block: cfg.sample_block,
-            },
-            pixels: intrinsics.pixel_count() as u64,
-            cfg: cfg.clone(),
-            schedule,
-            ref_use,
-            in_stream_refs,
-            ref_frames: (0..n_refs).map(|_| None).collect(),
-            ref_pose_overrides: vec![None; n_refs],
-            cursor: 0,
-            warp_totals: WarpStats::default(),
-            last_ref_workload: None,
-            warp_scratch: WarpScratch::new(),
-            telemetry_id: 0,
-        }
+        Self::over(scene, model, TrajSource::Borrowed(traj), intrinsics, cfg)
     }
 
     /// Creates an **empty streaming** session: poses arrive one at a time via
@@ -441,7 +307,7 @@ impl<'a> PipelineSession<'a> {
     /// # Panics
     ///
     /// Panics if `fps` is not positive or `cfg.window == 0` (for non-baseline
-    /// variants — checked at the first push).
+    /// variants).
     pub fn new_streaming(
         scene: &'a AnalyticScene,
         model: &'a dyn NerfModel,
@@ -449,19 +315,27 @@ impl<'a> PipelineSession<'a> {
         intrinsics: Intrinsics,
         cfg: &PipelineConfig,
     ) -> Self {
-        let schedule = if cfg.variant == Variant::Baseline {
-            None
-        } else {
-            assert!(cfg.window >= 1, "warping window must be ≥ 1");
-            Some(Schedule::empty())
+        let traj = TrajSource::Streaming {
+            traj: Trajectory::streaming(fps),
+            closed: false,
         };
-        PipelineSession {
+        Self::over(scene, model, traj, intrinsics, cfg)
+    }
+
+    /// The constructor body: a session over `traj` with nothing planned,
+    /// then one planning pass over the poses already there (all of them for
+    /// a whole trajectory, none for a fresh stream).
+    fn over(
+        scene: &'a AnalyticScene,
+        model: &'a dyn NerfModel,
+        traj: TrajSource<'a>,
+        intrinsics: Intrinsics,
+        cfg: &PipelineConfig,
+    ) -> Self {
+        let mut session = PipelineSession {
             scene,
             model,
-            traj: TrajSource::Streaming {
-                traj: Trajectory::streaming(fps),
-                closed: false,
-            },
+            traj,
             intrinsics,
             soc: SocModel::new(cfg.soc),
             opts: RenderOptions {
@@ -471,7 +345,7 @@ impl<'a> PipelineSession<'a> {
             },
             pixels: intrinsics.pixel_count() as u64,
             cfg: cfg.clone(),
-            schedule,
+            schedule: (cfg.variant != Variant::Baseline).then(Schedule::empty),
             ref_use: Vec::new(),
             in_stream_refs: Vec::new(),
             ref_frames: Vec::new(),
@@ -481,7 +355,9 @@ impl<'a> PipelineSession<'a> {
             last_ref_workload: None,
             warp_scratch: WarpScratch::new(),
             telemetry_id: 0,
-        }
+        };
+        session.extend_schedule();
+        session
     }
 
     /// Appends one pose to a streaming session and extends the schedule as
@@ -613,12 +489,6 @@ impl<'a> PipelineSession<'a> {
         self.intrinsics
     }
 
-    /// The trajectory being rendered (the poses arrived so far, for a
-    /// streaming session).
-    pub fn trajectory(&self) -> &Trajectory {
-        self.traj.get()
-    }
-
     /// Number of reference slots planned so far. Fixed at construction for
     /// whole-trajectory sessions; grows with the schedule for streaming ones.
     pub fn reference_count(&self) -> usize {
@@ -633,11 +503,6 @@ impl<'a> PipelineSession<'a> {
         self.ref_use.get(idx).copied().unwrap_or(0)
     }
 
-    /// The SoC model pricing this session's frames.
-    pub fn soc(&self) -> &SocModel {
-        &self.soc
-    }
-
     /// The warping-window schedule (`None` under [`Variant::Baseline`]).
     pub fn schedule(&self) -> Option<&Schedule> {
         self.schedule.as_ref()
@@ -648,21 +513,6 @@ impl<'a> PipelineSession<'a> {
         self.schedule
             .as_ref()
             .and_then(|s| s.plans.get(self.cursor).copied())
-    }
-
-    /// The reference index the next frame will warp from, if that reference
-    /// has not been materialized yet. References produced in-stream by a
-    /// `FullRender` frame are excluded — stepping the session pays for those,
-    /// and pre-rendering them would bill the frame twice (see
-    /// `in_stream_refs`). External schedulers use this to batch reference
-    /// renders; if left unsatisfied, [`step`](Self::step) renders it inline.
-    pub fn needs_reference(&self) -> Option<usize> {
-        match self.next_plan()? {
-            FramePlan::Warp { ref_index } => (self.ref_frames[ref_index].is_none()
-                && !self.in_stream_refs[ref_index])
-                .then_some(ref_index),
-            FramePlan::FullRender { .. } => None,
-        }
     }
 
     /// Off-trajectory references needed by warp frames within the next
@@ -711,8 +561,9 @@ impl<'a> PipelineSession<'a> {
 
     /// Renders reference `idx` without installing it, returning the frame and
     /// its full-render workload. External schedulers call this to produce a
-    /// shareable reference (and price it via [`soc`](Self::soc)), then hand
-    /// it back through [`install_reference`](Self::install_reference).
+    /// shareable reference (and price it as a [`FrameKind::Reference`]),
+    /// then hand it back through
+    /// [`install_reference`](Self::install_reference).
     pub fn render_reference(&self, idx: usize) -> (Frame, FrameWorkload) {
         let _span = telemetry::span_ab(
             telemetry::Phase::ReferenceRender,
@@ -720,10 +571,7 @@ impl<'a> PipelineSession<'a> {
             idx as u64,
         );
         telemetry::add(telemetry::Counter::ReferenceRenders, 1);
-        let cam = Camera::new(self.intrinsics, self.reference_pose(idx));
-        let (frame, _stats, w) =
-            analyzed_full_render(self.model, &cam, &self.opts, self.cfg.variant, &self.cfg);
-        (frame, w)
+        self.render_full(&Camera::new(self.intrinsics, self.reference_pose(idx)))
     }
 
     /// Installs an externally produced reference frame for slot `idx`.
@@ -773,67 +621,70 @@ impl<'a> PipelineSession<'a> {
 
     /// Prices `step`'s un-amortized service time on `soc` — the formula
     /// [`step`](Self::step) used for `service_time_s`, applied to different
-    /// hardware. With the session's own [`soc`](Self::soc) this equals
+    /// hardware. With the session's own SoC configuration this equals
     /// `step.service_time_s` exactly. Pool schedulers use it to bill each
     /// frame at the speed of the worker that actually executes it.
     pub fn service_time_on(&self, soc: &SocModel, step: &SessionStep) -> f64 {
         if step.outcome.full_render {
-            match self.cfg.scenario {
-                Scenario::Local => soc.full_frame(&step.workload, self.cfg.variant).time_s,
-                Scenario::Remote => {
-                    soc.baseline_remote_frame(&step.workload, self.pixels)
-                        .time_s
-                }
-            }
+            self.price_on(soc, FrameKind::Full(&step.workload)).time_s
         } else {
             soc.target_frame(&step.workload, self.cfg.variant).time_s
         }
     }
 
-    fn ensure_reference(&mut self, idx: usize) {
-        if self.ref_frames[idx].is_none() {
-            let (frame, w) = self.render_reference(idx);
-            self.ref_frames[idx] = Some((Arc::new(frame), w));
-        }
+    fn price_on(&self, soc: &SocModel, frame: FrameKind<'_>) -> FrameReport {
+        soc.price(self.cfg.scenario, self.cfg.variant, self.pixels, frame)
     }
 
-    fn quality(&self, cam: &Camera, frame: &Frame) -> (Option<f64>, Option<f64>) {
-        if self.cfg.collect_quality {
-            quality_of(self.scene, cam, &self.cfg.march, frame)
-        } else {
-            (None, None)
-        }
-    }
-
-    /// Prices and packages a full (reference/bootstrap/baseline) render as
-    /// the step for frame `i`.
-    fn full_render_step(
-        &mut self,
-        i: usize,
+    /// The one analysed render behind reference, baseline and sparse-target
+    /// frames: renders the pixels of `frame` under `mask` (all of them
+    /// without one) through the traffic sink the configuration calls for,
+    /// and assembles the frame's workload. `warp` carries the (points,
+    /// pixels) of the warp a target frame's mask came from.
+    fn analyzed_render(
+        &self,
         cam: &Camera,
-        frame: Frame,
-        w: FrameWorkload,
-    ) -> SessionStep {
-        let report = match self.cfg.scenario {
-            Scenario::Local => self.soc.full_frame(&w, self.cfg.variant),
-            Scenario::Remote => self.soc.baseline_remote_frame(&w, self.pixels),
-        };
-        let (psnr_db, ssim) = self.quality(cam, &frame);
-        self.last_ref_workload = Some(w.clone());
-        let service_time_s = report.time_s;
-        SessionStep {
-            outcome: FrameOutcome {
-                frame_index: i,
-                report,
-                psnr_db,
-                ssim,
-                warp_stats: None,
-                full_render: true,
-            },
-            frame,
-            service_time_s,
-            workload: w,
+        mask: Option<&[bool]>,
+        frame: &mut Frame,
+        warp: Option<(u64, u64)>,
+    ) -> FrameWorkload {
+        let (model, opts, cfg) = (self.model, &self.opts, &self.cfg);
+        let tile = TileOptions::with_threads(cfg.render_threads);
+        let decoder = model.decoder();
+        if !cfg.collect_traffic {
+            let stats = render_tiled(model, cam, opts, mask, frame, &mut NullSink, &tile);
+            build_workload(&stats, decoder, None, None, warp)
+        } else if cfg.variant.fully_streaming() {
+            let mut sink = StreamingTraffic::new(model, streaming_cfg(cfg));
+            let stats = render_tiled(model, cam, opts, mask, frame, &mut sink, &tile);
+            build_workload(&stats, decoder, None, Some(&sink.finish()), warp)
+        } else {
+            let mut sink = PixelCentricTraffic::new(model, pixel_cfg(cfg));
+            let stats = render_tiled(model, cam, opts, mask, frame, &mut sink, &tile);
+            build_workload(&stats, decoder, Some(&sink.finish()), None, warp)
         }
+    }
+
+    /// A full analysed render at `cam`, over the model's background.
+    fn render_full(&self, cam: &Camera) -> (Frame, FrameWorkload) {
+        let (w, h) = (cam.intrinsics.width, cam.intrinsics.height);
+        let mut frame = background_frame(&ModelSource(self.model), w, h);
+        let workload = self.analyzed_render(cam, None, &mut frame, None);
+        (frame, workload)
+    }
+
+    /// Reference `idx` and its full-render workload, rendered now if nothing
+    /// installed it.
+    fn reference(&mut self, idx: usize) -> (Arc<Frame>, FrameWorkload) {
+        // The `Arc` clones are cheap, and end the `ref_frames` borrow so the
+        // warp can take the session's scratch mutably.
+        if let Some(slot) = &self.ref_frames[idx] {
+            return slot.clone();
+        }
+        let (frame, workload) = self.render_reference(idx);
+        let slot = (Arc::new(frame), workload);
+        self.ref_frames[idx] = Some(slot.clone());
+        slot
     }
 
     /// Produces the next trajectory frame, or `None` when the trajectory is
@@ -851,11 +702,9 @@ impl<'a> PipelineSession<'a> {
             self.telemetry_id,
             self.cursor as u64,
         );
-        let out = self.step_inner();
-        if let Some(step) = &out {
-            frame_span.set_arg_c(step.outcome.full_render as u64);
-            telemetry::add(telemetry::Counter::FramesStepped, 1);
-        }
+        let step = self.step_inner();
+        frame_span.set_arg_c(step.outcome.full_render as u64);
+        telemetry::add(telemetry::Counter::FramesStepped, 1);
         drop(frame_span);
         if let Some(t0) = t0 {
             telemetry::observe(
@@ -863,109 +712,131 @@ impl<'a> PipelineSession<'a> {
                 telemetry::now_ns().saturating_sub(t0),
             );
         }
-        out
+        Some(step)
     }
 
-    fn step_inner(&mut self) -> Option<SessionStep> {
+    /// Plans frame `cursor` and hands it to the step of its kind.
+    fn step_inner(&mut self) -> SessionStep {
         let i = self.cursor;
         self.cursor += 1;
         let cam = self.traj.get().camera(i, self.intrinsics);
-
-        let plan = match &self.schedule {
+        match self.schedule.as_ref().map(|s| s.plans[i]) {
             // Baseline: every frame is an implicit full render, outside any
             // reference bookkeeping.
             None => {
-                let (frame, _stats, w) =
-                    analyzed_full_render(self.model, &cam, &self.opts, self.cfg.variant, &self.cfg);
-                return Some(self.full_render_step(i, &cam, frame, w));
+                let (frame, workload) = self.render_full(&cam);
+                self.full_render_step(i, &cam, frame, workload)
             }
-            Some(s) => s.plans[i],
-        };
+            // Bootstrap / on-trajectory reference frames pay full price.
+            // The displayed frame is owned; the slot keeps the shared
+            // render for the window's warps, so copy the pixels out.
+            Some(FramePlan::FullRender { ref_index }) => {
+                let (frame, workload) = self.reference(ref_index);
+                self.full_render_step(i, &cam, (*frame).clone(), workload)
+            }
+            Some(FramePlan::Warp { ref_index }) => self.warped_step(i, &cam, ref_index),
+        }
+    }
 
-        match plan {
-            FramePlan::FullRender { ref_index } => {
-                self.ensure_reference(ref_index);
-                let (frame, w) = self.ref_frames[ref_index].clone().unwrap();
-                // Bootstrap / on-trajectory reference frames pay full price.
-                // The displayed frame is owned; the slot keeps the shared
-                // render for the window's warps, so copy the pixels out.
-                Some(self.full_render_step(i, &cam, (*frame).clone(), w))
-            }
-            FramePlan::Warp { ref_index } => {
-                self.ensure_reference(ref_index);
-                let ref_cam = Camera::new(self.intrinsics, self.reference_pose(ref_index));
-                // Cheap Arc clone: ends the `ref_frames` borrow so the warp
-                // can take the session's scratch mutably.
-                let (ref_frame, ref_w) = self.ref_frames[ref_index].clone().unwrap();
-                let warp_opts = WarpOptions {
-                    phi: self.cfg.phi,
-                    ..Default::default()
-                };
-                let warped = warp_frame_with(
-                    ref_frame.as_ref(),
-                    &ref_cam,
-                    &cam,
-                    self.model.background(),
-                    &warp_opts,
-                    &mut self.warp_scratch,
-                    self.cfg.render_threads,
-                );
-                let stats = warped.stats();
-                let mask = warped.render_mask();
-                let mut frame = warped.frame;
-                let sparse_span =
-                    telemetry::span_ab(telemetry::Phase::SparseRender, self.telemetry_id, i as u64);
-                telemetry::add(telemetry::Counter::SparseRenders, 1);
-                let (_s, tgt_w) = analyzed_sparse_render(
-                    self.model,
-                    &cam,
-                    &self.opts,
-                    &mask,
-                    &mut frame,
-                    self.cfg.variant,
-                    &self.cfg,
-                    (self.pixels, self.pixels),
-                );
-                drop(sparse_span);
-                let window = self.ref_use[ref_index].max(1);
-                // Price the target frame once: it is both the un-amortized
-                // service time and an input to the amortized report.
-                let tgt_report = self.soc.target_frame(&tgt_w, self.cfg.variant);
-                let report = match self.cfg.scenario {
-                    Scenario::Local => self.soc.sparw_local_from_reports(
-                        &self.soc.full_frame(&ref_w, self.cfg.variant),
-                        &tgt_report,
-                        window,
-                    ),
-                    Scenario::Remote => self.soc.sparw_remote_from_reports(
-                        &self.soc.full_frame(&ref_w, Variant::Baseline),
-                        &tgt_report,
-                        window,
-                        self.pixels,
-                    ),
-                };
-                let (psnr_db, ssim) = self.quality(&cam, &frame);
-                self.warp_totals.total += stats.total;
-                self.warp_totals.warped += stats.warped;
-                self.warp_totals.disoccluded += stats.disoccluded;
-                self.warp_totals.void_pixels += stats.void_pixels;
-                self.warp_totals.rejected += stats.rejected;
-                self.last_ref_workload = Some(ref_w);
-                let service_time_s = tgt_report.time_s;
-                Some(SessionStep {
-                    outcome: FrameOutcome {
-                        frame_index: i,
-                        report,
-                        psnr_db,
-                        ssim,
-                        warp_stats: Some(stats),
-                        full_render: false,
-                    },
-                    frame,
-                    service_time_s,
-                    workload: tgt_w,
-                })
-            }
+    /// Prices and packages a full (reference/bootstrap/baseline) render as
+    /// the step for frame `i`.
+    fn full_render_step(
+        &mut self,
+        i: usize,
+        cam: &Camera,
+        frame: Frame,
+        workload: FrameWorkload,
+    ) -> SessionStep {
+        let report = self.price_on(&self.soc, FrameKind::Full(&workload));
+        self.last_ref_workload = Some(workload.clone());
+        SessionStep {
+            outcome: self.outcome(i, cam, &frame, report, None),
+            frame,
+            service_time_s: report.time_s,
+            workload,
+        }
+    }
+
+    /// A target frame, stage by stage: reference → warp → sparse render →
+    /// price → package.
+    fn warped_step(&mut self, i: usize, cam: &Camera, ref_index: usize) -> SessionStep {
+        let (ref_frame, ref_w) = self.reference(ref_index);
+        let warped = self.warp(ref_index, &ref_frame, cam);
+        let stats = warped.stats();
+        let (frame, workload) = self.sparse_render(i, cam, warped);
+        // Priced once: the target's own report is the un-amortized service
+        // time and an input to the amortized window report.
+        let target = self.soc.target_frame(&workload, self.cfg.variant);
+        let window = FrameKind::Window {
+            reference: &ref_w,
+            target: &target,
+            window: self.ref_use[ref_index].max(1),
+        };
+        let report = self.price_on(&self.soc, window);
+        self.last_ref_workload = Some(ref_w);
+        self.warp_totals.accumulate(&stats);
+        SessionStep {
+            outcome: self.outcome(i, cam, &frame, report, Some(stats)),
+            frame,
+            service_time_s: target.time_s,
+            workload,
+        }
+    }
+
+    /// Warps reference `ref_index` (rendered as `ref_frame`) to `cam`.
+    fn warp(&mut self, ref_index: usize, ref_frame: &Frame, cam: &Camera) -> WarpResult {
+        let ref_cam = Camera::new(self.intrinsics, self.reference_pose(ref_index));
+        let warp_opts = WarpOptions {
+            phi: self.cfg.phi,
+            ..Default::default()
+        };
+        let mut warped = WarpResult::empty();
+        warp_frame_into(
+            ref_frame,
+            &ref_cam,
+            cam,
+            self.model.background(),
+            &warp_opts,
+            &mut self.warp_scratch,
+            self.cfg.render_threads,
+            &mut warped,
+        );
+        warped
+    }
+
+    /// Renders the pixels the warp could not supply into its frame.
+    fn sparse_render(&self, i: usize, cam: &Camera, warped: WarpResult) -> (Frame, FrameWorkload) {
+        let mask = warped.render_mask();
+        let mut frame = warped.frame;
+        let _span = telemetry::span_ab(telemetry::Phase::SparseRender, self.telemetry_id, i as u64);
+        telemetry::add(telemetry::Counter::SparseRenders, 1);
+        let warp = Some((self.pixels, self.pixels));
+        let workload = self.analyzed_render(cam, Some(&mask), &mut frame, warp);
+        (frame, workload)
+    }
+
+    /// Packages frame `i`'s result, scoring it against the analytic ground
+    /// truth when quality collection is on. A frame with warp statistics is
+    /// a target frame; one without is a full render.
+    fn outcome(
+        &self,
+        i: usize,
+        cam: &Camera,
+        frame: &Frame,
+        report: FrameReport,
+        warp_stats: Option<WarpStats>,
+    ) -> FrameOutcome {
+        let gt = self
+            .cfg
+            .collect_quality
+            .then(|| render_frame(self.scene, cam, &self.cfg.march));
+        FrameOutcome {
+            frame_index: i,
+            report,
+            psnr_db: gt.as_ref().map(|gt| metrics::psnr(&frame.color, &gt.color)),
+            ssim: gt.as_ref().map(|gt| metrics::ssim(&frame.color, &gt.color)),
+            warp_stats,
+            full_render: warp_stats.is_none(),
         }
     }
 }
@@ -997,123 +868,6 @@ pub fn run_pipeline(
         frames,
         reference_workload: session.last_ref_workload,
         warp_totals: session.warp_totals,
-    }
-}
-
-/// Runs the DS-2 baseline over a trajectory (quarter work + upsampling).
-pub fn run_ds2(
-    scene: &AnalyticScene,
-    model: &dyn NerfModel,
-    traj: &Trajectory,
-    intrinsics: Intrinsics,
-    cfg: &PipelineConfig,
-) -> PipelineRun {
-    let soc = SocModel::new(cfg.soc);
-    let opts = RenderOptions {
-        march: cfg.march,
-        use_occupancy: true,
-        sample_block: cfg.sample_block,
-    };
-    let pixels = intrinsics.pixel_count() as u64;
-    let mut outcomes = Vec::new();
-    let mut frames = Vec::new();
-    for i in 0..traj.len() {
-        let cam = traj.camera(i, intrinsics);
-        let half_cam = Camera::new(cam.intrinsics.downsampled(2), cam.pose);
-        let (_f, _s, mut w) = analyzed_full_render(model, &half_cam, &opts, cfg.variant, cfg);
-        // Upsampling cost: one bilinear reconstruction over the full frame.
-        w.warped_pixels = pixels;
-        let (frame, _stats) =
-            baselines::render_ds2(model, &cam, &opts, &mut cicero_field::NullSink);
-        let report = match cfg.scenario {
-            Scenario::Local => {
-                let mut r = soc.full_frame(&w, Variant::Baseline);
-                let up = soc.gpu.warp_time(&w);
-                r.time_s += up;
-                r.stages.warp_s += up;
-                r.energy.gpu_j += soc.gpu.energy(up);
-                r
-            }
-            Scenario::Remote => soc.baseline_remote_frame(&w, pixels),
-        };
-        let (psnr_db, ssim) = if cfg.collect_quality {
-            quality_of(scene, &cam, &cfg.march, &frame)
-        } else {
-            (None, None)
-        };
-        outcomes.push(FrameOutcome {
-            frame_index: i,
-            report,
-            psnr_db,
-            ssim,
-            warp_stats: None,
-            full_render: true,
-        });
-        frames.push(frame);
-    }
-    PipelineRun {
-        outcomes,
-        frames,
-        reference_workload: None,
-        warp_totals: WarpStats::default(),
-    }
-}
-
-/// Runs the Temp-N baseline (chained on-trajectory warping, full render every
-/// `cfg.window` frames).
-pub fn run_temp(
-    scene: &AnalyticScene,
-    model: &dyn NerfModel,
-    traj: &Trajectory,
-    intrinsics: Intrinsics,
-    cfg: &PipelineConfig,
-) -> PipelineRun {
-    let soc = SocModel::new(cfg.soc);
-    let opts = RenderOptions {
-        march: cfg.march,
-        use_occupancy: true,
-        sample_block: cfg.sample_block,
-    };
-    let pixels = intrinsics.pixel_count() as u64;
-    let rendered = baselines::render_temp_chain(model, traj, intrinsics, cfg.window, &opts);
-    let mut outcomes = Vec::new();
-    let mut frames = Vec::new();
-    for (i, (frame, stats)) in rendered.into_iter().enumerate() {
-        let full = i % cfg.window == 0;
-        let w = build_workload(
-            &stats,
-            model.decoder(),
-            None,
-            None,
-            if full { None } else { Some((pixels, pixels)) },
-        );
-        // Temp serializes reference and target rendering (Fig. 11a): the
-        // full-render frame pays its entire cost in-stream.
-        let report = if full {
-            soc.full_frame(&w, Variant::Sparw)
-        } else {
-            soc.target_frame(&w, Variant::Sparw)
-        };
-        let (psnr_db, ssim) = if cfg.collect_quality {
-            quality_of(scene, &traj.camera(i, intrinsics), &cfg.march, &frame)
-        } else {
-            (None, None)
-        };
-        outcomes.push(FrameOutcome {
-            frame_index: i,
-            report,
-            psnr_db,
-            ssim,
-            warp_stats: None,
-            full_render: full,
-        });
-        frames.push(frame);
-    }
-    PipelineRun {
-        outcomes,
-        frames,
-        reference_workload: None,
-        warp_totals: WarpStats::default(),
     }
 }
 
@@ -1226,21 +980,6 @@ mod tests {
     }
 
     #[test]
-    fn ds2_and_temp_run_and_score() {
-        let (scene, model, traj, k) = small_setup();
-        let cfg = fast_cfg(Variant::Baseline);
-        let ds2 = run_ds2(&scene, &model, &traj, k, &cfg);
-        let temp = run_temp(&scene, &model, &traj, k, &cfg);
-        assert_eq!(ds2.outcomes.len(), 6);
-        assert_eq!(temp.outcomes.len(), 6);
-        assert!(ds2.mean_psnr().is_finite());
-        assert!(temp.mean_psnr().is_finite());
-        // DS-2 is faster than the full baseline.
-        let base = run_pipeline(&scene, &model, &traj, k, &cfg);
-        assert!(ds2.mean_frame_time() < base.mean_frame_time());
-    }
-
-    #[test]
     fn quality_collection_can_be_disabled() {
         let (scene, model, traj, k) = small_setup();
         let mut cfg = fast_cfg(Variant::Cicero);
@@ -1250,7 +989,7 @@ mod tests {
     }
 
     #[test]
-    fn needs_reference_never_hands_out_in_stream_refs() {
+    fn upcoming_references_never_hand_out_in_stream_refs() {
         let (scene, model, traj, k) = small_setup();
         for variant in [Variant::Sparw, Variant::Cicero] {
             for scenario in [Scenario::Local, Scenario::Remote] {
@@ -1260,14 +999,15 @@ mod tests {
                 let mut sess = PipelineSession::new(&scene, &model, &traj, k, &cfg);
                 let mut handed_out = 0;
                 while !sess.is_done() {
-                    if let Some(r) = sess.needs_reference() {
+                    // Horizon 1: what the next frame alone asks for.
+                    for r in sess.upcoming_references(1) {
                         assert!(
                             !sess.in_stream_refs[r],
                             "in-stream ref {r} handed out for pre-render ({variant:?}/{scenario:?})"
                         );
                         assert!(
                             matches!(sess.next_plan(), Some(FramePlan::Warp { .. })),
-                            "needs_reference on a FullRender frame would double-bill it"
+                            "a reference handed out on a FullRender frame would double-bill it"
                         );
                         handed_out += 1;
                     }
@@ -1331,7 +1071,7 @@ mod tests {
                 cfg.scenario = scenario;
                 cfg.collect_quality = false;
                 let mut sess = PipelineSession::new(&scene, &model, &traj, k, &cfg);
-                let own_soc = sess.soc().clone();
+                let own_soc = sess.soc.clone();
                 while let Some(step) = sess.step() {
                     assert_eq!(
                         sess.service_time_on(&own_soc, &step),

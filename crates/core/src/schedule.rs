@@ -57,11 +57,6 @@ pub struct Schedule {
 }
 
 impl Schedule {
-    /// Number of full-frame NeRF renders the schedule performs.
-    pub fn full_render_count(&self) -> usize {
-        self.references.len()
-    }
-
     /// An empty schedule, the starting point for incremental
     /// [`extend`](Self::extend) planning over a streaming trajectory.
     pub fn empty() -> Schedule {
@@ -218,7 +213,7 @@ mod tests {
         }
         // 17 frames: bootstrap ref + windows {5-8, 9-12, 13-16} each adding
         // one (window 1-4 reuses the bootstrap) → 4 references.
-        assert_eq!(s.full_render_count(), 4);
+        assert_eq!(s.references.len(), 4);
     }
 
     #[test]
@@ -273,7 +268,7 @@ mod tests {
             .filter(|p| matches!(p, FramePlan::Warp { .. }))
             .count();
         assert_eq!(warps, 4);
-        assert_eq!(s.full_render_count(), 4); // bootstrap + one ref per frame 2..5
+        assert_eq!(s.references.len(), 4); // bootstrap + one ref per frame 2..5
     }
 
     #[test]
@@ -315,6 +310,6 @@ mod tests {
         let t = traj(33);
         let small = Schedule::plan(&t, 4, RefPlacement::Extrapolated);
         let large = Schedule::plan(&t, 16, RefPlacement::Extrapolated);
-        assert!(large.full_render_count() < small.full_render_count());
+        assert!(large.references.len() < small.references.len());
     }
 }

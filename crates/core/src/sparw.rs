@@ -121,9 +121,29 @@ impl WarpStats {
         }
         (self.disoccluded + self.rejected) as f64 / self.total as f64
     }
+
+    /// Adds another frame's counts.
+    pub fn accumulate(&mut self, o: &WarpStats) {
+        self.total += o.total;
+        self.warped += o.warped;
+        self.disoccluded += o.disoccluded;
+        self.void_pixels += o.void_pixels;
+        self.rejected += o.rejected;
+    }
 }
 
 impl WarpResult {
+    /// A 0 × 0 result for [`warp_frame_into`] to shape and fill.
+    pub fn empty() -> Self {
+        WarpResult {
+            frame: Frame {
+                color: cicero_math::Image::new(0, 0, Vec3::ZERO),
+                depth: cicero_math::DepthMap::empty(0, 0),
+            },
+            status: Vec::new(),
+        }
+    }
+
     /// The sparse-rendering mask (row-major): `true` where the NeRF model
     /// must run (Eq. 4's `Γ_sp`).
     pub fn render_mask(&self) -> Vec<bool> {
@@ -675,10 +695,11 @@ const MIN_BAND_ROWS: usize = 8;
 /// mutable slices of the frame color/depth and the status map; the closure
 /// may freely read shared state. Per-pixel work is independent, so the
 /// result is identical at any lane count.
-fn for_each_target_band<F>(co: &Checkout<'_>, frame: &mut Frame, status: &mut [PixelSource], f: F)
+fn for_each_target_band<F>(co: &Checkout<'_>, out: &mut WarpResult, f: F)
 where
     F: Fn(usize, &mut [Vec3], &mut [f32], &mut [PixelSource]) + Sync,
 {
+    let WarpResult { frame, status } = out;
     let (tw, th) = (frame.width(), frame.height());
     let n_bands = co.lanes().min(th.div_ceil(MIN_BAND_ROWS)).max(1);
     if n_bands <= 1 {
@@ -732,11 +753,50 @@ impl WarpTiming {
     }
 }
 
+/// Closes a warp's passes one after another: each [`close`](Self::close)
+/// charges the interval since the previous one to a [`WarpTiming`] slot
+/// (when the caller asked for the breakdown) and emits the matching
+/// telemetry span.
+struct PassClock<'t> {
+    timing: Option<&'t mut WarpTiming>,
+    last: Instant,
+    /// Pass boundary on the telemetry clock; zero means "recorder was off
+    /// when the warp started", which skips span emission for this warp.
+    span_mark: u64,
+}
+
+impl<'t> PassClock<'t> {
+    fn start(timing: Option<&'t mut WarpTiming>) -> Self {
+        PassClock {
+            timing,
+            last: Instant::now(),
+            span_mark: if telemetry::is_enabled() {
+                telemetry::now_ns()
+            } else {
+                0
+            },
+        }
+    }
+
+    fn close(&mut self, slot: fn(&mut WarpTiming) -> &mut f64, phase: telemetry::Phase) {
+        let now = Instant::now();
+        if let Some(t) = self.timing.as_deref_mut() {
+            *slot(t) += (now - self.last).as_secs_f64();
+        }
+        self.last = now;
+        if self.span_mark != 0 && telemetry::is_enabled() {
+            let now_ns = telemetry::now_ns();
+            telemetry::span_at(phase, self.span_mark, now_ns, 0, 0, 0);
+            self.span_mark = now_ns;
+        }
+    }
+}
+
 /// Warps `reference` (rendered at `ref_cam`) to the pose of `tgt_cam`.
 ///
 /// `background` fills void/hole pixels until sparse rendering replaces the
 /// disoccluded ones. Allocates fresh working memory and runs
-/// single-threaded; frame loops use [`warp_frame_with`].
+/// single-threaded; frame loops use [`warp_frame_into`].
 ///
 /// # Panics
 ///
@@ -749,61 +809,32 @@ pub fn warp_frame(
     background: Vec3,
     opts: &WarpOptions,
 ) -> WarpResult {
-    warp_frame_with(
-        reference,
-        ref_cam,
-        tgt_cam,
-        background,
-        opts,
-        &mut WarpScratch::new(),
-        1,
-    )
+    let mut out = WarpResult::empty();
+    let scratch = &mut WarpScratch::new();
+    warp_frame_into(
+        reference, ref_cam, tgt_cam, background, opts, scratch, 1, &mut out,
+    );
+    out
 }
 
-/// [`warp_frame`] through reusable working memory and `threads` pool lanes.
+/// [`warp_frame`] through reusable working memory and `threads` pool lanes,
+/// writing into a caller-owned result: frame loops that keep `out` (and
+/// `scratch`) across frames perform **zero heap allocations per warp** once
+/// warm — `tests/zero_alloc.rs` enforces this, pool checkout and pass
+/// barriers included. Dimension changes re-shape `out`; contents never leak
+/// between warps.
+///
 /// The splat, normalize, hole-classification and crack-fill passes all run
 /// on **one** checkout of the persistent render pool — one worker
-/// reservation per frame with a barrier between passes, instead of the four
-/// scoped spawn waves of earlier revisions. The output is **bit-identical**
-/// to the sequential warp at any lane count (per-pixel work is independent,
-/// and the one order-sensitive float accumulation — splat resolution —
-/// always runs in reference row order).
+/// reservation per frame with a barrier between passes. The output is
+/// **bit-identical** to the sequential warp at any lane count (per-pixel
+/// work is independent, and the one order-sensitive float accumulation —
+/// splat resolution — always runs in reference row order).
 ///
 /// # Panics
 ///
 /// Panics if the reference frame's dimensions differ from `ref_cam`'s
 /// intrinsics, or if a pool worker panics.
-pub fn warp_frame_with(
-    reference: &Frame,
-    ref_cam: &Camera,
-    tgt_cam: &Camera,
-    background: Vec3,
-    opts: &WarpOptions,
-    scratch: &mut WarpScratch,
-    threads: usize,
-) -> WarpResult {
-    let mut out = WarpResult {
-        frame: Frame {
-            color: cicero_math::Image::new(0, 0, background),
-            depth: cicero_math::DepthMap::empty(0, 0),
-        },
-        status: Vec::new(),
-    };
-    warp_frame_into(
-        reference, ref_cam, tgt_cam, background, opts, scratch, threads, &mut out,
-    );
-    out
-}
-
-/// [`warp_frame_with`] writing into a caller-owned result, so frame loops
-/// that keep `out` (and `scratch`) across frames perform **zero heap
-/// allocations per warp** once warm — `tests/zero_alloc.rs` enforces this,
-/// pool checkout and pass barriers included. Dimension changes re-shape
-/// `out`; contents never leak between warps.
-///
-/// # Panics
-///
-/// Same contract as [`warp_frame_with`].
 #[allow(clippy::too_many_arguments)]
 pub fn warp_frame_into(
     reference: &Frame,
@@ -820,12 +851,12 @@ pub fn warp_frame_into(
     );
 }
 
-/// [`warp_frame_with`] that also accumulates the wall-clock per-pass
-/// breakdown into `timing` (benchmark instrumentation).
+/// [`warp_frame_into`] returning a fresh result, that also accumulates the
+/// wall-clock per-pass breakdown into `timing` (benchmark instrumentation).
 ///
 /// # Panics
 ///
-/// Same contract as [`warp_frame_with`].
+/// Same contract as [`warp_frame_into`].
 #[allow(clippy::too_many_arguments)]
 pub fn warp_frame_timed(
     reference: &Frame,
@@ -837,13 +868,7 @@ pub fn warp_frame_timed(
     threads: usize,
     timing: &mut WarpTiming,
 ) -> WarpResult {
-    let mut out = WarpResult {
-        frame: Frame {
-            color: cicero_math::Image::new(0, 0, background),
-            depth: cicero_math::DepthMap::empty(0, 0),
-        },
-        status: Vec::new(),
-    };
+    let mut out = WarpResult::empty();
     warp_frame_impl(
         reference,
         ref_cam,
@@ -858,6 +883,8 @@ pub fn warp_frame_timed(
     out
 }
 
+/// One warp as a list of passes: shape the output, then splat → resolve →
+/// normalize → classify → crack-fill, each closed on the pass clock.
 #[allow(clippy::too_many_arguments)]
 fn warp_frame_impl(
     reference: &Frame,
@@ -868,45 +895,44 @@ fn warp_frame_impl(
     scratch: &mut WarpScratch,
     threads: usize,
     out: &mut WarpResult,
-    mut timing: Option<&mut WarpTiming>,
+    timing: Option<&mut WarpTiming>,
 ) {
-    let (rw, rh) = (ref_cam.intrinsics.width, ref_cam.intrinsics.height);
     assert_eq!(
         (reference.width(), reference.height()),
-        (rw, rh),
+        (ref_cam.intrinsics.width, ref_cam.intrinsics.height),
         "reference frame/camera mismatch"
     );
-    let (tw, th) = (tgt_cam.intrinsics.width, tgt_cam.intrinsics.height);
-    let threads = threads.max(1);
-    let mut clock = Instant::now();
-    // Pass-boundary marker on the telemetry clock; zero means "recorder was
-    // off when the warp started", which skips span emission for this warp.
-    let mut span_mark = if telemetry::is_enabled() {
-        telemetry::now_ns()
-    } else {
-        0
+    let mut clock = PassClock::start(timing);
+    shape_output(out, tgt_cam, background);
+    // One checkout serves every pass of this warp: the workers are reserved
+    // once, each `co.run` is one pass-barrier cycle, and the workers return
+    // to the pool when the checkout drops at the end of the warp.
+    let warp = Warp {
+        reference,
+        ref_cam,
+        tgt_cam,
+        background,
+        opts,
+        co: RenderPool::global().checkout(threads.max(1) - 1),
     };
-    // Non-capturing, so it coerces to a plain `fn` passed per pass below.
-    // Each call closes one pass: it charges the elapsed interval to the
-    // `WarpTiming` slot and emits the matching telemetry span.
-    let record = |slot: fn(&mut WarpTiming) -> &mut f64,
-                  phase: telemetry::Phase,
-                  timing: &mut Option<&mut WarpTiming>,
-                  clock: &mut Instant,
-                  span_mark: &mut u64| {
-        let now = Instant::now();
-        if let Some(t) = timing.as_deref_mut() {
-            *slot(t) += (now - *clock).as_secs_f64();
-        }
-        *clock = now;
-        if *span_mark != 0 && telemetry::is_enabled() {
-            let now_ns = telemetry::now_ns();
-            telemetry::span_at(phase, *span_mark, now_ns, 0, 0, 0);
-            *span_mark = now_ns;
-        }
-    };
+    let n_bands = warp.splat(scratch);
+    clock.close(|t| &mut t.splat_s, telemetry::Phase::WarpSplat);
+    warp.resolve(scratch, n_bands);
+    clock.close(|t| &mut t.resolve_s, telemetry::Phase::WarpResolve);
+    warp.normalize(scratch, out);
+    clock.close(|t| &mut t.normalize_s, telemetry::Phase::WarpNormalize);
+    warp.classify(scratch, out);
+    clock.close(|t| &mut t.classify_s, telemetry::Phase::WarpClassify);
+    if opts.fill_cracks {
+        warp.fill_cracks(scratch, out);
+    }
+    clock.close(|t| &mut t.crack_fill_s, telemetry::Phase::WarpCrackFill);
+}
 
-    // Shape the output in place: reuse the buffers when dimensions match.
+/// Shapes `out` for a warp to `tgt_cam`: every pixel background at infinite
+/// depth and `Disoccluded`. Reuses the buffers when dimensions match.
+fn shape_output(out: &mut WarpResult, tgt_cam: &Camera, background: Vec3) {
+    let (tw, th) = (tgt_cam.intrinsics.width, tgt_cam.intrinsics.height);
     if out.frame.width() != tw || out.frame.height() != th {
         out.frame = Frame {
             color: cicero_math::Image::new(tw, th, background),
@@ -917,106 +943,103 @@ fn warp_frame_impl(
         out.frame.depth.fill(f32::INFINITY);
     }
     refill(&mut out.status, tw * th, PixelSource::Disoccluded);
-    let frame = &mut out.frame;
-    let status = &mut out.status;
+}
 
-    // One checkout serves every pass of this warp: the workers are reserved
-    // once, each `co.run` below is one pass-barrier cycle, and the workers
-    // return to the pool when `co` drops at the end of the warp.
-    let co = RenderPool::global().checkout(threads - 1);
+/// What every pass of one warp reads: the inputs and the pool checkout.
+struct Warp<'a> {
+    reference: &'a Frame,
+    ref_cam: &'a Camera,
+    tgt_cam: &'a Camera,
+    background: Vec3,
+    opts: &'a WarpOptions,
+    co: Checkout<'a>,
+}
 
-    // Step 1-3: point cloud conversion, transform, weighted bilinear forward
-    // splatting with a z-buffer (the "standard rasterization pipeline" of
-    // Eq. 3). Each reference point contributes to its four nearest target
-    // pixels; contributions within a depth tolerance of the nearest surface
-    // accumulate and normalize, which removes the ±half-pixel resampling
-    // error of nearest-pixel splatting. Splat generation is per-reference-
-    // pixel independent: each band of reference rows fills its own list.
-    let n_bands = co.lanes().min(rh.div_ceil(MIN_BAND_ROWS)).max(1);
-    let rows_per_band = rh.div_ceil(n_bands).max(1);
-    let n_bands = rh.div_ceil(rows_per_band).max(1);
-    if scratch.band_splats.len() < n_bands {
-        // Never shrink: capacities stay warm even when the pool serves
-        // fewer lanes on a contended frame. Only bands `..n_bands` are
-        // filled and resolved below.
-        scratch.band_splats.resize_with(n_bands, Vec::new);
+impl Warp<'_> {
+    /// Steps 1-3: point cloud conversion, transform, forward splatting (the
+    /// "standard rasterization pipeline" of Eq. 3). Splat generation is
+    /// per-reference-pixel independent: each band of reference rows fills
+    /// its own list of `scratch.band_splats`. Returns the bands filled.
+    fn splat(&self, scratch: &mut WarpScratch) -> usize {
+        let rh = self.ref_cam.intrinsics.height;
+        let n_bands = self.co.lanes().min(rh.div_ceil(MIN_BAND_ROWS)).max(1);
+        let rows_per_band = rh.div_ceil(n_bands).max(1);
+        let n_bands = rh.div_ceil(rows_per_band).max(1);
+        if scratch.band_splats.len() < n_bands {
+            // Never shrink: capacities stay warm even when the pool serves
+            // fewer lanes on a contended frame. Only bands `..n_bands` are
+            // filled here and resolved next.
+            scratch.band_splats.resize_with(n_bands, Vec::new);
+        }
+        let (reference, ref_cam, tgt_cam, opts) =
+            (self.reference, self.ref_cam, self.tgt_cam, self.opts);
+        if n_bands == 1 {
+            let band = &mut scratch.band_splats[0];
+            splat_rows(reference, ref_cam, tgt_cam, opts, 0..rh, band);
+        } else {
+            let bands = Bands::new(&mut scratch.band_splats[..n_bands], 1);
+            self.co.run(|lane| {
+                if lane < n_bands {
+                    let y0 = lane * rows_per_band;
+                    let y1 = ((lane + 1) * rows_per_band).min(rh);
+                    let band = &mut bands.take(lane)[0];
+                    splat_rows(reference, ref_cam, tgt_cam, opts, y0..y1, band);
+                }
+            });
+        }
+        n_bands
     }
-    if n_bands == 1 {
-        splat_rows(
-            reference,
-            ref_cam,
-            tgt_cam,
-            opts,
-            0..rh,
-            &mut scratch.band_splats[0],
+
+    /// Resolve: a z-buffer over the splats, then the contributions within a
+    /// depth tolerance of each pixel's front surface accumulate. Sequential
+    /// in band (= reference row) order: float accumulation order is exactly
+    /// the sequential warp's, so sums are bit-identical.
+    fn resolve(&self, scratch: &mut WarpScratch, n_bands: usize) {
+        let (tw, th) = (
+            self.tgt_cam.intrinsics.width,
+            self.tgt_cam.intrinsics.height,
         );
-    } else {
-        let bands = Bands::new(&mut scratch.band_splats[..n_bands], 1);
-        co.run(|lane| {
-            if lane < n_bands {
-                let y0 = lane * rows_per_band;
-                let y1 = ((lane + 1) * rows_per_band).min(rh);
-                let band = &mut bands.take(lane)[0];
-                splat_rows(reference, ref_cam, tgt_cam, opts, y0..y1, band);
+        refill(&mut scratch.zmin, tw * th, f32::INFINITY);
+        refill(&mut scratch.acc_color, tw * th, Vec3::ZERO);
+        refill(&mut scratch.acc_w, tw * th, 0.0f32);
+        refill(&mut scratch.acc_z, tw * th, 0.0f32);
+        refill(&mut scratch.rej_w, tw * th, 0.0f32);
+        for band in &scratch.band_splats[..n_bands] {
+            for s in band {
+                let idx = s.ty as usize * tw + s.tx as usize;
+                if s.z < scratch.zmin[idx] {
+                    scratch.zmin[idx] = s.z;
+                }
             }
-        });
+        }
+        for band in &scratch.band_splats[..n_bands] {
+            for s in band {
+                let idx = s.ty as usize * tw + s.tx as usize;
+                let front = scratch.zmin[idx];
+                let tol = (front * 0.02).max(0.02);
+                if s.z > front + tol {
+                    continue; // occluded contribution
+                }
+                scratch.acc_color[idx] += s.color * s.weight;
+                scratch.acc_z[idx] += s.z * s.weight;
+                scratch.acc_w[idx] += s.weight;
+                if s.rejected {
+                    scratch.rej_w[idx] += s.weight;
+                }
+            }
+        }
     }
-    record(
-        |t| &mut t.splat_s,
-        telemetry::Phase::WarpSplat,
-        &mut timing,
-        &mut clock,
-        &mut span_mark,
-    );
 
-    // Resolve: accumulate contributions near the front surface of each pixel.
-    // Sequential in band (= reference row) order: float accumulation order is
-    // exactly the sequential warp's, so sums are bit-identical.
-    refill(&mut scratch.zmin, tw * th, f32::INFINITY);
-    refill(&mut scratch.acc_color, tw * th, Vec3::ZERO);
-    refill(&mut scratch.acc_w, tw * th, 0.0f32);
-    refill(&mut scratch.acc_z, tw * th, 0.0f32);
-    refill(&mut scratch.rej_w, tw * th, 0.0f32);
-    for band in &scratch.band_splats[..n_bands] {
-        for s in band {
-            let idx = s.ty as usize * tw + s.tx as usize;
-            if s.z < scratch.zmin[idx] {
-                scratch.zmin[idx] = s.z;
-            }
-        }
-    }
-    for band in &scratch.band_splats[..n_bands] {
-        for s in band {
-            let idx = s.ty as usize * tw + s.tx as usize;
-            let front = scratch.zmin[idx];
-            let tol = (front * 0.02).max(0.02);
-            if s.z > front + tol {
-                continue; // occluded contribution
-            }
-            scratch.acc_color[idx] += s.color * s.weight;
-            scratch.acc_z[idx] += s.z * s.weight;
-            scratch.acc_w[idx] += s.weight;
-            if s.rejected {
-                scratch.rej_w[idx] += s.weight;
-            }
-        }
-    }
-    record(
-        |t| &mut t.resolve_s,
-        telemetry::Phase::WarpResolve,
-        &mut timing,
-        &mut clock,
-        &mut span_mark,
-    );
-    {
-        let (acc_color, acc_w) = (&scratch.acc_color, &scratch.acc_w);
-        let (acc_z, rej_w) = (&scratch.acc_z, &scratch.rej_w);
-        for_each_target_band(&co, frame, status, |y0, cb, db, sb| {
+    /// Normalize: covered pixels take their weighted color and depth and
+    /// become `Warped` (or `RejectedByAngle`).
+    fn normalize(&self, scratch: &WarpScratch, out: &mut WarpResult) {
+        let tw = self.tgt_cam.intrinsics.width;
+        for_each_target_band(&self.co, out, |y0, cb, db, sb| {
             simd::dispatch(NormalizeBand {
-                acc_color,
-                acc_z,
-                acc_w,
-                rej_w,
+                acc_color: &scratch.acc_color,
+                acc_z: &scratch.acc_z,
+                acc_w: &scratch.acc_w,
+                rej_w: &scratch.rej_w,
                 base: y0 * tw,
                 cb,
                 db,
@@ -1025,31 +1048,23 @@ fn warp_frame_impl(
         });
     }
 
-    record(
-        |t| &mut t.normalize_s,
-        telemetry::Phase::WarpNormalize,
-        &mut timing,
-        &mut clock,
-        &mut span_mark,
-    );
-
-    // Step 4's depth test: classify remaining holes. A hole whose far probe
-    // lands on reference background is void — nothing along the ray — and
-    // needs no rendering. Neighbor lookups read a status snapshot; the only
-    // in-pass transition is Disoccluded → Void, which the Warped scan never
-    // observes, so snapshot reads equal the sequential in-place reads.
-    scratch.snapshot.clear();
-    scratch.snapshot.extend_from_slice(status);
-    {
+    /// Step 4's depth test: classify remaining holes. A hole whose far probe
+    /// lands on reference background is void — nothing along the ray — and
+    /// needs no rendering. Neighbor lookups read a status snapshot; the only
+    /// in-pass transition is Disoccluded → Void, which the Warped scan never
+    /// observes, so snapshot reads equal the sequential in-place reads.
+    fn classify(&self, scratch: &mut WarpScratch, out: &mut WarpResult) {
+        scratch.snapshot.clear();
+        scratch.snapshot.extend_from_slice(&out.status);
         let snapshot = &scratch.snapshot;
-        for_each_target_band(&co, frame, status, |y0, cb, _db, sb| {
+        for_each_target_band(&self.co, out, |y0, cb, _db, sb| {
             simd::dispatch(ClassifyBand {
-                reference,
-                ref_cam,
-                tgt_cam,
-                opts,
+                reference: self.reference,
+                ref_cam: self.ref_cam,
+                tgt_cam: self.tgt_cam,
+                opts: self.opts,
                 snapshot,
-                background,
+                background: self.background,
                 y0,
                 cb,
                 sb,
@@ -1057,29 +1072,29 @@ fn warp_frame_impl(
         });
     }
 
-    record(
-        |t| &mut t.classify_s,
-        telemetry::Phase::WarpClassify,
-        &mut timing,
-        &mut clock,
-        &mut span_mark,
-    );
-
-    // Crack filling: single-pixel splat holes surrounded by warped pixels
-    // are reconstruction artifacts of nearest-pixel splatting, not
-    // disocclusions; inpaint them from their neighbors. Neighbor reads come
-    // from snapshots; only Disoccluded pixels are written and only Warped
-    // ones are read, so snapshot values equal live values.
-    if opts.fill_cracks {
+    /// Crack filling: single-pixel splat holes surrounded by warped pixels
+    /// are reconstruction artifacts of nearest-pixel splatting, not
+    /// disocclusions; inpaint them from their neighbors. Neighbor reads come
+    /// from snapshots; only Disoccluded pixels are written and only Warped
+    /// ones are read, so snapshot values equal live values.
+    fn fill_cracks(&self, scratch: &mut WarpScratch, out: &mut WarpResult) {
+        let (tw, th) = (
+            self.tgt_cam.intrinsics.width,
+            self.tgt_cam.intrinsics.height,
+        );
         scratch.snapshot.clear();
-        scratch.snapshot.extend_from_slice(status);
+        scratch.snapshot.extend_from_slice(&out.status);
         scratch.color_snap.clear();
-        scratch.color_snap.extend_from_slice(frame.color.pixels());
+        scratch
+            .color_snap
+            .extend_from_slice(out.frame.color.pixels());
         scratch.depth_snap.clear();
-        scratch.depth_snap.extend_from_slice(frame.depth.pixels());
+        scratch
+            .depth_snap
+            .extend_from_slice(out.frame.depth.pixels());
         let snapshot = &scratch.snapshot;
         let (color_snap, depth_snap) = (&scratch.color_snap, &scratch.depth_snap);
-        for_each_target_band(&co, frame, status, |y0, cb, db, sb| {
+        for_each_target_band(&self.co, out, |y0, cb, db, sb| {
             for (local, st) in sb.iter_mut().enumerate() {
                 let idx = y0 * tw + local;
                 if snapshot[idx] != PixelSource::Disoccluded {
@@ -1115,13 +1130,6 @@ fn warp_frame_impl(
             }
         });
     }
-    record(
-        |t| &mut t.crack_fill_s,
-        telemetry::Phase::WarpCrackFill,
-        &mut timing,
-        &mut clock,
-        &mut span_mark,
-    );
 }
 
 #[cfg(test)]
@@ -1690,10 +1698,11 @@ mod tests {
         ] {
             let seq = warp_frame(&reference, &ref_cam, &tgt_cam, scene.background(), &opts);
             let mut scratch = WarpScratch::new();
+            let mut par = WarpResult::empty();
             for threads in [1, 2, 3, 8] {
-                // The same scratch serves every thread count back to back:
-                // reuse must not leak state between warps.
-                let par = warp_frame_with(
+                // The same scratch and output serve every thread count back
+                // to back: reuse must not leak state between warps.
+                warp_frame_into(
                     &reference,
                     &ref_cam,
                     &tgt_cam,
@@ -1701,6 +1710,7 @@ mod tests {
                     &opts,
                     &mut scratch,
                     threads,
+                    &mut par,
                 );
                 assert_eq!(par.frame, seq.frame, "{threads} threads, {opts:?}");
                 assert_eq!(par.status, seq.status, "{threads} threads, {opts:?}");

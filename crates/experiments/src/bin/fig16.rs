@@ -6,7 +6,7 @@
 //! Cicero-16 drops ~1.3 dB but still beats DS-2 and Temp-16 on the synthetic
 //! set. Pass `--quick` to run 3 scenes instead of all 10.
 
-use cicero::pipeline::{run_ds2, run_pipeline, run_temp};
+use cicero::pipeline::run_pipeline;
 use cicero::{RefPlacement, Variant};
 use cicero_experiments::*;
 use cicero_math::metrics;
@@ -59,28 +59,16 @@ fn eval_scene(name: &str, frames_n: usize) -> Row {
         k,
         &quality_config(Variant::Cicero, 16),
     );
-    let ds2 = run_ds2(
-        &scene,
-        &model,
-        &traj,
-        k,
-        &quality_config(Variant::Baseline, 1),
-    );
-    let temp16 = run_temp(
-        &scene,
-        &model,
-        &traj,
-        k,
-        &quality_config(Variant::Sparw, 16),
-    );
+    let ds2 = ds2_frames(&model, &traj, k);
+    let temp16 = temp_frames(&model, &traj, k, 16);
 
     Row {
         scene: name.into(),
         baseline: psnr_vs_gt(&baseline.frames, &gt),
         cicero6: psnr_vs_gt(&c6.frames, &gt),
         cicero16: psnr_vs_gt(&c16.frames, &gt),
-        ds2: psnr_vs_gt(&ds2.frames, &gt),
-        temp16: psnr_vs_gt(&temp16.frames, &gt),
+        ds2: psnr_vs_gt(&ds2, &gt),
+        temp16: psnr_vs_gt(&temp16, &gt),
     }
 }
 

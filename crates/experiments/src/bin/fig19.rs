@@ -8,7 +8,7 @@
 
 use cicero::{Scenario, Variant};
 use cicero_accel::config::SocConfig;
-use cicero_accel::soc::{FrameReport, SocModel};
+use cicero_accel::soc::{FrameKind, SocModel};
 use cicero_experiments::*;
 use cicero_field::ModelKind;
 use serde::Serialize;
@@ -34,19 +34,22 @@ fn main() {
         let model = standard_model(&scene, kind);
         let mw = measure_workloads(&scene, model.as_ref(), window);
 
+        let base_w = scale_to_paper(&mw.full_pc);
         for scenario in [Scenario::Local, Scenario::Remote] {
-            let base: FrameReport = match scenario {
-                Scenario::Local => soc.full_frame(&scale_to_paper(&mw.full_pc), Variant::Baseline),
-                Scenario::Remote => soc.baseline_remote_frame(&scale_to_paper(&mw.full_pc), pixels),
-            };
+            let base = soc.price(
+                scenario,
+                Variant::Baseline,
+                pixels,
+                FrameKind::Full(&base_w),
+            );
             for variant in [Variant::Sparw, Variant::SparwFs, Variant::Cicero] {
                 let (full, sparse) = mw.paper_pair(variant);
-                let r = match scenario {
-                    Scenario::Local => soc.sparw_local_frame(&full, &sparse, window, variant),
-                    Scenario::Remote => {
-                        soc.sparw_remote_frame(&full, &sparse, window, variant, pixels)
-                    }
+                let frame = FrameKind::Window {
+                    reference: &full,
+                    target: &soc.target_frame(&sparse, variant),
+                    window,
                 };
+                let r = soc.price(scenario, variant, pixels, frame);
                 rows.push(Row {
                     model: kind.algorithm_name().into(),
                     scenario: format!("{scenario:?}"),

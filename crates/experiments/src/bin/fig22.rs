@@ -7,9 +7,9 @@
 //! (window ≈16).
 
 use cicero::pipeline::run_pipeline;
-use cicero::Variant;
+use cicero::{Scenario, Variant};
 use cicero_accel::config::SocConfig;
-use cicero_accel::soc::SocModel;
+use cicero_accel::soc::{FrameKind, SocModel};
 use cicero_experiments::*;
 use cicero_field::ModelKind;
 use cicero_scene::Trajectory;
@@ -30,15 +30,13 @@ fn main() {
     let soc = SocModel::new(SocConfig::default());
     let pixels = (PAPER_RES * PAPER_RES) as u64;
 
-    let base_local = {
+    let [base_local, base_remote] = {
         let mw = measure_workloads(&scene, model.as_ref(), 2);
-        soc.full_frame(&scale_to_paper(&mw.full_pc), Variant::Baseline)
-            .time_s
-    };
-    let base_remote = {
-        let mw = measure_workloads(&scene, model.as_ref(), 2);
-        soc.baseline_remote_frame(&scale_to_paper(&mw.full_pc), pixels)
-            .time_s
+        let full = scale_to_paper(&mw.full_pc);
+        [Scenario::Local, Scenario::Remote].map(|scenario| {
+            soc.price(scenario, Variant::Baseline, pixels, FrameKind::Full(&full))
+                .time_s
+        })
     };
 
     let k = quality_intrinsics();
@@ -47,12 +45,13 @@ fn main() {
     for window in [1usize, 6, 11, 16, 21, 26, 31] {
         let mw = measure_workloads(&scene, model.as_ref(), window);
         let (full, sparse) = mw.paper_pair(Variant::Cicero);
-        let local = soc
-            .sparw_local_frame(&full, &sparse, window, Variant::Cicero)
-            .time_s;
-        let remote = soc
-            .sparw_remote_frame(&full, &sparse, window, Variant::Cicero, pixels)
-            .time_s;
+        let frame = FrameKind::Window {
+            reference: &full,
+            target: &soc.target_frame(&sparse, Variant::Cicero),
+            window,
+        };
+        let [local, remote] = [Scenario::Local, Scenario::Remote]
+            .map(|scenario| soc.price(scenario, Variant::Cicero, pixels, frame).time_s);
 
         // Quality: a short trajectory spanning one full window.
         let frames = (window + 2).min(24);

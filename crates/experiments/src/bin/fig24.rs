@@ -3,10 +3,10 @@
 //! The paper: without SPARW, Cicero is ~2.0× NeuRex and ≈ NGPC (which needs a
 //! 16 MB on-chip buffer); with SPARW, 16.4× and 8.2×.
 
-use cicero::Variant;
+use cicero::{Scenario, Variant};
 use cicero_accel::config::SocConfig;
 use cicero_accel::rivals::{cicero_no_sparw_frame, neurex_frame, ngpc_frame};
-use cicero_accel::soc::SocModel;
+use cicero_accel::soc::{FrameKind, SocModel};
 use cicero_experiments::*;
 use cicero_field::ModelKind;
 use serde::Serialize;
@@ -37,7 +37,16 @@ fn main() {
     let neurex = neurex_frame(&soc, &pc);
     let ngpc = ngpc_frame(&soc, &pc);
     let cicero_ns = cicero_no_sparw_frame(&soc, &fs);
-    let cicero = soc.sparw_local_frame(&fs, &sparse_fs, window, Variant::Cicero);
+    let cicero = soc.price(
+        Scenario::Local,
+        Variant::Cicero,
+        (PAPER_RES * PAPER_RES) as u64,
+        FrameKind::Window {
+            reference: &fs,
+            target: &soc.target_frame(&sparse_fs, Variant::Cicero),
+            window,
+        },
+    );
 
     let out = Out {
         neurex_s: neurex.time_s,

@@ -5,7 +5,7 @@
 //! radiance approximation); at 30 FPS Cicero-16 has little loss and matches
 //! DS-2 while being ~4× faster.
 
-use cicero::pipeline::{run_ds2, run_pipeline, run_temp};
+use cicero::pipeline::run_pipeline;
 use cicero::Variant;
 use cicero_experiments::*;
 use cicero_math::metrics;
@@ -44,14 +44,14 @@ fn eval(
     let base = run_pipeline(scene, model, traj, k, &quality_config(Variant::Baseline, 1));
     let c6 = run_pipeline(scene, model, traj, k, &quality_config(Variant::Cicero, 6));
     let c16 = run_pipeline(scene, model, traj, k, &quality_config(Variant::Cicero, 16));
-    let ds2 = run_ds2(scene, model, traj, k, &quality_config(Variant::Baseline, 1));
-    let temp = run_temp(scene, model, traj, k, &quality_config(Variant::Sparw, 16));
+    let ds2 = ds2_frames(model, traj, k);
+    let temp = temp_frames(model, traj, k, 16);
     (
         score(&base.frames),
         score(&c6.frames),
         score(&c16.frames),
-        score(&ds2.frames),
-        score(&temp.frames),
+        score(&ds2),
+        score(&temp),
     )
 }
 

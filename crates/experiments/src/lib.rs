@@ -12,6 +12,7 @@
 //! numbers (FPS) are reported. Ratios (speedups, fractions, PSNR deltas) are
 //! resolution-stable and reported unscaled.
 
+use cicero::baselines::{render_ds2, render_temp_chain};
 use cicero::pipeline::PipelineConfig;
 use cicero::traffic::{
     build_workload, PairSink, PixelCentricConfig, PixelCentricTraffic, StreamingConfig,
@@ -20,8 +21,9 @@ use cicero::traffic::{
 use cicero::Variant;
 use cicero_accel::FrameWorkload;
 use cicero_field::render::{render_full, render_masked, RenderOptions};
-use cicero_field::{bake, GridConfig, HashConfig, ModelKind, NerfModel, TensorConfig};
+use cicero_field::{bake, GridConfig, HashConfig, ModelKind, NerfModel, NullSink, TensorConfig};
 use cicero_math::Intrinsics;
+use cicero_scene::ground_truth::Frame;
 use cicero_scene::volume::MarchParams;
 use cicero_scene::{AnalyticScene, Trajectory};
 use serde::Serialize;
@@ -272,15 +274,6 @@ pub fn measure_workloads(
     }
 }
 
-/// Picks the right (full, sparse) workload pair for a variant.
-pub fn workloads_for(mw: &ModelWorkloads, variant: Variant) -> (&FrameWorkload, &FrameWorkload) {
-    if variant.fully_streaming() {
-        (&mw.full_fs, &mw.sparse_fs)
-    } else {
-        (&mw.full_pc, &mw.sparse_pc)
-    }
-}
-
 /// Builds the model used by quality experiments.
 ///
 /// A coarser grid whose reconstruction error lands near the paper's trained
@@ -312,6 +305,35 @@ pub fn quality_config(variant: Variant, window: usize) -> PipelineConfig {
         march: exp_march(),
         collect_quality: false, // callers compare against a shared GT cache
         collect_traffic: false,
+        ..Default::default()
+    }
+}
+
+/// The DS-2 comparison frames of a quality experiment (Fig. 16 / 25): every
+/// pose rendered at half resolution and upsampled.
+pub fn ds2_frames(model: &dyn NerfModel, traj: &Trajectory, k: Intrinsics) -> Vec<Frame> {
+    let opts = quality_render_options();
+    (0..traj.len())
+        .map(|i| render_ds2(model, &traj.camera(i, k), &opts, &mut NullSink).0)
+        .collect()
+}
+
+/// The Temp-`window` comparison frames of a quality experiment: a full
+/// render every `window` frames, chained warps in between.
+pub fn temp_frames(
+    model: &dyn NerfModel,
+    traj: &Trajectory,
+    k: Intrinsics,
+    window: usize,
+) -> Vec<Frame> {
+    let chain = render_temp_chain(model, traj, k, window, &quality_render_options());
+    chain.into_iter().map(|(frame, _stats)| frame).collect()
+}
+
+/// Render options matching [`quality_config`]'s march.
+fn quality_render_options() -> RenderOptions {
+    RenderOptions {
+        march: exp_march(),
         ..Default::default()
     }
 }

@@ -250,7 +250,8 @@ impl OccupancyGrid {
     }
 
     /// Fraction of occupied cells.
-    pub fn occupancy_ratio(&self) -> f32 {
+    #[cfg(test)]
+    fn occupancy_ratio(&self) -> f32 {
         let occupied = self.dist.iter().filter(|&&d| d == 0).count();
         occupied as f32 / (self.res * self.res * self.res) as f32
     }

@@ -360,12 +360,14 @@ impl RenderPool {
     }
 
     /// Live workers (idle + checked out).
-    pub fn live_workers(&self) -> usize {
+    #[cfg(test)]
+    fn live_workers(&self) -> usize {
         self.inner.registry.lock().unwrap().live
     }
 
     /// Workers currently parked on the idle stack.
-    pub fn idle_workers(&self) -> usize {
+    #[cfg(test)]
+    fn idle_workers(&self) -> usize {
         self.inner.registry.lock().unwrap().idle.len()
     }
 

@@ -105,15 +105,6 @@ impl RenderStats {
         self.gather_bytes += other.gather_bytes;
         self.mlp_macs += other.mlp_macs;
     }
-
-    /// Mean processed samples per ray.
-    pub fn samples_per_ray(&self) -> f64 {
-        if self.rays == 0 {
-            0.0
-        } else {
-            self.samples_processed as f64 / self.rays as f64
-        }
-    }
 }
 
 /// Per-thread scratch buffers for the sample hot path.
@@ -930,6 +921,5 @@ mod tests {
         a.accumulate(&b);
         assert_eq!(a.rays, 2);
         assert_eq!(a.mlp_macs, 2000);
-        assert!((a.samples_per_ray() - 5.0).abs() < 1e-9);
     }
 }

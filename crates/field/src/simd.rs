@@ -14,9 +14,9 @@
 //!
 //! | backend | 8-lane `W` | 4-lane `H` | selected when |
 //! |---|---|---|---|
-//! | `avx` | one `__m256` | one `__m128` | feature on, x86_64, CPU reports AVX |
-//! | `sse2` | two `__m128` | one `__m128` | feature on, x86_64 |
-//! | `portable` | `[f32; 8]` | `[f32; 4]` | capped, feature off, or another target |
+//! | `avx` | one `__m256` | one `__m128` | x86_64, CPU reports AVX |
+//! | `sse2` | two `__m128` | one `__m128` | x86_64 |
+//! | `portable` | `[f32; 8]` | `[f32; 4]` | capped, or another target |
 //!
 //! # Determinism contract
 //!
@@ -54,14 +54,15 @@
 //!
 //! # Runtime dispatch
 //!
-//! Compiling with `--features simd` makes the x86 backends *available*;
+//! On x86_64 the wide backends are always compiled in (the `simd` cargo
+//! feature is an empty name kept for manifests that list it);
 //! [`dispatch`] runs a [`Kernel`] on the widest one the host supports, and
 //! [`backend`] names it. One process-wide cap narrows that: `CICERO_SIMD=sse2`
 //! holds it to SSE2, `CICERO_SIMD=0` (or `off`, `false`) to the portable
 //! instance, and [`set_backend_cap`] overrides the environment so one binary
 //! can compare the instances (the equivalence tests and the `kernels` bench
 //! do). The cap is not part of any configuration: the output does not
-//! depend on it. Without the feature everything runs the portable instance.
+//! depend on it. Off x86_64 everything runs the portable instance.
 //!
 //! # Adding a wide kernel
 //!
@@ -93,7 +94,7 @@
 // intrinsics behind slice-length asserts, and the one call into the AVX
 // trampoline behind run-time detection. The portable backend and
 // everything else in this module is unsafe-free.
-#![cfg_attr(all(feature = "simd", target_arch = "x86_64"), allow(unsafe_code))]
+#![cfg_attr(target_arch = "x86_64", allow(unsafe_code))]
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -122,9 +123,8 @@ impl Backend {
         }
     }
 
-    /// Can this process run the backend? Needs the `simd` feature on
-    /// x86_64 for anything but [`Backend::Portable`], and the CPU's say-so
-    /// for [`Backend::Avx`].
+    /// Can this process run the backend? Needs x86_64 for anything but
+    /// [`Backend::Portable`], and the CPU's say-so for [`Backend::Avx`].
     pub fn supported(self) -> bool {
         self <= host_widest()
     }
@@ -150,7 +150,7 @@ pub fn backend() -> &'static str {
 }
 
 /// The backend [`dispatch`] selects right now: the host's widest under the
-/// cap ([`Backend::Portable`] without the `simd` feature).
+/// cap ([`Backend::Portable`] off x86_64).
 #[inline]
 pub fn dispatched() -> Backend {
     match WIDEST.load(Ordering::Relaxed) {
@@ -178,7 +178,7 @@ fn cap_from_env(value: Option<&str>) -> Backend {
 /// The widest backend this process can run: compiled in, and for AVX
 /// reported by the CPU (`is_x86_feature_detected!` caches its answer).
 fn host_widest() -> Backend {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     {
         if std::arch::is_x86_feature_detected!("avx") {
             Backend::Avx
@@ -186,7 +186,7 @@ fn host_widest() -> Backend {
             Backend::Sse2
         }
     }
-    #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
+    #[cfg(not(target_arch = "x86_64"))]
     Backend::Portable
 }
 
@@ -348,17 +348,17 @@ pub fn dispatch<K: Kernel>(kernel: K) {
 pub fn run_on<K: Kernel>(backend: Backend, kernel: K) {
     assert!(backend.supported(), "{backend:?} cannot run on this host");
     match backend {
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        #[cfg(target_arch = "x86_64")]
         // SAFETY: `supported` just confirmed the CPU reports AVX.
         Backend::Avx => unsafe { backend::run_avx(kernel) },
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        #[cfg(target_arch = "x86_64")]
         Backend::Sse2 => kernel.run::<backend::F32x8, backend::F32x4>(),
         // Off x86_64 `supported` admits nothing wider than portable.
         _ => kernel.run::<[f32; 8], [f32; 4]>(),
     }
 }
 
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 mod backend {
     use super::{Kernel, Lanes};
     use std::arch::x86_64::{
@@ -727,8 +727,8 @@ mod tests {
     #[test]
     fn toggle_reflects_feature_gate() {
         // What `CICERO_SIMD` asks for, and what the build can give: every
-        // "off" spelling is the portable cap, and without the feature (or
-        // off x86_64) no cap can select anything wider.
+        // "off" spelling is the portable cap, and off x86_64 no cap can
+        // select anything wider.
         for off in ["0", "off", "false"] {
             assert_eq!(cap_from_env(Some(off)), Backend::Portable);
         }
@@ -737,10 +737,7 @@ mod tests {
             assert_eq!(cap_from_env(uncapped), Backend::Avx);
         }
         assert!(Backend::Portable.supported());
-        assert_eq!(
-            Backend::Sse2.supported(),
-            cfg!(all(feature = "simd", target_arch = "x86_64"))
-        );
+        assert_eq!(Backend::Sse2.supported(), cfg!(target_arch = "x86_64"));
     }
 
     #[test]

@@ -106,15 +106,6 @@ impl<T: Clone> Image<T> {
     pub fn pixels_mut(&mut self) -> &mut [T] {
         &mut self.data
     }
-
-    /// Iterates `(x, y, &pixel)` in row-major order.
-    pub fn enumerate_pixels(&self) -> impl Iterator<Item = (usize, usize, &T)> {
-        let w = self.width;
-        self.data
-            .iter()
-            .enumerate()
-            .map(move |(i, p)| (i % w, i / w, p))
-    }
 }
 
 impl RgbImage {
@@ -220,7 +211,7 @@ mod tests {
     fn upsample_preserves_constant_images() {
         let img = Image::new(4, 4, Vec3::splat(0.25));
         let up = img.upsample_bilinear(2);
-        for (_, _, p) in up.enumerate_pixels() {
+        for p in up.pixels() {
             assert!((p.x - 0.25).abs() < 1e-6);
         }
     }

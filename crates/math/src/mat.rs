@@ -67,12 +67,6 @@ impl Mat3 {
         )
     }
 
-    /// A diagonal matrix with the given diagonal entries.
-    #[inline]
-    pub fn from_diagonal(d: Vec3) -> Self {
-        Mat3::from_cols(Vec3::X * d.x, Vec3::Y * d.y, Vec3::Z * d.z)
-    }
-
     /// Matrix transpose.
     #[inline]
     pub fn transpose(&self) -> Mat3 {
@@ -99,36 +93,6 @@ impl Mat3 {
         let c2 = self.cols[0].cross(self.cols[1]) * inv_det;
         // Rows of the inverse are the scaled cross products; transpose back to columns.
         Some(Mat3::from_rows(c0, c1, c2))
-    }
-
-    /// Rotation of `angle` radians about the X axis.
-    pub fn rotation_x(angle: f32) -> Mat3 {
-        let (s, c) = angle.sin_cos();
-        Mat3::from_rows(
-            Vec3::new(1.0, 0.0, 0.0),
-            Vec3::new(0.0, c, -s),
-            Vec3::new(0.0, s, c),
-        )
-    }
-
-    /// Rotation of `angle` radians about the Y axis.
-    pub fn rotation_y(angle: f32) -> Mat3 {
-        let (s, c) = angle.sin_cos();
-        Mat3::from_rows(
-            Vec3::new(c, 0.0, s),
-            Vec3::new(0.0, 1.0, 0.0),
-            Vec3::new(-s, 0.0, c),
-        )
-    }
-
-    /// Rotation of `angle` radians about the Z axis.
-    pub fn rotation_z(angle: f32) -> Mat3 {
-        let (s, c) = angle.sin_cos();
-        Mat3::from_rows(
-            Vec3::new(c, -s, 0.0),
-            Vec3::new(s, c, 0.0),
-            Vec3::new(0.0, 0.0, 1.0),
-        )
     }
 
     /// Row `i` of the matrix.
@@ -228,12 +192,6 @@ impl Mat4 {
         (self.rotation_part() * p) + self.translation_part()
     }
 
-    /// Transforms a direction (rotation only).
-    #[inline]
-    pub fn transform_dir(&self, d: Vec3) -> Vec3 {
-        self.rotation_part() * d
-    }
-
     /// Inverse of a rigid transform (rotation must be orthonormal).
     ///
     /// Much cheaper than a general 4×4 inverse and exact for camera poses.
@@ -270,6 +228,7 @@ impl Mul for Mat4 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Quat;
 
     fn assert_vec_close(a: Vec3, b: Vec3, eps: f32) {
         assert!((a - b).length() < eps, "{a} != {b}");
@@ -284,7 +243,8 @@ mod tests {
 
     #[test]
     fn rotation_preserves_length() {
-        let r = Mat3::rotation_y(0.7) * Mat3::rotation_x(-1.2) * Mat3::rotation_z(2.5);
+        let about = |axis, angle| Quat::from_axis_angle(axis, angle).to_mat3();
+        let r = about(Vec3::Y, 0.7) * about(Vec3::X, -1.2) * about(Vec3::Z, 2.5);
         let v = Vec3::new(1.0, 2.0, 3.0);
         assert!(((r * v).length() - v.length()).abs() < 1e-5);
         assert!((r.determinant() - 1.0).abs() < 1e-5);
@@ -312,7 +272,8 @@ mod tests {
 
     #[test]
     fn rigid_inverse_undoes_transform() {
-        let m = Mat4::from_rotation_translation(Mat3::rotation_z(1.0), Vec3::new(3.0, -1.0, 2.0));
+        let rotation = Quat::from_axis_angle(Vec3::Z, 1.0).to_mat3();
+        let m = Mat4::from_rotation_translation(rotation, Vec3::new(3.0, -1.0, 2.0));
         let p = Vec3::new(0.5, 0.25, -4.0);
         let q = m.transform_point(p);
         assert_vec_close(m.rigid_inverse().transform_point(q), p, 1e-5);

@@ -90,12 +90,6 @@ impl Pose {
         Mat4::from_rotation_translation(self.rotation.to_mat3(), self.position)
     }
 
-    /// The relative transform taking points in `self`'s camera space to
-    /// `target`'s camera space — the paper's `T_ref→tgt` of Eq. 2.
-    pub fn transform_to(&self, target: &Pose) -> Mat4 {
-        target.to_mat4().rigid_inverse() * self.to_mat4()
-    }
-
     /// Extrapolates a future pose from two past poses (paper Eq. 5–6).
     ///
     /// With `prev` rendered at time step `k-1` and `cur` at step `k`, returns
@@ -166,7 +160,8 @@ mod tests {
     fn transform_to_matches_manual_composition() {
         let a = Pose::look_at(Vec3::new(0.0, 0.0, -5.0), Vec3::ZERO, Vec3::Y);
         let b = Pose::look_at(Vec3::new(1.0, 0.5, -5.0), Vec3::ZERO, Vec3::Y);
-        let t = a.transform_to(&b);
+        // The paper's `T_ref→tgt` of Eq. 2, from the homogeneous matrices.
+        let t = b.to_mat4().rigid_inverse() * a.to_mat4();
         let p_world = Vec3::new(0.2, -0.3, 0.4);
         let via_t = t.transform_point(a.to_camera(p_world));
         let direct = b.to_camera(p_world);

@@ -99,20 +99,6 @@ impl LruCache {
         false
     }
 
-    /// Accesses a byte range, touching every covered line. Returns the number
-    /// of missed lines.
-    pub fn access_range(&mut self, addr: u64, bytes: u32) -> u32 {
-        let first = addr >> self.line_shift;
-        let last = (addr + bytes.max(1) as u64 - 1) >> self.line_shift;
-        let mut missed = 0;
-        for line in first..=last {
-            if !self.access(line << self.line_shift) {
-                missed += 1;
-            }
-        }
-        missed
-    }
-
     /// Cache line size in bytes.
     pub fn line_bytes(&self) -> u64 {
         1 << self.line_shift
@@ -221,14 +207,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn access_range_touches_every_line() {
-        let mut c = LruCache::new(4096, 64, 4);
-        let missed = c.access_range(60, 200); // spans lines 0..=4
-        assert_eq!(missed, 5);
-        assert_eq!(c.access_range(60, 200), 0);
     }
 
     #[test]

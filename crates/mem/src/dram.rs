@@ -232,6 +232,34 @@ mod tests {
         assert!(a.energy_joules() < b.energy_joules());
     }
 
+    /// `SocModel` replays a workload's random bytes in one call; it used to
+    /// issue them a burst at a time. Every chunk but the last is a whole
+    /// burst, so the two must agree to the bit, paper-scale totals included.
+    #[test]
+    fn one_random_read_equals_its_burst_sized_chunks() {
+        let burst = DramConfig::default().burst_bytes as u64;
+        for bytes in [0, 1, 31, 32, 33, 1_000, 2_600_000_000, 2_600_000_007] {
+            let mut chunked = sim();
+            let mut left = bytes;
+            while left > 0 {
+                let chunk = left.min(burst);
+                chunked.read_random(chunk);
+                left -= chunk;
+            }
+            let mut single = sim();
+            single.read_random(bytes);
+            assert_eq!(single.stats(), chunked.stats(), "{bytes} bytes");
+            assert_eq!(
+                single.time_seconds().to_bits(),
+                chunked.time_seconds().to_bits()
+            );
+            assert_eq!(
+                single.energy_joules().to_bits(),
+                chunked.energy_joules().to_bits()
+            );
+        }
+    }
+
     #[test]
     fn whole_transaction_shares_one_classification() {
         let mut d = sim();

@@ -165,11 +165,6 @@ impl MVoxelPartition {
         self.dims
     }
 
-    /// Total vertex count of the region.
-    pub fn total_vertices(&self) -> u64 {
-        self.resolution.iter().map(|&r| r as u64).product()
-    }
-
     /// The MVoxel a sample in `cell` is assigned to, and how many of the
     /// sample's `entries` (region-flat vertex indices) are halo reads:
     /// vertices outside that MVoxel's core block.
@@ -308,7 +303,7 @@ mod tests {
         for p in &parts {
             let [nx, ny, nz] = p.resolution;
             let flat = |v: [u32; 3]| ((v[2] * ny + v[1]) * nx + v[0]) as u64;
-            let total = p.total_vertices();
+            let total = u64::from(nx * ny * nz);
             for cz in 0..nz.max(2) - 1 {
                 for cy in 0..ny.max(2) - 1 {
                     for cx in 0..nx - 1 {

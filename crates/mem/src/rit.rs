@@ -84,37 +84,12 @@ impl RayIndexTable {
         &self.entries[id]
     }
 
-    /// Iterates `(mvoxel_id, samples)` in MVoxel (memory) order, skipping
-    /// MVoxels no sample needs — those are never streamed from DRAM.
-    pub fn iter_touched(&self) -> impl Iterator<Item = (usize, &[SampleRef])> {
-        self.entries
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| !e.samples.is_empty())
-            .map(|(i, e)| (i, e.samples.as_slice()))
-    }
-
     /// Number of MVoxels at least one sample touches.
     pub fn touched_mvoxels(&self) -> usize {
         self.entries
             .iter()
             .filter(|e| !e.samples.is_empty())
             .count()
-    }
-
-    /// DRAM bytes the table itself occupies (written by Indexing on the GPU,
-    /// then streamed to the GU's RIT buffer).
-    pub fn table_bytes(&self, cfg: &RitConfig) -> u64 {
-        self.total_samples * cfg.bytes_per_record as u64
-    }
-
-    /// Largest entry length (bounds the GU's RIT buffer refills per MVoxel).
-    pub fn max_entry_samples(&self) -> usize {
-        self.entries
-            .iter()
-            .map(|e| e.samples.len())
-            .max()
-            .unwrap_or(0)
     }
 }
 
@@ -137,14 +112,15 @@ mod tests {
         assert_eq!(t.entry(2).samples.len(), 2);
         assert_eq!(t.entry(1).samples.len(), 0);
         assert_eq!(t.touched_mvoxels(), 2);
-        assert_eq!(t.max_entry_samples(), 2);
     }
 
     #[test]
     fn iteration_is_memory_ordered_and_sparse() {
         let t = table();
-        let ids: Vec<usize> = t.iter_touched().map(|(i, _)| i).collect();
-        assert_eq!(ids, vec![0, 2], "ascending MVoxel order, untouched skipped");
+        let touched: Vec<usize> = (0..4)
+            .filter(|&id| !t.entry(id).samples.is_empty())
+            .collect();
+        assert_eq!(touched, vec![0, 2], "entries sit at their MVoxel's index");
     }
 
     #[test]
@@ -152,7 +128,8 @@ mod tests {
         let t = table();
         let cfg = RitConfig::default();
         assert_eq!(cfg.bytes_per_record, 48);
-        assert_eq!(t.table_bytes(&cfg), 3 * 48);
+        // The table's DRAM footprint, as `core::traffic` prices it.
+        assert_eq!(t.total_samples() * cfg.bytes_per_record as u64, 3 * 48);
     }
 
     #[test]

@@ -42,14 +42,6 @@ pub fn scene_by_name(name: &str) -> Option<AnalyticScene> {
     }
 }
 
-/// All synthetic scenes, in canonical order.
-pub fn synthetic_scenes() -> Vec<AnalyticScene> {
-    SYNTHETIC_SCENES
-        .iter()
-        .map(|n| scene_by_name(n).unwrap())
-        .collect()
-}
-
 /// A chair: seat, back, four legs.
 pub fn chair() -> AnalyticScene {
     let wood = Material::diffuse(Texture::Noise {
@@ -585,7 +577,7 @@ mod tests {
 
     #[test]
     fn scenes_have_density_somewhere() {
-        for s in synthetic_scenes() {
+        for s in SYNTHETIC_SCENES.iter().map(|n| scene_by_name(n).unwrap()) {
             let b = s.bounds();
             let mut found = false;
             // Scan a coarse grid for occupied space.
@@ -607,6 +599,5 @@ mod tests {
     #[test]
     fn synthetic_scene_count_matches_paper_dataset() {
         assert_eq!(SYNTHETIC_SCENES.len(), 8); // Synthetic-NeRF has 8 scenes
-        assert_eq!(synthetic_scenes().len(), 8);
     }
 }

@@ -144,12 +144,6 @@ impl Material {
         self.shininess = shininess.max(1.0);
         self
     }
-
-    /// Adds emitted radiance.
-    pub fn with_emissive(mut self, emissive: Vec3) -> Self {
-        self.emissive = emissive;
-        self
-    }
 }
 
 impl Default for Material {
@@ -223,12 +217,9 @@ mod tests {
 
     #[test]
     fn material_builders_compose() {
-        let m = Material::solid(Vec3::ONE)
-            .with_specular(0.5, 32.0)
-            .with_emissive(Vec3::X);
+        let m = Material::solid(Vec3::ONE).with_specular(0.5, 32.0);
         assert_eq!(m.specular, 0.5);
         assert_eq!(m.shininess, 32.0);
-        assert_eq!(m.emissive, Vec3::X);
     }
 
     #[test]

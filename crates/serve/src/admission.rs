@@ -106,8 +106,8 @@ impl AdmissionController {
         let pixels = intrinsics.pixel_count() as f64;
         // Remote sessions' full renders run on the workstation, so they
         // occupy the pool for 1/speedup of the local cost — mirroring how
-        // the scheduler bills them (`reference_duration`,
-        // `baseline_remote_frame`) on the *pool's* hardware.
+        // the scheduler bills them (`SocModel::price`'s remote rows) on
+        // the *pool's* hardware.
         let full_speedup = match spec.config.scenario {
             Scenario::Local => 1.0,
             Scenario::Remote => self.remote_speedup,

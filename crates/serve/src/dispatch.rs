@@ -16,8 +16,7 @@ use crate::policy::JobKind;
 use crate::recovery::{Job, SimCtx};
 use crate::scheduler::{fan_out, FrameServer};
 use crate::session::{ServeSession, SessionId};
-use cicero::Scenario;
-use cicero_accel::soc::SocModel;
+use cicero_accel::soc::{FrameKind, SocModel};
 use cicero_accel::FrameWorkload;
 use cicero_math::Pose;
 use cicero_scene::ground_truth::Frame;
@@ -78,10 +77,10 @@ impl Plan {
 /// that executes it: SoC speed locally, workstation speed for remote
 /// sessions.
 fn reference_duration(sess: &ServeSession<'_>, soc: &SocModel, w: &FrameWorkload) -> f64 {
-    match sess.spec.config.scenario {
-        Scenario::Local => soc.full_frame(w, sess.spec.config.variant).time_s,
-        Scenario::Remote => soc.remote_full_render_time(w),
-    }
+    let cfg = &sess.spec.config;
+    let pixels = sess.pipe.intrinsics().pixel_count() as u64;
+    soc.price(cfg.scenario, cfg.variant, pixels, FrameKind::Reference(w))
+        .time_s
 }
 
 impl<'a> FrameServer<'a> {

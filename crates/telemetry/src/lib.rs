@@ -297,7 +297,8 @@ pub fn reset() {
 }
 
 /// Selects the host time base (wall vs. manual).
-pub fn set_clock(mode: ClockMode) {
+#[cfg(test)]
+fn set_clock(mode: ClockMode) {
     let v = match mode {
         ClockMode::Wall => 0,
         ClockMode::Manual => 1,

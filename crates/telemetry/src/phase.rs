@@ -97,159 +97,68 @@ pub enum Phase {
     OverloadDivert,
 }
 
+/// The phase vocabulary: each phase, its name, its trace category and the
+/// names of its three generic argument slots (in trace `args` order), one
+/// row per variant in declaration order — a phase's id is its row index, and
+/// `vocabulary_tables_round_trip` holds the table to the enum.
+#[rustfmt::skip]
+const PHASES: [(Phase, &str, &str, [&str; 3]); 36] = [
+    (Phase::Plan, "plan", "field", ["samples", "b", "c"]),
+    (Phase::Gather, "gather", "field", ["samples", "b", "c"]),
+    (Phase::MlpBlock, "mlp_block", "field", ["samples", "b", "c"]),
+    (Phase::Decode, "decode", "field", ["samples", "b", "c"]),
+    (Phase::RenderTile, "render_tile", "field", ["tile", "rows", "c"]),
+    (Phase::WarpSplat, "warp_splat", "core", ["a", "b", "c"]),
+    (Phase::WarpResolve, "warp_resolve", "core", ["a", "b", "c"]),
+    (Phase::WarpNormalize, "warp_normalize", "core", ["a", "b", "c"]),
+    (Phase::WarpClassify, "warp_classify", "core", ["a", "b", "c"]),
+    (Phase::WarpCrackFill, "warp_crack_fill", "core", ["a", "b", "c"]),
+    (Phase::PoolJob, "pool_job", "field", ["lane", "lanes", "c"]),
+    (Phase::PoolPass, "pool_pass", "field", ["lanes", "b", "c"]),
+    (Phase::Frame, "frame", "core", ["session", "frame", "full_render"]),
+    (Phase::ReferenceRender, "reference_render", "core", ["session", "frame", "c"]),
+    (Phase::SparseRender, "sparse_render", "core", ["session", "frame", "c"]),
+    (Phase::ServeBatch, "serve_batch", "serve", ["jobs", "b", "c"]),
+    (Phase::ServeFrame, "serve_frame", "serve", ["session", "frame", "c"]),
+    (Phase::ServeReference, "serve_reference", "serve", ["session", "frame", "c"]),
+    (Phase::Admit, "admit", "serve", ["session", "qos", "c"]),
+    (Phase::Reject, "reject", "serve", ["session", "qos", "c"]),
+    (Phase::Degrade, "degrade", "serve", ["session", "window", "c"]),
+    (Phase::CacheHit, "cache_hit", "serve", ["a", "b", "c"]),
+    (Phase::CacheMiss, "cache_miss", "serve", ["a", "b", "c"]),
+    (Phase::CachePrefetch, "cache_prefetch", "serve", ["a", "b", "c"]),
+    (Phase::FaultInject, "fault_inject", "serve", ["session", "subject", "kind"]),
+    (Phase::FaultRetry, "fault_retry", "serve", ["session", "subject", "attempt"]),
+    (Phase::FaultFallback, "fault_fallback", "serve", ["session", "reference", "rung"]),
+    (Phase::Quarantine, "quarantine", "serve", ["worker", "b", "c"]),
+    (Phase::WatchdogGrant, "watchdog_grant", "serve", ["session", "frame", "c"]),
+    (Phase::HeartbeatMiss, "heartbeat_miss", "serve", ["shard", "heartbeat", "c"]),
+    (Phase::ShardCrash, "shard_crash", "serve", ["shard", "sessions", "c"]),
+    (Phase::ShardBrownout, "shard_brownout", "serve", ["shard", "heartbeat", "c"]),
+    (Phase::SessionMigrate, "session_migrate", "serve", ["session", "from_shard", "c"]),
+    (Phase::OverloadEnqueue, "overload_enqueue", "serve", ["ticket", "qos", "c"]),
+    (Phase::OverloadShed, "overload_shed", "serve", ["ticket", "qos", "c"]),
+    (Phase::OverloadDivert, "overload_divert", "serve", ["shard", "primary", "c"]),
+];
+
 impl Phase {
     /// Stable snake_case name used in trace and metric output.
     pub fn name(self) -> &'static str {
-        match self {
-            Phase::Plan => "plan",
-            Phase::Gather => "gather",
-            Phase::MlpBlock => "mlp_block",
-            Phase::Decode => "decode",
-            Phase::RenderTile => "render_tile",
-            Phase::WarpSplat => "warp_splat",
-            Phase::WarpResolve => "warp_resolve",
-            Phase::WarpNormalize => "warp_normalize",
-            Phase::WarpClassify => "warp_classify",
-            Phase::WarpCrackFill => "warp_crack_fill",
-            Phase::PoolJob => "pool_job",
-            Phase::PoolPass => "pool_pass",
-            Phase::Frame => "frame",
-            Phase::ReferenceRender => "reference_render",
-            Phase::SparseRender => "sparse_render",
-            Phase::ServeBatch => "serve_batch",
-            Phase::ServeFrame => "serve_frame",
-            Phase::ServeReference => "serve_reference",
-            Phase::Admit => "admit",
-            Phase::Reject => "reject",
-            Phase::Degrade => "degrade",
-            Phase::CacheHit => "cache_hit",
-            Phase::CacheMiss => "cache_miss",
-            Phase::CachePrefetch => "cache_prefetch",
-            Phase::FaultInject => "fault_inject",
-            Phase::FaultRetry => "fault_retry",
-            Phase::FaultFallback => "fault_fallback",
-            Phase::Quarantine => "quarantine",
-            Phase::WatchdogGrant => "watchdog_grant",
-            Phase::HeartbeatMiss => "heartbeat_miss",
-            Phase::ShardCrash => "shard_crash",
-            Phase::ShardBrownout => "shard_brownout",
-            Phase::SessionMigrate => "session_migrate",
-            Phase::OverloadEnqueue => "overload_enqueue",
-            Phase::OverloadShed => "overload_shed",
-            Phase::OverloadDivert => "overload_divert",
-        }
+        PHASES[self as usize].1
     }
 
     /// Trace category (`cat` field): which layer emitted the event.
     pub fn category(self) -> &'static str {
-        match self {
-            Phase::Plan
-            | Phase::Gather
-            | Phase::MlpBlock
-            | Phase::Decode
-            | Phase::RenderTile
-            | Phase::PoolJob
-            | Phase::PoolPass => "field",
-            Phase::WarpSplat
-            | Phase::WarpResolve
-            | Phase::WarpNormalize
-            | Phase::WarpClassify
-            | Phase::WarpCrackFill
-            | Phase::Frame
-            | Phase::ReferenceRender
-            | Phase::SparseRender => "core",
-            Phase::ServeBatch
-            | Phase::ServeFrame
-            | Phase::ServeReference
-            | Phase::Admit
-            | Phase::Reject
-            | Phase::Degrade
-            | Phase::CacheHit
-            | Phase::CacheMiss
-            | Phase::CachePrefetch
-            | Phase::FaultInject
-            | Phase::FaultRetry
-            | Phase::FaultFallback
-            | Phase::Quarantine
-            | Phase::WatchdogGrant
-            | Phase::HeartbeatMiss
-            | Phase::ShardCrash
-            | Phase::ShardBrownout
-            | Phase::SessionMigrate
-            | Phase::OverloadEnqueue
-            | Phase::OverloadShed
-            | Phase::OverloadDivert => "serve",
-        }
+        PHASES[self as usize].2
     }
 
     /// Names for the three generic argument slots, in trace `args` order.
     pub fn arg_names(self) -> [&'static str; 3] {
-        match self {
-            Phase::Frame => ["session", "frame", "full_render"],
-            Phase::ReferenceRender | Phase::SparseRender => ["session", "frame", "c"],
-            Phase::ServeBatch => ["jobs", "b", "c"],
-            Phase::ServeFrame => ["session", "frame", "c"],
-            Phase::ServeReference => ["session", "frame", "c"],
-            Phase::Admit | Phase::Reject => ["session", "qos", "c"],
-            Phase::Degrade => ["session", "window", "c"],
-            Phase::PoolJob => ["lane", "lanes", "c"],
-            Phase::PoolPass => ["lanes", "b", "c"],
-            Phase::RenderTile => ["tile", "rows", "c"],
-            Phase::Plan | Phase::Gather | Phase::MlpBlock | Phase::Decode => ["samples", "b", "c"],
-            Phase::FaultInject => ["session", "subject", "kind"],
-            Phase::FaultRetry => ["session", "subject", "attempt"],
-            Phase::FaultFallback => ["session", "reference", "rung"],
-            Phase::Quarantine => ["worker", "b", "c"],
-            Phase::WatchdogGrant => ["session", "frame", "c"],
-            Phase::HeartbeatMiss | Phase::ShardBrownout => ["shard", "heartbeat", "c"],
-            Phase::ShardCrash => ["shard", "sessions", "c"],
-            Phase::SessionMigrate => ["session", "from_shard", "c"],
-            Phase::OverloadEnqueue | Phase::OverloadShed => ["ticket", "qos", "c"],
-            Phase::OverloadDivert => ["shard", "primary", "c"],
-            _ => ["a", "b", "c"],
-        }
+        PHASES[self as usize].3
     }
 
     pub(crate) fn from_u8(v: u8) -> Option<Phase> {
-        const ALL: [Phase; 36] = [
-            Phase::Plan,
-            Phase::Gather,
-            Phase::MlpBlock,
-            Phase::Decode,
-            Phase::RenderTile,
-            Phase::WarpSplat,
-            Phase::WarpResolve,
-            Phase::WarpNormalize,
-            Phase::WarpClassify,
-            Phase::WarpCrackFill,
-            Phase::PoolJob,
-            Phase::PoolPass,
-            Phase::Frame,
-            Phase::ReferenceRender,
-            Phase::SparseRender,
-            Phase::ServeBatch,
-            Phase::ServeFrame,
-            Phase::ServeReference,
-            Phase::Admit,
-            Phase::Reject,
-            Phase::Degrade,
-            Phase::CacheHit,
-            Phase::CacheMiss,
-            Phase::CachePrefetch,
-            Phase::FaultInject,
-            Phase::FaultRetry,
-            Phase::FaultFallback,
-            Phase::Quarantine,
-            Phase::WatchdogGrant,
-            Phase::HeartbeatMiss,
-            Phase::ShardCrash,
-            Phase::ShardBrownout,
-            Phase::SessionMigrate,
-            Phase::OverloadEnqueue,
-            Phase::OverloadShed,
-            Phase::OverloadDivert,
-        ];
-        ALL.get(v as usize).copied()
+        PHASES.get(v as usize).map(|row| row.0)
     }
 }
 
@@ -326,6 +235,43 @@ pub enum Counter {
     SampleLanesCommitted,
 }
 
+/// The counter vocabulary: each counter and its Prometheus series name
+/// (without the `cicero_` prefix / `_total` suffix), in declaration order.
+const COUNTERS: [(Counter, &str); Counter::COUNT] = [
+    (Counter::PoolCheckouts, "pool_checkouts"),
+    (Counter::PoolLaneShortfall, "pool_lane_shortfall"),
+    (Counter::PoolJobs, "pool_jobs"),
+    (Counter::FramesStepped, "frames_stepped"),
+    (Counter::ReferenceRenders, "reference_renders"),
+    (Counter::SparseRenders, "sparse_renders"),
+    (Counter::ServeBatches, "serve_batches"),
+    (Counter::ServeFrames, "serve_frames"),
+    (Counter::ServeReferenceJobs, "serve_reference_jobs"),
+    (Counter::ServePrefetchJobs, "serve_prefetch_jobs"),
+    (Counter::Admitted, "sessions_admitted"),
+    (Counter::Rejected, "sessions_rejected"),
+    (Counter::Degraded, "sessions_degraded"),
+    (Counter::CacheHits, "cache_hits"),
+    (Counter::CacheMisses, "cache_misses"),
+    (Counter::CachePrefetchInserts, "cache_prefetch_inserts"),
+    (Counter::FaultsInjected, "faults_injected"),
+    (Counter::FaultRetries, "fault_retries"),
+    (Counter::FaultFallbacks, "fault_fallbacks"),
+    (Counter::Quarantines, "quarantines"),
+    (Counter::WatchdogGrants, "watchdog_grants"),
+    (Counter::HeartbeatMisses, "heartbeat_misses"),
+    (Counter::ShardCrashes, "shard_crashes"),
+    (Counter::ShardBrownouts, "shard_brownouts"),
+    (Counter::SessionMigrations, "session_migrations"),
+    (Counter::OverloadEnqueued, "overload_enqueued"),
+    (Counter::OverloadSheds, "overload_sheds"),
+    (Counter::OverloadBackpressure, "overload_backpressure"),
+    (Counter::OverloadDiversions, "overload_diversions"),
+    (Counter::MarchStepsVisited, "march_steps_visited"),
+    (Counter::SampleLanesEvaluated, "sample_lanes_evaluated"),
+    (Counter::SampleLanesCommitted, "sample_lanes_committed"),
+];
+
 impl Counter {
     /// Number of counters (sizes the recorder's fixed array).
     pub const COUNT: usize = 32;
@@ -333,78 +279,11 @@ impl Counter {
     /// Prometheus series name (without the `cicero_` prefix / `_total`
     /// suffix).
     pub fn name(self) -> &'static str {
-        match self {
-            Counter::PoolCheckouts => "pool_checkouts",
-            Counter::PoolLaneShortfall => "pool_lane_shortfall",
-            Counter::PoolJobs => "pool_jobs",
-            Counter::FramesStepped => "frames_stepped",
-            Counter::ReferenceRenders => "reference_renders",
-            Counter::SparseRenders => "sparse_renders",
-            Counter::ServeBatches => "serve_batches",
-            Counter::ServeFrames => "serve_frames",
-            Counter::ServeReferenceJobs => "serve_reference_jobs",
-            Counter::ServePrefetchJobs => "serve_prefetch_jobs",
-            Counter::Admitted => "sessions_admitted",
-            Counter::Rejected => "sessions_rejected",
-            Counter::Degraded => "sessions_degraded",
-            Counter::CacheHits => "cache_hits",
-            Counter::CacheMisses => "cache_misses",
-            Counter::CachePrefetchInserts => "cache_prefetch_inserts",
-            Counter::FaultsInjected => "faults_injected",
-            Counter::FaultRetries => "fault_retries",
-            Counter::FaultFallbacks => "fault_fallbacks",
-            Counter::Quarantines => "quarantines",
-            Counter::WatchdogGrants => "watchdog_grants",
-            Counter::HeartbeatMisses => "heartbeat_misses",
-            Counter::ShardCrashes => "shard_crashes",
-            Counter::ShardBrownouts => "shard_brownouts",
-            Counter::SessionMigrations => "session_migrations",
-            Counter::OverloadEnqueued => "overload_enqueued",
-            Counter::OverloadSheds => "overload_sheds",
-            Counter::OverloadBackpressure => "overload_backpressure",
-            Counter::OverloadDiversions => "overload_diversions",
-            Counter::MarchStepsVisited => "march_steps_visited",
-            Counter::SampleLanesEvaluated => "sample_lanes_evaluated",
-            Counter::SampleLanesCommitted => "sample_lanes_committed",
-        }
+        COUNTERS[self as usize].1
     }
 
     pub(crate) fn from_usize(v: usize) -> Option<Counter> {
-        const ALL: [Counter; Counter::COUNT] = [
-            Counter::PoolCheckouts,
-            Counter::PoolLaneShortfall,
-            Counter::PoolJobs,
-            Counter::FramesStepped,
-            Counter::ReferenceRenders,
-            Counter::SparseRenders,
-            Counter::ServeBatches,
-            Counter::ServeFrames,
-            Counter::ServeReferenceJobs,
-            Counter::ServePrefetchJobs,
-            Counter::Admitted,
-            Counter::Rejected,
-            Counter::Degraded,
-            Counter::CacheHits,
-            Counter::CacheMisses,
-            Counter::CachePrefetchInserts,
-            Counter::FaultsInjected,
-            Counter::FaultRetries,
-            Counter::FaultFallbacks,
-            Counter::Quarantines,
-            Counter::WatchdogGrants,
-            Counter::HeartbeatMisses,
-            Counter::ShardCrashes,
-            Counter::ShardBrownouts,
-            Counter::SessionMigrations,
-            Counter::OverloadEnqueued,
-            Counter::OverloadSheds,
-            Counter::OverloadBackpressure,
-            Counter::OverloadDiversions,
-            Counter::MarchStepsVisited,
-            Counter::SampleLanesEvaluated,
-            Counter::SampleLanesCommitted,
-        ];
-        ALL.get(v).copied()
+        COUNTERS.get(v).map(|row| row.0)
     }
 }
 
@@ -432,35 +311,67 @@ pub enum Hist {
     OverloadQueueDepth,
 }
 
+/// The histogram vocabulary: each histogram and its Prometheus series name
+/// (without the `cicero_` prefix), in declaration order.
+const HISTS: [(Hist, &str); Hist::COUNT] = [
+    (Hist::FrameNs, "frame_ns"),
+    (Hist::PoolPassNs, "pool_pass_ns"),
+    (Hist::PoolJobNs, "pool_job_ns"),
+    (Hist::PoolIdleAtCheckout, "pool_idle_at_checkout"),
+    (Hist::PoolLanesGranted, "pool_lanes_granted"),
+    (Hist::ServeBatchJobs, "serve_batch_jobs"),
+    (Hist::RetryAttempts, "retry_attempts"),
+    (Hist::OverloadQueueDepth, "overload_queue_depth"),
+];
+
 impl Hist {
     /// Number of histograms (sizes the recorder's fixed array).
     pub const COUNT: usize = 8;
 
     /// Prometheus series name (without the `cicero_` prefix).
     pub fn name(self) -> &'static str {
-        match self {
-            Hist::FrameNs => "frame_ns",
-            Hist::PoolPassNs => "pool_pass_ns",
-            Hist::PoolJobNs => "pool_job_ns",
-            Hist::PoolIdleAtCheckout => "pool_idle_at_checkout",
-            Hist::PoolLanesGranted => "pool_lanes_granted",
-            Hist::ServeBatchJobs => "serve_batch_jobs",
-            Hist::RetryAttempts => "retry_attempts",
-            Hist::OverloadQueueDepth => "overload_queue_depth",
-        }
+        HISTS[self as usize].1
     }
 
     pub(crate) fn from_usize(v: usize) -> Option<Hist> {
-        const ALL: [Hist; Hist::COUNT] = [
-            Hist::FrameNs,
-            Hist::PoolPassNs,
-            Hist::PoolJobNs,
-            Hist::PoolIdleAtCheckout,
-            Hist::PoolLanesGranted,
-            Hist::ServeBatchJobs,
-            Hist::RetryAttempts,
-            Hist::OverloadQueueDepth,
-        ];
-        ALL.get(v).copied()
+        HISTS.get(v).map(|row| row.0)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::HashSet;
+
+    /// Every table row sits at its variant's discriminant (so decoding an
+    /// id gives back the variant that was recorded, and a row dropped from
+    /// or misplaced in a table shows up here), and no two rows of a
+    /// vocabulary share a name.
+    #[test]
+    fn vocabulary_tables_round_trip() {
+        for (id, &(phase, name, ..)) in PHASES.iter().enumerate() {
+            assert_eq!(phase as usize, id, "{name} is out of place");
+            assert_eq!(Phase::from_u8(phase as u8), Some(phase));
+        }
+        for (id, &(counter, name)) in COUNTERS.iter().enumerate() {
+            assert_eq!(counter as usize, id, "{name} is out of place");
+            assert_eq!(Counter::from_usize(counter as usize), Some(counter));
+        }
+        for (id, &(hist, name)) in HISTS.iter().enumerate() {
+            assert_eq!(hist as usize, id, "{name} is out of place");
+            assert_eq!(Hist::from_usize(hist as usize), Some(hist));
+        }
+        // The last variants: a table cut short at its end has no row to be
+        // out of place.
+        assert_eq!(Phase::OverloadDivert.name(), "overload_divert");
+        assert_eq!(
+            Counter::SampleLanesCommitted.name(),
+            "sample_lanes_committed"
+        );
+        assert_eq!(Hist::OverloadQueueDepth.name(), "overload_queue_depth");
+        let unique = |names: Vec<&str>| names.iter().collect::<HashSet<_>>().len() == names.len();
+        assert!(unique(PHASES.iter().map(|row| row.1).collect()));
+        assert!(unique(COUNTERS.iter().map(|row| row.1).collect()));
+        assert!(unique(HISTS.iter().map(|row| row.1).collect()));
     }
 }

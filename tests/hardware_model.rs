@@ -5,10 +5,10 @@ use cicero::traffic::{
     build_workload, PairSink, PixelCentricConfig, PixelCentricTraffic, StreamingConfig,
     StreamingTraffic,
 };
-use cicero::Variant;
+use cicero::{Scenario, Variant};
 use cicero_accel::config::SocConfig;
 use cicero_accel::rivals;
-use cicero_accel::soc::SocModel;
+use cicero_accel::soc::{FrameKind, SocModel};
 use cicero_accel::FrameWorkload;
 use cicero_field::render::{render_full, RenderOptions};
 use cicero_field::{bake, GridConfig, NerfModel};
@@ -114,8 +114,14 @@ fn window_amortization_converges_to_target_cost() {
     let (w_pc, _) = measured_workloads();
     let soc = SocModel::new(SocConfig::default());
     let sparse = w_pc.scaled(0.05);
-    let t = |n: usize| {
-        soc.sparw_local_frame(&w_pc, &sparse, n, Variant::Sparw)
+    let target = soc.target_frame(&sparse, Variant::Sparw);
+    let t = |window: usize| {
+        let frame = FrameKind::Window {
+            reference: &w_pc,
+            target: &target,
+            window,
+        };
+        soc.price(Scenario::Local, Variant::Sparw, 64 * 64, frame)
             .time_s
     };
     let t4 = t(4);

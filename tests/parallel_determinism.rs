@@ -10,7 +10,7 @@
 //! scheduler stepping many sessions concurrently on one pool.
 
 use cicero::pipeline::{run_pipeline, PipelineConfig, PipelineSession};
-use cicero::sparw::{warp_frame, warp_frame_with, WarpOptions, WarpScratch};
+use cicero::sparw::{warp_frame, warp_frame_into, WarpOptions, WarpResult, WarpScratch};
 use cicero::Variant;
 use cicero_field::pool::RenderPool;
 use cicero_field::tiles::{render_full_tiled, TileOptions};
@@ -117,8 +117,9 @@ fn parallel_warp_is_bit_identical_across_scenes_and_threads() {
         let opts = WarpOptions::default();
         let seq = warp_frame(&reference, &ref_cam, &tgt_cam, scene.background(), &opts);
         let mut scratch = WarpScratch::new();
+        let mut par = WarpResult::empty();
         for threads in THREAD_COUNTS {
-            let par = warp_frame_with(
+            warp_frame_into(
                 &reference,
                 &ref_cam,
                 &tgt_cam,
@@ -126,6 +127,7 @@ fn parallel_warp_is_bit_identical_across_scenes_and_threads() {
                 &opts,
                 &mut scratch,
                 threads,
+                &mut par,
             );
             assert_eq!(par.frame, seq.frame, "{scene_name}: {threads} threads");
             assert_eq!(par.status, seq.status, "{scene_name}: {threads} threads");
@@ -257,6 +259,7 @@ fn pool_resize_mid_run_keeps_output_bit_identical() {
     let wopts = WarpOptions::default();
     let warp_seq = warp_frame(&reference, &ref_cam, &tgt_cam, scene.background(), &wopts);
     let mut scratch = WarpScratch::new();
+    let mut warped = WarpResult::empty();
 
     for cap in [0usize, 1, 2, 63, 3, 0, 63] {
         pool.set_cap(cap);
@@ -264,7 +267,7 @@ fn pool_resize_mid_run_keeps_output_bit_identical() {
             render_full_tiled(&model, &cam, &opts, &mut cicero_field::NullSink, &tile);
         assert_eq!(frame, seq_frame, "cap {cap}");
         assert_eq!(stats, seq_stats, "cap {cap}");
-        let warped = warp_frame_with(
+        warp_frame_into(
             &reference,
             &ref_cam,
             &tgt_cam,
@@ -272,6 +275,7 @@ fn pool_resize_mid_run_keeps_output_bit_identical() {
             &wopts,
             &mut scratch,
             6,
+            &mut warped,
         );
         assert_eq!(warped.frame, warp_seq.frame, "cap {cap}");
         assert_eq!(warped.status, warp_seq.status, "cap {cap}");

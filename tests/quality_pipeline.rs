@@ -2,9 +2,10 @@
 //! truth; warping preserves it; the comparison baselines order as the paper
 //! reports.
 
-use cicero::pipeline::{run_ds2, run_pipeline, run_temp};
+use cicero::baselines::{render_ds2, render_temp_chain};
+use cicero::pipeline::run_pipeline;
 use cicero::Variant;
-use cicero_field::{bake, GridConfig};
+use cicero_field::{bake, GridConfig, NullSink, RenderOptions};
 use cicero_math::{metrics, Intrinsics};
 use cicero_scene::ground_truth::render_frame;
 use cicero_scene::volume::MarchParams;
@@ -85,8 +86,18 @@ fn method_ordering_matches_paper_fig16() {
 
     let base = score(&run_pipeline(&scene, &model, &traj, k, &cfg(Variant::Baseline, 1)).frames);
     let cicero6 = score(&run_pipeline(&scene, &model, &traj, k, &cfg(Variant::Cicero, 6)).frames);
-    let ds2 = score(&run_ds2(&scene, &model, &traj, k, &cfg(Variant::Baseline, 1)).frames);
-    let temp = score(&run_temp(&scene, &model, &traj, k, &cfg(Variant::Sparw, 8)).frames);
+    let opts = RenderOptions {
+        march: cfg(Variant::Baseline, 1).march,
+        ..Default::default()
+    };
+    let ds2: Vec<_> = (0..traj.len())
+        .map(|i| render_ds2(&model, &traj.camera(i, k), &opts, &mut NullSink).0)
+        .collect();
+    let temp: Vec<_> = render_temp_chain(&model, &traj, k, 8, &opts)
+        .into_iter()
+        .map(|(frame, _stats)| frame)
+        .collect();
+    let (ds2, temp) = (score(&ds2), score(&temp));
 
     // Paper Fig. 16 shape: baseline ≥ Cicero-6, Cicero beats DS-2 and Temp.
     assert!(

@@ -1,21 +1,20 @@
 //! The explicit SIMD kernel layer must be **bit-identical** to the scalar
 //! paths it replaces — frames, [`RenderStats`], sink sample streams, warped
 //! frames and full serve `ServiceReport`s — for every scene, model family
-//! and block size. This is the contract that lets the `simd` cargo feature
-//! ride the same determinism matrix as `render_threads` and `sample_block`:
-//! a pure throughput knob that never moves a pixel.
+//! and block size. This is the contract that lets the backend cap ride the
+//! same determinism matrix as `render_threads` and `sample_block`: a pure
+//! throughput knob that never moves a pixel.
 //!
-//! Every backend is compiled into one binary (the kernels always build,
-//! over the portable lane vectors when the feature is off); which instance
+//! Every backend the target has is compiled into one binary; which instance
 //! the hot loops take is the process-wide `cicero_field::simd` backend cap.
 //! Each test here runs its workload capped to the portable instance (the
 //! scalar oracle), then under every wider backend the host can run —
 //! SSE2, and AVX where the CPU reports it, so the 128- and 256-bit
 //! instances of the MLP block kernel, of the encoding gathers and of the
 //! SPARW passes are all held to the oracle's bytes — and asserts byte
-//! equality. Without `--features simd` no wide backend exists: the suite
-//! then runs the portable path twice as a self-check, and CI additionally
-//! diffs digests across separately compiled feature builds.
+//! equality. Off x86_64 no wide backend exists: the suite then runs the
+//! portable path twice as a self-check. CI additionally diffs the swarm's
+//! digests between an uncapped and a `CICERO_SIMD=0` process.
 //!
 //! The cap is process-global, so every test serializes on [`lock`]; the
 //! per-kernel bitwise tests live next to the kernels (no cap needed),
@@ -49,8 +48,8 @@ fn lock() -> MutexGuard<'static, ()> {
 }
 
 /// The backends each test holds to the scalar oracle: every wide one this
-/// build can run on this host, or — with none, i.e. without the `simd`
-/// feature — the portable one again.
+/// target has and this host can run, or — with none, i.e. off x86_64 — the
+/// portable one again.
 fn wide_backends() -> Vec<Backend> {
     let (wide, missing): (Vec<_>, Vec<_>) = [Backend::Sse2, Backend::Avx]
         .into_iter()

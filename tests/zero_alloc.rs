@@ -36,7 +36,7 @@ use cicero_field::render::{render_masked, render_masked_with, RenderOptions, Ren
 use cicero_field::tiles::{render_tiled, TileOptions};
 use cicero_field::{bake, GatherPlan, GridConfig, HashConfig, NerfModel, NullSink, TensorConfig};
 use cicero_math::{Camera, Intrinsics, Pose, Vec3};
-use cicero_scene::ground_truth::{render_frame, Frame};
+use cicero_scene::ground_truth::render_frame;
 use cicero_scene::volume::MarchParams;
 use cicero_scene::RadianceSource;
 use cicero_telemetry as telemetry;
@@ -304,13 +304,7 @@ fn warmed_sample_loop_performs_zero_heap_allocations() {
         let reference = render_frame(&scene, &ref_cam, &MarchParams::default());
         let wopts = WarpOptions::default();
         let mut scratch = WarpScratch::new();
-        let mut out = WarpResult {
-            frame: Frame {
-                color: cicero_math::RgbImage::new(0, 0, Vec3::ZERO),
-                depth: cicero_math::DepthMap::empty(0, 0),
-            },
-            status: Vec::new(),
-        };
+        let mut out = WarpResult::empty();
         for _ in 0..2 {
             warp_frame_into(
                 &reference,
@@ -481,13 +475,7 @@ fn warmed_sample_loop_performs_zero_heap_allocations() {
         let reference = render_frame(&scene, &ref_cam, &MarchParams::default());
         let wopts = WarpOptions::default();
         let mut scratch = WarpScratch::new();
-        let mut out = WarpResult {
-            frame: Frame {
-                color: cicero_math::RgbImage::new(0, 0, Vec3::ZERO),
-                depth: cicero_math::DepthMap::empty(0, 0),
-            },
-            status: Vec::new(),
-        };
+        let mut out = WarpResult::empty();
         for _ in 0..2 {
             warp_frame_into(
                 &reference,
