@@ -5,8 +5,9 @@
 //! gathers are timed on a cache-hot and a cache-cold working set. Last, what
 //! the batched marcher hands those kernels (ISSUE 16): the cost of a
 //! candidate step through the lego occupancy, tested one by one and walked
-//! by clearance, and lanes evaluated per lane committed at blocks 4/16/64
-//! for a sink that observes samples and one that does not.
+//! by clearance — through the analytic grid alone and under the grid
+//! model's support mask — and lanes evaluated per lane committed at blocks
+//! 4/16/64 for a sink that observes samples and one that does not.
 //!
 //! ```text
 //! cargo bench -p cicero-bench --bench kernels
@@ -141,7 +142,6 @@ fn marcher() {
         Pose::look_at(Vec3::new(0.3, 1.2, -2.6), Vec3::ZERO, Vec3::Y),
     );
     let step = RenderOptions::default().march.step;
-    let grid = &model.occupancy;
     let rays: Vec<_> = (0..128 * 128)
         .filter_map(|i| {
             let ray = camera.primary_ray((i % 128) as f32 + 0.5, (i / 128) as f32 + 0.5);
@@ -151,42 +151,60 @@ fn marcher() {
         .collect();
     let candidates: u64 = rays.iter().map(|&(_, _, n)| n as u64).sum();
 
+    // A hash model of the scene carries the same analytic occupancy without
+    // a support mask (its levels share no lattice): the unmasked side.
+    let unmasked = bake::bake_hash(
+        &scene,
+        &HashConfig {
+            levels: 2,
+            max_resolution: 32,
+            table_size_log2: 10,
+            ..Default::default()
+        },
+    )
+    .occupancy;
     println!("march through the lego occupancy ({candidates} candidate steps, step {step}):");
-    // Both walks find the same occupied steps (returned, so the work stays).
-    let per_step = || {
-        let mut found = 0u32;
-        for &(ray, t0, n) in &rays {
-            for i in 0..n {
-                found += grid.occupied(ray.at(t0 + (i as f32 + 0.5) * step)) as u32;
+    for (name, grid) in [
+        ("analytic 48³ alone", &unmasked),
+        ("∧ the grid model's support", &model.occupancy),
+    ] {
+        // Both walks find the same occupied steps (returned, so the work stays).
+        let per_step = || {
+            let mut found = 0u32;
+            for &(ray, t0, n) in &rays {
+                for i in 0..n {
+                    found += grid.occupied(ray.at(t0 + (i as f32 + 0.5) * step)) as u32;
+                }
             }
-        }
-        found as f32
-    };
-    let mut looked_at = 0u64;
-    let mut by_clearance = || {
-        let (mut found, mut looked_sum) = (0u32, 0u64);
-        for (ray, t0, n) in &rays {
-            let mut from = 0;
-            while from < *n {
-                let (at, looked) = grid.first_occupied_step(ray, *t0, step, from, *n);
-                looked_sum += looked as u64;
-                found += (at < *n) as u32;
-                from = at + 1;
+            found as f32
+        };
+        let mut looked_at = 0u64;
+        let mut by_clearance = || {
+            let (mut found, mut looked_sum) = (0u32, 0u64);
+            for (ray, t0, n) in &rays {
+                let mut from = 0;
+                while from < *n {
+                    let (at, looked) = grid.first_occupied_step(ray, *t0, step, from, *n);
+                    looked_sum += looked as u64;
+                    found += (at < *n) as u32;
+                    from = at + 1;
+                }
             }
-        }
-        looked_at = looked_sum;
-        found as f32
-    };
-    assert_eq!(per_step(), by_clearance());
-    let every = throughput(candidates as usize, &mut || per_step());
-    let walked = throughput(candidates as usize, &mut by_clearance);
-    println!(
-        "  per-step occupied {:>6.2} ns/candidate | clearance walk {:>6.2} ns/candidate {:>5.2}x, looks at {:.1} % of them",
-        1e9 / every,
-        1e9 / walked,
-        walked / every,
-        100.0 * looked_at as f64 / candidates as f64
-    );
+            looked_at = looked_sum;
+            found as f32
+        };
+        let occupied = per_step();
+        assert_eq!(occupied, by_clearance());
+        let every = throughput(candidates as usize, &mut || per_step());
+        let walked = throughput(candidates as usize, &mut by_clearance);
+        println!(
+            "  {name:<27} {occupied:>6} occupied | per-step occupied {:>6.2} ns/candidate | clearance walk {:>6.2} ns/candidate {:>5.2}x, looks at {:.1} % of them",
+            1e9 / every,
+            1e9 / walked,
+            walked / every,
+            100.0 * looked_at as f64 / candidates as f64
+        );
+    }
 
     println!("one 128² frame, lanes evaluated / lanes committed:");
     telemetry::enable();

@@ -19,7 +19,7 @@ use crate::encoding::grid::{DenseGrid, GridConfig};
 use crate::encoding::hash::{HashConfig, HashGrid};
 use crate::encoding::tensor::{TensorConfig, VmTensor, ORIENTATIONS};
 use crate::model::{GridModel, HashModel, ModelKind, TensorModel};
-use crate::occupancy::OccupancyGrid;
+use crate::occupancy::{Lattice, OccupancyGrid};
 use cicero_math::Vec3;
 use cicero_scene::{AnalyticScene, RadianceSource};
 
@@ -113,10 +113,14 @@ pub fn bake_grid_with(scene: &AnalyticScene, cfg: &GridConfig, opts: &BakeOption
             }
         }
     }
+    let mut occupancy = bake_occupancy(scene, opts.occupancy_resolution);
+    occupancy.tighten(Lattice::Grid(cfg.resolution as u32), |x, y, z| {
+        grid.vertex(x as u32, y as u32, z as u32)[0]
+    });
     GridModel {
         encoding: grid,
         decoder: Decoder::new(cfg.channels, opts.decoder_hidden, specular_head(scene)),
-        occupancy: bake_occupancy(scene, opts.occupancy_resolution),
+        occupancy,
         background: scene.background(),
         scene_name: scene.name.clone(),
     }
@@ -326,10 +330,14 @@ pub fn bake_tensor_with(
         }
     }
 
+    let mut occupancy = bake_occupancy(scene, opts.occupancy_resolution);
+    occupancy.tighten(Lattice::Tensor(res), |x, y, z| {
+        tensor.vertex_density_raw([x, y, z])
+    });
     TensorModel {
         encoding: tensor,
         decoder: Decoder::new(SIGNALS, opts.decoder_hidden, specular_head(scene)),
-        occupancy: bake_occupancy(scene, opts.occupancy_resolution),
+        occupancy,
         background: scene.background(),
         scene_name: scene.name.clone(),
     }

@@ -52,15 +52,32 @@ pub enum Orientation {
 pub const ORIENTATIONS: [Orientation; 3] = [Orientation::XyZ, Orientation::XzY, Orientation::YzX];
 
 impl Orientation {
-    /// Splits normalized coordinates into (plane_u, plane_v, line_w).
+    /// Splits per-axis coordinates into (plane_u, plane_v, line_w).
     #[inline]
-    fn split(self, n: Vec3) -> (f32, f32, f32) {
+    fn split<T>(self, [x, y, z]: [T; 3]) -> (T, T, T) {
         match self {
-            Orientation::XyZ => (n.x, n.y, n.z),
-            Orientation::XzY => (n.x, n.z, n.y),
-            Orientation::YzX => (n.y, n.z, n.x),
+            Orientation::XyZ => (x, y, z),
+            Orientation::XzY => (x, z, y),
+            Orientation::YzX => (y, z, x),
         }
     }
+}
+
+/// Continuous texel coordinate of a normalized coordinate in `[0,1]`, on a
+/// lattice of `res` texels per axis.
+#[inline(always)]
+pub(crate) fn texel(n: f32, res: usize) -> f32 {
+    (n.clamp(0.0, 1.0)) * (res - 1) as f32
+}
+
+/// Lower texel and lerp fraction of a continuous texel coordinate — the
+/// one place a texel is addressed (the occupancy grid's support mask
+/// addresses its cells through it too). `u` is never negative, so truncation
+/// is the floor (and no libm call on baseline x86_64).
+#[inline(always)]
+pub(crate) fn texel_floor(u: f32, res: usize) -> (usize, f32) {
+    let x0 = (u as usize).min(res - 2);
+    (x0, (u - x0 as f32).clamp(0.0, 1.0))
 }
 
 /// A VM-factorized feature field.
@@ -128,21 +145,12 @@ impl VmTensor {
         &self.lines[o]
     }
 
-    /// Lower texel and lerp fraction of a continuous texel coordinate — the
-    /// one place a texel is addressed. `u` is never negative, so truncation
-    /// is the floor (and no libm call on baseline x86_64).
-    #[inline(always)]
-    fn texel_floor(&self, u: f32) -> (usize, f32) {
-        let x0 = (u as usize).min(self.cfg.resolution - 2);
-        (x0, (u - x0 as f32).clamp(0.0, 1.0))
-    }
-
     /// Bilinear sample of plane `o` at continuous texel coords, one channel.
     fn sample_plane(&self, o: usize, u: f32, v: f32, c: usize) -> f32 {
         let res = self.cfg.resolution;
         let ch = self.channels();
-        let (x0, fx) = self.texel_floor(u);
-        let (y0, fy) = self.texel_floor(v);
+        let (x0, fx) = texel_floor(u, res);
+        let (y0, fy) = texel_floor(v, res);
         let at = |x: usize, y: usize| self.planes[o][(y * res + x) * ch + c];
         let top = at(x0, y0) * (1.0 - fx) + at(x0 + 1, y0) * fx;
         let bot = at(x0, y0 + 1) * (1.0 - fx) + at(x0 + 1, y0 + 1) * fx;
@@ -152,14 +160,8 @@ impl VmTensor {
     /// Linear sample of line `o` at continuous texel coord, one channel.
     fn sample_line(&self, o: usize, w: f32, c: usize) -> f32 {
         let ch = self.channels();
-        let (w0, fw) = self.texel_floor(w);
+        let (w0, fw) = texel_floor(w, self.cfg.resolution);
         self.lines[o][w0 * ch + c] * (1.0 - fw) + self.lines[o][(w0 + 1) * ch + c] * fw
-    }
-
-    /// Continuous texel coordinate of a normalized coordinate in `[0,1]`.
-    #[inline]
-    fn texel(&self, n: f32) -> f32 {
-        (n.clamp(0.0, 1.0)) * (self.cfg.resolution - 1) as f32
     }
 
     /// Evaluates the 7 signals at world position `p` into `out`.
@@ -171,8 +173,8 @@ impl VmTensor {
         out.resize(SIGNALS, 0.0);
         let k = self.cfg.components_per_signal;
         for (oi, o) in ORIENTATIONS.iter().enumerate() {
-            let (pu, pv, lw) = o.split(n);
-            let (u, v, w) = (self.texel(pu), self.texel(pv), self.texel(lw));
+            let (pu, pv, lw) = o.split([n.x, n.y, n.z]);
+            let [u, v, w] = [pu, pv, lw].map(|n| texel(n, self.cfg.resolution));
             for (s, slot) in out.iter_mut().enumerate().take(SIGNALS) {
                 let mut acc = 0.0;
                 for comp in 0..k {
@@ -182,6 +184,26 @@ impl VmTensor {
                 *slot += acc;
             }
         }
+    }
+
+    /// Signal 0 (`σ_raw`) at texel vertex `(x, y, z)`: what
+    /// [`VmTensor::interpolate_into`] sums there, where every lerp fraction
+    /// is zero — per orientation, the components of the vertex's own plane
+    /// texel times its line texel.
+    pub(crate) fn vertex_density_raw(&self, vertex: [usize; 3]) -> f32 {
+        let (res, ch, k) = (
+            self.cfg.resolution,
+            self.channels(),
+            self.cfg.components_per_signal,
+        );
+        let mut raw = 0.0;
+        for (oi, o) in ORIENTATIONS.iter().enumerate() {
+            let (a, b, w) = o.split(vertex);
+            let plane = &self.planes[oi][(b * res + a) * ch..][..k];
+            let line = &self.lines[oi][w * ch..][..k];
+            raw += plane.iter().zip(line).map(|(p, l)| p * l).sum::<f32>();
+        }
+        raw
     }
 
     /// Batched signal evaluation for a block of sample positions, in SoA
@@ -226,8 +248,9 @@ impl VmTensor {
         let res = self.cfg.resolution as u32;
         let entry_bytes = self.channels() as u32 * self.cfg.bytes_per_value;
         for (oi, o) in ORIENTATIONS.iter().enumerate() {
-            let (pu, pv, lw) = o.split(n);
-            let [x0, y0, w0] = [pu, pv, lw].map(|n| self.texel_floor(self.texel(n)).0 as u32);
+            let (pu, pv, lw) = o.split([n.x, n.y, n.z]);
+            let [x0, y0, w0] =
+                [pu, pv, lw].map(|n| texel_floor(texel(n, res as usize), res as usize).0 as u32);
             let mut pe = [0u64; 8];
             pe[0] = (y0 * res + x0) as u64;
             pe[1] = (y0 * res + x0 + 1) as u64;
@@ -297,9 +320,9 @@ impl Kernel for BlockGather<'_> {
                 out[sig * stride + s] = 0.0;
             }
             for (oi, o) in ORIENTATIONS.iter().enumerate() {
-                let (pu, pv, lw) = o.split(n);
+                let (pu, pv, lw) = o.split([n.x, n.y, n.z]);
                 let [(x0, fx), (y0, fy), (w0, fw)] =
-                    [pu, pv, lw].map(|n| t.texel_floor(t.texel(n)));
+                    [pu, pv, lw].map(|n| texel_floor(texel(n, res), res));
                 let plane = &t.planes[oi][(y0 * res + x0) * ch..];
                 let line = &t.lines[oi][w0 * ch..];
                 let below = &plane[res * ch..];

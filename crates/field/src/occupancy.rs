@@ -5,7 +5,98 @@
 //! paper's fairness note (DESIGN.md §5) applies: occupancy skipping is enabled
 //! identically in the pixel-centric baseline and the fully-streaming path.
 
+use crate::encoding::cell_fraction;
+use crate::encoding::tensor::{texel, texel_floor};
 use cicero_math::{Aabb, Ray, Vec3};
+
+/// The raw density (decoder signal 0, before the softplus) at or below which
+/// a sample contributes nothing: a lattice cell of the model whose eight
+/// corners all read `<= RAW_EMPTY` is dropped from the occupied set (see
+/// [`OccupancyGrid::tighten`]).
+///
+/// How large a `step` that is exact for. The renderer's
+/// `alpha = 1.0 - (-softplus(raw) * step).exp()` is `0.0` in f32 exactly
+/// when the exponential rounds to `1.0`, i.e. when `softplus(raw) * step <=
+/// 2⁻²⁵ ≈ 2.98e-8` (half the gap between `1.0` and the f32 below it; the tie
+/// rounds to even, which is `1.0`). `softplus(x) = ln(1 + eˣ) ≈ eˣ` down
+/// here, so the largest exact step is `2⁻²⁵ / e^RAW_EMPTY`:
+///
+/// | `RAW_EMPTY` | `softplus` | exact for `step <=` |
+/// |---|---|---|
+/// | −13.0 | 2.260e-6 | 0.0131 |
+/// | −13.9 | 9.19e-7 | 0.0324 |
+///
+/// −13 is the one in use: it is exact at the 0.01 of the frozen benchmark
+/// and of every figure, with room (raw −12.72 would still do at 0.01) for
+/// the rounding of the interpolation itself, which can land a few ulp
+/// above its largest corner. −13.9 would also cover `PipelineConfig`'s
+/// default 0.02, and on the dense grid — whose empty vertices hold exactly
+/// −14 and whose shell vertices sit above −13.87 — it prunes the same cells;
+/// but the tensor's empty space is a rank-4 *approximation* of −14 and
+/// ripples about it, and there −13.9 gives up a third of the gain (share
+/// of a full frame's committed samples dropped at −13 / −13.9: lego tensor
+/// 128 37.7 / 26.9 %, materials tensor 128 47.0 / 33.1 %, lego tensor 48
+/// 27.9 / 19.5 %; lego grid 128 39.7 % at both). Past the exact step a
+/// dropped sample carried `alpha = 2⁻²⁴`: at the serve paths' 0.04 the
+/// frames move in the ninth digit of PSNR.
+pub(crate) const RAW_EMPTY: f32 = -13.0;
+
+/// The interpolation lattice of a model, as far as addressing a cell of it
+/// goes: which cell a point interpolates from is the encoding's own
+/// expression, so a sample is never tested against a cell other than the
+/// one its features come from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Lattice {
+    /// [`crate::DenseGrid`] of this many cells per axis (trilinear over the
+    /// cell's eight vertices).
+    Grid(u32),
+    /// [`crate::VmTensor`] of this many texels per axis: one cell between
+    /// each pair of neighbouring texels, shared by planes and lines.
+    Tensor(usize),
+}
+
+impl Lattice {
+    /// Cells per axis.
+    fn cells(self) -> usize {
+        match self {
+            Lattice::Grid(cells) => cells as usize,
+            Lattice::Tensor(texels) => texels - 1,
+        }
+    }
+
+    /// The cell a point at normalised coordinates `u` interpolates from.
+    #[inline(always)]
+    fn cell(self, u: Vec3) -> [usize; 3] {
+        match self {
+            Lattice::Grid(cells) => {
+                let g = u * cells as f32;
+                [g.x, g.y, g.z].map(|g| cell_fraction(g, cells).0 as usize)
+            }
+            Lattice::Tensor(res) => [u.x, u.y, u.z].map(|n| texel_floor(texel(n, res), res).0),
+        }
+    }
+}
+
+/// Which cells of a model's lattice are empty — every corner's raw density
+/// at or below [`RAW_EMPTY`] — one bit a cell, x fastest.
+#[derive(Debug, Clone)]
+struct Support {
+    lattice: Lattice,
+    empty: Vec<u64>,
+}
+
+impl Support {
+    fn bit(&self, [x, y, z]: [usize; 3]) -> (usize, u64) {
+        let n = self.lattice.cells();
+        let i = (z * n + y) * n + x;
+        (i / 64, 1 << (i % 64))
+    }
+
+    fn is_empty(&self, cell: [usize; 3]) -> bool {
+        let (word, bit) = self.bit(cell);
+        self.empty[word] & bit != 0
+    }
+}
 
 /// Empty cells kept around the `res³` grid on every side. The inner ring
 /// holds the cells a point on a max face of the bounds addresses (index
@@ -27,6 +118,10 @@ pub struct OccupancyGrid {
     min_cell: f32,
     /// `(res + 2·PAD)³` distance bytes, x fastest.
     dist: Vec<u8>,
+    /// The model's own density support, when the grid has been
+    /// [tightened](Self::tighten): a point in an occupied cell (distance 0)
+    /// whose lattice cell is empty is not occupied after all.
+    support: Option<Support>,
 }
 
 impl OccupancyGrid {
@@ -77,8 +172,12 @@ impl OccupancyGrid {
     }
 
     /// Builds an occupancy grid of the cells where the density exceeds
-    /// `threshold`, with one cell of dilation, so trilinear interpolation
-    /// never reads outside marked cells.
+    /// `threshold`, with one cell of dilation. For a model whose lattice is
+    /// at least as fine as this grid, that keeps every point whose
+    /// interpolation reads a dense vertex inside the marked cells; a coarser
+    /// lattice (a 24³ grid under the default 48³ occupancy) interpolates
+    /// across two occupancy cells, one more than the dilation covers, and
+    /// its faint outermost fringe is skipped.
     ///
     /// `sample(p)` returns the density at `p` and a radius around `p` inside
     /// which the density is exactly zero — `0.0` (no claim) is always legal,
@@ -117,6 +216,7 @@ impl OccupancyGrid {
             bounds,
             min_cell: cell.x.min(cell.y).min(cell.z),
             dist: vec![u8::MAX; n * n * n],
+            support: None,
         };
         for z in 0..res {
             for y in 0..res {
@@ -173,7 +273,76 @@ impl OccupancyGrid {
         ((z + PAD) * n + y + PAD) * n + x + PAD
     }
 
-    /// Cell occupancy by integer coordinate (out-of-range ⇒ `false`).
+    /// Drops from the occupied set what the model itself leaves empty:
+    /// `raw(x, y, z)` is the model's raw density at vertex `(x, y, z)` of
+    /// `lattice`, and a lattice cell with all eight corners at or below
+    /// [`RAW_EMPTY`] stops being [`occupied`](Self::occupied) (its points
+    /// read a clearance of `1`: not occupied, nothing known around them).
+    ///
+    /// Exact, not sampled: inside one lattice cell the raw density is
+    /// multi-affine in the position (trilinear for the grid; for the tensor
+    /// a sum of bilinear plane × linear line over one shared texel lattice),
+    /// so its maximum over the cell is at a corner, and at or below
+    /// `RAW_EMPTY` a sample's `alpha` is `0.0` — it would have been gathered
+    /// and decoded to add nothing. The new occupied set is a subset of the
+    /// old one, so frames stay what they were, bit for bit, at every `step`
+    /// the constant's table allows.
+    ///
+    /// Only lattice cells that overlap an occupied cell of this grid are
+    /// looked at — the mask is not consulted for a point of any other, and
+    /// its bit stays clear, the answer that changes nothing — and `raw` is
+    /// called at most once per vertex.
+    pub(crate) fn tighten(
+        &mut self,
+        lattice: Lattice,
+        mut raw: impl FnMut(usize, usize, usize) -> f32,
+    ) {
+        let (n, res) = (lattice.cells(), self.res);
+        let mut support = Support {
+            lattice,
+            empty: vec![0; (n * n * n).div_ceil(64)],
+        };
+        // Candidates first: every lattice cell that overlaps an occupied one.
+        let span = |c: usize| c * n / res..((c + 1) * n).div_ceil(res);
+        for z in 0..res {
+            for y in 0..res {
+                for x in (0..res).filter(|&x| self.dist[self.index(x, y, z)] == 0) {
+                    for cz in span(z) {
+                        for cy in span(y) {
+                            for cx in span(x) {
+                                let (word, bit) = support.bit([cx, cy, cz]);
+                                support.empty[word] |= bit;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        // Then one dense vertex refutes the (up to eight) candidates it is
+        // a corner of; a vertex with none left around it is not asked.
+        let around = |v: usize| v.saturating_sub(1)..(v + 1).min(n);
+        for z in 0..=n {
+            for y in 0..=n {
+                for x in 0..=n {
+                    let cells = || {
+                        around(z).flat_map(move |cz| {
+                            around(y).flat_map(move |cy| around(x).map(move |cx| [cx, cy, cz]))
+                        })
+                    };
+                    if cells().any(|c| support.is_empty(c)) && raw(x, y, z) > RAW_EMPTY {
+                        for c in cells() {
+                            let (word, bit) = support.bit(c);
+                            support.empty[word] &= !bit;
+                        }
+                    }
+                }
+            }
+        }
+        self.support = Some(support);
+    }
+
+    /// Cell occupancy by integer coordinate (out-of-range ⇒ `false`), as
+    /// marked at construction: a support mask is not consulted.
     pub fn cell(&self, x: isize, y: isize, z: isize) -> bool {
         let inside = |v: isize| (0..self.res as isize).contains(&v);
         inside(x)
@@ -185,15 +354,24 @@ impl OccupancyGrid {
     /// Chessboard distance, in cells, from the cell holding the world point
     /// to the nearest occupied cell, saturating at 255; `0` iff the point is
     /// [`occupied`](Self::occupied). A point outside the bounds reads `1`:
-    /// not occupied, and nothing known about its surroundings.
+    /// not occupied, and nothing known about its surroundings — and so does
+    /// a point of an occupied cell that the model's own density support
+    /// leaves empty (a baked grid or tensor model carries that mask), so the
+    /// distances themselves, and the jumps they license, are untouched by
+    /// it.
     pub fn clearance(&self, p: Vec3) -> u8 {
         if !self.bounds.contains(p) {
             return 1;
         }
         // Inside the bounds every component lands in `0..=res`; `res` (a
         // point on a max face) is a padding cell, empty by construction.
-        let n = self.bounds.normalize(p) * self.res as f32;
-        self.dist[self.index(n.x as usize, n.y as usize, n.z as usize)]
+        let u = self.bounds.normalize(p);
+        let n = u * self.res as f32;
+        let d = self.dist[self.index(n.x as usize, n.y as usize, n.z as usize)];
+        match &self.support {
+            Some(support) if d == 0 && support.is_empty(support.lattice.cell(u)) => 1,
+            _ => d,
+        }
     }
 
     /// Walks the candidate steps `from..n` of a march along `ray` — candidate
@@ -249,6 +427,17 @@ impl OccupancyGrid {
         self.bounds
     }
 
+    /// The grid as it was before [`tighten`](Self::tighten): the exactness
+    /// tests' other side. Not a switch — nothing outside the crate's tests
+    /// can un-mask a model.
+    #[cfg(test)]
+    pub(crate) fn untightened(&self) -> OccupancyGrid {
+        OccupancyGrid {
+            support: None,
+            ..self.clone()
+        }
+    }
+
     /// Fraction of occupied cells.
     #[cfg(test)]
     fn occupancy_ratio(&self) -> f32 {
@@ -256,7 +445,8 @@ impl OccupancyGrid {
         occupied as f32 / (self.res * self.res * self.res) as f32
     }
 
-    /// Returns a copy with every occupied cell dilated by one cell (26-neighborhood).
+    /// Returns a copy with every occupied cell dilated by one cell
+    /// (26-neighborhood), and no support mask.
     pub fn dilated(&self) -> OccupancyGrid {
         Self::from_cells(self.bounds, self.res, |x, y, z| {
             self.dist[self.index(x, y, z)] <= 1
@@ -402,46 +592,252 @@ mod tests {
         }
     }
 
-    #[test]
-    fn occupied_is_zero_clearance_is_the_cell_lookup() {
-        let g = two_blob_grid(20).dilated();
-        let b = g.bounds();
-        // What `occupied` has always meant, spelled through `cell`.
-        let by_cell = |p: Vec3| {
-            let n = b.normalize(p) * 20.0;
-            b.contains(p) && g.cell(n.x as isize, n.y as isize, n.z as isize)
-        };
-        let mut rng = TestRng::from_case("occupied_is_zero_clearance", 0);
-        let (mut inside, mut hits) = (0, 0);
-        for i in 0..10_000 {
-            // A box half again as large as the bounds, so a good share of
-            // the points is outside; every fourth point is then snapped onto
-            // a face, an edge or a corner of the bounds.
-            let mut p = point_about(b, 1.5, &mut rng);
-            if i % 4 == 0 {
+    /// A blob field's grid tightened by a synthetic model on `lattice`: raw
+    /// density −14 everywhere but inside the blobs shrunk to 0.8 of their
+    /// radius, so the mask takes the outer shell of every blob away.
+    fn tightened_by_shrunk_blobs(
+        grid: &OccupancyGrid,
+        lattice: Lattice,
+        blobs: &[(Vec3, f32)],
+    ) -> OccupancyGrid {
+        let (b, n) = (grid.bounds(), lattice.cells() as f32);
+        let mut tight = grid.clone();
+        tight.tighten(lattice, |x, y, z| {
+            let p = b.min + b.size() * Vec3::new(x as f32, y as f32, z as f32) / n;
+            let dense = blobs.iter().any(|&(c, r)| (p - c).length() < 0.8 * r);
+            if dense {
+                0.0
+            } else {
+                -14.0
+            }
+        });
+        tight
+    }
+
+    /// Seeded probe points for the addressing properties: a box half again
+    /// as large as `bounds`, so a good share is outside; every fourth point
+    /// is then snapped onto a face, an edge or a corner of the bounds, and
+    /// every fourth-plus-one onto planes of a lattice of `cells` per axis.
+    fn probe_points(bounds: Aabb, cells: usize, rng: &mut TestRng, count: usize) -> Vec<Vec3> {
+        (0..count)
+            .map(|i| {
+                let mut p = point_about(bounds, 1.5, rng);
                 let snap = rng.next_u64();
                 for axis in 0..3 {
-                    match snap >> (2 * axis) & 3 {
-                        0 => p[axis] = b.min[axis],
-                        1 => p[axis] = b.max[axis],
+                    let pick = snap >> (8 * axis);
+                    match (i % 4, pick & 3) {
+                        (0, 0) => p[axis] = bounds.min[axis],
+                        (0, 1) => p[axis] = bounds.max[axis],
+                        (1, 0 | 1) => {
+                            let k = (pick >> 2) as usize % (cells + 1);
+                            p[axis] =
+                                bounds.min[axis] + bounds.size()[axis] * k as f32 / cells as f32;
+                        }
                         _ => {}
                     }
                 }
+                p
+            })
+            .collect()
+    }
+
+    #[test]
+    fn occupied_is_zero_clearance_is_the_cell_lookup() {
+        let blobs = [
+            (Vec3::new(-0.4, 0.1, -1.2), 0.35),
+            (Vec3::new(1.3, 0.6, 0.8), 0.25),
+        ];
+        let plain = two_blob_grid(20).dilated();
+        let b = plain.bounds();
+        let masked = [Lattice::Grid(20), Lattice::Grid(9), Lattice::Tensor(32)]
+            .map(|lattice| tightened_by_shrunk_blobs(&plain, lattice, &blobs));
+        let mut rng = TestRng::from_case("occupied_is_zero_clearance", 0);
+        for g in std::iter::once(&plain).chain(&masked) {
+            // What `occupied` means, spelled through `cell` and the mask's
+            // own bit.
+            let by_cell = |p: Vec3| {
+                let n = b.normalize(p) * 20.0;
+                let kept = g.support.as_ref().is_none_or(|s| {
+                    let cell = s.lattice.cell(b.normalize(p));
+                    assert!(cell.iter().all(|&c| c < s.lattice.cells()), "{p:?}");
+                    !s.is_empty(cell)
+                });
+                b.contains(p) && g.cell(n.x as isize, n.y as isize, n.z as isize) && kept
+            };
+            let (mut inside, mut hits, mut masked_away) = (0, 0, 0);
+            for p in probe_points(
+                b,
+                g.support.as_ref().map_or(20, |s| s.lattice.cells()),
+                &mut rng,
+                10_000,
+            ) {
+                assert_eq!(g.occupied(p), by_cell(p), "{p:?}");
+                assert_eq!(g.occupied(p), g.clearance(p) == 0, "{p:?}");
+                // Only ever tighter, and the distances are the plain grid's.
+                assert!(plain.occupied(p) || !g.occupied(p), "{p:?}");
+                if plain.occupied(p) && !g.occupied(p) {
+                    assert_eq!(g.clearance(p), 1, "{p:?}");
+                    masked_away += 1;
+                } else {
+                    assert_eq!(g.clearance(p), plain.clearance(p), "{p:?}");
+                }
+                inside += b.contains(p) as u32;
+                hits += g.occupied(p) as u32;
             }
-            assert_eq!(g.occupied(p), by_cell(p), "{p:?}");
-            assert_eq!(g.occupied(p), g.clearance(p) == 0, "{p:?}");
-            inside += b.contains(p) as u32;
-            hits += g.occupied(p) as u32;
+            assert!(
+                inside > 2_000 && inside < 8_000 && hits > 30,
+                "{inside} inside, {hits} hits, {masked_away} masked"
+            );
+            assert_eq!(masked_away > 50, g.support.is_some());
+            for p in [
+                b.max,
+                b.min,
+                b.max + Vec3::splat(1e-3),
+                b.min - Vec3::splat(1e-3),
+            ] {
+                assert_eq!(g.occupied(p), by_cell(p), "{p:?}");
+                assert!(g.clearance(p) > 0, "{p:?}");
+            }
         }
-        assert!(inside > 2_000 && inside < 8_000 && hits > 100);
-        for p in [
-            b.max,
-            b.min,
-            b.max + Vec3::splat(1e-3),
-            b.min - Vec3::splat(1e-3),
-        ] {
-            assert_eq!(g.occupied(p), by_cell(p), "{p:?}");
-            assert!(g.clearance(p) > 0, "{p:?}");
+    }
+
+    /// The mask is addressed with the encoding's own arithmetic: the lattice
+    /// cell it tests for a point is the cell whose corner entries the
+    /// point's gather plan lists, wherever the point is.
+    #[test]
+    fn mask_addresses_the_cell_the_plan_lists() {
+        use crate::bake;
+        use crate::encoding::{dense_corners, grid::GridConfig, tensor::TensorConfig};
+        use crate::model::NerfModel;
+        use crate::plan::GatherPlan;
+        let scene = cicero_scene::library::scene_by_name("lego").unwrap();
+        let mut rng = TestRng::from_case("mask_addresses_the_cell", 0);
+        let mut plan = GatherPlan::default();
+        let addressed = |occupancy: &OccupancyGrid, p: Vec3| {
+            let support = occupancy
+                .support
+                .as_ref()
+                .expect("a baked model is tightened");
+            support.lattice.cell(occupancy.bounds().normalize(p))
+        };
+        for res in [12u32, 17] {
+            let model = bake::bake_grid(
+                &scene,
+                &GridConfig {
+                    resolution: res as usize,
+                    ..Default::default()
+                },
+            );
+            for p in probe_points(model.bounds(), res as usize, &mut rng, 4_000) {
+                let cell = addressed(&model.occupancy, p).map(|c| c as u32);
+                model.plan_into(p, &mut plan);
+                let level = &plan.levels[0];
+                assert_eq!((plan.levels.len(), level.region.0), (1, 0));
+                assert_eq!(level.cell, cell, "{p:?}");
+                assert_eq!(
+                    level.entries(),
+                    dense_corners(res + 1, cell).map(u64::from),
+                    "{p:?}"
+                );
+            }
+        }
+        for res in [12usize, 17] {
+            let model = bake::bake_tensor(
+                &scene,
+                &TensorConfig {
+                    resolution: res,
+                    components_per_signal: 2,
+                    ..Default::default()
+                },
+            );
+            for p in probe_points(model.bounds(), res - 1, &mut rng, 4_000) {
+                let [x, y, z] = addressed(&model.occupancy, p).map(|c| c as u64);
+                model.plan_into(p, &mut plan);
+                let r = res as u64;
+                // Per orientation (XY·Z, XZ·Y, YZ·X): the plane cell's four
+                // texels, then the line cell's two.
+                for (o, (u, v, w)) in [(x, y, z), (x, z, y), (y, z, x)].into_iter().enumerate() {
+                    let at = v * r + u;
+                    let (plane, line) = (&plan.levels[2 * o], &plan.levels[2 * o + 1]);
+                    assert_eq!(plane.entries(), [at, at + 1, at + r, at + r + 1], "{p:?}");
+                    assert_eq!(line.entries(), [w, w + 1], "{p:?}");
+                }
+            }
+        }
+    }
+
+    /// What the mask claims of a cell it calls empty, on baked models:
+    /// anywhere in it the raw density is at most `RAW_EMPTY` (up to the
+    /// rounding of the interpolation) and the sample's alpha at the
+    /// benchmark's step is exactly zero.
+    #[test]
+    fn empty_cells_hold_no_density_anywhere() {
+        use crate::bake;
+        use crate::encoding::{grid::GridConfig, tensor::TensorConfig};
+        use crate::model::NerfModel;
+        let mut rng = TestRng::from_case("empty_cells_hold_no_density", 0);
+        let mut feats = Vec::new();
+        for name in ["lego", "ship"] {
+            let scene = cicero_scene::library::scene_by_name(name).unwrap();
+            let grid = bake::bake_grid(
+                &scene,
+                &GridConfig {
+                    resolution: 32,
+                    ..Default::default()
+                },
+            );
+            let tensor = bake::bake_tensor(
+                &scene,
+                &TensorConfig {
+                    resolution: 40,
+                    ..Default::default()
+                },
+            );
+            let models: [&dyn NerfModel; 2] = [&grid, &tensor];
+            for model in models {
+                let (occupancy, b) = (model.occupancy(), model.bounds());
+                let (support, loose) =
+                    (occupancy.support.as_ref().unwrap(), occupancy.untightened());
+                let n = support.lattice.cells();
+                let unit = |rng: &mut TestRng| match rng.next_u64() % 8 {
+                    0 => 0.0,
+                    1 => 1.0,
+                    _ => rng.next_unit() as f32,
+                };
+                let (mut empty, mut dropped) = (0, 0);
+                for _ in 0..40_000 {
+                    let cell = [0; 3].map(|_| rng.next_u64() as usize % n);
+                    if !support.is_empty(cell) {
+                        continue;
+                    }
+                    empty += 1;
+                    let at = cell.map(|c| (c as f32 + unit(&mut rng)) / n as f32);
+                    let p = b.min + b.size() * Vec3::new(at[0], at[1], at[2]);
+                    model.features_into(p, &mut feats);
+                    assert!(
+                        feats[0] <= RAW_EMPTY + 1e-3,
+                        "{name} {p:?}: raw {}",
+                        feats[0]
+                    );
+                    let (sigma, _) = model.decoder().decode(&feats, Vec3::Z);
+                    assert_eq!(1.0 - (-sigma * 0.01).exp(), 0.0, "{name} {p:?}");
+                    // Interior points are the cell's own, and are dropped.
+                    let interior = at.iter().zip(cell).all(|(&a, c)| {
+                        let f = a * n as f32 - c as f32;
+                        f > 0.01 && f < 0.99
+                    });
+                    if interior && b.contains(p) {
+                        assert!(!occupancy.occupied(p), "{name} {p:?}");
+                        dropped += loose.occupied(p) as u32;
+                    }
+                }
+                // Not vacuous: candidates were found empty, and that took
+                // points away from the occupied set.
+                assert!(
+                    empty > 500 && dropped > 300,
+                    "{name}: {empty} empty, {dropped} dropped"
+                );
+            }
         }
     }
 
@@ -456,10 +852,18 @@ mod tests {
         let blobs: Vec<(Vec3, f32)> = (0..3)
             .map(|_| (at(&mut rng, 0.8), 0.1 + 0.3 * rng.next_unit() as f32))
             .collect();
-        let grids = [8, 48].map(|res| {
+        let plain = [8, 48].map(|res| {
             let inside = |p: Vec3| blobs.iter().any(|&(c, r)| (p - c).length() < r);
             OccupancyGrid::from_density(bounds, res, |p| (inside(p) as u32 as f32, 0.0), 0.5)
         });
+        // Each also under a support mask, on a lattice of either kind that
+        // is coarser than one grid and finer than the other.
+        let grids = [
+            tightened_by_shrunk_blobs(&plain[0], Lattice::Grid(20), &blobs),
+            tightened_by_shrunk_blobs(&plain[1], Lattice::Tensor(32), &blobs),
+            plain[0].clone(),
+            plain[1].clone(),
+        ];
         let (mut candidates, mut looked_at) = (0, 0);
         for i in 0..48 {
             // From inside or outside the box, towards a point near a blob's
