@@ -1,10 +1,12 @@
-//! Shared harness for the per-figure reproduction binaries.
+//! The figure path: every table and figure of the paper's evaluation,
+//! reproduced by one `figures` binary.
 //!
-//! Every binary in `src/bin/` reproduces one table/figure of the paper
-//! (DESIGN.md §4 maps them). This library provides the common pieces: scene +
-//! model construction at the experiment scale, one-pass workload measurement
-//! through both traffic analyzers, paper-vs-measured table printing, and JSON
-//! result dumps under `results/`.
+//! [`figures::FIGURES`] lists the figures, one `run(&Lab) -> Figure` each. A
+//! [`Lab`] bakes each model, measures each workload and renders each
+//! ground-truth set once, however many figures ask; a [`Figure`] is typed
+//! tables plus [`Claim`]s — the paper's statement, the measured value and the
+//! band it has to stay inside — and [`figures::fidelity`] is all of them, the
+//! paper-fidelity contract (README "Paper fidelity").
 //!
 //! **Scale.** Experiments render at [`EXP_RES`]² (performance) and
 //! [`QUALITY_RES`]² (quality) instead of the paper's 800²; workloads are
@@ -12,22 +14,30 @@
 //! numbers (FPS) are reported. Ratios (speedups, fractions, PSNR deltas) are
 //! resolution-stable and reported unscaled.
 
-use cicero::baselines::{render_ds2, render_temp_chain};
+mod claim;
+pub mod figures;
+mod lab;
+mod report;
+
+pub use claim::{flag, num, pct, signed, times, yes_no, Band, Basis, Claim, Measured, Reading};
+pub use lab::{baked, method_columns, Capture, Lab, ModelSpec};
+pub use report::{col, record, write_json, Col, Figure, Table};
+pub use serde::{Serialize, Value};
+
 use cicero::pipeline::PipelineConfig;
 use cicero::traffic::{
     build_workload, PairSink, PixelCentricConfig, PixelCentricTraffic, StreamingConfig,
     StreamingReport, StreamingTraffic,
 };
-use cicero::Variant;
+use cicero::{Scenario, Variant};
+use cicero_accel::soc::{FrameKind, FrameReport, SocModel};
 use cicero_accel::FrameWorkload;
-use cicero_field::render::{render_full, render_masked, RenderOptions};
-use cicero_field::{bake, GridConfig, HashConfig, ModelKind, NerfModel, NullSink, TensorConfig};
-use cicero_math::Intrinsics;
-use cicero_scene::ground_truth::Frame;
+use cicero_field::render::{render_masked, RenderOptions};
+use cicero_field::{ModelSource, NerfModel};
+use cicero_math::{metrics, Camera, Intrinsics, RgbImage};
+use cicero_scene::ground_truth::{background_frame, render_frame, Frame};
 use cicero_scene::volume::MarchParams;
 use cicero_scene::{AnalyticScene, Trajectory};
-use serde::Serialize;
-use std::io::Write as _;
 
 /// Render resolution of performance experiments (pixels per side).
 pub const EXP_RES: usize = 128;
@@ -86,6 +96,21 @@ pub fn exp_march() -> MarchParams {
     }
 }
 
+/// The render options of every performance experiment.
+pub fn exp_render_options() -> RenderOptions {
+    RenderOptions {
+        march: exp_march(),
+        use_occupancy: true,
+        ..Default::default()
+    }
+}
+
+/// The camera performance experiments render their full frame from: pose 0
+/// of the scene's orbit, which depends on neither frame count nor rate.
+pub fn exp_camera(scene: &AnalyticScene) -> Camera {
+    Trajectory::orbit(scene, 1, 60.0).camera(0, exp_intrinsics())
+}
+
 /// Loads a library scene tuned for experiments.
 ///
 /// Trained NeRF densities ramp over wider spatial supports than our crisp
@@ -94,6 +119,7 @@ pub fn exp_march() -> MarchParams {
 /// reproduces that per-ray sample count (and hence the paper's absolute
 /// workload scale) without changing any geometry.
 pub fn experiment_scene(name: &str) -> AnalyticScene {
+    // Names are literals in the figure bodies: an unknown one is a bug there.
     let mut s = cicero_scene::library::scene_by_name(name)
         .unwrap_or_else(|| panic!("unknown scene {name}"));
     s.sigma_max = 30.0;
@@ -101,57 +127,9 @@ pub fn experiment_scene(name: &str) -> AnalyticScene {
     s
 }
 
-/// Builds a model of `kind` for `scene` at the experiment scale, with a
-/// narrow executed decoder charged at the paper-scale width (64).
-pub fn standard_model(scene: &AnalyticScene, kind: ModelKind) -> Box<dyn NerfModel + Send + Sync> {
-    let opts = bake::BakeOptions {
-        decoder_hidden: 16,
-        ..Default::default()
-    };
-    match kind {
-        ModelKind::Grid => {
-            let mut m = bake::bake_grid_with(
-                scene,
-                &GridConfig {
-                    resolution: 128,
-                    ..Default::default()
-                },
-                &opts,
-            );
-            m.decoder.set_modeled_hidden(64);
-            Box::new(m)
-        }
-        ModelKind::Hash => {
-            let mut m = bake::bake_hash_with(
-                scene,
-                &HashConfig {
-                    table_size_log2: 17,
-                    ..Default::default()
-                },
-                &opts,
-            );
-            m.decoder.set_modeled_hidden(64);
-            Box::new(m)
-        }
-        ModelKind::Tensor => {
-            let mut m = bake::bake_tensor_with(
-                scene,
-                &TensorConfig {
-                    resolution: 96,
-                    components_per_signal: 2,
-                    bytes_per_value: 2,
-                },
-                &opts,
-            );
-            m.decoder.set_modeled_hidden(64);
-            Box::new(m)
-        }
-    }
-}
-
 /// A model's measured per-frame workloads: one reference (full) frame and one
 /// mid-window target (sparse) frame, through both gathering orders.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelWorkloads {
     /// Full frame, pixel-centric gathering.
     pub full_pc: FrameWorkload,
@@ -187,22 +165,59 @@ impl ModelWorkloads {
     }
 }
 
-/// Measures [`ModelWorkloads`] for `model` on `scene` with warping window
-/// `window`, at [`EXP_RES`]².
-pub fn measure_workloads(
-    scene: &AnalyticScene,
-    model: &dyn NerfModel,
-    window: usize,
-) -> ModelWorkloads {
-    let k = exp_intrinsics();
-    let traj = Trajectory::orbit(scene, window + 2, 60.0);
-    let opts = RenderOptions {
-        march: exp_march(),
-        use_occupancy: true,
-        ..Default::default()
-    };
-    let pixels = (EXP_RES * EXP_RES) as u64;
+/// The pixels of an 800² frame, which sizes the remote scenario's transfers.
+const PAPER_PIXELS: u64 = (PAPER_RES * PAPER_RES) as u64;
 
+/// Prices the baseline's full frame of `mw` at 800² under `scenario`.
+pub fn price_baseline(soc: &SocModel, mw: &ModelWorkloads, scenario: Scenario) -> FrameReport {
+    let full = scale_to_paper(&mw.full_pc);
+    soc.price(
+        scenario,
+        Variant::Baseline,
+        PAPER_PIXELS,
+        FrameKind::Full(&full),
+    )
+}
+
+/// Prices one frame of `variant`'s `window`-frame warping window at 800²
+/// under `scenario`: the reference amortised over its window plus a target.
+pub fn price_window(
+    soc: &SocModel,
+    mw: &ModelWorkloads,
+    scenario: Scenario,
+    variant: Variant,
+    window: usize,
+) -> FrameReport {
+    let (reference, sparse) = mw.paper_pair(variant);
+    let frame = FrameKind::Window {
+        reference: &reference,
+        target: &soc.target_frame(&sparse, variant),
+        window,
+    };
+    soc.price(scenario, variant, PAPER_PIXELS, frame)
+}
+
+/// The window-independent half of [`measure_workloads`]: the reference frame
+/// of a model and what rendering it cost through both gathering orders.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ReferenceWorkloads {
+    camera: Camera,
+    frame: Frame,
+    full_pc: FrameWorkload,
+    full_fs: FrameWorkload,
+    full_fs_report: StreamingReport,
+}
+
+/// One frame through both traffic analyzers in one pass: pixel-centric and
+/// fully-streaming workloads plus the streaming report. `mask` selects the
+/// pixels rendered into `frame`; `warp_pixels` is charged as warp work.
+fn measure_frame(
+    model: &dyn NerfModel,
+    camera: &Camera,
+    mask: Option<&[bool]>,
+    frame: &mut Frame,
+    warp_pixels: Option<(u64, u64)>,
+) -> (FrameWorkload, FrameWorkload, StreamingReport) {
     // Working-set-scaled on-chip buffers: the paper's 2 MB at 800² behaves
     // like 2 MB × (EXP_RES/800)² ≈ 64 KB at the experiment resolution.
     let pc_cfg = PixelCentricConfig {
@@ -211,26 +226,48 @@ pub fn measure_workloads(
     };
     // Hash tables are resolution-independent, so their cache keeps the real
     // 2 MB capacity (the default) rather than the working-set-scaled one.
-    let fs_cfg = StreamingConfig::default();
-
-    // Reference frame (frame 0), both analyzers in one pass.
-    let ref_cam = traj.camera(0, k);
     let mut pc = PixelCentricTraffic::new(model, pc_cfg);
-    let mut fs = StreamingTraffic::new(model, fs_cfg);
-    let (ref_frame, ref_stats) = {
+    let mut fs = StreamingTraffic::new(model, StreamingConfig::default());
+    let stats = {
         let mut both = PairSink(&mut pc, &mut fs);
-        render_full(model, &ref_cam, &opts, &mut both)
+        render_masked(model, camera, &exp_render_options(), mask, frame, &mut both)
     };
-    let pc_rep = pc.finish();
-    let fs_rep = fs.finish();
-    let full_pc = build_workload(&ref_stats, model.decoder(), Some(&pc_rep), None, None);
-    let full_fs = build_workload(&ref_stats, model.decoder(), None, Some(&fs_rep), None);
+    let (pc_rep, fs_rep) = (pc.finish(), fs.finish());
+    let decoder = model.decoder();
+    (
+        build_workload(&stats, decoder, Some(&pc_rep), None, warp_pixels),
+        build_workload(&stats, decoder, None, Some(&fs_rep), warp_pixels),
+        fs_rep,
+    )
+}
 
-    // Mid-window target frame.
-    let tgt_cam = traj.camera(window / 2 + 1, k);
+/// Measures the reference (full) frame of `model` at [`EXP_RES`]².
+pub fn measure_reference(scene: &AnalyticScene, model: &dyn NerfModel) -> ReferenceWorkloads {
+    let camera = exp_camera(scene);
+    let mut frame = background_frame(&ModelSource(model), EXP_RES, EXP_RES);
+    let (full_pc, full_fs, full_fs_report) = measure_frame(model, &camera, None, &mut frame, None);
+    ReferenceWorkloads {
+        camera,
+        frame,
+        full_pc,
+        full_fs,
+        full_fs_report,
+    }
+}
+
+/// Measures the mid-window target (sparse) frame of warping window `window`
+/// against `reference` and joins the two halves.
+pub fn measure_target(
+    scene: &AnalyticScene,
+    model: &dyn NerfModel,
+    reference: &ReferenceWorkloads,
+    window: usize,
+) -> ModelWorkloads {
+    let traj = Trajectory::orbit(scene, window + 2, 60.0);
+    let tgt_cam = traj.camera(window / 2 + 1, exp_intrinsics());
     let warped = cicero::warp_frame(
-        &ref_frame,
-        &ref_cam,
+        &reference.frame,
+        &reference.camera,
         &tgt_cam,
         model.background(),
         &cicero::WarpOptions::default(),
@@ -238,63 +275,35 @@ pub fn measure_workloads(
     let warp = warped.stats();
     let mask = warped.render_mask();
     let mut frame = warped.frame;
-    let mut pc = PixelCentricTraffic::new(model, pc_cfg);
-    let mut fs = StreamingTraffic::new(model, fs_cfg);
-    let sparse_stats = {
-        let mut both = PairSink(&mut pc, &mut fs);
-        render_masked(model, &tgt_cam, &opts, Some(&mask), &mut frame, &mut both)
-    };
-    let pc_rep = pc.finish();
-    let fs_rep_sparse = fs.finish();
-    let mut sparse_pc = build_workload(
-        &sparse_stats,
-        model.decoder(),
-        Some(&pc_rep),
-        None,
-        Some((pixels, pixels)),
-    );
-    let mut sparse_fs = build_workload(
-        &sparse_stats,
-        model.decoder(),
-        None,
-        Some(&fs_rep_sparse),
+    let pixels = (EXP_RES * EXP_RES) as u64;
+    let (mut sparse_pc, mut sparse_fs, sparse_fs_report) = measure_frame(
+        model,
+        &tgt_cam,
+        Some(&mask),
+        &mut frame,
         Some((pixels, pixels)),
     );
     sparse_pc.rays = pixels; // warp produces every pixel of the frame
     sparse_fs.rays = pixels;
-
     ModelWorkloads {
-        full_pc,
-        full_fs,
+        full_pc: reference.full_pc.clone(),
+        full_fs: reference.full_fs.clone(),
         sparse_pc,
         sparse_fs,
-        full_fs_report: fs_rep,
-        sparse_fs_report: fs_rep_sparse,
+        full_fs_report: reference.full_fs_report,
+        sparse_fs_report,
         warp,
     }
 }
 
-/// Builds the model used by quality experiments.
-///
-/// A coarser grid whose reconstruction error lands near the paper's trained
-/// models (~35-40 dB against ground truth). Quality comparisons are about how
-/// warping/downsampling errors *compose* with the model's own error; with the
-/// paper-scale baseline error, the composition matches the paper's regime.
-pub fn quality_model(scene: &AnalyticScene) -> cicero_field::GridModel {
-    let opts = bake::BakeOptions {
-        decoder_hidden: 16,
-        ..Default::default()
-    };
-    let mut m = bake::bake_grid_with(
-        scene,
-        &GridConfig {
-            resolution: 56,
-            ..Default::default()
-        },
-        &opts,
-    );
-    m.decoder.set_modeled_hidden(64);
-    m
+/// Measures [`ModelWorkloads`] for `model` on `scene` with warping window
+/// `window`, at [`EXP_RES`]²: the reference half, then the target half.
+pub fn measure_workloads(
+    scene: &AnalyticScene,
+    model: &dyn NerfModel,
+    window: usize,
+) -> ModelWorkloads {
+    measure_target(scene, model, &measure_reference(scene, model), window)
 }
 
 /// A quality-experiment pipeline config (no traffic, fast march).
@@ -303,126 +312,30 @@ pub fn quality_config(variant: Variant, window: usize) -> PipelineConfig {
         variant,
         window,
         march: exp_march(),
-        collect_quality: false, // callers compare against a shared GT cache
+        collect_quality: false, // callers compare against a shared GT set
         collect_traffic: false,
         ..Default::default()
     }
 }
 
-/// The DS-2 comparison frames of a quality experiment (Fig. 16 / 25): every
-/// pose rendered at half resolution and upsampled.
-pub fn ds2_frames(model: &dyn NerfModel, traj: &Trajectory, k: Intrinsics) -> Vec<Frame> {
-    let opts = quality_render_options();
+/// The ground-truth colours of every pose of `traj` at [`QUALITY_RES`]².
+pub fn ground_truth(scene: &AnalyticScene, traj: &Trajectory) -> Vec<RgbImage> {
+    let k = quality_intrinsics();
     (0..traj.len())
-        .map(|i| render_ds2(model, &traj.camera(i, k), &opts, &mut NullSink).0)
+        .map(|i| render_frame(scene, &traj.camera(i, k), &exp_march()).color)
         .collect()
 }
 
-/// The Temp-`window` comparison frames of a quality experiment: a full
-/// render every `window` frames, chained warps in between.
-pub fn temp_frames(
-    model: &dyn NerfModel,
-    traj: &Trajectory,
-    k: Intrinsics,
-    window: usize,
-) -> Vec<Frame> {
-    let chain = render_temp_chain(model, traj, k, window, &quality_render_options());
-    chain.into_iter().map(|(frame, _stats)| frame).collect()
-}
-
-/// Render options matching [`quality_config`]'s march.
-fn quality_render_options() -> RenderOptions {
-    RenderOptions {
-        march: exp_march(),
-        ..Default::default()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Reporting helpers
-// ---------------------------------------------------------------------------
-
-/// A simple aligned table printer.
-#[derive(Debug, Default)]
-pub struct Table {
-    headers: Vec<String>,
-    rows: Vec<Vec<String>>,
-}
-
-impl Table {
-    /// Creates a table with headers.
-    pub fn new(headers: &[&str]) -> Self {
-        Table {
-            headers: headers.iter().map(|s| s.to_string()).collect(),
-            rows: Vec::new(),
-        }
-    }
-
-    /// Adds a row.
-    pub fn row(&mut self, cells: &[String]) {
-        assert_eq!(cells.len(), self.headers.len(), "row width mismatch");
-        self.rows.push(cells.to_vec());
-    }
-
-    /// Prints the table to stdout.
-    pub fn print(&self) {
-        let mut widths: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
-        for row in &self.rows {
-            for (i, c) in row.iter().enumerate() {
-                widths[i] = widths[i].max(c.len());
-            }
-        }
-        let line = |cells: &[String]| {
-            let parts: Vec<String> = cells
-                .iter()
-                .enumerate()
-                .map(|(i, c)| format!("{:>w$}", c, w = widths[i]))
-                .collect();
-            println!("  {}", parts.join("  "));
-        };
-        line(&self.headers);
-        println!(
-            "  {}",
-            widths
-                .iter()
-                .map(|w| "-".repeat(*w))
-                .collect::<Vec<_>>()
-                .join("  ")
-        );
-        for row in &self.rows {
-            line(row);
-        }
-    }
-}
-
-/// Prints an experiment banner.
-pub fn banner(id: &str, title: &str) {
-    println!("==========================================================");
-    println!("{id}: {title}");
-    println!("==========================================================");
-}
-
-/// Prints a paper-vs-measured comparison line.
-pub fn paper_vs(label: &str, paper: &str, measured: &str) {
-    println!("  {label:<46} paper: {paper:>10}  measured: {measured:>10}");
-}
-
-/// Writes a JSON result blob to `results/<id>.json` (creates the directory).
-pub fn write_results<T: Serialize>(id: &str, value: &T) {
-    let dir = std::path::Path::new("results");
-    if std::fs::create_dir_all(dir).is_err() {
-        return;
-    }
-    let path = dir.join(format!("{id}.json"));
-    if let Ok(mut f) = std::fs::File::create(&path) {
-        let _ = writeln!(f, "{}", serde_json::to_string_pretty(value).unwrap());
-        println!("  [results written to {}]", path.display());
-    }
-}
-
-/// Formats a float with the given precision.
-pub fn fmt(v: f64, prec: usize) -> String {
-    format!("{v:.prec$}")
+/// PSNR of a frame sequence against its ground truth, from the mean of the
+/// per-frame MSEs.
+pub fn psnr_vs_gt(frames: &[Frame], gt: &[RgbImage]) -> f64 {
+    let mse = frames
+        .iter()
+        .zip(gt)
+        .map(|(f, g)| metrics::mse(&f.color, g))
+        .sum::<f64>()
+        / frames.len() as f64;
+    -10.0 * mse.log10()
 }
 
 #[cfg(test)]
@@ -447,19 +360,8 @@ mod tests {
     #[test]
     fn measure_workloads_produces_sane_ratios() {
         let scene = library::scene_by_name("mic").unwrap();
-        let opts = bake::BakeOptions {
-            decoder_hidden: 16,
-            ..Default::default()
-        };
-        let model = bake::bake_grid_with(
-            &scene,
-            &GridConfig {
-                resolution: 48,
-                ..Default::default()
-            },
-            &opts,
-        );
-        let mw = measure_workloads(&scene, &model, 8);
+        let model = baked(&scene, ModelSpec::Grid { resolution: 48 });
+        let mw = measure_workloads(&scene, model.as_ref(), 8);
         // The sparse target renders far fewer samples than the reference.
         assert!(mw.sparse_pc.samples_processed < mw.full_pc.samples_processed / 2);
         // FS pipeline has (near-)zero random traffic for the dense grid.
@@ -470,10 +372,10 @@ mod tests {
 
     #[test]
     fn table_rejects_ragged_rows() {
-        let mut t = Table::new(&["a", "b"]);
-        t.row(&["1".into(), "2".into()]);
+        let mut t = Table::new([col("a", "a"), col("b", "b")]);
+        t.push(row!["1", "2"]);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            t.row(&["only-one".into()]);
+            t.push(row!["only-one"]);
         }));
         assert!(result.is_err());
     }
