@@ -2,16 +2,18 @@
 //! conversion + transform + z-buffered re-projection of a full frame.
 
 use cicero::{warp_frame, WarpOptions};
-use cicero_bench::{bench_camera, bench_scene};
-use cicero_math::{Camera, Pose, Vec3};
+use cicero_math::{Camera, Intrinsics, Pose, Vec3};
 use cicero_scene::ground_truth::render_frame;
 use cicero_scene::volume::MarchParams;
-use cicero_scene::RadianceSource;
+use cicero_scene::{library, RadianceSource};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 fn bench_warp(c: &mut Criterion) {
-    let scene = bench_scene();
-    let cam0 = bench_camera(128);
+    let scene = library::scene_by_name("lego").expect("library scene");
+    let cam0 = Camera::new(
+        Intrinsics::from_fov(128, 128, 0.9),
+        Pose::look_at(Vec3::new(0.0, 1.2, -2.6), Vec3::ZERO, Vec3::Y),
+    );
     let cam1 = Camera::new(
         cam0.intrinsics,
         Pose::look_at(Vec3::new(0.15, 1.2, -2.6), Vec3::ZERO, Vec3::Y),

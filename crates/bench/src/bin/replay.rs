@@ -1,4 +1,4 @@
-//! `replay` — deterministic traffic replay and the overload-control bench.
+//! `replay` — deterministic traffic replay.
 //!
 //! ```text
 //! cargo run --release -p cicero-bench --bin replay -- generate \
@@ -7,29 +7,22 @@
 //! cargo run --release -p cicero-bench --bin replay -- replay \
 //!     --profile traffic.profile [--threads 0] [--disarmed] \
 //!     [--max-sessions 2] [--queue-cap 32] [--slack 8.0] [--report-json R]
-//! cargo run --release -p cicero-bench --bin replay -- bench \
-//!     [--out results/bench_overload.json] [--seed 11] [--threads 0]
 //! ```
 //!
 //! `generate` dumps a versioned [`TrafficProfile`] from the seeded model;
-//! `replay` drives a [`FrameServer`] from a profile file — open-loop session
-//! arrivals, closed-loop pose streams, backpressure honored with seeded
-//! retries — and prints `replay_digest:`/`overload_digest:` lines that are
-//! **bit-identical at any `--threads` value**: CI diffs them across budgets,
-//! and diffs an underloaded armed run against `--disarmed` to pin the
-//! queue's no-op contract. `bench` sweeps a flash crowd over three overload
-//! postures — reject-only, shed-only, shed+brownout — and records the
-//! acceptance figures in `results/bench_overload.json`: shedding plus
-//! brownout must keep goodput within 20% of the sweep's peak while holding
-//! interactive SLO attainment strictly above the reject-only baseline.
+//! `replay` drives a [`FrameServer`](cicero_serve::FrameServer) from a
+//! profile file — open-loop session arrivals, closed-loop pose streams,
+//! backpressure honored with seeded retries — and prints what the clients
+//! and the overload queue saw. Every figure is simulated time, so the
+//! outcome is bit-identical at any `--threads` value; `tests/swarm_matrix.rs`
+//! holds the replay legs CI runs to that (and prints their digest lines).
 
 use cicero_field::GridConfig;
 use cicero_math::Intrinsics;
 use cicero_serve::{
-    run_replay, AdmissionPolicy, ArrivalProcess, OverloadControl, ReplayOptions, ReplayOutcome,
-    ServeConfig, TrafficAssets, TrafficModel, TrafficProfile,
+    run_replay, AdmissionPolicy, ArrivalProcess, OverloadControl, ReplayOptions, ServeConfig,
+    TrafficAssets, TrafficModel, TrafficProfile,
 };
-use serde::Serialize;
 use std::time::Instant;
 
 /// A CLI mistake is the *user's* error, not a harness fault: explain and
@@ -38,8 +31,7 @@ fn usage(msg: &str) -> ! {
     eprintln!("replay: {msg}");
     eprintln!(
         "usage: replay generate [--out F] [--seed N] [--sessions N] [--duration S] [--arrivals A] [--streaming F]\n\
-         \x20      replay replay --profile F [--threads N] [--disarmed] [--max-sessions N] [--queue-cap N] [--slack X] [--report-json R]\n\
-         \x20      replay bench [--out F] [--seed N] [--threads N]"
+         \x20      replay replay --profile F [--threads N] [--disarmed] [--max-sessions N] [--queue-cap N] [--slack X] [--report-json R]"
     );
     std::process::exit(2);
 }
@@ -51,113 +43,20 @@ fn fail(context: &str, e: impl std::fmt::Display) -> ! {
     std::process::exit(1);
 }
 
-fn grid() -> GridConfig {
-    GridConfig {
-        resolution: 24,
-        ..Default::default()
-    }
-}
-
-fn intrinsics() -> Intrinsics {
-    Intrinsics::from_fov(24, 24, 0.9)
-}
-
-fn flash_crowd() -> ArrivalProcess {
-    ArrivalProcess::FlashCrowd {
-        at_frac: 0.3,
-        width_frac: 0.1,
-        crowd_frac: 0.85,
-    }
-}
-
-fn model(
-    sessions: usize,
-    duration_s: f64,
-    arrivals: ArrivalProcess,
-    streaming: f64,
-) -> TrafficModel {
-    TrafficModel {
-        sessions,
-        duration_s,
-        arrivals,
-        scenes: vec![
-            "lego".into(),
-            "chair".into(),
-            "ship".into(),
-            "hotdog".into(),
-        ],
-        zipf_s: 1.0,
-        qos_mix: [2.0, 2.0, 1.0],
-        streaming_frac: streaming,
-        frames: 5,
-        base_fps: 30.0,
-        fps_jitter: 0.1,
-    }
-}
-
-fn replay_once(
-    profile: &TrafficProfile,
-    assets: &TrafficAssets,
-    cfg: ServeConfig,
-) -> ReplayOutcome {
-    match run_replay(
-        profile,
-        assets,
-        &ReplayOptions {
-            cfg,
-            client_seed: profile.seed,
-            intrinsics: intrinsics(),
-            ..Default::default()
-        },
-    ) {
-        Ok(out) => out,
-        Err(e) => fail("replay", e),
-    }
-}
-
-/// The determinism oracle: every figure is simulated-time only, so this line
-/// must be byte-identical at any `--threads` value.
-fn print_digests(out: &ReplayOutcome) {
-    let r = &out.report;
-    println!(
-        "replay_digest: frames={} makespan={:.12} p50={:.12} p99={:.12} misses={} goodput={:.12} attain_i={:.12} attain_s={:.12} attain_b={:.12} submitted={} admitted={} queued={} retries={} abandoned={} poses={}",
-        r.frames,
-        r.makespan_s,
-        r.p50_latency_s,
-        r.p99_latency_s,
-        r.deadline_misses,
-        out.goodput_fps,
-        out.attainment[0],
-        out.attainment[1],
-        out.attainment[2],
-        out.client.submitted,
-        out.client.admitted,
-        out.client.queued,
-        out.client.retries,
-        out.client.abandoned,
-        out.client.poses_pushed,
-    );
-    let o = &r.overload;
-    println!(
-        "overload_digest: enqueued={} queue_admits={} brownout_admits={} sheds={} sheds_i={} sheds_s={} sheds_b={} backpressure={} diversions={} queue_peak={} max_wait={:.12} goodput={:.12}",
-        o.enqueued,
-        o.queue_admits,
-        o.brownout_admits,
-        o.sheds,
-        o.sheds_by_class[0],
-        o.sheds_by_class[1],
-        o.sheds_by_class[2],
-        o.backpressure,
-        o.diversions,
-        o.queue_peak,
-        o.max_queue_wait_s,
-        o.goodput_fps,
-    );
-}
-
 fn flag_value(it: &mut impl Iterator<Item = String>, flag: &str) -> String {
     it.next()
         .unwrap_or_else(|| usage(&format!("missing value for {flag}")))
+}
+
+/// The next value parsed as a `T`, or a usage error saying it takes `what`.
+fn parsed<T: std::str::FromStr>(
+    it: &mut impl Iterator<Item = String>,
+    flag: &str,
+    what: &str,
+) -> T {
+    flag_value(it, flag)
+        .parse()
+        .unwrap_or_else(|_| usage(&format!("{flag} takes {what}")))
 }
 
 fn cmd_generate(mut it: impl Iterator<Item = String>) {
@@ -170,38 +69,50 @@ fn cmd_generate(mut it: impl Iterator<Item = String>) {
     while let Some(flag) = it.next() {
         match flag.as_str() {
             "--out" => out = flag_value(&mut it, "--out"),
-            "--seed" => {
-                seed = flag_value(&mut it, "--seed")
-                    .parse()
-                    .unwrap_or_else(|_| usage("--seed takes a u64"))
-            }
-            "--sessions" => {
-                sessions = flag_value(&mut it, "--sessions")
-                    .parse()
-                    .unwrap_or_else(|_| usage("--sessions takes a count"))
-            }
-            "--duration" => {
-                duration = flag_value(&mut it, "--duration")
-                    .parse()
-                    .unwrap_or_else(|_| usage("--duration takes seconds"))
-            }
+            "--seed" => seed = parsed(&mut it, "--seed", "a u64"),
+            "--sessions" => sessions = parsed(&mut it, "--sessions", "a count"),
+            "--duration" => duration = parsed(&mut it, "--duration", "seconds"),
             "--arrivals" => {
                 arrivals = match flag_value(&mut it, "--arrivals").as_str() {
                     "uniform" => ArrivalProcess::Uniform,
                     "diurnal" => ArrivalProcess::Diurnal { peak_boost: 3.0 },
-                    "flash" => flash_crowd(),
+                    "flash" => ArrivalProcess::FlashCrowd {
+                        at_frac: 0.3,
+                        width_frac: 0.1,
+                        crowd_frac: 0.85,
+                    },
                     other => usage(&format!("unknown arrival process {other:?}")),
                 }
             }
-            "--streaming" => {
-                streaming = flag_value(&mut it, "--streaming")
-                    .parse()
-                    .unwrap_or_else(|_| usage("--streaming takes a fraction"))
-            }
+            "--streaming" => streaming = parsed(&mut it, "--streaming", "a fraction"),
             other => usage(&format!("unknown generate flag {other}")),
         }
     }
-    let profile = model(sessions, duration, arrivals, streaming).generate(seed);
+    // The model asserts these; here they are the user's input.
+    if sessions == 0 {
+        usage("--sessions must be at least 1");
+    }
+    if !(duration.is_finite() && duration > 0.0) {
+        usage("--duration must be a positive number of seconds");
+    }
+    if !(0.0..=1.0).contains(&streaming) {
+        usage("--streaming must be a fraction in [0, 1]");
+    }
+    let profile = TrafficModel {
+        sessions,
+        duration_s: duration,
+        arrivals,
+        scenes: ["lego", "chair", "ship", "hotdog"]
+            .map(String::from)
+            .to_vec(),
+        zipf_s: 1.0,
+        qos_mix: [2.0, 2.0, 1.0],
+        streaming_frac: streaming,
+        frames: 5,
+        base_fps: 30.0,
+        fps_jitter: 0.1,
+    }
+    .generate(seed);
     if let Err(e) = std::fs::write(&out, profile.to_text()) {
         fail(&format!("writing {out}"), e);
     }
@@ -223,27 +134,11 @@ fn cmd_replay(mut it: impl Iterator<Item = String>) {
     while let Some(flag) = it.next() {
         match flag.as_str() {
             "--profile" => profile_path = Some(flag_value(&mut it, "--profile")),
-            "--threads" => {
-                threads = flag_value(&mut it, "--threads")
-                    .parse()
-                    .unwrap_or_else(|_| usage("--threads takes a count"))
-            }
+            "--threads" => threads = parsed(&mut it, "--threads", "a count"),
             "--disarmed" => disarmed = true,
-            "--max-sessions" => {
-                max_sessions = flag_value(&mut it, "--max-sessions")
-                    .parse()
-                    .unwrap_or_else(|_| usage("--max-sessions takes a count"))
-            }
-            "--queue-cap" => {
-                queue_cap = flag_value(&mut it, "--queue-cap")
-                    .parse()
-                    .unwrap_or_else(|_| usage("--queue-cap takes a count"))
-            }
-            "--slack" => {
-                slack = flag_value(&mut it, "--slack")
-                    .parse()
-                    .unwrap_or_else(|_| usage("--slack takes a factor"))
-            }
+            "--max-sessions" => max_sessions = parsed(&mut it, "--max-sessions", "a count"),
+            "--queue-cap" => queue_cap = parsed(&mut it, "--queue-cap", "a count"),
+            "--slack" => slack = parsed(&mut it, "--slack", "a factor"),
             "--report-json" => report_json = Some(flag_value(&mut it, "--report-json")),
             other => usage(&format!("unknown replay flag {other}")),
         }
@@ -251,49 +146,60 @@ fn cmd_replay(mut it: impl Iterator<Item = String>) {
     let Some(path) = profile_path else {
         usage("replay mode needs --profile FILE");
     };
-    let text = match std::fs::read_to_string(&path) {
-        Ok(t) => t,
-        Err(e) => fail(&format!("reading {path}"), e),
+    let text =
+        std::fs::read_to_string(&path).unwrap_or_else(|e| fail(&format!("reading {path}"), e));
+    let profile =
+        TrafficProfile::parse(&text).unwrap_or_else(|e| fail(&format!("parsing {path}"), e));
+    let grid = GridConfig {
+        resolution: 24,
+        ..Default::default()
     };
-    let profile = match TrafficProfile::parse(&text) {
-        Ok(p) => p,
-        Err(e) => fail(&format!("parsing {path}"), e),
-    };
-    let assets = match TrafficAssets::build(&profile, &grid()) {
-        Ok(a) => a,
-        Err(e) => fail("baking profile assets", e),
-    };
+    let assets =
+        TrafficAssets::build(&profile, &grid).unwrap_or_else(|e| fail("baking profile assets", e));
     let cfg = ServeConfig {
         render_threads: threads,
         admission: AdmissionPolicy {
             max_sessions,
             ..Default::default()
         },
-        overload: if disarmed {
-            None
-        } else {
-            Some(OverloadControl {
-                queue_capacity: queue_cap,
-                deadline_slack: slack,
-                ..Default::default()
-            })
-        },
+        overload: (!disarmed).then_some(OverloadControl {
+            queue_capacity: queue_cap,
+            deadline_slack: slack,
+            ..Default::default()
+        }),
+        ..Default::default()
+    };
+    let opts = ReplayOptions {
+        cfg,
+        client_seed: profile.seed,
+        intrinsics: Intrinsics::from_fov(24, 24, 0.9),
         ..Default::default()
     };
     let wall = Instant::now();
-    let out = replay_once(&profile, &assets, cfg);
-    let wall_s = wall.elapsed().as_secs_f64();
+    let out = run_replay(&profile, &assets, &opts).unwrap_or_else(|e| fail("replay", e));
+    let (r, c, o) = (&out.report, &out.client, &out.report.overload);
     println!(
         "replayed {path}: {} sessions, {} frames in {:.3}s simulated ({:.3}s wall, {} scenes)",
         profile.sessions.len(),
-        out.report.frames,
-        out.report.makespan_s,
-        wall_s,
+        r.frames,
+        r.makespan_s,
+        wall.elapsed().as_secs_f64(),
         assets.scene_count(),
     );
-    print_digests(&out);
+    println!(
+        "  goodput {:.1} frames/s; on time: interactive {:.3}, standard {:.3}, best-effort {:.3}",
+        out.goodput_fps, out.attainment[0], out.attainment[1], out.attainment[2]
+    );
+    println!(
+        "  clients: {} submitted, {} admitted, {} queued, {} rejected, {} retries, {} abandoned",
+        c.submitted, c.admitted, c.queued, c.rejected, c.retries, c.abandoned
+    );
+    println!(
+        "  overload: {} enqueued, {} queue admits, {} brownout admits, {} sheds, {} pushed back, queue peak {}",
+        o.enqueued, o.queue_admits, o.brownout_admits, o.sheds, o.backpressure, o.queue_peak
+    );
     if let Some(path) = report_json {
-        let json = serde_json::to_string_pretty(&out.to_value())
+        let json = serde_json::to_string_pretty(&out)
             .unwrap_or_else(|e| fail("serializing replay outcome", e));
         if let Err(e) = std::fs::write(&path, json) {
             fail(&format!("writing {path}"), e);
@@ -302,189 +208,11 @@ fn cmd_replay(mut it: impl Iterator<Item = String>) {
     }
 }
 
-struct BenchLeg {
-    mode: &'static str,
-    out: ReplayOutcome,
-    wall_s: f64,
-}
-
-fn cmd_bench(mut it: impl Iterator<Item = String>) {
-    let mut out_path = "results/bench_overload.json".to_string();
-    let mut seed = 11u64;
-    let mut threads = 0usize;
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--out" => out_path = flag_value(&mut it, "--out"),
-            "--seed" => {
-                seed = flag_value(&mut it, "--seed")
-                    .parse()
-                    .unwrap_or_else(|_| usage("--seed takes a u64"))
-            }
-            "--threads" => {
-                threads = flag_value(&mut it, "--threads")
-                    .parse()
-                    .unwrap_or_else(|_| usage("--threads takes a count"))
-            }
-            other => usage(&format!("unknown bench flag {other}")),
-        }
-    }
-    let profile = model(16, 0.4, flash_crowd(), 0.25).generate(seed);
-    let assets = match TrafficAssets::build(&profile, &grid()) {
-        Ok(a) => a,
-        Err(e) => fail("baking bench assets", e),
-    };
-    // Load-bound saturation (not a session-count cap): utilization headroom
-    // admits ~3 full-fidelity sessions, so the crowd floods the queue while
-    // the brownout ladder's stretched windows still cut a session's load
-    // enough to fit — the posture where shed-only and shed+brownout
-    // genuinely differ.
-    let base = |overload: Option<OverloadControl>| ServeConfig {
-        render_threads: threads,
-        admission: AdmissionPolicy {
-            max_utilization: 0.024,
-            ..Default::default()
-        },
-        overload,
-        ..Default::default()
-    };
-    // The tight-SLO posture the crowd is judged under: a short queue and a
-    // half-deadline admission budget, so starved entries hit the
-    // brownout-or-shed decision instead of lingering until capacity drains.
-    let crowd_control = |brownout| OverloadControl {
-        queue_capacity: 6,
-        deadline_slack: 0.5,
-        brownout,
-        ..Default::default()
-    };
-    let legs: Vec<BenchLeg> = [
-        ("reject-only", None),
-        ("shed-only", Some(crowd_control(None))),
-        (
-            "shed+brownout",
-            Some(crowd_control(
-                Some(cicero_serve::LoadAdaptiveDegrade::default()),
-            )),
-        ),
-    ]
-    .into_iter()
-    .map(|(mode, overload)| {
-        let wall = Instant::now();
-        let out = replay_once(&profile, &assets, base(overload));
-        let leg = BenchLeg {
-            mode,
-            out,
-            wall_s: wall.elapsed().as_secs_f64(),
-        };
-        println!(
-            "{mode}: goodput {:.1} fps, attainment [{:.3} {:.3} {:.3}], sheds {}, rejected {}, abandoned {}",
-            leg.out.goodput_fps,
-            leg.out.attainment[0],
-            leg.out.attainment[1],
-            leg.out.attainment[2],
-            leg.out.report.overload.sheds,
-            leg.out.client.rejected,
-            leg.out.client.abandoned,
-        );
-        leg
-    })
-    .collect();
-
-    // Acceptance: overload control degrades by choice, not collapse.
-    let by = |m: &str| &legs.iter().find(|l| l.mode == m).unwrap().out;
-    let reject = by("reject-only");
-    let shed = by("shed-only");
-    let brown = by("shed+brownout");
-    assert!(reject.client.rejected > 0, "baseline must actually reject");
-    assert!(shed.report.overload.sheds > 0, "shed leg never shed");
-    assert!(
-        brown.report.overload.engaged(),
-        "brownout leg never engaged the queue"
-    );
-    assert!(
-        brown.report.overload.brownout_admits > 0,
-        "brownout leg never admitted a degraded session — it is indistinguishable from shed-only"
-    );
-    let peak = legs.iter().map(|l| l.out.goodput_fps).fold(0.0, f64::max);
-    assert!(
-        brown.goodput_fps >= 0.8 * peak,
-        "shed+brownout goodput {:.1} fell below 80% of peak {:.1}",
-        brown.goodput_fps,
-        peak
-    );
-    assert!(
-        brown.attainment[0] > reject.attainment[0],
-        "shed+brownout interactive attainment {:.3} must beat reject-only {:.3}",
-        brown.attainment[0],
-        reject.attainment[0]
-    );
-
-    let entries: Vec<String> = legs
-        .iter()
-        .map(|l| {
-            let o = &l.out.report.overload;
-            format!(
-                "    {{ \"mode\": \"{}\", \"frames\": {}, \"makespan_s\": {:.9}, \"goodput_fps\": {:.3}, \
-                 \"attainment\": [{:.6}, {:.6}, {:.6}], \"offered_frames\": [{}, {}, {}], \
-                 \"ontime_frames\": [{}, {}, {}], \"enqueued\": {}, \"queue_admits\": {}, \
-                 \"brownout_admits\": {}, \"sheds\": {}, \"backpressure\": {}, \"rejected\": {}, \
-                 \"retries\": {}, \"abandoned\": {}, \"queue_peak\": {}, \"max_queue_wait_s\": {:.9}, \
-                 \"deadline_miss_rate\": {:.6}, \"wall_s\": {:.6} }}",
-                l.mode,
-                l.out.report.frames,
-                l.out.report.makespan_s,
-                l.out.goodput_fps,
-                l.out.attainment[0],
-                l.out.attainment[1],
-                l.out.attainment[2],
-                l.out.offered_frames[0],
-                l.out.offered_frames[1],
-                l.out.offered_frames[2],
-                l.out.ontime_frames[0],
-                l.out.ontime_frames[1],
-                l.out.ontime_frames[2],
-                o.enqueued,
-                o.queue_admits,
-                o.brownout_admits,
-                o.sheds,
-                o.backpressure,
-                l.out.client.rejected,
-                l.out.client.retries,
-                l.out.client.abandoned,
-                o.queue_peak,
-                o.max_queue_wait_s,
-                l.out.report.deadline_miss_rate,
-                l.wall_s,
-            )
-        })
-        .collect();
-    let host_cores = std::thread::available_parallelism().map_or(1, usize::from);
-    let json = format!(
-        "{{\n  \"bench\": \"overload\",\n  \"schema_version\": 2,\n  \"profile_seed\": {},\n  \
-         \"sessions\": {},\n  \"arrivals\": \"flash-crowd\",\n  \"max_utilization\": 0.024,\n  \
-         \"host_threads\": {},\n  \"host_cores\": {},\n  \"modes\": [\n{}\n  ]\n}}\n",
-        seed,
-        profile.sessions.len(),
-        threads,
-        host_cores,
-        entries.join(",\n")
-    );
-    if let Some(dir) = std::path::Path::new(&out_path).parent() {
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            fail(&format!("creating {}", dir.display()), e);
-        }
-    }
-    if let Err(e) = std::fs::write(&out_path, &json) {
-        fail(&format!("writing {out_path}"), e);
-    }
-    println!("wrote {out_path}");
-}
-
 fn main() {
     let mut it = std::env::args().skip(1);
     match it.next().as_deref() {
         Some("generate") => cmd_generate(it),
         Some("replay") => cmd_replay(it),
-        Some("bench") => cmd_bench(it),
         Some(other) => usage(&format!("unknown mode {other}")),
         None => usage("missing mode"),
     }

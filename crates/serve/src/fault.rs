@@ -466,8 +466,8 @@ mod tests {
 
     #[test]
     fn golden_draws_never_change_across_refactors() {
-        // Every recorded chaos digest (CI oracles, results/bench_serve_*.json,
-        // results/bench_fleet.json) depends on the exact keyed-draw schedule.
+        // Every recorded chaos digest (the swarm matrix's fault_digest and
+        // fleet_digest lines) depends on the exact keyed-draw schedule.
         // This pins `fires()` for a fixed seed over a fixed key lattice: 32
         // draws per kind, packed LSB-first into one u32 per kind in ALL_KINDS
         // order. If a refactor changes any bit here it silently invalidates

@@ -595,8 +595,8 @@ impl Default for Policies {
 impl Policies {
     /// The bundle a CLI-facing policy name denotes — one non-default
     /// implementation swapped in per name, default parameters. The single
-    /// source of truth for `serve_swarm --policy` and the `policy_baseline`
-    /// bench; `None` for unknown names.
+    /// source of truth for `serve_swarm --policy` and the swarm matrix's
+    /// legs (`tests/swarm_matrix.rs`); `None` for unknown names.
     pub fn by_name(name: &str) -> Option<Policies> {
         match name {
             "default" => Some(Policies::default()),
