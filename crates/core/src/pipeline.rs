@@ -24,9 +24,9 @@ use crate::traffic::{
 use cicero_accel::config::SocConfig;
 use cicero_accel::soc::{FrameKind, FrameReport, Scenario, SocModel, Variant};
 use cicero_accel::FrameWorkload;
-use cicero_field::render::{env_sample_block, RenderOptions};
-use cicero_field::tiles::{env_render_threads, render_tiled, TileOptions};
-use cicero_field::{ModelSource, NerfModel, NullSink};
+use cicero_field::render::RenderOptions;
+use cicero_field::tiles::{render_tiled, TileOptions};
+use cicero_field::{ModelSource, NerfModel, NullSink, DEFAULT_SAMPLE_BLOCK};
 use cicero_math::{metrics, Camera, Intrinsics, Pose};
 use cicero_scene::ground_truth::{background_frame, render_frame, Frame};
 use cicero_scene::volume::MarchParams;
@@ -60,15 +60,13 @@ pub struct PipelineConfig {
     /// `t - 1` checked-out pool workers. Affects wall-clock speed only:
     /// output frames, statistics and simulated timings are bit-identical at
     /// any value (or under a capped/contended pool serving fewer lanes).
-    /// Defaults to the `RENDER_THREADS` environment variable (1 when
-    /// unset); external schedulers re-partition it live via
+    /// Defaults to 1; external schedulers re-partition it live via
     /// [`PipelineSession::set_render_threads`].
     pub render_threads: usize,
     /// Samples per SoA block of the batched sample engine (`1` = scalar
     /// marching). Like `render_threads`, a pure host-throughput knob:
     /// frames, statistics, traces and simulated timings are bit-identical
-    /// at every value. Defaults to the `SAMPLE_BLOCK` environment variable
-    /// ([`cicero_field::DEFAULT_SAMPLE_BLOCK`] when unset).
+    /// at every value. Defaults to [`cicero_field::DEFAULT_SAMPLE_BLOCK`].
     pub sample_block: usize,
 }
 
@@ -84,8 +82,8 @@ impl Default for PipelineConfig {
             soc: SocConfig::default(),
             collect_quality: true,
             collect_traffic: true,
-            render_threads: env_render_threads(),
-            sample_block: env_sample_block(),
+            render_threads: 1,
+            sample_block: DEFAULT_SAMPLE_BLOCK,
         }
     }
 }

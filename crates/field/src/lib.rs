@@ -60,7 +60,5 @@ pub use model::{GridModel, HashModel, ModelKind, ModelSource, NerfModel, TensorM
 pub use occupancy::OccupancyGrid;
 pub use plan::{GatherPlan, GatherSink, LevelGather, NullSink, RegionId};
 pub use pool::{Checkout, RenderPool};
-pub use render::{
-    env_sample_block, RenderOptions, RenderScratch, RenderStats, DEFAULT_SAMPLE_BLOCK,
-};
-pub use tiles::{env_render_threads, render_full_tiled, render_tiled, TileOptions};
+pub use render::{RenderOptions, RenderScratch, RenderStats, DEFAULT_SAMPLE_BLOCK};
+pub use tiles::{render_full_tiled, render_tiled, TileOptions};

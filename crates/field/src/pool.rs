@@ -28,7 +28,7 @@
 //! the pass runs with less parallelism. That is always safe because every
 //! pass routed through the pool is **bit-identical at any lane count** — the
 //! contract established by the tile engine and enforced by
-//! `tests/parallel_determinism.rs`. Parallelism here is a pure wall-clock
+//! `tests/frame_matrix.rs`. Parallelism here is a pure wall-clock
 //! knob; nothing about the output, the statistics or the simulated timelines
 //! may depend on how many workers answered.
 //!

@@ -22,17 +22,6 @@ use cicero_telemetry as telemetry;
 /// that the SoA scratch stays cache-resident and partial tails stay cheap.
 pub const DEFAULT_SAMPLE_BLOCK: usize = 16;
 
-/// Reads the `SAMPLE_BLOCK` environment variable (a CI leg uses it to run
-/// the whole suite at another lane count), defaulting to
-/// [`DEFAULT_SAMPLE_BLOCK`].
-pub fn env_sample_block() -> usize {
-    std::env::var("SAMPLE_BLOCK")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(DEFAULT_SAMPLE_BLOCK)
-}
-
 /// Rendering options.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RenderOptions {
@@ -55,8 +44,8 @@ pub struct RenderOptions {
     /// keeps the ray-major order and with it up to a block of speculation
     /// per early-exiting ray (1.06× / 1.18× / 1.96×).
     /// Pure throughput knob: frames, statistics and sink streams are
-    /// **bit-identical** at every value. Defaults to the `SAMPLE_BLOCK`
-    /// environment variable ([`DEFAULT_SAMPLE_BLOCK`] when unset).
+    /// **bit-identical** at every value. Defaults to
+    /// [`DEFAULT_SAMPLE_BLOCK`].
     pub sample_block: usize,
 }
 
@@ -65,7 +54,7 @@ impl Default for RenderOptions {
         RenderOptions {
             march: MarchParams::default(),
             use_occupancy: true,
-            sample_block: env_sample_block(),
+            sample_block: DEFAULT_SAMPLE_BLOCK,
         }
     }
 }

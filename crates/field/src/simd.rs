@@ -57,12 +57,12 @@
 //! On x86_64 the wide backends are always compiled in (the `simd` cargo
 //! feature is an empty name kept for manifests that list it);
 //! [`dispatch`] runs a [`Kernel`] on the widest one the host supports, and
-//! [`backend`] names it. One process-wide cap narrows that: `CICERO_SIMD=sse2`
-//! holds it to SSE2, `CICERO_SIMD=0` (or `off`, `false`) to the portable
-//! instance, and [`set_backend_cap`] overrides the environment so one binary
-//! can compare the instances (the equivalence tests and the `kernels` bench
-//! do). The cap is not part of any configuration: the output does not
-//! depend on it. Off x86_64 everything runs the portable instance.
+//! [`backend`] names it. One process-wide cap narrows that, and
+//! [`set_backend_cap`] is the only way to move it, so one binary can compare
+//! the instances (`tests/frame_matrix.rs`, `tests/zero_alloc.rs` and the
+//! `kernels` bench do). The cap is not part of any configuration and no
+//! environment variable reads it: the output does not depend on it. Off
+//! x86_64 everything runs the portable instance.
 //!
 //! # Adding a wide kernel
 //!
@@ -139,8 +139,7 @@ impl Backend {
 }
 
 // The widest backend `dispatch` selects, as `Backend::code`: the host's
-// widest, lowered by `CICERO_SIMD` or `set_backend_cap`. 0 = unset (detect
-// and read the environment on first use).
+// widest, lowered by `set_backend_cap`. 0 = unset (detect on first use).
 static WIDEST: AtomicU8 = AtomicU8::new(0);
 
 /// Name of the backend [`dispatch`] selects right now: `"avx"`, `"sse2"` or
@@ -161,18 +160,8 @@ pub fn dispatched() -> Backend {
 
 #[cold]
 fn init_widest() -> Backend {
-    set_backend_cap(cap_from_env(std::env::var("CICERO_SIMD").ok().as_deref()));
+    set_backend_cap(Backend::Avx);
     Backend::from_code(WIDEST.load(Ordering::Relaxed))
-}
-
-/// The cap a `CICERO_SIMD` value asks for: `0`, `off` and `false` mean the
-/// portable instance, `sse2` means SSE2, anything else (or unset) no cap.
-fn cap_from_env(value: Option<&str>) -> Backend {
-    match value {
-        Some("0" | "off" | "false") => Backend::Portable,
-        Some("sse2") => Backend::Sse2,
-        _ => Backend::Avx,
-    }
 }
 
 /// The widest backend this process can run: compiled in, and for AVX
@@ -190,11 +179,10 @@ fn host_widest() -> Backend {
     Backend::Portable
 }
 
-/// Caps the backend [`dispatch`] selects (overrides the `CICERO_SIMD`
-/// environment default); the host's widest still applies, so
-/// [`Backend::Avx`] means "no cap" and [`Backend::Portable`] is what
-/// "scalar" means. Only the equivalence tests and the `kernels` bench have
-/// a reason to call it.
+/// Caps the backend [`dispatch`] selects (uncapped until the first call);
+/// the host's widest still applies, so [`Backend::Avx`] means "no cap" and
+/// [`Backend::Portable`] is what "scalar" means. Only the determinism tests
+/// and the `kernels` bench have a reason to call it.
 pub fn set_backend_cap(cap: Backend) {
     WIDEST.store(host_widest().min(cap).code(), Ordering::Relaxed);
 }
@@ -726,16 +714,8 @@ mod tests {
 
     #[test]
     fn toggle_reflects_feature_gate() {
-        // What `CICERO_SIMD` asks for, and what the build can give: every
-        // "off" spelling is the portable cap, and off x86_64 no cap can
-        // select anything wider.
-        for off in ["0", "off", "false"] {
-            assert_eq!(cap_from_env(Some(off)), Backend::Portable);
-        }
-        assert_eq!(cap_from_env(Some("sse2")), Backend::Sse2);
-        for uncapped in [None, Some("avx"), Some("1"), Some("")] {
-            assert_eq!(cap_from_env(uncapped), Backend::Avx);
-        }
+        // What the build can give: off x86_64 no cap selects anything wider
+        // than the portable instance.
         assert!(Backend::Portable.supported());
         assert_eq!(Backend::Sse2.supported(), cfg!(target_arch = "x86_64"));
     }

@@ -72,17 +72,6 @@ impl TileOptions {
     }
 }
 
-/// Reads the `RENDER_THREADS` environment variable (the CI matrix and the
-/// examples use it), defaulting to 1 — parallelism is opt-in so that
-/// experiment harnesses stay reproducible run-to-run by default.
-pub fn env_render_threads() -> usize {
-    std::env::var("RENDER_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(1)
-}
-
 /// One tile's buffered sample stream: flat event records plus a shared
 /// level arena, so buffering a sample never allocates per-event beyond the
 /// amortized `Vec` growth.
@@ -414,11 +403,5 @@ mod tests {
             RenderPool::global().spawned_total() == before
         });
         assert!(reused, "warmed pool renders keep spawning threads");
-    }
-
-    #[test]
-    fn env_threads_defaults_to_one() {
-        // The test runner does not set RENDER_THREADS=0; parsing rejects it.
-        assert!(env_render_threads() >= 1);
     }
 }

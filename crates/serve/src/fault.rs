@@ -177,8 +177,8 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// The default per-decision fault rate (`--faults` without
-    /// `--fault-rate`).
+    /// The default per-decision fault rate: the one [`seeded`](Self::seeded)
+    /// plans (and `serve_swarm --faults SEED`) inject at.
     pub const DEFAULT_RATE: f64 = 0.02;
 
     /// The standard mix at [`DEFAULT_RATE`](Self::DEFAULT_RATE).

@@ -1,15 +1,23 @@
 //! The policy layer: every scheduling *decision* the frame server makes,
-//! extracted behind three traits so deployments can swap strategy without
+//! extracted behind five traits so deployments can swap strategy without
 //! touching the scheduler's plumbing.
 //!
 //! - [`PlacementPolicy`] — which simulated worker runs a job,
 //! - [`QosPolicy`] — what happens at admission when the pool is loaded,
 //! - [`PrefetchPolicy`] — whether idle simulated capacity renders future
-//!   references speculatively.
+//!   references speculatively,
+//! - [`RecoveryPolicy`] — how a failed reference render is retried, falls
+//!   back or is given up on (consulted only under an armed fault plan),
+//! - [`ShardRoutingPolicy`] — which [`Fleet`](crate::Fleet) shard owns a
+//!   session, at admission and at failover.
 //!
-//! The [`Policies`] bundle on [`ServeConfig`](crate::ServeConfig) defaults to
-//! implementations that reproduce the historical hard-coded behavior
-//! **bit-for-bit** ([`LeastLoaded`], [`RejectAtAdmission`], [`NoPrefetch`]).
+//! The first four ride the [`Policies`] bundle on
+//! [`ServeConfig`](crate::ServeConfig), which defaults to implementations
+//! that reproduce the historical hard-coded behavior **bit-for-bit**
+//! ([`LeastLoaded`], [`RejectAtAdmission`], [`NoPrefetch`],
+//! [`RetryWithBackoff`]); routing rides
+//! [`FleetConfig::routing`](crate::FleetConfig::routing) and defaults to
+//! [`SceneHashRouting`].
 //!
 //! # Determinism contract
 //!

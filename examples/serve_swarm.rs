@@ -13,10 +13,9 @@
 //!                                           [--shards N] [--trace T.json] [--metrics M.prom]
 //! ```
 //!
-//! - `THREADS` is the server's total host thread budget (default: the
-//!   `RENDER_THREADS` environment variable, then 1): ready sessions step
-//!   concurrently on the persistent render pool. The service report is
-//!   bit-identical at any budget; only wall-clock moves.
+//! - `THREADS` is the server's total host thread budget (default 1): ready
+//!   sessions step concurrently on the persistent render pool. The service
+//!   report is bit-identical at any budget; only wall-clock moves.
 //! - `--policy <default|affinity|degrade|prefetch|all>` selects the serving
 //!   policy bundle (`all` runs each in turn over the same baked assets).
 //! - `--faults <seed>` arms deterministic fault injection (worker crashes,
@@ -112,9 +111,7 @@ fn parse_args() -> Args {
             args.policy
         ));
     }
-    args.render_threads = threads
-        .unwrap_or_else(cicero_field::env_render_threads)
-        .max(1);
+    args.render_threads = threads.unwrap_or(1).max(1);
     args
 }
 

@@ -1,11 +1,11 @@
 //! The renderer's inner sample loop must perform **zero heap allocations**
-//! once its per-thread scratch is warm (ISSUE 2 acceptance criterion; the
+//! once its per-thread scratch is warm (the
 //! paper's thesis is that per-sample overheads, not FLOPs, dominate neural
 //! rendering). A counting global allocator measures a full warmed-up frame
 //! render: the second render through the same scratch must not allocate at
 //! all.
 //!
-//! The persistent worker pool widened the contract (ISSUE 3): a warmed
+//! The persistent worker pool widened the contract: a warmed
 //! **pool-parallel** frame — checkout, job dispatch, pass barriers, direct
 //! frame writes, stats merge, worker release — and a warmed pool warp
 //! through [`cicero::sparw::warp_frame_into`] (one checkout, four pass
@@ -13,7 +13,7 @@
 //! threads. The allocator counter is process-global, so it covers the pool
 //! workers' lanes too, not just the calling thread.
 //!
-//! The telemetry subsystem widened it again (ISSUE 6): with the recorder
+//! The telemetry subsystem widened it again: with the recorder
 //! **enabled**, the same warmed paths — frame spans, pool job/pass spans,
 //! worker busy/idle tallies, counters and histograms — must still allocate
 //! nothing. Per-thread rings are pre-sized atomics created lazily at a
@@ -21,10 +21,14 @@
 //! scratches and materializes every ring; the measured frame then runs
 //! entirely on relaxed atomic stores.
 //!
-//! The traffic sinks joined (ISSUE 19): a frame rendered into a
+//! The traffic sinks joined: a frame rendered into a
 //! `PixelCentricTraffic` or a `StreamingTraffic` allocates for the sink's
 //! construction and for the growth of its arenas — a few dozen times, not
 //! once or more per sample.
+//!
+//! Every leg that runs a kernel runs once per vector backend the host
+//! supports, capped with `simd::set_backend_cap`: the wide instances stage
+//! lanes through stack arrays, and must not allocate either.
 //!
 //! This file deliberately contains a single `#[test]` — the counter is
 //! process-global, and concurrent tests in the same binary would perturb it.
@@ -33,6 +37,7 @@ use cicero::sparw::{warp_frame_into, WarpOptions, WarpResult, WarpScratch};
 use cicero::traffic::{PixelCentricConfig, PixelCentricTraffic, StreamingConfig, StreamingTraffic};
 use cicero_field::pool::RenderPool;
 use cicero_field::render::{render_masked, render_masked_with, RenderOptions, RenderScratch};
+use cicero_field::simd::{self, Backend};
 use cicero_field::tiles::{render_tiled, TileOptions};
 use cicero_field::{bake, GatherPlan, GridConfig, HashConfig, NerfModel, NullSink, TensorConfig};
 use cicero_math::{Camera, Intrinsics, Pose, Vec3};
@@ -118,38 +123,192 @@ fn warmed_sample_loop_performs_zero_heap_allocations() {
     let opts = RenderOptions::default();
 
     // Every leg below runs the kernels — the MLP block kernel, the gathers,
-    // the SPARW passes — on whichever backend the build, the host and
-    // `CICERO_SIMD` select (CI runs this suite once per cap), so say which:
+    // the SPARW passes — so it runs once per backend this host supports:
     // all of them accumulate in registers and stage lanes through stack
     // arrays, and none may add an allocation to a warmed frame.
-    println!("simd::backend() = {}", cicero_field::simd::backend());
+    // The warp legs warp one ground-truth frame to a nearby pose on four
+    // lanes, through one warp scratch and output.
+    let scene = cicero_scene::library::scene_by_name("lego").unwrap();
+    let k = Intrinsics::from_fov(48, 48, 0.9);
+    let look = |from: Vec3| Camera::new(k, Pose::look_at(from, Vec3::ZERO, Vec3::Y));
+    let (ref_cam, tgt_cam) = (
+        look(Vec3::new(0.0, 1.3, -2.8)),
+        look(Vec3::new(0.2, 1.25, -2.7)),
+    );
+    let reference = render_frame(&scene, &ref_cam, &MarchParams::default());
+    let (wopts, background) = (WarpOptions::default(), scene.background());
+    let (mut warp_scratch, mut warp_out) = (WarpScratch::new(), WarpResult::empty());
+    let mut warp = || {
+        let (scratch, out) = (&mut warp_scratch, &mut warp_out);
+        warp_frame_into(
+            &reference, &ref_cam, &tgt_cam, background, &wopts, scratch, 4, out,
+        );
+        warp_out.stats().warped
+    };
 
-    // The marcher must hold the contract at both ends of its lane count: a
-    // one-lane block (every processed sample is its own flush) and the
-    // default block. Its scratch — lane arrays, per-lane plan levels,
-    // ping-pong activation matrices, the slots of the rays in flight — lives
-    // in `RenderScratch` and warms on frame one.
-    for sample_block in [1usize, cicero_field::DEFAULT_SAMPLE_BLOCK] {
-        // An unoptimised one-lane block costs several times more per sample;
-        // a quarter of the rays warm and measure the same buffers.
-        let side = if sample_block == 1 { 16 } else { 32 };
-        let cam = Camera::new(Intrinsics::from_fov(side, side, 0.9), cam.pose);
-        for (name, model) in &models {
-            let model = model.as_ref();
+    let pool = RenderPool::global();
+    for backend in Backend::ALL.into_iter().filter(|b| b.supported()) {
+        simd::set_backend_cap(backend);
+        println!("simd::backend() = {}", simd::backend());
+
+        // The marcher must hold the contract at both ends of its lane count: a
+        // one-lane block (every processed sample is its own flush) and the
+        // default block. Its scratch — lane arrays, per-lane plan levels,
+        // ping-pong activation matrices, the slots of the rays in flight — lives
+        // in `RenderScratch` and warms on frame one.
+        for sample_block in [1usize, cicero_field::DEFAULT_SAMPLE_BLOCK] {
+            // An unoptimised one-lane block costs several times more per sample;
+            // a quarter of the rays warm and measure the same buffers.
+            let side = if sample_block == 1 { 16 } else { 32 };
+            let cam = Camera::new(Intrinsics::from_fov(side, side, 0.9), cam.pose);
+            for (name, model) in &models {
+                let model = model.as_ref();
+                let opts = RenderOptions {
+                    sample_block,
+                    ..opts
+                };
+                let mut frame = cicero_scene::ground_truth::background_frame(
+                    &cicero_field::ModelSource(model),
+                    side,
+                    side,
+                );
+                let mut scratch = RenderScratch::new();
+                // Warm-up: grows every scratch capacity (features, plan levels,
+                // MLP ping-pong activations, sample-block lanes) to its
+                // steady-state size.
+                let warm = render_masked_with(
+                    model,
+                    &cam,
+                    &opts,
+                    None,
+                    &mut frame,
+                    &mut NullSink,
+                    &mut scratch,
+                );
+                assert!(warm.samples_processed > 0, "{name}: no samples rendered");
+
+                let before = ALLOCATIONS.load(Ordering::SeqCst);
+                let stats = render_masked_with(
+                    model,
+                    &cam,
+                    &opts,
+                    None,
+                    &mut frame,
+                    &mut NullSink,
+                    &mut scratch,
+                );
+                let after = ALLOCATIONS.load(Ordering::SeqCst);
+                assert_eq!(
+                    after - before,
+                    0,
+                    "{name}: warmed block-{sample_block} render of {} samples allocated {} times",
+                    stats.samples_processed,
+                    after - before
+                );
+
+                // The scratch-less public entry point reuses a per-thread
+                // scratch, so the default pipeline path is also allocation-free
+                // once warm.
+                render_masked(model, &cam, &opts, None, &mut frame, &mut NullSink);
+                let before = ALLOCATIONS.load(Ordering::SeqCst);
+                render_masked(model, &cam, &opts, None, &mut frame, &mut NullSink);
+                let after = ALLOCATIONS.load(Ordering::SeqCst);
+                assert_eq!(
+                    after - before,
+                    0,
+                    "{name}: warmed block-{sample_block} render_masked (thread-local scratch) allocated {} times",
+                    after - before
+                );
+            }
+        }
+
+        // ---- The pool-parallel paths ----
+        //
+        // Tile rendering through the persistent worker pool: the first frame
+        // spawns and warms the workers; after that a frame's checkout, job
+        // dispatch, barrier, direct-to-frame tile writes, stats merge and
+        // worker release must neither allocate nor spawn.
+        {
+            let model = models[0].1.as_ref(); // grid
+            let tile = TileOptions {
+                threads: 4,
+                tile_rows: 8,
+            };
+            let mut frame = cicero_scene::ground_truth::background_frame(
+                &cicero_field::ModelSource(model),
+                32,
+                32,
+            );
+            for _ in 0..2 {
+                render_tiled(model, &cam, &opts, None, &mut frame, &mut NullSink, &tile);
+            }
+            let spawns_before = pool.spawned_total();
+            let before = ALLOCATIONS.load(Ordering::SeqCst);
+            let stats = render_tiled(model, &cam, &opts, None, &mut frame, &mut NullSink, &tile);
+            let after = ALLOCATIONS.load(Ordering::SeqCst);
+            assert!(stats.samples_processed > 0);
+            assert_eq!(
+                after - before,
+                0,
+                "warmed pool render allocated {} times",
+                after - before
+            );
+            assert_eq!(
+                pool.spawned_total(),
+                spawns_before,
+                "warmed pool render spawned threads"
+            );
+        }
+
+        // Pool warping: one checkout, four pass barriers, caller-owned output.
+        // `warp_frame_into` reuses the result's frame/status buffers, the warp
+        // scratch and the pool workers — a warmed warp is allocation-free end
+        // to end.
+        warp();
+        warp();
+        let spawns_before = pool.spawned_total();
+        let before = ALLOCATIONS.load(Ordering::SeqCst);
+        let warped = warp();
+        let after = ALLOCATIONS.load(Ordering::SeqCst);
+        assert!(warped > 0);
+        assert_eq!(
+            after - before,
+            0,
+            "warmed pool warp allocated {} times",
+            after - before
+        );
+        assert_eq!(
+            pool.spawned_total(),
+            spawns_before,
+            "warmed pool warp spawned threads"
+        );
+
+        // ---- The same paths with telemetry ON ----
+        //
+        // Enabling the recorder must not reintroduce allocations: probes write
+        // into pre-sized per-thread atomic rings. The warm-up pass below doubles
+        // as ring creation (each thread's ring is built lazily at its first
+        // record, which does allocate — once, covered by the warm-up).
+        // Reset: the rings of an earlier backend's pass are full, and the
+        // span checks below count what this pass adds.
+        telemetry::enable();
+        telemetry::reset();
+        assert!(telemetry::is_enabled());
+        {
+            let model = models[0].1.as_ref(); // grid
             let opts = RenderOptions {
-                sample_block,
+                sample_block: cicero_field::DEFAULT_SAMPLE_BLOCK,
                 ..opts
             };
             let mut frame = cicero_scene::ground_truth::background_frame(
                 &cicero_field::ModelSource(model),
-                side,
-                side,
+                32,
+                32,
             );
             let mut scratch = RenderScratch::new();
-            // Warm-up: grows every scratch capacity (features, plan levels,
-            // MLP ping-pong activations, sample-block lanes) to its
-            // steady-state size.
-            let warm = render_masked_with(
+
+            // Single-thread batched render.
+            render_masked_with(
                 model,
                 &cam,
                 &opts,
@@ -158,8 +317,16 @@ fn warmed_sample_loop_performs_zero_heap_allocations() {
                 &mut NullSink,
                 &mut scratch,
             );
-            assert!(warm.samples_processed > 0, "{name}: no samples rendered");
-
+            let events_before = telemetry::event_count();
+            let marcher_counts = || {
+                [
+                    telemetry::Counter::MarchStepsVisited,
+                    telemetry::Counter::SampleLanesEvaluated,
+                    telemetry::Counter::SampleLanesCommitted,
+                ]
+                .map(telemetry::counter_value)
+            };
+            let counts_before = marcher_counts();
             let before = ALLOCATIONS.load(Ordering::SeqCst);
             let stats = render_masked_with(
                 model,
@@ -171,36 +338,103 @@ fn warmed_sample_loop_performs_zero_heap_allocations() {
                 &mut scratch,
             );
             let after = ALLOCATIONS.load(Ordering::SeqCst);
+            assert!(stats.samples_processed > 0);
             assert_eq!(
                 after - before,
                 0,
-                "{name}: warmed block-{sample_block} render of {} samples allocated {} times",
-                stats.samples_processed,
+                "telemetry-on warmed render allocated {} times",
                 after - before
             );
+            assert!(
+                telemetry::event_count() > events_before,
+                "telemetry-on render recorded no spans"
+            );
 
-            // The scratch-less public entry point reuses a per-thread
-            // scratch, so the default pipeline path is also allocation-free
-            // once warm.
-            render_masked(model, &cam, &opts, None, &mut frame, &mut NullSink);
+            // Lane accounting of the batched marcher (this is the only test in
+            // its binary, so the global counters see this render alone). A sink
+            // that does not observe gets one lane per ray per block, so no lane
+            // is evaluated past an early exit while the band still has a pixel
+            // for every slot; only the last `block - 1` rays can share blocks,
+            // and each of them can then lose at most `block - 1` lanes. And the
+            // walk through the occupancy looks at far fewer candidates than the
+            // render indexes.
+            let [visited, evaluated, committed] = {
+                let after = marcher_counts();
+                [0, 1, 2].map(|i| after[i] - counts_before[i])
+            };
+            let block = opts.sample_block as u64;
+            println!(
+                "marcher at block {block}: {visited} candidates visited of {} indexed, {evaluated} lanes evaluated, {committed} committed",
+                stats.samples_indexed
+            );
+            assert_eq!(committed, stats.samples_processed);
+            assert!(
+                evaluated - committed <= (block - 1) * (block - 1),
+                "{evaluated} lanes evaluated for {committed} committed at block {block}"
+            );
+            assert!(
+                visited >= committed && visited * 2 < stats.samples_indexed,
+                "{visited} candidates visited of {} indexed",
+                stats.samples_indexed
+            );
+
+            // Pool-parallel tile render: worker rings, busy/idle tallies, job
+            // and pass spans, checkout counters.
+            let tile = TileOptions {
+                threads: 4,
+                tile_rows: 8,
+            };
+            for _ in 0..2 {
+                render_tiled(model, &cam, &opts, None, &mut frame, &mut NullSink, &tile);
+            }
+            let jobs_before = telemetry::counter_value(telemetry::Counter::PoolJobs);
+            let spawns_before = pool.spawned_total();
             let before = ALLOCATIONS.load(Ordering::SeqCst);
-            render_masked(model, &cam, &opts, None, &mut frame, &mut NullSink);
+            render_tiled(model, &cam, &opts, None, &mut frame, &mut NullSink, &tile);
             let after = ALLOCATIONS.load(Ordering::SeqCst);
             assert_eq!(
                 after - before,
                 0,
-                "{name}: warmed block-{sample_block} render_masked (thread-local scratch) allocated {} times",
+                "telemetry-on warmed pool render allocated {} times",
                 after - before
             );
+            assert_eq!(pool.spawned_total(), spawns_before);
+            assert!(
+                telemetry::counter_value(telemetry::Counter::PoolJobs) > jobs_before,
+                "telemetry-on pool render recorded no jobs"
+            );
         }
-    }
 
-    // ---- The traffic sinks (ISSUE 19) ----
+        // Pool warp with telemetry on: warp pass spans ride the pool job spans.
+        warp();
+        warp();
+        let events_before = telemetry::event_count();
+        let before = ALLOCATIONS.load(Ordering::SeqCst);
+        let warped = warp();
+        let after = ALLOCATIONS.load(Ordering::SeqCst);
+        assert!(warped > 0);
+        assert_eq!(
+            after - before,
+            0,
+            "telemetry-on warmed pool warp allocated {} times",
+            after - before
+        );
+        assert!(
+            telemetry::event_count() > events_before,
+            "telemetry-on warp recorded no spans"
+        );
+        telemetry::disable();
+        assert!(!telemetry::is_enabled());
+    }
+    simd::set_backend_cap(Backend::Avx);
+
+    // ---- The traffic sinks ----
     //
     // A sink that observes samples gets a gather plan per lane from the
     // marcher's warmed scratch; what is left to allocate is the sink itself
     // (address map, cache tags, bank loads, one MVoxel partition per dense
-    // region) and the doubling of the pixel-centric wave's arenas.
+    // region) and the doubling of the pixel-centric wave's arenas. None of
+    // that depends on the kernels' backend, so this leg runs once, uncapped.
     {
         let side = 48;
         let cam = Camera::new(Intrinsics::from_fov(side, side, 0.9), cam.pose);
@@ -250,273 +484,7 @@ fn warmed_sample_loop_performs_zero_heap_allocations() {
         }
     }
 
-    // ---- The pool-parallel paths (ISSUE 3) ----
-    //
-    // Tile rendering through the persistent worker pool: the first frame
-    // spawns and warms the workers; after that a frame's checkout, job
-    // dispatch, barrier, direct-to-frame tile writes, stats merge and
-    // worker release must neither allocate nor spawn.
-    let pool = RenderPool::global();
-    {
-        let model = models[0].1.as_ref(); // grid
-        let tile = TileOptions {
-            threads: 4,
-            tile_rows: 8,
-        };
-        let mut frame =
-            cicero_scene::ground_truth::background_frame(&cicero_field::ModelSource(model), 32, 32);
-        for _ in 0..2 {
-            render_tiled(model, &cam, &opts, None, &mut frame, &mut NullSink, &tile);
-        }
-        let spawns_before = pool.spawned_total();
-        let before = ALLOCATIONS.load(Ordering::SeqCst);
-        let stats = render_tiled(model, &cam, &opts, None, &mut frame, &mut NullSink, &tile);
-        let after = ALLOCATIONS.load(Ordering::SeqCst);
-        assert!(stats.samples_processed > 0);
-        assert_eq!(
-            after - before,
-            0,
-            "warmed pool render allocated {} times",
-            after - before
-        );
-        assert_eq!(
-            pool.spawned_total(),
-            spawns_before,
-            "warmed pool render spawned threads"
-        );
-    }
-
-    // Pool warping: one checkout, four pass barriers, caller-owned output.
-    // `warp_frame_into` reuses the result's frame/status buffers, the warp
-    // scratch and the pool workers — a warmed warp is allocation-free end
-    // to end.
-    {
-        let scene = cicero_scene::library::scene_by_name("lego").unwrap();
-        let k = Intrinsics::from_fov(48, 48, 0.9);
-        let ref_cam = Camera::new(
-            k,
-            Pose::look_at(Vec3::new(0.0, 1.3, -2.8), Vec3::ZERO, Vec3::Y),
-        );
-        let tgt_cam = Camera::new(
-            k,
-            Pose::look_at(Vec3::new(0.2, 1.25, -2.7), Vec3::ZERO, Vec3::Y),
-        );
-        let reference = render_frame(&scene, &ref_cam, &MarchParams::default());
-        let wopts = WarpOptions::default();
-        let mut scratch = WarpScratch::new();
-        let mut out = WarpResult::empty();
-        for _ in 0..2 {
-            warp_frame_into(
-                &reference,
-                &ref_cam,
-                &tgt_cam,
-                scene.background(),
-                &wopts,
-                &mut scratch,
-                4,
-                &mut out,
-            );
-        }
-        let spawns_before = pool.spawned_total();
-        let before = ALLOCATIONS.load(Ordering::SeqCst);
-        warp_frame_into(
-            &reference,
-            &ref_cam,
-            &tgt_cam,
-            scene.background(),
-            &wopts,
-            &mut scratch,
-            4,
-            &mut out,
-        );
-        let after = ALLOCATIONS.load(Ordering::SeqCst);
-        assert!(out.stats().warped > 0);
-        assert_eq!(
-            after - before,
-            0,
-            "warmed pool warp allocated {} times",
-            after - before
-        );
-        assert_eq!(
-            pool.spawned_total(),
-            spawns_before,
-            "warmed pool warp spawned threads"
-        );
-    }
-
-    // ---- The same paths with telemetry ON (ISSUE 6) ----
-    //
-    // Enabling the recorder must not reintroduce allocations: probes write
-    // into pre-sized per-thread atomic rings. The warm-up pass below doubles
-    // as ring creation (each thread's ring is built lazily at its first
-    // record, which does allocate — once, covered by the warm-up).
-    telemetry::enable();
-    assert!(telemetry::is_enabled());
-    {
-        let model = models[0].1.as_ref(); // grid
-        let opts = RenderOptions {
-            sample_block: cicero_field::DEFAULT_SAMPLE_BLOCK,
-            ..opts
-        };
-        let mut frame =
-            cicero_scene::ground_truth::background_frame(&cicero_field::ModelSource(model), 32, 32);
-        let mut scratch = RenderScratch::new();
-
-        // Single-thread batched render.
-        render_masked_with(
-            model,
-            &cam,
-            &opts,
-            None,
-            &mut frame,
-            &mut NullSink,
-            &mut scratch,
-        );
-        let events_before = telemetry::event_count();
-        let marcher_counts = || {
-            [
-                telemetry::Counter::MarchStepsVisited,
-                telemetry::Counter::SampleLanesEvaluated,
-                telemetry::Counter::SampleLanesCommitted,
-            ]
-            .map(telemetry::counter_value)
-        };
-        let counts_before = marcher_counts();
-        let before = ALLOCATIONS.load(Ordering::SeqCst);
-        let stats = render_masked_with(
-            model,
-            &cam,
-            &opts,
-            None,
-            &mut frame,
-            &mut NullSink,
-            &mut scratch,
-        );
-        let after = ALLOCATIONS.load(Ordering::SeqCst);
-        assert!(stats.samples_processed > 0);
-        assert_eq!(
-            after - before,
-            0,
-            "telemetry-on warmed render allocated {} times",
-            after - before
-        );
-        assert!(
-            telemetry::event_count() > events_before,
-            "telemetry-on render recorded no spans"
-        );
-
-        // Lane accounting of the batched marcher (this is the only test in
-        // its binary, so the global counters see this render alone). A sink
-        // that does not observe gets one lane per ray per block, so no lane
-        // is evaluated past an early exit while the band still has a pixel
-        // for every slot; only the last `block - 1` rays can share blocks,
-        // and each of them can then lose at most `block - 1` lanes. And the
-        // walk through the occupancy looks at far fewer candidates than the
-        // render indexes.
-        let [visited, evaluated, committed] = {
-            let after = marcher_counts();
-            [0, 1, 2].map(|i| after[i] - counts_before[i])
-        };
-        let block = opts.sample_block as u64;
-        println!(
-            "marcher at block {block}: {visited} candidates visited of {} indexed, {evaluated} lanes evaluated, {committed} committed",
-            stats.samples_indexed
-        );
-        assert_eq!(committed, stats.samples_processed);
-        assert!(
-            evaluated - committed <= (block - 1) * (block - 1),
-            "{evaluated} lanes evaluated for {committed} committed at block {block}"
-        );
-        assert!(
-            visited >= committed && visited * 2 < stats.samples_indexed,
-            "{visited} candidates visited of {} indexed",
-            stats.samples_indexed
-        );
-
-        // Pool-parallel tile render: worker rings, busy/idle tallies, job
-        // and pass spans, checkout counters.
-        let tile = TileOptions {
-            threads: 4,
-            tile_rows: 8,
-        };
-        for _ in 0..2 {
-            render_tiled(model, &cam, &opts, None, &mut frame, &mut NullSink, &tile);
-        }
-        let jobs_before = telemetry::counter_value(telemetry::Counter::PoolJobs);
-        let spawns_before = pool.spawned_total();
-        let before = ALLOCATIONS.load(Ordering::SeqCst);
-        render_tiled(model, &cam, &opts, None, &mut frame, &mut NullSink, &tile);
-        let after = ALLOCATIONS.load(Ordering::SeqCst);
-        assert_eq!(
-            after - before,
-            0,
-            "telemetry-on warmed pool render allocated {} times",
-            after - before
-        );
-        assert_eq!(pool.spawned_total(), spawns_before);
-        assert!(
-            telemetry::counter_value(telemetry::Counter::PoolJobs) > jobs_before,
-            "telemetry-on pool render recorded no jobs"
-        );
-    }
-
-    // Pool warp with telemetry on: warp pass spans ride the pool job spans.
-    {
-        let scene = cicero_scene::library::scene_by_name("lego").unwrap();
-        let k = Intrinsics::from_fov(48, 48, 0.9);
-        let ref_cam = Camera::new(
-            k,
-            Pose::look_at(Vec3::new(0.0, 1.3, -2.8), Vec3::ZERO, Vec3::Y),
-        );
-        let tgt_cam = Camera::new(
-            k,
-            Pose::look_at(Vec3::new(0.2, 1.25, -2.7), Vec3::ZERO, Vec3::Y),
-        );
-        let reference = render_frame(&scene, &ref_cam, &MarchParams::default());
-        let wopts = WarpOptions::default();
-        let mut scratch = WarpScratch::new();
-        let mut out = WarpResult::empty();
-        for _ in 0..2 {
-            warp_frame_into(
-                &reference,
-                &ref_cam,
-                &tgt_cam,
-                scene.background(),
-                &wopts,
-                &mut scratch,
-                4,
-                &mut out,
-            );
-        }
-        let events_before = telemetry::event_count();
-        let before = ALLOCATIONS.load(Ordering::SeqCst);
-        warp_frame_into(
-            &reference,
-            &ref_cam,
-            &tgt_cam,
-            scene.background(),
-            &wopts,
-            &mut scratch,
-            4,
-            &mut out,
-        );
-        let after = ALLOCATIONS.load(Ordering::SeqCst);
-        assert!(out.stats().warped > 0);
-        assert_eq!(
-            after - before,
-            0,
-            "telemetry-on warmed pool warp allocated {} times",
-            after - before
-        );
-        assert!(
-            telemetry::event_count() > events_before,
-            "telemetry-on warp recorded no spans"
-        );
-    }
-    telemetry::disable();
-    assert!(!telemetry::is_enabled());
-
-    // ---- Armed fault injection (ISSUE 7) ----
+    // ---- Armed fault injection ----
     //
     // Fault decisions are keyed hashes over stack bytes: an armed
     // [`FaultPlan`] consulted at every scheduler seam must add zero heap
