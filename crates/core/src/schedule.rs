@@ -84,7 +84,7 @@ impl Schedule {
     /// Extends the plans over as many additional frames of `traj` as the
     /// placement policy can commit to, and returns how many were added.
     ///
-    /// This is the streaming-ingestion half of [`plan`]: a session that
+    /// This is the streaming-ingestion half of [`plan`](Self::plan): a session that
     /// receives poses one at a time re-invokes `extend` after each arrival.
     /// Planning is **window-atomic** — a window's frames are planned only
     /// once the window is fully covered by arrived poses (or `closed` marks

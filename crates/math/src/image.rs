@@ -142,7 +142,7 @@ impl RgbImage {
         })
     }
 
-    /// Writes the image as a binary PPM file (values tone-clamped to [0,1]).
+    /// Writes the image as a binary PPM file (values tone-clamped to `[0, 1]`).
     ///
     /// # Errors
     ///

@@ -132,7 +132,9 @@ impl<'a> FrameServer<'a> {
     /// is a function of simulated state only, so prefetch decisions are
     /// bit-identical at any host thread budget.
     fn plan_prefetch(&mut self, plan: &mut Plan) {
-        let prefetch = self.cfg.policies.prefetch.as_ref();
+        let Some(prefetch) = self.cfg.policies.prefetch else {
+            return;
+        };
         let mut remaining = prefetch.budget(plan.jobs.len(), &self.pool);
         if remaining == 0 {
             return;

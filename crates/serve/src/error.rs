@@ -58,6 +58,11 @@ pub enum ServeError {
         /// Which field was wrong, and how.
         reason: &'static str,
     },
+    /// A configuration is malformed — refused before anything was built.
+    InvalidConfig {
+        /// Which field was wrong, and how.
+        reason: &'static str,
+    },
 }
 
 impl fmt::Display for ServeError {
@@ -83,6 +88,7 @@ impl fmt::Display for ServeError {
                 write!(f, "server overloaded; retry after {retry_after_s}s")
             }
             ServeError::InvalidSubmission { reason } => write!(f, "invalid submission: {reason}"),
+            ServeError::InvalidConfig { reason } => write!(f, "invalid configuration: {reason}"),
         }
     }
 }

@@ -29,7 +29,7 @@
 //! - [`FaultKind::WorkerCrash`] — a simulated reference/target job dies
 //!   partway through its priced duration; the worker is quarantined and the
 //!   recovery ladder (retry → stale warp → degraded re-render; see
-//!   [`RecoveryPolicy`](crate::policy::RecoveryPolicy)) takes over.
+//!   [`RetryWithBackoff`](crate::policy::RetryWithBackoff)) takes over.
 //! - [`FaultKind::Straggler`] — the job completes but takes
 //!   [`straggler_factor`](FaultPlan::straggler_factor)× its priced time.
 //! - [`FaultKind::CacheCorruption`] — a resident reference-cache entry is

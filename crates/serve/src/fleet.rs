@@ -9,8 +9,7 @@
 //! capacity into shards that fail independently — the serving analogue of
 //! the paper's multi-SoC scaling argument, applied to *availability* instead
 //! of throughput. The [`Fleet`] owns the shards, routes each session to one
-//! at admission (by scene hash or load; see
-//! [`ShardRoutingPolicy`](crate::policy::ShardRoutingPolicy)), and
+//! at admission (by scene hash or load; see [`ShardRouting`]), and
 //! interleaves their scheduling rounds on one global simulated timeline.
 //!
 //! # Health model
@@ -72,14 +71,13 @@
 use crate::error::ServeError;
 use crate::fault::{FaultKind, FaultPlan};
 use crate::overload::{Submission, SubmitOutcome, TicketId, TicketState};
-use crate::policy::{RecoveryPolicy, SceneHashRouting, ShardCandidate, ShardRoutingPolicy};
+use crate::policy::{ShardCandidate, ShardRouting};
 use crate::report::{rate, ServiceReport, Totals};
 use crate::scheduler::{FrameServer, ServeConfig};
 use crate::session::{SessionId, SessionSpec};
 use cicero_math::{Intrinsics, Pose};
 use cicero_telemetry as telemetry;
 use serde::Serialize;
-use std::sync::Arc;
 
 /// Fleet shape and health-model knobs.
 #[derive(Debug, Clone)]
@@ -91,7 +89,7 @@ pub struct FleetConfig {
     /// shard via [`FaultPlan::for_shard`] (shard 0 unchanged).
     pub base: ServeConfig,
     /// Session→shard routing, at admission and failover.
-    pub routing: Arc<dyn ShardRoutingPolicy>,
+    pub routing: ShardRouting,
     /// Simulated seconds between health checks of each shard.
     pub heartbeat_interval_s: f64,
     /// Consecutive heartbeat misses that declare a shard dead.
@@ -103,7 +101,7 @@ impl Default for FleetConfig {
         FleetConfig {
             shards: 1,
             base: ServeConfig::default(),
-            routing: Arc::new(SceneHashRouting),
+            routing: ShardRouting::SceneHash,
             heartbeat_interval_s: 0.05,
             miss_threshold: 2,
         }
@@ -188,7 +186,6 @@ pub struct FleetReport {
 /// health and migration model.
 pub struct Fleet<'a> {
     cfg: FleetConfig,
-    recovery: Arc<dyn RecoveryPolicy>,
     servers: Vec<FrameServer<'a>>,
     alive: Vec<bool>,
     /// Heartbeats already processed per shard (dead shards stop beating).
@@ -220,17 +217,22 @@ impl<'a> Fleet<'a> {
     /// Builds the fleet: `cfg.shards` independent servers, each with its
     /// shard-decorrelated fault plan.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `cfg.shards` is zero, the heartbeat interval is not
-    /// positive, or the miss threshold is zero.
-    pub fn new(cfg: FleetConfig) -> Self {
-        assert!(cfg.shards >= 1, "a fleet needs at least one shard");
-        assert!(
-            cfg.heartbeat_interval_s > 0.0,
-            "heartbeat interval must be positive"
-        );
-        assert!(cfg.miss_threshold >= 1, "miss threshold must be at least 1");
+    /// [`ServeError::InvalidConfig`] if `cfg.shards` is zero, the heartbeat
+    /// interval is not positive (NaN included), or the miss threshold is
+    /// zero.
+    pub fn new(cfg: FleetConfig) -> Result<Self, ServeError> {
+        let invalid = |reason| Err(ServeError::InvalidConfig { reason });
+        if cfg.shards == 0 {
+            return invalid("a fleet needs at least one shard");
+        }
+        if cfg.heartbeat_interval_s.is_nan() || cfg.heartbeat_interval_s <= 0.0 {
+            return invalid("heartbeat interval must be positive");
+        }
+        if cfg.miss_threshold == 0 {
+            return invalid("miss threshold must be at least 1");
+        }
         let servers = (0..cfg.shards)
             .map(|i| {
                 let mut shard_cfg = cfg.base.clone();
@@ -238,8 +240,7 @@ impl<'a> Fleet<'a> {
                 FrameServer::new(shard_cfg)
             })
             .collect();
-        Fleet {
-            recovery: cfg.base.policies.recovery.clone(),
+        Ok(Fleet {
             servers,
             alive: vec![true; cfg.shards],
             hb_count: vec![0; cfg.shards],
@@ -258,7 +259,7 @@ impl<'a> Fleet<'a> {
             lost_sessions: 0,
             lost_frames: 0,
             cfg,
-        }
+        })
     }
 
     /// Shards still alive.
@@ -276,6 +277,7 @@ impl<'a> Fleet<'a> {
     /// `(cache key, intrinsics, pose)` — failover only; admission passes
     /// `None` because a fresh session has no position yet.
     fn candidates(&self, warmth: Option<(&str, Intrinsics, &Pose)>) -> Vec<ShardCandidate> {
+        let recovery = &self.cfg.base.policies.recovery;
         (0..self.cfg.shards)
             .filter(|&i| self.alive[i])
             .map(|i| {
@@ -287,8 +289,8 @@ impl<'a> Fleet<'a> {
                             key,
                             intrinsics,
                             pose,
-                            self.recovery.stale_pos_radius(),
-                            self.recovery.stale_rot_radius(),
+                            recovery.stale_pos_radius,
+                            recovery.stale_rot_radius,
                         )
                         .map(|hit| (hit.pose.position - pose.position).length())
                 });
@@ -296,7 +298,6 @@ impl<'a> Fleet<'a> {
                     shard: i,
                     committed_load: server.admission().committed_load(),
                     capacity: server.admission().capacity(),
-                    sessions: server.session_count(),
                     warm_pos_error,
                 }
             })
@@ -601,7 +602,7 @@ impl<'a> Fleet<'a> {
                     .as_ref()
                     .map(|pose| (sess.cache_key.as_str(), sess.pipe.intrinsics(), pose)),
             );
-            let dest = self.cfg.routing.failover(&sess.spec.scene_key, &candidates);
+            let dest = ShardRouting::failover(&candidates);
             debug_assert!(self.alive[dest], "routing must pick an alive candidate");
             let local = self.servers[dest].adopt_session(sess, at_s);
             self.homes[global] = Some((dest, local));

@@ -24,12 +24,12 @@
 //! - [`cache`] — a pose-quantized [`RefCache`] so co-located sessions in the
 //!   same scene share warp sources,
 //! - [`fleet`] — the [`Fleet`]: N shard servers behind a
-//!   [`ShardRoutingPolicy`](policy::ShardRoutingPolicy) router, with
+//!   [`ShardRouting`] router, with
 //!   heartbeat health checks, shard-level fault domains and bit-identical
 //!   failover migration,
 //! - [`fault`] — seeded, fully deterministic fault injection
 //!   ([`FaultPlan`]) with a recovery ladder
-//!   ([`policy::RecoveryPolicy`]): retry with backoff, warp from the best
+//!   ([`RetryWithBackoff`]): retry with backoff, warp from the best
 //!   stale cached reference, degraded re-render,
 //! - [`traffic`] — deterministic traffic profiles ([`TrafficProfile`]) with
 //!   seeded generators (Zipf scene popularity, diurnal and flash-crowd
@@ -90,10 +90,8 @@ pub use fault::{
 pub use fleet::{Fleet, FleetConfig, FleetReport, MigrationRecord};
 pub use overload::{Feed, OverloadControl, Submission, SubmitOutcome, TicketId, TicketState};
 pub use policy::{
-    Degradation, IdleWorkerPrefetch, JobKind, LeastLoaded, LeastLoadedRouting, LoadAdaptiveDegrade,
-    NoPrefetch, PlacementJob, PlacementPolicy, Policies, PrefetchPolicy, QosAdmission, QosPolicy,
-    RecoveryPolicy, RejectAtAdmission, RetryWithBackoff, SceneAffinity, SceneHashRouting,
-    ShardCandidate, ShardRoutingPolicy,
+    Degradation, IdleWorkerPrefetch, LoadAdaptiveDegrade, Policies, RetryWithBackoff,
+    SceneAffinity, ShardRouting,
 };
 pub use report::{DegradationRecord, FrameRecord, OverloadReport, ServiceReport, SessionSummary};
 pub use scheduler::{FrameServer, ServeConfig};

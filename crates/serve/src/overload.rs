@@ -16,7 +16,7 @@
 
 use crate::admission::AdmissionError;
 use crate::error::ServeError;
-use crate::policy::{LoadAdaptiveDegrade, QosAdmission, QosPolicy};
+use crate::policy::{LoadAdaptiveDegrade, QosAdmission};
 use crate::report::{DegradationRecord, OverloadReport};
 use crate::scheduler::FrameServer;
 use crate::session::{ServeSession, SessionId, SessionSpec};
@@ -305,9 +305,9 @@ impl<'a> OverloadState<'a> {
 impl<'a> FrameServer<'a> {
     /// Submits a session: admitted now, queued, or refused. On a server
     /// without armed [`OverloadControl`] the outcome is always
-    /// [`SubmitOutcome::Admitted`] or an admission error; under a degrading
-    /// [`QosPolicy`] the granted shape may differ from the requested one —
-    /// the trade is recorded in
+    /// [`SubmitOutcome::Admitted`] or an admission error; under a
+    /// [`LoadAdaptiveDegrade`] QoS policy the granted shape may differ from
+    /// the requested one — the trade is recorded in
     /// [`ServiceReport::degradations`](crate::ServiceReport::degradations).
     /// With it armed, a session that does not fit immediately is **queued**
     /// instead of rejected (see [`OverloadControl`]).
@@ -406,11 +406,12 @@ impl<'a> FrameServer<'a> {
                 .would_fit(self.admission.estimate_load(spec, intrinsics, fps))
     }
 
-    /// Runs `qos` over a submission: server-side thread override, then
-    /// admit / degrade / reject.
+    /// Runs a submission through `ladder` — or, without one, admits it as
+    /// requested: server-side thread override, then admit / degrade /
+    /// reject.
     fn admit_with(
         &mut self,
-        qos: &dyn QosPolicy,
+        ladder: Option<&LoadAdaptiveDegrade>,
         spec: &SessionSpec,
         intrinsics: Intrinsics,
         fps: f64,
@@ -424,7 +425,16 @@ impl<'a> FrameServer<'a> {
             // never affects cache sharing or reported quality.
             spec.config.render_threads = self.cfg.render_threads;
         }
-        qos.admit(&spec, intrinsics, fps, &mut self.admission)
+        let Some(ladder) = ladder else {
+            let est_load = self.admission.admit(&spec, intrinsics, fps)?;
+            return Ok(QosAdmission {
+                spec,
+                intrinsics,
+                est_load,
+                degradation: None,
+            });
+        };
+        ladder.admit(&spec, intrinsics, fps, &mut self.admission)
     }
 
     /// [`admit_with`](Self::admit_with) the server's own QoS policy, tracing
@@ -435,7 +445,7 @@ impl<'a> FrameServer<'a> {
         intrinsics: Intrinsics,
         fps: f64,
     ) -> Result<QosAdmission, AdmissionError> {
-        let qos = self.cfg.policies.qos.clone();
+        let qos = self.cfg.policies.qos;
         let decision = self.admit_with(qos.as_ref(), spec, intrinsics, fps);
         if decision.is_err() {
             telemetry::instant(
@@ -515,7 +525,7 @@ impl<'a> FrameServer<'a> {
                 // SLO deadline reached before capacity: brownout before
                 // shed, shed before serving predictably-late frames.
                 let ladder = ov.ctl.brownout;
-                let adm = ladder.and_then(|l| self.admit_with(&l, spec, k, fps).ok());
+                let adm = ladder.and_then(|l| self.admit_with(Some(&l), spec, k, fps).ok());
                 self.admit_queued(&mut ov, q, adm, now_s, |r| &mut r.brownout_admits);
             } else {
                 ov.queue.push(q);
@@ -663,7 +673,8 @@ mod tests {
                 shards: 2,
                 base: cfg.clone(),
                 ..Default::default()
-            });
+            })
+            .unwrap();
             refused(fleet.submit(sub));
             assert_eq!((fleet.session_count(), fleet.queued()), (0, 0), "{what}");
             let report = fleet.run();

@@ -1,62 +1,56 @@
 //! The policy layer: every scheduling *decision* the frame server makes,
-//! extracted behind five traits so deployments can swap strategy without
-//! touching the scheduler's plumbing.
+//! as plain values the scheduler's plumbing reads.
 //!
-//! - [`PlacementPolicy`] — which simulated worker runs a job,
-//! - [`QosPolicy`] — what happens at admission when the pool is loaded,
-//! - [`PrefetchPolicy`] — whether idle simulated capacity renders future
-//!   references speculatively,
-//! - [`RecoveryPolicy`] — how a failed reference render is retried, falls
+//! - [`SceneAffinity`] — which simulated worker runs a job,
+//! - [`LoadAdaptiveDegrade`] — what happens at admission when the pool is
+//!   loaded (absent: admit as requested or reject),
+//! - [`IdleWorkerPrefetch`] — whether idle simulated capacity renders future
+//!   references speculatively (absent: demand only),
+//! - [`RetryWithBackoff`] — how a failed reference render is retried, falls
 //!   back or is given up on (consulted only under an armed fault plan),
-//! - [`ShardRoutingPolicy`] — which [`Fleet`](crate::Fleet) shard owns a
-//!   session, at admission and at failover.
+//! - [`ShardRouting`] — which [`Fleet`](crate::Fleet) shard owns a session,
+//!   at admission and at failover.
 //!
 //! The first four ride the [`Policies`] bundle on
-//! [`ServeConfig`](crate::ServeConfig), which defaults to implementations
-//! that reproduce the historical hard-coded behavior **bit-for-bit**
-//! ([`LeastLoaded`], [`RejectAtAdmission`], [`NoPrefetch`],
-//! [`RetryWithBackoff`]); routing rides
+//! [`ServeConfig`](crate::ServeConfig), whose default reproduces the
+//! historical hard-coded scheduler **bit-for-bit**: one affinity lane (the
+//! pool-wide least-loaded worker), no degradation, no prefetch, the default
+//! retry ladder. Routing rides
 //! [`FleetConfig::routing`](crate::FleetConfig::routing) and defaults to
-//! [`SceneHashRouting`].
+//! [`ShardRouting::SceneHash`].
 //!
 //! # Determinism contract
 //!
 //! Policies run inside a simulated-time scheduler whose entire
 //! [`ServiceReport`](crate::ServiceReport) must be bit-identical at any host
-//! thread budget. Every implementation must therefore decide from
-//! **simulated state only**:
+//! thread budget. Every decision is therefore made from **simulated state
+//! only**:
 //!
-//! 1. Inputs are limited to what the trait hands over: the job description,
-//!    the [`WorkerPool`] clocks, the admission ledger, demand-job counts.
+//! 1. Inputs are limited to the job's scene key, the [`WorkerPool`] clocks,
+//!    the admission ledger, demand-job counts and the shard candidates.
 //!    Never consult wall-clock time, host parallelism
 //!    (`ServeConfig::render_threads`, `available_parallelism`), random
 //!    number generators, or ambient global state.
-//! 2. Be a pure function of those inputs. Interior-mutable caches are fine
-//!    only if they cannot change decisions (memoization of a deterministic
-//!    function).
+//! 2. Be a pure function of those inputs.
 //! 3. Hash deterministically. If a decision hashes a key (see
-//!    [`SceneAffinity`]), use a fixed-seed hash like [`fnv1a`] — seeded
+//!    [`SceneAffinity`]), use a fixed-seed hash like `fnv1a` — seeded
 //!    `std::collections` hashers differ between processes.
 //!
-//! Adding a new policy is: implement the trait (stateless struct, `Debug +
-//! Send + Sync`), obey the rules above, and hand it to the bundle via
-//! [`Policies::with_placement`] (or the sibling builders). The
-//! budget-determinism test in `tests/parallel_determinism.rs` should then be
-//! extended to cover it — equality of the full report across budgets is the
-//! cheapest proof a policy kept the contract.
+//! Adding a policy is: add a field to the value it refines (or a variant to
+//! [`ShardRouting`]), add a [`Policies::by_name`] arm, and add a leg to
+//! `tests/swarm_matrix.rs` — equality of the full report across budgets is
+//! the cheapest proof a policy kept the contract.
 
 use crate::admission::{AdmissionController, AdmissionError};
-use crate::session::{SessionId, SessionSpec};
+use crate::session::SessionSpec;
 use cicero::Variant;
 use cicero_accel::pool::WorkerPool;
 use cicero_math::Intrinsics;
-use std::fmt;
-use std::sync::Arc;
 
 /// FNV-1a over `bytes`: the fixed-seed hash policies must use when a
 /// decision keys off a string (process-seeded hashers would break replay
 /// determinism).
-pub fn fnv1a(bytes: &[u8]) -> u64 {
+pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         h ^= b as u64;
@@ -69,9 +63,9 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 // Placement
 // ---------------------------------------------------------------------------
 
-/// What kind of work a placement decision is for.
+/// What kind of work a simulated job is; it keys the job's fault draws.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JobKind {
+pub(crate) enum JobKind {
     /// An off-stream reference render (cache miss batched to the pool).
     Reference,
     /// A displayed target frame (warp + sparse render, or a full render).
@@ -80,44 +74,15 @@ pub enum JobKind {
     Prefetch,
 }
 
-/// One placement decision's context.
-#[derive(Debug, Clone, Copy)]
-pub struct PlacementJob<'a> {
-    /// What the job is.
-    pub kind: JobKind,
-    /// The session the job belongs to.
-    pub session: SessionId,
-    /// The session's scene key (model-residency affinity target).
-    pub scene_key: &'a str,
-    /// Simulated time the job becomes runnable.
-    pub ready_at_s: f64,
-}
-
-/// Decides which simulated [`WorkerPool`] worker executes a job.
-pub trait PlacementPolicy: fmt::Debug + Send + Sync {
-    /// Returns the index of the worker to bill `job` to.
-    fn place(&self, job: &PlacementJob<'_>, pool: &WorkerPool) -> usize;
-}
-
-/// Default placement: the worker that becomes idle soonest (ties to the
-/// lowest index) — exactly the scheduler's historical behavior.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LeastLoaded;
-
-impl PlacementPolicy for LeastLoaded {
-    fn place(&self, _job: &PlacementJob<'_>, pool: &WorkerPool) -> usize {
-        pool.least_loaded()
-    }
-}
-
-/// Scene-affinity placement: the pool is split into `lanes` contiguous
-/// worker groups and every job of a scene lands in that scene's lane
-/// (least-loaded within it). This models NeRF **weight residency** — a
-/// worker serving one scene keeps that scene's model hot in its memory
-/// hierarchy, so co-locating a scene's sessions and reference renders on one
-/// lane is what a deployment with per-worker model caches would do
-/// (ROADMAP "smarter batching"; Potamoi's unified streaming takes the same
-/// position).
+/// Placement: the pool is split into `lanes` contiguous worker groups and
+/// every job of a scene lands in that scene's lane, on the worker that
+/// becomes idle soonest (ties to the lowest index). This models NeRF
+/// **weight residency** — a worker serving one scene keeps that scene's
+/// model hot in its memory hierarchy, so co-locating a scene's sessions and
+/// reference renders on one lane is what a deployment with per-worker model
+/// caches would do (Potamoi's unified streaming takes the same position).
+/// One lane is the whole pool: exactly
+/// [`WorkerPool::least_loaded`], the historical default.
 #[derive(Debug, Clone, Copy)]
 pub struct SceneAffinity {
     /// Number of worker lanes the pool is partitioned into (clamped to the
@@ -125,16 +90,11 @@ pub struct SceneAffinity {
     pub lanes: usize,
 }
 
-impl Default for SceneAffinity {
-    fn default() -> Self {
-        SceneAffinity { lanes: 2 }
-    }
-}
-
-impl PlacementPolicy for SceneAffinity {
-    fn place(&self, job: &PlacementJob<'_>, pool: &WorkerPool) -> usize {
+impl SceneAffinity {
+    /// The worker to bill a job of scene `scene_key` to.
+    pub(crate) fn place(&self, scene_key: &str, pool: &WorkerPool) -> usize {
         let lanes = self.lanes.clamp(1, pool.len());
-        let lane = (fnv1a(job.scene_key.as_bytes()) % lanes as u64) as usize;
+        let lane = (fnv1a(scene_key.as_bytes()) % lanes as u64) as usize;
         // Contiguous partition: the first `extra` lanes get one more worker.
         let per = pool.len() / lanes;
         let extra = pool.len() % lanes;
@@ -154,7 +114,7 @@ impl PlacementPolicy for SceneAffinity {
 // QoS / admission
 // ---------------------------------------------------------------------------
 
-/// What a [`QosPolicy`] traded away to admit a session.
+/// What a [`LoadAdaptiveDegrade`] ladder traded away to admit a session.
 #[derive(Debug, Clone, PartialEq, Eq, serde::Serialize)]
 pub struct Degradation {
     /// Warping window: (requested, granted). Stretching the window amortizes
@@ -167,7 +127,7 @@ pub struct Degradation {
 
 /// A successful admission decision.
 #[derive(Debug, Clone)]
-pub struct QosAdmission {
+pub(crate) struct QosAdmission {
     /// The session spec as granted (possibly degraded).
     pub spec: SessionSpec,
     /// The intrinsics as granted (possibly downsampled).
@@ -178,51 +138,16 @@ pub struct QosAdmission {
     pub degradation: Option<Degradation>,
 }
 
-/// Decides whether (and in what shape) a session is admitted.
-pub trait QosPolicy: fmt::Debug + Send + Sync {
-    /// Admits `spec` at `intrinsics`/`fps`, possibly degraded, committing
-    /// the returned load to `ctl`; or rejects with the controller's error.
-    fn admit(
-        &self,
-        spec: &SessionSpec,
-        intrinsics: Intrinsics,
-        fps: f64,
-        ctl: &mut AdmissionController,
-    ) -> Result<QosAdmission, AdmissionError>;
-}
-
-/// Default QoS: admit as requested or reject — the historical behavior of
-/// [`AdmissionController::admit`], unchanged.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RejectAtAdmission;
-
-impl QosPolicy for RejectAtAdmission {
-    fn admit(
-        &self,
-        spec: &SessionSpec,
-        intrinsics: Intrinsics,
-        fps: f64,
-        ctl: &mut AdmissionController,
-    ) -> Result<QosAdmission, AdmissionError> {
-        let est_load = ctl.admit(spec, intrinsics, fps)?;
-        Ok(QosAdmission {
-            spec: spec.clone(),
-            intrinsics,
-            est_load,
-            degradation: None,
-        })
-    }
-}
-
-/// Load-adaptive QoS: under load, degrade quality instead of rejecting
-/// (ROADMAP "dynamic QoS"). The ladder tries, gentlest first:
+/// Load-adaptive QoS: under load, degrade quality instead of rejecting. The
+/// ladder tries, gentlest first:
 ///
 /// 1. the session as requested,
 /// 2. progressively stretched warping windows (×2 per rung up to
 ///    [`max_window`](Self::max_window); more targets amortize each reference
 ///    render, cutting the full-render share of the load estimate),
 /// 3. at the longest window, progressively halved resolution (down to
-///    [`min_resolution`](Self::min_resolution) on the shorter side).
+///    [`min_resolution`](Self::min_resolution) on the shorter side, floored
+///    at one pixel).
 ///
 /// The first rung that fits the admission ledger is granted and the
 /// [`Degradation`] recorded in the
@@ -246,8 +171,10 @@ impl Default for LoadAdaptiveDegrade {
     }
 }
 
-impl QosPolicy for LoadAdaptiveDegrade {
-    fn admit(
+impl LoadAdaptiveDegrade {
+    /// Admits `spec` at `intrinsics`/`fps` on the first rung that fits,
+    /// committing its load to `ctl`; or rejects with the controller's error.
+    pub(crate) fn admit(
         &self,
         spec: &SessionSpec,
         intrinsics: Intrinsics,
@@ -265,10 +192,9 @@ impl QosPolicy for LoadAdaptiveDegrade {
             }
         }
         let widest = rungs.last().expect("rungs never empty").0;
+        let floor = self.min_resolution.max(1);
         let mut f = 2usize;
-        while intrinsics.width / f >= self.min_resolution
-            && intrinsics.height / f >= self.min_resolution
-        {
+        while intrinsics.width / f >= floor && intrinsics.height / f >= floor {
             rungs.push((widest, f));
             f *= 2;
         }
@@ -282,7 +208,7 @@ impl QosPolicy for LoadAdaptiveDegrade {
                 continue;
             }
             // First fitting rung — or the last one, whose counting admit
-            // produces the same rejection accounting as the default policy.
+            // produces the same rejection accounting as an undegraded admit.
             let est_load = ctl.admit(&granted, k, fps)?;
             let degradation = (i > 0).then_some(Degradation {
                 window: (spec.config.window, window),
@@ -303,48 +229,19 @@ impl QosPolicy for LoadAdaptiveDegrade {
 // Prefetch
 // ---------------------------------------------------------------------------
 
-/// Decides how much speculative reference rendering a dispatch round may do.
+/// Idle-worker prefetch: when a round's demand jobs leave simulated workers
+/// without a reference to render, fill them with the **next** windows'
+/// predicted references.
 ///
 /// The scheduler enumerates prefetch candidates (each live session's
 /// upcoming off-stream references beyond the demand horizon, not yet cached
-/// or planned) in session-id order and issues the first
-/// [`budget`](Self::budget) of them. Prefetched renders go into the shared
-/// [`RefCache`](crate::RefCache) **without** being installed into their
-/// session, so the later demand lookup scores an ordinary (accounted) hit —
-/// hit/waste accounting lives in
+/// or planned) in session-id order and issues the first `pool workers −
+/// demand jobs` of them — a simulated-occupancy notion, so the decision is
+/// identical at every host thread budget. Prefetched renders go into the
+/// shared [`RefCache`](crate::RefCache) **without** being installed into
+/// their session, so the later demand lookup scores an ordinary (accounted)
+/// hit — hit/waste accounting lives in
 /// [`RefCacheStats`](crate::RefCacheStats).
-pub trait PrefetchPolicy: fmt::Debug + Send + Sync {
-    /// Extra frames of reference lookahead (beyond the demand horizon) to
-    /// scan for candidates; `0` disables prefetch entirely and the scheduler
-    /// skips candidate collection.
-    fn extra_horizon(&self, window: usize) -> usize;
-
-    /// Number of speculative renders this dispatch round may issue, given
-    /// the round's demand-job count. Must depend on **simulated state only**
-    /// (never the host thread budget), so reports stay bit-identical at any
-    /// budget.
-    fn budget(&self, demand_jobs: usize, pool: &WorkerPool) -> usize;
-}
-
-/// Default prefetch: none — the historical demand-only scheduler.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoPrefetch;
-
-impl PrefetchPolicy for NoPrefetch {
-    fn extra_horizon(&self, _window: usize) -> usize {
-        0
-    }
-
-    fn budget(&self, _demand_jobs: usize, _pool: &WorkerPool) -> usize {
-        0
-    }
-}
-
-/// Idle-worker prefetch: when a round's demand jobs leave simulated workers
-/// without a reference to render, fill them with the **next** window's
-/// predicted references (ROADMAP "cache policies"). The budget is
-/// `pool workers − demand jobs` — a simulated-occupancy notion, so the
-/// decision is identical at every host thread budget.
 #[derive(Debug, Clone, Copy)]
 pub struct IdleWorkerPrefetch {
     /// How many windows past the demand horizon to predict into.
@@ -357,12 +254,15 @@ impl Default for IdleWorkerPrefetch {
     }
 }
 
-impl PrefetchPolicy for IdleWorkerPrefetch {
-    fn extra_horizon(&self, window: usize) -> usize {
+impl IdleWorkerPrefetch {
+    /// Extra frames of reference lookahead (beyond the demand horizon) to
+    /// scan for candidates in a session of warping window `window`.
+    pub(crate) fn extra_horizon(&self, window: usize) -> usize {
         self.windows * window.max(1)
     }
 
-    fn budget(&self, demand_jobs: usize, pool: &WorkerPool) -> usize {
+    /// Speculative renders a dispatch round with `demand_jobs` may issue.
+    pub(crate) fn budget(&self, demand_jobs: usize, pool: &WorkerPool) -> usize {
         pool.len().saturating_sub(demand_jobs)
     }
 }
@@ -376,52 +276,23 @@ impl PrefetchPolicy for IdleWorkerPrefetch {
 ///
 /// The recovery **ladder** for a failed reference render, gentlest first:
 ///
-/// 1. retry on a fresh worker after [`backoff_s`](Self::backoff_s), up to
+/// 1. retry on a fresh worker after a backoff of
+///    `base_duration · backoff_factor · 2^(attempt−1)`, up to
 ///    [`max_attempts`](Self::max_attempts) total attempts (the crashed
-///    worker is quarantined for [`quarantine_s`](Self::quarantine_s));
+///    worker is quarantined for `base_duration · quarantine_factor`);
 /// 2. warp from the **best stale cached reference** within the pose-error
 ///    radius ([`stale_pos_radius`](Self::stale_pos_radius) /
 ///    [`stale_rot_radius`](Self::stale_rot_radius)) — Cicero's warping math
 ///    tolerates bounded pose error, which makes stale references a valid
-///    degraded warp source exactly the way `LoadAdaptiveDegrade` makes
+///    degraded warp source exactly the way [`LoadAdaptiveDegrade`] makes
 ///    stretched windows a valid degraded schedule;
 /// 3. a final guaranteed (degraded) re-render when nothing is in radius.
 ///
 /// Target frames retry without rungs 2–3 (their pixels exist host-side; a
 /// crash only costs simulated time), and a per-frame **watchdog** converts
 /// fault-caused deadline overruns within
-/// [`watchdog_slack_s`](Self::watchdog_slack_s) into accounted grants
-/// instead of silent misses.
-///
-/// Implementations obey the same determinism contract as every other policy
-/// here: decisions are pure functions of the inputs handed over — never
-/// wall-clock, host parallelism or ambient state.
-pub trait RecoveryPolicy: fmt::Debug + Send + Sync {
-    /// Total render attempts (including the first) before falling back.
-    fn max_attempts(&self) -> u32;
-
-    /// Deterministic backoff before retry number `attempt` (1-based, the
-    /// attempt that just failed), given the job's priced duration.
-    fn backoff_s(&self, attempt: u32, base_duration_s: f64) -> f64;
-
-    /// Largest position error (world units) a stale reference may have from
-    /// the intended pose and still serve as a fallback warp source.
-    fn stale_pos_radius(&self) -> f32;
-
-    /// Largest rotation error (radians) a stale fallback reference may have.
-    fn stale_rot_radius(&self) -> f32;
-
-    /// How long a crashed worker stays out of rotation, given the failed
-    /// job's priced duration.
-    fn quarantine_s(&self, base_duration_s: f64) -> f64;
-
-    /// Deadline slack within which the watchdog converts a fault-affected
-    /// overrun into a grant, given the session's frame interval.
-    fn watchdog_slack_s(&self, frame_interval_s: f64) -> f64;
-}
-
-/// Default recovery: bounded retries with exponential backoff, then the
-/// stale-warp / degraded-re-render ladder.
+/// [`watchdog_slack_frames`](Self::watchdog_slack_frames) frame intervals
+/// into accounted grants instead of silent misses.
 #[derive(Debug, Clone, Copy)]
 pub struct RetryWithBackoff {
     /// Total attempts including the first.
@@ -451,28 +322,22 @@ impl Default for RetryWithBackoff {
     }
 }
 
-impl RecoveryPolicy for RetryWithBackoff {
-    fn max_attempts(&self) -> u32 {
-        self.max_attempts
-    }
-
-    fn backoff_s(&self, attempt: u32, base_duration_s: f64) -> f64 {
+impl RetryWithBackoff {
+    /// Deterministic backoff before retry number `attempt` (1-based, the
+    /// attempt that just failed), given the job's priced duration.
+    pub(crate) fn backoff_s(&self, attempt: u32, base_duration_s: f64) -> f64 {
         base_duration_s * self.backoff_factor * f64::from(1u32 << (attempt - 1).min(16))
     }
 
-    fn stale_pos_radius(&self) -> f32 {
-        self.stale_pos_radius
-    }
-
-    fn stale_rot_radius(&self) -> f32 {
-        self.stale_rot_radius
-    }
-
-    fn quarantine_s(&self, base_duration_s: f64) -> f64 {
+    /// How long a crashed worker stays out of rotation, given the failed
+    /// job's priced duration.
+    pub(crate) fn quarantine_s(&self, base_duration_s: f64) -> f64 {
         base_duration_s * self.quarantine_factor
     }
 
-    fn watchdog_slack_s(&self, frame_interval_s: f64) -> f64 {
+    /// Deadline slack within which the watchdog converts a fault-affected
+    /// overrun into a grant, given the session's frame interval.
+    pub(crate) fn watchdog_slack_s(&self, frame_interval_s: f64) -> f64 {
         frame_interval_s * self.watchdog_slack_frames
     }
 }
@@ -481,19 +346,16 @@ impl RecoveryPolicy for RetryWithBackoff {
 // Shard routing (fleet)
 // ---------------------------------------------------------------------------
 
-/// One shard's state, as a [`ShardRoutingPolicy`] sees it. Candidates are
-/// always presented in ascending shard order and contain **alive** shards
-/// only.
+/// One shard's state, as [`ShardRouting`] sees it. Candidates are always
+/// presented in ascending shard order and contain **alive** shards only.
 #[derive(Debug, Clone, Copy)]
-pub struct ShardCandidate {
+pub(crate) struct ShardCandidate {
     /// The shard's index in the fleet.
     pub shard: usize,
     /// Worker occupancy committed on the shard's admission ledger.
     pub committed_load: f64,
     /// The shard's admissible capacity (workers × max-utilization).
     pub capacity: f64,
-    /// Sessions currently resident on the shard.
-    pub sessions: usize,
     /// Failover only: pose error (position, world units) of the warmest
     /// compatible reference in this shard's cache to the migrating session's
     /// next needed pose, via [`RefCache::best_within`](crate::RefCache::best_within).
@@ -501,24 +363,52 @@ pub struct ShardCandidate {
     pub warm_pos_error: Option<f32>,
 }
 
-/// Decides which [`Fleet`](crate::Fleet) shard owns a session — at admission
-/// and again at failover, when a dead shard's sessions resume on survivors.
+/// Which [`Fleet`](crate::Fleet) shard a new session is admitted on. A
+/// routing decision changes *placement*, never pixels — a migrated session
+/// replays its remaining schedule bit-identically wherever it lands.
 ///
-/// Same determinism contract as every other policy: decide from the
-/// presented candidates only (simulated state), hash with [`fnv1a`], return
-/// the `shard` field of one of the candidates. A routing decision changes
-/// *placement*, never pixels — a migrated session replays its remaining
-/// schedule bit-identically wherever it lands.
-pub trait ShardRoutingPolicy: fmt::Debug + Send + Sync {
+/// Failover is the same for both: a drained session resumes on the survivor
+/// with the warmest cache (smallest `warm_pos_error`), then the least
+/// committed load, then the lowest shard index — all total-ordered, so ties
+/// cannot flap.
+#[derive(Debug, Clone, Copy, Default)]
+pub enum ShardRouting {
+    /// A session lands on `fnv1a(scene_key) % alive shards`, so every
+    /// session of one scene shares a shard — the fleet-level analogue of
+    /// [`SceneAffinity`]'s model-weight residency, and the placement that
+    /// makes the reference cache actually shareable.
+    #[default]
+    SceneHash,
+    /// A session lands on the alive shard with the most spare committed
+    /// capacity (capacity − committed load; ties to the lowest shard index).
+    /// Spreads one scene across shards — better load spread, colder caches.
+    LeastLoaded,
+}
+
+impl ShardRouting {
     /// Shard for a newly admitted session. `candidates` is never empty.
-    fn admit(&self, scene_key: &str, candidates: &[ShardCandidate]) -> usize;
+    pub(crate) fn admit(self, scene_key: &str, candidates: &[ShardCandidate]) -> usize {
+        match self {
+            ShardRouting::SceneHash => {
+                candidates[(fnv1a(scene_key.as_bytes()) % candidates.len() as u64) as usize].shard
+            }
+            ShardRouting::LeastLoaded => {
+                candidates
+                    .iter()
+                    .min_by(|a, b| {
+                        let spare_a = a.capacity - a.committed_load;
+                        let spare_b = b.capacity - b.committed_load;
+                        spare_b.total_cmp(&spare_a).then(a.shard.cmp(&b.shard))
+                    })
+                    .expect("admission candidates are never empty")
+                    .shard
+            }
+        }
+    }
 
     /// Shard to resume a drained session on; `candidates` excludes the dead
-    /// shard and is never empty. The default prefers cache warmth (smallest
-    /// `warm_pos_error`), then the least committed load, then the lowest
-    /// shard index — all total-ordered, so ties cannot flap.
-    fn failover(&self, scene_key: &str, candidates: &[ShardCandidate]) -> usize {
-        let _ = scene_key;
+    /// shard and is never empty. Warmth, then load, then id.
+    pub(crate) fn failover(candidates: &[ShardCandidate]) -> usize {
         candidates
             .iter()
             .min_by(|a, b| {
@@ -533,41 +423,6 @@ pub trait ShardRoutingPolicy: fmt::Debug + Send + Sync {
     }
 }
 
-/// Default routing: a session lands on `fnv1a(scene_key) % shards`, so every
-/// session of one scene shares a shard — the fleet-level analogue of
-/// [`SceneAffinity`]'s model-weight residency, and the placement that makes
-/// the reference cache actually shareable. Failover uses the default
-/// warmth-first rule.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SceneHashRouting;
-
-impl ShardRoutingPolicy for SceneHashRouting {
-    fn admit(&self, scene_key: &str, candidates: &[ShardCandidate]) -> usize {
-        candidates[(fnv1a(scene_key.as_bytes()) % candidates.len() as u64) as usize].shard
-    }
-}
-
-/// Load-balancing routing: a session lands on the alive shard with the most
-/// spare committed capacity (capacity − committed load; ties to the lowest
-/// shard index). Spreads one scene across shards — better load spread,
-/// colder caches.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LeastLoadedRouting;
-
-impl ShardRoutingPolicy for LeastLoadedRouting {
-    fn admit(&self, _scene_key: &str, candidates: &[ShardCandidate]) -> usize {
-        candidates
-            .iter()
-            .min_by(|a, b| {
-                let spare_a = a.capacity - a.committed_load;
-                let spare_b = b.capacity - b.committed_load;
-                spare_b.total_cmp(&spare_a).then(a.shard.cmp(&b.shard))
-            })
-            .expect("admission candidates are never empty")
-            .shard
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Bundle
 // ---------------------------------------------------------------------------
@@ -575,68 +430,56 @@ impl ShardRoutingPolicy for LeastLoadedRouting {
 /// The server's policy bundle, carried by
 /// [`ServeConfig`](crate::ServeConfig). Defaults reproduce the historical
 /// hard-coded scheduler bit-for-bit.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct Policies {
-    /// Worker placement for references, targets and prefetches.
-    pub placement: Arc<dyn PlacementPolicy>,
-    /// Admission-time QoS strategy.
-    pub qos: Arc<dyn QosPolicy>,
-    /// Speculative reference rendering.
-    pub prefetch: Arc<dyn PrefetchPolicy>,
+    /// Worker placement for references, targets and prefetches. One lane is
+    /// exactly [`WorkerPool::least_loaded`].
+    pub placement: SceneAffinity,
+    /// Admission-time degradation ladder; `None` admits as requested or
+    /// rejects.
+    pub qos: Option<LoadAdaptiveDegrade>,
+    /// Speculative reference rendering; `None` renders on demand only.
+    pub prefetch: Option<IdleWorkerPrefetch>,
     /// Fault recovery (retry / fallback / watchdog). Only consulted when
     /// [`ServeConfig::faults`](crate::ServeConfig::faults) arms an injector,
-    /// so swapping it is a no-op on fault-free runs.
-    pub recovery: Arc<dyn RecoveryPolicy>,
+    /// so changing it is a no-op on fault-free runs.
+    pub recovery: RetryWithBackoff,
 }
 
 impl Default for Policies {
     fn default() -> Self {
         Policies {
-            placement: Arc::new(LeastLoaded),
-            qos: Arc::new(RejectAtAdmission),
-            prefetch: Arc::new(NoPrefetch),
-            recovery: Arc::new(RetryWithBackoff::default()),
+            placement: SceneAffinity { lanes: 1 },
+            qos: None,
+            prefetch: None,
+            recovery: RetryWithBackoff::default(),
         }
     }
 }
 
 impl Policies {
-    /// The bundle a CLI-facing policy name denotes — one non-default
-    /// implementation swapped in per name, default parameters. The single
-    /// source of truth for `serve_swarm --policy` and the swarm matrix's
-    /// legs (`tests/swarm_matrix.rs`); `None` for unknown names.
+    /// The bundle a CLI-facing policy name denotes — one non-default policy
+    /// per name, default parameters. The single source of truth for
+    /// `serve_swarm --policy` and the swarm matrix's legs
+    /// (`tests/swarm_matrix.rs`); `None` for unknown names.
     pub fn by_name(name: &str) -> Option<Policies> {
+        let default = Policies::default();
         match name {
-            "default" => Some(Policies::default()),
-            "affinity" => Some(Policies::default().with_placement(SceneAffinity::default())),
-            "degrade" => Some(Policies::default().with_qos(LoadAdaptiveDegrade::default())),
-            "prefetch" => Some(Policies::default().with_prefetch(IdleWorkerPrefetch::default())),
+            "default" => Some(default),
+            "affinity" => Some(Policies {
+                placement: SceneAffinity { lanes: 2 },
+                ..default
+            }),
+            "degrade" => Some(Policies {
+                qos: Some(LoadAdaptiveDegrade::default()),
+                ..default
+            }),
+            "prefetch" => Some(Policies {
+                prefetch: Some(IdleWorkerPrefetch::default()),
+                ..default
+            }),
             _ => None,
         }
-    }
-
-    /// Replaces the placement policy.
-    pub fn with_placement(mut self, p: impl PlacementPolicy + 'static) -> Self {
-        self.placement = Arc::new(p);
-        self
-    }
-
-    /// Replaces the QoS policy.
-    pub fn with_qos(mut self, q: impl QosPolicy + 'static) -> Self {
-        self.qos = Arc::new(q);
-        self
-    }
-
-    /// Replaces the prefetch policy.
-    pub fn with_prefetch(mut self, p: impl PrefetchPolicy + 'static) -> Self {
-        self.prefetch = Arc::new(p);
-        self
-    }
-
-    /// Replaces the recovery policy.
-    pub fn with_recovery(mut self, r: impl RecoveryPolicy + 'static) -> Self {
-        self.recovery = Arc::new(r);
-        self
     }
 }
 
@@ -660,42 +503,56 @@ mod tests {
         }
     }
 
+    fn pool(workers: usize) -> WorkerPool {
+        WorkerPool::new(PoolConfig {
+            workers,
+            ..Default::default()
+        })
+    }
+
+    /// The default placement, one affinity lane, is the pool's own
+    /// least-loaded choice — ties to the first index included — for any
+    /// scene.
     #[test]
     fn least_loaded_matches_pool_choice() {
-        let mut pool = WorkerPool::new(PoolConfig {
-            workers: 3,
-            ..Default::default()
-        });
-        pool.assign(0, 0.0, 5.0);
-        pool.assign(1, 0.0, 1.0);
-        let job = PlacementJob {
-            kind: JobKind::Target,
-            session: 0,
-            scene_key: "lego",
-            ready_at_s: 0.0,
+        let one_lane = Policies::default().placement;
+        let check = |pool: &WorkerPool| {
+            for scene in ["lego", "ship", "chair", ""] {
+                assert_eq!(one_lane.place(scene, pool), pool.least_loaded());
+            }
         };
-        assert_eq!(LeastLoaded.place(&job, &pool), pool.least_loaded());
+        // Tied clocks: every worker idle, then every worker equally busy.
+        let mut tied = pool(3);
+        check(&tied);
+        for w in 0..3 {
+            tied.assign(w, 0.0, 2.0);
+        }
+        check(&tied);
+        assert_eq!(one_lane.place("lego", &tied), 0);
+        // Untied clocks, minimum away from index 0.
+        let mut untied = pool(3);
+        untied.assign(0, 0.0, 5.0);
+        untied.assign(1, 0.0, 1.0);
+        untied.assign(2, 0.0, 3.0);
+        check(&untied);
+        assert_eq!(one_lane.place("lego", &untied), 1);
+        // A one-worker pool, idle and busy.
+        let mut single = pool(1);
+        check(&single);
+        single.assign(0, 0.0, 1.0);
+        check(&single);
     }
 
     #[test]
     fn scene_affinity_is_sticky_and_lane_local() {
-        let mut pool = WorkerPool::new(PoolConfig {
-            workers: 6,
-            ..Default::default()
-        });
+        let mut pool = pool(6);
         let policy = SceneAffinity { lanes: 2 };
-        let job = |scene: &'static str| PlacementJob {
-            kind: JobKind::Reference,
-            session: 0,
-            scene_key: scene,
-            ready_at_s: 0.0,
-        };
         // Repeated placements of one scene stay within one 3-worker lane,
         // regardless of load elsewhere.
-        let first = policy.place(&job("lego"), &pool);
+        let first = policy.place("lego", &pool);
         let lane = first / 3;
         for _ in 0..8 {
-            let w = policy.place(&job("lego"), &pool);
+            let w = policy.place("lego", &pool);
             assert_eq!(w / 3, lane, "scene hopped lanes");
             pool.assign(w, 0.0, 1.0);
         }
@@ -752,18 +609,44 @@ mod tests {
         assert_eq!(ctl.rejected(), 1);
     }
 
+    /// A zero `min_resolution` floors at one pixel: the ladder ends at a
+    /// 1×1 frame instead of doubling its factor until it overflows.
+    #[test]
+    fn degrade_floors_a_zero_min_resolution_at_one_pixel() {
+        let policy = LoadAdaptiveDegrade {
+            max_window: 8,
+            min_resolution: 0,
+        };
+        let k = Intrinsics::from_fov(128, 96, 0.9);
+        let mut ctl = AdmissionController::new(
+            crate::AdmissionPolicy {
+                max_utilization: 1e-6,
+                ..Default::default()
+            },
+            1,
+            10.0,
+        );
+        assert!(matches!(
+            policy.admit(&spec(4), k, 30.0, &mut ctl),
+            Err(AdmissionError::Saturated { .. })
+        ));
+        let mut roomy = AdmissionController::new(crate::AdmissionPolicy::default(), 1, 10.0);
+        let adm = policy.admit(&spec(4), k, 30.0, &mut roomy).unwrap();
+        assert!(
+            adm.degradation.is_none(),
+            "a roomy pool admits as requested"
+        );
+    }
+
     #[test]
     fn idle_worker_prefetch_budget_is_simulated_state_only() {
-        let pool = WorkerPool::new(PoolConfig {
-            workers: 4,
-            ..Default::default()
-        });
+        let pool = pool(4);
         let p = IdleWorkerPrefetch::default();
         assert_eq!(p.budget(0, &pool), 4);
         assert_eq!(p.budget(3, &pool), 1);
         assert_eq!(p.budget(9, &pool), 0);
         assert_eq!(p.extra_horizon(6), 6);
-        assert_eq!(NoPrefetch.budget(0, &pool), 0);
+        assert!(Policies::default().prefetch.is_none());
     }
 
     #[test]
@@ -773,19 +656,18 @@ mod tests {
                 shard,
                 committed_load: shard as f64,
                 capacity: 5.1,
-                sessions: 0,
                 warm_pos_error: None,
             })
             .collect();
         for scene in ["lego", "chair", "ship", "hotdog"] {
-            let first = SceneHashRouting.admit(scene, &candidates);
+            let first = ShardRouting::SceneHash.admit(scene, &candidates);
             assert!(candidates.iter().any(|c| c.shard == first));
             for _ in 0..4 {
-                assert_eq!(SceneHashRouting.admit(scene, &candidates), first);
+                assert_eq!(ShardRouting::SceneHash.admit(scene, &candidates), first);
             }
         }
         // Least-loaded admission picks the sparest shard (0 here).
-        assert_eq!(LeastLoadedRouting.admit("lego", &candidates), 0);
+        assert_eq!(ShardRouting::LeastLoaded.admit("lego", &candidates), 0);
     }
 
     #[test]
@@ -794,29 +676,28 @@ mod tests {
             shard,
             committed_load,
             capacity: 5.1,
-            sessions: 1,
             warm_pos_error: warm,
         };
         // Warmth beats load.
-        let got = SceneHashRouting.failover("lego", &[c(0, 0.0, None), c(2, 4.0, Some(0.3))]);
+        let got = ShardRouting::failover(&[c(0, 0.0, None), c(2, 4.0, Some(0.3))]);
         assert_eq!(got, 2);
         // Equal warmth: least committed load.
-        let got = SceneHashRouting.failover("lego", &[c(0, 2.0, Some(0.5)), c(1, 1.0, Some(0.5))]);
+        let got = ShardRouting::failover(&[c(0, 2.0, Some(0.5)), c(1, 1.0, Some(0.5))]);
         assert_eq!(got, 1);
         // Full tie: lowest shard id.
-        let got = SceneHashRouting.failover("lego", &[c(3, 1.0, Some(0.5)), c(1, 1.0, Some(0.5))]);
+        let got = ShardRouting::failover(&[c(3, 1.0, Some(0.5)), c(1, 1.0, Some(0.5))]);
         assert_eq!(got, 1);
     }
 
     #[test]
     fn retry_backoff_is_deterministic_and_monotonic() {
         let r = RetryWithBackoff::default();
-        assert!(r.max_attempts() >= 1);
+        assert!(r.max_attempts >= 1);
         assert!(r.backoff_s(1, 0.1) > 0.0);
         assert!(r.backoff_s(1, 0.1) < r.backoff_s(2, 0.1));
         assert_eq!(r.backoff_s(2, 0.1), r.backoff_s(2, 0.1));
         assert!(r.quarantine_s(0.1) > 0.0);
         assert!(r.watchdog_slack_s(1.0 / 30.0) > 0.0);
-        assert!(r.stale_pos_radius() > 0.0 && r.stale_rot_radius() > 0.0);
+        assert!(r.stale_pos_radius > 0.0 && r.stale_rot_radius > 0.0);
     }
 }

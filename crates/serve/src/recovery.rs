@@ -1,6 +1,6 @@
 //! Placing, pricing and — under an armed [`FaultPlan`](crate::FaultPlan) —
 //! recovering one simulated job: the mechanism side of
-//! [`RecoveryPolicy`]. Reference renders and target frames go through the
+//! [`RetryWithBackoff`]. Reference renders and target frames go through the
 //! same [`crash_ladder`](SimCtx::crash_ladder) and the same
 //! [`execute`](SimCtx::execute); they differ only in their draw-key domain,
 //! their pricing, and in what the caller does when attempts run out.
@@ -12,7 +12,7 @@
 
 use crate::cache::{CachedReference, RefCache};
 use crate::fault::{FallbackRecord, FaultInjector, FaultKind};
-use crate::policy::{JobKind, PlacementJob, PlacementPolicy, RecoveryPolicy};
+use crate::policy::{JobKind, RetryWithBackoff, SceneAffinity};
 use crate::report::FrameRecord;
 use crate::session::{ServeSession, SessionId};
 use cicero_accel::pool::{JobSpan, WorkerPool};
@@ -70,31 +70,20 @@ pub(crate) struct SimCtx<'s> {
     pub(crate) pool: &'s mut WorkerPool,
     pub(crate) cache: &'s mut RefCache,
     pub(crate) injector: Option<&'s mut FaultInjector>,
-    pub(crate) placement: &'s dyn PlacementPolicy,
-    pub(crate) recovery: &'s dyn RecoveryPolicy,
+    pub(crate) placement: SceneAffinity,
+    pub(crate) recovery: RetryWithBackoff,
     pub(crate) reference_jobs: &'s mut u64,
     pub(crate) records: &'s mut Vec<FrameRecord>,
 }
 
 impl SimCtx<'_> {
-    /// The placement policy's worker for `job`, runnable at `ready_at_s`.
-    fn place(&self, job: &Job<'_>, ready_at_s: f64) -> usize {
-        let job = PlacementJob {
-            kind: job.kind,
-            session: job.session,
-            scene_key: job.scene_key,
-            ready_at_s,
-        };
-        self.placement.place(&job, self.pool)
-    }
-
     /// Draws `job`'s attempts from `at_s` until one survives or they run
     /// out. **One crashed attempt** = place, bill the plan's crash fraction
     /// of the priced duration, quarantine the worker through its respawn
     /// window, count, trace. **A retry** = the policy's backoff after the
     /// crash, count, trace. A prefetch gets one attempt (speculation is not
     /// worth chasing), everything else the policy's
-    /// [`max_attempts`](RecoveryPolicy::max_attempts); a target frame's last
+    /// [`max_attempts`](RetryWithBackoff::max_attempts); a target frame's last
     /// attempt always succeeds — its pixels exist host-side, a crash only
     /// costs simulated time. Each attempt draws independently on its keyed
     /// `(session, item, attempt | domain)` triple.
@@ -106,7 +95,7 @@ impl SimCtx<'_> {
     ) -> Ladder {
         let max_attempts = match job.kind {
             JobKind::Prefetch => 1,
-            _ => u64::from(self.recovery.max_attempts()),
+            _ => u64::from(self.recovery.max_attempts),
         };
         let (session, item) = (job.session as u64, job.item);
         let mut attempt: u64 = 1;
@@ -120,7 +109,7 @@ impl SimCtx<'_> {
             {
                 break;
             }
-            let worker = self.place(job, at_s);
+            let worker = self.placement.place(job.scene_key, self.pool);
             let duration = price(&self.pool.workers()[worker].soc);
             let Some(inj) = self.injector.as_deref_mut() else {
                 break; // unreachable: nothing fires on a disarmed server
@@ -167,7 +156,7 @@ impl SimCtx<'_> {
         at_s: f64,
         price: &dyn Fn(&SocModel) -> f64,
     ) -> (JobSpan, bool) {
-        let worker = self.place(job, at_s);
+        let worker = self.placement.place(job.scene_key, self.pool);
         let mut duration = price(&self.pool.workers()[worker].soc);
         let mut straggled = false;
         if let Some(inj) = self.injector.as_deref_mut() {
@@ -203,8 +192,8 @@ impl SimCtx<'_> {
             &sess.cache_key,
             sess.pipe.intrinsics(),
             pose,
-            self.recovery.stale_pos_radius(),
-            self.recovery.stale_rot_radius(),
+            self.recovery.stale_pos_radius,
+            self.recovery.stale_rot_radius,
         );
         inj.report.time_to_recover_s += failed_end_s - at_s;
         telemetry::instant(telemetry::Phase::FaultFallback, sess.id as u64, r as u64);

@@ -9,7 +9,8 @@ use crate::session::{QosClass, SessionId};
 use serde::Serialize;
 
 /// One QoS degradation granted at admission: which session, and what the
-/// [`QosPolicy`](crate::policy::QosPolicy) traded away to admit it.
+/// [`LoadAdaptiveDegrade`](crate::policy::LoadAdaptiveDegrade) ladder traded
+/// away to admit it.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct DegradationRecord {
     /// The admitted session.

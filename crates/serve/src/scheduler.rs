@@ -80,10 +80,10 @@ pub struct ServeConfig {
     pub cache: RefCacheConfig,
     /// Admission policy.
     pub admission: AdmissionPolicy,
-    /// The scheduling policy bundle (placement / QoS / prefetch). Defaults
-    /// reproduce the historical hard-coded scheduler bit-for-bit; see
-    /// [`crate::policy`] for the determinism contract swapped-in policies
-    /// must obey.
+    /// The scheduling policy bundle (placement / QoS / prefetch /
+    /// recovery). Defaults reproduce the historical hard-coded scheduler
+    /// bit-for-bit; see [`crate::policy`] for the determinism contract every
+    /// policy obeys.
     pub policies: Policies,
     /// Reference lookahead in frames; `None` uses each session's warping
     /// window — references are extrapolated from the *previous* window's
@@ -258,8 +258,8 @@ impl<'a> FrameServer<'a> {
             pool: &mut self.pool,
             cache: &mut self.cache,
             injector: self.injector.as_mut(),
-            placement: self.cfg.policies.placement.as_ref(),
-            recovery: self.cfg.policies.recovery.as_ref(),
+            placement: self.cfg.policies.placement,
+            recovery: self.cfg.policies.recovery,
             reference_jobs: &mut self.reference_jobs,
             records: &mut self.records,
         };
@@ -995,10 +995,13 @@ mod tests {
 
         let mut degrade_server = FrameServer::new(ServeConfig {
             admission: tight,
-            policies: Policies::default().with_qos(crate::policy::LoadAdaptiveDegrade {
-                max_window: 32,
-                min_resolution: 8,
-            }),
+            policies: Policies {
+                qos: Some(crate::policy::LoadAdaptiveDegrade {
+                    max_window: 32,
+                    min_resolution: 8,
+                }),
+                ..Default::default()
+            },
             ..Default::default()
         });
         let degrade_admitted = submit_all(&mut degrade_server, &scene, &model, &traj, k);
@@ -1050,9 +1053,10 @@ mod tests {
             server.run()
         };
         let default = run_with(Policies::default());
-        let prefetched = run_with(
-            Policies::default().with_prefetch(crate::policy::IdleWorkerPrefetch::default()),
-        );
+        let prefetched = run_with(Policies {
+            prefetch: Some(crate::policy::IdleWorkerPrefetch::default()),
+            ..Default::default()
+        });
 
         assert!(prefetched.prefetch_jobs > 0, "prefetch never engaged");
         assert!(prefetched.cache.prefetch_hits > 0, "speculation never paid");
@@ -1086,7 +1090,10 @@ mod tests {
                 workers: 4,
                 ..Default::default()
             },
-            policies: Policies::default().with_placement(crate::policy::SceneAffinity { lanes: 2 }),
+            policies: Policies {
+                placement: crate::policy::SceneAffinity { lanes: 2 },
+                ..Default::default()
+            },
             ..Default::default()
         });
         for (i, offset) in [0.0, 0.005, 0.012].into_iter().enumerate() {

@@ -161,7 +161,7 @@ pub fn run_swarm(
             shards: n,
             base: cfg,
             ..Default::default()
-        }))),
+        })?)),
     };
 
     // Six viewers per scene: two interactive head-tracked clients on the

@@ -28,10 +28,9 @@ use cicero_scene::{library, AnalyticScene, Trajectory};
 use cicero_serve::{
     AdmissionPolicy, FaultKind, FaultPlan, Fleet, FleetConfig, FleetReport, FrameServer,
     OverloadControl, QosClass, ServeConfig, ServeError, ServiceReport, SessionSpec, SessionSummary,
-    ShardCandidate, ShardRoutingPolicy, Submission, SubmitOutcome, TicketState,
+    Submission, SubmitOutcome, TicketState,
 };
 use std::ops::RangeInclusive;
-use std::sync::Arc;
 
 fn assets(name: &str, frames: usize) -> (AnalyticScene, GridModel, Trajectory) {
     let scene = library::scene_by_name(name).unwrap();
@@ -110,7 +109,8 @@ fn fleet_of_one_is_byte_identical_to_bare_server() {
             shards: 1,
             base: serve_cfg,
             ..Default::default()
-        });
+        })
+        .unwrap();
         for (name, scene_key, qos, offset) in submissions {
             let s = spec(name, scene_key, qos, offset);
             let (scene, model, traj) = if scene_key == "lego" {
@@ -227,7 +227,8 @@ fn armed_fleet_of_one_is_byte_identical_with_the_queue_engaged() {
             shards: 1,
             base: one_slot_cfg(0, slack, None),
             ..Default::default()
-        });
+        })
+        .unwrap();
         let mut tickets = Vec::new();
         for (i, qos) in classes.into_iter().enumerate() {
             let s = spec(&format!("s{i}"), "lego", qos, 0.01 * i as f64);
@@ -269,23 +270,6 @@ fn armed_fleet_of_one_is_byte_identical_with_the_queue_engaged() {
     assert!(sheds > 0, "the deadline rung never fired");
 }
 
-/// Pins admissions by scene so the failover fixture controls which shard
-/// hosts the victim: lego → shard 0, everything else → shard 1. Failover
-/// keeps the default warmth-then-load rule.
-#[derive(Debug)]
-struct PinByScene;
-
-impl ShardRoutingPolicy for PinByScene {
-    fn admit(&self, scene_key: &str, candidates: &[ShardCandidate]) -> usize {
-        let want = if scene_key == "lego" { 0 } else { 1 };
-        candidates
-            .iter()
-            .map(|c| c.shard)
-            .find(|&s| s == want)
-            .unwrap_or(candidates[0].shard)
-    }
-}
-
 /// A seed whose base plan kills shard 0 early (death beat within `beats`:
 /// `1..=5` is within the first ~0.3 s at a 0.05 s heartbeat) while shard 1
 /// outlives the whole run. Pure hashing — the scan costs microseconds.
@@ -322,7 +306,8 @@ fn dolly(frames: usize) -> Trajectory {
 }
 
 /// The failover fixture: two shards, the victim session isolated in its own
-/// scene on shard 0, a longer-lived bystander on shard 1, and a plan that
+/// scene on shard 0, a longer-lived bystander on shard 1 (default scene-hash
+/// routing: "lego" hashes to shard 0, "ship" to shard 1), and a plan that
 /// deterministically kills shard 0 mid-run.
 fn failover_fixture(faults: Option<FaultPlan>, budget: usize) -> FleetReport {
     let (lego, lego_model, _) = assets("lego", 12);
@@ -335,10 +320,11 @@ fn failover_fixture(faults: Option<FaultPlan>, budget: usize) -> FleetReport {
             faults,
             ..Default::default()
         },
-        routing: Arc::new(PinByScene),
         heartbeat_interval_s: 0.05,
         miss_threshold: 1,
-    });
+        ..Default::default()
+    })
+    .unwrap();
     let k = Intrinsics::from_fov(24, 24, 0.9);
     fleet
         .submit(Submission::trajectory(
@@ -359,6 +345,14 @@ fn failover_fixture(faults: Option<FaultPlan>, budget: usize) -> FleetReport {
         ))
         .unwrap();
     fleet.run()
+}
+
+/// The shard whose report summarises session `name`: where it was admitted,
+/// or where it resumed after a migration.
+fn home_shard(report: &FleetReport, name: &str) -> usize {
+    (report.shards.iter())
+        .position(|s| s.sessions.iter().any(|s| s.name == name))
+        .unwrap_or_else(|| panic!("session {name} has a summary somewhere"))
 }
 
 fn find_session<'r>(report: &'r FleetReport, name: &str) -> &'r SessionSummary {
@@ -411,6 +405,11 @@ fn shard_crash_migrates_sessions_bit_identically() {
     // equal PSNR ledgers then mean equal pixels, frame by frame. Latencies
     // may legitimately differ (migration delays service); pixels must not.
     let oracle = failover_fixture(None, 0);
+    // Default scene-hash routing put the victim's "lego" on shard 0 and the
+    // bystander's "ship" on shard 1.
+    assert_eq!(home_shard(&oracle, "victim"), 0);
+    assert_eq!(home_shard(&oracle, "bystander"), 1);
+    assert_eq!(home_shard(&chaotic, "bystander"), 1);
     let migrated = find_session(&chaotic, "victim");
     let unmigrated = find_session(&oracle, "victim");
     assert_eq!(
@@ -467,7 +466,8 @@ fn last_shard_death_loses_sessions_without_panicking() {
         heartbeat_interval_s: 0.05,
         miss_threshold: 1,
         ..Default::default()
-    });
+    })
+    .unwrap();
     let k = Intrinsics::from_fov(24, 24, 0.9);
     let id = fleet
         .submit(Submission::trajectory(
@@ -520,7 +520,7 @@ struct QueueRun<'a> {
     outcomes: Vec<SubmitOutcome>,
 }
 
-/// The fleet queue fixture: two one-slot shards, one scene pinned to shard 0,
+/// The fleet queue fixture: two one-slot shards, one scene routed to shard 0,
 /// five timed submissions 10 ms apart — the third a best-effort **stream** —
 /// then one drain. The first admits on shard 0, the second diverts to shard
 /// 1, and with no headroom left anywhere the other three queue on shard 0.
@@ -533,10 +533,11 @@ fn queue_fixture<'a>(
     let mut fleet = Fleet::new(FleetConfig {
         shards: 2,
         base: one_slot_cfg(budget, 8.0, faults),
-        routing: Arc::new(PinByScene),
         heartbeat_interval_s: 0.05,
         miss_threshold: 1,
-    });
+        ..Default::default()
+    })
+    .unwrap();
     let k = Intrinsics::from_fov(24, 24, 0.9);
     let classes = [
         QosClass::Standard,
@@ -577,6 +578,12 @@ fn fleet_queue_resolves_tickets_to_fleet_ids_and_serves_a_queued_stream() {
     } = queue_fixture(&lego, None, 0);
     assert_eq!(outcomes[0], SubmitOutcome::Admitted(0));
     assert_eq!(outcomes[1], SubmitOutcome::Admitted(1), "diverted");
+    // Default scene-hash routing sends "lego" to shard 0: the holder and all
+    // three queued sessions live there, only the diverted one on shard 1.
+    for name in ["s0", "s2", "s3", "s4"] {
+        assert_eq!(home_shard(&report, name), 0, "{name}");
+    }
+    assert_eq!(home_shard(&report, "s1"), 1);
     assert_eq!(report.diversions, 1);
     let tickets: Vec<usize> = (outcomes[2..].iter())
         .map(|o| match o {
@@ -659,4 +666,41 @@ fn dying_shard_sheds_its_queue_and_migrates_its_sessions() {
         let par = queue_fixture(&lego, Some(plan), budget).report;
         assert_eq!(par, report, "budget {budget}: fleet report drifted");
     }
+}
+
+/// A malformed fleet shape is refused with a typed error, not a panic: zero
+/// shards, a heartbeat interval that is not positive (NaN included), a zero
+/// miss threshold.
+#[test]
+fn fleet_new_refuses_invalid_configs() {
+    let bad = [
+        FleetConfig {
+            shards: 0,
+            ..Default::default()
+        },
+        FleetConfig {
+            heartbeat_interval_s: 0.0,
+            ..Default::default()
+        },
+        FleetConfig {
+            heartbeat_interval_s: -0.05,
+            ..Default::default()
+        },
+        FleetConfig {
+            heartbeat_interval_s: f64::NAN,
+            ..Default::default()
+        },
+        FleetConfig {
+            miss_threshold: 0,
+            ..Default::default()
+        },
+    ];
+    for cfg in bad {
+        let what = (cfg.shards, cfg.heartbeat_interval_s, cfg.miss_threshold);
+        assert!(
+            matches!(Fleet::new(cfg), Err(ServeError::InvalidConfig { .. })),
+            "accepted (shards, heartbeat, threshold) = {what:?}"
+        );
+    }
+    assert!(Fleet::new(FleetConfig::default()).is_ok());
 }

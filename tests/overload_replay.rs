@@ -497,7 +497,8 @@ fn fleet_diverts_before_shedding_and_stays_deterministic() {
             shards: 2,
             base: armed_cfg(budget, 1),
             ..Default::default()
-        });
+        })
+        .unwrap();
         // Same scene ⇒ same primary shard under scene-hash routing; the
         // second admission must divert to the idle sibling instead of
         // queueing behind max_sessions=1.

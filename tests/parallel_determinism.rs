@@ -251,12 +251,21 @@ fn non_default_policies_are_budget_deterministic() {
     let _serial = frame_matrix::lock();
     let policies_for = |name: &str| -> Policies {
         match name {
-            "affinity" => Policies::default().with_placement(SceneAffinity { lanes: 2 }),
-            "degrade" => Policies::default().with_qos(LoadAdaptiveDegrade {
-                max_window: 16,
-                min_resolution: 8,
-            }),
-            "prefetch" => Policies::default().with_prefetch(IdleWorkerPrefetch::default()),
+            "affinity" => Policies {
+                placement: SceneAffinity { lanes: 2 },
+                ..Default::default()
+            },
+            "degrade" => Policies {
+                qos: Some(LoadAdaptiveDegrade {
+                    max_window: 16,
+                    min_resolution: 8,
+                }),
+                ..Default::default()
+            },
+            "prefetch" => Policies {
+                prefetch: Some(IdleWorkerPrefetch::default()),
+                ..Default::default()
+            },
             other => panic!("unknown policy {other}"),
         }
     };
@@ -338,7 +347,10 @@ fn telemetry_on_is_bit_identical_to_off() {
     let serve_with = |threads: usize| {
         let mut server = FrameServer::new(ServeConfig {
             render_threads: threads,
-            policies: Policies::default().with_prefetch(IdleWorkerPrefetch::default()),
+            policies: Policies {
+                prefetch: Some(IdleWorkerPrefetch::default()),
+                ..Default::default()
+            },
             ..Default::default()
         });
         for (i, (qos, offset)) in [
