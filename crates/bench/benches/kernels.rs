@@ -1,9 +1,9 @@
 //! `kernels` — scalar vs wide microbench for the explicit SIMD kernel layer
 //! (ISSUE 9, 12, 13): the decoder MLP's `forward_block` and the three
 //! encoding gathers, each timed on the portable instance ("scalar") and
-//! then under every wider backend cap the host supports (`sse2`, `avx`). The
-//! gathers are timed on a cache-hot and a cache-cold working set. Last, what
-//! the batched marcher hands those kernels (ISSUE 16): the cost of a
+//! then under every wider backend cap the host supports (`sse2`, `avx`,
+//! `avx512`). The gathers are timed on a cache-hot and a cache-cold working
+//! set. Last, what the batched marcher hands those kernels: the cost of a
 //! candidate step through the lego occupancy, tested one by one and walked
 //! by clearance — through the analytic grid alone and under the grid
 //! model's support mask — and lanes evaluated per lane committed at blocks
@@ -63,7 +63,7 @@ fn compare(name: &str, samples_per_iter: usize, mut f: impl FnMut() -> f32) {
     simd::set_backend_cap(Backend::Portable);
     let scalar = throughput(samples_per_iter, &mut f);
     print!("  {name:<28} scalar {:>8.2} Msamples/s", scalar / 1e6);
-    for cap in [Backend::Sse2, Backend::Avx] {
+    for cap in Backend::ALL.into_iter().filter(|&b| b != Backend::Portable) {
         if !cap.supported() {
             continue;
         }

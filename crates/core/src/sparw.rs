@@ -15,7 +15,7 @@
 //! diffuse-radiance approximation degrades there.
 
 use cicero_field::pool::{Bands, Checkout, RenderPool};
-use cicero_field::simd::{self, Kernel, Lanes};
+use cicero_field::simd::{self, Kernel, Lanes, MAX_LANES};
 use cicero_math::{Camera, Mat3, Vec3};
 use cicero_scene::ground_truth::Frame;
 use cicero_telemetry as telemetry;
@@ -228,10 +228,6 @@ fn refill<T: Clone>(v: &mut Vec<T>, n: usize, fill: T) {
     v.resize(n, fill);
 }
 
-/// The widest lane vector a [`Kernel`] body meets (its `W`): the size of the
-/// stack arrays lanes are staged through.
-const MAX_LANES: usize = 8;
-
 /// Generates the splats of reference rows `rows` into `out` (cleared first).
 fn splat_rows(
     reference: &Frame,
@@ -270,7 +266,7 @@ struct SplatRows<'a> {
 
 impl Kernel for SplatRows<'_> {
     #[inline(always)]
-    fn run<W: Lanes, H: Lanes>(self) {
+    fn run<W: Lanes, H: Lanes, Q: Lanes>(self) {
         let rw = self.ref_cam.intrinsics.width;
         let chain = WarpChain::new(self.ref_cam, self.tgt_cam);
         let depth = self.reference.depth.pixels();
@@ -467,6 +463,7 @@ impl WarpChain {
     /// the per-lane scalar finish (lanes past `V::N` stay zero).
     #[inline(always)]
     fn run_staged<V: Lanes>(&self, u: V, v: V, d: V) -> [[f32; MAX_LANES]; 6] {
+        const { assert!(V::N <= MAX_LANES) };
         let mut staged = [[0.0f32; MAX_LANES]; 6];
         let lanes = self.run(u, v, d);
         let mut i = 0;
@@ -484,7 +481,7 @@ impl WarpChain {
 /// the per-pixel coverage gate, `Vec3` color scale and status write stay
 /// scalar. Uncovered lanes are computed and discarded (IEEE division never
 /// traps: a zero weight just yields an unused `inf`). The band's tail goes
-/// through the same group at `H` and then `[f32; 1]`.
+/// through the same group at `H`, `Q` and then `[f32; 1]`.
 struct NormalizeBand<'a> {
     acc_color: &'a [Vec3],
     acc_z: &'a [f32],
@@ -499,7 +496,7 @@ struct NormalizeBand<'a> {
 
 impl Kernel for NormalizeBand<'_> {
     #[inline(always)]
-    fn run<W: Lanes, H: Lanes>(mut self) {
+    fn run<W: Lanes, H: Lanes, Q: Lanes>(mut self) {
         let len = self.sb.len();
         let mut local = 0;
         while local + W::N <= len {
@@ -509,6 +506,10 @@ impl Kernel for NormalizeBand<'_> {
         if local + H::N <= len {
             self.group::<H>(local);
             local += H::N;
+        }
+        if local + Q::N <= len {
+            self.group::<Q>(local);
+            local += Q::N;
         }
         while local < len {
             self.group::<[f32; 1]>(local);
@@ -521,6 +522,7 @@ impl NormalizeBand<'_> {
     /// Band pixels `local..local + V::N`.
     #[inline(always)]
     fn group<V: Lanes>(&mut self, local: usize) {
+        const { assert!(V::N <= MAX_LANES) };
         let idx0 = self.base + local;
         let (mut inv, mut dz) = ([0.0f32; MAX_LANES], [0.0f32; MAX_LANES]);
         let winv = V::splat(1.0).div(V::load(&self.acc_w[idx0..]));
@@ -571,7 +573,8 @@ struct ClassifyBand<'a> {
 
 impl Kernel for ClassifyBand<'_> {
     #[inline(always)]
-    fn run<W: Lanes, H: Lanes>(mut self) {
+    fn run<W: Lanes, H: Lanes, Q: Lanes>(mut self) {
+        const { assert!(W::N <= MAX_LANES) };
         let tw = self.tgt_cam.intrinsics.width;
         let chain = WarpChain::new(self.tgt_cam, self.ref_cam);
         let mut locs = [0usize; MAX_LANES];
@@ -1166,10 +1169,11 @@ mod tests {
         run
     }
 
-    /// Element counts that end in every kind of last group: shorter than one
-    /// 4-lane vector, exact, one over, and several groups with and without a
-    /// tail.
-    const WIDTHS: [usize; 5] = [5, 8, 13, 33, 64];
+    /// Element counts that end in every kind of last group on 8- and
+    /// 16-lane backends: one over a 4-lane vector, exact, `H` + `Q` + 1,
+    /// a 16-lane group and a 4-lane one, and several groups with and without
+    /// a tail.
+    const WIDTHS: [usize; 6] = [5, 8, 13, 20, 33, 64];
 
     /// `n` chain inputs through every lane vector of a backend, the last
     /// group of each padded the way the passes pad theirs.
@@ -1183,9 +1187,10 @@ mod tests {
 
     impl Kernel for ChainCheck<'_> {
         #[inline(always)]
-        fn run<W: Lanes, H: Lanes>(mut self) {
+        fn run<W: Lanes, H: Lanes, Q: Lanes>(mut self) {
             self.check::<W>();
             self.check::<H>();
+            self.check::<Q>();
             self.check::<[f32; 1]>();
         }
     }

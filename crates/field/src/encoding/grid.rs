@@ -228,13 +228,13 @@ struct BlockGather<'a> {
 
 impl Kernel for BlockGather<'_> {
     #[inline(always)]
-    fn run<W: Lanes, H: Lanes>(self) {
+    fn run<W: Lanes, H: Lanes, Q: Lanes>(self) {
         let (grid, stride) = (self.grid, self.stride);
         let (res, ch) = (grid.cfg.resolution as u32, grid.cfg.channels);
         for (ci, chunk) in self.ps.chunks(CHUNK).enumerate() {
             let ns = normalize_chunk(&grid.bounds, chunk);
             let (rows, ns) = (&mut self.out[ci * CHUNK..], &ns[..chunk.len()]);
-            gather_level::<W, H>(
+            gather_level::<W, H, Q>(
                 &grid.data,
                 ch,
                 res,
@@ -305,8 +305,10 @@ mod tests {
 
     #[test]
     fn block_gather_matches_per_sample_bitwise() {
-        // 8 = one W group, 13 = W + H + a 1-lane tail.
-        for channels in [8, 13] {
+        // On 8-lane backends 8 = one W group, 13 = W + H + a 1-lane tail,
+        // 20 = two W + H; on 16-lane ones 8 = H, 13 = H + Q + a tail,
+        // 20 = W + Q.
+        for channels in [8, 13, 20] {
             let g = filled_grid(channels);
             testing::assert_matches_per_sample(
                 &format!("{channels} channels"),

@@ -340,7 +340,7 @@ struct BlockGather<'a> {
 
 impl Kernel for BlockGather<'_> {
     #[inline(always)]
-    fn run<W: Lanes, H: Lanes>(self) {
+    fn run<W: Lanes, H: Lanes, Q: Lanes>(self) {
         let (grid, stride) = (self.grid, self.stride);
         let f = grid.cfg.features_per_entry;
         for (ci, chunk) in self.ps.chunks(CHUNK).enumerate() {
@@ -348,7 +348,7 @@ impl Kernel for BlockGather<'_> {
             for (li, l) in grid.levels.iter().enumerate() {
                 let rows = &mut self.out[li * f * stride + ci * CHUNK..];
                 let (res, ns) = (l.resolution as u32, &ns[..chunk.len()]);
-                gather_level::<W, H>(&l.data, f, res, ns, |c| l.corner_entries(c), rows, stride);
+                gather_level::<W, H, Q>(&l.data, f, res, ns, |c| l.corner_entries(c), rows, stride);
             }
         }
     }
@@ -411,8 +411,10 @@ mod tests {
 
     #[test]
     fn block_gather_matches_per_sample_bitwise() {
-        // 7 = H + three 1-lane tails, 8 = W, 11 = W + tails, 16 = two W.
-        for features in [7, 8, 11, 16] {
+        // On 8-lane backends 7 = H + three 1-lane tails, 8 = W, 11 = W +
+        // tails, 16 = two W, 28 = three W + H; on 16-lane ones 7 = Q + tails,
+        // 8 = H, 11 = H + tails, 16 = W, 28 = W + H + Q.
+        for features in [7, 8, 11, 16, 28] {
             let g = filled_grid(features);
             assert!(g.levels()[1].dense && !g.levels()[2].dense);
             testing::assert_matches_per_sample(

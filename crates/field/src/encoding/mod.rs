@@ -8,7 +8,7 @@ pub mod grid;
 pub mod hash;
 pub mod tensor;
 
-use crate::simd::Lanes;
+use crate::simd::{Lanes, MAX_LANES};
 use cicero_math::{Aabb, Vec3};
 
 /// Trilinear interpolation weights for a fractional cell position.
@@ -87,7 +87,7 @@ pub(crate) fn normalize_chunk(bounds: &Aabb, chunk: &[Vec3]) -> [Vec3; CHUNK] {
 /// ascending corner order, zero weights skipped — so it is bit-identical
 /// to it on every [`Lanes`] backend.
 #[inline(always)]
-pub(crate) fn gather_level<W: Lanes, H: Lanes>(
+pub(crate) fn gather_level<W: Lanes, H: Lanes, Q: Lanes>(
     data: &[f32],
     width: usize,
     cells: u32,
@@ -117,6 +117,10 @@ pub(crate) fn gather_level<W: Lanes, H: Lanes>(
             blend::<H>(data, bases, weights, c, out, stride);
             c += H::N;
         }
+        if c + Q::N <= width {
+            blend::<Q>(data, bases, weights, c, out, stride);
+            c += Q::N;
+        }
         while c < width {
             blend::<[f32; 1]>(data, bases, weights, c, out, stride);
             c += 1;
@@ -135,13 +139,14 @@ fn blend<V: Lanes>(
     out: &mut [f32],
     stride: usize,
 ) {
+    const { assert!(V::N <= MAX_LANES) };
     let mut acc = V::splat(0.0);
     for (&base, &weight) in bases.iter().zip(weights) {
         if weight != 0.0 {
             acc = acc.add_mul(V::splat(weight), V::load(&data[base as usize + c..]));
         }
     }
-    let mut lanes = [0.0f32; 8];
+    let mut lanes = [0.0f32; MAX_LANES];
     acc.store(&mut lanes);
     for (dc, &v) in lanes[..V::N].iter().enumerate() {
         out[(c + dc) * stride] = v;
@@ -190,8 +195,8 @@ pub(crate) mod testing {
     }
 
     /// Holds `gather` to the per-sample `oracle`, bit for bit, on every
-    /// supported backend × block sizes below, at and across the 4- and
-    /// 8-lane groups and the 16-sample chunk, with `stride > k` and the
+    /// supported backend × block sizes below, at and across the 4-, 8- and
+    /// 16-lane groups and the 16-sample chunk, with `stride > k` and the
     /// padding columns left untouched.
     pub fn assert_matches_per_sample(
         what: &str,
@@ -297,7 +302,8 @@ mod tests {
         data[0] = 3.0;
         let mut rows = [f32::NAN];
         let corners = |cell| dense_corners(3, cell);
-        gather_level::<[f32; 8], [f32; 4]>(&data, 1, 2, &[Vec3::ZERO], corners, &mut rows, 1);
+        let ns = [Vec3::ZERO];
+        gather_level::<[f32; 8], [f32; 4], [f32; 4]>(&data, 1, 2, &ns, corners, &mut rows, 1);
         assert_eq!(rows, [3.0]);
     }
 

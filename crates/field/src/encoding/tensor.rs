@@ -10,7 +10,7 @@
 //! with its own distinctive memory footprint and access shape.
 
 use crate::plan::{GatherPlan, LevelGather, RegionId};
-use crate::simd::{self, Kernel, Lanes};
+use crate::simd::{self, Kernel, Lanes, MAX_LANES};
 use cicero_math::{Aabb, Vec3};
 
 /// Number of decoder signals (mirrors `decoder::SIGNALS`).
@@ -311,7 +311,7 @@ struct BlockGather<'a> {
 
 impl Kernel for BlockGather<'_> {
     #[inline(always)]
-    fn run<W: Lanes, H: Lanes>(self) {
+    fn run<W: Lanes, H: Lanes, Q: Lanes>(self) {
         let (t, out, stride) = (self.tensor, self.out, self.stride);
         let (res, ch, k) = (t.cfg.resolution, t.channels(), t.cfg.components_per_signal);
         for (s, &p) in self.ps.iter().enumerate() {
@@ -353,6 +353,10 @@ impl Kernel for BlockGather<'_> {
                     reduce(&taps.products::<H>(c)[..H::N]);
                     c += H::N;
                 }
+                if c + Q::N <= ch {
+                    reduce(&taps.products::<Q>(c)[..Q::N]);
+                    c += Q::N;
+                }
                 while c < ch {
                     reduce(&taps.products::<[f32; 1]>(c)[..1]);
                     c += 1;
@@ -374,7 +378,8 @@ impl Taps<'_> {
     /// [`VmTensor::sample_plane`] times [`VmTensor::sample_line`] for
     /// channels `c..c + V::N`, one lane each (the first `V::N` values).
     #[inline(always)]
-    fn products<V: Lanes>(&self, c: usize) -> [f32; 8] {
+    fn products<V: Lanes>(&self, c: usize) -> [f32; MAX_LANES] {
+        const { assert!(V::N <= MAX_LANES) };
         // No `array::map` over the loads and splats: a `Lanes` op inside a
         // std helper's closure is compiled outside the backend trampoline.
         let [p00, p10, p01, p11, l0, l1] = self.rows;
@@ -386,7 +391,7 @@ impl Taps<'_> {
         let line = V::load(&l0[c..])
             .mul(V::splat(1.0 - fw))
             .add_mul(V::load(&l1[c..]), V::splat(fw));
-        let mut products = [0.0f32; 8];
+        let mut products = [0.0f32; MAX_LANES];
         plane.mul(line).store(&mut products);
         products
     }
@@ -448,8 +453,10 @@ mod tests {
     #[test]
     fn block_gather_matches_per_sample_bitwise() {
         // Channels 7 = H + tails, 21 = two W + H + a tail, 35 = four W +
-        // tails; 3 and 5 components straddle the lane groups. 12 components
-        // are 84 channels, past the old kernel's 64-channel product buffer.
+        // tails on 8-lane backends; 7 = Q + tails, 21 = W + Q + a tail,
+        // 35 = two W + tails on 16-lane ones. 3 and 5 components straddle
+        // the lane groups. 12 components are 84 channels, past the old
+        // kernel's 64-channel product buffer.
         for components in [1, 3, 5, 12] {
             let t = filled_tensor(components);
             testing::assert_matches_per_sample(

@@ -33,8 +33,8 @@
 // `deny` instead of `forbid`: the two exceptions are `pool`, which implements
 // the persistent worker pool's job dispatch and disjoint-slice primitives,
 // and `simd`, whose x86 backends use unaligned load/store intrinsics behind
-// slice-length asserts and enter the AVX instance of a kernel behind run-time
-// detection (every block SAFETY-annotated). Everything else in the crate
+// slice-length asserts and enter the AVX and AVX-512 instances of a kernel
+// behind run-time detection (every block SAFETY-annotated). Everything else in the crate
 // remains unsafe-free.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]

@@ -82,10 +82,14 @@ impl Layer {
     }
 }
 
-/// Output rows per register tile. 4 rows × 16 samples is eight 8-lane
-/// accumulators: with the two input vectors and the weight broadcast they
-/// fill 11 of the 16 `ymm` registers, and every weight is loaded once per
-/// 16 samples, every input once per 4 rows.
+/// Output rows per register tile. 4 rows × two `W` vectors of samples is
+/// eight accumulators: with the two input vectors and the weight broadcast
+/// they fill 11 of the 16 `ymm` registers (of the 32 `zmm` ones at 16
+/// lanes), and every weight is loaded once per two vectors of samples,
+/// every input once per 4 rows. Eight-row tiles on the 16-lane backend,
+/// where the registers would hold them, measured no faster on a 2-vCPU
+/// AVX-512 Xeon (hidden-64 `forward_block` at block 16: 143–154 ns per
+/// sample at 4 rows, 145–146 at 8).
 const TILE_ROWS: usize = 4;
 
 /// The block kernel of [`Layer::forward_block`], written once over
@@ -93,9 +97,9 @@ const TILE_ROWS: usize = 4;
 ///
 /// The output is cut into register tiles of [`TILE_ROWS`] rows × two `W`
 /// vectors of samples (leftover rows: a 2-row and a 1-row tile). Samples
-/// past the last full pair drop to one `W` group, then one `H` group, then
-/// one at a time — the same tile over `[f32; 1]`, so the tails are not a
-/// second body.
+/// past the last full pair drop to one `W` group, then one `H` group, one
+/// `Q` group, then one at a time — the same tile over `[f32; 1]`, so the
+/// tails are not a second body.
 ///
 /// Bit-identical to [`Layer::forward`] per sample (see `crate::simd`
 /// module docs): each lane's accumulator starts from the bias, adds `w * x`
@@ -113,21 +117,21 @@ struct BlockKernel<'a> {
 
 impl simd::Kernel for BlockKernel<'_> {
     #[inline(always)]
-    fn run<W: Lanes, H: Lanes>(mut self) {
+    fn run<W: Lanes, H: Lanes, Q: Lanes>(mut self) {
         debug_assert_eq!(self.input.len(), self.layer.in_dim * self.k);
         debug_assert_eq!(self.out.len(), self.layer.out_dim * self.k);
         let out_dim = self.layer.out_dim;
         let mut r = 0;
         while r + TILE_ROWS <= out_dim {
-            self.rows::<W, H, TILE_ROWS>(r);
+            self.rows::<W, H, Q, TILE_ROWS>(r);
             r += TILE_ROWS;
         }
         if r + 2 <= out_dim {
-            self.rows::<W, H, 2>(r);
+            self.rows::<W, H, Q, 2>(r);
             r += 2;
         }
         if r < out_dim {
-            self.rows::<W, H, 1>(r);
+            self.rows::<W, H, Q, 1>(r);
         }
     }
 }
@@ -135,7 +139,7 @@ impl simd::Kernel for BlockKernel<'_> {
 impl BlockKernel<'_> {
     /// Output rows `r0..r0 + R` over all `k` samples, widest group first.
     #[inline(always)]
-    fn rows<W: Lanes, H: Lanes, const R: usize>(&mut self, r0: usize) {
+    fn rows<W: Lanes, H: Lanes, Q: Lanes, const R: usize>(&mut self, r0: usize) {
         let k = self.k;
         let mut s = 0;
         while s + 2 * W::N <= k {
@@ -149,6 +153,10 @@ impl BlockKernel<'_> {
         if s + H::N <= k {
             self.tile::<H, R, 1>(r0, s);
             s += H::N;
+        }
+        if s + Q::N <= k {
+            self.tile::<Q, R, 1>(r0, s);
+            s += Q::N;
         }
         while s < k {
             self.tile::<[f32; 1], R, 1>(r0, s);
@@ -348,11 +356,12 @@ impl Mlp {
 
     /// Runs the network on a block of `k` samples staged in SoA layout via
     /// [`MlpBlockScratch::stage`]. Activations are `dim × k` matrices
-    /// (`buf[i * k + s]`); every weight is read once per 16 samples and the
-    /// sample dimension runs at the host's vector width. Per sample, the
-    /// result is **bit-identical** to [`Mlp::forward_staged`] — the
-    /// accumulation order within each sample is unchanged; only the order
-    /// *across* samples differs, and samples never mix.
+    /// (`buf[i * k + s]`); every weight is read once per two vectors of
+    /// samples and the sample dimension runs at the host's vector width.
+    /// Per sample, the result is **bit-identical** to
+    /// [`Mlp::forward_staged`] — the accumulation order within each sample is
+    /// unchanged; only the order *across* samples differs, and samples never
+    /// mix.
     ///
     /// Returns the `out_dim × k` output matrix. Allocation-free once the
     /// scratch capacities are warm.
@@ -614,9 +623,10 @@ mod tests {
     fn forward_block_wide_matches_scalar_bitwise() {
         // The one block-kernel body on every backend this host can run,
         // against per-sample `Layer::forward` — independent of the
-        // process-wide `simd` switch. The sizes cover every tile shape:
-        // sample groups of 16, 8, 4 and 1 in every combination, and row
-        // tiles of 4, 2 and 1 (out_dim 9 = 4 + 4 + 1, 7 = 4 + 2 + 1).
+        // process-wide `simd` switch. The sizes cover every tile shape at 8
+        // and at 16 lanes: sample groups of 2W, W, H, Q and 1 in every
+        // combination (47 = 32 + 8 + 4 + 3), and row tiles of 4, 2 and 1
+        // (out_dim 9 = 4 + 4 + 1, 7 = 4 + 2 + 1).
         for backend in simd::Backend::ALL {
             if !backend.supported() {
                 println!("skipping {backend:?}: not supported in this build on this host");
@@ -633,7 +643,7 @@ mod tests {
                         layer.set(r, c, ((r * 31 + c * 7) as f32 * 0.113).sin());
                     }
                 }
-                for k in [1usize, 3, 4, 5, 8, 13, 16, 24, 29, 64] {
+                for k in [1usize, 3, 4, 5, 8, 13, 16, 20, 24, 29, 47, 64] {
                     let input: Vec<f32> = (0..11 * k)
                         .map(|i| (i as f32 * 0.291).sin() * 2.5 - 0.6)
                         .collect();

@@ -5,18 +5,19 @@
 //! `forward_block` and the batched feature gathers. This module makes the
 //! lanes explicit: [`Lanes`] + [`Kernel`] + [`dispatch`] — a kernel body
 //! written **once** over an abstract lane vector and instantiated per
-//! [`Backend`]: portable `[f32; N]`, a pair of SSE2 `__m128` registers, and
-//! a 256-bit AVX `__m256` that is selected at run time
-//! (`is_x86_feature_detected!("avx")`, cached). What runs on [`Lanes`]: the
-//! MLP block kernel (`Layer::forward_block`), the three encoding gathers
-//! (`interpolate_block_into`) and the SPARW splat, normalize and
-//! void-classify passes of `cicero::sparw`.
+//! [`Backend`]: portable `[f32; N]`, a pair of SSE2 `__m128` registers, a
+//! 256-bit AVX `__m256` and a 512-bit AVX-512 `__m512`, the last two
+//! selected at run time (`is_x86_feature_detected!`, cached). What runs on
+//! [`Lanes`]: the MLP block kernel (`Layer::forward_block`), the three
+//! encoding gathers (`interpolate_block_into`) and the SPARW splat,
+//! normalize and void-classify passes of `cicero::sparw`.
 //!
-//! | backend | 8-lane `W` | 4-lane `H` | selected when |
-//! |---|---|---|---|
-//! | `avx` | one `__m256` | one `__m128` | x86_64, CPU reports AVX |
-//! | `sse2` | two `__m128` | one `__m128` | x86_64 |
-//! | `portable` | `[f32; 8]` | `[f32; 4]` | capped, or another target |
+//! | backend | `W` (widest) | `H` (half) | `Q` (4 lanes) | selected when |
+//! |---|---|---|---|---|
+//! | `avx512` | one `__m512` | one `__m256` | one `__m128` | x86_64, CPU reports AVX-512F |
+//! | `avx` | one `__m256` | one `__m128` | one `__m128` | x86_64, CPU reports AVX |
+//! | `sse2` | two `__m128` | one `__m128` | one `__m128` | x86_64 |
+//! | `portable` | `[f32; 8]` | `[f32; 4]` | `[f32; 4]` | capped, or another target |
 //!
 //! # Determinism contract
 //!
@@ -29,16 +30,20 @@
 //!   `_mm_mul_ps` / `_mm_div_ps` / `_mm_max_ps` are per-lane IEEE-754
 //!   identical to the scalar `+`, `-`, `*`, `/` and `f32::max`. No
 //!   `rsqrt`/`rcp` approximations, no horizontal ops.
-//! - **No FMA contraction.** Rust never contracts `a * b + c` into a fused
-//!   multiply-add (rustc compiles with contraction off), and this module
-//!   only emits mul-then-add pairs — the scalar and wide paths round
-//!   identically at every step.
-//! - **Width changes nothing.** The 256-bit `_mm256_mul_ps` and
-//!   `_mm256_add_ps` are the 128-bit ops on eight lanes: each lane is
-//!   rounded on its own, exactly as `mulss` / `addss` round a scalar. What
-//!   would differ is a *fused* multiply-add (one rounding instead of two),
-//!   and the AVX instance cannot contain one: its trampoline enables `avx`
-//!   only, not `fma`, and calls no fused intrinsic.
+//! - **No FMA, by construction.** A fused multiply-add rounds once where
+//!   `a + w * x` rounds twice, so one would move bits. None is emitted for
+//!   two reasons that hold whatever features a trampoline enables: rustc
+//!   never contracts a separate multiply and add (it compiles without
+//!   LLVM's `contract` flag, so even the AVX-512 trampoline, whose
+//!   `avx512f` implies `fma` in LLVM, keeps them apart), and no
+//!   implementor calls a fused intrinsic — [`Lanes::add_mul`] is a `mul`
+//!   intrinsic and then an `add` one. `tests::no_backend_fuses_add_mul`
+//!   runs inputs on which the two roundings differ from one through every
+//!   backend.
+//! - **Width changes nothing.** The 256- and 512-bit `mul` and `add` are the
+//!   128-bit ops on eight or sixteen lanes: each lane is rounded on its
+//!   own, exactly as `mulss` / `addss` round a scalar. Width is not
+//!   precision; only fusion would be.
 //! - **Fixed accumulation order.** Accumulators start from the same value
 //!   as the scalar code (the bias, or 0.0) and add terms in the same
 //!   ascending order. Adding into a register instead of a memory slot does
@@ -47,10 +52,10 @@
 //! - **Operand order preserved.** `max` keeps the scalar operand order
 //!   (`acc.max(0.0)`, not `0.0.max(acc)`) so NaN propagation matches maxss.
 //! - **Tails run the same body.** Remainder lanes (block size not a
-//!   multiple of 8, trailing channels or pixels) go through the kernel body
-//!   once more over `H` and then `[f32; 1]`, or are padded into a full
-//!   vector whose extra lanes are computed and discarded; neither is a
-//!   second copy of the math.
+//!   multiple of `W::N`, trailing channels or pixels) go through the kernel
+//!   body once more over `H`, then `Q`, then `[f32; 1]`, or are padded into
+//!   a full vector whose extra lanes are computed and discarded; neither is
+//!   a second copy of the math.
 //!
 //! # Runtime dispatch
 //!
@@ -60,9 +65,10 @@
 //! [`backend`] names it. One process-wide cap narrows that, and
 //! [`set_backend_cap`] is the only way to move it, so one binary can compare
 //! the instances (`tests/frame_matrix.rs`, `tests/zero_alloc.rs` and the
-//! `kernels` bench do). The cap is not part of any configuration and no
-//! environment variable reads it: the output does not depend on it. Off
-//! x86_64 everything runs the portable instance.
+//! `kernels` bench do); [`Backend::WIDEST`] is the cap that caps nothing.
+//! The cap is not part of any configuration and no environment variable
+//! reads it: the output does not depend on it. Off x86_64 everything runs
+//! the portable instance.
 //!
 //! # Adding a wide kernel
 //!
@@ -71,12 +77,14 @@
 //! three encodings, the row and band passes of `cicero::sparw`):
 //!
 //! 1. Put the arguments in a struct and implement [`Kernel`] for it. Write
-//!    `run` against `W` (8 lanes), `H` (4 lanes) and `[f32; 1]` for the
-//!    tail, using only the [`Lanes`] ops, and mark it and its helpers
-//!    `#[inline(always)]`. Keep [`Lanes`] ops out of closures handed to std
-//!    helpers (`array::map`, iterator adaptors): the helper is compiled
-//!    outside the AVX trampoline, so the ops inside it are calls, not
-//!    instructions (a tensor gather written that way ran at half speed).
+//!    `run` against `W` (the backend's widest vector, 8 or 16 lanes), `H`
+//!    (half of it), `Q` (4 lanes) and `[f32; 1]` for the tail, using only
+//!    the [`Lanes`] ops; stage lanes through stack arrays of [`MAX_LANES`],
+//!    and mark `run` and its helpers `#[inline(always)]`. Keep [`Lanes`]
+//!    ops out of closures handed to std helpers (`array::map`, iterator
+//!    adaptors): the helper is compiled outside the backend trampoline, so
+//!    the ops inside it are calls, not instructions (a tensor gather written
+//!    that way ran at half speed).
 //!    The same goes for a pool band closure: call [`dispatch`] *inside* the
 //!    closure, once per band, and keep the lane ops in the kernel's own
 //!    `#[inline(always)]` methods — never hand the kernel a closure to call
@@ -88,11 +96,11 @@
 //! 3. Test every backend with [`run_on`] against the oracle, skipping the
 //!    ones [`Backend::supported`] rules out on the host.
 //! 4. An op the body needs and [`Lanes`] lacks is added to the trait and to
-//!    its four implementors, with the scalar expression it equals per lane.
+//!    its five implementors, with the scalar expression it equals per lane.
 
 // Unsafe is confined to the x86 backends below: unaligned load/store
-// intrinsics behind slice-length asserts, and the one call into the AVX
-// trampoline behind run-time detection. The portable backend and
+// intrinsics behind slice-length asserts, and the calls into the AVX and
+// AVX-512 trampolines behind run-time detection. The portable backend and
 // everything else in this module is unsafe-free.
 #![cfg_attr(target_arch = "x86_64", allow(unsafe_code))]
 
@@ -108,23 +116,38 @@ pub enum Backend {
     Sse2,
     /// 256-bit AVX (`mul` + `add`, never FMA), detected at run time.
     Avx,
+    /// 512-bit AVX-512F (`mul` + `add`, never FMA), detected at run time.
+    Avx512,
 }
 
 impl Backend {
     /// Every backend, narrowest first.
-    pub const ALL: [Backend; 3] = [Backend::Portable, Backend::Sse2, Backend::Avx];
+    pub const ALL: [Backend; 4] = [
+        Backend::Portable,
+        Backend::Sse2,
+        Backend::Avx,
+        Backend::Avx512,
+    ];
 
-    /// The name [`backend`] reports: `"portable"`, `"sse2"` or `"avx"`.
+    /// The widest backend, last of [`Backend::ALL`]: as a cap it caps
+    /// nothing, so [`set_backend_cap`]`(Backend::WIDEST)` is "uncapped" —
+    /// dispatch goes to whatever the host's widest is.
+    pub const WIDEST: Backend = Backend::ALL[Backend::ALL.len() - 1];
+
+    /// The name [`backend`] reports: `"portable"`, `"sse2"`, `"avx"` or
+    /// `"avx512"`.
     pub const fn name(self) -> &'static str {
         match self {
             Backend::Portable => "portable",
             Backend::Sse2 => "sse2",
             Backend::Avx => "avx",
+            Backend::Avx512 => "avx512",
         }
     }
 
     /// Can this process run the backend? Needs x86_64 for anything but
-    /// [`Backend::Portable`], and the CPU's say-so for [`Backend::Avx`].
+    /// [`Backend::Portable`], and the CPU's say-so for [`Backend::Avx`] and
+    /// [`Backend::Avx512`].
     pub fn supported(self) -> bool {
         self <= host_widest()
     }
@@ -142,8 +165,8 @@ impl Backend {
 // widest, lowered by `set_backend_cap`. 0 = unset (detect on first use).
 static WIDEST: AtomicU8 = AtomicU8::new(0);
 
-/// Name of the backend [`dispatch`] selects right now: `"avx"`, `"sse2"` or
-/// `"portable"`.
+/// Name of the backend [`dispatch`] selects right now: `"avx512"`, `"avx"`,
+/// `"sse2"` or `"portable"`.
 pub fn backend() -> &'static str {
     dispatched().name()
 }
@@ -160,16 +183,19 @@ pub fn dispatched() -> Backend {
 
 #[cold]
 fn init_widest() -> Backend {
-    set_backend_cap(Backend::Avx);
+    set_backend_cap(Backend::WIDEST);
     Backend::from_code(WIDEST.load(Ordering::Relaxed))
 }
 
-/// The widest backend this process can run: compiled in, and for AVX
-/// reported by the CPU (`is_x86_feature_detected!` caches its answer).
+/// The widest backend this process can run: compiled in, and for AVX and
+/// AVX-512 reported by the CPU (`is_x86_feature_detected!` caches its
+/// answer).
 fn host_widest() -> Backend {
     #[cfg(target_arch = "x86_64")]
     {
-        if std::arch::is_x86_feature_detected!("avx") {
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            Backend::Avx512
+        } else if std::arch::is_x86_feature_detected!("avx") {
             Backend::Avx
         } else {
             Backend::Sse2
@@ -180,8 +206,8 @@ fn host_widest() -> Backend {
 }
 
 /// Caps the backend [`dispatch`] selects (uncapped until the first call);
-/// the host's widest still applies, so [`Backend::Avx`] means "no cap" and
-/// [`Backend::Portable`] is what "scalar" means. Only the determinism tests
+/// the host's widest still applies, so [`Backend::WIDEST`] means "no cap"
+/// and [`Backend::Portable`] is what "scalar" means. Only the determinism tests
 /// and the `kernels` bench have a reason to call it.
 pub fn set_backend_cap(cap: Backend) {
     WIDEST.store(host_widest().min(cap).code(), Ordering::Relaxed);
@@ -308,16 +334,23 @@ impl<const N: usize> Lanes for [f32; N] {
     }
 }
 
+/// The most lanes any backend's `W` has: the length of the stack arrays a
+/// kernel stages lanes through (`W::N <= MAX_LANES` on every backend).
+pub const MAX_LANES: usize = 16;
+
 /// A block kernel written once over [`Lanes`] and instantiated per backend
-/// by [`dispatch`]. `W` is the backend's 8-lane vector and `H` its 4-lane
-/// one; bodies take the scalar tail as `[f32; 1]`.
+/// by [`dispatch`]. `W` is the backend's widest vector, 8 or 16 lanes; `H`
+/// is half of it and `Q` has 4 lanes (on 8-lane backends `H` and `Q` are one
+/// type); bodies take the scalar tail as `[f32; 1]`. A tail ladder steps
+/// `W`, `H`, `Q`, then one lane at a time, so a remainder of 4–7 lanes
+/// after the 16-lane groups does not fall to the scalar tail.
 ///
-/// Mark `run` and everything it calls `#[inline(always)]`: the AVX instance
-/// only becomes AVX code by being inlined into this module's
-/// `#[target_feature]` trampoline.
+/// Mark `run` and everything it calls `#[inline(always)]`: the AVX and
+/// AVX-512 instances only become AVX and AVX-512 code by being inlined into
+/// this module's `#[target_feature]` trampolines.
 pub trait Kernel {
     /// The body.
-    fn run<W: Lanes, H: Lanes>(self);
+    fn run<W: Lanes, H: Lanes, Q: Lanes>(self);
 }
 
 /// Runs `kernel` on the backend [`dispatched`] names.
@@ -337,12 +370,15 @@ pub fn run_on<K: Kernel>(backend: Backend, kernel: K) {
     assert!(backend.supported(), "{backend:?} cannot run on this host");
     match backend {
         #[cfg(target_arch = "x86_64")]
+        // SAFETY: `supported` just confirmed the CPU reports AVX-512F.
+        Backend::Avx512 => unsafe { backend::run_avx512(kernel) },
+        #[cfg(target_arch = "x86_64")]
         // SAFETY: `supported` just confirmed the CPU reports AVX.
         Backend::Avx => unsafe { backend::run_avx(kernel) },
         #[cfg(target_arch = "x86_64")]
-        Backend::Sse2 => kernel.run::<backend::F32x8, backend::F32x4>(),
+        Backend::Sse2 => kernel.run::<backend::F32x8, backend::F32x4, backend::F32x4>(),
         // Off x86_64 `supported` admits nothing wider than portable.
-        _ => kernel.run::<[f32; 8], [f32; 4]>(),
+        _ => kernel.run::<[f32; 8], [f32; 4], [f32; 4]>(),
     }
 }
 
@@ -350,13 +386,15 @@ pub fn run_on<K: Kernel>(backend: Backend, kernel: K) {
 mod backend {
     use super::{Kernel, Lanes};
     use std::arch::x86_64::{
-        __m128, __m256, _mm256_add_ps, _mm256_div_ps, _mm256_loadu_ps, _mm256_max_ps,
-        _mm256_mul_ps, _mm256_set1_ps, _mm256_storeu_ps, _mm256_sub_ps, _mm_add_ps, _mm_div_ps,
-        _mm_loadu_ps, _mm_max_ps, _mm_mul_ps, _mm_set1_ps, _mm_storeu_ps, _mm_sub_ps,
+        __m128, __m256, __m512, _mm256_add_ps, _mm256_div_ps, _mm256_loadu_ps, _mm256_max_ps,
+        _mm256_mul_ps, _mm256_set1_ps, _mm256_storeu_ps, _mm256_sub_ps, _mm512_add_ps,
+        _mm512_div_ps, _mm512_loadu_ps, _mm512_max_ps, _mm512_mul_ps, _mm512_set1_ps,
+        _mm512_storeu_ps, _mm512_sub_ps, _mm_add_ps, _mm_div_ps, _mm_loadu_ps, _mm_max_ps,
+        _mm_mul_ps, _mm_set1_ps, _mm_storeu_ps, _mm_sub_ps,
     };
 
-    /// 4 f32 lanes in one SSE2 register: the 4-sample tail group of the
-    /// SSE2 and AVX instances, and each half of the SSE2 [`F32x8`].
+    /// 4 f32 lanes in one SSE2 register: the `Q` of every x86 instance, the
+    /// `H` of the SSE2 and AVX ones, and each half of the SSE2 [`F32x8`].
     ///
     /// SAFETY note shared by every intrinsic call below: SSE/SSE2 are part
     /// of the x86_64 baseline ABI, statically enabled for every x86_64
@@ -482,15 +520,18 @@ mod backend {
         }
     }
 
-    /// 8 f32 lanes in one AVX register.
+    /// 8 f32 lanes in one AVX register: the `W` of the AVX instance and the
+    /// `H` of the AVX-512 one.
     ///
-    /// Private to this module, and only ever named by [`run_avx`]: a
-    /// [`Kernel`] body meets it as an anonymous `W: Lanes`, so no value of
-    /// it exists — and none of its methods runs — outside that trampoline.
+    /// Private to this module, and only ever named by [`run_avx`] and
+    /// [`run_avx512`]: a [`Kernel`] body meets it as an anonymous
+    /// `W: Lanes` or `H: Lanes`, so no value of it exists — and none of its
+    /// methods runs — outside those trampolines.
     ///
     /// SAFETY note shared by every intrinsic call below: each runs inlined
-    /// into [`run_avx`], which [`super::run_on`] enters only after the CPU
-    /// reported AVX; the register-only intrinsics touch no memory.
+    /// into [`run_avx`] or [`run_avx512`], which [`super::run_on`] enters
+    /// only after the CPU reported AVX or AVX-512F (which implies AVX); the
+    /// register-only intrinsics touch no memory.
     /// `vaddps` / `vsubps` / `vmulps` / `vdivps` / `vmaxps` on a `ymm`
     /// register are the `xmm` ops on eight lanes instead of four: per lane
     /// the same IEEE-754 result, and a separate `mul` and `add` are never
@@ -549,8 +590,9 @@ mod backend {
 
         #[inline(always)]
         fn add_mul(self, w: Self, x: Self) -> Self {
-            // SAFETY: AVX detected (see type docs); register-only. The two
-            // intrinsics are two instructions: nothing here enables `fma`.
+            // SAFETY: AVX detected (see type docs); register-only. Two
+            // intrinsics, two roundings: rustc does not contract them, even
+            // inside `run_avx512` where `fma` is implied.
             Self(unsafe { _mm256_add_ps(self.0, _mm256_mul_ps(w.0, x.0)) })
         }
 
@@ -561,13 +603,105 @@ mod backend {
         }
     }
 
+    /// 16 f32 lanes in one AVX-512 register.
+    ///
+    /// Private to this module, and only ever named by [`run_avx512`]: a
+    /// [`Kernel`] body meets it as an anonymous `W: Lanes`, so no value of
+    /// it exists — and none of its methods runs — outside that trampoline.
+    ///
+    /// SAFETY note shared by every intrinsic call below: each runs inlined
+    /// into [`run_avx512`], which [`super::run_on`] enters only after the
+    /// CPU reported AVX-512F; the register-only intrinsics touch no memory.
+    /// The `zmm` forms of `vaddps` / `vsubps` / `vmulps` / `vdivps` /
+    /// `vmaxps` are the `xmm` ops on sixteen lanes, with the default
+    /// rounding (no embedded rounding override): per lane the same
+    /// IEEE-754 result.
+    #[derive(Clone, Copy)]
+    struct F32x16(__m512);
+
+    impl Lanes for F32x16 {
+        const N: usize = 16;
+
+        #[inline(always)]
+        fn splat(v: f32) -> Self {
+            // SAFETY: AVX-512F detected (see type docs); register-only.
+            Self(unsafe { _mm512_set1_ps(v) })
+        }
+
+        #[inline(always)]
+        fn load(src: &[f32]) -> Self {
+            assert!(src.len() >= 16, "F32x16::load needs 16 elements");
+            // SAFETY: AVX-512F detected (see type docs); the assert
+            // guarantees 16 readable f32s at `src`, and loadu needs no
+            // alignment.
+            Self(unsafe { _mm512_loadu_ps(src.as_ptr()) })
+        }
+
+        #[inline(always)]
+        fn store(self, dst: &mut [f32]) {
+            assert!(dst.len() >= 16, "F32x16::store needs 16 elements");
+            // SAFETY: AVX-512F detected (see type docs); the assert
+            // guarantees 16 writable f32s at `dst`, and storeu needs no
+            // alignment.
+            unsafe { _mm512_storeu_ps(dst.as_mut_ptr(), self.0) }
+        }
+
+        #[inline(always)]
+        fn add(self, o: Self) -> Self {
+            // SAFETY: AVX-512F detected (see type docs); register-only.
+            Self(unsafe { _mm512_add_ps(self.0, o.0) })
+        }
+
+        #[inline(always)]
+        fn sub(self, o: Self) -> Self {
+            // SAFETY: AVX-512F detected (see type docs); register-only.
+            Self(unsafe { _mm512_sub_ps(self.0, o.0) })
+        }
+
+        #[inline(always)]
+        fn mul(self, o: Self) -> Self {
+            // SAFETY: AVX-512F detected (see type docs); register-only.
+            Self(unsafe { _mm512_mul_ps(self.0, o.0) })
+        }
+
+        #[inline(always)]
+        fn div(self, o: Self) -> Self {
+            // SAFETY: AVX-512F detected (see type docs); register-only.
+            Self(unsafe { _mm512_div_ps(self.0, o.0) })
+        }
+
+        #[inline(always)]
+        fn add_mul(self, w: Self, x: Self) -> Self {
+            // SAFETY: AVX-512F detected (see type docs); register-only. A
+            // `mul` intrinsic, then an `add` one, never `_mm512_fmadd_ps`:
+            // the trampoline implies `fma`, but rustc does not contract.
+            Self(unsafe { _mm512_add_ps(self.0, _mm512_mul_ps(w.0, x.0)) })
+        }
+
+        #[inline(always)]
+        fn max(self, o: Self) -> Self {
+            // SAFETY: AVX-512F detected (see type docs); register-only.
+            Self(unsafe { _mm512_max_ps(self.0, o.0) })
+        }
+    }
+
     /// The AVX instance of a [`Kernel`]: `#[inline(always)]` bodies inlined
     /// here are compiled with 256-bit registers available.
     ///
     /// Callers must have checked that the CPU reports AVX.
     #[target_feature(enable = "avx")]
     pub fn run_avx<K: Kernel>(kernel: K) {
-        kernel.run::<F32x8Avx, F32x4>()
+        kernel.run::<F32x8Avx, F32x4, F32x4>()
+    }
+
+    /// The AVX-512 instance of a [`Kernel`]: `#[inline(always)]` bodies
+    /// inlined here are compiled with 512-bit registers available (and, as
+    /// `avx512f` implies them, AVX for the 8-lane `H`).
+    ///
+    /// Callers must have checked that the CPU reports AVX-512F.
+    #[target_feature(enable = "avx512f")]
+    pub fn run_avx512<K: Kernel>(kernel: K) {
+        kernel.run::<F32x16, F32x8Avx, F32x4>()
     }
 }
 
@@ -586,8 +720,8 @@ mod tests {
         }
     }
 
-    /// A test body run once per lane vector of a backend: its `W`, its `H`
-    /// and the `[f32; 1]` tail every kernel uses.
+    /// A test body run once per lane vector of a backend: its `W`, `H` and
+    /// `Q` and the `[f32; 1]` tail every kernel uses.
     trait PerVector: Copy {
         fn check<V: Lanes>(self);
     }
@@ -597,10 +731,12 @@ mod tests {
 
     impl<T: PerVector> Kernel for OnEachVector<T> {
         #[inline(always)]
-        fn run<W: Lanes, H: Lanes>(self) {
-            assert_eq!((W::N, H::N), (8, 4));
+        fn run<W: Lanes, H: Lanes, Q: Lanes>(self) {
+            assert!(matches!((W::N, H::N, Q::N), (8, 4, 4) | (16, 8, 4)));
+            assert!(W::N <= MAX_LANES);
             self.0.check::<W>();
             self.0.check::<H>();
+            self.0.check::<Q>();
             self.0.check::<[f32; 1]>();
         }
     }
@@ -617,11 +753,23 @@ mod tests {
             // constant-folded scalar expression may spell differently from
             // the hardware. `max` is held to its documented contract: any
             // left operand, 0.0 on the right.
-            let a = [1.5f32, -2.25, 0.0, 1e-30, 3.75e8, -0.0, f32::NAN, 123.456];
-            let b = [0.5f32, 3.0, -1.0, 1e30, 0.0, 4.0, -7.0, f32::INFINITY];
-            let w = [-0.75f32, 1e-20, 2.0, f32::NAN, 0.1, 9.0, 1.0, -1e10];
+            #[rustfmt::skip]
+            let a = [
+                1.5f32, -2.25, 0.0, 1e-30, 3.75e8, -0.0, f32::NAN, 123.456,
+                -1e-38, 7.0, f32::INFINITY, -0.0, 2.5e-3, -6.5e7, -3.0, 1.0,
+            ];
+            #[rustfmt::skip]
+            let b = [
+                0.5f32, 3.0, -1.0, 1e30, 0.0, 4.0, -7.0, f32::INFINITY,
+                3.0, -0.0, 2.0, f32::NAN, -4e-3, 1.0, -0.0, 3.0,
+            ];
+            #[rustfmt::skip]
+            let w = [
+                -0.75f32, 1e-20, 2.0, f32::NAN, 0.1, 9.0, 1.0, -1e10,
+                -5e-3, 5.5, -2.0, 0.25, f32::INFINITY, -3.0, 1e-40, 0.0,
+            ];
             type ScalarOp = fn(f32, f32, f32) -> f32;
-            for at in (0..8).step_by(V::N) {
+            for at in (0..16).step_by(V::N) {
                 let (va, vb, vw) = (V::load(&a[at..]), V::load(&b[at..]), V::load(&w[at..]));
                 let checks: [(&str, V, ScalarOp); 6] = [
                     ("add", va.add(vb), |x, y, _| x + y),
@@ -632,7 +780,7 @@ mod tests {
                     ("max", vw.max(V::splat(0.0)), |_, _, w| w.max(0.0)),
                 ];
                 for (op, wide, scalar) in checks {
-                    let mut got = [0.0f32; 8];
+                    let mut got = [0.0f32; MAX_LANES];
                     wide.store(&mut got);
                     for (lane, i) in (at..at + V::N).enumerate() {
                         let want = scalar(a[i], b[i], w[i]);
@@ -661,21 +809,21 @@ mod tests {
         fn check<V: Lanes>(self) {
             // The kernel idiom: acc starts from a splat, then ascending
             // `acc += w * x` terms. Must match the scalar loop bit for bit.
-            let xs: Vec<f32> = (0..32).map(|i| (i as f32 * 0.37).sin() * 3.0).collect();
+            let xs: Vec<f32> = (0..64).map(|i| (i as f32 * 0.37).sin() * 3.0).collect();
             let ws: Vec<f32> = (0..4).map(|i| 0.71f32.powi(i) - 0.4).collect();
             let bias = 0.125f32;
 
             let mut acc = V::splat(bias);
             for (i, &w) in ws.iter().enumerate() {
-                acc = acc.add_mul(V::splat(w), V::load(&xs[i * 8..]));
+                acc = acc.add_mul(V::splat(w), V::load(&xs[i * 16..]));
             }
-            let mut wide = [0.0f32; 8];
+            let mut wide = [0.0f32; MAX_LANES];
             acc.max(V::splat(0.0)).store(&mut wide);
 
             for lane in 0..V::N {
                 let mut acc = bias;
                 for (i, &w) in ws.iter().enumerate() {
-                    acc += w * xs[i * 8 + lane];
+                    acc += w * xs[i * 16 + lane];
                 }
                 acc = acc.max(0.0);
                 assert_eq!(
@@ -694,13 +842,62 @@ mod tests {
     }
 
     #[derive(Clone, Copy)]
+    struct Unfused;
+
+    impl PerVector for Unfused {
+        #[inline(always)]
+        fn check<V: Lanes>(self) {
+            // w = 1 + k·2^-12 (k odd), x = 1 + 2^-12: the exact product
+            // 1 + (k+1)·2^-12 + k·2^-24 sits half an ulp off an f32, so the
+            // product rounds; a = -1 or minus that rounded product then
+            // exposes the rounding a fused multiply-add would skip. Lanes 8
+            // and up repeat the first eight with a and x negated.
+            let (mut a, mut w, mut x) = ([0.0f32; MAX_LANES], [0.0; MAX_LANES], [0.0; MAX_LANES]);
+            for i in 0..MAX_LANES {
+                let step = 1.0 / 4096.0;
+                w[i] = 1.0 + (2 * (i % 4) + 1) as f32 * step;
+                x[i] = 1.0 + step;
+                a[i] = if i % 2 == 0 { -1.0 } else { -(w[i] * x[i]) };
+                if i >= 8 {
+                    (a[i], x[i]) = (-a[i], -x[i]);
+                }
+            }
+            for at in (0..MAX_LANES).step_by(V::N) {
+                let mut got = [0.0f32; MAX_LANES];
+                V::load(&a[at..])
+                    .add_mul(V::load(&w[at..]), V::load(&x[at..]))
+                    .store(&mut got);
+                for (lane, i) in (at..at + V::N).enumerate() {
+                    let twice = a[i] + w[i] * x[i];
+                    assert_ne!(twice, w[i].mul_add(x[i], a[i]), "input {i} cannot tell");
+                    assert_eq!(
+                        got[lane].to_bits(),
+                        twice.to_bits(),
+                        "fused on {} lanes",
+                        V::N
+                    );
+                }
+            }
+        }
+    }
+
+    /// `add_mul` is a multiply rounded, then an add rounded, on every
+    /// backend — the AVX-512 trampoline included, where `fma` is implied and
+    /// only "rustc never contracts, no fused intrinsic is called" keeps the
+    /// pair apart.
+    #[test]
+    fn no_backend_fuses_add_mul() {
+        on_every_backend(OnEachVector(Unfused));
+    }
+
+    #[derive(Clone, Copy)]
     struct LoadStore;
 
     impl PerVector for LoadStore {
         #[inline(always)]
         fn check<V: Lanes>(self) {
-            let src = [1.0f32, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0];
-            let mut dst = [0.0f32; 9];
+            let src: [f32; MAX_LANES + 1] = std::array::from_fn(|i| i as f32 + 1.0);
+            let mut dst = [0.0f32; MAX_LANES + 1];
             V::load(&src).store(&mut dst);
             assert_eq!(&dst[..V::N], &src[..V::N]);
             assert!(dst[V::N..].iter().all(|&x| x == 0.0), "{} lanes", V::N);
@@ -725,12 +922,13 @@ mod tests {
         // The cap is process-wide. Other tests of this crate render while
         // this one moves it, which is fine: every backend computes the same
         // bits.
-        set_backend_cap(Backend::Avx);
+        set_backend_cap(Backend::WIDEST);
         if Backend::Sse2.supported() {
-            // What was dispatched: AVX where the CPU has it, else SSE2.
+            // What was dispatched: AVX-512 or AVX where the CPU has it, else
+            // SSE2.
             let widest = Backend::ALL.into_iter().rfind(|b| b.supported());
             assert_eq!(Some(dispatched()), widest);
-            assert!(matches!(backend(), "avx" | "sse2"));
+            assert!(matches!(backend(), "avx512" | "avx" | "sse2"));
             set_backend_cap(Backend::Sse2);
             assert_eq!(backend(), "sse2");
         } else {
@@ -738,6 +936,6 @@ mod tests {
         }
         set_backend_cap(Backend::Portable);
         assert_eq!(backend(), "portable");
-        set_backend_cap(Backend::Avx);
+        set_backend_cap(Backend::WIDEST);
     }
 }

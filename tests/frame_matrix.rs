@@ -18,10 +18,11 @@
 //!
 //! The hash and tensor models are baked at feature widths with ragged lane
 //! tails — 11 features per hash entry over six levels, dense then hashed
-//! (8-lane group plus three 1-lane tails); 21 tensor channels (two 8-lane
-//! groups, a 4-lane group and a 1-lane tail) and 35 (four 8-lane groups and
-//! three 1-lane tails, five components per signal straddling the groups) —
-//! so every instance of every gather runs on a full frame.
+//! (an 8-lane group plus three 1-lane tails); 21 tensor channels (two
+//! 8-lane groups, a 4-lane group and a 1-lane tail; at 16 lanes one group,
+//! a 4-lane group and a tail) and 35 (four 8-lane groups or two 16-lane
+//! ones, then three 1-lane tails, five components per signal straddling the
+//! groups) — so every instance of every gather runs on a full frame.
 //!
 //! This file is a module, not a test binary: `tests/batch_equivalence.rs`
 //! (sample block, masks, sink kinds), `tests/simd_equivalence.rs` (vector
@@ -156,12 +157,13 @@ pub const BASE: Case = Case {
     pool: Pool::Fresh,
 };
 
-/// Every knob wide at once: the widest block, lanes and backend, the sink
-/// that takes the one-lane-per-ray path, telemetry recording, a warm pool.
+/// Every knob wide at once: the widest block and lanes, the backend uncapped
+/// (the host's widest), the sink that takes the one-lane-per-ray path,
+/// telemetry recording, a warm pool.
 pub const WIDE: Case = Case {
     block: 64,
     lanes: 8,
-    backend: Backend::Avx,
+    backend: Backend::WIDEST,
     observe: false,
     telemetry: true,
     pool: Pool::Reuse,
@@ -601,11 +603,16 @@ pub fn check(rows: &[Row]) {
     for &(name, families, row) in rows {
         for &family in families {
             let case = Case { family, ..row };
-            let label = format!("{name} · {family:?}");
-            if !case.backend.supported() {
-                println!("[{label}] skipped: {:?} is not supported", case.backend);
+            // `WIDEST` is no cap: such a row runs at the host's widest.
+            if case.backend != Backend::WIDEST && !case.backend.supported() {
+                println!(
+                    "[{name} · {family:?}] skipped: {:?} is not supported",
+                    case.backend
+                );
                 continue;
             }
+            simd::set_backend_cap(case.backend);
+            let label = format!("{name} · {family:?} · {}", simd::backend());
             let t0 = Instant::now();
             let checked =
                 panic::catch_unwind(AssertUnwindSafe(|| check_case(fx, &case, &mut oracles)));
@@ -621,7 +628,7 @@ pub fn check(rows: &[Row]) {
             failures.extend(failure.map(|why| format!("[{label}] {why}")));
         }
     }
-    simd::set_backend_cap(Backend::Avx);
+    simd::set_backend_cap(Backend::WIDEST);
     println!(
         "{} rows: {:.2} s wall",
         rows.len(),

@@ -7,9 +7,12 @@
 //! Every backend the target has is compiled into one binary; which instance
 //! the hot loops take is the process-wide `cicero_field::simd` backend cap,
 //! moved only by `set_backend_cap`. Each frame-path test is `check` of its
-//! rows of `tests/frame_matrix.rs`: each row runs capped to SSE2 or AVX (or
-//! with every knob wide at once) and is held to its oracle on the portable
-//! kernels; a backend the host cannot run is skipped with a line saying so.
+//! rows of `tests/frame_matrix.rs`: each row runs capped to SSE2, AVX or
+//! AVX-512 (or with every knob wide at once, the backend uncapped) and is
+//! held to its oracle on the portable kernels. Each row's line names the
+//! backend that ran; a row capped below `Backend::WIDEST` at a backend the
+//! host cannot run is skipped with a line saying so, while an uncapped one
+//! (the `avx512` and `all wide` rows) runs at the host's widest.
 //! The per-kernel bitwise tests live next to the kernels, and the wide
 //! path's zero-allocation leg lives in `tests/zero_alloc.rs`.
 
@@ -32,6 +35,10 @@ const AVX: Case = Case {
     backend: Backend::Avx,
     ..BASE
 };
+const AVX512: Case = Case {
+    backend: Backend::Avx512,
+    ..BASE
+};
 
 #[test]
 fn wide_render_is_bit_identical_across_scenes_models_and_block_sizes() {
@@ -39,8 +46,10 @@ fn wide_render_is_bit_identical_across_scenes_models_and_block_sizes() {
     check(&[
         ("sse2", ALL, SSE2),
         ("avx", ALL, AVX),
+        ("avx512", ALL, AVX512),
         ("block 1, sse2", ALL, Case { block: 1, ..SSE2 }),
         ("block 1, avx", ALL, Case { block: 1, ..AVX }),
+        ("block 1, avx512", ALL, Case { block: 1, ..AVX512 }),
         ("block 64, sse2", ALL, Case { block: 64, ..SSE2 }),
         ("all wide", ALL, WIDE),
         ("all wide, observing", ALL, Case { observe: true, ..WIDE }),
@@ -53,13 +62,30 @@ fn wide_render_is_bit_identical_across_scenes_models_and_block_sizes() {
 
 /// The fixture's hash (11 features per entry over six levels) and tensor
 /// (21 and 35 channels) models leave every block gather a ragged lane tail;
-/// a 20-sample block leaves the gathers a 4-sample chunk after the full one.
+/// a 20-sample block leaves the gathers a 4-sample chunk after the full one
+/// and the 16-lane MLP a 4-lane group after its 16-lane one.
 #[test]
 fn block_gathers_render_bit_identically_at_every_feature_width() {
     check(&[
         ("block 20", WIDTHS, Case { block: 20, ..BASE }),
         ("block 20, sse2", WIDTHS, Case { block: 20, ..SSE2 }),
         ("block 20, avx", WIDTHS, Case { block: 20, ..AVX }),
+        (
+            "block 20, avx512",
+            WIDTHS,
+            Case {
+                block: 20,
+                ..AVX512
+            },
+        ),
+        (
+            "block 64, avx512",
+            WIDTHS,
+            Case {
+                block: 64,
+                ..AVX512
+            },
+        ),
     ]);
 }
 
@@ -70,10 +96,13 @@ fn wide_warp_passes_are_bit_identical() {
     check(&[
         ("warp sse2", GRID, warp(WARP, SSE2)),
         ("warp avx", ALL, warp(WARP, AVX)),
+        ("warp avx512", ALL, warp(WARP, AVX512)),
         ("warp bilinear sse2", GRID, warp(BILINEAR, SSE2)),
         ("warp bilinear avx", GRID, warp(BILINEAR, AVX)),
+        ("warp bilinear avx512", GRID, warp(BILINEAR, AVX512)),
         ("warp phi sse2", GRID, warp(PHI, SSE2)),
         ("warp phi avx", GRID, warp(PHI, AVX)),
+        ("warp phi avx512", GRID, warp(PHI, AVX512)),
         ("warp all wide", GRID, warp(WARP, WIDE)),
     ]);
 }
@@ -83,6 +112,7 @@ fn wide_pipeline_runs_are_bit_identical() {
     check(&[
         ("pipeline sse2", GRID, pipeline(Variant::Sparw, SSE2)),
         ("pipeline avx", ALL, pipeline(Variant::Cicero, AVX)),
+        ("pipeline avx512", ALL, pipeline(Variant::Cicero, AVX512)),
         ("pipeline all wide", ALL, pipeline(Variant::Cicero, WIDE)),
     ]);
 }
@@ -136,7 +166,7 @@ fn wide_serve_reports_are_bit_identical() {
     };
     let portable = serve(Backend::Portable);
     assert!(portable.frames > 0, "empty serve run");
-    for backend in [Backend::Sse2, Backend::Avx] {
+    for backend in Backend::ALL.into_iter().filter(|&b| b != Backend::Portable) {
         if !backend.supported() {
             println!("skipping {backend:?}: not supported in this build on this host");
             continue;
@@ -144,5 +174,5 @@ fn wide_serve_reports_are_bit_identical() {
         let wide = serve(backend);
         assert!(wide == portable, "{backend:?}: the service report differs");
     }
-    simd::set_backend_cap(Backend::Avx);
+    simd::set_backend_cap(Backend::WIDEST);
 }

@@ -426,7 +426,7 @@ fn warmed_sample_loop_performs_zero_heap_allocations() {
         telemetry::disable();
         assert!(!telemetry::is_enabled());
     }
-    simd::set_backend_cap(Backend::Avx);
+    simd::set_backend_cap(Backend::WIDEST);
 
     // ---- The traffic sinks ----
     //
