@@ -68,6 +68,11 @@ impl Aabb {
     /// Returns the parametric entry/exit interval `(t_near, t_far)` clipped to
     /// `t >= 0`, or `None` when the ray misses. This interval bounds NeRF ray
     /// marching so no samples are wasted outside the scene volume.
+    ///
+    /// A ray with a zero direction component whose origin lies on one of
+    /// that axis's slab planes computes `0 · ∞ = NaN` there; `f32::max` and
+    /// `f32::min` drop the NaN, so the axis imposes no constraint and the
+    /// test errs toward a hit, never toward a miss.
     pub fn intersect(&self, ray: &Ray) -> Option<(f32, f32)> {
         let mut t0 = 0.0_f32;
         let mut t1 = f32::INFINITY;
@@ -115,6 +120,24 @@ mod tests {
         let b = Aabb::centered_cube(1.0);
         let r = Ray::new(Vec3::new(0.0, 5.0, 5.0), Vec3::new(0.0, 0.0, -1.0));
         assert!(b.intersect(&r).is_none());
+    }
+
+    #[test]
+    fn ray_in_a_slab_plane_hits_through_the_nan() {
+        let b = Aabb::centered_cube(1.0);
+        // Parallel to x (either sign of zero) on the max and the min plane.
+        for (x, dir_x) in [(1.0, 0.0), (1.0, -0.0), (-1.0, 0.0), (-1.0, -0.0)] {
+            let r = Ray::new(Vec3::new(x, 0.0, 5.0), Vec3::new(dir_x, 0.0, -1.0));
+            // The slab test's term for the plane the origin lies on.
+            assert!(((x - r.origin.x) * (1.0 / r.dir.x)).is_nan());
+            assert_eq!(b.intersect(&r), Some((4.0, 6.0)), "x {x}, dir.x {dir_x}");
+        }
+        // One ulp off the plane, outside, the same ray misses.
+        let r = Ray::new(
+            Vec3::new(1.0 + f32::EPSILON, 0.0, 5.0),
+            Vec3::new(0.0, 0.0, -1.0),
+        );
+        assert_eq!(b.intersect(&r), None);
     }
 
     #[test]

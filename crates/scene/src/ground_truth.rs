@@ -7,8 +7,8 @@
 //! trained model's reconstruction error), and SPARW/DS-2/Temp variants stack
 //! further losses on top exactly as in the paper's Fig. 16.
 
-use crate::volume::{march_ray_auto, MarchParams};
-use crate::RadianceSource;
+use crate::volume::MarchParams;
+use crate::{AnalyticScene, RadianceSource};
 use cicero_math::{Camera, DepthMap, Image, RgbImage};
 
 /// An RGB frame with its z-depth map.
@@ -35,15 +35,13 @@ impl Frame {
     }
 }
 
-/// Renders a full frame of `src` from `camera` by per-pixel ray marching.
+/// Renders a full frame of `scene` from `camera` by per-pixel ray marching.
 ///
 /// Returns the color image and the z-depth map. This is the reference-quality
-/// path — every pixel is integrated, no reuse, no approximation.
-pub fn render_frame<S: RadianceSource + ?Sized>(
-    src: &S,
-    camera: &Camera,
-    params: &MarchParams,
-) -> Frame {
+/// path — every pixel is integrated, no reuse, no approximation. Each ray is
+/// marched by [`AnalyticScene::march`], against only the objects it can
+/// meet; the pixels are bit for bit those of marching the whole scene.
+pub fn render_frame(scene: &AnalyticScene, camera: &Camera, params: &MarchParams) -> Frame {
     let (w, h) = (camera.intrinsics.width, camera.intrinsics.height);
     let mut color = RgbImage::black(w, h);
     let mut depth = DepthMap::empty(w, h);
@@ -51,7 +49,7 @@ pub fn render_frame<S: RadianceSource + ?Sized>(
         for x in 0..w {
             let (u, v) = (x as f32 + 0.5, y as f32 + 0.5);
             let ray = camera.primary_ray(u, v);
-            let r = march_ray_auto(src, &ray, params);
+            let r = scene.march(&ray, params);
             *color.get_mut(x, y) = r.color;
             *depth.get_mut(x, y) = if r.depth_t.is_finite() {
                 r.depth_t * camera.z_scale(u, v)

@@ -46,5 +46,5 @@ pub mod volume;
 
 pub use material::{Material, Texture};
 pub use primitive::{Object, Shape};
-pub use scene::{AnalyticScene, Nearest, RadianceSource, SceneBuilder, SourceSample};
+pub use scene::{AnalyticScene, Nearest, RadianceSource, SceneBuilder, SourceSample, CULL_PAD};
 pub use trajectory::{Trajectory, TrajectoryKind};

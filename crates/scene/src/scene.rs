@@ -1,7 +1,8 @@
 //! Analytic scenes: the ground-truth density and radiance field.
 
+use crate::volume::{march_ray, MarchParams, MarchResult};
 use crate::{Material, Object, Shape, Texture};
-use cicero_math::{smoothstep, Aabb, Vec3};
+use cicero_math::{smoothstep, Aabb, Ray, Vec3};
 
 /// A continuous volumetric field that can be volume rendered.
 ///
@@ -78,6 +79,8 @@ pub struct AnalyticScene {
     /// Scene name (e.g. `"lego"`).
     pub name: String,
     objects: Vec<Object>,
+    /// Each object's bounds grown by [`CULL_PAD`], in object order.
+    cull_bounds: Vec<Aabb>,
     bounds: Aabb,
     background: Vec3,
     /// Peak density inside objects.
@@ -102,9 +105,18 @@ impl AnalyticScene {
     ///
     /// Returns `(f32::INFINITY, None)` for an empty scene.
     pub fn sdf(&self, p: Vec3) -> (f32, Option<usize>) {
+        self.sdf_among(p, u64::MAX)
+    }
+
+    /// [`sdf`](Self::sdf) over the objects whose bits are set in `mask`,
+    /// taken in index order; the first of equal distances wins.
+    fn sdf_among(&self, p: Vec3, mask: u64) -> (f32, Option<usize>) {
         let mut best = f32::INFINITY;
         let mut idx = None;
         for (i, o) in self.objects.iter().enumerate() {
+            if mask >> i & 1 == 0 {
+                continue;
+            }
             let d = o.sdf(p);
             if d < best {
                 best = d;
@@ -122,7 +134,11 @@ impl AnalyticScene {
     /// Evaluates the union SDF at `p` once and keeps what it found; density,
     /// shading and the baked signals of the point all derive from it.
     pub fn nearest(&self, p: Vec3) -> Nearest<'_> {
-        let (distance, idx) = self.sdf(p);
+        self.nearest_among(p, u64::MAX)
+    }
+
+    fn nearest_among(&self, p: Vec3, mask: u64) -> Nearest<'_> {
+        let (distance, idx) = self.sdf_among(p, mask);
         Nearest {
             scene: self,
             p,
@@ -224,6 +240,9 @@ impl Nearest<'_> {
     }
 }
 
+/// Marched whole, an analytic scene keeps the trait's default
+/// [`sample_at`](RadianceSource::sample_at): every object at every step, no
+/// clearance. That is the oracle [`AnalyticScene::march`] is held to.
 impl RadianceSource for AnalyticScene {
     fn density_at(&self, p: Vec3) -> f32 {
         self.nearest(p).density()
@@ -240,13 +259,47 @@ impl RadianceSource for AnalyticScene {
     fn background(&self) -> Vec3 {
         self.background
     }
+}
+
+/// Grown onto every object's bounds before a ray is tested against them
+/// ([`AnalyticScene::march`]). Outside its grown bounds a shape's signed
+/// distance is at least the pad in exact arithmetic; the pad is a thousand
+/// times the rounding of the slab test, of `ray.at(t)` and of the distance
+/// at the library scenes' scale (≲ 10⁻⁶, see the marcher's clearance
+/// margin), so every sample point of a ray that misses the grown box has a
+/// positive distance to that shape.
+pub const CULL_PAD: f32 = 1e-3;
+
+/// An [`AnalyticScene`] as one ray sees it: the union SDF over only the
+/// objects whose bits are set in `mask`, in index order.
+struct Culled<'a> {
+    scene: &'a AnalyticScene,
+    mask: u64,
+}
+
+impl RadianceSource for Culled<'_> {
+    fn density_at(&self, p: Vec3) -> f32 {
+        self.scene.nearest_among(p, self.mask).density()
+    }
+
+    fn radiance_at(&self, p: Vec3, dir: Vec3) -> Vec3 {
+        self.scene.nearest_among(p, self.mask).radiance(dir)
+    }
+
+    fn bounds(&self) -> Aabb {
+        self.scene.bounds
+    }
+
+    fn background(&self) -> Vec3 {
+        self.scene.background
+    }
 
     /// One union-SDF evaluation serves the density and the shading, and the
     /// clearance is the signed distance itself: the union of 1-Lipschitz
     /// shapes is 1-Lipschitz, so every point nearer than `d > 0` has a
     /// positive distance, and the shell's ramp is exactly zero there.
     fn sample_at(&self, p: Vec3, dir: Vec3) -> SourceSample {
-        let near = self.nearest(p);
+        let near = self.scene.nearest_among(p, self.mask);
         let sigma = near.density();
         SourceSample {
             sigma,
@@ -257,6 +310,44 @@ impl RadianceSource for AnalyticScene {
             },
             clearance: near.distance.max(0.0),
         }
+    }
+}
+
+impl AnalyticScene {
+    /// Integrates one ray of the ground truth through the shared
+    /// [`march_ray`], evaluating at each sample only the objects the ray
+    /// can meet: those whose bounds, grown by [`CULL_PAD`], it intersects.
+    ///
+    /// The result's colour, depth and transmittance are bit for bit those of
+    /// marching the whole scene at every step (`march_ray_auto(self, ..)`);
+    /// only [`MarchResult::samples`] falls. Every culled object's distance is
+    /// positive at every sample point of the ray (the ray misses its grown
+    /// bounds), and so:
+    ///
+    /// - σ is unchanged: it is non-zero only where the union distance is
+    ///   negative, and there the minimum is taken among candidates alone.
+    /// - The shading object is unchanged wherever σ > 0: it is the first
+    ///   minimum in index order, and the candidates keep that order.
+    /// - The candidates' union distance is a clearance along *this* ray:
+    ///   every point of the ray inside it is positive for the candidates by
+    ///   the Lipschitz bound and for the culled objects by the above. So the
+    ///   marcher still visits every step with σ > 0, in order.
+    pub fn march(&self, ray: &Ray, params: &MarchParams) -> MarchResult {
+        let Some((t0, t1)) = self.bounds.intersect(ray) else {
+            return MarchResult {
+                color: self.background,
+                depth_t: f32::INFINITY,
+                transmittance: 1.0,
+                samples: 0,
+            };
+        };
+        let mut mask = 0u64;
+        for (i, b) in self.cull_bounds.iter().enumerate() {
+            if b.intersect(ray).is_some() {
+                mask |= 1 << i;
+            }
+        }
+        march_ray(&Culled { scene: self, mask }, ray, t0, t1, params)
     }
 }
 
@@ -338,8 +429,10 @@ impl SceneBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if the scene has no objects and no explicit bounds.
+    /// Panics if the scene has no objects and no explicit bounds, or more
+    /// than 64 objects (the ground truth culls by a `u64` mask).
     pub fn build(self) -> AnalyticScene {
+        assert!(self.objects.len() <= 64, "scene has over 64 objects");
         let bounds = self.explicit_bounds.unwrap_or_else(|| {
             assert!(
                 !self.objects.is_empty(),
@@ -355,9 +448,19 @@ impl SceneBuilder {
             }
             Aabb::new(min - pad, max + pad)
         });
+        let pad = Vec3::splat(CULL_PAD);
+        let cull_bounds = self
+            .objects
+            .iter()
+            .map(|o| {
+                let b = o.bounds();
+                Aabb::new(b.min - pad, b.max + pad)
+            })
+            .collect();
         AnalyticScene {
             name: self.name,
             objects: self.objects,
+            cull_bounds,
             bounds,
             background: self.background,
             sigma_max: self.sigma_max,

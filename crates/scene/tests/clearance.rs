@@ -1,41 +1,33 @@
-//! The ground-truth marcher skips empty space by the scene's signed
-//! distance ([`SourceSample::clearance`]); these tests hold the skip to the
-//! per-step walk and guard the invariant it stands on.
+//! The ground truth marches each ray against only the objects whose padded
+//! bounds it meets and skips empty space by their signed distance
+//! ([`AnalyticScene::march`], [`SourceSample::clearance`]); these tests
+//! hold it to the per-step walk over the whole scene and guard the
+//! invariants it stands on.
 //!
-//! - Every library scene rendered as itself equals the scene behind a
-//!   newtype that forwards the four required `RadianceSource` methods and
-//!   keeps the trait's default `sample_at` — no clearance, one SDF
+//! - Every library scene marched per ray by `AnalyticScene::march` equals
+//!   the scene marched whole as a `RadianceSource`, which keeps the trait's
+//!   default `sample_at` — no clearance, every object at every step, one SDF
 //!   evaluation for the density and one more for the radiance — bit for bit
-//!   in colour, depth and transmittance, with strictly fewer queries.
+//!   in colour, depth and transmittance, with no more queries on any ray
+//!   and strictly fewer on every frame.
 //! - Every `Shape::sdf` and `AnalyticScene::sdf` is 1-Lipschitz. A shape
 //!   that is not would over-state its clearance, and must fail here rather
 //!   than as a PSNR drift.
+//! - Every `Shape::sdf` is positive outside the shape's bounds grown by
+//!   [`CULL_PAD`]. A shape whose bounds are too small would be culled from
+//!   rays that meet it.
 //!
 //! [`SourceSample::clearance`]: cicero_scene::SourceSample::clearance
+//! [`AnalyticScene::march`]: cicero_scene::AnalyticScene::march
+//! [`CULL_PAD`]: cicero_scene::CULL_PAD
 
-use cicero_math::{Aabb, Camera, Intrinsics, Pose, Vec3};
+use cicero_math::{Camera, Intrinsics, Pose, Vec3};
 use cicero_scene::library::{scene_by_name, REAL_WORLD_SCENES, SYNTHETIC_SCENES};
-use cicero_scene::volume::{march_ray_auto, MarchParams};
-use cicero_scene::{AnalyticScene, Material, RadianceSource, SceneBuilder, Shape, Trajectory};
+use cicero_scene::volume::{march_ray_auto, MarchParams, MarchResult};
+use cicero_scene::{
+    AnalyticScene, Material, RadianceSource, SceneBuilder, Shape, Trajectory, CULL_PAD,
+};
 use proptest::prelude::*;
-
-/// The scene with everything forwarded but `sample_at`: the oracle.
-struct EveryStep<'a>(&'a AnalyticScene);
-
-impl RadianceSource for EveryStep<'_> {
-    fn density_at(&self, p: Vec3) -> f32 {
-        self.0.density_at(p)
-    }
-    fn radiance_at(&self, p: Vec3, dir: Vec3) -> Vec3 {
-        self.0.radiance_at(p, dir)
-    }
-    fn bounds(&self) -> Aabb {
-        self.0.bounds()
-    }
-    fn background(&self) -> Vec3 {
-        self.0.background()
-    }
-}
 
 /// Four handheld cameras a quarter orbit apart, and one inside the bounds
 /// (rays start at `t0 = 0`, some of them inside an object's clearance and
@@ -52,17 +44,17 @@ fn cameras(scene: &AnalyticScene, side: usize, seed: u64) -> Vec<Camera> {
     cams
 }
 
-/// Marches every pixel's ray through the scene and through its oracle and
-/// compares the results bit for bit; returns `(queries, oracle queries)`.
+/// Marches every pixel's ray through `AnalyticScene::march` and through
+/// the whole scene at every step, compares the results bit for bit and
+/// returns `(queries, oracle queries)`.
 fn compare_frame(scene: &AnalyticScene, cam: &Camera, params: &MarchParams) -> (u64, u64) {
-    let oracle = EveryStep(scene);
     let (mut queries, mut oracle_queries) = (0u64, 0u64);
     for y in 0..cam.intrinsics.height {
         for x in 0..cam.intrinsics.width {
             let ray = cam.primary_ray(x as f32 + 0.5, y as f32 + 0.5);
-            let got = march_ray_auto(scene, &ray, params);
-            let want = march_ray_auto(&oracle, &ray, params);
-            let bits = |r: &cicero_scene::volume::MarchResult| {
+            let got = scene.march(&ray, params);
+            let want = march_ray_auto(scene, &ray, params);
+            let bits = |r: &MarchResult| {
                 [
                     r.color.x.to_bits(),
                     r.color.y.to_bits(),
@@ -91,14 +83,14 @@ fn skip_equals_every_step(side: usize) {
     for (i, name) in names.enumerate() {
         let scene = scene_by_name(name).unwrap();
         let (mut queries, mut oracle_queries) = (0, 0);
-        for cam in cameras(&scene, side, 7 + i as u64) {
+        for (c, cam) in cameras(&scene, side, 7 + i as u64).iter().enumerate() {
             for step in [0.004, 0.01, 0.03] {
                 let params = MarchParams {
                     step,
                     ..Default::default()
                 };
-                let (q, o) = compare_frame(&scene, &cam, &params);
-                assert!(q < o, "{name} step {step}: {q} queries vs {o}");
+                let (q, o) = compare_frame(&scene, cam, &params);
+                assert!(q < o, "{name} camera {c} step {step}: {q} queries vs {o}");
                 queries += q;
                 oracle_queries += o;
             }
@@ -180,7 +172,7 @@ proptest! {
     }
 
     /// The union of translated shapes keeps the bound, and so the clearance
-    /// an `AnalyticScene` reports is one.
+    /// `AnalyticScene::march` reads is one.
     #[test]
     fn every_scene_sdf_is_1_lipschitz(
         kinds in prop::collection::vec(0usize..6, 1..8),
@@ -206,6 +198,43 @@ proptest! {
             gap <= (p - q).length() + 1e-5,
             "|sdf({p}) - sdf({q})| = {gap} > {}",
             (p - q).length()
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8192))]
+
+    /// Outside its bounds grown by `CULL_PAD` a shape's distance is
+    /// positive, for every shape kind at every size: `AnalyticScene::march`
+    /// culls by this as the clearance skips by the Lipschitz bound. The
+    /// points lie on and beyond the grown box's faces, where a bound that
+    /// cuts into its shape would show.
+    #[test]
+    fn every_shape_sdf_is_positive_outside_its_padded_bounds(
+        kind in 0usize..6,
+        size in (0.0f32..1.0, 0.0f32..1.0, 0.0f32..1.0, 0.0f32..1.0),
+        face in 0usize..6,
+        on in (0.0f32..1.0, 0.0f32..1.0, 0.0f32..1.0),
+        centred in 0usize..2,
+        reach in 0.0f32..1.0,
+    ) {
+        let s = shape(kind, size);
+        let b = s.bounds();
+        let (lo, hi) = (b.min - Vec3::splat(CULL_PAD), b.max + Vec3::splat(CULL_PAD));
+        // A point of the grown box — half the time drawn nearer its centre,
+        // where a sphere, a cylinder's side or a capsule's end touches it —
+        // moved onto one face and out along its normal, a sixth of the time
+        // by less than 0.01.
+        let spread = |u: f32| (2.0 * u - 1.0).powi(1 + 2 * centred as i32);
+        let (on, half) = (vec3(on), (hi - lo) * 0.5);
+        let mut p = (lo + hi) * 0.5 + half * Vec3::new(spread(on.x), spread(on.y), spread(on.z));
+        let (axis, out) = (face % 3, 2.0 * reach * reach * reach);
+        p[axis] = if face < 3 { lo[axis] - out } else { hi[axis] + out };
+        prop_assert!(
+            s.sdf(p) > 0.0,
+            "{s:?}: sdf({p}) = {} outside the bounds grown by {CULL_PAD}",
+            s.sdf(p)
         );
     }
 }

@@ -221,14 +221,6 @@ pub struct ServiceReport {
     pub overload: OverloadReport,
 }
 
-impl ServiceReport {
-    /// `q`-th percentile (0–100) of client-observed latency.
-    pub fn latency_percentile(&self, q: f64) -> f64 {
-        let mut lat: Vec<f64> = self.records.iter().map(FrameRecord::latency_s).collect();
-        percentile(&mut lat, q)
-    }
-}
-
 /// `n / d`, or zero when there is nothing to divide by — an empty run has no
 /// rate, not an undefined one.
 pub(crate) fn rate(n: f64, d: f64) -> f64 {

@@ -4,7 +4,7 @@ use cicero::{warp_frame, WarpOptions};
 use cicero_math::{Camera, Intrinsics, Pose, Vec3};
 use cicero_mem::{belady_misses, DramConfig, DramSim, LruCache, MVoxelConfig, MVoxelPartition};
 use cicero_scene::ground_truth::render_frame;
-use cicero_scene::volume::{march_ray_auto, MarchParams};
+use cicero_scene::volume::MarchParams;
 use cicero_scene::{Material, RadianceSource, SceneBuilder, Shape};
 use proptest::prelude::*;
 
@@ -31,7 +31,7 @@ proptest! {
     ) {
         let scene = small_scene(radius);
         let ray = cicero_math::Ray::new(Vec3::new(ox, oy, -4.0), Vec3::Z);
-        let r = march_ray_auto(&scene, &ray, &MarchParams::default());
+        let r = scene.march(&ray, &MarchParams::default());
         prop_assert!(r.transmittance >= 0.0 && r.transmittance <= 1.0);
         // Radiance is bounded by the brightest shading possible (~emissive +
         // ambient + diffuse + specular ≤ ~2) plus background.

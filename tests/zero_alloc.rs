@@ -21,6 +21,9 @@
 //! scratches and materializes every ring; the measured frame then runs
 //! entirely on relaxed atomic stores.
 //!
+//! The analytic ground truth allocates its two images and nothing per ray,
+//! at any frame size.
+//!
 //! The traffic sinks joined: a frame rendered into a
 //! `PixelCentricTraffic` or a `StreamingTraffic` allocates for the sink's
 //! construction and for the growth of its arenas — a few dozen times, not
@@ -427,6 +430,28 @@ fn warmed_sample_loop_performs_zero_heap_allocations() {
         assert!(!telemetry::is_enabled());
     }
     simd::set_backend_cap(Backend::WIDEST);
+
+    // ---- The ground truth ----
+    //
+    // The analytic render allocates its colour and depth images and nothing
+    // per ray: the per-ray culled source lives on the stack, so a frame of
+    // nine times the rays allocates the same twice.
+    {
+        let count = |side: usize| {
+            let cam = Camera::new(Intrinsics::from_fov(side, side, 0.9), ref_cam.pose);
+            let before = ALLOCATIONS.load(Ordering::SeqCst);
+            let frame = render_frame(&scene, &cam, &MarchParams::default());
+            let after = ALLOCATIONS.load(Ordering::SeqCst);
+            assert!(frame.depth.coverage() > 0.0);
+            after - before
+        };
+        let (small, large) = (count(16), count(48));
+        assert_eq!(
+            (small, large),
+            (2, 2),
+            "a lego ground truth allocated {small} times at 16² and {large} at 48²"
+        );
+    }
 
     // ---- The traffic sinks ----
     //
