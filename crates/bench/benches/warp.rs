@@ -34,10 +34,7 @@ fn bench_warp(c: &mut Criterion) {
         })
     });
     g.bench_function("warp_128x128_phi", |b| {
-        let opts = WarpOptions {
-            phi: Some(0.05),
-            ..Default::default()
-        };
+        let opts = WarpOptions { phi: Some(0.05) };
         b.iter(|| warp_frame(black_box(&reference), &cam0, &cam1, bg, &opts))
     });
     g.finish();

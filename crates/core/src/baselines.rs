@@ -9,11 +9,9 @@
 //!   accumulates error — "Temp-16 is the worst because it warps from previous
 //!   frames and accumulates errors" (§VI-A).
 
-use crate::sparw::{warp_frame_into, WarpOptions, WarpResult, WarpScratch};
-use cicero_field::render::{
-    render_full, render_masked_with, RenderOptions, RenderScratch, RenderStats,
-};
-use cicero_field::{GatherSink, NerfModel};
+use crate::sparw::{render_target, WarpOptions, WarpScratch};
+use cicero_field::render::{render_full, RenderOptions, RenderStats};
+use cicero_field::{GatherSink, NerfModel, NullSink, TileOptions};
 use cicero_math::{Camera, Image, Intrinsics};
 use cicero_scene::ground_truth::Frame;
 use cicero_scene::Trajectory;
@@ -56,40 +54,26 @@ pub fn render_temp_chain<M: NerfModel + ?Sized>(
 ) -> Vec<(Frame, RenderStats)> {
     assert!(window >= 1);
     let mut out: Vec<(Frame, RenderStats)> = Vec::with_capacity(traj.len());
-    // Scratch reused across the whole chain: no per-frame buffer churn.
-    let mut warp_scratch = WarpScratch::new();
-    let mut render_scratch = RenderScratch::new();
+    // Warp scratch reused across the whole chain: no per-frame buffer churn.
+    let mut scratch = WarpScratch::new();
     for i in 0..traj.len() {
         let cam = traj.camera(i, intrinsics);
         if i % window == 0 {
-            let (frame, stats) = render_full(model, &cam, opts, &mut cicero_field::NullSink);
-            out.push((frame, stats));
+            out.push(render_full(model, &cam, opts, &mut NullSink));
         } else {
             let prev_cam = traj.camera(i - 1, intrinsics);
-            let prev_frame = &out[i - 1].0;
-            let mut warped = WarpResult::empty();
-            warp_frame_into(
-                prev_frame,
+            let target = render_target(
+                model,
+                opts,
+                &out[i - 1].0,
                 &prev_cam,
                 &cam,
-                model.background(),
                 &WarpOptions::default(),
-                &mut warp_scratch,
-                1,
-                &mut warped,
+                &mut scratch,
+                &TileOptions::default(),
+                &mut NullSink,
             );
-            let mask = warped.render_mask();
-            let mut frame = warped.frame;
-            let stats = render_masked_with(
-                model,
-                &cam,
-                opts,
-                Some(&mask),
-                &mut frame,
-                &mut cicero_field::NullSink,
-                &mut render_scratch,
-            );
-            out.push((frame, stats));
+            out.push((target.frame, target.render));
         }
     }
     out
@@ -98,7 +82,7 @@ pub fn render_temp_chain<M: NerfModel + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cicero_field::{bake, GridConfig, NullSink};
+    use cicero_field::{bake, GridConfig};
     use cicero_math::{metrics, Pose, Vec3};
     use cicero_scene::ground_truth::render_frame;
     use cicero_scene::library;

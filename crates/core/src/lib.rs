@@ -10,7 +10,8 @@
 //!
 //! - [`sparw`] — the SPARW algorithm (§III): point-cloud conversion (Eq. 1),
 //!   rigid transformation (Eq. 2), z-buffered re-projection (Eq. 3), sparse
-//!   NeRF hole filling (Eq. 4), void detection, and the warp-angle heuristic φ,
+//!   NeRF hole filling (Eq. 4, [`render_target`]: the one target-frame
+//!   path), void detection, and the warp-angle heuristic φ,
 //! - [`schedule`] — warping windows and off-trajectory reference-pose
 //!   extrapolation (Eq. 5–6) that lets reference rendering overlap target
 //!   rendering (Fig. 10/11),
@@ -52,6 +53,6 @@ pub use pipeline::{
 };
 pub use schedule::{FramePlan, RefPlacement, Schedule};
 pub use sparw::{
-    warp_frame, warp_frame_into, warp_frame_timed, PixelSource, SplatMode, WarpOptions, WarpResult,
-    WarpScratch, WarpStats, WarpTiming,
+    render_target, warp_frame, warp_frame_into, warp_frame_timed, PixelSource, TargetFrame,
+    WarpOptions, WarpResult, WarpScratch, WarpStats, WarpTiming,
 };

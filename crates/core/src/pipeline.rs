@@ -17,7 +17,7 @@
 //! reference frames via [`PipelineSession::install_reference`].
 
 use crate::schedule::{FramePlan, RefPlacement, Schedule};
-use crate::sparw::{warp_frame_into, WarpOptions, WarpResult, WarpScratch, WarpStats};
+use crate::sparw::{render_target, WarpOptions, WarpScratch, WarpStats};
 use crate::traffic::{
     build_workload, PixelCentricConfig, PixelCentricTraffic, StreamingConfig, StreamingTraffic,
 };
@@ -26,7 +26,9 @@ use cicero_accel::soc::{FrameKind, FrameReport, Scenario, SocModel, Variant};
 use cicero_accel::FrameWorkload;
 use cicero_field::render::RenderOptions;
 use cicero_field::tiles::{render_tiled, TileOptions};
-use cicero_field::{ModelSource, NerfModel, NullSink, DEFAULT_SAMPLE_BLOCK};
+use cicero_field::{
+    GatherSink, ModelSource, NerfModel, NullSink, RenderStats, DEFAULT_SAMPLE_BLOCK,
+};
 use cicero_math::{metrics, Camera, Intrinsics, Pose};
 use cicero_scene::ground_truth::{background_frame, render_frame, Frame};
 use cicero_scene::volume::MarchParams;
@@ -155,6 +157,10 @@ impl PipelineRun {
         metrics::mean_psnr_db(&vals)
     }
 }
+
+/// What a target frame warps from: the reference frame, the camera it was
+/// rendered at, and the session's warp scratch.
+type Target<'r> = (&'r Frame, &'r Camera, &'r mut WarpScratch);
 
 fn pixel_cfg(cfg: &PipelineConfig) -> PixelCentricConfig {
     PixelCentricConfig {
@@ -569,7 +575,9 @@ impl<'a> PipelineSession<'a> {
             idx as u64,
         );
         telemetry::add(telemetry::Counter::ReferenceRenders, 1);
-        self.render_full(&Camera::new(self.intrinsics, self.reference_pose(idx)))
+        let cam = Camera::new(self.intrinsics, self.reference_pose(idx));
+        let (frame, workload, _) = self.analyzed_render(&cam, None);
+        (frame, workload)
     }
 
     /// Installs an externally produced reference frame for slot `idx`.
@@ -634,41 +642,63 @@ impl<'a> PipelineSession<'a> {
         soc.price(self.cfg.scenario, self.cfg.variant, self.pixels, frame)
     }
 
-    /// The one analysed render behind reference, baseline and sparse-target
-    /// frames: renders the pixels of `frame` under `mask` (all of them
-    /// without one) through the traffic sink the configuration calls for,
-    /// and assembles the frame's workload. `warp` carries the (points,
-    /// pixels) of the warp a target frame's mask came from.
+    /// The one analysed render behind every frame of the session: renders
+    /// the frame at `cam` through the traffic sink the configuration calls
+    /// for and assembles its workload. Without `target` that is a full
+    /// render over the model's background (reference and baseline frames);
+    /// with it, the target frame [`render_target`] warps from that reference
+    /// and sparse-renders, whose warp statistics come back too.
     fn analyzed_render(
         &self,
         cam: &Camera,
-        mask: Option<&[bool]>,
-        frame: &mut Frame,
-        warp: Option<(u64, u64)>,
-    ) -> FrameWorkload {
-        let (model, opts, cfg) = (self.model, &self.opts, &self.cfg);
-        let tile = TileOptions::with_threads(cfg.render_threads);
+        target: Option<Target<'_>>,
+    ) -> (Frame, FrameWorkload, Option<WarpStats>) {
+        let (model, cfg) = (self.model, &self.cfg);
         let decoder = model.decoder();
+        // A target's warp produces every pixel of the frame.
+        let warp = target.is_some().then_some((self.pixels, self.pixels));
         if !cfg.collect_traffic {
-            let stats = render_tiled(model, cam, opts, mask, frame, &mut NullSink, &tile);
-            build_workload(&stats, decoder, None, None, warp)
+            let (frame, stats, warped) = self.render_into(cam, target, &mut NullSink);
+            let workload = build_workload(&stats, decoder, None, None, warp);
+            (frame, workload, warped)
         } else if cfg.variant.fully_streaming() {
             let mut sink = StreamingTraffic::new(model, streaming_cfg(cfg));
-            let stats = render_tiled(model, cam, opts, mask, frame, &mut sink, &tile);
-            build_workload(&stats, decoder, None, Some(&sink.finish()), warp)
+            let (frame, stats, warped) = self.render_into(cam, target, &mut sink);
+            let workload = build_workload(&stats, decoder, None, Some(&sink.finish()), warp);
+            (frame, workload, warped)
         } else {
             let mut sink = PixelCentricTraffic::new(model, pixel_cfg(cfg));
-            let stats = render_tiled(model, cam, opts, mask, frame, &mut sink, &tile);
-            build_workload(&stats, decoder, Some(&sink.finish()), None, warp)
+            let (frame, stats, warped) = self.render_into(cam, target, &mut sink);
+            let workload = build_workload(&stats, decoder, Some(&sink.finish()), None, warp);
+            (frame, workload, warped)
         }
     }
 
-    /// A full analysed render at `cam`, over the model's background.
-    fn render_full(&self, cam: &Camera) -> (Frame, FrameWorkload) {
-        let (w, h) = (cam.intrinsics.width, cam.intrinsics.height);
-        let mut frame = background_frame(&ModelSource(self.model), w, h);
-        let workload = self.analyzed_render(cam, None, &mut frame, None);
-        (frame, workload)
+    /// [`analyzed_render`](Self::analyzed_render)'s render through `sink`,
+    /// on the session's render lanes.
+    fn render_into<S: GatherSink>(
+        &self,
+        cam: &Camera,
+        target: Option<Target<'_>>,
+        sink: &mut S,
+    ) -> (Frame, RenderStats, Option<WarpStats>) {
+        let (model, opts) = (self.model, &self.opts);
+        let tile = TileOptions::with_threads(self.cfg.render_threads);
+        match target {
+            None => {
+                let (w, h) = (cam.intrinsics.width, cam.intrinsics.height);
+                let mut frame = background_frame(&ModelSource(model), w, h);
+                let stats = render_tiled(model, cam, opts, None, &mut frame, sink, &tile);
+                (frame, stats, None)
+            }
+            Some((reference, ref_cam, scratch)) => {
+                let warp = WarpOptions { phi: self.cfg.phi };
+                let t = render_target(
+                    model, opts, reference, ref_cam, cam, &warp, scratch, &tile, sink,
+                );
+                (t.frame, t.render, Some(t.warp))
+            }
+        }
     }
 
     /// Reference `idx` and its full-render workload, rendered now if nothing
@@ -722,7 +752,7 @@ impl<'a> PipelineSession<'a> {
             // Baseline: every frame is an implicit full render, outside any
             // reference bookkeeping.
             None => {
-                let (frame, workload) = self.render_full(&cam);
+                let (frame, workload, _) = self.analyzed_render(&cam, None);
                 self.full_render_step(i, &cam, frame, workload)
             }
             // Bootstrap / on-trajectory reference frames pay full price.
@@ -755,13 +785,21 @@ impl<'a> PipelineSession<'a> {
         }
     }
 
-    /// A target frame, stage by stage: reference → warp → sparse render →
+    /// A target frame, stage by stage: reference → warp and sparse render →
     /// price → package.
     fn warped_step(&mut self, i: usize, cam: &Camera, ref_index: usize) -> SessionStep {
         let (ref_frame, ref_w) = self.reference(ref_index);
-        let warped = self.warp(ref_index, &ref_frame, cam);
-        let stats = warped.stats();
-        let (frame, workload) = self.sparse_render(i, cam, warped);
+        let ref_cam = Camera::new(self.intrinsics, self.reference_pose(ref_index));
+        // Out of the session while it renders, which borrows the session.
+        let mut scratch = std::mem::take(&mut self.warp_scratch);
+        let (frame, workload, warped) = {
+            let _span =
+                telemetry::span_ab(telemetry::Phase::SparseRender, self.telemetry_id, i as u64);
+            telemetry::add(telemetry::Counter::SparseRenders, 1);
+            self.analyzed_render(cam, Some((&ref_frame, &ref_cam, &mut scratch)))
+        };
+        self.warp_scratch = scratch;
+        let stats = warped.expect("a target render returns its warp statistics");
         // Priced once: the target's own report is the un-amortized service
         // time and an input to the amortized window report.
         let target = self.soc.target_frame(&workload, self.cfg.variant);
@@ -779,38 +817,6 @@ impl<'a> PipelineSession<'a> {
             service_time_s: target.time_s,
             workload,
         }
-    }
-
-    /// Warps reference `ref_index` (rendered as `ref_frame`) to `cam`.
-    fn warp(&mut self, ref_index: usize, ref_frame: &Frame, cam: &Camera) -> WarpResult {
-        let ref_cam = Camera::new(self.intrinsics, self.reference_pose(ref_index));
-        let warp_opts = WarpOptions {
-            phi: self.cfg.phi,
-            ..Default::default()
-        };
-        let mut warped = WarpResult::empty();
-        warp_frame_into(
-            ref_frame,
-            &ref_cam,
-            cam,
-            self.model.background(),
-            &warp_opts,
-            &mut self.warp_scratch,
-            self.cfg.render_threads,
-            &mut warped,
-        );
-        warped
-    }
-
-    /// Renders the pixels the warp could not supply into its frame.
-    fn sparse_render(&self, i: usize, cam: &Camera, warped: WarpResult) -> (Frame, FrameWorkload) {
-        let mask = warped.render_mask();
-        let mut frame = warped.frame;
-        let _span = telemetry::span_ab(telemetry::Phase::SparseRender, self.telemetry_id, i as u64);
-        telemetry::add(telemetry::Counter::SparseRenders, 1);
-        let warp = Some((self.pixels, self.pixels));
-        let workload = self.analyzed_render(cam, Some(&mask), &mut frame, warp);
-        (frame, workload)
     }
 
     /// Packages frame `i`'s result, scoring it against the analytic ground

@@ -13,59 +13,29 @@
 //! The warp-angle heuristic (§III-C, Fig. 26) optionally rejects warps whose
 //! reference/target rays subtend more than φ at the scene point — the
 //! diffuse-radiance approximation degrades there.
+//!
+//! [`render_target`] is the whole step — warp, then sparse-render the mask —
+//! and the one place a target frame is made; [`warp_frame`] and its
+//! variants are the warp alone.
 
 use cicero_field::pool::{Bands, Checkout, RenderPool};
 use cicero_field::simd::{self, Kernel, Lanes, MAX_LANES};
+use cicero_field::{render_tiled, GatherSink, NerfModel, RenderOptions, RenderStats, TileOptions};
 use cicero_math::{Camera, Mat3, Vec3};
 use cicero_scene::ground_truth::Frame;
 use cicero_telemetry as telemetry;
 use std::time::Instant;
 
-/// How reference points rasterize into the target frame.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SplatMode {
-    /// Each point lands on its nearest pixel with unit weight — the paper's
-    /// "the pixel value Px can be simply reused in Py". Crisp (no resampling
-    /// blur), at the cost of ±half-pixel alignment.
-    #[default]
-    Nearest,
-    /// Each point spreads bilinear weights over its four nearest pixels and
-    /// contributions normalize. Smoother surfaces, slightly blurred texture.
-    Bilinear,
-}
-
 /// Warping options.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct WarpOptions {
     /// Warp-angle threshold φ in radians; `None` warps unconditionally
     /// (the paper only enables φ for the low-FPS experiments of §VI-F).
     pub phi: Option<f32>,
-    /// Depth used to probe hole pixels for void classification.
-    pub void_probe_depth: f32,
-    /// Fill one-pixel splat cracks from warped neighbors.
-    ///
-    /// Nearest-pixel forward splatting leaves isolated single-pixel holes
-    /// under rotation/zoom that are *not* true disocclusions; any point-cloud
-    /// renderer with a ≥1 px splat kernel (as the paper's rasterization
-    /// pipeline implies) covers them. A hole whose 8-neighborhood is ≥5
-    /// warped pixels is inpainted from those neighbors instead of being sent
-    /// to sparse NeRF. True disocclusion regions are wider than one pixel and
-    /// survive untouched.
-    pub fill_cracks: bool,
-    /// Point rasterization mode.
-    pub splat: SplatMode,
 }
 
-impl Default for WarpOptions {
-    fn default() -> Self {
-        WarpOptions {
-            phi: None,
-            void_probe_depth: 1.0e3,
-            fill_cracks: true,
-            splat: SplatMode::Nearest,
-        }
-    }
-}
+/// Depth at which a hole pixel's ray is probed for void classification.
+const VOID_PROBE_DEPTH: f32 = 1.0e3;
 
 /// Provenance of each target pixel after warping.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -172,12 +142,11 @@ impl WarpResult {
 }
 
 /// A forward-splatted contribution to one target pixel (steps 1–3's point
-/// rasterization).
+/// rasterization), of unit weight.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct Splat {
     tx: u32,
     ty: u32,
-    weight: f32,
     z: f32,
     color: Vec3,
     rejected: bool,
@@ -304,9 +273,8 @@ impl Kernel for SplatRows<'_> {
     }
 }
 
-/// The tail of one splat-pass pixel: the φ rejection test, splat-mode tap
-/// weights, and bounds-checked pushes, on the per-lane values of
-/// [`WarpChain`].
+/// The tail of one splat-pass pixel: the φ rejection test and the
+/// bounds-checked push, on the per-lane values of [`WarpChain`].
 #[allow(clippy::too_many_arguments)]
 fn push_splats(
     reference: &Frame,
@@ -331,44 +299,21 @@ fn push_splats(
         }
         None => false,
     };
-    let color = *reference.color.get(x, y);
-    let fx = ut - 0.5;
-    let fy = vt - 0.5;
-    let x0 = fx.floor();
-    let y0 = fy.floor();
-    let (wx, wy) = (fx - x0, fy - y0);
-    let taps: [(i64, i64, f32); 4] = match opts.splat {
-        SplatMode::Bilinear => [
-            (0, 0, (1.0 - wx) * (1.0 - wy)),
-            (1, 0, wx * (1.0 - wy)),
-            (0, 1, (1.0 - wx) * wy),
-            (1, 1, wx * wy),
-        ],
-        SplatMode::Nearest => [
-            ((fx.round() - x0) as i64, (fy.round() - y0) as i64, 1.0),
-            (0, 0, 0.0),
-            (0, 0, 0.0),
-            (0, 0, 0.0),
-        ],
-    };
-    for (dx, dy, w) in taps {
-        if w < 1e-4 {
-            continue;
-        }
-        let tx = x0 as i64 + dx;
-        let ty = y0 as i64 + dy;
-        if tx < 0 || ty < 0 || tx >= tw as i64 || ty >= th as i64 {
-            continue;
-        }
-        out.push(Splat {
-            tx: tx as u32,
-            ty: ty as u32,
-            weight: w,
-            z: zt,
-            color,
-            rejected,
-        });
+    // The point lands on its nearest pixel with unit weight — the paper's
+    // "the pixel value Px can be simply reused in Py". Crisp (no resampling
+    // blur), at the cost of ±half-pixel alignment.
+    let tx = (ut - 0.5).round() as i64;
+    let ty = (vt - 0.5).round() as i64;
+    if tx < 0 || ty < 0 || tx >= tw as i64 || ty >= th as i64 {
+        return;
     }
+    out.push(Splat {
+        tx: tx as u32,
+        ty: ty as u32,
+        z: zt,
+        color: *reference.color.get(x, y),
+        rejected,
+    });
 }
 
 /// Hoisted constants for the reprojection chain
@@ -530,11 +475,9 @@ impl NormalizeBand<'_> {
         V::load(&self.acc_z[idx0..]).mul(winv).store(&mut dz);
         for lane in 0..V::N {
             let idx = idx0 + lane;
-            // Require near-full coverage: interior surface pixels integrate
-            // ~unit weight from their four contributing reference points,
-            // while silhouette-dilation fringes only catch tail weights and
-            // must stay holes (classified below) instead of smearing the
-            // object outline one pixel outward.
+            // Coverage gate: every splat weighs one, so this admits exactly
+            // the pixels at least one splat reached; the rest stay holes,
+            // classified below.
             if self.acc_w[idx] < 0.75 {
                 continue;
             }
@@ -551,7 +494,7 @@ impl NormalizeBand<'_> {
 
 /// The void-classification pass over one target band, as a [`Kernel`]: hole
 /// pixels are collected into batches of `W::N` and their far-probe
-/// reprojection (target unproject at `void_probe_depth` → reference project)
+/// reprojection (target unproject at [`VOID_PROBE_DEPTH`] → reference project)
 /// runs through [`WarpChain`]; the per-pixel finish — texel rounding,
 /// frustum / background test, warped-neighbor scan, write — stays scalar in
 /// [`classify_finish`]. Deferring a pixel's finish to its batch cannot
@@ -562,7 +505,6 @@ struct ClassifyBand<'a> {
     reference: &'a Frame,
     ref_cam: &'a Camera,
     tgt_cam: &'a Camera,
-    opts: &'a WarpOptions,
     snapshot: &'a [PixelSource],
     background: Vec3,
     /// First target row of the band.
@@ -617,7 +559,7 @@ impl ClassifyBand<'_> {
             self.ref_cam.intrinsics.width,
             self.ref_cam.intrinsics.height,
         );
-        let probe = V::splat(self.opts.void_probe_depth);
+        let probe = V::splat(VOID_PROBE_DEPTH);
         let [_, _, _, ru, rv, rz] = chain.run_staged(V::load(us), V::load(vs), probe);
         for (lane, &local) in locs.iter().enumerate() {
             // A hole whose far probe lands on reference background is void.
@@ -795,6 +737,65 @@ impl<'t> PassClock<'t> {
     }
 }
 
+/// A target frame of [`render_target`].
+#[derive(Debug, Clone)]
+pub struct TargetFrame {
+    /// The warped frame, its holes filled by the sparse render.
+    pub frame: Frame,
+    /// What the warp supplied and what it left to the render.
+    pub warp: WarpStats,
+    /// The sparse render's work.
+    pub render: RenderStats,
+}
+
+/// SPARW's target frame (Eq. 4): warps `reference` (rendered at `ref_cam`)
+/// to `cam` over `model`'s background, then renders exactly the pixels of
+/// the warp's [`WarpResult::render_mask`] into the warped frame through
+/// `sink`.
+///
+/// The one target-frame path: pipeline sessions, the figures' measured
+/// target, Temp-N's chain and Fig. 9 all make their target frames here.
+/// The warp and the render both run on `tile.threads` pool lanes; the
+/// frame, both statistics and the sink's sample stream are bit-identical at
+/// any lane count, as [`warp_frame_into`] and [`render_tiled`] are.
+///
+/// # Panics
+///
+/// Panics if the reference frame's dimensions differ from `ref_cam`'s
+/// intrinsics, or if a pool worker panics.
+#[allow(clippy::too_many_arguments)]
+pub fn render_target<M: NerfModel + ?Sized, S: GatherSink>(
+    model: &M,
+    opts: &RenderOptions,
+    reference: &Frame,
+    ref_cam: &Camera,
+    cam: &Camera,
+    warp: &WarpOptions,
+    scratch: &mut WarpScratch,
+    tile: &TileOptions,
+    sink: &mut S,
+) -> TargetFrame {
+    let mut warped = WarpResult::empty();
+    warp_frame_into(
+        reference,
+        ref_cam,
+        cam,
+        model.background(),
+        warp,
+        scratch,
+        tile.threads,
+        &mut warped,
+    );
+    let (stats, mask) = (warped.stats(), warped.render_mask());
+    let mut frame = warped.frame;
+    let render = render_tiled(model, cam, opts, Some(&mask), &mut frame, sink, tile);
+    TargetFrame {
+        frame,
+        warp: stats,
+        render,
+    }
+}
+
 /// Warps `reference` (rendered at `ref_cam`) to the pose of `tgt_cam`.
 ///
 /// `background` fills void/hole pixels until sparse rendering replaces the
@@ -926,9 +927,7 @@ fn warp_frame_impl(
     clock.close(|t| &mut t.normalize_s, telemetry::Phase::WarpNormalize);
     warp.classify(scratch, out);
     clock.close(|t| &mut t.classify_s, telemetry::Phase::WarpClassify);
-    if opts.fill_cracks {
-        warp.fill_cracks(scratch, out);
-    }
+    warp.fill_cracks(scratch, out);
     clock.close(|t| &mut t.crack_fill_s, telemetry::Phase::WarpCrackFill);
 }
 
@@ -1023,11 +1022,11 @@ impl Warp<'_> {
                 if s.z > front + tol {
                     continue; // occluded contribution
                 }
-                scratch.acc_color[idx] += s.color * s.weight;
-                scratch.acc_z[idx] += s.z * s.weight;
-                scratch.acc_w[idx] += s.weight;
+                scratch.acc_color[idx] += s.color;
+                scratch.acc_z[idx] += s.z;
+                scratch.acc_w[idx] += 1.0;
                 if s.rejected {
-                    scratch.rej_w[idx] += s.weight;
+                    scratch.rej_w[idx] += 1.0;
                 }
             }
         }
@@ -1065,7 +1064,6 @@ impl Warp<'_> {
                 reference: self.reference,
                 ref_cam: self.ref_cam,
                 tgt_cam: self.tgt_cam,
-                opts: self.opts,
                 snapshot,
                 background: self.background,
                 y0,
@@ -1077,7 +1075,11 @@ impl Warp<'_> {
 
     /// Crack filling: single-pixel splat holes surrounded by warped pixels
     /// are reconstruction artifacts of nearest-pixel splatting, not
-    /// disocclusions; inpaint them from their neighbors. Neighbor reads come
+    /// disocclusions (any point-cloud renderer with a ≥ 1 px splat kernel, as
+    /// the paper's rasterization pipeline implies, covers them); a hole with
+    /// at least five warped neighbors of eight is inpainted from them instead
+    /// of being sent to sparse NeRF. True disocclusions are wider than one
+    /// pixel and survive untouched. Neighbor reads come
     /// from snapshots; only Disoccluded pixels are written and only Warped
     /// ones are read, so snapshot values equal live values.
     fn fill_cracks(&self, scratch: &mut WarpScratch, out: &mut WarpResult) {
@@ -1306,8 +1308,8 @@ mod tests {
     fn wide_splat_pass_matches_scalar_bitwise() {
         // The one splat body on every backend against the per-pixel loop, on
         // real rendered references at row widths that end in every kind of
-        // padded group: background (non-finite) depths, both splat modes,
-        // with and without the φ test, and a target camera inside the object
+        // padded group: background (non-finite) depths, with and without
+        // the φ test, and a target camera inside the object
         // looking away, so part of the point cloud is behind it.
         let (scene, ref_cam, tgt_cam, _) = setup(0.12);
         let inside = Pose::look_at(Vec3::new(0.0, 0.5, -0.2), Vec3::new(0.0, 0.3, 3.0), Vec3::Y);
@@ -1319,16 +1321,8 @@ mod tests {
             assert!(frame.depth.pixels().iter().any(|d| !d.is_finite()));
             for tgt_pose in [tgt_cam.pose, inside] {
                 let tc = Camera::new(k, tgt_pose);
-                for (phi, splat) in [
-                    (None, SplatMode::Nearest),
-                    (None, SplatMode::Bilinear),
-                    (Some(0.02), SplatMode::Bilinear),
-                ] {
-                    let opts = WarpOptions {
-                        splat,
-                        phi,
-                        ..Default::default()
-                    };
+                for phi in [None, Some(0.02)] {
+                    let opts = WarpOptions { phi };
                     let (want, behind) = reference_splats(&frame, &rc, &tc, &opts);
                     behind_total += behind;
                     for backend in backends() {
@@ -1344,7 +1338,7 @@ mod tests {
                                 out: &mut got,
                             },
                         );
-                        assert_eq!(got, want, "{backend:?} width={width} {splat:?} phi={phi:?}");
+                        assert_eq!(got, want, "{backend:?} width={width} phi={phi:?}");
                     }
                 }
             }
@@ -1452,7 +1446,6 @@ mod tests {
                 Vec3::Y,
             ),
         );
-        let opts = WarpOptions::default();
         let background = Vec3::new(0.1, 0.2, 0.3);
         let (tw, th) = (64usize, 64usize);
         let y0 = 8;
@@ -1484,7 +1477,7 @@ mod tests {
                     let idx = band.start + local;
                     let (tx, ty) = (idx % tw, idx / tw);
                     let (u, v) = (tx as f32 + 0.5, ty as f32 + 0.5);
-                    let far_world = tc.unproject_to_world(u, v, opts.void_probe_depth);
+                    let far_world = tc.unproject_to_world(u, v, VOID_PROBE_DEPTH);
                     let is_void = match ref_cam.project_world(far_world) {
                         Some((ru, rv, _)) => {
                             let rx = (ru - 0.5).round() as i64;
@@ -1524,7 +1517,6 @@ mod tests {
                             reference: &reference,
                             ref_cam: &ref_cam,
                             tgt_cam: tc,
-                            opts: &opts,
                             snapshot: &snapshot,
                             background,
                             y0,
@@ -1658,10 +1650,7 @@ mod tests {
     #[test]
     fn phi_zero_rejects_all_offset_warps() {
         let (scene, ref_cam, tgt_cam, reference) = setup(0.2);
-        let opts = WarpOptions {
-            phi: Some(0.0),
-            ..Default::default()
-        };
+        let opts = WarpOptions { phi: Some(0.0) };
         let r = warp_frame(&reference, &ref_cam, &tgt_cam, scene.background(), &opts);
         let stats = r.stats();
         assert_eq!(stats.warped, 0, "φ = 0 must reject every warp");
@@ -1684,7 +1673,6 @@ mod tests {
             scene.background(),
             &WarpOptions {
                 phi: Some(std::f32::consts::PI),
-                ..Default::default()
             },
         );
         assert_eq!(strict.stats().rejected, 0);
@@ -1693,14 +1681,7 @@ mod tests {
     #[test]
     fn parallel_warp_is_bit_identical_and_scratch_reuse_is_clean() {
         let (scene, ref_cam, tgt_cam, reference) = setup(0.12);
-        for opts in [
-            WarpOptions::default(),
-            WarpOptions {
-                phi: Some(0.05),
-                splat: SplatMode::Bilinear,
-                ..Default::default()
-            },
-        ] {
+        for opts in [WarpOptions::default(), WarpOptions { phi: Some(0.05) }] {
             let seq = warp_frame(&reference, &ref_cam, &tgt_cam, scene.background(), &opts);
             let mut scratch = WarpScratch::new();
             let mut par = WarpResult::empty();

@@ -4,9 +4,8 @@
 //! Hands the driver three PPM images and reports hole statistics.
 
 use super::*;
-use cicero::{warp_frame, WarpOptions};
-use cicero_field::render::render_masked;
-use cicero_field::NullSink;
+use cicero::{render_target, warp_frame, WarpOptions, WarpScratch};
+use cicero_field::{NullSink, TileOptions};
 use cicero_math::metrics::psnr;
 use cicero_scene::ground_truth::render_frame;
 use cicero_scene::Trajectory;
@@ -23,24 +22,27 @@ pub fn run(lab: &Lab) -> Figure {
     let opts = exp_render_options();
 
     let (reference, _) = render_full(model, &cam0, &opts, &mut NullSink);
-    let warped = warp_frame(
+    // The naive image is the warp alone; SPARW's is the whole target frame.
+    let warp = WarpOptions::default();
+    let naive = warp_frame(&reference, &cam0, &cam1, model.background(), &warp).frame;
+    let sparw = render_target(
+        model,
+        &opts,
         &reference,
         &cam0,
         &cam1,
-        model.background(),
-        &WarpOptions::default(),
+        &warp,
+        &mut WarpScratch::new(),
+        &TileOptions::default(),
+        &mut NullSink,
     );
-    let naive = warped.frame.clone();
-    let stats = warped.stats();
-    let mask = warped.render_mask();
-    let mut sparw = warped.frame;
-    let rendered = render_masked(model, &cam1, &opts, Some(&mask), &mut sparw, &mut NullSink);
+    let stats = sparw.warp;
     // A hole is a pixel the mask sent to the sparse render that no ray wrote.
-    let holes = (mask.iter().filter(|m| **m).count() as u64).abs_diff(rendered.rays);
+    let holes = (stats.disoccluded + stats.rejected).abs_diff(sparw.render.rays);
 
     let gt = render_frame(scene.as_ref(), &cam1, &exp_march());
     let psnr_naive = psnr(&naive.color, &gt.color);
-    let psnr_sparw = psnr(&sparw.color, &gt.color);
+    let psnr_sparw = psnr(&sparw.frame.color, &gt.color);
 
     fig.notes = vec![
         "  wrote results/fig09_{reference,naive_warp,sparw}.ppm".into(),
@@ -62,7 +64,7 @@ pub fn run(lab: &Lab) -> Figure {
     fig.images = vec![
         ("reference", reference.color),
         ("naive_warp", naive.color),
-        ("sparw", sparw.color),
+        ("sparw", sparw.frame.color),
     ];
     fig
 }

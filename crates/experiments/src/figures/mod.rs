@@ -32,9 +32,10 @@ pub fn fidelity(lab: &Lab) -> Vec<Claim> {
         .collect()
 }
 
-// The understood gaps the pins cite (ROADMAP direction 2).
-const GAP_A: &str = "ROADMAP 2(a): φ-rejected pixels lose the silhouette guard";
-const GAP_B: &str = "ROADMAP 2(b): remote pricing";
-const GAP_C: &str = "ROADMAP 2(c): GU and cache model (the baseline's gather is priced too kindly)";
-const GAP_D: &str = "ROADMAP 2(d): too many pixels fall to the sparse render";
+// The understood gaps the pins cite, by the names ROADMAP gives them.
+const GAP_A: &str = "ROADMAP GAP_A: the void test paints geometry as background";
+const GAP_B: &str = "ROADMAP GAP_B: remote pricing";
+const GAP_C: &str =
+    "ROADMAP GAP_C: GU and cache model (the baseline's gather is priced too kindly)";
+const GAP_D: &str = "ROADMAP GAP_D: too many pixels fall to the sparse render";
 const STAND_IN: &str = "analytic stand-in for the photographic capture";

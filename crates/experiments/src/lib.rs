@@ -29,11 +29,11 @@ use cicero::traffic::{
     build_workload, PairSink, PixelCentricConfig, PixelCentricTraffic, StreamingConfig,
     StreamingReport, StreamingTraffic,
 };
-use cicero::{Scenario, Variant};
+use cicero::{render_target, Scenario, Variant, WarpOptions, WarpScratch, WarpStats};
 use cicero_accel::soc::{FrameKind, FrameReport, SocModel};
 use cicero_accel::FrameWorkload;
-use cicero_field::render::{render_masked, RenderOptions};
-use cicero_field::{ModelSource, NerfModel};
+use cicero_field::render::RenderOptions;
+use cicero_field::{render_tiled, ModelSource, NerfModel, RenderStats, TileOptions};
 use cicero_math::{metrics, Camera, Intrinsics, RgbImage};
 use cicero_scene::ground_truth::{background_frame, render_frame, Frame};
 use cicero_scene::volume::MarchParams;
@@ -209,14 +209,13 @@ pub struct ReferenceWorkloads {
 }
 
 /// One frame through both traffic analyzers in one pass: pixel-centric and
-/// fully-streaming workloads plus the streaming report. `mask` selects the
-/// pixels rendered into `frame`; `warp_pixels` is charged as warp work.
+/// fully-streaming workloads plus the streaming report. `render` renders the
+/// frame, on one lane, into the pair of analyzers; `warp_pixels` is charged
+/// as warp work.
 fn measure_frame(
     model: &dyn NerfModel,
-    camera: &Camera,
-    mask: Option<&[bool]>,
-    frame: &mut Frame,
     warp_pixels: Option<(u64, u64)>,
+    render: impl FnOnce(&mut PairSink<'_, PixelCentricTraffic, StreamingTraffic>) -> RenderStats,
 ) -> (FrameWorkload, FrameWorkload, StreamingReport) {
     // Working-set-scaled on-chip buffers: the paper's 2 MB at 800² behaves
     // like 2 MB × (EXP_RES/800)² ≈ 64 KB at the experiment resolution.
@@ -228,10 +227,7 @@ fn measure_frame(
     // 2 MB capacity (the default) rather than the working-set-scaled one.
     let mut pc = PixelCentricTraffic::new(model, pc_cfg);
     let mut fs = StreamingTraffic::new(model, StreamingConfig::default());
-    let stats = {
-        let mut both = PairSink(&mut pc, &mut fs);
-        render_masked(model, camera, &exp_render_options(), mask, frame, &mut both)
-    };
+    let stats = render(&mut PairSink(&mut pc, &mut fs));
     let (pc_rep, fs_rep) = (pc.finish(), fs.finish());
     let decoder = model.decoder();
     (
@@ -245,7 +241,10 @@ fn measure_frame(
 pub fn measure_reference(scene: &AnalyticScene, model: &dyn NerfModel) -> ReferenceWorkloads {
     let camera = exp_camera(scene);
     let mut frame = background_frame(&ModelSource(model), EXP_RES, EXP_RES);
-    let (full_pc, full_fs, full_fs_report) = measure_frame(model, &camera, None, &mut frame, None);
+    let (full_pc, full_fs, full_fs_report) = measure_frame(model, None, |sink| {
+        let (opts, one_lane) = (exp_render_options(), TileOptions::default());
+        render_tiled(model, &camera, &opts, None, &mut frame, sink, &one_lane)
+    });
     ReferenceWorkloads {
         camera,
         frame,
@@ -265,25 +264,30 @@ pub fn measure_target(
 ) -> ModelWorkloads {
     let traj = Trajectory::orbit(scene, window + 2, 60.0);
     let tgt_cam = traj.camera(window / 2 + 1, exp_intrinsics());
-    let warped = cicero::warp_frame(
-        &reference.frame,
-        &reference.camera,
-        &tgt_cam,
-        model.background(),
-        &cicero::WarpOptions::default(),
-    );
-    let warp = warped.stats();
-    let mask = warped.render_mask();
-    let mut frame = warped.frame;
     let pixels = (EXP_RES * EXP_RES) as u64;
-    let (mut sparse_pc, mut sparse_fs, sparse_fs_report) = measure_frame(
-        model,
-        &tgt_cam,
-        Some(&mask),
-        &mut frame,
-        Some((pixels, pixels)),
-    );
-    sparse_pc.rays = pixels; // warp produces every pixel of the frame
+    let mut warp = WarpStats::default();
+    let (mut sparse_pc, mut sparse_fs, sparse_fs_report) =
+        measure_frame(model, Some((pixels, pixels)), |sink| {
+            let target = render_target(
+                model,
+                &exp_render_options(),
+                &reference.frame,
+                &reference.camera,
+                &tgt_cam,
+                &WarpOptions::default(),
+                &mut WarpScratch::new(),
+                &TileOptions::default(),
+                sink,
+            );
+            warp = target.warp;
+            target.render
+        });
+    // The one pricing difference left between these target frames and a
+    // session's: the session's workload counts the rays its sparse render
+    // marched, these count every pixel (the warp produces each), and the GPU
+    // model's Indexing stage charges 40 flops per ray. Which one is right is
+    // ROADMAP direction 1(c)'s decision; changing it moves figure digests.
+    sparse_pc.rays = pixels;
     sparse_fs.rays = pixels;
     ModelWorkloads {
         full_pc: reference.full_pc.clone(),

@@ -60,5 +60,5 @@ pub use model::{GridModel, HashModel, ModelKind, ModelSource, NerfModel, TensorM
 pub use occupancy::OccupancyGrid;
 pub use plan::{GatherPlan, GatherSink, LevelGather, NullSink, RegionId};
 pub use pool::{Checkout, RenderPool};
-pub use render::{RenderOptions, RenderScratch, RenderStats, DEFAULT_SAMPLE_BLOCK};
+pub use render::{RenderOptions, RenderStats, DEFAULT_SAMPLE_BLOCK};
 pub use tiles::{render_full_tiled, render_tiled, TileOptions};

@@ -12,6 +12,7 @@
 use crate::mlp::{MlpBlockScratch, MlpScratch};
 use crate::model::NerfModel;
 use crate::plan::{GatherPlan, GatherSink};
+use crate::tiles::{render_tiled, TileOptions};
 use cicero_math::{Camera, Ray, Vec3};
 use cicero_scene::ground_truth::Frame;
 use cicero_scene::volume::MarchParams;
@@ -112,18 +113,11 @@ impl RenderStats {
 /// blocks — each use overwrites before reading — so rendering through a
 /// reused scratch is bit-identical to rendering through a fresh one.
 #[derive(Debug, Clone, Default)]
-pub struct RenderScratch {
+pub(crate) struct RenderScratch {
     /// The one plan built for a sink that does not observe samples.
     plan: GatherPlan,
     /// SoA block scratch of the sample engine.
     block: SampleBlock,
-}
-
-impl RenderScratch {
-    /// Creates an empty scratch (buffers grow on first use).
-    pub fn new() -> Self {
-        Self::default()
-    }
 }
 
 /// One slot of the marcher's set of rays in flight: a ray's march position
@@ -382,7 +376,8 @@ pub(crate) struct RowBand<'a> {
     pub depth: &'a mut [f32],
 }
 
-/// Renders a full frame, returning the frame and work statistics.
+/// Renders a full frame on the calling thread (one lane of
+/// [`render_tiled`]), returning the frame and work statistics.
 ///
 /// Every processed sample's [`crate::GatherPlan`] is forwarded to `sink`.
 pub fn render_full<M: NerfModel + ?Sized, S: GatherSink>(
@@ -394,38 +389,19 @@ pub fn render_full<M: NerfModel + ?Sized, S: GatherSink>(
     let (w, h) = (camera.intrinsics.width, camera.intrinsics.height);
     let mut frame =
         cicero_scene::ground_truth::background_frame(&crate::model::ModelSource(model), w, h);
-    let stats = render_masked(model, camera, opts, None, &mut frame, sink);
+    let one_lane = TileOptions::default();
+    let stats = render_tiled(model, camera, opts, None, &mut frame, sink, &one_lane);
     (frame, stats)
 }
 
 std::thread_local! {
-    /// Per-thread fallback scratch for callers that don't carry their own:
-    /// frame loops going through [`render_masked`] (and the tile engine's
-    /// sequential path) stay allocation-free across frames, not just within
-    /// one. Taken out of the cell during the render (`mem::take`) so a
-    /// re-entrant render from a sink callback degrades to a cold scratch
-    /// instead of a `RefCell` panic.
+    /// This thread's sample scratch: the calling thread's for one-lane
+    /// renders, each pool worker's for its tiles, so frame loops stay
+    /// allocation-free across frames, not just within one. Taken out of the
+    /// cell during the render (`mem::take`) so a re-entrant render from a
+    /// sink callback degrades to a cold scratch instead of a `RefCell` panic.
     static THREAD_SCRATCH: std::cell::RefCell<RenderScratch> =
-        std::cell::RefCell::new(RenderScratch::new());
-}
-
-/// Renders the pixels selected by `mask` (or all pixels when `None`) into an
-/// existing frame, through a per-thread reused scratch.
-///
-/// # Panics
-///
-/// Panics if the mask length or frame dimensions mismatch the camera.
-pub fn render_masked<M: NerfModel + ?Sized, S: GatherSink>(
-    model: &M,
-    camera: &Camera,
-    opts: &RenderOptions,
-    mask: Option<&[bool]>,
-    frame: &mut Frame,
-    sink: &mut S,
-) -> RenderStats {
-    with_thread_scratch(|scratch| {
-        render_masked_with(model, camera, opts, mask, frame, sink, scratch)
-    })
+        std::cell::RefCell::new(RenderScratch::default());
 }
 
 /// Runs `f` with this thread's persistent [`RenderScratch`]. Pool workers
@@ -437,32 +413,6 @@ pub(crate) fn with_thread_scratch<R>(f: impl FnOnce(&mut RenderScratch) -> R) ->
     let r = f(&mut scratch);
     THREAD_SCRATCH.with(|s| *s.borrow_mut() = scratch);
     r
-}
-
-/// [`render_masked`] through caller-provided scratch, so repeated renders
-/// (frame sequences, benchmark loops) reuse the hot-path buffers. The result
-/// is bit-identical to [`render_masked`].
-///
-/// # Panics
-///
-/// Panics if the mask length or frame dimensions mismatch the camera.
-pub fn render_masked_with<M: NerfModel + ?Sized, S: GatherSink>(
-    model: &M,
-    camera: &Camera,
-    opts: &RenderOptions,
-    mask: Option<&[bool]>,
-    frame: &mut Frame,
-    sink: &mut S,
-    scratch: &mut RenderScratch,
-) -> RenderStats {
-    check_inputs(camera, mask, frame);
-    let band = RowBand {
-        y0: 0,
-        y1: camera.intrinsics.height,
-        color: frame.color.pixels_mut(),
-        depth: frame.depth.pixels_mut(),
-    };
-    render_rows(model, camera, opts, mask, band, sink, scratch)
 }
 
 /// Panics unless `mask` (when given) and `frame` have the camera's size.
@@ -481,12 +431,13 @@ pub(crate) fn check_inputs(camera: &Camera, mask: Option<&[bool]>, frame: &Frame
 /// The per-sample reference renderer: the oracle the marcher is held to, and
 /// nothing else — no production path calls it.
 ///
-/// Same contract as [`render_masked`], computed the obvious way: one ray at a
+/// Same contract as [`crate::tiles::render_tiled`], computed the obvious
+/// way: one ray at a
 /// time in row-major order, an `occupied(p)` test at every step, and per
 /// processed sample one `plan_into` (handed to `sink`, whatever it observes),
 /// one `features_into` and one `decode_into`, through buffers of its own. It
 /// ignores `opts.sample_block`. Frame, [`RenderStats`] and sink stream of
-/// [`render_masked`] / [`crate::tiles::render_tiled`] equal this function's
+/// [`crate::tiles::render_tiled`] equal this function's
 /// bit for bit at every `sample_block` and thread count; the tests that say
 /// "the oracle" call it.
 ///
@@ -891,13 +842,14 @@ mod tests {
             mask[i * 7 % (48 * 48)] = true;
         }
         let expected = mask.iter().filter(|&&b| b).count() as u64;
-        let stats = render_masked(
+        let stats = render_tiled(
             &model,
             &cam,
             &RenderOptions::default(),
             Some(&mask),
             &mut frame,
             &mut NullSink,
+            &TileOptions::default(),
         );
         assert_eq!(stats.rays, expected);
     }
@@ -921,7 +873,8 @@ mod tests {
             let firsts = plan.levels.iter().map(|l| l.entries[0]).collect();
             events.push((ray, t.to_bits(), firsts));
         };
-        let stats = render_masked(model, cam, opts, mask, &mut frame, &mut sink);
+        let one_lane = TileOptions::default();
+        let stats = render_tiled(model, cam, opts, mask, &mut frame, &mut sink, &one_lane);
         (frame, stats, events)
     }
 
@@ -980,8 +933,16 @@ mod tests {
                 }
                 // The marcher's other order (one lane per ray in flight).
                 let mut unobserved = frame.clone();
-                let null_stats =
-                    render_masked(tight, cam, &at(0.01), mask, &mut unobserved, &mut NullSink);
+                let (opts, one_lane) = (at(0.01), TileOptions::default());
+                let null_stats = render_tiled(
+                    tight,
+                    cam,
+                    &opts,
+                    mask,
+                    &mut unobserved,
+                    &mut NullSink,
+                    &one_lane,
+                );
                 assert_eq!(bits(&unobserved), bits(&frame), "{what}");
                 assert_eq!(null_stats, stats, "{what}");
                 // Past the exact range (the serve paths' step) a dropped

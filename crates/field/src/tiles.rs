@@ -138,10 +138,11 @@ fn tile_geometry(h: usize, tile: &TileOptions) -> (usize, usize, usize) {
 /// Renders the pixels selected by `mask` (or all pixels when `None`) into an
 /// existing frame, tile-parallel on the persistent worker pool.
 ///
-/// Bit-identical to [`crate::render::render_masked`] — frame, stats and sink
-/// stream — at any `tile.threads`. With `threads == 1` it *is* the
-/// sequential path (no tiles, no buffering). After warm-up the pool path
-/// performs zero heap allocations and zero thread spawns per frame.
+/// Frame, stats and sink stream are bit-identical at any `tile.threads`.
+/// With `threads == 1` it *is* the sequential path: the calling thread
+/// renders every row through its own reused scratch (no tiles, no
+/// buffering). After warm-up either path performs zero heap allocations and
+/// zero thread spawns per frame.
 ///
 /// # Panics
 ///
@@ -160,9 +161,15 @@ pub fn render_tiled<M: NerfModel + ?Sized, S: GatherSink>(
     let (w, h) = (camera.intrinsics.width, camera.intrinsics.height);
     let (tile_rows, n_tiles, workers) = tile_geometry(h, tile);
     if workers <= 1 {
-        // Sequential path: render_masked reuses a per-thread scratch, so
-        // frame loops stay allocation-free across frames too.
-        return crate::render::render_masked(model, camera, opts, mask, frame, sink);
+        // Sequential path: the calling thread's scratch is reused, so frame
+        // loops stay allocation-free across frames too.
+        let band = RowBand {
+            y0: 0,
+            y1: h,
+            color: frame.color.pixels_mut(),
+            depth: frame.depth.pixels_mut(),
+        };
+        return with_thread_scratch(|rs| render_rows(model, camera, opts, mask, band, sink, rs));
     }
 
     let buffer_trace = sink.observes_samples();
@@ -274,7 +281,7 @@ mod tests {
     use super::*;
     use crate::bake;
     use crate::encoding::grid::GridConfig;
-    use crate::render::{render_full, render_masked};
+    use crate::render::render_full;
     use cicero_math::{Intrinsics, Pose};
     use cicero_scene::library;
 
@@ -361,7 +368,16 @@ mod tests {
         for f in [&mut seq, &mut par] {
             *f.color.get_mut(1, 1) = sentinel; // unmasked: must survive
         }
-        let s1 = render_masked(&model, &cam, &opts, Some(&mask), &mut seq, &mut NullSink);
+        let one_lane = TileOptions::default();
+        let s1 = render_tiled(
+            &model,
+            &cam,
+            &opts,
+            Some(&mask),
+            &mut seq,
+            &mut NullSink,
+            &one_lane,
+        );
         let s2 = render_tiled(
             &model,
             &cam,

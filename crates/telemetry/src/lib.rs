@@ -15,7 +15,8 @@
 //!    words; the owning thread writes them with relaxed stores, readers
 //!    (exporters) load them with relaxed loads. The only lock is a registry
 //!    mutex taken once per thread, at ring creation — which the standard
-//!    warm-up frame covers, exactly like [`RenderScratch`] growth.
+//!    warm-up frame covers, exactly like the growth of the renderer's
+//!    per-thread sample scratch.
 //!    `tests/zero_alloc.rs` counts 0 allocations/frame with telemetry both
 //!    off **and** on.
 //! 3. **Disabled means a branch.** Every probe starts with one relaxed load
@@ -42,8 +43,6 @@
 //! `chrome://tracing` or Perfetto): host threads under pid 0, the simulated
 //! SoC under pid 1. [`prometheus_text`] snapshots counters, histograms and
 //! per-worker busy/idle tallies in Prometheus text exposition format.
-//!
-//! [`RenderScratch`]: https://docs.rs/cicero-field
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -9,8 +9,9 @@
 //! *content* (family, mask, occupancy, work) plus *knobs* (block, tile
 //! lanes, backend, sink, telemetry, pool); every pass of a row's outcome
 //! must `==` the oracle of its content: [`render_reference`] (the
-//! per-sample loop), the serial `warp_frame`, or a serial one-lane pipeline,
-//! each capped to [`Backend::Portable`]. Each row moves one axis away from
+//! per-sample loop), the serial `warp_frame`, the two in turn for a target
+//! frame, or a serial one-lane pipeline, each capped to
+//! [`Backend::Portable`]. Each row moves one axis away from
 //! [`BASE`] — or, for the pool rows, from the 8-lane row — and the `all
 //! wide` rows start from [`WIDE`], every knob moved at once. A row runs on
 //! every family of its column: each encoding has its own block gather and
@@ -41,7 +42,7 @@
 #![allow(dead_code)]
 
 use cicero::pipeline::{PipelineConfig, PipelineSession};
-use cicero::sparw::{warp_frame, warp_frame_into, PixelSource, SplatMode, WarpOptions};
+use cicero::sparw::{render_target, warp_frame, warp_frame_into, PixelSource, WarpOptions};
 use cicero::sparw::{WarpResult, WarpScratch, WarpStats};
 use cicero::Variant;
 use cicero_accel::soc::FrameReport;
@@ -111,6 +112,9 @@ pub enum Work {
     /// Warp the family's ground-truth frame from the warp pair's reference
     /// to its target.
     Warp(WarpOptions),
+    /// The same warp, then the family's model sparse-renders the holes:
+    /// `render_target`, one target frame.
+    Target(WarpOptions),
     /// A four-frame trajectory with the traffic simulators attached.
     Pipeline(Variant),
 }
@@ -170,29 +174,19 @@ pub const WIDE: Case = Case {
     ..BASE
 };
 
-pub const WARP: WarpOptions = WarpOptions {
-    phi: None,
-    void_probe_depth: 1.0e3,
-    fill_cracks: true,
-    splat: SplatMode::Nearest,
-};
-pub const BILINEAR: WarpOptions = WarpOptions {
-    splat: SplatMode::Bilinear,
-    ..WARP
-};
-pub const PHI: WarpOptions = WarpOptions {
-    phi: Some(0.1),
-    ..WARP
-};
-/// φ on bilinear splats: a pixel's warped and rejected weights mix.
-pub const PHI_BILINEAR: WarpOptions = WarpOptions {
-    splat: SplatMode::Bilinear,
-    ..PHI
-};
+pub const WARP: WarpOptions = WarpOptions { phi: None };
+pub const PHI: WarpOptions = WarpOptions { phi: Some(0.1) };
 
 pub const fn warp(work: WarpOptions, base: Case) -> Case {
     Case {
         work: Work::Warp(work),
+        ..base
+    }
+}
+
+pub const fn target(work: WarpOptions, base: Case) -> Case {
+    Case {
+        work: Work::Target(work),
         ..base
     }
 }
@@ -219,6 +213,8 @@ enum Pass {
     Render(Frame, RenderStats, Events),
     /// Warped frame, pixel status.
     Warp(Frame, Vec<PixelSource>),
+    /// Target frame, warp stats, the sparse render's stats and sink stream.
+    Target(Frame, WarpStats, RenderStats, Events),
     /// Frames, each frame's simulated report and warp stats.
     Pipeline(Vec<Frame>, Vec<(FrameReport, Option<WarpStats>)>),
 }
@@ -241,6 +237,17 @@ impl Pass {
             }
             (Pass::Warp(f, _), Pass::Warp(wf, _)) if f != wf => "warped frame",
             (Pass::Warp(..), Pass::Warp(..)) => "pixel status",
+            (Pass::Target(f, w, s, _), Pass::Target(wf, ww, ws, _)) => {
+                if w != ww {
+                    "WarpStats"
+                } else if s != ws {
+                    "RenderStats"
+                } else if f != wf {
+                    "target frame"
+                } else {
+                    "sink stream"
+                }
+            }
             (Pass::Pipeline(f, _), Pass::Pipeline(wf, _)) if f != wf => "pipeline frames",
             (Pass::Pipeline(..), Pass::Pipeline(..)) => "simulated reports or warp stats",
             _ => "kind of work",
@@ -427,8 +434,8 @@ fn run(fx: &Fixture, case: &Case) -> Outcome {
 }
 
 /// One pass of `case` through the production paths: the tile engine (one
-/// lane is the sequential marcher), `warp_frame_into` with a scratch the
-/// caller may reuse, or a pipeline session.
+/// lane is the sequential marcher), `warp_frame_into` or `render_target`
+/// with a scratch the caller may reuse, or a pipeline session.
 fn pass(fx: &Fixture, case: &Case, scratch: &mut WarpScratch) -> Pass {
     let (baked, cam) = (fx.baked(case.family), &fx.camera);
     match case.work {
@@ -458,6 +465,28 @@ fn pass(fx: &Fixture, case: &Case, scratch: &mut WarpScratch) -> Pass {
                 reference, from, to, background, &opts, scratch, lanes, &mut out,
             );
             Pass::Warp(out.frame, out.status)
+        }
+        Work::Target(warp) => {
+            let model = baked.model.as_ref();
+            let (reference, from, to) = (&baked.ground_truth, &fx.warp_reference, &fx.warp_target);
+            let opts = render_options(case);
+            let tile = TileOptions {
+                threads: case.lanes,
+                tile_rows: case.tile_rows,
+            };
+            let mut events = Events::new();
+            let t = if case.observe {
+                let sink = &mut recorder(&mut events);
+                render_target(
+                    model, &opts, reference, from, to, &warp, scratch, &tile, sink,
+                )
+            } else {
+                let sink = &mut NullSink;
+                render_target(
+                    model, &opts, reference, from, to, &warp, scratch, &tile, sink,
+                )
+            };
+            Pass::Target(t.frame, t.warp, t.render, events)
         }
         Work::Pipeline(variant) => pipelines(fx, case, variant, &[case.lanes]).remove(0),
     }
@@ -501,8 +530,10 @@ fn pipelines(fx: &Fixture, case: &Case, variant: Variant, lanes: &[usize]) -> Ou
 }
 
 /// The oracle of `case`'s content: [`render_reference`], the serial
-/// `warp_frame`, or the pipeline on one lane at a one-lane block — capped to
-/// the portable kernels. A sink that does not observe sees no events.
+/// `warp_frame`, the serial `warp_frame` then [`render_reference`] over its
+/// mask into its frame, or the pipeline on one lane at a one-lane block —
+/// capped to the portable kernels. A sink that does not observe sees no
+/// events.
 fn oracle(fx: &Fixture, case: &Case) -> Pass {
     simd::set_backend_cap(Backend::Portable);
     let (baked, cam) = (fx.baked(case.family), &fx.camera);
@@ -535,6 +566,29 @@ fn oracle(fx: &Fixture, case: &Case) -> Pass {
             let rejects = opts.phi.is_some();
             assert_eq!(stats.rejected > 0, rejects, "φ {:?}: rejections", opts.phi);
             Pass::Warp(out.frame, out.status)
+        }
+        Work::Target(warp) => {
+            let model = baked.model.as_ref();
+            let (reference, from, to) = (&baked.ground_truth, &fx.warp_reference, &fx.warp_target);
+            let out = warp_frame(reference, from, to, model.background(), &warp);
+            let (warp_stats, mask) = (out.stats(), out.render_mask());
+            let mut frame = out.frame;
+            let mut events = Events::new();
+            let (opts, mask) = (render_options(case), Some(&mask[..]));
+            let stats = render_reference(
+                model,
+                to,
+                &opts,
+                mask,
+                &mut frame,
+                &mut recorder(&mut events),
+            );
+            assert!(warp_stats.warped > 0, "the oracle warped nothing");
+            assert!(stats.samples_processed > 0, "the oracle rendered no hole");
+            if !case.observe {
+                events.clear();
+            }
+            Pass::Target(frame, warp_stats, stats, events)
         }
         Work::Pipeline(variant) => {
             let serial = Case { block: 1, ..*case };

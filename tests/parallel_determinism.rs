@@ -26,8 +26,7 @@ use cicero_serve::{
     ServeConfig, ServiceReport, SessionSpec, Submission,
 };
 use cicero_telemetry as telemetry;
-use frame_matrix::{check, pipeline, warp, Case, Pool, ALL, BASE, GRID};
-use frame_matrix::{BILINEAR, PHI, PHI_BILINEAR, WARP};
+use frame_matrix::{check, pipeline, target, warp, Case, Pool, ALL, BASE, GRID, PHI, WARP};
 use std::sync::OnceLock;
 
 const EIGHT: Case = Case { lanes: 8, ..BASE };
@@ -54,22 +53,37 @@ fn tiled_render_is_bit_identical_across_scenes_models_and_threads() {
 }
 
 /// On the 47² warp pair, eight lanes split the reference into bands whose
-/// bilinear splats meet in one target pixel, and five lanes end target
-/// bands in 1-lane tails on φ-rejected pixels.
+/// splats meet in one target pixel, and five lanes end target bands in
+/// 1-lane tails on φ-rejected pixels.
 #[test]
 fn parallel_warp_is_bit_identical_across_scenes_and_threads() {
     #[rustfmt::skip]
     check(&[
         ("warp", ALL, warp(WARP, BASE)),
-        ("warp bilinear", GRID, warp(BILINEAR, BASE)),
         ("warp phi", GRID, warp(PHI, BASE)),
         ("warp 2 lanes", GRID, warp(WARP, Case { lanes: 2, ..BASE })),
         ("warp 3 lanes", GRID, warp(WARP, Case { lanes: 3, ..BASE })),
         ("warp 8 lanes", ALL, warp(WARP, EIGHT)),
-        ("warp bilinear, 8 lanes", ALL, warp(BILINEAR, EIGHT)),
         ("warp phi, 8 lanes", ALL, warp(PHI, EIGHT)),
         ("warp phi, 5 lanes", ALL, warp(PHI, Case { lanes: 5, ..BASE })),
-        ("warp phi bilinear, 3 lanes", GRID, warp(PHI_BILINEAR, Case { lanes: 3, ..BASE })),
+    ]);
+}
+
+/// One target frame — the warp, then the sparse render of its holes into
+/// the warped frame — held to the serial warp and the per-sample oracle
+/// over its mask: frame, warp stats, render stats and sink stream, on one,
+/// three and eight lanes, into an observing sink and `NullSink`, and
+/// through a warm pool and scratch.
+#[test]
+fn target_frames_are_bit_identical_across_threads_and_pool_reuse() {
+    #[rustfmt::skip]
+    check(&[
+        ("target", ALL, target(WARP, BASE)),
+        ("target phi", GRID, target(PHI, BASE)),
+        ("target phi, 3 lanes", GRID, target(PHI, Case { lanes: 3, ..BASE })),
+        ("target 8 lanes", ALL, target(WARP, EIGHT)),
+        ("target 8 lanes, NullSink", GRID, target(WARP, Case { observe: false, ..EIGHT })),
+        ("target phi, pool reuse", GRID, target(PHI, REUSE)),
     ]);
 }
 
@@ -104,11 +118,6 @@ fn pool_reuse_across_frames_and_sessions_is_bit_identical() {
     check(&[
         ("pool reuse", GRID, REUSE),
         ("warp pool reuse", GRID, warp(WARP, REUSE)),
-        (
-            "warp phi bilinear, pool reuse",
-            GRID,
-            warp(PHI_BILINEAR, REUSE),
-        ),
         ("pipeline pool reuse", GRID, pipeline(Variant::Sparw, REUSE)),
         (
             "pipeline cicero, pool reuse",

@@ -24,8 +24,8 @@ use cicero::Variant;
 use cicero_field::simd::{self, Backend};
 use cicero_scene::volume::MarchParams;
 use cicero_serve::{FrameServer, QosClass, ServeConfig, ServiceReport, SessionSpec, Submission};
-use frame_matrix::{check, pipeline, warp, Case, Family, Mask, ALL, BASE, GRID, WIDE, WIDTHS};
-use frame_matrix::{BILINEAR, PHI, WARP};
+use frame_matrix::{check, pipeline, target, warp, Case, Family, Mask, ALL, BASE, GRID, WIDE};
+use frame_matrix::{PHI, WARP, WIDTHS};
 
 const SSE2: Case = Case {
     backend: Backend::Sse2,
@@ -90,20 +90,22 @@ fn block_gathers_render_bit_identically_at_every_feature_width() {
 }
 
 /// The SPARW splat / normalize / void-classify kernels, end to end on a
-/// rendered reference, in both splat modes and under the φ test.
+/// rendered reference, with and without the φ test; then whole target
+/// frames, whose sparse render runs the model's kernels on the holes.
 #[test]
 fn wide_warp_passes_are_bit_identical() {
     check(&[
         ("warp sse2", GRID, warp(WARP, SSE2)),
         ("warp avx", ALL, warp(WARP, AVX)),
         ("warp avx512", ALL, warp(WARP, AVX512)),
-        ("warp bilinear sse2", GRID, warp(BILINEAR, SSE2)),
-        ("warp bilinear avx", GRID, warp(BILINEAR, AVX)),
-        ("warp bilinear avx512", GRID, warp(BILINEAR, AVX512)),
         ("warp phi sse2", GRID, warp(PHI, SSE2)),
         ("warp phi avx", GRID, warp(PHI, AVX)),
         ("warp phi avx512", GRID, warp(PHI, AVX512)),
         ("warp all wide", GRID, warp(WARP, WIDE)),
+        ("target sse2", GRID, target(WARP, SSE2)),
+        ("target avx", ALL, target(WARP, AVX)),
+        ("target phi avx512", GRID, target(PHI, AVX512)),
+        ("target all wide", ALL, target(WARP, WIDE)),
     ]);
 }
 

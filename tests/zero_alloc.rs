@@ -24,6 +24,10 @@
 //! The analytic ground truth allocates its two images and nothing per ray,
 //! at any frame size.
 //!
+//! A target frame through [`cicero::sparw::render_target`] allocates its
+//! own result — the warped frame, its status and render mask — so a warmed
+//! one allocates a fixed number of times: the same at 16² as at 48².
+//!
 //! The traffic sinks joined: a frame rendered into a
 //! `PixelCentricTraffic` or a `StreamingTraffic` allocates for the sink's
 //! construction and for the growth of its arenas — a few dozen times, not
@@ -36,10 +40,10 @@
 //! This file deliberately contains a single `#[test]` — the counter is
 //! process-global, and concurrent tests in the same binary would perturb it.
 
-use cicero::sparw::{warp_frame_into, WarpOptions, WarpResult, WarpScratch};
+use cicero::sparw::{render_target, warp_frame_into, WarpOptions, WarpResult, WarpScratch};
 use cicero::traffic::{PixelCentricConfig, PixelCentricTraffic, StreamingConfig, StreamingTraffic};
 use cicero_field::pool::RenderPool;
-use cicero_field::render::{render_masked, render_masked_with, RenderOptions, RenderScratch};
+use cicero_field::render::RenderOptions;
 use cicero_field::simd::{self, Backend};
 use cicero_field::tiles::{render_tiled, TileOptions};
 use cicero_field::{bake, GatherPlan, GridConfig, HashConfig, NerfModel, NullSink, TensorConfig};
@@ -124,6 +128,8 @@ fn warmed_sample_loop_performs_zero_heap_allocations() {
         Pose::look_at(Vec3::new(0.0, 1.2, -2.6), Vec3::ZERO, Vec3::Y),
     );
     let opts = RenderOptions::default();
+    // One tile lane: the calling thread renders every row.
+    let one = TileOptions::default();
 
     // Every leg below runs the kernels — the MLP block kernel, the gathers,
     // the SPARW passes — so it runs once per backend this host supports:
@@ -157,8 +163,8 @@ fn warmed_sample_loop_performs_zero_heap_allocations() {
         // The marcher must hold the contract at both ends of its lane count: a
         // one-lane block (every processed sample is its own flush) and the
         // default block. Its scratch — lane arrays, per-lane plan levels,
-        // ping-pong activation matrices, the slots of the rays in flight — lives
-        // in `RenderScratch` and warms on frame one.
+        // ping-pong activation matrices, the slots of the rays in flight — is
+        // the calling thread's on one tile lane, and warms on frame one.
         for sample_block in [1usize, cicero_field::DEFAULT_SAMPLE_BLOCK] {
             // An unoptimised one-lane block costs several times more per sample;
             // a quarter of the rays warm and measure the same buffers.
@@ -175,51 +181,20 @@ fn warmed_sample_loop_performs_zero_heap_allocations() {
                     side,
                     side,
                 );
-                let mut scratch = RenderScratch::new();
                 // Warm-up: grows every scratch capacity (features, plan levels,
                 // MLP ping-pong activations, sample-block lanes) to its
                 // steady-state size.
-                let warm = render_masked_with(
-                    model,
-                    &cam,
-                    &opts,
-                    None,
-                    &mut frame,
-                    &mut NullSink,
-                    &mut scratch,
-                );
+                let warm = render_tiled(model, &cam, &opts, None, &mut frame, &mut NullSink, &one);
                 assert!(warm.samples_processed > 0, "{name}: no samples rendered");
 
                 let before = ALLOCATIONS.load(Ordering::SeqCst);
-                let stats = render_masked_with(
-                    model,
-                    &cam,
-                    &opts,
-                    None,
-                    &mut frame,
-                    &mut NullSink,
-                    &mut scratch,
-                );
+                let stats = render_tiled(model, &cam, &opts, None, &mut frame, &mut NullSink, &one);
                 let after = ALLOCATIONS.load(Ordering::SeqCst);
                 assert_eq!(
                     after - before,
                     0,
-                    "{name}: warmed block-{sample_block} render of {} samples allocated {} times",
+                    "{name}: warmed block-{sample_block} one-lane render of {} samples allocated {} times",
                     stats.samples_processed,
-                    after - before
-                );
-
-                // The scratch-less public entry point reuses a per-thread
-                // scratch, so the default pipeline path is also allocation-free
-                // once warm.
-                render_masked(model, &cam, &opts, None, &mut frame, &mut NullSink);
-                let before = ALLOCATIONS.load(Ordering::SeqCst);
-                render_masked(model, &cam, &opts, None, &mut frame, &mut NullSink);
-                let after = ALLOCATIONS.load(Ordering::SeqCst);
-                assert_eq!(
-                    after - before,
-                    0,
-                    "{name}: warmed block-{sample_block} render_masked (thread-local scratch) allocated {} times",
                     after - before
                 );
             }
@@ -308,18 +283,8 @@ fn warmed_sample_loop_performs_zero_heap_allocations() {
                 32,
                 32,
             );
-            let mut scratch = RenderScratch::new();
-
             // Single-thread batched render.
-            render_masked_with(
-                model,
-                &cam,
-                &opts,
-                None,
-                &mut frame,
-                &mut NullSink,
-                &mut scratch,
-            );
+            render_tiled(model, &cam, &opts, None, &mut frame, &mut NullSink, &one);
             let events_before = telemetry::event_count();
             let marcher_counts = || {
                 [
@@ -331,15 +296,7 @@ fn warmed_sample_loop_performs_zero_heap_allocations() {
             };
             let counts_before = marcher_counts();
             let before = ALLOCATIONS.load(Ordering::SeqCst);
-            let stats = render_masked_with(
-                model,
-                &cam,
-                &opts,
-                None,
-                &mut frame,
-                &mut NullSink,
-                &mut scratch,
-            );
+            let stats = render_tiled(model, &cam, &opts, None, &mut frame, &mut NullSink, &one);
             let after = ALLOCATIONS.load(Ordering::SeqCst);
             assert!(stats.samples_processed > 0);
             assert_eq!(
@@ -453,6 +410,52 @@ fn warmed_sample_loop_performs_zero_heap_allocations() {
         );
     }
 
+    // ---- A target frame ----
+    //
+    // `render_target` returns a fresh frame each call: the warped frame's
+    // color and depth, the pixel status and the render mask. With its warp
+    // scratch and the render's thread scratch warm, that is all it
+    // allocates, a fixed count whatever the frame size: nothing per pixel
+    // or per sample. One lane, so the count is this thread's alone.
+    {
+        let model = models[0].1.as_ref(); // grid
+        let count = |side: usize| {
+            let k = Intrinsics::from_fov(side, side, 0.9);
+            let (from, to) = (Camera::new(k, ref_cam.pose), Camera::new(k, tgt_cam.pose));
+            let reference = render_frame(&scene, &from, &MarchParams::default());
+            let mut scratch = WarpScratch::new();
+            let mut target = || {
+                render_target(
+                    model,
+                    &opts,
+                    &reference,
+                    &from,
+                    &to,
+                    &wopts,
+                    &mut scratch,
+                    &one,
+                    &mut NullSink,
+                )
+            };
+            target();
+            let before = ALLOCATIONS.load(Ordering::SeqCst);
+            let t = target();
+            let after = ALLOCATIONS.load(Ordering::SeqCst);
+            assert!(
+                t.warp.warped > 0 && t.render.rays > 0,
+                "{side}²: {:?}",
+                t.warp
+            );
+            after - before
+        };
+        let (small, large) = (count(16), count(48));
+        println!("a warmed target frame allocated {small} times at 16² and {large} at 48²");
+        assert_eq!(
+            small, large,
+            "a warmed target frame allocated {small} times at 16² and {large} at 48²"
+        );
+    }
+
     // ---- The traffic sinks ----
     //
     // A sink that observes samples gets a gather plan per lane from the
@@ -480,15 +483,15 @@ fn warmed_sample_loop_performs_zero_heap_allocations() {
                 12,
             );
             let mut counting = |_: u32, _: f32, _: &GatherPlan| {};
-            render_masked(model, &small, &opts, None, &mut warm, &mut counting);
+            render_tiled(model, &small, &opts, None, &mut warm, &mut counting, &one);
 
             let before = ALLOCATIONS.load(Ordering::SeqCst);
             let mut sink = PixelCentricTraffic::new(model, PixelCentricConfig::default());
-            let stats = render_masked(model, &cam, &opts, None, &mut frame, &mut sink);
+            let stats = render_tiled(model, &cam, &opts, None, &mut frame, &mut sink, &one);
             let pixel = sink.finish();
             let mid = ALLOCATIONS.load(Ordering::SeqCst);
             let mut sink = StreamingTraffic::new(model, StreamingConfig::default());
-            render_masked(model, &cam, &opts, None, &mut frame, &mut sink);
+            render_tiled(model, &cam, &opts, None, &mut frame, &mut sink, &one);
             let streaming = sink.finish();
             let after = ALLOCATIONS.load(Ordering::SeqCst);
             let samples = stats.samples_processed;
