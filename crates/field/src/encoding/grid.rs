@@ -7,7 +7,8 @@
 //! vertices of the intersected voxel").
 
 use crate::encoding::{
-    cell_fraction, dense_corners, gather_level, normalize_chunk, trilinear_weights, CHUNK,
+    cell_fraction, dense_corners, gather_level, normalize_chunk, trilinear_weights, Addressing,
+    CHUNK,
 };
 use crate::plan::{GatherPlan, LevelGather, RegionId};
 use crate::simd::{self, Kernel, Lanes};
@@ -231,18 +232,11 @@ impl Kernel for BlockGather<'_> {
     fn run<W: Lanes, H: Lanes, Q: Lanes>(self) {
         let (grid, stride) = (self.grid, self.stride);
         let (res, ch) = (grid.cfg.resolution as u32, grid.cfg.channels);
+        let at = Addressing::Dense { n: res + 1 };
         for (ci, chunk) in self.ps.chunks(CHUNK).enumerate() {
             let ns = normalize_chunk(&grid.bounds, chunk);
-            let (rows, ns) = (&mut self.out[ci * CHUNK..], &ns[..chunk.len()]);
-            gather_level::<W, H, Q>(
-                &grid.data,
-                ch,
-                res,
-                ns,
-                |c| dense_corners(res + 1, c),
-                rows,
-                stride,
-            );
+            let (rows, len) = (&mut self.out[ci * CHUNK..], chunk.len());
+            gather_level::<W, H, Q>(&grid.data, ch, res, at, &ns, len, rows, stride);
         }
     }
 }

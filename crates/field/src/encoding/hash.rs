@@ -8,7 +8,7 @@
 //! (out of 8 levels) onwards").
 
 use crate::encoding::{
-    cell_fraction, corners, dense_corners, gather_level, normalize_chunk, trilinear_weights, CHUNK,
+    cell_fraction, gather_level, normalize_chunk, trilinear_weights, Addressing, CHUNK,
 };
 use crate::plan::{GatherPlan, LevelGather, RegionId};
 use crate::simd::{self, Kernel, Lanes};
@@ -66,9 +66,24 @@ pub struct HashGrid {
 }
 
 /// Instant-NGP's spatial hash primes.
-const PRIMES: [u64; 3] = [1, 2_654_435_761, 805_459_861];
+pub(crate) const PRIMES: [u64; 3] = [1, 2_654_435_761, 805_459_861];
 
 impl HashLevel {
+    /// How the level addresses its entries: dense vertex indices, or the
+    /// spatial hash wrapped by the power-of-two table mask.
+    #[inline(always)]
+    pub(crate) fn addressing(&self) -> Addressing {
+        if self.dense {
+            Addressing::Dense {
+                n: self.resolution as u32 + 1,
+            }
+        } else {
+            Addressing::Hashed {
+                mask: self.table_len as u32 - 1,
+            }
+        }
+    }
+
     /// Entry indices of the 8 corners of cell `c`, corner `b` at
     /// `(b&1, (b>>1)&1, (b>>2)&1)`: [`HashGrid::entry_index`] for all of
     /// them at once, in `u32`, with the y and z products shared. Hashed
@@ -76,15 +91,8 @@ impl HashLevel {
     /// 32 bits of the `u64` products are the `u32` products (`PRIMES` and
     /// the mask fit `u32`; [`HashGrid::new`] checks the table does).
     #[inline(always)]
-    fn corner_entries(&self, [cx, cy, cz]: [u32; 3]) -> [u32; 8] {
-        if self.dense {
-            return dense_corners(self.resolution as u32 + 1, [cx, cy, cz]);
-        }
-        let mask = self.table_len as u32 - 1;
-        let (p1, p2) = (PRIMES[1] as u32, PRIMES[2] as u32);
-        let y = [cy.wrapping_mul(p1), (cy + 1).wrapping_mul(p1)];
-        let z = [cz.wrapping_mul(p2), (cz + 1).wrapping_mul(p2)];
-        corners([cx, cx + 1], y, z, |x, y, z| (x ^ y ^ z) & mask)
+    pub(crate) fn corner_entries(&self, cell: [u32; 3]) -> [u32; 8] {
+        self.addressing().corners(cell)
     }
 }
 
@@ -93,12 +101,17 @@ impl HashGrid {
     ///
     /// # Panics
     ///
-    /// Panics if `levels == 0`, resolutions are non-increasing,
-    /// `features_per_entry < 7`, or a level's table holds more than
-    /// `u32::MAX` feature values (the gather indexes them in `u32`).
+    /// Panics if `levels == 0`, resolutions are non-increasing or above
+    /// 2²⁴ cells per axis (the gather's cell split is exact in f32 up to
+    /// there), `features_per_entry < 7`, or a level's table holds more
+    /// than `u32::MAX` feature values (the gather indexes them in `u32`).
     pub fn new(cfg: HashConfig, bounds: Aabb) -> Self {
         assert!(cfg.levels > 0);
         assert!(cfg.max_resolution >= cfg.base_resolution);
+        assert!(
+            cfg.max_resolution <= 1 << 24,
+            "cells per axis must be exact in f32"
+        );
         assert!(
             cfg.features_per_entry >= 7,
             "per-level features must carry all decoder signals for residual baking"
@@ -347,8 +360,8 @@ impl Kernel for BlockGather<'_> {
             let ns = normalize_chunk(&grid.bounds, chunk);
             for (li, l) in grid.levels.iter().enumerate() {
                 let rows = &mut self.out[li * f * stride + ci * CHUNK..];
-                let (res, ns) = (l.resolution as u32, &ns[..chunk.len()]);
-                gather_level::<W, H, Q>(&l.data, f, res, ns, |c| l.corner_entries(c), rows, stride);
+                let (res, at, len) = (l.resolution as u32, l.addressing(), chunk.len());
+                gather_level::<W, H, Q>(&l.data, f, res, at, &ns, len, rows, stride);
             }
         }
     }
@@ -485,6 +498,19 @@ mod tests {
         HashGrid::new(
             HashConfig {
                 table_size_log2: 30,
+                ..Default::default()
+            },
+            Aabb::centered_cube(1.0),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "exact in f32")]
+    fn oversized_resolution_is_rejected() {
+        HashGrid::new(
+            HashConfig {
+                base_resolution: 16,
+                max_resolution: (1 << 24) + 1,
                 ..Default::default()
             },
             Aabb::centered_cube(1.0),

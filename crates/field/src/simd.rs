@@ -12,6 +12,14 @@
 //! encoding gathers (`interpolate_block_into`) and the SPARW splat,
 //! normalize and void-classify passes of `cicero::sparw`.
 //!
+//! The lanes are f32. The one integer result a [`Lanes`] op gives is
+//! [`Lanes::cell_fraction`]'s cells, the float → int split of the grid and
+//! hash gathers' index pass, which a plain `as u32` would not vectorise.
+//! The integer work after it (the gathers' corner offsets: strides or hash
+//! primes, `+` or `^`, the table mask, the row width) is plain `u32` code
+//! in a loop across a chunk's samples, written once and vectorised by the
+//! compiler inside each trampoline.
+//!
 //! | backend | `W` (widest) | `H` (half) | `Q` (4 lanes) | selected when |
 //! |---|---|---|---|---|
 //! | `avx512` | one `__m512` | one `__m256` | one `__m128` | x86_64, CPU reports AVX-512F |
@@ -51,6 +59,10 @@
 //!   the operand lives.
 //! - **Operand order preserved.** `max` keeps the scalar operand order
 //!   (`acc.max(0.0)`, not `0.0.max(acc)`) so NaN propagation matches maxss.
+//!   `cell_fraction` spells `f32::clamp` as `min(top, max(0, u))`, whose
+//!   `minps` / `maxps` return their second operand on NaN and on ±0 ties:
+//!   NaN and −0.0 pass through as in the scalar, and a NaN lane's cell is
+//!   0, as `NaN as u32` is.
 //! - **Tails run the same body.** Remainder lanes (block size not a
 //!   multiple of `W::N`, trailing channels or pixels) go through the kernel
 //!   body once more over `H`, then `Q`, then `[f32; 1]`, or are padded into
@@ -215,9 +227,9 @@ pub fn set_backend_cap(cap: Backend) {
 
 /// One lane vector of a [`Kernel`] body: `N` f32 lanes and the ops the
 /// kernels need (a bias-first dot product with ReLU; weighted sums and lerps
-/// of feature rows; the pinhole reprojection chain). Every op is per-lane
-/// IEEE-754 identical to the scalar expression its docs name, on every
-/// implementor.
+/// of feature rows; the pinhole reprojection chain; the gathers' cell
+/// split). Every op is per-lane IEEE-754 identical to the scalar expression
+/// its docs name, on every implementor.
 pub trait Lanes: Copy {
     /// Lane count.
     const N: usize;
@@ -247,6 +259,12 @@ pub trait Lanes: Copy {
     /// semantics) — the kernels only ever pass `o = splat(0.0)`, the ReLU
     /// threshold, which satisfies both.
     fn max(self, o: Self) -> Self;
+    /// Lane-wise `encoding::cell_fraction(self, cells)`, the float → int
+    /// step of the gathers' index pass: lane `i`'s cell goes to `cell[i]`,
+    /// its fraction is returned. `cells` is in `1..=1 << 24`, so every cell
+    /// and `cells - 1` are exact in f32. Panics if `cell` is shorter than
+    /// `N`.
+    fn cell_fraction(self, cells: u32, cell: &mut [u32]) -> Self;
 }
 
 /// The portable backend, at any width: `[f32; 1]` is the scalar tail of
@@ -332,6 +350,27 @@ impl<const N: usize> Lanes for [f32; N] {
         }
         self
     }
+
+    #[inline(always)]
+    fn cell_fraction(mut self, cells: u32, cell: &mut [u32]) -> Self {
+        let cell = &mut cell[..N];
+        let mut i = 0;
+        while i < N {
+            (cell[i], self[i]) = crate::encoding::cell_fraction(self[i], cells);
+            i += 1;
+        }
+        self
+    }
+}
+
+/// The clamp bound and the last cell of `cell_fraction` on `cells` cells,
+/// the scalar values the x86 backends splat: `cells - 1e-4` (the clamp's
+/// upper bound) and `cells - 1` (exact for `cells <= 1 << 24`).
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+fn cell_bounds(cells: u32) -> (f32, f32) {
+    debug_assert!((1..=1 << 24).contains(&cells), "{cells} cells");
+    (cells as f32 - 1e-4, (cells - 1) as f32)
 }
 
 /// The most lanes any backend's `W` has: the length of the stack arrays a
@@ -384,13 +423,16 @@ pub fn run_on<K: Kernel>(backend: Backend, kernel: K) {
 
 #[cfg(target_arch = "x86_64")]
 mod backend {
-    use super::{Kernel, Lanes};
+    use super::{cell_bounds, Kernel, Lanes};
     use std::arch::x86_64::{
-        __m128, __m256, __m512, _mm256_add_ps, _mm256_div_ps, _mm256_loadu_ps, _mm256_max_ps,
-        _mm256_mul_ps, _mm256_set1_ps, _mm256_storeu_ps, _mm256_sub_ps, _mm512_add_ps,
-        _mm512_div_ps, _mm512_loadu_ps, _mm512_max_ps, _mm512_mul_ps, _mm512_set1_ps,
-        _mm512_storeu_ps, _mm512_sub_ps, _mm_add_ps, _mm_div_ps, _mm_loadu_ps, _mm_max_ps,
-        _mm_mul_ps, _mm_set1_ps, _mm_storeu_ps, _mm_sub_ps,
+        __m128, __m256, __m512, _mm256_add_ps, _mm256_cvtepi32_ps, _mm256_cvttps_epi32,
+        _mm256_div_ps, _mm256_loadu_ps, _mm256_max_ps, _mm256_min_ps, _mm256_mul_ps,
+        _mm256_set1_ps, _mm256_setzero_ps, _mm256_storeu_ps, _mm256_storeu_si256, _mm256_sub_ps,
+        _mm512_add_ps, _mm512_cvtepi32_ps, _mm512_cvttps_epi32, _mm512_div_ps, _mm512_loadu_ps,
+        _mm512_max_ps, _mm512_min_ps, _mm512_mul_ps, _mm512_set1_ps, _mm512_setzero_ps,
+        _mm512_storeu_ps, _mm512_storeu_si512, _mm512_sub_ps, _mm_add_ps, _mm_cvtepi32_ps,
+        _mm_cvttps_epi32, _mm_div_ps, _mm_loadu_ps, _mm_max_ps, _mm_min_ps, _mm_mul_ps,
+        _mm_set1_ps, _mm_setzero_ps, _mm_storeu_ps, _mm_storeu_si128, _mm_sub_ps,
     };
 
     /// 4 f32 lanes in one SSE2 register: the `Q` of every x86 instance, the
@@ -463,6 +505,28 @@ mod backend {
             // SAFETY: sse2 baseline (see type docs); register-only.
             Self(unsafe { _mm_max_ps(self.0, o.0) })
         }
+
+        /// `max(a, b)` is `a > b ? a : b` and `min(a, b)` is
+        /// `a < b ? a : b`, so `min(top, max(0, u))` is `f32::clamp`, NaN
+        /// and -0.0 lanes passed through. The cell is the clamped value
+        /// capped at `cells - 1` *before* the truncation (the same integer:
+        /// the cap is exact), NaN lanes sent to 0 by `max(v, 0)`, which
+        /// returns its second operand on NaN.
+        #[inline(always)]
+        fn cell_fraction(self, cells: u32, cell: &mut [u32]) -> Self {
+            assert!(cell.len() >= 4, "F32x4::cell_fraction needs 4 cells");
+            let (top, last) = cell_bounds(cells);
+            // SAFETY: sse2 baseline (see type docs); the assert guarantees
+            // 4 writable u32s at `cell`, and storeu needs no alignment.
+            unsafe {
+                let zero = _mm_setzero_ps();
+                let clamped = _mm_min_ps(_mm_set1_ps(top), _mm_max_ps(zero, self.0));
+                let whole =
+                    _mm_cvttps_epi32(_mm_max_ps(_mm_min_ps(_mm_set1_ps(last), clamped), zero));
+                _mm_storeu_si128(cell.as_mut_ptr().cast(), whole);
+                Self(_mm_sub_ps(clamped, _mm_cvtepi32_ps(whole)))
+            }
+        }
     }
 
     /// The SSE2 8-lane vector of a [`Kernel`]: two [`F32x4`] registers
@@ -517,6 +581,15 @@ mod backend {
         #[inline(always)]
         fn max(self, o: Self) -> Self {
             Self(self.0.max(o.0), self.1.max(o.1))
+        }
+
+        #[inline(always)]
+        fn cell_fraction(self, cells: u32, cell: &mut [u32]) -> Self {
+            let (lo, hi) = cell.split_at_mut(4);
+            Self(
+                self.0.cell_fraction(cells, lo),
+                self.1.cell_fraction(cells, hi),
+            )
         }
     }
 
@@ -601,6 +674,25 @@ mod backend {
             // SAFETY: AVX detected (see type docs); register-only.
             Self(unsafe { _mm256_max_ps(self.0, o.0) })
         }
+
+        /// [`F32x4::cell_fraction`] on eight lanes: `vminps` / `vmaxps` keep
+        /// the operand rule of `minps` / `maxps`, and the conversions are
+        /// AVX, not AVX2.
+        #[inline(always)]
+        fn cell_fraction(self, cells: u32, cell: &mut [u32]) -> Self {
+            assert!(cell.len() >= 8, "F32x8Avx::cell_fraction needs 8 cells");
+            let (top, last) = cell_bounds(cells);
+            // SAFETY: AVX detected (see type docs); the assert guarantees
+            // 8 writable u32s at `cell`, and storeu needs no alignment.
+            unsafe {
+                let zero = _mm256_setzero_ps();
+                let clamped = _mm256_min_ps(_mm256_set1_ps(top), _mm256_max_ps(zero, self.0));
+                let capped = _mm256_max_ps(_mm256_min_ps(_mm256_set1_ps(last), clamped), zero);
+                let whole = _mm256_cvttps_epi32(capped);
+                _mm256_storeu_si256(cell.as_mut_ptr().cast(), whole);
+                Self(_mm256_sub_ps(clamped, _mm256_cvtepi32_ps(whole)))
+            }
+        }
     }
 
     /// 16 f32 lanes in one AVX-512 register.
@@ -682,6 +774,26 @@ mod backend {
         fn max(self, o: Self) -> Self {
             // SAFETY: AVX-512F detected (see type docs); register-only.
             Self(unsafe { _mm512_max_ps(self.0, o.0) })
+        }
+
+        /// [`F32x4::cell_fraction`] on sixteen lanes: the `zmm` `vminps` /
+        /// `vmaxps` return their second operand on NaN and on ±0 ties, as
+        /// the `xmm` ones do.
+        #[inline(always)]
+        fn cell_fraction(self, cells: u32, cell: &mut [u32]) -> Self {
+            assert!(cell.len() >= 16, "F32x16::cell_fraction needs 16 cells");
+            let (top, last) = cell_bounds(cells);
+            // SAFETY: AVX-512F detected (see type docs); the assert
+            // guarantees 16 writable u32s at `cell`, and storeu needs no
+            // alignment.
+            unsafe {
+                let zero = _mm512_setzero_ps();
+                let clamped = _mm512_min_ps(_mm512_set1_ps(top), _mm512_max_ps(zero, self.0));
+                let capped = _mm512_max_ps(_mm512_min_ps(_mm512_set1_ps(last), clamped), zero);
+                let whole = _mm512_cvttps_epi32(capped);
+                _mm512_storeu_si512(cell.as_mut_ptr().cast(), whole);
+                Self(_mm512_sub_ps(clamped, _mm512_cvtepi32_ps(whole)))
+            }
         }
     }
 
@@ -799,6 +911,52 @@ mod tests {
     #[test]
     fn lanewise_ops_match_scalar_bitwise() {
         on_every_backend(OnEachVector(LanewiseOps));
+    }
+
+    #[derive(Clone, Copy)]
+    struct CellSplit;
+
+    impl PerVector for CellSplit {
+        #[inline(always)]
+        fn check<V: Lanes>(self) {
+            // Lane 0 of each group varies, so every vector sees NaN, ±∞,
+            // ±0.0, the clamp bound and one ulp either side of it.
+            for cells in [1u32, 2, 78, 4096, 1 << 24] {
+                let top = cells as f32 - 1e-4;
+                #[rustfmt::skip]
+                let u = [
+                    f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0, 0.0, top, top.next_up(),
+                    top.next_down(), f32::MIN_POSITIVE, -f32::MIN_POSITIVE, 0.5, -3.0,
+                    cells as f32 - 1.0, cells as f32, 1e9, 0.999_999_94,
+                ];
+                for at in 0..16 {
+                    let mut lanes = [0.0f32; MAX_LANES];
+                    for (i, l) in lanes[..V::N].iter_mut().enumerate() {
+                        *l = u[(at + i) % 16];
+                    }
+                    let (mut cell, mut fraction) = ([u32::MAX; MAX_LANES], [0.0f32; MAX_LANES]);
+                    V::load(&lanes)
+                        .cell_fraction(cells, &mut cell)
+                        .store(&mut fraction);
+                    for lane in 0..V::N {
+                        let (want_cell, want) = crate::encoding::cell_fraction(lanes[lane], cells);
+                        let at = (V::N, cells, lanes[lane]);
+                        assert_eq!(cell[lane], want_cell, "{at:?}");
+                        assert_eq!(fraction[lane].to_bits(), want.to_bits(), "{at:?}");
+                    }
+                    assert!(
+                        cell[V::N..].iter().all(|&c| c == u32::MAX),
+                        "wrote past {} cells",
+                        V::N
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn cell_fraction_matches_scalar_bitwise() {
+        on_every_backend(OnEachVector(CellSplit));
     }
 
     #[derive(Clone, Copy)]

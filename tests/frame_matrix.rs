@@ -3,11 +3,12 @@
 //! lifecycle move wall-clock time and never a pixel, a [`RenderStats`]
 //! count, a sink sample stream, a warped frame or a simulated report.
 //!
-//! One fixture — the baked families (grid lego, hash chair, tensor ship at
-//! 21 and at 35 channels, 24³ each), one odd-sided camera and one warp pair
-//! — one [`run`] from a [`Case`] to an [`Outcome`], and [`check`]. A case is
-//! *content* (family, mask, occupancy, work) plus *knobs* (block, tile
-//! lanes, backend, sink, telemetry, pool); every pass of a row's outcome
+//! One fixture — the baked families (grid lego, hash chair at 11 and at 8
+//! features per entry, tensor ship at 21 and at 35 channels, 24³ each), one
+//! odd-sided camera and one warp pair — one [`run`] from a [`Case`] to an
+//! [`Outcome`], and [`check`]. A case is *content* (family, mask,
+//! occupancy, work) plus *knobs* (block, tile lanes, backend, sink,
+//! telemetry, pool); every pass of a row's outcome
 //! must `==` the oracle of its content: [`render_reference`] (the
 //! per-sample loop), the serial `warp_frame`, the two in turn for a target
 //! frame, or a serial one-lane pipeline, each capped to
@@ -19,7 +20,8 @@
 //!
 //! The hash and tensor models are baked at feature widths with ragged lane
 //! tails — 11 features per hash entry over six levels, dense then hashed
-//! (an 8-lane group plus three 1-lane tails); 21 tensor channels (two
+//! (an 8-lane group plus three 1-lane tails), and the paper's 8 (one 8-lane
+//! group: the `H` of AVX-512, the `W` of AVX); 21 tensor channels (two
 //! 8-lane groups, a 4-lane group and a 1-lane tail; at 16 lanes one group,
 //! a 4-lane group and a tail) and 35 (four 8-lane groups or two 16-lane
 //! ones, then three 1-lane tails, five components per signal straddling the
@@ -84,6 +86,8 @@ const RING: usize = 64;
 pub enum Family {
     Grid,
     Hash,
+    /// Hash at 8 features per entry, the benchmark's width.
+    Hash8,
     Tensor,
     /// Tensor ship at 35 channels.
     Tensor35,
@@ -93,7 +97,15 @@ pub enum Family {
 pub const ALL: &[Family] = &[Family::Grid, Family::Hash, Family::Tensor];
 pub const GRID: &[Family] = &[Family::Grid];
 /// Every baked feature width.
-pub const WIDTHS: &[Family] = &[Family::Grid, Family::Hash, Family::Tensor, Family::Tensor35];
+pub const WIDTHS: &[Family] = &[
+    Family::Grid,
+    Family::Hash,
+    Family::Hash8,
+    Family::Tensor,
+    Family::Tensor35,
+];
+/// Hash at the benchmark's width alone.
+pub const HASH8: &[Family] = &[Family::Hash8];
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mask {
@@ -267,7 +279,7 @@ pub struct Baked {
 
 impl Baked {
     fn new(family: Family, warp_reference: &Camera) -> Baked {
-        let scene_name = ["lego", "chair", "ship", "ship"][family as usize];
+        let scene_name = ["lego", "chair", "chair", "ship", "ship"][family as usize];
         let scene = library::scene_by_name(scene_name).unwrap();
         let tensor = |components_per_signal| {
             bake::bake_tensor(
@@ -287,7 +299,7 @@ impl Baked {
                     ..Default::default()
                 },
             )),
-            Family::Hash => {
+            Family::Hash | Family::Hash8 => {
                 let model = bake::bake_hash(
                     &scene,
                     &HashConfig {
@@ -295,7 +307,7 @@ impl Baked {
                         base_resolution: 4,
                         max_resolution: 24,
                         table_size_log2: 10,
-                        features_per_entry: 11,
+                        features_per_entry: if family == Family::Hash { 11 } else { 8 },
                         ..Default::default()
                     },
                 );
@@ -316,7 +328,7 @@ impl Baked {
 
 pub struct Fixture {
     /// Each family's assets, baked on first use.
-    families: [OnceLock<Baked>; 4],
+    families: [OnceLock<Baked>; 5],
     pub camera: Camera,
     /// The warp pair: warp rows warp the ground truth from `warp_reference`
     /// to `warp_target`.

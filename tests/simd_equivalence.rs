@@ -25,7 +25,7 @@ use cicero_field::simd::{self, Backend};
 use cicero_scene::volume::MarchParams;
 use cicero_serve::{FrameServer, QosClass, ServeConfig, ServiceReport, SessionSpec, Submission};
 use frame_matrix::{check, pipeline, target, warp, Case, Family, Mask, ALL, BASE, GRID, WIDE};
-use frame_matrix::{PHI, WARP, WIDTHS};
+use frame_matrix::{HASH8, PHI, WARP, WIDTHS};
 
 const SSE2: Case = Case {
     backend: Backend::Sse2,
@@ -63,10 +63,25 @@ fn wide_render_is_bit_identical_across_scenes_models_and_block_sizes() {
 /// The fixture's hash (11 features per entry over six levels) and tensor
 /// (21 and 35 channels) models leave every block gather a ragged lane tail;
 /// a 20-sample block leaves the gathers a 4-sample chunk after the full one
-/// and the 16-lane MLP a 4-lane group after its 16-lane one.
+/// and the 16-lane MLP a 4-lane group after its 16-lane one. Hash at the
+/// benchmark's 8 features also runs one-sample blocks and full chunks on
+/// every backend, its sink observing.
 #[test]
 fn block_gathers_render_bit_identically_at_every_feature_width() {
     check(&[
+        ("block 1, sse2", HASH8, Case { block: 1, ..SSE2 }),
+        ("block 1, avx", HASH8, Case { block: 1, ..AVX }),
+        ("block 1, avx512", HASH8, Case { block: 1, ..AVX512 }),
+        ("block 16, sse2", HASH8, Case { block: 16, ..SSE2 }),
+        ("block 16, avx", HASH8, Case { block: 16, ..AVX }),
+        (
+            "block 16, avx512",
+            HASH8,
+            Case {
+                block: 16,
+                ..AVX512
+            },
+        ),
         ("block 20", WIDTHS, Case { block: 20, ..BASE }),
         ("block 20, sse2", WIDTHS, Case { block: 20, ..SSE2 }),
         ("block 20, avx", WIDTHS, Case { block: 20, ..AVX }),
