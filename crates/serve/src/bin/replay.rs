@@ -1,12 +1,13 @@
 //! `replay` — deterministic traffic replay.
 //!
 //! ```text
-//! cargo run --release -p cicero-bench --bin replay -- generate \
+//! cargo run --release -p cicero-serve --bin replay -- generate \
 //!     [--out traffic.profile] [--seed 42] [--sessions 16] [--duration 0.4] \
 //!     [--arrivals uniform|diurnal|flash] [--streaming 0.25]
-//! cargo run --release -p cicero-bench --bin replay -- replay \
+//! cargo run --release -p cicero-serve --bin replay -- replay \
 //!     --profile traffic.profile [--threads 0] [--disarmed] \
-//!     [--max-sessions 2] [--queue-cap 32] [--slack 8.0] [--report-json R]
+//!     [--max-sessions 2] [--queue-cap 32] [--slack 8.0] [--report-json R] \
+//!     [--trace T.json] [--metrics M.prom]
 //! ```
 //!
 //! `generate` dumps a versioned [`TrafficProfile`] from the seeded model;
@@ -16,6 +17,9 @@
 //! and the overload queue saw. Every figure is simulated time, so the
 //! outcome is bit-identical at any `--threads` value; `tests/swarm_matrix.rs`
 //! holds the replay legs CI runs to that (and prints their digest lines).
+//! `--trace` / `--metrics` arm the telemetry recorder for the replay and
+//! write a chrome-trace JSON (load in Perfetto / `chrome://tracing`) and a
+//! Prometheus text snapshot; telemetry is observe-only.
 
 use cicero_field::GridConfig;
 use cicero_math::Intrinsics;
@@ -23,6 +27,8 @@ use cicero_serve::{
     run_replay, AdmissionPolicy, ArrivalProcess, OverloadControl, ReplayOptions, ServeConfig,
     TrafficAssets, TrafficModel, TrafficProfile,
 };
+use cicero_telemetry as telemetry;
+use std::path::Path;
 use std::time::Instant;
 
 /// A CLI mistake is the *user's* error, not a harness fault: explain and
@@ -31,7 +37,8 @@ fn usage(msg: &str) -> ! {
     eprintln!("replay: {msg}");
     eprintln!(
         "usage: replay generate [--out F] [--seed N] [--sessions N] [--duration S] [--arrivals A] [--streaming F]\n\
-         \x20      replay replay --profile F [--threads N] [--disarmed] [--max-sessions N] [--queue-cap N] [--slack X] [--report-json R]"
+         \x20      replay replay --profile F [--threads N] [--disarmed] [--max-sessions N] [--queue-cap N] [--slack X] [--report-json R]\n\
+         \x20                    [--trace T] [--metrics M]"
     );
     std::process::exit(2);
 }
@@ -131,6 +138,8 @@ fn cmd_replay(mut it: impl Iterator<Item = String>) {
     let mut queue_cap = 32usize;
     let mut slack = 8.0f64;
     let mut report_json: Option<String> = None;
+    let mut trace: Option<String> = None;
+    let mut metrics: Option<String> = None;
     while let Some(flag) = it.next() {
         match flag.as_str() {
             "--profile" => profile_path = Some(flag_value(&mut it, "--profile")),
@@ -140,6 +149,8 @@ fn cmd_replay(mut it: impl Iterator<Item = String>) {
             "--queue-cap" => queue_cap = parsed(&mut it, "--queue-cap", "a count"),
             "--slack" => slack = parsed(&mut it, "--slack", "a factor"),
             "--report-json" => report_json = Some(flag_value(&mut it, "--report-json")),
+            "--trace" => trace = Some(flag_value(&mut it, "--trace")),
+            "--metrics" => metrics = Some(flag_value(&mut it, "--metrics")),
             other => usage(&format!("unknown replay flag {other}")),
         }
     }
@@ -175,6 +186,11 @@ fn cmd_replay(mut it: impl Iterator<Item = String>) {
         intrinsics: Intrinsics::from_fov(24, 24, 0.9),
         ..Default::default()
     };
+    if trace.is_some() || metrics.is_some() {
+        // A replay emits far more events than the default ring holds; size
+        // the per-thread rings to retain the whole run.
+        telemetry::enable_with_capacity(1 << 16);
+    }
     let wall = Instant::now();
     let out = run_replay(&profile, &assets, &opts).unwrap_or_else(|e| fail("replay", e));
     let (r, c, o) = (&out.report, &out.client, &out.report.overload);
@@ -205,6 +221,19 @@ fn cmd_replay(mut it: impl Iterator<Item = String>) {
             fail(&format!("writing {path}"), e);
         }
         println!("wrote {path}");
+    }
+    if let Some(path) = trace {
+        telemetry::write_chrome_trace(Path::new(&path))
+            .unwrap_or_else(|e| fail(&format!("writing {path}"), e));
+        println!(
+            "chrome trace ({} events) -> {path}",
+            telemetry::event_count()
+        );
+    }
+    if let Some(path) = metrics {
+        telemetry::write_prometheus(Path::new(&path))
+            .unwrap_or_else(|e| fail(&format!("writing {path}"), e));
+        println!("prometheus metrics -> {path}");
     }
 }
 

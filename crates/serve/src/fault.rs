@@ -142,7 +142,7 @@ impl FaultKind {
 /// Rates are per-decision probabilities in `[0, 1]`; a rate of `0` never
 /// fires and `1` always fires, exactly (no floating-point edge where a
 /// zero-rate plan could still draw a fault). [`with_rate`](Self::with_rate)
-/// builds the standard mix used by `serve_swarm --faults`, scaling every
+/// builds the standard mix the swarm matrix's chaos legs run, scaling every
 /// rate from one knob.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultPlan {
@@ -178,7 +178,7 @@ pub struct FaultPlan {
 
 impl FaultPlan {
     /// The default per-decision fault rate: the one [`seeded`](Self::seeded)
-    /// plans (and `serve_swarm --faults SEED`) inject at.
+    /// plans (and the swarm matrix's chaos legs) inject at.
     pub const DEFAULT_RATE: f64 = 0.02;
 
     /// The standard mix at [`DEFAULT_RATE`](Self::DEFAULT_RATE).

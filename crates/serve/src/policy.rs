@@ -459,9 +459,9 @@ impl Default for Policies {
 
 impl Policies {
     /// The bundle a CLI-facing policy name denotes — one non-default policy
-    /// per name, default parameters. The single source of truth for
-    /// `serve_swarm --policy` and the swarm matrix's legs
-    /// (`tests/swarm_matrix.rs`); `None` for unknown names.
+    /// per name, default parameters. The single source of truth for the
+    /// swarm matrix's policy legs (`tests/swarm_matrix.rs`); `None` for
+    /// unknown names.
     pub fn by_name(name: &str) -> Option<Policies> {
         let default = Policies::default();
         match name {

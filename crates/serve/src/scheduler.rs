@@ -137,8 +137,8 @@ pub(crate) fn fan_out<T: Send>(entries: &[Mutex<T>], drivers: usize, work: impl 
 /// A multi-session frame-serving engine over borrowed scene assets.
 ///
 /// Scenes, baked models and trajectories are owned by the caller and must
-/// outlive the server; sessions borrow them. See the `serve_swarm` example
-/// for the intended shape.
+/// outlive the server; sessions borrow them. See the swarm mix
+/// (`tests/swarm_mix.rs`) for the intended shape.
 pub struct FrameServer<'a> {
     // Crate-visible, not public: the server's stages and its report live in
     // sibling modules (`overload`, `dispatch`, `report`).

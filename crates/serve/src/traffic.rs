@@ -650,6 +650,17 @@ impl TrafficAssets {
     pub fn scene_count(&self) -> usize {
         self.scenes.len()
     }
+
+    /// Whether these assets hold one trajectory per session of `profile`,
+    /// each session's on the scene it names.
+    fn fit(&self, profile: &TrafficProfile) -> bool {
+        self.trajectories.len() == profile.sessions.len()
+            && profile
+                .sessions
+                .iter()
+                .zip(&self.scene_of)
+                .all(|(s, &idx)| self.scenes[idx].0 == s.scene)
+    }
 }
 
 /// Replay knobs: the server configuration plus the client model.
@@ -825,7 +836,9 @@ struct Replay<'p> {
 ///
 /// # Errors
 ///
-/// Propagates any [`ServeError`] the replay client cannot absorb
+/// [`ServeError::InvalidConfig`] if `assets` were not built from `profile`
+/// (a different session count, or a session's scene differs). Otherwise
+/// propagates any [`ServeError`] the replay client cannot absorb
 /// (admission rejections, backpressure and shed tickets are absorbed and
 /// counted; everything else — a malformed profile session the server
 /// refuses as [`ServeError::InvalidSubmission`], or a harness bug — is
@@ -835,11 +848,11 @@ pub fn run_replay(
     assets: &TrafficAssets,
     opts: &ReplayOptions,
 ) -> Result<ReplayOutcome, ServeError> {
-    assert_eq!(
-        assets.trajectories.len(),
-        profile.sessions.len(),
-        "assets must be built from this profile"
-    );
+    if !assets.fit(profile) {
+        return Err(ServeError::InvalidConfig {
+            reason: "assets must be built from this profile",
+        });
+    }
     let mut replay = Replay {
         profile,
         assets,
@@ -1204,6 +1217,33 @@ mod tests {
             Err(TrafficError::UnknownScene { name }) => assert_eq!(name, "atlantis"),
             Err(other) => panic!("expected UnknownScene, got {other:?}"),
             Ok(_) => panic!("expected UnknownScene, got assets"),
+        }
+    }
+
+    #[test]
+    fn replay_refuses_assets_built_for_another_profile() {
+        let grid = GridConfig {
+            resolution: 8,
+            ..Default::default()
+        };
+        let p = tiny_model().generate(3);
+        let mut fewer = p.clone();
+        fewer.sessions.pop();
+        let mut moved = p.clone();
+        moved.sessions[0].scene = if p.sessions[0].scene == "lego" {
+            "chair".into()
+        } else {
+            "lego".into()
+        };
+        for other in [fewer, moved] {
+            let assets = TrafficAssets::build(&other, &grid).expect("library scenes");
+            match run_replay(&p, &assets, &ReplayOptions::default()) {
+                Err(ServeError::InvalidConfig { reason }) => {
+                    assert_eq!(reason, "assets must be built from this profile")
+                }
+                Err(e) => panic!("expected InvalidConfig, got {e:?}"),
+                Ok(_) => panic!("expected InvalidConfig, got an outcome"),
+            }
         }
     }
 

@@ -14,7 +14,7 @@
 //! `grep '^==\|digest'` of two commits' runs is the mechanical diff. Every
 //! assertion message starts with `[<leg>]`.
 //!
-//! - The swarm (`examples/swarm_mix.rs`: 24 sessions over 4 scenes plus a
+//! - The swarm (`tests/swarm_mix.rs`: 24 sessions over 4 scenes plus a
 //!   flood probe) under the four policy bundles at budget 1 — the oracle —
 //!   then at budget 4, streamed pose by pose, capped to the portable
 //!   kernels and with telemetry armed: each report equals the oracle's.
@@ -26,7 +26,7 @@
 //! - A uniform replay profile at budgets 1 and 4 (equal), armed but
 //!   underloaded ≡ disarmed; a flash crowd at budgets 1 and 4 (equal).
 
-#[path = "../examples/swarm_mix.rs"]
+#[path = "swarm_mix.rs"]
 mod swarm_mix;
 
 use cicero_field::simd::{self, Backend};

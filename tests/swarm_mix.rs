@@ -1,9 +1,9 @@
 //! The swarm session mix: 24 sessions over 4 library scenes, one flood probe,
 //! and the bare-server-or-fleet [`Backend`] they are submitted through.
 //!
-//! Defined once and included by `#[path]` from both `examples/serve_swarm.rs`
-//! (the demo) and `tests/swarm_matrix.rs` (the serve oracle), so the demo and
-//! the oracle cannot drift apart.
+//! A module of `tests/swarm_matrix.rs` (the serve oracle), which includes it
+//! by `#[path]`. Both [`Backend`] arms are needed: the matrix's fleet-of-one
+//! leg serves the same swarm through a bare server and a fleet and compares.
 
 use cicero::pipeline::PipelineConfig;
 use cicero::{Scenario, Variant};
