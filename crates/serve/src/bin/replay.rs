@@ -11,10 +11,11 @@
 //! ```
 //!
 //! `generate` dumps a versioned [`TrafficProfile`] from the seeded model;
-//! `replay` drives a [`FrameServer`](cicero_serve::FrameServer) from a
-//! profile file — open-loop session arrivals, closed-loop pose streams,
-//! backpressure honored with seeded retries — and prints what the clients
-//! and the overload queue saw. Every figure is simulated time, so the
+//! `replay` steps a fleet of one ([`run_replay`]) from a profile file —
+//! open-loop session arrivals, closed-loop pose streams, backpressure
+//! honored with seeded retries — and prints what the clients and the
+//! overload queue saw. A server configuration the fleet refuses (a NaN or
+//! negative `--slack`) fails the run with its reason. Every figure is simulated time, so the
 //! outcome is bit-identical at any `--threads` value; `tests/swarm_matrix.rs`
 //! holds the replay legs CI runs to that (and prints their digest lines).
 //! `--trace` / `--metrics` arm the telemetry recorder for the replay and

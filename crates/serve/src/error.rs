@@ -22,7 +22,7 @@ pub enum ServeError {
         /// The session.
         id: SessionId,
     },
-    /// A pose was pushed after [`close_stream`](crate::FrameServer::close_stream).
+    /// A pose was pushed after [`close_stream`](crate::Fleet::close_stream).
     StreamClosed {
         /// The session.
         id: SessionId,

@@ -167,8 +167,7 @@ pub struct FaultPlan {
     /// Probability a streamed pose is dropped.
     pub drop_rate: f64,
     /// Probability a fleet shard misses one heartbeat. Drawn by the fleet's
-    /// health model per `(shard, heartbeat)`; ignored by a bare
-    /// [`FrameServer`](crate::FrameServer).
+    /// health model per `(shard, heartbeat)`, never by the shard itself.
     pub shard_crash_rate: f64,
     /// Probability a fleet shard browns out at a heartbeat.
     pub shard_brownout_rate: f64,
@@ -274,7 +273,7 @@ pub struct FallbackRecord {
     pub frames: usize,
 }
 
-/// Fault and recovery accounting for one [`crate::FrameServer`] lifetime,
+/// Fault and recovery accounting for one shard's lifetime,
 /// carried on [`ServiceReport::faults`](crate::ServiceReport::faults).
 ///
 /// An un-armed server — and an armed one whose plan never fired — reports
@@ -361,7 +360,7 @@ impl FaultReport {
     }
 }
 
-/// The armed injector one [`crate::FrameServer`] carries: the plan plus the
+/// The armed injector one shard carries: the plan plus the
 /// running [`FaultReport`]. Decisions ([`fires`](Self::fires)) are pure; all
 /// accounting is mutated by the scheduler at its sequential seams, so the
 /// report is bit-identical at any host thread budget.

@@ -1,11 +1,13 @@
-//! The fleet: N independent [`FrameServer`] shards behind one router, with
-//! shard-level fault domains, a health-checked failover path, and
-//! **bit-identical** session migration.
+//! The fleet — the one public way to serve sessions: N independent shard
+//! servers behind one router, with shard-level fault domains, a
+//! health-checked failover path, and **bit-identical** session migration.
+//! Most deployments run a fleet of one (`FleetConfig::default()` with a
+//! [`base`](FleetConfig::base) server configuration).
 //!
 //! # Why shards
 //!
-//! One [`FrameServer`] is one fault domain: a single simulated pool, cache
-//! and admission ledger. A deployment that must survive machine loss splits
+//! One shard (the crate-private `FrameServer` of [`crate::scheduler`]) is
+//! one fault domain: a single simulated pool, cache and admission ledger. A deployment that must survive machine loss splits
 //! capacity into shards that fail independently — the serving analogue of
 //! the paper's multi-SoC scaling argument, applied to *availability* instead
 //! of throughput. The [`Fleet`] owns the shards, routes each session to one
@@ -27,8 +29,8 @@
 //! frames run late. The per-shard servers draw their *own* worker/cache/pose
 //! faults against shard-decorrelated seeds
 //! ([`FaultPlan::for_shard`](crate::FaultPlan::for_shard)), so chaos is not
-//! mirrored across shards — while shard 0 keeps the base seed, which makes a
-//! fleet of one byte-identical to a bare server under the same plan.
+//! mirrored across shards — while shard 0 keeps the base seed, so a fleet
+//! of one draws exactly the base plan's worker/cache/pose faults.
 //!
 //! # Failover and migration determinism
 //!
@@ -50,23 +52,25 @@
 //!
 //! # One global timeline
 //!
-//! [`Fleet::run`] repeatedly picks the shard whose next batch is earliest
-//! (pre-dispatch readiness lower bound; ties to the lowest shard index),
-//! processes every heartbeat due at or before that time in
-//! `(time, shard)` order, then runs one drain step — the very step
-//! [`FrameServer::run`] loops over — on the earliest alive shard. A shard
-//! therefore never serves a batch whose readiness estimate lies at or after
-//! its declared death; the actual batch may *complete* later (dispatch
-//! extends past the estimate), which is the usual crash-consistency window —
-//! frames in flight at the death instant were already irrevocably priced.
-//! Deterministic either way.
+//! The fleet's drain is one step, looped by [`Fleet::run`] and by
+//! [`run_replay`](crate::run_replay) between client events: pick the shard
+//! whose next batch is earliest (pre-dispatch readiness lower bound; ties to
+//! the lowest shard index), process every heartbeat due at or before that
+//! time in `(time, shard)` order, then run one drain step on the earliest
+//! alive shard. A shard therefore never serves a batch whose readiness
+//! estimate lies at or after its declared death; the actual batch may
+//! *complete* later (dispatch extends past the estimate), which is the usual
+//! crash-consistency window — frames in flight at the death instant were
+//! already irrevocably priced. Deterministic either way.
 //!
-//! With armed [`OverloadControl`](crate::OverloadControl) the step pumps the
-//! picked shard's queue at its round's dispatch instant, exactly as a bare
-//! server does; the fleet then pumps the **sibling** shards' queues at that
-//! same instant (capacity that drained elsewhere admits queued work without
-//! waiting for that shard's own next round) and pulls ticket resolutions up
-//! to fleet level. A fleet of one has no siblings and is a bare server.
+//! With armed [`OverloadControl`](crate::OverloadControl) the shard's drain
+//! step pumps its queue at its round's dispatch instant; the fleet then
+//! pumps the **sibling** shards' queues at that same instant (capacity that
+//! drained elsewhere admits queued work without waiting for that shard's own
+//! next round) and pulls ticket resolutions up to fleet level, registering
+//! fleet ids in the order the shards admitted the sessions. A fleet of one
+//! has no siblings: its fleet ids are its shard's ids, and without shard
+//! faults it serves exactly what its shard alone would.
 
 use crate::error::ServeError;
 use crate::fault::{FaultKind, FaultPlan};
@@ -82,7 +86,7 @@ use serde::Serialize;
 /// Fleet shape and health-model knobs.
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
-    /// Number of independent [`FrameServer`] shards (≥ 1).
+    /// Number of independent shard servers (≥ 1).
     pub shards: usize,
     /// Per-shard server configuration. Every shard gets an identical copy,
     /// except that an armed [`ServeConfig::faults`] plan is re-seeded per
@@ -178,12 +182,14 @@ pub struct FleetReport {
     pub alive_shards: usize,
 }
 
-/// A sharded fleet of [`FrameServer`]s on one simulated timeline.
+/// A sharded fleet of frame servers on one simulated timeline — the
+/// crate's front door.
 ///
 /// Sessions are submitted to the fleet, which routes them to a shard and
 /// hands back a **fleet-level** id; pose ingestion and stream close follow
 /// the session to wherever failover moved it. See the module docs for the
-/// health and migration model.
+/// health and migration model, and [`crate::scheduler`] for what one shard
+/// does with its sessions.
 pub struct Fleet<'a> {
     cfg: FleetConfig,
     servers: Vec<FrameServer<'a>>,
@@ -205,6 +211,9 @@ pub struct Fleet<'a> {
     ticket_names: Vec<String>,
     /// Fleet-level ticket resolutions; `Admitted` carries the **fleet** id.
     ticket_states: Vec<TicketState>,
+    /// Fleet tickets still `Pending`, in issue order: all that
+    /// `reconcile_tickets` has to look at.
+    pending: Vec<TicketId>,
     diversions: u64,
     heartbeat_misses: u64,
     shard_crashes: u64,
@@ -220,8 +229,10 @@ impl<'a> Fleet<'a> {
     /// # Errors
     ///
     /// [`ServeError::InvalidConfig`] if `cfg.shards` is zero, the heartbeat
-    /// interval is not positive (NaN included), or the miss threshold is
-    /// zero.
+    /// interval is not positive (NaN included), the miss threshold is zero,
+    /// the base server has no worker, or an armed
+    /// [`OverloadControl`](crate::OverloadControl)'s deadline slack or retry
+    /// hint base is negative or NaN.
     pub fn new(cfg: FleetConfig) -> Result<Self, ServeError> {
         let invalid = |reason| Err(ServeError::InvalidConfig { reason });
         if cfg.shards == 0 {
@@ -232,6 +243,18 @@ impl<'a> Fleet<'a> {
         }
         if cfg.miss_threshold == 0 {
             return invalid("miss threshold must be at least 1");
+        }
+        if cfg.base.pool.workers == 0 {
+            return invalid("a shard needs at least one worker");
+        }
+        if let Some(ov) = &cfg.base.overload {
+            let negative = |x: f64| x.is_nan() || x < 0.0;
+            if negative(ov.deadline_slack) {
+                return invalid("overload deadline slack must be a non-negative number");
+            }
+            if negative(ov.min_retry_s) {
+                return invalid("overload retry hint base must be a non-negative number");
+            }
         }
         let servers = (0..cfg.shards)
             .map(|i| {
@@ -252,6 +275,7 @@ impl<'a> Fleet<'a> {
             ticket_homes: Vec::new(),
             ticket_names: Vec::new(),
             ticket_states: Vec::new(),
+            pending: Vec::new(),
             diversions: 0,
             heartbeat_misses: 0,
             shard_crashes: 0,
@@ -371,63 +395,79 @@ impl<'a> Fleet<'a> {
         dest
     }
 
-    /// Pulls shard-local ticket resolutions up to fleet level, registering a
-    /// fleet session id for every freshly admitted queued submission. Runs
-    /// wherever a pump can have run — after every submission and every drain
-    /// step, and so before any shard death is processed: every admitted
-    /// session has a fleet id when failover drains its shard.
+    /// Pulls shard-local resolutions of the pending tickets up to fleet
+    /// level, registering a fleet session id for every freshly admitted
+    /// queued submission. Runs wherever a pump can have run — after every
+    /// submission and every drain step, and so before any shard death is
+    /// processed: every admitted session has a fleet id when failover drains
+    /// its shard.
+    ///
+    /// Fleet ids are registered in shard admission order — by shard, then
+    /// by local id — not in ticket order: a pump admits by priority and
+    /// deadline, so on a fleet of one every fleet id is its shard's id.
     fn reconcile_tickets(&mut self) {
-        for t in 0..self.ticket_homes.len() {
-            if self.ticket_states[t] != TicketState::Pending {
-                continue;
-            }
+        let mut admitted: Vec<(usize, SessionId, TicketId)> = Vec::new();
+        self.pending.retain(|&t| {
             let (shard, local_ticket) = self.ticket_homes[t];
             match self.servers[shard].ticket(local_ticket) {
-                Some(TicketState::Admitted(local)) => {
-                    let name = self.ticket_names[t].clone();
-                    let global = self.register(shard, local, name);
-                    self.ticket_states[t] = TicketState::Admitted(global);
-                }
+                Some(TicketState::Admitted(local)) => admitted.push((shard, local, t)),
                 Some(TicketState::Shed) => self.ticket_states[t] = TicketState::Shed,
-                _ => {}
+                _ => return true,
             }
+            false
+        });
+        admitted.sort_unstable();
+        for (shard, local, t) in admitted {
+            let name = std::mem::take(&mut self.ticket_names[t]);
+            let global = self.register(shard, local, name);
+            self.ticket_states[t] = TicketState::Admitted(global);
         }
     }
 
-    /// Submits a session: route → divert → the shard's
-    /// [`submit`](FrameServer::submit) → register. The routing policy picks a
+    /// Submits a session: validate → route → divert → the shard's submit
+    /// (see [`crate::overload`]) → register. The routing policy picks a
     /// primary shard; with armed overload control the fleet adds one rung to
     /// the ladder, **divert before shed**: if the primary has no immediate
     /// headroom but a sibling does, the admission goes there rather than
     /// queueing. Otherwise the primary's queue / shed / backpressure
-    /// semantics apply. Returned ids and tickets are **fleet-level**.
+    /// semantics apply: what does not fit is queued (armed), or admitted,
+    /// degraded or rejected on the spot by the QoS policy (disarmed). Under a
+    /// [`LoadAdaptiveDegrade`](crate::LoadAdaptiveDegrade) QoS policy the
+    /// granted shape may differ from the requested one — the trade is
+    /// recorded in
+    /// [`ServiceReport::degradations`](crate::ServiceReport::degradations).
+    /// Returned ids and tickets are **fleet-level**.
     ///
     /// # Errors
     ///
-    /// Everything [`FrameServer::submit`] returns, and
-    /// [`ServeError::FleetDown`] when every shard is dead.
+    /// [`ServeError::InvalidSubmission`] for a malformed submission;
+    /// [`ServeError::Overloaded`] when the queue is full and this request is
+    /// the worst SLO risk — resubmit [`at`](Submission::at) the embedded retry
+    /// hint; admission errors (e.g. the hard session cap) pass through
+    /// unchanged; [`ServeError::FleetDown`] when every shard is dead.
     pub fn submit(&mut self, sub: Submission<'a>) -> Result<SubmitOutcome, ServeError> {
         sub.validate()?;
         let primary = self.route_admission(&sub.spec.scene_key)?;
         let shard = self.divert_target(primary, &sub.spec, sub.intrinsics, sub.feed.fps());
         let name = sub.spec.name.clone();
-        let outcome = self.servers[shard]
-            .submit(sub)
-            .map(|outcome| match outcome {
-                SubmitOutcome::Admitted(local) => {
-                    SubmitOutcome::Admitted(self.register(shard, local, name))
-                }
-                SubmitOutcome::Queued(local_ticket) => {
-                    self.ticket_homes.push((shard, local_ticket));
-                    self.ticket_names.push(name);
-                    self.ticket_states.push(TicketState::Pending);
-                    SubmitOutcome::Queued(self.ticket_homes.len() - 1)
-                }
-            });
-        // The shard's submit pumps its queue first, whatever it then answers
-        // the newcomer; surface any queued admissions that unlocked.
+        let outcome = self.servers[shard].submit(sub);
+        // The shard's submit pumps its queue before it answers the
+        // newcomer, whatever the answer: those admissions take fleet ids
+        // first.
         self.reconcile_tickets();
-        outcome
+        Ok(match outcome? {
+            SubmitOutcome::Admitted(local) => {
+                SubmitOutcome::Admitted(self.register(shard, local, name))
+            }
+            SubmitOutcome::Queued(local_ticket) => {
+                let ticket = self.ticket_homes.len();
+                self.ticket_homes.push((shard, local_ticket));
+                self.ticket_names.push(name);
+                self.ticket_states.push(TicketState::Pending);
+                self.pending.push(ticket);
+                SubmitOutcome::Queued(ticket)
+            }
+        })
     }
 
     /// Resolution state of a fleet-level queued-submission ticket; `None`
@@ -491,7 +531,7 @@ impl<'a> Fleet<'a> {
 
     /// Earliest pre-dispatch batch readiness among alive shards, with the
     /// owning shard. `None` when no alive shard can serve.
-    fn earliest_ready(&self) -> Option<(f64, usize)> {
+    pub(crate) fn earliest_ready(&self) -> Option<(f64, usize)> {
         self.least(|i| Some(self.servers[i].next_ready_s()).filter(|t| t.is_finite()))
     }
 
@@ -625,41 +665,51 @@ impl<'a> Fleet<'a> {
         }
     }
 
-    /// Drains every session fleet-wide and produces the [`FleetReport`].
+    /// One step of the fleet's drain, given `ready` — the
+    /// [`earliest_ready`](Self::earliest_ready) its caller just read: process
+    /// every heartbeat due by then (deaths migrate sessions *before* the step
+    /// runs), run one drain step on the earliest still-alive shard — or, with
+    /// every admitted batch drained, on the shard holding the earliest queued
+    /// SLO admission deadline — pump the siblings' queues at the instant it
+    /// acted, and reconcile tickets. Returns that instant, or `None` when
+    /// nothing moved: the fleet is drained.
     ///
-    /// The loop interleaves shard drain steps on one global simulated
-    /// timeline: pick the shard whose next batch is earliest, process every
-    /// heartbeat due by then (deaths migrate sessions *before* the step
-    /// runs), then run [`FrameServer::run`]'s own step on the earliest
-    /// still-alive shard and pump the siblings' queues at the instant it
-    /// acted. With one shard and no shard faults this is exactly
-    /// [`FrameServer::run`] — byte-for-byte, queue engaged or not.
-    pub fn run(&mut self) -> FleetReport {
-        let plan = self.cfg.base.faults;
-        loop {
-            if let (Some(plan), Some((t, _))) = (&plan, self.earliest_ready()) {
-                self.process_heartbeats(plan, t);
-            }
+    /// The one loop body: [`run`](Self::run) and
+    /// [`run_replay`](crate::run_replay) both step through here.
+    pub(crate) fn step(&mut self, ready: Option<(f64, usize)>) -> Option<f64> {
+        let mut pick = ready;
+        if let (Some(plan), Some((t, _))) = (self.cfg.base.faults, ready) {
+            self.process_heartbeats(&plan, t);
             // Heartbeats may have killed the picked shard or shifted
             // readiness by adopting sessions elsewhere; re-pick among the
             // alive shards. Readiness only moves *forward* of the death time
-            // processed above, so the re-pick is deterministic. With every
-            // admitted batch drained, the shard holding the earliest queued
-            // SLO admission deadline steps: its drain step advances there.
-            let pick = self
-                .earliest_ready()
-                .or_else(|| self.least(|i| self.servers[i].queue_frontier_s()));
-            let Some((_, target)) = pick else { break };
-            let Some(t) = self.servers[target].drain_step() else {
-                break;
-            };
-            for i in (0..self.cfg.shards).filter(|&i| i != target) {
-                if self.alive[i] {
-                    self.servers[i].pump_overload(t);
-                }
-            }
-            self.reconcile_tickets();
+            // processed above, so the re-pick is deterministic.
+            pick = self.earliest_ready();
         }
+        // With no shard ready and no queue, nothing steps. A shard's own
+        // round would have found nothing either: a session that cannot step
+        // has no planned frame, so no reference to dispatch.
+        let (_, target) = pick.or_else(|| self.least(|i| self.servers[i].queue_frontier_s()))?;
+        let t = self.servers[target].drain_step()?;
+        for i in (0..self.cfg.shards).filter(|&i| i != target && self.alive[i]) {
+            self.servers[i].pump_overload(t);
+        }
+        self.reconcile_tickets();
+        Some(t)
+    }
+
+    /// Drains every session fleet-wide — and, with armed overload control,
+    /// every queued submission — and produces the [`FleetReport`].
+    ///
+    /// Steps interleave shard rounds on one global simulated timeline (see
+    /// the module docs). The fleet lives on that timeline: on a reused fleet
+    /// (submit → run → submit → run) worker clocks, cache contents and
+    /// session summaries carry over, and the report covers the fleet's whole
+    /// lifetime. Sessions step in ready batches, concurrently on the host
+    /// render pool when [`ServeConfig::render_threads`] grants a budget; the
+    /// report is bit-identical at any budget.
+    pub fn run(&mut self) -> FleetReport {
+        while self.step(self.earliest_ready()).is_some() {}
         for server in &mut self.servers {
             server.release_drained_loads();
         }
@@ -705,5 +755,328 @@ impl<'a> Fleet<'a> {
             alive_shards: self.alive_shards(),
             shards,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! A fleet of one against its own shard driven alone (the crate-private
+    //! server's `run`): the fleet layer's presence moves nothing, fault plan
+    //! armed or not, overload queue engaged or not — and its ids are the
+    //! shard's.
+
+    use super::*;
+    use crate::overload::OverloadControl;
+    use crate::policy::LoadAdaptiveDegrade;
+    use crate::report::OverloadReport;
+    use crate::session::QosClass;
+    use cicero::pipeline::PipelineConfig;
+    use cicero::Variant;
+    use cicero_field::{bake, GridConfig, GridModel};
+    use cicero_scene::volume::MarchParams;
+    use cicero_scene::{library, AnalyticScene, Trajectory};
+
+    fn assets(name: &str) -> (AnalyticScene, GridModel, Trajectory) {
+        let scene = library::scene_by_name(name).unwrap();
+        let grid = GridConfig {
+            resolution: 24,
+            ..Default::default()
+        };
+        let model = bake::bake_grid(&scene, &grid);
+        let traj = Trajectory::orbit(&scene, 8, 30.0);
+        (scene, model, traj)
+    }
+
+    fn spec(name: &str, scene_key: &str, qos: QosClass, offset: f64) -> SessionSpec {
+        SessionSpec {
+            name: name.into(),
+            scene_key: scene_key.into(),
+            qos,
+            start_offset_s: offset,
+            config: PipelineConfig {
+                variant: Variant::Cicero,
+                window: 4,
+                march: MarchParams {
+                    step: 0.05,
+                    ..Default::default()
+                },
+                collect_quality: true, // PSNR equality ⇒ frames match too
+                collect_traffic: false,
+                ..Default::default()
+            },
+        }
+    }
+
+    fn one<'a>(base: ServeConfig) -> Fleet<'a> {
+        Fleet::new(FleetConfig {
+            base,
+            ..Default::default()
+        })
+        .unwrap()
+    }
+
+    /// Overload control armed over `max_sessions` session slots per server.
+    fn slots_cfg(max_sessions: usize, deadline_slack: f64) -> ServeConfig {
+        let mut cfg = ServeConfig::default();
+        cfg.admission.max_sessions = max_sessions;
+        cfg.overload = Some(OverloadControl {
+            deadline_slack,
+            ..Default::default()
+        });
+        cfg
+    }
+
+    /// Submits `sub` to the shard alone and to the fleet of one: the same
+    /// outcome, ids and tickets included.
+    fn submit_both<'a>(
+        bare: &mut FrameServer<'a>,
+        fleet: &mut Fleet<'a>,
+        sub: Submission<'a>,
+    ) -> SubmitOutcome {
+        let outcome = bare.submit(sub.clone()).unwrap();
+        assert_eq!(fleet.submit(sub), Ok(outcome));
+        outcome
+    }
+
+    /// Fleet of one, zero shard faults ⇒ byte-for-byte its shard alone, both
+    /// un-armed and with an armed zero-rate plan, a stream fed pose by pose
+    /// included.
+    #[test]
+    fn fleet_of_one_is_byte_identical_to_bare_server() {
+        let (lego, lego_model, traj) = assets("lego");
+        let (ship, ship_model, _) = assets("ship");
+        let k = Intrinsics::from_fov(24, 24, 0.9);
+        let submissions = [
+            ("a", "lego", QosClass::Interactive, 0.0),
+            ("b", "lego", QosClass::Standard, 0.004),
+            ("c", "ship", QosClass::Standard, 0.006),
+            ("d", "ship", QosClass::BestEffort, 0.013),
+        ];
+        for faults in [None, Some(FaultPlan::zero(42))] {
+            let cfg = ServeConfig {
+                faults,
+                ..Default::default()
+            };
+            let (mut bare, mut fleet) = (FrameServer::new(cfg.clone()), one(cfg));
+            for (name, scene_key, qos, offset) in submissions {
+                let s = spec(name, scene_key, qos, offset);
+                let (scene, model) = match scene_key {
+                    "lego" => (&lego, &lego_model),
+                    _ => (&ship, &ship_model),
+                };
+                let sub = Submission::trajectory(s, scene, model, &traj, k);
+                submit_both(&mut bare, &mut fleet, sub);
+            }
+            let s = spec("stream", "lego", QosClass::Standard, 0.009);
+            let sub = Submission::stream(s, &lego, &lego_model, traj.fps(), k);
+            let id = submit_both(&mut bare, &mut fleet, sub).session().unwrap();
+            for pose in traj.poses() {
+                bare.push_pose(id, *pose).unwrap();
+                fleet.push_pose(id, *pose).unwrap();
+            }
+            bare.close_stream(id).unwrap();
+            fleet.close_stream(id).unwrap();
+            let (oracle, report) = (bare.run(), fleet.run());
+            let armed = faults.is_some();
+            assert_eq!(report.shards[0], oracle, "armed={armed}: fleet drifted");
+            assert_eq!((report.frames, report.availability), (oracle.frames, 1.0));
+            assert_eq!((report.shard_crashes, report.alive_shards), (0, 1));
+            assert!(report.migrations.is_empty());
+        }
+    }
+
+    /// The same with the queue engaged: five timed submissions of mixed QoS,
+    /// 10 ms apart, against one session slot — one holds it, four queue. At
+    /// slack 8.0 the queued entries admit as the slot frees (the fits rung);
+    /// at 2.0 and 0.5 SLO admission deadlines arrive first (the brownout
+    /// rung, which under a session cap ends in a shed). Same outcomes, same
+    /// ticket resolutions, same report, byte for byte.
+    #[test]
+    fn armed_fleet_of_one_is_byte_identical_with_the_queue_engaged() {
+        let (lego, lego_model, traj) = assets("lego");
+        let k = Intrinsics::from_fov(24, 24, 0.9);
+        use QosClass::{BestEffort, Interactive, Standard};
+        let classes = [Standard, Interactive, BestEffort, Standard, Interactive];
+        // The figures the fleet's own pump order used to move, up front so
+        // that a failure reads as numbers before it reads as two reports.
+        let headline = |r: &ServiceReport| {
+            let o = &r.overload;
+            let rungs = (o.queue_admits, o.brownout_admits, o.sheds);
+            (
+                r.makespan_s,
+                o.max_queue_wait_s,
+                o.goodput_fps,
+                r.deadline_misses,
+                rungs,
+            )
+        };
+        let (mut admits, mut sheds) = (0, 0);
+        for slack in [8.0, 2.0, 0.5] {
+            let mut bare = FrameServer::new(slots_cfg(1, slack));
+            let mut fleet = one(slots_cfg(1, slack));
+            let mut tickets = Vec::new();
+            for (i, qos) in classes.into_iter().enumerate() {
+                let s = spec(&format!("s{i}"), "lego", qos, 0.01 * i as f64);
+                let sub = Submission::trajectory(s, &lego, &lego_model, &traj, k);
+                if let SubmitOutcome::Queued(t) = submit_both(&mut bare, &mut fleet, sub) {
+                    tickets.push(t);
+                }
+            }
+            assert_eq!(tickets.len(), 4, "one holder, four queued");
+            let (oracle, report) = (bare.run(), fleet.run());
+            let what = "(makespan, max queue wait, goodput, misses, rungs)";
+            assert_eq!(
+                headline(&report.shards[0]),
+                headline(&oracle),
+                "{slack}: {what}"
+            );
+            assert_eq!(report.shards[0], oracle, "slack {slack}: fleet drifted");
+            for t in tickets {
+                assert_ne!(bare.ticket(t), Some(TicketState::Pending));
+                assert_eq!(fleet.ticket(t), bare.ticket(t), "slack {slack}: ticket {t}");
+            }
+            admits += oracle.overload.queue_admits;
+            sheds += oracle.overload.sheds;
+        }
+        assert!(admits > 0, "the fits rung never fired");
+        assert!(sheds > 0, "the deadline rung never fired");
+    }
+
+    /// Every fleet id a fleet of one hands out — at submission or through a
+    /// ticket — names the same session in its shard's report, however the
+    /// shard's pump orders admissions: two queued entries admitted by one
+    /// pump (priority order, not ticket order), and a queued entry browned
+    /// out by the pump of the submission that is then admitted beside it.
+    #[test]
+    fn fleet_ids_follow_shard_admission_order() {
+        let (lego, lego_model, traj) = assets("lego");
+        let check = |cfg: ServeConfig, clients: &[(&str, QosClass, f64, usize)]| {
+            let mut fleet = one(cfg);
+            let outcomes: Vec<(&str, SubmitOutcome)> = (clients.iter())
+                .map(|&(name, qos, at_s, px)| {
+                    let (s, k) = (
+                        spec(name, "lego", qos, at_s),
+                        Intrinsics::from_fov(px, px, 0.9),
+                    );
+                    let sub = Submission::trajectory(s, &lego, &lego_model, &traj, k);
+                    (name, fleet.submit(sub).unwrap())
+                })
+                .collect();
+            let mut report = fleet.run();
+            for (name, outcome) in outcomes {
+                let id = match outcome {
+                    SubmitOutcome::Admitted(id) => id,
+                    SubmitOutcome::Queued(t) => match fleet.ticket(t) {
+                        Some(TicketState::Admitted(id)) => id,
+                        other => panic!("{name}: ticket {t} resolved {other:?}"),
+                    },
+                };
+                let summary = report.shards[0].sessions.iter().find(|s| s.id == id);
+                assert_eq!(
+                    summary.map(|s| s.name.as_str()),
+                    Some(name),
+                    "fleet id {id}"
+                );
+            }
+            report.shards.swap_remove(0).overload
+        };
+        use QosClass::{BestEffort, Interactive, Standard};
+        // Two slots, two holders batched together; the queue holds best
+        // effort, standard and interactive, and the holders' joint drain
+        // frees both slots at one pump: interactive, then standard.
+        let queue = [
+            ("h0", Standard, 0.0, 24),
+            ("h1", Standard, 0.001, 24),
+            ("best", BestEffort, 0.002, 24),
+            ("standard", Standard, 0.003, 24),
+            ("interactive", Interactive, 0.004, 24),
+        ];
+        assert_eq!(check(slots_cfg(2, 8.0), &queue).queue_admits, 3);
+        // A load-bound shard: the holder leaves no room for a second
+        // full-size session, which queues; a tiny client arriving past that
+        // entry's SLO deadline pumps it in, browned out, and then fits
+        // itself.
+        let mut cfg = slots_cfg(8, 0.5);
+        cfg.pool.workers = 1;
+        cfg.admission.max_utilization = 0.02;
+        cfg.overload.as_mut().unwrap().brownout = Some(LoadAdaptiveDegrade {
+            max_window: 32,
+            min_resolution: 8,
+        });
+        let late = [
+            ("holder", Standard, 0.0, 24),
+            ("queued", Standard, 0.001, 24),
+            ("tiny", Standard, 0.5, 4),
+        ];
+        let overload = check(cfg, &late);
+        assert_eq!((overload.enqueued, overload.brownout_admits), (1, 1));
+    }
+
+    /// One row per client-controlled field the door checks, on a fleet of
+    /// one and of two: a typed refusal, and nothing admitted, queued or
+    /// counted — on any shard's admission ledger either.
+    #[test]
+    fn malformed_submissions_are_refused_at_the_door() {
+        let (scene, model, traj) = assets("lego");
+        let empty = Trajectory::streaming(30.0);
+        let k = Intrinsics::from_fov(16, 16, 0.9);
+        let spec = spec("client", "lego", QosClass::Standard, 0.0);
+        let good = || Submission::trajectory(spec.clone(), &scene, &model, &traj, k);
+        let stream = |fps| Submission::stream(spec.clone(), &scene, &model, fps, k);
+        let with = |edit: fn(&mut Submission<'_>)| {
+            let mut sub = good();
+            edit(&mut sub);
+            sub
+        };
+        let table = [
+            ("zero fps", stream(0.0)),
+            ("negative fps", stream(-30.0)),
+            ("NaN fps", stream(f32::NAN)),
+            ("infinite fps", stream(f32::INFINITY)),
+            (
+                "empty trajectory",
+                Submission::trajectory(spec.clone(), &scene, &model, &empty, k),
+            ),
+            ("zero window", with(|s| s.spec.config.window = 0)),
+            (
+                "zero-area intrinsics",
+                with(|s| s.intrinsics = Intrinsics::new(0, 16, 12.0)),
+            ),
+            ("NaN start", with(|s| s.spec.start_offset_s = f64::NAN)),
+            ("infinite instant", good().at(f64::INFINITY)),
+        ];
+        let base = ServeConfig {
+            overload: Some(OverloadControl::default()),
+            ..Default::default()
+        };
+        for (what, sub) in table {
+            for shards in [1, 2] {
+                let base = base.clone();
+                let mut fleet = Fleet::new(FleetConfig {
+                    shards,
+                    base,
+                    ..Default::default()
+                })
+                .unwrap();
+                let refused = fleet.submit(sub.clone());
+                let typed = matches!(refused, Err(ServeError::InvalidSubmission { .. }));
+                assert!(typed, "{what}: {refused:?}");
+                assert_eq!((fleet.session_count(), fleet.queued()), (0, 0), "{what}");
+                for ledger in fleet.servers.iter().map(FrameServer::admission) {
+                    assert_eq!((ledger.admitted(), ledger.rejected()), (0, 0), "{what}");
+                }
+                let report = fleet.run();
+                assert_eq!((report.frames, report.diversions), (0, 0), "{what}");
+                for shard in &report.shards {
+                    assert_eq!(shard.overload, OverloadReport::default(), "{what}");
+                }
+            }
+        }
+        // A baseline session has no warping window to get wrong.
+        let baseline = with(|s| {
+            s.spec.config.variant = Variant::Baseline;
+            s.spec.config.window = 0;
+        });
+        assert_eq!(one(base).submit(baseline), Ok(SubmitOutcome::Admitted(0)));
     }
 }

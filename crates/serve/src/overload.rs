@@ -1,5 +1,6 @@
-//! The serving front door — one [`Submission`] through one
-//! [`FrameServer::submit`] — and the SLO-aware overload queue behind it.
+//! The shard's side of the front door — one [`Submission`] through
+//! [`Fleet::submit`](crate::Fleet::submit) lands in its shard's `submit` —
+//! and the SLO-aware overload queue behind it.
 //!
 //! Every decision about a queued entry is written once: an entry is
 //! **admitted** by `FrameServer::admit_queued` (the fits and the brownout
@@ -31,7 +32,7 @@ use cicero_telemetry as telemetry;
 /// deadline-aware shedding, explicit backpressure and an optional brownout
 /// ladder, armed via [`ServeConfig::overload`](crate::ServeConfig::overload).
 ///
-/// When [`submit`](FrameServer::submit) cannot admit a session immediately it
+/// When [`submit`](crate::Fleet::submit) cannot admit a session immediately it
 /// is **queued** rather than rejected; queued submissions admit in (QoS
 /// priority, arrival) order as drained sessions free capacity. A queued
 /// submission whose SLO admission deadline arrives before capacity does is
@@ -70,22 +71,23 @@ impl Default for OverloadControl {
     }
 }
 
-/// Handle for a queued submission, resolved by [`FrameServer::ticket`].
+/// Handle for a queued submission, resolved by
+/// [`Fleet::ticket`](crate::Fleet::ticket).
 pub type TicketId = usize;
 
-/// What [`FrameServer::submit`] did with a submission.
+/// What [`Fleet::submit`](crate::Fleet::submit) did with a submission.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SubmitOutcome {
     /// Admitted immediately; the session serves from its requested start.
     Admitted(SessionId),
     /// Queued behind the overload controller; poll
-    /// [`ticket`](FrameServer::ticket) after each run for the resolution.
+    /// [`ticket`](crate::Fleet::ticket) after each run for the resolution.
     Queued(TicketId),
 }
 
 impl SubmitOutcome {
     /// The admitted session id, if admission was immediate — always, on a
-    /// server without armed [`OverloadControl`].
+    /// fleet without armed [`OverloadControl`].
     pub fn session(&self) -> Option<SessionId> {
         match self {
             SubmitOutcome::Admitted(id) => Some(*id),
@@ -113,8 +115,8 @@ pub enum Feed<'a> {
     /// A whole-trajectory session.
     Trajectory(&'a Trajectory),
     /// A streaming session at a nominal frame rate: poses arrive one at a
-    /// time via [`push_pose`](FrameServer::push_pose) after admission, and
-    /// [`close_stream`](FrameServer::close_stream) marks the feed complete.
+    /// time via [`push_pose`](crate::Fleet::push_pose) after admission, and
+    /// [`close_stream`](crate::Fleet::close_stream) marks the feed complete.
     Stream {
         /// Nominal client frame rate.
         fps: f32,
@@ -140,9 +142,9 @@ impl Feed<'_> {
     }
 }
 
-/// One session submission: the only argument of [`FrameServer::submit`] and
+/// One session submission: the only argument of
 /// [`Fleet::submit`](crate::Fleet::submit). Scenes, baked models and
-/// trajectories are borrowed and must outlive the server.
+/// trajectories are borrowed and must outlive the fleet.
 #[derive(Clone)]
 pub struct Submission<'a> {
     /// What the client asks for.
@@ -184,7 +186,7 @@ impl<'a> Submission<'a> {
 
     /// A **streaming** session at a nominal `fps`, submitted at its requested
     /// start. Admission happens at submission; feeding a captured trajectory
-    /// pose-by-pose and closing before [`run`](FrameServer::run) produces a
+    /// pose-by-pose and closing before [`run`](crate::Fleet::run) produces a
     /// service report **bit-identical** to submitting it whole. A client
     /// whose submission was [`Queued`](SubmitOutcome::Queued) buffers its
     /// poses until the ticket resolves to [`TicketState::Admitted`].
@@ -303,24 +305,12 @@ impl<'a> OverloadState<'a> {
 }
 
 impl<'a> FrameServer<'a> {
-    /// Submits a session: admitted now, queued, or refused. On a server
-    /// without armed [`OverloadControl`] the outcome is always
-    /// [`SubmitOutcome::Admitted`] or an admission error; under a
-    /// [`LoadAdaptiveDegrade`] QoS policy the granted shape may differ from
-    /// the requested one — the trade is recorded in
-    /// [`ServiceReport::degradations`](crate::ServiceReport::degradations).
-    /// With it armed, a session that does not fit immediately is **queued**
-    /// instead of rejected (see [`OverloadControl`]).
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::InvalidSubmission`] for a malformed submission;
-    /// [`ServeError::Overloaded`] when the queue is full and this request is
-    /// the worst SLO risk — resubmit [`at`](Submission::at) the embedded retry
-    /// hint; admission errors (e.g. the hard session cap) pass through
-    /// unchanged.
-    pub fn submit(&mut self, sub: Submission<'a>) -> Result<SubmitOutcome, ServeError> {
-        sub.validate()?;
+    /// Submits a session the fleet has validated and routed here: admitted
+    /// now, queued, or refused — the semantics
+    /// [`Fleet::submit`](crate::Fleet::submit) documents. On a server without
+    /// armed [`OverloadControl`] the outcome is always
+    /// [`SubmitOutcome::Admitted`] or an admission error.
+    pub(crate) fn submit(&mut self, sub: Submission<'a>) -> Result<SubmitOutcome, ServeError> {
         let (fps, now_s) = (sub.feed.fps(), sub.at_s);
         // Freshly drained capacity admits queued work *before* the newcomer:
         // the queue is a FIFO per priority, not a stack.
@@ -386,13 +376,13 @@ impl<'a> FrameServer<'a> {
 
     /// Resolution state of a queued submission's ticket; `None` for unknown
     /// tickets or on a server without armed overload control.
-    pub fn ticket(&self, ticket: TicketId) -> Option<TicketState> {
+    pub(crate) fn ticket(&self, ticket: TicketId) -> Option<TicketState> {
         let ov = self.overload.as_ref()?;
         ov.tickets.get(ticket).copied()
     }
 
     /// Pending-admission queue depth (0 without armed overload control).
-    pub fn queued(&self) -> usize {
+    pub(crate) fn queued(&self) -> usize {
         self.overload.as_ref().map_or(0, |ov| ov.queue.len())
     }
 
@@ -587,108 +577,5 @@ impl<'a> FrameServer<'a> {
             .iter()
             .map(|q| q.deadline_to_start_s)
             .min_by(f64::total_cmp)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::session::QosClass;
-    use crate::{Fleet, FleetConfig, ServeConfig};
-    use cicero::pipeline::PipelineConfig;
-    use cicero_field::{bake, GridConfig};
-    use cicero_scene::library;
-
-    /// One row per client-controlled field the door checks, through both
-    /// doors: a typed refusal, and nothing admitted, queued or counted.
-    #[test]
-    fn malformed_submissions_are_refused_at_the_door() {
-        let scene = library::scene_by_name("lego").unwrap();
-        let grid = GridConfig {
-            resolution: 16,
-            ..Default::default()
-        };
-        let model = bake::bake_grid(&scene, &grid);
-        let traj = Trajectory::orbit(&scene, 4, 30.0);
-        let empty = Trajectory::streaming(30.0);
-        let k = Intrinsics::from_fov(16, 16, 0.9);
-        let spec = SessionSpec {
-            name: "client".into(),
-            scene_key: "lego".into(),
-            qos: QosClass::Standard,
-            start_offset_s: 0.0,
-            config: PipelineConfig::default(),
-        };
-        let good = || Submission::trajectory(spec.clone(), &scene, &model, &traj, k);
-        let stream = |fps| Submission::stream(spec.clone(), &scene, &model, fps, k);
-        let with = |edit: fn(&mut Submission<'_>)| {
-            let mut sub = good();
-            edit(&mut sub);
-            sub
-        };
-        let table = [
-            ("zero fps", stream(0.0)),
-            ("negative fps", stream(-30.0)),
-            ("NaN fps", stream(f32::NAN)),
-            ("infinite fps", stream(f32::INFINITY)),
-            (
-                "empty trajectory",
-                Submission::trajectory(spec.clone(), &scene, &model, &empty, k),
-            ),
-            (
-                "zero window on a warping variant",
-                with(|s| s.spec.config.window = 0),
-            ),
-            (
-                "zero-area intrinsics",
-                with(|s| s.intrinsics = Intrinsics::new(0, 16, 12.0)),
-            ),
-            (
-                "NaN start offset",
-                with(|s| s.spec.start_offset_s = f64::NAN),
-            ),
-            ("infinite submission instant", good().at(f64::INFINITY)),
-        ];
-        let cfg = ServeConfig {
-            overload: Some(OverloadControl::default()),
-            ..Default::default()
-        };
-        for (what, sub) in table {
-            let refused = |r: Result<SubmitOutcome, ServeError>| {
-                assert!(
-                    matches!(r, Err(ServeError::InvalidSubmission { .. })),
-                    "{what}: {r:?}"
-                );
-            };
-            let mut server = FrameServer::new(cfg.clone());
-            refused(server.submit(sub.clone()));
-            assert_eq!((server.session_count(), server.queued()), (0, 0), "{what}");
-            let ledger = server.admission();
-            assert_eq!((ledger.admitted(), ledger.rejected()), (0, 0), "{what}");
-            let report = server.run();
-            assert_eq!(report.frames, 0, "{what}");
-            assert_eq!(report.overload, OverloadReport::default(), "{what}");
-
-            let mut fleet = Fleet::new(FleetConfig {
-                shards: 2,
-                base: cfg.clone(),
-                ..Default::default()
-            })
-            .unwrap();
-            refused(fleet.submit(sub));
-            assert_eq!((fleet.session_count(), fleet.queued()), (0, 0), "{what}");
-            let report = fleet.run();
-            assert_eq!((report.frames, report.diversions), (0, 0), "{what}");
-            for shard in &report.shards {
-                assert_eq!(shard.overload, OverloadReport::default(), "{what}");
-            }
-        }
-        // A baseline session has no warping window to get wrong.
-        let mut server = FrameServer::new(cfg);
-        let baseline = with(|s| {
-            s.spec.config.variant = Variant::Baseline;
-            s.spec.config.window = 0;
-        });
-        assert_eq!(server.submit(baseline), Ok(SubmitOutcome::Admitted(0)));
     }
 }

@@ -78,7 +78,7 @@ pub struct SessionSummary {
     pub cache_hits: u64,
 }
 
-/// Overload-control accounting for one [`crate::FrameServer::run`], carried
+/// Overload-control accounting for one shard's lifetime, carried
 /// on [`ServiceReport::overload`]. All quantities are simulated time only, so
 /// the report is bit-identical at any host thread budget.
 ///
@@ -171,7 +171,8 @@ impl OverloadReport {
     }
 }
 
-/// Aggregate serving statistics for one [`crate::FrameServer::run`].
+/// Aggregate serving statistics for one shard's lifetime: an entry of
+/// [`FleetReport::shards`](crate::FleetReport::shards).
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ServiceReport {
     /// Every served frame, in dispatch (readiness) order. With one worker

@@ -1,5 +1,7 @@
-//! The frame server: the simulated-time event loop multiplexing many
-//! sessions over the SoC pool, one **round** at a time.
+//! The frame server — one shard of a [`Fleet`](crate::Fleet): the
+//! simulated-time event loop multiplexing many sessions over the SoC pool,
+//! one **round** at a time. Crate-private; sessions reach it only through
+//! the fleet, which owns its shards and drives their rounds.
 //!
 //! # A round is four stages
 //!
@@ -32,9 +34,9 @@
 //! Jobs are placed, priced and (under an armed fault plan) recovered by
 //! `recovery.rs`, the same way for reference renders and target frames.
 //! `FrameServer::drain_step` wraps a round with the overload queue's pump
-//! ([`crate::overload`]); [`FrameServer::run`] and
-//! [`Fleet::run`](crate::Fleet::run) are loops over it, and
-//! [`run_replay`](crate::run_replay) calls it between client events.
+//! ([`crate::overload`]); the fleet's step is its only caller, and
+//! [`Fleet::run`](crate::Fleet::run) and [`run_replay`](crate::run_replay)
+//! loop over that step.
 //!
 //! # Host concurrency
 //!
@@ -45,7 +47,8 @@
 //! ([`ServeConfig::render_threads`]) a batch of `B` sessions steps on
 //! `min(B, T)` concurrent drivers, each session's own passes using
 //! `T / min(B, T)` lanes. Frames, statistics and the entire
-//! [`ServiceReport`] are therefore **bit-identical at any budget**;
+//! [`ServiceReport`](crate::ServiceReport) are therefore **bit-identical at
+//! any budget**;
 //! concurrency moves wall-clock only. `tests/parallel_determinism.rs`
 //! enforces exactly this.
 //!
@@ -60,7 +63,7 @@ use crate::fault::{FaultInjector, FaultKind, FaultPlan};
 use crate::overload::{OverloadControl, OverloadState};
 use crate::policy::{JobKind, Policies};
 use crate::recovery::{Job, SimCtx};
-use crate::report::{DegradationRecord, FrameRecord, ServiceReport};
+use crate::report::{DegradationRecord, FrameRecord};
 use crate::session::{ServeSession, SessionId, SessionManager};
 use cicero::pipeline::SessionStep;
 use cicero::schedule::FramePlan;
@@ -106,7 +109,7 @@ pub struct ServeConfig {
     /// as everything else: bit-identical reports at any host thread budget.
     pub faults: Option<FaultPlan>,
     /// Arms SLO-aware overload control (see [`OverloadControl`]): a
-    /// [`submit`](FrameServer::submit) that does not fit is queued instead
+    /// [`submit`](crate::Fleet::submit) that does not fit is queued instead
     /// of rejected. `None` keeps admit-or-reject; an armed server whose
     /// queue never engages serves byte-for-byte the same frames.
     pub overload: Option<OverloadControl>,
@@ -134,12 +137,10 @@ pub(crate) fn fan_out<T: Send>(entries: &[Mutex<T>], drivers: usize, work: impl 
     }
 }
 
-/// A multi-session frame-serving engine over borrowed scene assets.
-///
-/// Scenes, baked models and trajectories are owned by the caller and must
-/// outlive the server; sessions borrow them. See the swarm mix
-/// (`tests/swarm_mix.rs`) for the intended shape.
-pub struct FrameServer<'a> {
+/// One shard: a multi-session frame-serving engine over borrowed scene
+/// assets. Scenes, baked models and trajectories are owned by the caller and
+/// must outlive the fleet; sessions borrow them.
+pub(crate) struct FrameServer<'a> {
     // Crate-visible, not public: the server's stages and its report live in
     // sibling modules (`overload`, `dispatch`, `report`).
     pub(crate) cfg: ServeConfig,
@@ -177,8 +178,8 @@ struct Stepped {
 }
 
 impl<'a> FrameServer<'a> {
-    /// Creates an empty server.
-    pub fn new(cfg: ServeConfig) -> Self {
+    /// Creates an empty server. The fleet has checked `cfg`.
+    pub(crate) fn new(cfg: ServeConfig) -> Self {
         FrameServer {
             pool: WorkerPool::new(cfg.pool),
             cache: RefCache::new(cfg.cache),
@@ -199,13 +200,8 @@ impl<'a> FrameServer<'a> {
     }
 
     /// The admission controller (for load inspection).
-    pub fn admission(&self) -> &AdmissionController {
+    pub(crate) fn admission(&self) -> &AdmissionController {
         &self.admission
-    }
-
-    /// Sessions admitted so far.
-    pub fn session_count(&self) -> usize {
-        self.sessions.len()
     }
 
     /// Feeds one pose to a streaming session. Errors for whole-trajectory
@@ -215,7 +211,7 @@ impl<'a> FrameServer<'a> {
     /// injected-dropped (lost in flight — the session serves one fewer
     /// frame; still `Ok`) or stalled (delivered, but shifting the session's
     /// later arrivals and deadlines by the accumulated delay).
-    pub fn push_pose(&mut self, id: SessionId, pose: Pose) -> Result<(), ServeError> {
+    pub(crate) fn push_pose(&mut self, id: SessionId, pose: Pose) -> Result<(), ServeError> {
         let sess = self.sessions.streaming_mut(id, false)?;
         if let Some(inj) = &mut self.injector {
             let attempt = sess.pose_pushes;
@@ -242,9 +238,9 @@ impl<'a> FrameServer<'a> {
     }
 
     /// Closes a streaming session's pose feed (idempotent). The session
-    /// drains fully on the next [`run`](Self::run). Errors for
-    /// whole-trajectory sessions or unknown ids.
-    pub fn close_stream(&mut self, id: SessionId) -> Result<(), ServeError> {
+    /// drains fully on the next drain. Errors for whole-trajectory sessions
+    /// or unknown ids.
+    pub(crate) fn close_stream(&mut self, id: SessionId) -> Result<(), ServeError> {
         let sess = self.sessions.streaming_mut(id, true)?;
         sess.pipe.close_stream();
         sess.sync_ref_slots();
@@ -463,9 +459,8 @@ impl<'a> FrameServer<'a> {
     /// is drained. A server whose queue is empty (every disarmed one) runs
     /// exactly the round.
     ///
-    /// The only place a round meets the queue: [`run`](Self::run) and
-    /// [`Fleet::run`](crate::Fleet::run) are loops over it, and
-    /// [`run_replay`](crate::run_replay) calls it between client events.
+    /// The only place a round meets the queue, called only by the fleet's
+    /// step.
     pub(crate) fn drain_step(&mut self) -> Option<f64> {
         if let Some(t) = self.run_round() {
             self.pump_overload(t);
@@ -480,19 +475,10 @@ impl<'a> FrameServer<'a> {
         (self.queued() < before || self.next_ready_s().is_finite()).then_some(t)
     }
 
-    /// Drains every admitted session — and, with armed
-    /// [`ServeConfig::overload`], every queued submission — and produces the
-    /// service report.
-    ///
-    /// The server lives on one simulated timeline: on a reused server
-    /// (submit → run → submit → run) worker clocks, cache contents and
-    /// session summaries carry over, and the report covers the server's
-    /// whole lifetime — not just the latest call.
-    ///
-    /// Sessions step in **ready batches** (see the module docs), concurrently
-    /// on the host render pool when [`ServeConfig::render_threads`] grants a
-    /// budget. The report is bit-identical at any budget.
-    pub fn run(&mut self) -> ServiceReport {
+    /// Drains the server alone — the shard as its unit tests and the
+    /// fleet-of-one oracles in `fleet.rs` drive it.
+    #[cfg(test)]
+    pub(crate) fn run(&mut self) -> crate::report::ServiceReport {
         while self.drain_step().is_some() {}
         self.release_drained_loads();
         self.report()
@@ -595,6 +581,7 @@ fn publish_in_stream(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::ServiceReport;
     use crate::session::{QosClass, SessionSpec};
     use crate::{Policies, Submission};
     use cicero::pipeline::PipelineConfig;
@@ -604,7 +591,9 @@ mod tests {
     use cicero_scene::volume::MarchParams;
     use cicero_scene::{AnalyticScene, Trajectory};
 
-    fn assets() -> (AnalyticScene, GridModel, Trajectory) {
+    type Assets = (AnalyticScene, GridModel, Trajectory);
+
+    fn assets() -> Assets {
         let scene = library::scene_by_name("lego").unwrap();
         let model = bake::bake_grid(
             &scene,
@@ -640,34 +629,27 @@ mod tests {
         }
     }
 
+    /// `spec` over the fixture's scene, model and trajectory at 24².
+    fn sub(fx: &Assets, spec: SessionSpec) -> Submission<'_> {
+        let k = Intrinsics::from_fov(24, 24, 0.9);
+        Submission::trajectory(spec, &fx.0, &fx.1, &fx.2, k)
+    }
+
+    fn server<'a>(edit: impl FnOnce(&mut ServeConfig)) -> FrameServer<'a> {
+        let mut cfg = ServeConfig::default();
+        edit(&mut cfg);
+        FrameServer::new(cfg)
+    }
+
     #[test]
     fn co_located_sessions_share_references() {
-        let (scene, model, traj) = assets();
-        let k = Intrinsics::from_fov(24, 24, 0.9);
-        let mut server = FrameServer::new(ServeConfig {
-            pool: PoolConfig {
-                workers: 2,
-                ..Default::default()
-            },
-            ..Default::default()
-        });
+        let fx = assets();
+        let mut server = server(|c| c.pool.workers = 2);
         server
-            .submit(Submission::trajectory(
-                spec("a", QosClass::Standard, 0.0),
-                &scene,
-                &model,
-                &traj,
-                k,
-            ))
+            .submit(sub(&fx, spec("a", QosClass::Standard, 0.0)))
             .unwrap();
         server
-            .submit(Submission::trajectory(
-                spec("b", QosClass::Standard, 0.01),
-                &scene,
-                &model,
-                &traj,
-                k,
-            ))
+            .submit(sub(&fx, spec("b", QosClass::Standard, 0.01)))
             .unwrap();
         let report = server.run();
         assert_eq!(report.frames, 16);
@@ -687,26 +669,13 @@ mod tests {
 
     #[test]
     fn report_latencies_are_consistent() {
-        let (scene, model, traj) = assets();
-        let k = Intrinsics::from_fov(24, 24, 0.9);
-        let mut server = FrameServer::new(ServeConfig {
-            pool: PoolConfig {
-                workers: 1,
-                ..Default::default()
-            },
-            ..Default::default()
-        });
+        let fx = assets();
+        let mut server = server(|c| c.pool.workers = 1);
         server
-            .submit(Submission::trajectory(
-                spec("a", QosClass::Interactive, 0.0),
-                &scene,
-                &model,
-                &traj,
-                k,
-            ))
+            .submit(sub(&fx, spec("a", QosClass::Interactive, 0.0)))
             .unwrap();
         let report = server.run();
-        assert_eq!(report.frames, traj.len());
+        assert_eq!(report.frames, fx.2.len());
         for r in &report.records {
             assert!(r.completion_s > r.start_s);
             assert!(r.start_s >= r.arrival_s - 1e-12);
@@ -723,26 +692,11 @@ mod tests {
 
     #[test]
     fn quality_collection_flows_into_summaries() {
-        let (scene, model, traj) = assets();
-        let k = Intrinsics::from_fov(24, 24, 0.9);
-        let mut server = FrameServer::new(ServeConfig::default());
-        let mut cfg = fast_cfg();
-        cfg.collect_quality = true;
-        server
-            .submit(Submission::trajectory(
-                SessionSpec {
-                    name: "q".into(),
-                    scene_key: "lego".into(),
-                    qos: QosClass::Standard,
-                    start_offset_s: 0.0,
-                    config: cfg,
-                },
-                &scene,
-                &model,
-                &traj,
-                k,
-            ))
-            .unwrap();
+        let fx = assets();
+        let mut server = server(|_| {});
+        let mut q = spec("q", QosClass::Standard, 0.0);
+        q.config.collect_quality = true;
+        server.submit(sub(&fx, q)).unwrap();
         let report = server.run();
         assert!(report.sessions[0].mean_psnr_db.is_finite());
         assert!(report.sessions[0].mean_psnr_db > 10.0);
@@ -750,51 +704,24 @@ mod tests {
 
     #[test]
     fn drained_sessions_release_admission_capacity() {
-        let (scene, model, traj) = assets();
-        let k = Intrinsics::from_fov(24, 24, 0.9);
-        let mut server = FrameServer::new(ServeConfig {
-            admission: crate::AdmissionPolicy {
-                max_sessions: 1,
-                ..Default::default()
-            },
-            ..Default::default()
-        });
+        let fx = assets();
+        let mut server = server(|c| c.admission.max_sessions = 1);
         server
-            .submit(Submission::trajectory(
-                spec("first", QosClass::Standard, 0.0),
-                &scene,
-                &model,
-                &traj,
-                k,
-            ))
+            .submit(sub(&fx, spec("first", QosClass::Standard, 0.0)))
             .unwrap();
-        assert!(server
-            .submit(Submission::trajectory(
-                spec("too-many", QosClass::Standard, 0.0),
-                &scene,
-                &model,
-                &traj,
-                k
-            ))
-            .is_err());
+        let too_many = spec("too-many", QosClass::Standard, 0.0);
+        assert!(server.submit(sub(&fx, too_many)).is_err());
         server.run();
         // The drained session handed its slot and load back.
         server
-            .submit(Submission::trajectory(
-                spec("second", QosClass::Standard, 0.0),
-                &scene,
-                &model,
-                &traj,
-                k,
-            ))
+            .submit(sub(&fx, spec("second", QosClass::Standard, 0.0)))
             .expect("capacity released after run()");
         assert!(server.admission().committed_load() > 0.0);
     }
 
     #[test]
     fn mismatched_render_configs_do_not_share_references() {
-        let (scene, model, traj) = assets();
-        let k = Intrinsics::from_fov(24, 24, 0.9);
+        let fx = assets();
         let coarse = spec("coarse", QosClass::Standard, 0.0);
         let mut fine = spec("fine", QosClass::Standard, 0.01);
         fine.config.march = MarchParams {
@@ -805,22 +732,16 @@ mod tests {
         // reference landing within a pose quantum of a later extrapolated
         // one), which mismatched configs do not affect.
         let solo_hits = |s: &SessionSpec| {
-            let mut server = FrameServer::new(ServeConfig::default());
-            server
-                .submit(Submission::trajectory(s.clone(), &scene, &model, &traj, k))
-                .unwrap();
+            let mut server = server(|_| {});
+            server.submit(sub(&fx, s.clone())).unwrap();
             server.run().sessions[0].cache_hits
         };
         let coarse_solo = solo_hits(&coarse);
         let fine_solo = solo_hits(&fine);
 
-        let mut server = FrameServer::new(ServeConfig::default());
-        server
-            .submit(Submission::trajectory(coarse, &scene, &model, &traj, k))
-            .unwrap();
-        server
-            .submit(Submission::trajectory(fine, &scene, &model, &traj, k))
-            .unwrap();
+        let mut server = server(|_| {});
+        server.submit(sub(&fx, coarse)).unwrap();
+        server.submit(sub(&fx, fine)).unwrap();
         let report = server.run();
         // Same scene_key, different march parameters: the frames are not
         // interchangeable, so co-locating the two sessions must not produce
@@ -832,30 +753,19 @@ mod tests {
 
     #[test]
     fn pool_hardware_speed_changes_the_timeline() {
-        let (scene, model, traj) = assets();
-        let k = Intrinsics::from_fov(24, 24, 0.9);
+        let fx = assets();
         let run_with = |scale: f64| {
-            let mut pool = PoolConfig {
-                workers: 2,
-                ..Default::default()
-            };
-            pool.soc.gpu.peak_flops *= scale;
-            pool.soc.gpu.random_txn_per_sec *= scale;
-            pool.soc.gpu.sram_txn_per_sec *= scale;
-            pool.soc.gpu.kernel_overhead_s /= scale;
-            pool.soc.npu.clock_hz *= scale;
-            let mut server = FrameServer::new(ServeConfig {
-                pool,
-                ..Default::default()
+            let mut server = server(|c| {
+                let pool = &mut c.pool;
+                pool.workers = 2;
+                pool.soc.gpu.peak_flops *= scale;
+                pool.soc.gpu.random_txn_per_sec *= scale;
+                pool.soc.gpu.sram_txn_per_sec *= scale;
+                pool.soc.gpu.kernel_overhead_s /= scale;
+                pool.soc.npu.clock_hz *= scale;
             });
             server
-                .submit(Submission::trajectory(
-                    spec("a", QosClass::Standard, 0.0),
-                    &scene,
-                    &model,
-                    &traj,
-                    k,
-                ))
+                .submit(sub(&fx, spec("a", QosClass::Standard, 0.0)))
                 .unwrap();
             server.run()
         };
@@ -873,38 +783,19 @@ mod tests {
 
     #[test]
     fn reused_server_reports_lifetime_consistently() {
-        let (scene, model, traj) = assets();
-        let k = Intrinsics::from_fov(24, 24, 0.9);
-        let mut server = FrameServer::new(ServeConfig {
-            admission: crate::AdmissionPolicy {
-                max_sessions: 1,
-                ..Default::default()
-            },
-            ..Default::default()
-        });
+        let fx = assets();
+        let mut server = server(|c| c.admission.max_sessions = 1);
         server
-            .submit(Submission::trajectory(
-                spec("first", QosClass::Standard, 0.0),
-                &scene,
-                &model,
-                &traj,
-                k,
-            ))
+            .submit(sub(&fx, spec("first", QosClass::Standard, 0.0)))
             .unwrap();
         let r1 = server.run();
         server
-            .submit(Submission::trajectory(
-                spec("second", QosClass::Standard, 0.0),
-                &scene,
-                &model,
-                &traj,
-                k,
-            ))
+            .submit(sub(&fx, spec("second", QosClass::Standard, 0.0)))
             .unwrap();
         let r2 = server.run();
         // One simulated timeline: the second report covers both runs and its
         // halves agree with each other.
-        assert_eq!(r2.frames, 2 * traj.len());
+        assert_eq!(r2.frames, 2 * fx.2.len());
         assert_eq!(r2.records.len(), r2.frames);
         assert_eq!(r2.sessions.len(), 2);
         assert_eq!(
@@ -917,21 +808,11 @@ mod tests {
 
     #[test]
     fn render_threads_override_keeps_the_timeline_bit_identical() {
-        let (scene, model, traj) = assets();
-        let k = Intrinsics::from_fov(24, 24, 0.9);
+        let fx = assets();
         let run_with = |render_threads: usize| {
-            let mut server = FrameServer::new(ServeConfig {
-                render_threads,
-                ..Default::default()
-            });
+            let mut server = server(|c| c.render_threads = render_threads);
             server
-                .submit(Submission::trajectory(
-                    spec("a", QosClass::Standard, 0.0),
-                    &scene,
-                    &model,
-                    &traj,
-                    k,
-                ))
+                .submit(sub(&fx, spec("a", QosClass::Standard, 0.0)))
                 .unwrap();
             server.run()
         };
@@ -950,61 +831,37 @@ mod tests {
 
     #[test]
     fn degrade_policy_admits_what_default_rejects_and_reports_it() {
-        let (scene, model, traj) = assets();
-        let k = Intrinsics::from_fov(24, 24, 0.9);
+        let fx = assets();
         // Capacity for roughly one-and-a-bit sessions as requested.
-        let tight = crate::AdmissionPolicy {
-            max_utilization: 0.006,
-            ..Default::default()
-        };
-        fn submit_all<'a>(
-            server: &mut FrameServer<'a>,
-            scene: &'a AnalyticScene,
-            model: &'a cicero_field::GridModel,
-            traj: &'a Trajectory,
-            k: Intrinsics,
-        ) -> usize {
-            let mut admitted = 0;
-            for (i, offset) in [0.0, 0.004, 0.009, 0.013].into_iter().enumerate() {
-                if server
-                    .submit(Submission::trajectory(
-                        spec(&format!("s{i}"), QosClass::Standard, offset),
-                        scene,
-                        model,
-                        traj,
-                        k,
-                    ))
-                    .is_ok()
-                {
-                    admitted += 1;
-                }
-            }
-            admitted
+        let tight = |c: &mut ServeConfig| c.admission.max_utilization = 0.006;
+        fn submit_all<'a>(server: &mut FrameServer<'a>, fx: &'a Assets) -> usize {
+            let offsets = [0.0, 0.004, 0.009, 0.013].into_iter().enumerate();
+            (offsets.filter(|&(i, offset)| {
+                let s = spec(&format!("s{i}"), QosClass::Standard, offset);
+                server.submit(sub(fx, s)).is_ok()
+            }))
+            .count()
         }
 
-        let mut default_server = FrameServer::new(ServeConfig {
-            admission: tight,
-            ..Default::default()
-        });
-        let default_admitted = submit_all(&mut default_server, &scene, &model, &traj, k);
+        let mut default_server = server(tight);
+        let default_admitted = submit_all(&mut default_server, &fx);
         let default_rejected = default_server.admission().rejected();
         assert!(
             default_rejected >= 1,
             "fixture must overload the default policy"
         );
 
-        let mut degrade_server = FrameServer::new(ServeConfig {
-            admission: tight,
-            policies: Policies {
+        let mut degrade_server = server(|c| {
+            tight(c);
+            c.policies = Policies {
                 qos: Some(crate::policy::LoadAdaptiveDegrade {
                     max_window: 32,
                     min_resolution: 8,
                 }),
                 ..Default::default()
-            },
-            ..Default::default()
+            };
         });
-        let degrade_admitted = submit_all(&mut degrade_server, &scene, &model, &traj, k);
+        let degrade_admitted = submit_all(&mut degrade_server, &fx);
         // The whole point: quality trades for admission on an overloaded
         // fleet — strictly fewer rejections at equal capacity.
         assert!(
@@ -1024,7 +881,7 @@ mod tests {
             let ((w0, h0), (w1, h1)) = d.degradation.resolution;
             assert!(to > from || (w1 < w0 && h1 < h0), "no-op degradation");
             // Degraded sessions still served their whole trajectory.
-            assert_eq!(report.sessions[d.session].frames, traj.len());
+            assert_eq!(report.sessions[d.session].frames, fx.2.len());
         }
     }
 
@@ -1035,20 +892,13 @@ mod tests {
         // extrapolated (non-degenerate) reference poses — those are the
         // entries only a prefetch can publish ahead of demand.
         let traj = Trajectory::orbit(&scene, 14, 30.0);
-        let k = Intrinsics::from_fov(24, 24, 0.9);
+        let fx = (scene, model, traj);
         let run_with = |policies: Policies| {
-            let mut server = FrameServer::new(ServeConfig {
-                policies,
-                ..Default::default()
-            });
-            let mut cfg = fast_cfg();
-            cfg.collect_quality = true; // PSNR equality ⇒ frames match
+            let mut server = server(|c| c.policies = policies);
             for (i, offset) in [0.0, 0.007].into_iter().enumerate() {
                 let mut s = spec(&format!("s{i}"), QosClass::Standard, offset);
-                s.config = cfg.clone();
-                server
-                    .submit(Submission::trajectory(s, &scene, &model, &traj, k))
-                    .unwrap();
+                s.config.collect_quality = true; // PSNR equality ⇒ frames match
+                server.submit(sub(&fx, s)).unwrap();
             }
             server.run()
         };
@@ -1083,29 +933,14 @@ mod tests {
 
     #[test]
     fn affinity_policy_confines_a_scene_to_one_lane() {
-        let (scene, model, traj) = assets();
-        let k = Intrinsics::from_fov(24, 24, 0.9);
-        let mut server = FrameServer::new(ServeConfig {
-            pool: PoolConfig {
-                workers: 4,
-                ..Default::default()
-            },
-            policies: Policies {
-                placement: crate::policy::SceneAffinity { lanes: 2 },
-                ..Default::default()
-            },
-            ..Default::default()
+        let fx = assets();
+        let mut server = server(|c| {
+            c.pool.workers = 4;
+            c.policies.placement = crate::policy::SceneAffinity { lanes: 2 };
         });
         for (i, offset) in [0.0, 0.005, 0.012].into_iter().enumerate() {
-            server
-                .submit(Submission::trajectory(
-                    spec(&format!("s{i}"), QosClass::Standard, offset),
-                    &scene,
-                    &model,
-                    &traj,
-                    k,
-                ))
-                .unwrap();
+            let s = spec(&format!("s{i}"), QosClass::Standard, offset);
+            server.submit(sub(&fx, s)).unwrap();
         }
         let report = server.run();
         // Two lanes of two workers: every frame of the single scene must
@@ -1113,38 +948,19 @@ mod tests {
         let lanes: std::collections::HashSet<usize> =
             report.records.iter().map(|r| r.worker / 2).collect();
         assert_eq!(lanes.len(), 1, "scene spread across lanes: {lanes:?}");
-        assert_eq!(report.frames, 3 * traj.len());
+        assert_eq!(report.frames, 3 * fx.2.len());
     }
 
     #[test]
     fn interactive_sessions_win_contended_ties() {
-        let (scene, model, traj) = assets();
-        let k = Intrinsics::from_fov(24, 24, 0.9);
+        let fx = assets();
         // One worker, two identical sessions, same offsets: priority decides.
-        let mut server = FrameServer::new(ServeConfig {
-            pool: PoolConfig {
-                workers: 1,
-                ..Default::default()
-            },
-            ..Default::default()
-        });
+        let mut server = server(|c| c.pool.workers = 1);
         server
-            .submit(Submission::trajectory(
-                spec("slow", QosClass::BestEffort, 0.0),
-                &scene,
-                &model,
-                &traj,
-                k,
-            ))
+            .submit(sub(&fx, spec("slow", QosClass::BestEffort, 0.0)))
             .unwrap();
-        let fast = server.submit(Submission::trajectory(
-            spec("fast", QosClass::Interactive, 0.0),
-            &scene,
-            &model,
-            &traj,
-            k,
-        ));
-        let fast = fast.unwrap().session().unwrap();
+        let fast = spec("fast", QosClass::Interactive, 0.0);
+        let fast = server.submit(sub(&fx, fast)).unwrap().session().unwrap();
         let report = server.run();
         let s = &report.sessions;
         assert!(

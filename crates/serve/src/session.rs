@@ -8,7 +8,9 @@ use cicero::FrameOutcome;
 use std::fmt;
 use std::ops::{Index, IndexMut};
 
-/// Identifies an admitted session within one [`crate::FrameServer`].
+/// Identifies an admitted session: fleet-level in the [`Fleet`](crate::Fleet)'s
+/// calls and tickets, shard-local in a shard's
+/// [`ServiceReport`](crate::ServiceReport) — the same number on a fleet of one.
 pub type SessionId = usize;
 
 /// Quality-of-service class, setting the frame-deadline budget and the
@@ -242,7 +244,7 @@ impl<'a> ServeSession<'a> {
     }
 }
 
-/// Owns the admitted sessions of one [`crate::FrameServer`] and routes
+/// Owns the admitted sessions of one shard and routes
 /// streaming pose ingestion to them.
 ///
 /// Session ids are indices into admission order, stable for the server's

@@ -5,8 +5,8 @@
 //! cadences. A [`TrafficModel`] *generates* one from a seed (Zipf scene
 //! popularity, diurnal or flash-crowd arrival processes, jittered cadences)
 //! or [`TrafficProfile::parse`] reads one back from text, and they replay
-//! identically either way: [`run_replay`] drives a server with open-loop
-//! session arrivals and closed-loop pose streaming, emitting a
+//! identically either way: [`run_replay`] steps a [`Fleet`] of one with
+//! open-loop session arrivals and closed-loop pose streaming, emitting a
 //! [`ReplayOutcome`] whose [`ServiceReport`] obeys the standing contract:
 //! **same profile, same seed ⇒ bit-identical report at any host thread
 //! budget**.
@@ -34,9 +34,10 @@
 
 use crate::error::ServeError;
 use crate::fault::{keyed_draw, keyed_unit};
+use crate::fleet::{Fleet, FleetConfig};
 use crate::overload::{Feed, Submission, SubmitOutcome, TicketId, TicketState};
 use crate::report::{class_tally, rate, ServiceReport};
-use crate::scheduler::{FrameServer, ServeConfig};
+use crate::scheduler::ServeConfig;
 use crate::session::{QosClass, SessionId, SessionSpec};
 use cicero::pipeline::PipelineConfig;
 use cicero_field::{bake, GridConfig, GridModel};
@@ -591,8 +592,8 @@ fn pick_weighted(u: f64, weights: &[f64], total: f64) -> usize {
 }
 
 /// Owned scene/model/trajectory assets backing one profile's replay. The
-/// borrowed-asset serving contract ([`FrameServer`] sessions borrow their
-/// scenes) means these must outlive the server; build them once and hand
+/// borrowed-asset serving contract (a [`Fleet`]'s sessions borrow their
+/// scenes) means these must outlive the replay; build them once and hand
 /// them to [`run_replay`].
 pub struct TrafficAssets {
     /// Unique `(name, scene, baked model)` triples, in first-use order.
@@ -666,8 +667,9 @@ impl TrafficAssets {
 /// Replay knobs: the server configuration plus the client model.
 #[derive(Debug, Clone)]
 pub struct ReplayOptions {
-    /// The server under test. Arm [`ServeConfig::overload`] here; `None`
-    /// replays against historical admit-or-reject behavior.
+    /// The server under test: the replay serves a fleet of one with this
+    /// [`base`](crate::FleetConfig::base). Arm [`ServeConfig::overload`]
+    /// here; `None` replays against historical admit-or-reject behavior.
     pub cfg: ServeConfig,
     /// Client-side draw seed (retry jitter). Use the profile's own seed for
     /// the canonical replay.
@@ -730,7 +732,8 @@ pub struct ClientStats {
 /// view and the offered-vs-attained SLO accounting.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ReplayOutcome {
-    /// The server's service report (bit-identical at any host budget).
+    /// The service report of the replayed fleet's one shard (bit-identical
+    /// at any host budget).
     pub report: ServiceReport,
     /// What the clients saw.
     pub client: ClientStats,
@@ -785,7 +788,7 @@ enum Event {
 /// `(time bits, insertion seq)` — f64 `to_bits` orders non-negative floats
 /// (infinity included) correctly, and the seq makes ties replay in insertion
 /// order. A time that is not a number is no event time:
-/// [`FrameServer::submit`] refuses the submission that would carry it.
+/// [`Fleet::submit`] refuses the submission that would carry it.
 struct EventQueue {
     heap: BinaryHeap<Reverse<(u64, u64)>>,
     events: Vec<Event>,
@@ -817,27 +820,29 @@ impl EventQueue {
     }
 }
 
-/// One replay in flight: the server under test, the clients driving it and
-/// the events they have scheduled.
+/// One replay in flight: the fleet of one under test, the clients driving
+/// it and the events they have scheduled.
 struct Replay<'p> {
     profile: &'p TrafficProfile,
     assets: &'p TrafficAssets,
     opts: &'p ReplayOptions,
-    server: FrameServer<'p>,
+    fleet: Fleet<'p>,
     queue: EventQueue,
     clients: Vec<Client>,
     stats: ClientStats,
 }
 
-/// Replays `profile` against a fresh [`FrameServer`] built from
-/// `opts.cfg`: open-loop session arrivals, closed-loop pose streaming,
-/// seeded retry/backoff under backpressure. Same profile + same options ⇒
-/// bit-identical [`ReplayOutcome`] at any host thread budget.
+/// Replays `profile` against a fresh [`Fleet`] of one shard built from
+/// `opts.cfg`, stepping it between client events: open-loop session
+/// arrivals, closed-loop pose streaming, seeded retry/backoff under
+/// backpressure. Same profile + same options ⇒ bit-identical
+/// [`ReplayOutcome`] at any host thread budget.
 ///
 /// # Errors
 ///
 /// [`ServeError::InvalidConfig`] if `assets` were not built from `profile`
-/// (a different session count, or a session's scene differs). Otherwise
+/// (a different session count, or a session's scene differs), or if
+/// [`Fleet::new`] refuses `opts.cfg`. Otherwise
 /// propagates any [`ServeError`] the replay client cannot absorb
 /// (admission rejections, backpressure and shed tickets are absorbed and
 /// counted; everything else — a malformed profile session the server
@@ -853,11 +858,15 @@ pub fn run_replay(
             reason: "assets must be built from this profile",
         });
     }
+    let fleet = Fleet::new(FleetConfig {
+        base: opts.cfg.clone(),
+        ..Default::default()
+    })?;
     let mut replay = Replay {
         profile,
         assets,
         opts,
-        server: FrameServer::new(opts.cfg.clone()),
+        fleet,
         queue: EventQueue::new(),
         clients: Vec::with_capacity(profile.sessions.len()),
         stats: ClientStats::default(),
@@ -872,16 +881,16 @@ pub fn run_replay(
         replay.queue.push(sess.start_s.max(0.0), submit);
     }
     replay.drive()?;
-    replay.server.release_drained_loads();
     Ok(replay.outcome())
 }
 
 impl<'p> Replay<'p> {
-    /// Interleaves client events with the server's drain steps in simulated
-    /// time order until neither has anything left.
+    /// Interleaves client events with the fleet's steps in simulated time
+    /// order until neither has anything left.
     fn drive(&mut self) -> Result<(), ServeError> {
         loop {
-            let t_round = self.server.next_ready_s();
+            let ready = self.fleet.earliest_ready();
+            let t_round = ready.map_or(f64::INFINITY, |(t, _)| t);
             match self.queue.peek_time() {
                 Some(te) if te <= t_round => {
                     let (t, event) = self.queue.pop().expect("peeked event pops");
@@ -895,19 +904,19 @@ impl<'p> Replay<'p> {
                     }
                 }
                 _ if t_round.is_finite() => {
-                    self.server.drain_step();
+                    self.fleet.step(ready);
                 }
                 _ => {
                     // No events left and nothing ready. First settle the
                     // clients whose tickets resolved during rounds: flushing
                     // buffered poses may make new work ready. Otherwise
                     // entries may still wait on their SLO deadlines, and the
-                    // drain step advances to the earliest.
+                    // step advances to the earliest.
                     let mut progressed = false;
                     for s in 0..self.clients.len() {
                         progressed |= self.settle(s)?;
                     }
-                    if !progressed && self.server.drain_step().is_none() {
+                    if !progressed && self.fleet.step(None).is_none() {
                         return Ok(());
                     }
                 }
@@ -953,7 +962,7 @@ impl<'p> Replay<'p> {
         if attempt == 0 {
             self.stats.submitted += 1;
         }
-        let outcome = self.server.submit(Submission {
+        let outcome = self.fleet.submit(Submission {
             spec: self.spec_of(s),
             scene,
             model,
@@ -1030,7 +1039,7 @@ impl<'p> Replay<'p> {
         let pose = self.assets.trajectories[s].poses()[k];
         match self.clients[s].state {
             ClientState::Admitted(id) => {
-                self.server.push_pose(id, pose)?;
+                self.fleet.push_pose(id, pose)?;
                 self.stats.poses_pushed += 1;
             }
             ClientState::Waiting(_) => self.clients[s].buffered.push(pose),
@@ -1047,10 +1056,10 @@ impl<'p> Replay<'p> {
         let client = &mut self.clients[s];
         let mut admitted_now = false;
         if let ClientState::Waiting(ticket) = client.state {
-            match self.server.ticket(ticket) {
+            match self.fleet.ticket(ticket) {
                 Some(TicketState::Admitted(id)) => {
                     for pose in client.buffered.drain(..) {
-                        self.server.push_pose(id, pose)?;
+                        self.fleet.push_pose(id, pose)?;
                         self.stats.poses_pushed += 1;
                     }
                     client.state = ClientState::Admitted(id);
@@ -1064,17 +1073,18 @@ impl<'p> Replay<'p> {
             }
         }
         if let (ClientState::Admitted(id), true) = (client.state, client.close_due) {
-            self.server.close_stream(id)?;
+            self.fleet.close_stream(id)?;
             client.close_due = false;
         }
         Ok(admitted_now)
     }
 
-    /// The server's report plus the client-side view of it.
-    fn outcome(self) -> ReplayOutcome {
+    /// The shard's report plus the client-side view of it.
+    fn outcome(mut self) -> ReplayOutcome {
         // Queued outcomes resolve server-side whether or not a client polled
         // its ticket again, so the authoritative counts come from the report.
-        let report = self.server.report();
+        // The fleet is drained; `run` only reports.
+        let report = self.fleet.run().shards.swap_remove(0);
         let mut client = self.stats;
         client.queue_admitted = report.overload.queue_admits + report.overload.brownout_admits;
         client.shed = report.overload.sheds;
@@ -1245,6 +1255,25 @@ mod tests {
                 Ok(_) => panic!("expected InvalidConfig, got an outcome"),
             }
         }
+    }
+
+    #[test]
+    fn replay_refuses_a_config_the_fleet_refuses() {
+        let p = tiny_model().generate(3);
+        let grid = GridConfig {
+            resolution: 8,
+            ..Default::default()
+        };
+        let assets = TrafficAssets::build(&p, &grid).expect("library scenes");
+        let mut opts = ReplayOptions::default();
+        opts.cfg.overload = Some(crate::OverloadControl {
+            deadline_slack: f64::NAN,
+            ..Default::default()
+        });
+        assert!(matches!(
+            run_replay(&p, &assets, &opts),
+            Err(ServeError::InvalidConfig { .. })
+        ));
     }
 
     #[test]

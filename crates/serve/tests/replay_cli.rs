@@ -2,7 +2,8 @@
 //! without its path is a usage error (exit 2, the flag named on stderr),
 //! never a panic; good ones round-trip through a profile file into
 //! `replay replay`, with the overload queue armed or not, and `--trace` /
-//! `--metrics` write their captures.
+//! `--metrics` write their captures; a server configuration the fleet
+//! refuses fails the run with its reason instead of printing a report.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -133,5 +134,24 @@ fn capture_flags_without_a_path_are_usage_errors() {
     for flag in ["--trace", "--metrics"] {
         let run = replay(&["replay", "--profile", &profile, flag]);
         assert_usage_error(&run, flag, &format!("replay {flag}"));
+    }
+}
+
+#[test]
+fn invalid_overload_slack_fails_without_a_report() {
+    let profile = scratch("replay_cli_slack.profile");
+    generate(&profile, "--seed 7 --sessions 2 --duration 0.1");
+    for slack in ["nan", "-1"] {
+        let run = replay(&["replay", "--profile", &profile, "--slack", slack]);
+        let (stdout, stderr) = (
+            String::from_utf8_lossy(&run.stdout),
+            String::from_utf8_lossy(&run.stderr),
+        );
+        assert!(!run.status.success(), "--slack {slack}: {run:?}");
+        assert!(
+            stderr.contains("deadline slack") && !stderr.contains("panicked"),
+            "--slack {slack}: {stderr}"
+        );
+        assert!(!stdout.contains("replayed"), "--slack {slack}: {stdout}");
     }
 }

@@ -17,7 +17,7 @@ use cicero::{Scenario, Variant};
 use cicero_field::{bake, GridConfig};
 use cicero_math::Intrinsics;
 use cicero_scene::{library, Trajectory};
-use cicero_serve::{FrameServer, QosClass, ServeConfig, SessionSpec, Submission};
+use cicero_serve::{Fleet, FleetConfig, QosClass, SessionSpec, Submission};
 
 /// A CLI mistake is the *user's* error, not a pipeline fault: explain and
 /// exit instead of panicking with a backtrace.
@@ -95,7 +95,8 @@ fn main() {
     // Serve the sweep's best window as a live remote session: the same
     // client, now going through admission and the batch scheduler, with
     // every serve call routed through `ServeError` instead of a panic.
-    let mut server = FrameServer::new(ServeConfig::default());
+    let mut fleet =
+        Fleet::new(FleetConfig::default()).unwrap_or_else(|e| fail("serve config refused", e));
     let traj = Trajectory::orbit(&scene, best_window * 2 + 2, 30.0);
     let spec = SessionSpec {
         name: format!("{scene_name}-remote"),
@@ -109,12 +110,12 @@ fn main() {
             ..Default::default()
         },
     };
-    server
+    fleet
         .submit(Submission::trajectory(
             spec, &scene, &model, &traj, intrinsics,
         ))
         .unwrap_or_else(|e| fail("remote session rejected", e));
-    let report = server.run();
+    let report = fleet.run();
     println!(
         "\nserved live at window {best_window}: {} frames, p99 latency {:.2} ms, {} deadline misses",
         report.frames,

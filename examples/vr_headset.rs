@@ -18,8 +18,8 @@ use cicero_field::{bake, GridConfig};
 use cicero_math::Intrinsics;
 use cicero_scene::{library, Trajectory, TrajectoryKind};
 use cicero_serve::{
-    FrameServer, OverloadControl, QosClass, ServeConfig, ServeError, SessionSpec, Submission,
-    SubmitOutcome,
+    Fleet, FleetConfig, OverloadControl, QosClass, ServeConfig, ServeError, SessionSpec,
+    Submission, SubmitOutcome,
 };
 
 /// A CLI mistake is the *user's* error, not a pipeline fault: explain and
@@ -121,10 +121,14 @@ fn main() {
     // lone headset always fits, but the match is the client idiom — a
     // queue ticket is an outcome and explicit backpressure an error value
     // to branch on, not a crash.
-    let mut server = FrameServer::new(ServeConfig {
-        overload: Some(OverloadControl::default()),
+    let mut fleet = Fleet::new(FleetConfig {
+        base: ServeConfig {
+            overload: Some(OverloadControl::default()),
+            ..Default::default()
+        },
         ..Default::default()
-    });
+    })
+    .unwrap_or_else(|e| fail("serve config refused", e));
     let spec = SessionSpec {
         name: format!("{}-headset", args.scene),
         scene_key: args.scene.clone(),
@@ -136,7 +140,7 @@ fn main() {
             ..Default::default()
         },
     };
-    let id = match server.submit(Submission::stream(
+    let id = match fleet.submit(Submission::stream(
         spec,
         &scene,
         &model,
@@ -151,20 +155,20 @@ fn main() {
         Err(ServeError::Overloaded { retry_after_s }) => {
             fail(
                 "headset session pushed back",
-                format!("server overloaded; retry after {retry_after_s}s"),
+                format!("fleet overloaded; retry after {retry_after_s}s"),
             );
         }
         Err(e) => fail("headset session rejected", e),
     };
     for pose in traj.poses() {
-        server
+        fleet
             .push_pose(id, *pose)
             .unwrap_or_else(|e| fail("streamed pose refused", e));
     }
-    server
+    fleet
         .close_stream(id)
         .unwrap_or_else(|e| fail("stream close refused", e));
-    let report = server.run();
+    let report = fleet.run();
     println!(
         "\nserved live: {} frames, p99 latency {:.2} ms, {} deadline misses",
         report.frames,

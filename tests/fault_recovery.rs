@@ -21,8 +21,8 @@ use cicero_math::{Intrinsics, Pose, Vec3};
 use cicero_scene::volume::MarchParams;
 use cicero_scene::{library, AnalyticScene, Trajectory};
 use cicero_serve::{
-    FaultPlan, FaultReport, FrameServer, QosClass, RetryWithBackoff, ServeConfig, ServiceReport,
-    SessionSpec, Submission,
+    FaultPlan, FaultReport, Fleet, FleetConfig, QosClass, RetryWithBackoff, ServeConfig,
+    ServiceReport, SessionSpec, Submission,
 };
 
 fn assets(name: &str, frames: usize) -> (AnalyticScene, GridModel, Trajectory) {
@@ -67,11 +67,15 @@ fn spec(name: &str, qos: QosClass, offset: f64) -> SessionSpec {
 fn serve_fleet(faults: Option<FaultPlan>, budget: usize) -> ServiceReport {
     let (lego, lego_model, lego_traj) = assets("lego", 8);
     let (ship, ship_model, ship_traj) = assets("ship", 8);
-    let mut server = FrameServer::new(ServeConfig {
-        render_threads: budget,
-        faults,
+    let mut fleet = Fleet::new(FleetConfig {
+        base: ServeConfig {
+            render_threads: budget,
+            faults,
+            ..Default::default()
+        },
         ..Default::default()
-    });
+    })
+    .unwrap();
     for (i, (qos, on_lego, offset)) in [
         (QosClass::Interactive, true, 0.0),
         (QosClass::Standard, true, 0.004),
@@ -88,7 +92,7 @@ fn serve_fleet(faults: Option<FaultPlan>, budget: usize) -> ServiceReport {
             spec.scene_key = "ship".into();
             (&ship, &ship_model, &ship_traj)
         };
-        server
+        fleet
             .submit(Submission::trajectory(
                 spec,
                 scene,
@@ -98,7 +102,7 @@ fn serve_fleet(faults: Option<FaultPlan>, budget: usize) -> ServiceReport {
             ))
             .unwrap();
     }
-    let id = server
+    let id = fleet
         .submit(Submission::stream(
             spec("stream", QosClass::Standard, 0.009),
             &lego,
@@ -110,10 +114,10 @@ fn serve_fleet(faults: Option<FaultPlan>, budget: usize) -> ServiceReport {
         .session()
         .unwrap();
     for pose in lego_traj.poses() {
-        server.push_pose(id, *pose).unwrap();
+        fleet.push_pose(id, *pose).unwrap();
     }
-    server.close_stream(id).unwrap();
-    server.run()
+    fleet.close_stream(id).unwrap();
+    fleet.run().shards.remove(0)
 }
 
 /// (a) Same fault seed ⇒ bit-identical full service report — fault
@@ -217,11 +221,15 @@ fn fallback_warps_stay_within_radius_and_psnr_floor() {
     };
     let traj = dolly(0.0);
     let shifted = dolly(0.08);
-    let mut server = FrameServer::new(ServeConfig {
-        faults: Some(plan),
+    let mut fleet = Fleet::new(FleetConfig {
+        base: ServeConfig {
+            faults: Some(plan),
+            ..Default::default()
+        },
         ..Default::default()
-    });
-    server
+    })
+    .unwrap();
+    fleet
         .submit(Submission::trajectory(
             spec("planter", QosClass::Standard, 0.0),
             &scene,
@@ -230,7 +238,7 @@ fn fallback_warps_stay_within_radius_and_psnr_floor() {
             k,
         ))
         .unwrap();
-    server
+    fleet
         .submit(Submission::trajectory(
             spec("faller", QosClass::Standard, 0.004),
             &scene,
@@ -239,7 +247,7 @@ fn fallback_warps_stay_within_radius_and_psnr_floor() {
             k,
         ))
         .unwrap();
-    let report = server.run();
+    let report = fleet.run().shards.remove(0);
 
     assert!(
         report.faults.degraded_rerenders >= 1,
@@ -275,12 +283,16 @@ fn fallback_warps_stay_within_radius_and_psnr_floor() {
     );
     // And the chaos run stays budget-deterministic even at rate 1.
     let rerun = || {
-        let mut server = FrameServer::new(ServeConfig {
-            render_threads: 4,
-            faults: Some(plan),
+        let mut fleet = Fleet::new(FleetConfig {
+            base: ServeConfig {
+                render_threads: 4,
+                faults: Some(plan),
+                ..Default::default()
+            },
             ..Default::default()
-        });
-        server
+        })
+        .unwrap();
+        fleet
             .submit(Submission::trajectory(
                 spec("planter", QosClass::Standard, 0.0),
                 &scene,
@@ -289,7 +301,7 @@ fn fallback_warps_stay_within_radius_and_psnr_floor() {
                 k,
             ))
             .unwrap();
-        server
+        fleet
             .submit(Submission::trajectory(
                 spec("faller", QosClass::Standard, 0.004),
                 &scene,
@@ -298,7 +310,7 @@ fn fallback_warps_stay_within_radius_and_psnr_floor() {
                 k,
             ))
             .unwrap();
-        server.run()
+        fleet.run().shards.remove(0)
     };
     assert_eq!(rerun(), report, "rate-1 chaos drifted across budgets");
 }
@@ -318,12 +330,16 @@ fn streaming_sessions_survive_stalls_and_resume_bit_identically() {
     plan.drop_rate = 0.15;
 
     let run_once = |budget: usize| {
-        let mut server = FrameServer::new(ServeConfig {
-            render_threads: budget,
-            faults: Some(plan),
+        let mut fleet = Fleet::new(FleetConfig {
+            base: ServeConfig {
+                render_threads: budget,
+                faults: Some(plan),
+                ..Default::default()
+            },
             ..Default::default()
-        });
-        let id = server
+        })
+        .unwrap();
+        let id = fleet
             .submit(Submission::stream(
                 spec("chaotic", QosClass::Standard, 0.0),
                 &scene,
@@ -339,12 +355,12 @@ fn streaming_sessions_survive_stalls_and_resume_bit_identically() {
         let mut drained = Vec::new();
         for chunk in [&traj.poses()[0..3], &traj.poses()[3..7], &traj.poses()[7..]] {
             for pose in chunk {
-                server.push_pose(id, *pose).unwrap();
+                fleet.push_pose(id, *pose).unwrap();
             }
-            drained.push(server.run().frames);
+            drained.push(fleet.run().frames);
         }
-        server.close_stream(id).unwrap();
-        (drained, server.run())
+        fleet.close_stream(id).unwrap();
+        (drained, fleet.run().shards.remove(0))
     };
 
     let (drained, report) = run_once(0);

@@ -1,19 +1,18 @@
-//! Fleet fault domains and failover determinism. Five contracts:
+//! Fleet fault domains and failover determinism. Four contracts (that a
+//! fleet of one serves exactly what its shard alone would is the crate's own
+//! unit test, which can reach the shard):
 //!
-//! (a) a fleet of one shard with zero shard faults is **byte-identical** to a
-//!     bare [`FrameServer`] — the fleet layer's presence alone moves
-//!     nothing, fault plan armed or not, overload queue engaged or not;
-//! (b) a mid-run [`ShardCrash`](cicero_serve::FaultKind::ShardCrash) drains
+//! (a) a mid-run [`ShardCrash`](cicero_serve::FaultKind::ShardCrash) drains
 //!     the dead shard's live sessions onto survivors and the migrated
 //!     session's frames are **bit-identical** to a fault-free run — failover
 //!     changes *when* frames serve, never their pixels;
-//! (c) the whole [`FleetReport`](cicero_serve::FleetReport) — per-shard
+//! (b) the whole [`FleetReport`](cicero_serve::FleetReport) — per-shard
 //!     reports, migrations, availability — reproduces bit-for-bit across
 //!     host thread budgets {0, 1, 4};
-//! (d) a shard that dies with no survivor loses its live sessions: their
+//! (c) a shard that dies with no survivor loses its live sessions: their
 //!     unserved frames count against availability and touching them surfaces
 //!     [`ServeError::SessionLost`](cicero_serve::ServeError), not a panic;
-//! (e) submissions that **queue** on a fleet resolve through fleet-level
+//! (d) submissions that **queue** on a fleet resolve through fleet-level
 //!     tickets to fleet-level ids, a queued stream flushes its buffered poses
 //!     through that id — and when their shard dies first, the tickets read
 //!     `Shed` with their demand accounted while the shard's admitted sessions
@@ -26,9 +25,9 @@ use cicero_math::{Intrinsics, Pose, Vec3};
 use cicero_scene::volume::MarchParams;
 use cicero_scene::{library, AnalyticScene, Trajectory};
 use cicero_serve::{
-    AdmissionPolicy, FaultKind, FaultPlan, Fleet, FleetConfig, FleetReport, FrameServer,
-    OverloadControl, QosClass, ServeConfig, ServeError, ServiceReport, SessionSpec, SessionSummary,
-    Submission, SubmitOutcome, TicketState,
+    AdmissionPolicy, FaultKind, FaultPlan, Fleet, FleetConfig, FleetReport, OverloadControl,
+    QosClass, ServeConfig, ServeError, SessionSpec, SessionSummary, Submission, SubmitOutcome,
+    TicketState,
 };
 use std::ops::RangeInclusive;
 
@@ -87,91 +86,6 @@ fn shard_death_beat(plan: &FaultPlan, shard: u64, horizon: u64, threshold: u32) 
     None
 }
 
-/// (a) Fleet of one, zero shard faults ⇒ byte-for-byte a bare server, both
-/// un-armed and with an armed zero-rate plan.
-#[test]
-fn fleet_of_one_is_byte_identical_to_bare_server() {
-    let (lego, lego_model, lego_traj) = assets("lego", 8);
-    let (ship, ship_model, ship_traj) = assets("ship", 8);
-    let submissions = [
-        ("a", "lego", QosClass::Interactive, 0.0),
-        ("b", "lego", QosClass::Standard, 0.004),
-        ("c", "ship", QosClass::Standard, 0.006),
-        ("d", "ship", QosClass::BestEffort, 0.013),
-    ];
-    for faults in [None, Some(FaultPlan::zero(42))] {
-        let serve_cfg = ServeConfig {
-            faults,
-            ..Default::default()
-        };
-        let mut bare = FrameServer::new(serve_cfg.clone());
-        let mut fleet = Fleet::new(FleetConfig {
-            shards: 1,
-            base: serve_cfg,
-            ..Default::default()
-        })
-        .unwrap();
-        for (name, scene_key, qos, offset) in submissions {
-            let s = spec(name, scene_key, qos, offset);
-            let (scene, model, traj) = if scene_key == "lego" {
-                (&lego, &lego_model, &lego_traj)
-            } else {
-                (&ship, &ship_model, &ship_traj)
-            };
-            let k = Intrinsics::from_fov(24, 24, 0.9);
-            bare.submit(Submission::trajectory(s.clone(), scene, model, traj, k))
-                .unwrap();
-            fleet
-                .submit(Submission::trajectory(s, scene, model, traj, k))
-                .unwrap();
-        }
-        // A streamed session fed pose-by-pose through both front doors.
-        let k = Intrinsics::from_fov(24, 24, 0.9);
-        let s = spec("stream", "lego", QosClass::Standard, 0.009);
-        let bare_id = bare
-            .submit(Submission::stream(
-                s.clone(),
-                &lego,
-                &lego_model,
-                lego_traj.fps(),
-                k,
-            ))
-            .unwrap()
-            .session()
-            .unwrap();
-        let fleet_id = fleet
-            .submit(Submission::stream(
-                s,
-                &lego,
-                &lego_model,
-                lego_traj.fps(),
-                k,
-            ))
-            .unwrap()
-            .session()
-            .unwrap();
-        for pose in lego_traj.poses() {
-            bare.push_pose(bare_id, *pose).unwrap();
-            fleet.push_pose(fleet_id, *pose).unwrap();
-        }
-        bare.close_stream(bare_id).unwrap();
-        fleet.close_stream(fleet_id).unwrap();
-        let oracle = bare.run();
-        let report = fleet.run();
-        assert_eq!(
-            report.shards[0],
-            oracle,
-            "armed={}: fleet of one drifted from the bare server",
-            faults.is_some()
-        );
-        assert_eq!(report.frames, oracle.frames);
-        assert_eq!(report.availability, 1.0);
-        assert_eq!(report.shard_crashes, 0);
-        assert!(report.migrations.is_empty());
-        assert_eq!(report.alive_shards, 1);
-    }
-}
-
 /// Overload control armed over one session slot per server: whatever arrives
 /// while the slot is held queues.
 fn one_slot_cfg(budget: usize, deadline_slack: f64, faults: Option<FaultPlan>) -> ServeConfig {
@@ -188,86 +102,6 @@ fn one_slot_cfg(budget: usize, deadline_slack: f64, faults: Option<FaultPlan>) -
         }),
         ..Default::default()
     }
-}
-
-/// (a) with the queue engaged: five timed submissions of mixed QoS, 10 ms
-/// apart, against one session slot — one holds it, four queue. At slack 8.0
-/// the queued entries admit as the slot frees (the fits rung); at 2.0 and 0.5
-/// SLO admission deadlines arrive first (the brownout rung, which under a
-/// session cap ends in a shed). Same outcomes, same ticket resolutions, same
-/// report, byte for byte: a fleet of one pumps its queue when a bare server
-/// does.
-#[test]
-fn armed_fleet_of_one_is_byte_identical_with_the_queue_engaged() {
-    let (lego, lego_model, lego_traj) = assets("lego", 8);
-    let k = Intrinsics::from_fov(24, 24, 0.9);
-    let classes = [
-        QosClass::Standard,
-        QosClass::Interactive,
-        QosClass::BestEffort,
-        QosClass::Standard,
-        QosClass::Interactive,
-    ];
-    // The figures the fleet's own pump order used to move, up front so that
-    // a failure reads as numbers before it reads as two whole reports.
-    let headline = |r: &ServiceReport| {
-        let o = &r.overload;
-        (
-            r.makespan_s,
-            o.max_queue_wait_s,
-            o.goodput_fps,
-            r.deadline_misses,
-            (o.queue_admits, o.brownout_admits, o.sheds),
-        )
-    };
-    let (mut admits, mut sheds) = (0, 0);
-    for slack in [8.0, 2.0, 0.5] {
-        let mut bare = FrameServer::new(one_slot_cfg(0, slack, None));
-        let mut fleet = Fleet::new(FleetConfig {
-            shards: 1,
-            base: one_slot_cfg(0, slack, None),
-            ..Default::default()
-        })
-        .unwrap();
-        let mut tickets = Vec::new();
-        for (i, qos) in classes.into_iter().enumerate() {
-            let s = spec(&format!("s{i}"), "lego", qos, 0.01 * i as f64);
-            let sub = Submission::trajectory(s, &lego, &lego_model, &lego_traj, k);
-            let outcome = bare.submit(sub.clone()).unwrap();
-            assert_eq!(
-                fleet.submit(sub).unwrap(),
-                outcome,
-                "slack {slack}: submission {i}"
-            );
-            if let SubmitOutcome::Queued(ticket) = outcome {
-                tickets.push(ticket);
-            }
-        }
-        assert_eq!(tickets.len(), 4, "one holder, four queued");
-        let oracle = bare.run();
-        let report = fleet.run();
-        assert_eq!(
-            headline(&report.shards[0]),
-            headline(&oracle),
-            "slack {slack}: (makespan, max queue wait, goodput, misses, rungs) fleet vs bare"
-        );
-        assert_eq!(
-            report.shards[0], oracle,
-            "slack {slack}: armed fleet of one drifted from the bare server"
-        );
-        for ticket in tickets {
-            assert_ne!(bare.ticket(ticket), Some(TicketState::Pending));
-            assert_eq!(
-                fleet.ticket(ticket),
-                bare.ticket(ticket),
-                "slack {slack}: ticket {ticket}"
-            );
-        }
-        admits += oracle.overload.queue_admits;
-        sheds += oracle.overload.sheds;
-    }
-    assert!(admits > 0, "the fits rung never fired");
-    assert!(sheds > 0, "the deadline rung never fired");
 }
 
 /// A seed whose base plan kills shard 0 early (death beat within `beats`:
@@ -364,7 +198,7 @@ fn find_session<'r>(report: &'r FleetReport, name: &str) -> &'r SessionSummary {
         .unwrap_or_else(|| panic!("session {name} has a summary somewhere"))
 }
 
-/// (b) + (c): the killed shard's session resumes on the survivor with
+/// (a) + (b): the killed shard's session resumes on the survivor with
 /// bit-identical frames, and the whole fleet report reproduces across
 /// budgets.
 #[test]
@@ -434,7 +268,7 @@ fn shard_crash_migrates_sessions_bit_identically() {
         .any(|s| s.name == "victim"));
     assert!(chaotic.shards[0].frames < oracle.shards[0].frames);
 
-    // (c) The whole report — records, migrations, availability — is
+    // (b) The whole report — records, migrations, availability — is
     // bit-identical at any host thread budget.
     for budget in [1usize, 4] {
         let par = failover_fixture(Some(plan), budget);
@@ -442,7 +276,7 @@ fn shard_crash_migrates_sessions_bit_identically() {
     }
 }
 
-/// (d) No survivor: the shard's live sessions are lost, their unserved
+/// (c) No survivor: the shard's live sessions are lost, their unserved
 /// frames dent availability, and touching them errors instead of panicking.
 #[test]
 fn last_shard_death_loses_sessions_without_panicking() {
@@ -565,7 +399,7 @@ fn queue_fixture<'a>(
     }
 }
 
-/// (e) Queued submissions on a fleet: fleet tickets, fleet ids, and a queued
+/// (d) Queued submissions on a fleet: fleet tickets, fleet ids, and a queued
 /// stream served in full through its fleet id.
 #[test]
 fn fleet_queue_resolves_tickets_to_fleet_ids_and_serves_a_queued_stream() {
@@ -621,7 +455,7 @@ fn fleet_queue_resolves_tickets_to_fleet_ids_and_serves_a_queued_stream() {
     assert_eq!(served.shards[0].overload.sheds, 0);
 }
 
-/// (e) The same fixture with shard 0 killed while its slot is still held:
+/// (d) The same fixture with shard 0 killed while its slot is still held:
 /// its queued tickets shed, its admitted session migrates.
 #[test]
 fn dying_shard_sheds_its_queue_and_migrates_its_sessions() {
@@ -668,39 +502,43 @@ fn dying_shard_sheds_its_queue_and_migrates_its_sessions() {
     }
 }
 
-/// A malformed fleet shape is refused with a typed error, not a panic: zero
-/// shards, a heartbeat interval that is not positive (NaN included), a zero
-/// miss threshold.
+/// A malformed fleet shape or base server configuration is refused with a
+/// typed error, not a panic: zero shards, a heartbeat interval that is not
+/// positive (NaN included), a zero miss threshold, a server with no worker,
+/// an overload deadline slack or retry hint base that is negative or NaN.
 #[test]
 fn fleet_new_refuses_invalid_configs() {
-    let bad = [
-        FleetConfig {
-            shards: 0,
+    fn overload(deadline_slack: f64, min_retry_s: f64) -> Option<OverloadControl> {
+        Some(OverloadControl {
+            deadline_slack,
+            min_retry_s,
             ..Default::default()
-        },
-        FleetConfig {
-            heartbeat_interval_s: 0.0,
-            ..Default::default()
-        },
-        FleetConfig {
-            heartbeat_interval_s: -0.05,
-            ..Default::default()
-        },
-        FleetConfig {
-            heartbeat_interval_s: f64::NAN,
-            ..Default::default()
-        },
-        FleetConfig {
-            miss_threshold: 0,
-            ..Default::default()
-        },
-    ];
-    for cfg in bad {
-        let what = (cfg.shards, cfg.heartbeat_interval_s, cfg.miss_threshold);
-        assert!(
-            matches!(Fleet::new(cfg), Err(ServeError::InvalidConfig { .. })),
-            "accepted (shards, heartbeat, threshold) = {what:?}"
-        );
+        })
     }
-    assert!(Fleet::new(FleetConfig::default()).is_ok());
+    type Edit = fn(&mut FleetConfig);
+    let bad: [(&str, Edit); 10] = [
+        ("zero shards", |c| c.shards = 0),
+        ("zero heartbeat", |c| c.heartbeat_interval_s = 0.0),
+        ("negative heartbeat", |c| c.heartbeat_interval_s = -0.05),
+        ("NaN heartbeat", |c| c.heartbeat_interval_s = f64::NAN),
+        ("zero miss threshold", |c| c.miss_threshold = 0),
+        ("no worker", |c| c.base.pool.workers = 0),
+        ("NaN slack", |c| c.base.overload = overload(f64::NAN, 0.05)),
+        ("negative slack", |c| c.base.overload = overload(-1.0, 0.05)),
+        ("NaN retry hint", |c| {
+            c.base.overload = overload(8.0, f64::NAN)
+        }),
+        ("negative retry hint", |c| {
+            c.base.overload = overload(8.0, -0.05)
+        }),
+    ];
+    for (what, edit) in bad {
+        let mut cfg = FleetConfig::default();
+        edit(&mut cfg);
+        let refused = matches!(Fleet::new(cfg), Err(ServeError::InvalidConfig { .. }));
+        assert!(refused, "accepted {what}");
+    }
+    let mut edge = FleetConfig::default();
+    edge.base.overload = overload(0.0, 0.0);
+    assert!(Fleet::new(FleetConfig::default()).is_ok() && Fleet::new(edge).is_ok());
 }

@@ -25,9 +25,9 @@ use cicero_math::Intrinsics;
 use cicero_scene::volume::MarchParams;
 use cicero_scene::{library, AnalyticScene, Trajectory};
 use cicero_serve::{
-    run_replay, AdmissionPolicy, ArrivalProcess, Fleet, FleetConfig, FrameServer,
-    LoadAdaptiveDegrade, OverloadControl, OverloadReport, QosClass, ReplayOptions, ReplayOutcome,
-    ServeConfig, SessionSpec, Submission, SubmitOutcome, TicketState, TrafficAssets, TrafficModel,
+    run_replay, AdmissionPolicy, ArrivalProcess, Fleet, FleetConfig, LoadAdaptiveDegrade,
+    OverloadControl, OverloadReport, QosClass, ReplayOptions, ReplayOutcome, ServeConfig,
+    SessionSpec, Submission, SubmitOutcome, TicketState, TrafficAssets, TrafficModel,
     TrafficProfile,
 };
 
@@ -180,10 +180,10 @@ fn disarmed_replay_matches_plain_submission_byte_for_byte() {
             )
         })
         .collect();
-    let mut server = FrameServer::new(ServeConfig::default());
+    let mut fleet = Fleet::new(FleetConfig::default()).unwrap();
     for (i, sess) in profile.sessions.iter().enumerate() {
         let (_, scene, model) = scenes.iter().find(|(n, _, _)| n == &sess.scene).unwrap();
-        server
+        fleet
             .submit(Submission::trajectory(
                 SessionSpec {
                     name: sess.name.clone(),
@@ -212,7 +212,7 @@ fn disarmed_replay_matches_plain_submission_byte_for_byte() {
             ))
             .unwrap();
     }
-    let plain = server.run();
+    let plain = fleet.run().shards.remove(0);
     assert_eq!(
         replayed.report, plain,
         "disarmed replay drifted off the plain path"
@@ -440,34 +440,38 @@ fn shed_spec_resubmits_cleanly_once_load_drains() {
             ..Default::default()
         },
     };
-    let mut server = FrameServer::new(ServeConfig {
-        admission: AdmissionPolicy {
-            max_sessions: 1,
+    let mut fleet = Fleet::new(FleetConfig {
+        base: ServeConfig {
+            admission: AdmissionPolicy {
+                max_sessions: 1,
+                ..Default::default()
+            },
+            overload: Some(OverloadControl {
+                deadline_slack: 0.5, // SLO deadline lands almost immediately
+                brownout: None,      // no ladder: shed at the deadline
+                ..Default::default()
+            }),
             ..Default::default()
         },
-        overload: Some(OverloadControl {
-            deadline_slack: 0.5, // SLO deadline lands almost immediately
-            brownout: None,      // no ladder: shed at the deadline
-            ..Default::default()
-        }),
         ..Default::default()
-    });
+    })
+    .unwrap();
     let intr = Intrinsics::from_fov(24, 24, 0.9);
-    let first = server
+    let first = fleet
         .submit(Submission::trajectory(spec("holder"), &scene, &model, &traj, intr).at(0.0))
         .unwrap();
     assert!(matches!(first, SubmitOutcome::Admitted(_)));
-    let queued = server
+    let queued = fleet
         .submit(Submission::trajectory(spec("victim"), &scene, &model, &traj, intr).at(0.0))
         .unwrap();
     let SubmitOutcome::Queued(ticket) = queued else {
         panic!("second spec must queue behind max_sessions=1");
     };
-    let report = server.run();
-    assert_eq!(server.ticket(ticket), Some(TicketState::Shed));
+    let report = fleet.run().shards.remove(0);
+    assert_eq!(fleet.ticket(ticket), Some(TicketState::Shed));
     assert_eq!(report.overload.sheds, 1);
     // Load has drained; the identical spec now admits directly.
-    let retry = server
+    let retry = fleet
         .submit(
             Submission::trajectory(spec("victim"), &scene, &model, &traj, intr)
                 .at(report.makespan_s),
@@ -475,9 +479,9 @@ fn shed_spec_resubmits_cleanly_once_load_drains() {
         .unwrap();
     assert!(
         matches!(retry, SubmitOutcome::Admitted(_)),
-        "resubmitted spec must admit on an idle server, got {retry:?}"
+        "resubmitted spec must admit on an idle fleet, got {retry:?}"
     );
-    let second = server.run();
+    let second = fleet.run();
     assert!(
         second.frames > report.frames,
         "resubmitted session must serve"

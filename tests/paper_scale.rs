@@ -13,7 +13,7 @@ use cicero_accel::pool::PoolConfig;
 use cicero_field::{bake, GridConfig};
 use cicero_math::Intrinsics;
 use cicero_scene::{library, Trajectory};
-use cicero_serve::{FrameServer, QosClass, ServeConfig, SessionSpec, Submission};
+use cicero_serve::{Fleet, FleetConfig, QosClass, ServeConfig, SessionSpec, Submission};
 
 #[test]
 #[ignore = "paper-scale (800×800): run in release, CI does so explicitly"]
@@ -62,21 +62,25 @@ fn serve_layer_reproduces_direct_session_at_800() {
         .unwrap();
 
     // The same client through the frame server: one session, one worker.
-    let mut server = FrameServer::new(ServeConfig {
-        pool: PoolConfig {
-            workers: 1,
-            ..Default::default()
-        },
-        // A lone 800×800 30 fps client wildly oversubscribes one simulated
-        // SoC (that is the paper's point — the baseline cannot keep up);
-        // admission control is not under test here, so let it through.
-        admission: cicero_serve::AdmissionPolicy {
-            max_utilization: 1e9,
+    let mut fleet = Fleet::new(FleetConfig {
+        base: ServeConfig {
+            pool: PoolConfig {
+                workers: 1,
+                ..Default::default()
+            },
+            // A lone 800×800 30 fps client wildly oversubscribes one simulated
+            // SoC (that is the paper's point — the baseline cannot keep up);
+            // admission control is not under test here, so let it through.
+            admission: cicero_serve::AdmissionPolicy {
+                max_utilization: 1e9,
+                ..Default::default()
+            },
             ..Default::default()
         },
         ..Default::default()
-    });
-    server
+    })
+    .unwrap();
+    fleet
         .submit(Submission::trajectory(
             SessionSpec {
                 name: "fig19".into(),
@@ -91,7 +95,7 @@ fn serve_layer_reproduces_direct_session_at_800() {
             k,
         ))
         .unwrap();
-    let report = server.run();
+    let report = fleet.run().shards.remove(0);
 
     assert_eq!(report.frames, traj.len());
     assert_eq!(report.sessions[0].frames, traj.len());

@@ -22,7 +22,7 @@ use cicero_math::Intrinsics;
 use cicero_scene::volume::MarchParams;
 use cicero_scene::{library, AnalyticScene, Trajectory};
 use cicero_serve::{
-    FrameServer, IdleWorkerPrefetch, LoadAdaptiveDegrade, Policies, QosClass, SceneAffinity,
+    Fleet, FleetConfig, IdleWorkerPrefetch, LoadAdaptiveDegrade, Policies, QosClass, SceneAffinity,
     ServeConfig, ServiceReport, SessionSpec, Submission,
 };
 use cicero_telemetry as telemetry;
@@ -191,7 +191,11 @@ fn assets() -> &'static Assets {
 /// admission policy refuses some) and the report.
 fn serve_six(cfg: ServeConfig) -> (usize, ServiceReport) {
     let assets = assets();
-    let mut server = FrameServer::new(cfg);
+    let mut fleet = Fleet::new(FleetConfig {
+        base: cfg,
+        ..Default::default()
+    })
+    .unwrap();
     let mut admitted = 0;
     for (i, (qos, ix, offset)) in [
         (QosClass::Interactive, 0, 0.0),
@@ -222,9 +226,9 @@ fn serve_six(cfg: ServeConfig) -> (usize, ServiceReport) {
             &assets.trajectories[ix],
             Intrinsics::from_fov(24, 24, 0.9),
         );
-        admitted += usize::from(server.submit(submission).is_ok());
+        admitted += usize::from(fleet.submit(submission).is_ok());
     }
-    (admitted, server.run())
+    (admitted, fleet.run().shards.remove(0))
 }
 
 /// The serve scheduler steps ready batches concurrently when given a host
@@ -354,14 +358,18 @@ fn telemetry_on_is_bit_identical_to_off() {
         )
     };
     let serve_with = |threads: usize| {
-        let mut server = FrameServer::new(ServeConfig {
-            render_threads: threads,
-            policies: Policies {
-                prefetch: Some(IdleWorkerPrefetch::default()),
+        let mut fleet = Fleet::new(FleetConfig {
+            base: ServeConfig {
+                render_threads: threads,
+                policies: Policies {
+                    prefetch: Some(IdleWorkerPrefetch::default()),
+                    ..Default::default()
+                },
                 ..Default::default()
             },
             ..Default::default()
-        });
+        })
+        .unwrap();
         for (i, (qos, offset)) in [
             (QosClass::Interactive, 0.0),
             (QosClass::Standard, 0.004),
@@ -380,11 +388,11 @@ fn telemetry_on_is_bit_identical_to_off() {
                     ..fast_cfg(Variant::Cicero, threads)
                 },
             };
-            server
+            fleet
                 .submit(Submission::trajectory(spec, &scene, &model, &traj, k))
                 .unwrap();
         }
-        server.run()
+        fleet.run()
     };
 
     for threads in [1usize, 4] {

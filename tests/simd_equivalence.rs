@@ -23,7 +23,9 @@ use cicero::pipeline::PipelineConfig;
 use cicero::Variant;
 use cicero_field::simd::{self, Backend};
 use cicero_scene::volume::MarchParams;
-use cicero_serve::{FrameServer, QosClass, ServeConfig, ServiceReport, SessionSpec, Submission};
+use cicero_serve::{
+    Fleet, FleetConfig, FleetReport, QosClass, ServeConfig, SessionSpec, Submission,
+};
 use frame_matrix::{check, pipeline, target, warp, Case, Family, Mask, ALL, BASE, GRID, WIDE};
 use frame_matrix::{HASH8, PHI, WARP, WIDTHS};
 
@@ -141,12 +143,16 @@ fn wide_pipeline_runs_are_bit_identical() {
 fn wide_serve_reports_are_bit_identical() {
     let _serial = frame_matrix::lock();
     let fx = frame_matrix::fixture();
-    let serve = |backend: Backend| -> ServiceReport {
+    let serve = |backend: Backend| -> FleetReport {
         simd::set_backend_cap(backend);
-        let mut server = FrameServer::new(ServeConfig {
-            render_threads: 2,
+        let mut fleet = Fleet::new(FleetConfig {
+            base: ServeConfig {
+                render_threads: 2,
+                ..Default::default()
+            },
             ..Default::default()
-        });
+        })
+        .unwrap();
         for (i, (qos, family, offset)) in [
             (QosClass::Interactive, Family::Grid, 0.0),
             (QosClass::Standard, Family::Grid, 0.004),
@@ -177,9 +183,9 @@ fn wide_serve_reports_are_bit_identical() {
             let (scene, model) = (&baked.scene, baked.model.as_ref());
             let k = fx.camera.intrinsics;
             let submission = Submission::trajectory(spec, scene, model, &baked.trajectory, k);
-            server.submit(submission).unwrap();
+            fleet.submit(submission).unwrap();
         }
-        server.run()
+        fleet.run()
     };
     let portable = serve(Backend::Portable);
     assert!(portable.frames > 0, "empty serve run");

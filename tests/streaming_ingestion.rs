@@ -12,7 +12,7 @@ use cicero_field::{bake, GridConfig, GridModel};
 use cicero_math::Intrinsics;
 use cicero_scene::volume::MarchParams;
 use cicero_scene::{library, AnalyticScene, Trajectory};
-use cicero_serve::{FrameServer, QosClass, ServeConfig, SessionSpec, Submission};
+use cicero_serve::{Fleet, FleetConfig, QosClass, ServeConfig, SessionSpec, Submission};
 
 fn assets() -> (AnalyticScene, GridModel, Trajectory) {
     let scene = library::scene_by_name("lego").unwrap();
@@ -97,29 +97,33 @@ fn streamed_sessions_report_identically_to_whole_trajectories() {
     let k = Intrinsics::from_fov(24, 24, 0.9);
     for variant in [Variant::Sparw, Variant::Cicero] {
         let serve = |budget: usize, streamed: bool| {
-            let mut server = FrameServer::new(ServeConfig {
-                render_threads: budget,
+            let mut fleet = Fleet::new(FleetConfig {
+                base: ServeConfig {
+                    render_threads: budget,
+                    ..Default::default()
+                },
                 ..Default::default()
-            });
+            })
+            .unwrap();
             for (i, offset) in [0.0, 0.004, 0.011].into_iter().enumerate() {
                 let spec = spec(&format!("s{i}"), variant, offset);
                 if streamed {
-                    let id = server
+                    let id = fleet
                         .submit(Submission::stream(spec, &scene, &model, traj.fps(), k))
                         .unwrap()
                         .session()
                         .unwrap();
                     for pose in traj.poses() {
-                        server.push_pose(id, *pose).unwrap();
+                        fleet.push_pose(id, *pose).unwrap();
                     }
-                    server.close_stream(id).unwrap();
+                    fleet.close_stream(id).unwrap();
                 } else {
-                    server
+                    fleet
                         .submit(Submission::trajectory(spec, &scene, &model, &traj, k))
                         .unwrap();
                 }
             }
-            server.run()
+            fleet.run().shards.remove(0)
         };
 
         let oracle = serve(0, false);
@@ -147,8 +151,8 @@ fn interleaved_push_and_run_drains_incrementally_and_deterministically() {
     let (scene, model, traj) = assets();
     let k = Intrinsics::from_fov(24, 24, 0.9);
     let run_once = || {
-        let mut server = FrameServer::new(ServeConfig::default());
-        let id = server
+        let mut fleet = Fleet::new(FleetConfig::default()).unwrap();
+        let id = fleet
             .submit(Submission::stream(
                 spec("inc", Variant::Cicero, 0.0),
                 &scene,
@@ -163,13 +167,13 @@ fn interleaved_push_and_run_drains_incrementally_and_deterministically() {
         // Feed in three uneven chunks with a drain after each.
         for chunk in [&traj.poses()[0..3], &traj.poses()[3..4], &traj.poses()[4..]] {
             for pose in chunk {
-                server.push_pose(id, *pose).unwrap();
+                fleet.push_pose(id, *pose).unwrap();
             }
-            let report = server.run();
+            let report = fleet.run();
             frames_after.push(report.frames);
         }
-        server.close_stream(id).unwrap();
-        let report = server.run();
+        fleet.close_stream(id).unwrap();
+        let report = fleet.run().shards.remove(0);
         (frames_after, report)
     };
 

@@ -3,11 +3,11 @@
 //! checks, over one set of baked assets, with whole reports compared by `==`.
 //!
 //! ```text
-//! cargo test --release -p cicero --test swarm_matrix -- --ignored --nocapture
+//! cargo test -p cicero --test swarm_matrix -- --nocapture
 //! ```
 //!
-//! `#[ignore]`d in the debug suite: one four-policy swarm leg takes ~28 s
-//! unoptimised, the whole matrix a few seconds in release. Legs run in order
+//! Part of the tier-1 suite (the dev profile's `opt-level = 1` runs it in
+//! about 20 s; release in about 10 s). Legs run in order
 //! in one test (the kernel cap and the telemetry recorder are process-wide),
 //! and each prints its `digest` / `fault_digest` / `fleet_digest` /
 //! `replay_digest` / `overload_digest` lines under an `== <leg>` header:
@@ -15,13 +15,13 @@
 //! assertion message starts with `[<leg>]`.
 //!
 //! - The swarm (`tests/swarm_mix.rs`: 24 sessions over 4 scenes plus a
-//!   flood probe) under the four policy bundles at budget 1 — the oracle —
+//!   flood probe, on a fleet of one) under the four policy bundles at
+//!   budget 1 — the oracle —
 //!   then at budget 4, streamed pose by pose, capped to the portable
 //!   kernels and with telemetry armed: each report equals the oracle's.
 //! - Seeded chaos at budgets 1 and 4 (equal), and a zero-rate armed plan
 //!   (equal to the unarmed oracle).
-//! - A 4-shard fleet under a shard-kill plan at budgets 1 and 4 (equal), and
-//!   a fleet of one per policy (its shard equal to the bare oracle).
+//! - A 4-shard fleet under a shard-kill plan at budgets 1 and 4 (equal).
 //! - The cross-policy checks on the oracle.
 //! - A uniform replay profile at budgets 1 and 4 (equal), armed but
 //!   underloaded ≡ disarmed; a flash crowd at budgets 1 and 4 (equal).
@@ -40,7 +40,7 @@ use cicero_serve::{
 use cicero_telemetry as telemetry;
 use std::collections::BTreeSet;
 use std::time::Instant;
-use swarm_mix::{bake_assets, run_swarm, SceneAssets, Served, SwarmRun, POLICIES};
+use swarm_mix::{bake_assets, run_swarm, SceneAssets, SwarmRun, POLICIES};
 
 /// The shard-kill rate of the fleet chaos leg: high enough that the seeded
 /// plan kills shards mid-drain (the leg tests failover, not the no-op path),
@@ -48,13 +48,12 @@ use swarm_mix::{bake_assets, run_swarm, SceneAssets, Served, SwarmRun, POLICIES}
 const SHARD_KILL_RATE: f64 = 0.45;
 
 #[test]
-#[ignore = "release-speed oracle: cargo test --release -p cicero --test swarm_matrix -- --ignored --nocapture"]
 fn swarm_matrix() {
     let wall = Instant::now();
     let assets = bake_assets();
     let oracle = policy_legs(&assets);
     chaos_legs(&assets, &oracle);
-    fleet_legs(&assets, &oracle);
+    fleet_legs(&assets);
     cross_policy_checks(&oracle);
     replay_legs();
     println!("swarm matrix: {:.2} s wall", wall.elapsed().as_secs_f64());
@@ -73,7 +72,7 @@ fn swarm_leg(
     threads: usize,
     stream: bool,
     faults: Option<FaultPlan>,
-    shards: Option<usize>,
+    shards: usize,
 ) -> Vec<SwarmRun> {
     println!("== {leg}");
     let wall = Instant::now();
@@ -92,10 +91,7 @@ fn swarm_leg(
                 run.cache_hits() >= 1,
                 "[{leg}] {policy}: no cross-session cache hit"
             );
-            let throughput = match &run.served {
-                Served::Bare(r) => r.throughput_fps,
-                Served::Fleet(f) => f.throughput_fps,
-            };
+            let throughput = run.report.throughput_fps;
             assert!(throughput > 0.0, "[{leg}] {policy}: nothing served");
             if let Some(flood) = &run.flood {
                 // Only the degrading QoS policy lets the 640×640 flood in.
@@ -117,7 +113,7 @@ fn swarm_leg(
 fn assert_same(leg: &str, want_leg: &str, runs: &[SwarmRun], want: &[SwarmRun]) {
     for ((policy, run), want) in POLICIES.iter().zip(runs).zip(want) {
         assert!(
-            run.served == want.served,
+            run.report == want.report,
             "[{leg}] {policy}: report differs from {want_leg}'s (digests above)"
         );
     }
@@ -127,26 +123,26 @@ fn assert_same(leg: &str, want_leg: &str, runs: &[SwarmRun], want: &[SwarmRun]) 
 /// ingestion, the portable kernel cap and armed telemetry must each
 /// reproduce it whole.
 fn policy_legs(assets: &[SceneAssets]) -> Vec<SwarmRun> {
-    let oracle = swarm_leg("policies budget 1", assets, &POLICIES, 1, false, None, None);
+    let oracle = swarm_leg("policies budget 1", assets, &POLICIES, 1, false, None, 1);
     let leg = "policies budget 4";
-    let parallel = swarm_leg(leg, assets, &POLICIES, 4, false, None, None);
+    let parallel = swarm_leg(leg, assets, &POLICIES, 4, false, None, 1);
     assert_same(leg, "the oracle", &parallel, &oracle);
     let leg = "policies streamed";
-    let streamed = swarm_leg(leg, assets, &POLICIES, 4, true, None, None);
+    let streamed = swarm_leg(leg, assets, &POLICIES, 4, true, None, 1);
     assert_same(leg, "the oracle", &streamed, &oracle);
 
     let leg = "policies portable kernels";
     let widest = simd::dispatched();
     simd::set_backend_cap(Backend::Portable);
     assert_eq!(simd::backend(), "portable", "[{leg}] the cap did not take");
-    let portable = swarm_leg(leg, assets, &POLICIES, 4, false, None, None);
+    let portable = swarm_leg(leg, assets, &POLICIES, 4, false, None, 1);
     simd::set_backend_cap(widest);
     assert_same(leg, "the oracle", &portable, &oracle);
 
     let leg = "telemetry armed";
     telemetry::reset();
     telemetry::enable_with_capacity(1 << 16);
-    let traced = swarm_leg(leg, assets, &POLICIES, 4, false, None, None);
+    let traced = swarm_leg(leg, assets, &POLICIES, 4, false, None, 1);
     telemetry::disable();
     assert_same(leg, "the oracle", &traced, &oracle);
     let trace = parse_json(&telemetry::chrome_trace())
@@ -182,9 +178,9 @@ fn policy_legs(assets: &[SceneAssets]) -> Vec<SwarmRun> {
 fn chaos_legs(assets: &[SceneAssets], oracle: &[SwarmRun]) {
     let plan = Some(FaultPlan::seeded(42));
     let leg = "chaos budget 1";
-    let serial = swarm_leg(leg, assets, &POLICIES, 1, false, plan, None);
+    let serial = swarm_leg(leg, assets, &POLICIES, 1, false, plan, 1);
     for (policy, run) in POLICIES.iter().zip(&serial) {
-        let faults = &run.shard_reports()[0].faults;
+        let faults = &run.report.shards[0].faults;
         assert!(
             faults.injected() > 0,
             "[{leg}] {policy}: the plan never fired"
@@ -200,52 +196,39 @@ fn chaos_legs(assets: &[SceneAssets], oracle: &[SwarmRun]) {
         );
     }
     let leg = "chaos budget 4";
-    let parallel = swarm_leg(leg, assets, &POLICIES, 4, false, plan, None);
+    let parallel = swarm_leg(leg, assets, &POLICIES, 4, false, plan, 1);
     assert_same(leg, "chaos budget 1", &parallel, &serial);
     let leg = "chaos zero rate";
     let zero_rate = Some(FaultPlan::zero(42));
-    let zero = swarm_leg(leg, assets, &POLICIES, 4, false, zero_rate, None);
+    let zero = swarm_leg(leg, assets, &POLICIES, 4, false, zero_rate, 1);
     assert_same(leg, "the oracle", &zero, oracle);
 }
 
 /// A 4-shard fleet under a shard-kill plan kills shards and loses no
-/// session, budget-deterministically; a fleet of one is the bare server.
-fn fleet_legs(assets: &[SceneAssets], oracle: &[SwarmRun]) {
+/// session, budget-deterministically.
+fn fleet_legs(assets: &[SceneAssets]) {
     let mut plan = FaultPlan::seeded(42);
     plan.shard_crash_rate = SHARD_KILL_RATE;
     plan.shard_brownout_rate = SHARD_KILL_RATE;
     let plan = Some(plan);
     let kill = |leg, threads| {
-        let mut runs = swarm_leg(leg, assets, &["default"], threads, false, plan, Some(4));
+        let mut runs = swarm_leg(leg, assets, &["default"], threads, false, plan, 4);
         runs.remove(0)
     };
     let leg = "fleet shard-kill budget 1";
     let serial = kill(leg, 1);
-    let Served::Fleet(fleet) = &serial.served else {
-        unreachable!("a sharded run reports a fleet")
-    };
+    let fleet = &serial.report;
     assert!(fleet.shard_crashes > 0, "[{leg}] the plan killed no shard");
     assert_eq!(
         fleet.lost_sessions, 0,
         "[{leg}] sessions lost while survivors stood by"
     );
     let leg = "fleet shard-kill budget 4";
-    let Served::Fleet(parallel) = kill(leg, 4).served else {
-        unreachable!("a sharded run reports a fleet")
-    };
+    let parallel = kill(leg, 4).report;
     assert!(
         idle_scrubbed(&parallel) == idle_scrubbed(fleet),
         "[{leg}] fleet report differs from fleet shard-kill budget 1's"
     );
-
-    let leg = "fleet of one";
-    let one = swarm_leg(leg, assets, &POLICIES, 1, false, None, Some(1));
-    for ((policy, run), bare) in POLICIES.iter().zip(&one).zip(oracle) {
-        assert!(
-            run.shard_reports() == bare.shard_reports(),
-            "[{leg}] {policy}: shard 0 differs from the bare server's report"
-        );
-    }
 }
 
 /// `fleet` with the latency percentiles of every shard that served nothing
@@ -265,7 +248,7 @@ fn idle_scrubbed(fleet: &FleetReport) -> FleetReport {
 fn cross_policy_checks(oracle: &[SwarmRun]) {
     let by = |name: &str| &oracle[POLICIES.iter().position(|p| *p == name).unwrap()];
     let (default, prefetch, degrade) = (by("default"), by("prefetch"), by("degrade"));
-    let report = |run: &SwarmRun| run.shard_reports()[0].clone();
+    let report = |run: &SwarmRun| run.report.shards[0].clone();
     assert!(
         prefetch.cache_hits() > default.cache_hits(),
         "[cross-policy] prefetch hits {} ≤ default {}",
@@ -277,8 +260,8 @@ fn cross_policy_checks(oracle: &[SwarmRun]) {
         "[cross-policy] prefetch never engaged"
     );
     assert_eq!(
-        psnr_sum(prefetch.shard_reports()),
-        psnr_sum(default.shard_reports()),
+        psnr_sum(&prefetch.report.shards),
+        psnr_sum(&default.report.shards),
         "[cross-policy] prefetch changed rendered frames"
     );
     assert!(
@@ -467,29 +450,14 @@ fn psnr_sum(reports: &[ServiceReport]) -> f64 {
 }
 
 /// `digest`, then `fault_digest` when a plan is armed and `fleet_digest`
-/// for a fleet: the aggregate figures are the fleet's own, the rest summed
-/// over shards.
+/// for a sharded fleet: the aggregate figures are the fleet's own, the rest
+/// summed over shards.
 fn print_digests(policy: &str, run: &SwarmRun, armed: bool) {
     let s = suffix(policy);
-    let shards = run.shard_reports();
-    let (frames, makespan, p50, p99, misses, availability) = match &run.served {
-        Served::Bare(r) => (
-            r.frames,
-            r.makespan_s,
-            r.p50_latency_s,
-            r.p99_latency_s,
-            r.deadline_misses,
-            r.faults.availability,
-        ),
-        Served::Fleet(f) => (
-            f.frames,
-            f.makespan_s,
-            f.p50_latency_s,
-            f.p99_latency_s,
-            f.deadline_misses,
-            f.availability,
-        ),
-    };
+    let f = &run.report;
+    let shards = &f.shards;
+    let (frames, makespan, p50, p99) = (f.frames, f.makespan_s, f.p50_latency_s, f.p99_latency_s);
+    let (misses, availability) = (f.deadline_misses, f.availability);
     let sum = |field: fn(&ServiceReport) -> u64| -> u64 { shards.iter().map(field).sum() };
     println!(
         "digest{s}: frames={frames} makespan={makespan:.12} p50={p50:.12} p99={p99:.12} misses={misses} ref_jobs={} prefetch={} degraded={} cache_hits={} psnr_sum={:.9}",
@@ -521,7 +489,7 @@ fn print_digests(policy: &str, run: &SwarmRun, armed: bool) {
             sum(|f| f.unrecovered),
         );
     }
-    if let Served::Fleet(f) = &run.served {
+    if shards.len() > 1 {
         let resumed: Vec<f64> = f
             .migrations
             .iter()

@@ -1,20 +1,19 @@
-//! The swarm session mix: 24 sessions over 4 library scenes, one flood probe,
-//! and the bare-server-or-fleet [`Backend`] they are submitted through.
+//! The swarm session mix: 24 sessions over 4 library scenes and one flood
+//! probe, submitted through a [`Fleet`].
 //!
 //! A module of `tests/swarm_matrix.rs` (the serve oracle), which includes it
-//! by `#[path]`. Both [`Backend`] arms are needed: the matrix's fleet-of-one
-//! leg serves the same swarm through a bare server and a fleet and compares.
+//! by `#[path]`.
 
 use cicero::pipeline::PipelineConfig;
 use cicero::{Scenario, Variant};
 use cicero_accel::pool::PoolConfig;
 use cicero_field::{bake, GridConfig, GridModel};
-use cicero_math::{Intrinsics, Pose};
+use cicero_math::Intrinsics;
 use cicero_scene::volume::MarchParams;
 use cicero_scene::{library, AnalyticScene, Trajectory};
 use cicero_serve::{
-    FaultPlan, Fleet, FleetConfig, FleetReport, FrameServer, Policies, QosClass, ServeConfig,
-    ServeError, ServiceReport, SessionId, SessionSpec, Submission,
+    FaultPlan, Fleet, FleetConfig, FleetReport, Policies, QosClass, ServeConfig, ServeError,
+    SessionId, SessionSpec, Submission,
 };
 
 pub const SCENES: [&str; 4] = ["lego", "chair", "ship", "hotdog"];
@@ -57,75 +56,20 @@ pub fn bake_assets() -> Vec<SceneAssets> {
         .collect()
 }
 
-/// The serve backend behind one swarm run: a bare [`FrameServer`], or a
-/// [`Fleet`] of them. Both take the same [`Submission`], so the swarm loop
-/// is written once.
-enum Backend<'a> {
-    Bare(Box<FrameServer<'a>>),
-    Fleet(Box<Fleet<'a>>),
-}
-
-impl<'a> Backend<'a> {
-    /// Submits to a swarm server, which is never armed with overload
-    /// control: the session is admitted now or refused.
-    fn submit(&mut self, sub: Submission<'a>) -> Result<SessionId, ServeError> {
-        let outcome = match self {
-            Backend::Bare(s) => s.submit(sub),
-            Backend::Fleet(f) => f.submit(sub),
-        }?;
-        Ok(outcome.session().expect("nothing queues without a queue"))
-    }
-
-    fn push_pose(&mut self, id: SessionId, pose: Pose) -> Result<(), ServeError> {
-        match self {
-            Backend::Bare(s) => s.push_pose(id, pose),
-            Backend::Fleet(f) => f.push_pose(id, pose),
-        }
-    }
-
-    fn close_stream(&mut self, id: SessionId) -> Result<(), ServeError> {
-        match self {
-            Backend::Bare(s) => s.close_stream(id),
-            Backend::Fleet(f) => f.close_stream(id),
-        }
-    }
-
-    fn session_count(&self) -> usize {
-        match self {
-            Backend::Bare(s) => s.session_count(),
-            Backend::Fleet(f) => f.session_count(),
-        }
-    }
-}
-
-/// What one drain produced: the bare server's report or the fleet's.
-#[derive(Debug, PartialEq)]
-pub enum Served {
-    Bare(Box<ServiceReport>),
-    Fleet(FleetReport),
-}
-
 pub struct SwarmRun {
     /// Sessions admitted, the flood included when it got in.
     pub sessions: usize,
-    pub served: Served,
+    pub report: FleetReport,
     /// The flood probe's admission: `None` on a multi-shard fleet, which
     /// skips it.
     pub flood: Option<Result<SessionId, ServeError>>,
 }
 
 impl SwarmRun {
-    /// Every per-shard report of this run (one entry for a bare server).
-    pub fn shard_reports(&self) -> &[ServiceReport] {
-        match &self.served {
-            Served::Bare(r) => std::slice::from_ref(&**r),
-            Served::Fleet(f) => &f.shards,
-        }
-    }
-
     /// Cross-session reference-cache hits over every shard.
     pub fn cache_hits(&self) -> u64 {
-        self.shard_reports()
+        self.report
+            .shards
             .iter()
             .flat_map(|r| &r.sessions)
             .map(|s| s.cache_hits)
@@ -133,17 +77,24 @@ impl SwarmRun {
     }
 }
 
+/// Submits to a swarm fleet, which is never armed with overload control:
+/// the session is admitted now or refused.
+fn admit<'a>(fleet: &mut Fleet<'a>, sub: Submission<'a>) -> Result<SessionId, ServeError> {
+    let outcome = fleet.submit(sub)?;
+    Ok(outcome.session().expect("nothing queues without a queue"))
+}
+
 /// Serves the swarm once under the policy bundle `policy` (a
 /// [`Policies::by_name`] name) at host thread budget `render_threads`:
 /// whole trajectories, or pose by pose through the streaming API when
-/// `stream`; a bare server, or an `n`-shard fleet for `shards: Some(n)`.
+/// `stream`; on a fleet of `shards`.
 pub fn run_swarm(
     assets: &[SceneAssets],
     policy: &str,
     render_threads: usize,
     stream: bool,
     faults: Option<FaultPlan>,
-    shards: Option<usize>,
+    shards: usize,
 ) -> Result<SwarmRun, ServeError> {
     let cfg = ServeConfig {
         pool: PoolConfig {
@@ -155,14 +106,11 @@ pub fn run_swarm(
         faults,
         ..Default::default()
     };
-    let mut server = match shards {
-        None => Backend::Bare(Box::new(FrameServer::new(cfg))),
-        Some(n) => Backend::Fleet(Box::new(Fleet::new(FleetConfig {
-            shards: n,
-            base: cfg,
-            ..Default::default()
-        })?)),
-    };
+    let mut fleet = Fleet::new(FleetConfig {
+        shards,
+        base: cfg,
+        ..Default::default()
+    })?;
 
     // Six viewers per scene: two interactive head-tracked clients on the
     // same handheld path (cache sharing), three standard orbit viewers, one
@@ -202,14 +150,19 @@ pub fn run_swarm(
             if stream {
                 // The same client feeding its poses one at a time, fully fed
                 // before the drain.
-                let id =
-                    server.submit(Submission::stream(spec, &a.scene, &a.model, traj.fps(), k))?;
+                let id = admit(
+                    &mut fleet,
+                    Submission::stream(spec, &a.scene, &a.model, traj.fps(), k),
+                )?;
                 for pose in traj.poses() {
-                    server.push_pose(id, *pose)?;
+                    fleet.push_pose(id, *pose)?;
                 }
-                server.close_stream(id)?;
+                fleet.close_stream(id)?;
             } else {
-                server.submit(Submission::trajectory(spec, &a.scene, &a.model, traj, k))?;
+                admit(
+                    &mut fleet,
+                    Submission::trajectory(spec, &a.scene, &a.model, traj, k),
+                )?;
             }
         }
     }
@@ -221,34 +174,31 @@ pub fn run_swarm(
     // headroom that could admit the flood at full resolution — a capacity
     // statement, not the admission-control story this probes.
     let flood_traj = Trajectory::orbit(&assets[0].scene, FRAMES, 90.0);
-    let flood = match shards {
-        Some(n) if n > 1 => None,
-        _ => Some(server.submit(Submission::trajectory(
-            SessionSpec {
-                name: "flood".into(),
-                scene_key: "lego".into(),
-                qos: QosClass::Interactive,
-                start_offset_s: 0.0,
-                config: PipelineConfig {
-                    variant: Variant::Baseline,
-                    ..Default::default()
+    let flood = (shards == 1).then(|| {
+        admit(
+            &mut fleet,
+            Submission::trajectory(
+                SessionSpec {
+                    name: "flood".into(),
+                    scene_key: "lego".into(),
+                    qos: QosClass::Interactive,
+                    start_offset_s: 0.0,
+                    config: PipelineConfig {
+                        variant: Variant::Baseline,
+                        ..Default::default()
+                    },
                 },
-            },
-            &assets[0].scene,
-            &assets[0].model,
-            &flood_traj,
-            Intrinsics::from_fov(640, 640, 0.9),
-        ))),
-    };
+                &assets[0].scene,
+                &assets[0].model,
+                &flood_traj,
+                Intrinsics::from_fov(640, 640, 0.9),
+            ),
+        )
+    });
 
-    let sessions = server.session_count();
-    let served = match server {
-        Backend::Bare(mut s) => Served::Bare(Box::new(s.run())),
-        Backend::Fleet(mut f) => Served::Fleet(f.run()),
-    };
     Ok(SwarmRun {
-        sessions,
-        served,
+        sessions: fleet.session_count(),
+        report: fleet.run(),
         flood,
     })
 }
