@@ -107,10 +107,8 @@ fn skip_equals_every_step_on_every_library_scene() {
     skip_equals_every_step(12);
 }
 
-/// The same at the benchmark's frame size, optimized (CI runs it with
-/// `--release -- --include-ignored`).
+/// The same at the benchmark's frame size (about 5 s at the dev profile).
 #[test]
-#[ignore]
 fn skip_equals_every_step_on_every_library_scene_52px() {
     skip_equals_every_step(52);
 }

@@ -29,16 +29,9 @@ pub enum ServeError {
     },
     /// An eviction was requested from an empty reference cache.
     EmptyEviction,
-    /// The session no longer lives on this shard: a fleet failover migrated
-    /// it elsewhere. Route through the [`Fleet`](crate::Fleet), which tracks
-    /// every session's current home.
-    SessionMigrated {
-        /// The session's id on the shard it left.
-        id: SessionId,
-    },
     /// The session's shard died and no surviving shard could adopt it.
     SessionLost {
-        /// The fleet-level session id.
+        /// The session.
         id: SessionId,
     },
     /// Every shard in the fleet is dead; no operation can be routed.
@@ -77,9 +70,6 @@ impl fmt::Display for ServeError {
                 write!(f, "session {id}'s pose stream is closed")
             }
             ServeError::EmptyEviction => write!(f, "eviction requested from an empty cache"),
-            ServeError::SessionMigrated { id } => {
-                write!(f, "session {id} migrated off this shard during failover")
-            }
             ServeError::SessionLost { id } => {
                 write!(f, "session {id} was lost: its shard died with no survivor")
             }

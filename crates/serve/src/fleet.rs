@@ -65,12 +65,21 @@
 //!
 //! With armed [`OverloadControl`](crate::OverloadControl) the shard's drain
 //! step pumps its queue at its round's dispatch instant; the fleet then
-//! pumps the **sibling** shards' queues at that same instant (capacity that
-//! drained elsewhere admits queued work without waiting for that shard's own
-//! next round) and pulls ticket resolutions up to fleet level, registering
-//! fleet ids in the order the shards admitted the sessions. A fleet of one
-//! has no siblings: its fleet ids are its shard's ids, and without shard
-//! faults it serves exactly what its shard alone would.
+//! pumps the **sibling** shards' queues at that same instant, so capacity
+//! that drained elsewhere admits queued work without waiting for that
+//! shard's own next round.
+//!
+//! # One numbering
+//!
+//! Session ids and tickets are the fleet's, and only the fleet's: a shard
+//! admitting, queueing or shedding writes the outcome into the fleet's
+//! ledger at that moment, so sessions are numbered in admission order
+//! fleet-wide and every ticket resolves the instant its shard decides it. A
+//! session keeps its id when it migrates: its shard's frame records, its
+//! summary, its [`MigrationRecord`], its telemetry and its fault draws all
+//! name it by the number [`Fleet::submit`] or [`Fleet::ticket`] handed out.
+//! A fleet of one therefore numbers exactly as its shard alone would, and
+//! without shard faults serves exactly what its shard alone would.
 
 use crate::error::ServeError;
 use crate::fault::{FaultKind, FaultPlan};
@@ -116,7 +125,7 @@ impl Default for FleetConfig {
 /// on a survivor.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct MigrationRecord {
-    /// Fleet-level session id.
+    /// The session's id, the same before and after the move.
     pub session: SessionId,
     /// The session's human-readable name.
     pub name: String,
@@ -182,38 +191,56 @@ pub struct FleetReport {
     pub alive_shards: usize,
 }
 
+/// The fleet's one numbering, written by its shards: each session's home
+/// shard and each queued submission's state, indexed by the session id and
+/// ticket the fleet hands out. A shard numbers a session here when it
+/// admits it and a ticket when it queues a submission, and resolves the
+/// ticket when it admits or sheds the entry.
+#[derive(Default)]
+pub(crate) struct Ledger {
+    /// Session id → home shard; `None` once the session is lost.
+    pub(crate) homes: Vec<Option<usize>>,
+    /// Ticket → its resolution.
+    pub(crate) tickets: Vec<TicketState>,
+}
+
+impl Ledger {
+    /// Numbers a session just admitted on `shard`.
+    pub(crate) fn admit(&mut self, shard: usize) -> SessionId {
+        self.homes.push(Some(shard));
+        self.homes.len() - 1
+    }
+
+    /// Numbers a submission just queued, pending.
+    pub(crate) fn enqueue(&mut self) -> TicketId {
+        self.tickets.push(TicketState::Pending);
+        self.tickets.len() - 1
+    }
+
+    /// Resolution state of `ticket`; `None` for tickets never issued.
+    pub(crate) fn ticket(&self, ticket: TicketId) -> Option<TicketState> {
+        self.tickets.get(ticket).copied()
+    }
+}
+
 /// A sharded fleet of frame servers on one simulated timeline — the
 /// crate's front door.
 ///
 /// Sessions are submitted to the fleet, which routes them to a shard and
-/// hands back a **fleet-level** id; pose ingestion and stream close follow
-/// the session to wherever failover moved it. See the module docs for the
-/// health and migration model, and [`crate::scheduler`] for what one shard
-/// does with its sessions.
+/// hands back the session's one id (see the module docs' "One numbering");
+/// pose ingestion and stream close follow the session to wherever failover
+/// moved it. See the module docs for the health and migration model, and
+/// [`crate::scheduler`] for what one shard does with its sessions.
 pub struct Fleet<'a> {
     cfg: FleetConfig,
     servers: Vec<FrameServer<'a>>,
+    ledger: Ledger,
     alive: Vec<bool>,
     /// Heartbeats already processed per shard (dead shards stop beating).
     hb_count: Vec<u64>,
     /// Consecutive misses per shard; reset by every healthy beat.
     misses: Vec<u32>,
-    /// Fleet session id → current `(shard, local id)`; `None` = lost.
-    homes: Vec<Option<(usize, SessionId)>>,
-    names: Vec<String>,
     migrations: Vec<MigrationRecord>,
-    /// Destination `(shard, local id)` per migration record, for resolving
-    /// `resumed_s` against the destination's frame records at report time.
-    migration_dest: Vec<(usize, SessionId)>,
-    /// Fleet ticket → the shard and shard-local ticket holding it.
-    ticket_homes: Vec<(usize, TicketId)>,
-    /// Session names for queued submissions, applied at admission.
-    ticket_names: Vec<String>,
-    /// Fleet-level ticket resolutions; `Admitted` carries the **fleet** id.
-    ticket_states: Vec<TicketState>,
-    /// Fleet tickets still `Pending`, in issue order: all that
-    /// `reconcile_tickets` has to look at.
-    pending: Vec<TicketId>,
     diversions: u64,
     heartbeat_misses: u64,
     shard_crashes: u64,
@@ -260,22 +287,16 @@ impl<'a> Fleet<'a> {
             .map(|i| {
                 let mut shard_cfg = cfg.base.clone();
                 shard_cfg.faults = cfg.base.faults.map(|p| p.for_shard(i));
-                FrameServer::new(shard_cfg)
+                FrameServer::new(shard_cfg, i)
             })
             .collect();
         Ok(Fleet {
             servers,
+            ledger: Ledger::default(),
             alive: vec![true; cfg.shards],
             hb_count: vec![0; cfg.shards],
             misses: vec![0; cfg.shards],
-            homes: Vec::new(),
-            names: Vec::new(),
             migrations: Vec::new(),
-            migration_dest: Vec::new(),
-            ticket_homes: Vec::new(),
-            ticket_names: Vec::new(),
-            ticket_states: Vec::new(),
-            pending: Vec::new(),
             diversions: 0,
             heartbeat_misses: 0,
             shard_crashes: 0,
@@ -291,9 +312,9 @@ impl<'a> Fleet<'a> {
         self.alive.iter().filter(|&&a| a).count()
     }
 
-    /// Fleet-level sessions admitted so far (including lost ones).
+    /// Sessions admitted so far (including lost ones).
     pub fn session_count(&self) -> usize {
-        self.homes.len()
+        self.ledger.homes.len()
     }
 
     /// The alive shards as routing candidates, in ascending shard order.
@@ -337,26 +358,6 @@ impl<'a> Fleet<'a> {
         Ok(self.cfg.routing.admit(scene_key, &candidates))
     }
 
-    /// Records a freshly admitted session's home, returning its fleet id.
-    fn register(&mut self, shard: usize, local: SessionId, name: String) -> SessionId {
-        self.homes.push(Some((shard, local)));
-        self.names.push(name);
-        self.homes.len() - 1
-    }
-
-    /// Rewrites a shard-local error's session id to the fleet-level `id` the
-    /// caller used, so fleet errors never leak shard-local numbering.
-    fn globalize(e: ServeError, id: SessionId) -> ServeError {
-        match e {
-            ServeError::UnknownSession { .. } => ServeError::UnknownSession { id },
-            ServeError::NotStreaming { .. } => ServeError::NotStreaming { id },
-            ServeError::StreamClosed { .. } => ServeError::StreamClosed { id },
-            ServeError::SessionMigrated { .. } => ServeError::SessionMigrated { id },
-            ServeError::SessionLost { .. } => ServeError::SessionLost { id },
-            other => other,
-        }
-    }
-
     /// The fleet's **divert before shed** step: if the primary shard has no
     /// immediate headroom but an alive sibling does, route the admission to
     /// the least-loaded such sibling (ties to the lowest shard index) instead
@@ -395,48 +396,18 @@ impl<'a> Fleet<'a> {
         dest
     }
 
-    /// Pulls shard-local resolutions of the pending tickets up to fleet
-    /// level, registering a fleet session id for every freshly admitted
-    /// queued submission. Runs wherever a pump can have run — after every
-    /// submission and every drain step, and so before any shard death is
-    /// processed: every admitted session has a fleet id when failover drains
-    /// its shard.
-    ///
-    /// Fleet ids are registered in shard admission order — by shard, then
-    /// by local id — not in ticket order: a pump admits by priority and
-    /// deadline, so on a fleet of one every fleet id is its shard's id.
-    fn reconcile_tickets(&mut self) {
-        let mut admitted: Vec<(usize, SessionId, TicketId)> = Vec::new();
-        self.pending.retain(|&t| {
-            let (shard, local_ticket) = self.ticket_homes[t];
-            match self.servers[shard].ticket(local_ticket) {
-                Some(TicketState::Admitted(local)) => admitted.push((shard, local, t)),
-                Some(TicketState::Shed) => self.ticket_states[t] = TicketState::Shed,
-                _ => return true,
-            }
-            false
-        });
-        admitted.sort_unstable();
-        for (shard, local, t) in admitted {
-            let name = std::mem::take(&mut self.ticket_names[t]);
-            let global = self.register(shard, local, name);
-            self.ticket_states[t] = TicketState::Admitted(global);
-        }
-    }
-
     /// Submits a session: validate → route → divert → the shard's submit
-    /// (see [`crate::overload`]) → register. The routing policy picks a
-    /// primary shard; with armed overload control the fleet adds one rung to
-    /// the ladder, **divert before shed**: if the primary has no immediate
-    /// headroom but a sibling does, the admission goes there rather than
-    /// queueing. Otherwise the primary's queue / shed / backpressure
+    /// (see [`crate::overload`]). The routing policy picks a primary shard;
+    /// with armed overload control the fleet adds one rung to the ladder,
+    /// **divert before shed**: if the primary has no immediate headroom but
+    /// a sibling does, the admission goes there rather than queueing.
+    /// Otherwise the primary's queue / shed / backpressure
     /// semantics apply: what does not fit is queued (armed), or admitted,
     /// degraded or rejected on the spot by the QoS policy (disarmed). Under a
     /// [`LoadAdaptiveDegrade`](crate::LoadAdaptiveDegrade) QoS policy the
     /// granted shape may differ from the requested one — the trade is
     /// recorded in
     /// [`ServiceReport::degradations`](crate::ServiceReport::degradations).
-    /// Returned ids and tickets are **fleet-level**.
     ///
     /// # Errors
     ///
@@ -449,34 +420,15 @@ impl<'a> Fleet<'a> {
         sub.validate()?;
         let primary = self.route_admission(&sub.spec.scene_key)?;
         let shard = self.divert_target(primary, &sub.spec, sub.intrinsics, sub.feed.fps());
-        let name = sub.spec.name.clone();
-        let outcome = self.servers[shard].submit(sub);
-        // The shard's submit pumps its queue before it answers the
-        // newcomer, whatever the answer: those admissions take fleet ids
-        // first.
-        self.reconcile_tickets();
-        Ok(match outcome? {
-            SubmitOutcome::Admitted(local) => {
-                SubmitOutcome::Admitted(self.register(shard, local, name))
-            }
-            SubmitOutcome::Queued(local_ticket) => {
-                let ticket = self.ticket_homes.len();
-                self.ticket_homes.push((shard, local_ticket));
-                self.ticket_names.push(name);
-                self.ticket_states.push(TicketState::Pending);
-                self.pending.push(ticket);
-                SubmitOutcome::Queued(ticket)
-            }
-        })
+        self.servers[shard].submit(sub, &mut self.ledger)
     }
 
-    /// Resolution state of a fleet-level queued-submission ticket; `None`
-    /// for unknown tickets. `Admitted` carries the **fleet** session id,
-    /// usable with [`push_pose`](Self::push_pose) /
-    /// [`close_stream`](Self::close_stream) wherever failover later moves
-    /// the session.
+    /// Resolution state of a queued-submission ticket; `None` for unknown
+    /// tickets. `Admitted` carries the session's id, usable with
+    /// [`push_pose`](Self::push_pose) / [`close_stream`](Self::close_stream)
+    /// wherever failover later moves the session.
     pub fn ticket(&self, ticket: TicketId) -> Option<TicketState> {
-        self.ticket_states.get(ticket).copied()
+        self.ledger.ticket(ticket)
     }
 
     /// Pending-admission queue depth summed across alive shards.
@@ -487,12 +439,12 @@ impl<'a> Fleet<'a> {
             .sum()
     }
 
-    /// Resolves a fleet session id to its current home shard.
-    fn home(&self, id: SessionId) -> Result<(usize, SessionId), ServeError> {
-        match self.homes.get(id) {
+    /// The shard session `id` lives on now.
+    fn home(&self, id: SessionId) -> Result<usize, ServeError> {
+        match self.ledger.homes.get(id) {
             None => Err(ServeError::UnknownSession { id }),
             Some(None) => Err(ServeError::SessionLost { id }),
-            Some(&Some(home)) => Ok(home),
+            Some(&Some(shard)) => Ok(shard),
         }
     }
 
@@ -500,19 +452,15 @@ impl<'a> Fleet<'a> {
     /// failover moved it. Errors with [`ServeError::SessionLost`] if its
     /// shard died with no survivor.
     pub fn push_pose(&mut self, id: SessionId, pose: Pose) -> Result<(), ServeError> {
-        let (shard, local) = self.home(id)?;
-        self.servers[shard]
-            .push_pose(local, pose)
-            .map_err(|e| Self::globalize(e, id))
+        let shard = self.home(id)?;
+        self.servers[shard].push_pose(id, pose)
     }
 
     /// Closes a streaming session's pose feed (idempotent), following the
     /// session like [`push_pose`](Self::push_pose).
     pub fn close_stream(&mut self, id: SessionId) -> Result<(), ServeError> {
-        let (shard, local) = self.home(id)?;
-        self.servers[shard]
-            .close_stream(local)
-            .map_err(|e| Self::globalize(e, id))
+        let shard = self.home(id)?;
+        self.servers[shard].close_stream(id)
     }
 
     /// The alive shard with the least `key`, and that key (ties to the
@@ -577,41 +525,21 @@ impl<'a> Fleet<'a> {
         // Queued (never-admitted) submissions die with the shard: shed them
         // so their tickets resolve and their demand stays accounted. Live
         // sessions migrate below instead.
-        self.servers[shard].shed_queue();
-        self.reconcile_tickets();
-        let has_survivor = self.alive.iter().any(|&a| a);
-        // Fleet-session ids of this shard's residents, by local id.
-        let residents: Vec<(SessionId, SessionId)> = self
-            .homes
-            .iter()
-            .enumerate()
-            .filter_map(|(global, home)| match home {
-                Some((s, local)) if *s == shard => Some((*local, global)),
-                _ => None,
-            })
-            .collect();
-        if !has_survivor {
+        self.servers[shard].shed_queue(&mut self.ledger);
+        if !self.alive.contains(&true) {
             // Nothing can adopt: leave the sessions resident (their served
             // frames still summarize in the dead shard's report) and charge
             // the unserved remainder against availability.
-            let mut lost: Vec<SessionId> = Vec::new();
-            for &(local, global) in &residents {
-                let sess = self.servers[shard].session(local);
-                if !sess.pipe.is_done() {
-                    lost.push(global);
-                    self.lost_frames += (sess.pipe.len() - sess.pipe.cursor()) as u64;
-                }
+            let live = self.servers[shard].sessions.iter();
+            let mut lost = 0;
+            for sess in live.filter(|s| !s.pipe.is_done()) {
+                lost += 1;
+                self.lost_frames += (sess.pipe.len() - sess.pipe.cursor()) as u64;
+                self.ledger.homes[sess.id] = None;
             }
-            self.lost_sessions += lost.len() as u64;
-            telemetry::instant(
-                telemetry::Phase::ShardCrash,
-                shard as u64,
-                lost.len() as u64,
-            );
+            self.lost_sessions += lost;
+            telemetry::instant(telemetry::Phase::ShardCrash, shard as u64, lost);
             telemetry::add(telemetry::Counter::ShardCrashes, 1);
-            for global in lost {
-                self.homes[global] = None;
-            }
             return;
         }
         let taken = self.servers[shard].take_live_sessions();
@@ -622,11 +550,6 @@ impl<'a> Fleet<'a> {
         );
         telemetry::add(telemetry::Counter::ShardCrashes, 1);
         for sess in taken {
-            let global = residents
-                .iter()
-                .find(|&&(local, _)| local == sess.id)
-                .map(|&(_, global)| global)
-                .expect("every resident session has a fleet id");
             // Probe survivors' cache warmth at the session's next *unmade*
             // reference pose — the first render the destination will owe it.
             // A peek only: nothing is installed, so routing cannot change
@@ -644,24 +567,20 @@ impl<'a> Fleet<'a> {
             );
             let dest = ShardRouting::failover(&candidates);
             debug_assert!(self.alive[dest], "routing must pick an alive candidate");
-            let local = self.servers[dest].adopt_session(sess, at_s);
-            self.homes[global] = Some((dest, local));
-            telemetry::instant(
-                telemetry::Phase::SessionMigrate,
-                global as u64,
-                shard as u64,
-            );
+            let (id, name) = (sess.id, sess.spec.name.clone());
+            self.servers[dest].adopt_session(sess, at_s);
+            self.ledger.homes[id] = Some(dest);
+            telemetry::instant(telemetry::Phase::SessionMigrate, id as u64, shard as u64);
             telemetry::add(telemetry::Counter::SessionMigrations, 1);
             self.migrations.push(MigrationRecord {
-                session: global,
-                name: self.names[global].clone(),
+                session: id,
+                name,
                 from_shard: shard,
                 to_shard: dest,
                 at_s,
                 resumed_s: -1.0,
                 time_to_resume_s: -1.0,
             });
-            self.migration_dest.push((dest, local));
         }
     }
 
@@ -670,9 +589,9 @@ impl<'a> Fleet<'a> {
     /// every heartbeat due by then (deaths migrate sessions *before* the step
     /// runs), run one drain step on the earliest still-alive shard — or, with
     /// every admitted batch drained, on the shard holding the earliest queued
-    /// SLO admission deadline — pump the siblings' queues at the instant it
-    /// acted, and reconcile tickets. Returns that instant, or `None` when
-    /// nothing moved: the fleet is drained.
+    /// SLO admission deadline — and pump the siblings' queues at the instant
+    /// it acted. Returns that instant, or `None` when nothing moved: the
+    /// fleet is drained.
     ///
     /// The one loop body: [`run`](Self::run) and
     /// [`run_replay`](crate::run_replay) both step through here.
@@ -690,11 +609,10 @@ impl<'a> Fleet<'a> {
         // round would have found nothing either: a session that cannot step
         // has no planned frame, so no reference to dispatch.
         let (_, target) = pick.or_else(|| self.least(|i| self.servers[i].queue_frontier_s()))?;
-        let t = self.servers[target].drain_step()?;
+        let t = self.servers[target].drain_step(&mut self.ledger)?;
         for i in (0..self.cfg.shards).filter(|&i| i != target && self.alive[i]) {
-            self.servers[i].pump_overload(t);
+            self.servers[i].pump_overload(t, &mut self.ledger);
         }
-        self.reconcile_tickets();
         Some(t)
     }
 
@@ -722,13 +640,14 @@ impl<'a> Fleet<'a> {
         let unrecovered: u64 = shards.iter().map(|r| r.faults.unrecovered).sum();
         let expected = totals.frames as u64 + self.lost_frames;
         let mut migrations = self.migrations.clone();
-        for (m, &(dest, local)) in migrations.iter_mut().zip(&self.migration_dest) {
-            // The destination assigned a fresh local id at adoption, so every
-            // record under it postdates the migration.
-            let resumed = shards[dest]
+        for m in &mut migrations {
+            // A session leaves a shard only when the shard dies, so it never
+            // returns to one: every record the destination holds for it
+            // postdates the migration.
+            let resumed = shards[m.to_shard]
                 .records
                 .iter()
-                .filter(|r| r.session == local)
+                .filter(|r| r.session == m.session)
                 .map(|r| r.completion_s)
                 .fold(f64::INFINITY, f64::min);
             if resumed.is_finite() {
@@ -760,8 +679,8 @@ impl<'a> Fleet<'a> {
 
 #[cfg(test)]
 mod tests {
-    //! A fleet of one against its own shard driven alone (the crate-private
-    //! server's `run`): the fleet layer's presence moves nothing, fault plan
+    //! A fleet of one against its own shard driven alone (`Solo`, the shard
+    //! with a ledger of its own): the fleet layer's presence moves nothing, fault plan
     //! armed or not, overload queue engaged or not — and its ids are the
     //! shard's.
 
@@ -769,6 +688,7 @@ mod tests {
     use crate::overload::OverloadControl;
     use crate::policy::LoadAdaptiveDegrade;
     use crate::report::OverloadReport;
+    use crate::scheduler::tests::Solo;
     use crate::session::QosClass;
     use cicero::pipeline::PipelineConfig;
     use cicero::Variant;
@@ -829,7 +749,7 @@ mod tests {
     /// Submits `sub` to the shard alone and to the fleet of one: the same
     /// outcome, ids and tickets included.
     fn submit_both<'a>(
-        bare: &mut FrameServer<'a>,
+        bare: &mut Solo<'a>,
         fleet: &mut Fleet<'a>,
         sub: Submission<'a>,
     ) -> SubmitOutcome {
@@ -857,7 +777,7 @@ mod tests {
                 faults,
                 ..Default::default()
             };
-            let (mut bare, mut fleet) = (FrameServer::new(cfg.clone()), one(cfg));
+            let (mut bare, mut fleet) = (Solo::new(cfg.clone()), one(cfg));
             for (name, scene_key, qos, offset) in submissions {
                 let s = spec(name, scene_key, qos, offset);
                 let (scene, model) = match scene_key {
@@ -912,7 +832,7 @@ mod tests {
         };
         let (mut admits, mut sheds) = (0, 0);
         for slack in [8.0, 2.0, 0.5] {
-            let mut bare = FrameServer::new(slots_cfg(1, slack));
+            let mut bare = Solo::new(slots_cfg(1, slack));
             let mut fleet = one(slots_cfg(1, slack));
             let mut tickets = Vec::new();
             for (i, qos) in classes.into_iter().enumerate() {

@@ -9,7 +9,9 @@
 //! admission, a missed SLO deadline without a ladder, a dying shard). A
 //! disarmed server runs the same `submit` with a queue that is never there:
 //! what does not fit is admitted, degraded or rejected by the QoS policy on
-//! the spot.
+//! the spot. Each of those moments writes the fleet's ledger: an admission
+//! numbers the session, a queued entry numbers its ticket, and the entry's
+//! admission or shed resolves it.
 //!
 //! All decisions depend only on simulated time and queue contents, so armed
 //! reports keep the standing contract: bit-identical at any host thread
@@ -17,6 +19,7 @@
 
 use crate::admission::AdmissionError;
 use crate::error::ServeError;
+use crate::fleet::Ledger;
 use crate::policy::{LoadAdaptiveDegrade, QosAdmission};
 use crate::report::{DegradationRecord, OverloadReport};
 use crate::scheduler::FrameServer;
@@ -238,8 +241,8 @@ impl<'a> Submission<'a> {
 /// One pending-admission queue entry.
 pub(crate) struct QueuedSubmission<'a> {
     sub: Submission<'a>,
+    /// The entry's ticket, which also orders entries by arrival.
     ticket: TicketId,
-    seq: u64,
     /// Latest simulated start that still meets the class SLO (with the
     /// configured slack); past it the entry browns out or sheds.
     deadline_to_start_s: f64,
@@ -253,13 +256,11 @@ impl QueuedSubmission<'_> {
     }
 }
 
-/// Live overload-control state: the armed knobs, the pending queue, ticket
-/// resolutions and the running counters.
+/// Live overload-control state: the armed knobs, the pending queue and the
+/// running counters.
 pub(crate) struct OverloadState<'a> {
     ctl: OverloadControl,
     queue: Vec<QueuedSubmission<'a>>,
-    tickets: Vec<TicketState>,
-    next_seq: u64,
     pub(crate) report: OverloadReport,
 }
 
@@ -268,8 +269,6 @@ impl<'a> OverloadState<'a> {
         OverloadState {
             ctl,
             queue: Vec::new(),
-            tickets: Vec::new(),
-            next_seq: 0,
             report: OverloadReport::default(),
         }
     }
@@ -283,15 +282,15 @@ impl<'a> OverloadState<'a> {
             a.slack_s(now)
                 .total_cmp(&b.slack_s(now))
                 .then(b.sub.spec.qos.priority().cmp(&a.sub.spec.qos.priority()))
-                .then(b.seq.cmp(&a.seq))
+                .then(b.ticket.cmp(&a.ticket))
         })
     }
 
     /// Sheds one entry already removed from the queue: its ticket resolves,
     /// its demand stays accounted. The only way an entry is ever shed.
-    fn shed(&mut self, q: &QueuedSubmission<'a>) {
+    fn shed(&mut self, q: &QueuedSubmission<'a>, ledger: &mut Ledger) {
         let class = q.sub.spec.qos.priority() as usize;
-        self.tickets[q.ticket] = TicketState::Shed;
+        ledger.tickets[q.ticket] = TicketState::Shed;
         self.report.sheds += 1;
         self.report.sheds_by_class[class] += 1;
         self.report.shed_frames_by_class[class] += q.sub.feed.frames();
@@ -310,15 +309,21 @@ impl<'a> FrameServer<'a> {
     /// [`Fleet::submit`](crate::Fleet::submit) documents. On a server without
     /// armed [`OverloadControl`] the outcome is always
     /// [`SubmitOutcome::Admitted`] or an admission error.
-    pub(crate) fn submit(&mut self, sub: Submission<'a>) -> Result<SubmitOutcome, ServeError> {
+    pub(crate) fn submit(
+        &mut self,
+        sub: Submission<'a>,
+        ledger: &mut Ledger,
+    ) -> Result<SubmitOutcome, ServeError> {
         let (fps, now_s) = (sub.feed.fps(), sub.at_s);
         // Freshly drained capacity admits queued work *before* the newcomer:
         // the queue is a FIFO per priority, not a stack.
-        self.pump_overload(now_s);
+        self.pump_overload(now_s, ledger);
         let direct = self.direct_fit(&sub.spec, sub.intrinsics, fps);
         let Some(ov) = self.overload.as_mut().filter(|_| !direct) else {
-            let adm = self.admit(&sub.spec, sub.intrinsics, fps)?;
-            return Ok(SubmitOutcome::Admitted(self.install_session(adm, &sub)));
+            let adm = self.admit(ledger, &sub.spec, sub.intrinsics, fps)?;
+            return Ok(SubmitOutcome::Admitted(
+                self.install_session(adm, &sub, ledger),
+            ));
         };
         let ctl = ov.ctl;
         // The SLO admission deadline: the session must *start* within the
@@ -328,19 +333,18 @@ impl<'a> FrameServer<'a> {
         let deadline_to_start_s = sub.spec.start_offset_s.max(now_s)
             + sub.spec.qos.deadline_frames() * (1.0 / fps) * ctl.deadline_slack;
         let class = sub.spec.qos.priority();
-        let seq = ov.next_seq;
-        ov.next_seq += 1;
         if ov.queue.len() >= ctl.queue_capacity {
             // Overflow: shed the entry predicted to miss its SLO — the least
             // slack across the queue *and* the incoming request (same
-            // tie-breaks as `victim`). None on a zero-capacity queue.
+            // tie-breaks as `victim`: the incoming request is the newest
+            // arrival, so a full tie spares the queued entry). None on a
+            // zero-capacity queue.
             let victim = ov.victim(now_s).filter(|&v| {
                 let q = &ov.queue[v];
                 (deadline_to_start_s - now_s)
                     .total_cmp(&q.slack_s(now_s))
                     .then(q.sub.spec.qos.priority().cmp(&class))
-                    .then(q.seq.cmp(&seq))
-                    .is_ge()
+                    .is_gt()
             });
             let Some(v) = victim else {
                 ov.report.backpressure += 1;
@@ -350,14 +354,13 @@ impl<'a> FrameServer<'a> {
                 });
             };
             let q = ov.queue.remove(v);
-            ov.shed(&q);
+            ov.shed(&q, ledger);
         }
-        let ticket = ov.tickets.len();
+        let ticket = ledger.enqueue();
         let depth = ov.queue.len();
         ov.report.enqueued += 1;
         ov.report.queue_depth_hist[OverloadReport::depth_bucket(depth)] += 1;
         ov.report.queue_peak = ov.report.queue_peak.max(depth as u64 + 1);
-        ov.tickets.push(TicketState::Pending);
         telemetry::instant(
             telemetry::Phase::OverloadEnqueue,
             ticket as u64,
@@ -368,17 +371,9 @@ impl<'a> FrameServer<'a> {
         ov.queue.push(QueuedSubmission {
             sub,
             ticket,
-            seq,
             deadline_to_start_s,
         });
         Ok(SubmitOutcome::Queued(ticket))
-    }
-
-    /// Resolution state of a queued submission's ticket; `None` for unknown
-    /// tickets or on a server without armed overload control.
-    pub(crate) fn ticket(&self, ticket: TicketId) -> Option<TicketState> {
-        let ov = self.overload.as_ref()?;
-        ov.tickets.get(ticket).copied()
     }
 
     /// Pending-admission queue depth (0 without armed overload control).
@@ -428,9 +423,10 @@ impl<'a> FrameServer<'a> {
     }
 
     /// [`admit_with`](Self::admit_with) the server's own QoS policy, tracing
-    /// a refusal.
+    /// a refusal under the id the session would have taken.
     fn admit(
         &mut self,
+        ledger: &Ledger,
         spec: &SessionSpec,
         intrinsics: Intrinsics,
         fps: f64,
@@ -440,7 +436,7 @@ impl<'a> FrameServer<'a> {
         if decision.is_err() {
             telemetry::instant(
                 telemetry::Phase::Reject,
-                self.sessions.len() as u64,
+                ledger.homes.len() as u64,
                 spec.qos.priority() as u64,
             );
             telemetry::add(telemetry::Counter::Rejected, 1);
@@ -449,8 +445,13 @@ impl<'a> FrameServer<'a> {
     }
 
     /// Builds the pipeline of an admitted (possibly degraded) submission,
-    /// registers the session and returns its id.
-    fn install_session(&mut self, adm: QosAdmission, sub: &Submission<'a>) -> SessionId {
+    /// numbers the session in the ledger and returns its id.
+    fn install_session(
+        &mut self,
+        adm: QosAdmission,
+        sub: &Submission<'a>,
+        ledger: &mut Ledger,
+    ) -> SessionId {
         let QosAdmission {
             spec,
             intrinsics,
@@ -465,7 +466,7 @@ impl<'a> FrameServer<'a> {
                 PipelineSession::new_streaming(sub.scene, sub.model, fps, intrinsics, &spec.config)
             }
         };
-        let id = self.sessions.len();
+        let id = ledger.admit(self.shard);
         // Frame spans of this session's pipeline now carry its serve id.
         pipe.set_telemetry_id(id as u64);
         let class = spec.qos.priority() as u64;
@@ -484,8 +485,9 @@ impl<'a> FrameServer<'a> {
                 degradation,
             });
         }
-        self.sessions
-            .push(ServeSession::new(id, spec, pipe, sub.feed.fps(), est_load))
+        let sess = ServeSession::new(id, spec, pipe, sub.feed.fps(), est_load);
+        self.sessions.insert(sess);
+        id
     }
 
     /// Drains the pending-admission queue at simulated instant `now_s`, in
@@ -494,7 +496,7 @@ impl<'a> FrameServer<'a> {
     /// the configured ladder (or shed without one); the rest keep waiting.
     /// A no-op on an empty queue — and therefore on every disarmed or
     /// underloaded server.
-    pub(crate) fn pump_overload(&mut self, now_s: f64) {
+    pub(crate) fn pump_overload(&mut self, now_s: f64, ledger: &mut Ledger) {
         // The state steps out of `self` while entries are admitted *into*
         // `self`; nothing on the admission path looks at it.
         let Some(mut ov) = self.overload.take_if(|ov| !ov.queue.is_empty()) else {
@@ -502,21 +504,22 @@ impl<'a> FrameServer<'a> {
         };
         // Drained sessions hand their capacity back before the queue pumps.
         self.release_drained_loads();
-        ov.queue.sort_by_key(|q| (q.sub.spec.qos.priority(), q.seq));
+        ov.queue
+            .sort_by_key(|q| (q.sub.spec.qos.priority(), q.ticket));
         for q in std::mem::take(&mut ov.queue) {
             let (spec, k, fps) = (&q.sub.spec, q.sub.intrinsics, q.sub.feed.fps());
             let est = self.admission.estimate_load(spec, k, fps);
             if self.admission.would_fit(est) {
                 // The capacity probe passed, but a hard limit (the session
                 // cap) may still refuse: then the entry sheds.
-                let adm = self.admit(spec, k, fps).ok();
-                self.admit_queued(&mut ov, q, adm, now_s, |r| &mut r.queue_admits);
+                let adm = self.admit(ledger, spec, k, fps).ok();
+                self.admit_queued(&mut ov, q, adm, now_s, ledger, |r| &mut r.queue_admits);
             } else if now_s >= q.deadline_to_start_s {
                 // SLO deadline reached before capacity: brownout before
                 // shed, shed before serving predictably-late frames.
                 let ladder = ov.ctl.brownout;
                 let adm = ladder.and_then(|l| self.admit_with(Some(&l), spec, k, fps).ok());
-                self.admit_queued(&mut ov, q, adm, now_s, |r| &mut r.brownout_admits);
+                self.admit_queued(&mut ov, q, adm, now_s, ledger, |r| &mut r.brownout_admits);
             } else {
                 ov.queue.push(q);
             }
@@ -533,16 +536,17 @@ impl<'a> FrameServer<'a> {
         q: QueuedSubmission<'a>,
         admission: Option<QosAdmission>,
         now_s: f64,
+        ledger: &mut Ledger,
         counter: fn(&mut OverloadReport) -> &mut u64,
     ) {
         let Some(adm) = admission else {
-            return ov.shed(&q);
+            return ov.shed(&q, ledger);
         };
-        let id = self.install_session(adm, &q.sub);
+        let id = self.install_session(adm, &q.sub, ledger);
         // A queued session cannot serve before it was admitted; late
         // admission shows up as latency.
         self.sessions[id].resume_floor_s = now_s;
-        ov.tickets[q.ticket] = TicketState::Admitted(id);
+        ledger.tickets[q.ticket] = TicketState::Admitted(id);
         *counter(&mut ov.report) += 1;
         ov.report.max_queue_wait_s = ov.report.max_queue_wait_s.max(now_s - q.sub.at_s);
     }
@@ -559,10 +563,10 @@ impl<'a> FrameServer<'a> {
     /// Sheds every pending queue entry — the shard is dying and nothing will
     /// ever pump its queue again. Admitted sessions are *not* touched (they
     /// migrate through [`take_live_sessions`](Self::take_live_sessions)).
-    pub(crate) fn shed_queue(&mut self) {
+    pub(crate) fn shed_queue(&mut self, ledger: &mut Ledger) {
         if let Some(ov) = self.overload.as_mut() {
             for q in std::mem::take(&mut ov.queue) {
-                ov.shed(&q);
+                ov.shed(&q, ledger);
             }
         }
     }

@@ -60,6 +60,7 @@ use crate::admission::{AdmissionController, AdmissionPolicy};
 use crate::cache::{CachedReference, RefCache, RefCacheConfig};
 use crate::error::ServeError;
 use crate::fault::{FaultInjector, FaultKind, FaultPlan};
+use crate::fleet::Ledger;
 use crate::overload::{OverloadControl, OverloadState};
 use crate::policy::{JobKind, Policies};
 use crate::recovery::{Job, SimCtx};
@@ -139,11 +140,15 @@ pub(crate) fn fan_out<T: Send>(entries: &[Mutex<T>], drivers: usize, work: impl 
 
 /// One shard: a multi-session frame-serving engine over borrowed scene
 /// assets. Scenes, baked models and trajectories are owned by the caller and
-/// must outlive the fleet; sessions borrow them.
+/// must outlive the fleet; sessions borrow them. Its sessions and tickets
+/// are numbered in the fleet's `Ledger`, which every call that can admit,
+/// queue or shed is handed.
 pub(crate) struct FrameServer<'a> {
     // Crate-visible, not public: the server's stages and its report live in
     // sibling modules (`overload`, `dispatch`, `report`).
     pub(crate) cfg: ServeConfig,
+    /// This shard's index in its fleet: the home it writes to the ledger.
+    pub(crate) shard: usize,
     pub(crate) pool: WorkerPool,
     pub(crate) cache: RefCache,
     pub(crate) admission: AdmissionController,
@@ -178,9 +183,10 @@ struct Stepped {
 }
 
 impl<'a> FrameServer<'a> {
-    /// Creates an empty server. The fleet has checked `cfg`.
-    pub(crate) fn new(cfg: ServeConfig) -> Self {
+    /// Creates empty shard `shard`. The fleet has checked `cfg`.
+    pub(crate) fn new(cfg: ServeConfig, shard: usize) -> Self {
         FrameServer {
+            shard,
             pool: WorkerPool::new(cfg.pool),
             cache: RefCache::new(cfg.cache),
             admission: AdmissionController::new(
@@ -461,27 +467,18 @@ impl<'a> FrameServer<'a> {
     ///
     /// The only place a round meets the queue, called only by the fleet's
     /// step.
-    pub(crate) fn drain_step(&mut self) -> Option<f64> {
+    pub(crate) fn drain_step(&mut self, ledger: &mut Ledger) -> Option<f64> {
         if let Some(t) = self.run_round() {
-            self.pump_overload(t);
+            self.pump_overload(t, ledger);
             return Some(t);
         }
         let t = self.queue_frontier_s()?;
         let before = self.queued();
-        self.pump_overload(t);
+        self.pump_overload(t, ledger);
         // At the frontier the earliest-deadline entry always admits, browns
         // out or sheds; the check only stops a hypothetical no-progress loop
         // from hanging.
         (self.queued() < before || self.next_ready_s().is_finite()).then_some(t)
-    }
-
-    /// Drains the server alone — the shard as its unit tests and the
-    /// fleet-of-one oracles in `fleet.rs` drive it.
-    #[cfg(test)]
-    pub(crate) fn run(&mut self) -> crate::report::ServiceReport {
-        while self.drain_step().is_some() {}
-        self.release_drained_loads();
-        self.report()
     }
 
     /// Hands drained sessions' committed capacity back to admission, so a
@@ -521,30 +518,22 @@ impl<'a> FrameServer<'a> {
             .collect()
     }
 
-    /// Adopts a session migrated from a dead shard, returning its id on
-    /// *this* server. The session keeps its pipeline position, installed
-    /// references and quality/latency ledgers; it gets a fresh local id, a
-    /// resume floor at the failover time (it cannot serve before its old
-    /// home died), and its load is force-committed — failover does not
-    /// re-run admission, because dropping an already-admitted session to
-    /// enforce a capacity bound would be strictly worse than running hot.
-    pub(crate) fn adopt_session(&mut self, mut sess: ServeSession<'a>, at_s: f64) -> SessionId {
-        let id = self.sessions.len();
-        sess.id = id;
-        sess.pipe.set_telemetry_id(id as u64);
+    /// Adopts a session migrated from a dead shard. The session keeps its
+    /// id, pipeline position, installed references and quality/latency
+    /// ledgers; it gets a resume floor at the failover time (it cannot serve
+    /// before its old home died), and its load is force-committed — failover
+    /// does not re-run admission, because dropping an already-admitted
+    /// session to enforce a capacity bound would be strictly worse than
+    /// running hot.
+    pub(crate) fn adopt_session(&mut self, mut sess: ServeSession<'a>, at_s: f64) {
         sess.resume_floor_s = at_s;
         self.admission.force_commit(sess.est_load);
-        self.sessions.push(sess)
+        self.sessions.insert(sess);
     }
 
     /// The reference cache (fleet failover peeks survivor warmth here).
     pub(crate) fn cache(&self) -> &RefCache {
         &self.cache
-    }
-
-    /// The resident session `id`. Panics on a vacated (migrated) slot.
-    pub(crate) fn session(&self, id: SessionId) -> &ServeSession<'a> {
-        &self.sessions[id]
     }
 }
 
@@ -579,17 +568,64 @@ fn publish_in_stream(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::report::ServiceReport;
     use crate::session::{QosClass, SessionSpec};
-    use crate::{Policies, Submission};
+    use crate::{Policies, Submission, SubmitOutcome, TicketId, TicketState};
     use cicero::pipeline::PipelineConfig;
     use cicero_field::{bake, GridConfig, GridModel};
     use cicero_math::Intrinsics;
     use cicero_scene::library;
     use cicero_scene::volume::MarchParams;
     use cicero_scene::{AnalyticScene, Trajectory};
+
+    /// A shard driven alone, holding the ledger a fleet would — the shard as
+    /// its unit tests and the fleet-of-one oracles in `fleet.rs` drive it.
+    /// Everything but submitting, draining and ticket polls goes straight to
+    /// the shard.
+    pub(crate) struct Solo<'a> {
+        server: FrameServer<'a>,
+        ledger: Ledger,
+    }
+
+    impl<'a> Solo<'a> {
+        pub(crate) fn new(cfg: ServeConfig) -> Self {
+            Solo {
+                server: FrameServer::new(cfg, 0),
+                ledger: Ledger::default(),
+            }
+        }
+
+        pub(crate) fn submit(&mut self, sub: Submission<'a>) -> Result<SubmitOutcome, ServeError> {
+            self.server.submit(sub, &mut self.ledger)
+        }
+
+        pub(crate) fn ticket(&self, ticket: TicketId) -> Option<TicketState> {
+            self.ledger.ticket(ticket)
+        }
+
+        /// Drains the shard and reports it.
+        pub(crate) fn run(&mut self) -> ServiceReport {
+            while self.server.drain_step(&mut self.ledger).is_some() {}
+            self.server.release_drained_loads();
+            self.server.report()
+        }
+    }
+
+    impl<'a> std::ops::Deref for Solo<'a> {
+        type Target = FrameServer<'a>;
+
+        fn deref(&self) -> &FrameServer<'a> {
+            &self.server
+        }
+    }
+
+    impl<'a> std::ops::DerefMut for Solo<'a> {
+        fn deref_mut(&mut self) -> &mut FrameServer<'a> {
+            &mut self.server
+        }
+    }
 
     type Assets = (AnalyticScene, GridModel, Trajectory);
 
@@ -635,10 +671,10 @@ mod tests {
         Submission::trajectory(spec, &fx.0, &fx.1, &fx.2, k)
     }
 
-    fn server<'a>(edit: impl FnOnce(&mut ServeConfig)) -> FrameServer<'a> {
+    fn server<'a>(edit: impl FnOnce(&mut ServeConfig)) -> Solo<'a> {
         let mut cfg = ServeConfig::default();
         edit(&mut cfg);
-        FrameServer::new(cfg)
+        Solo::new(cfg)
     }
 
     #[test]
@@ -834,7 +870,7 @@ mod tests {
         let fx = assets();
         // Capacity for roughly one-and-a-bit sessions as requested.
         let tight = |c: &mut ServeConfig| c.admission.max_utilization = 0.006;
-        fn submit_all<'a>(server: &mut FrameServer<'a>, fx: &'a Assets) -> usize {
+        fn submit_all<'a>(server: &mut Solo<'a>, fx: &'a Assets) -> usize {
             let offsets = [0.0, 0.004, 0.009, 0.013].into_iter().enumerate();
             (offsets.filter(|&(i, offset)| {
                 let s = spec(&format!("s{i}"), QosClass::Standard, offset);

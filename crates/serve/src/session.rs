@@ -8,9 +8,11 @@ use cicero::FrameOutcome;
 use std::fmt;
 use std::ops::{Index, IndexMut};
 
-/// Identifies an admitted session: fleet-level in the [`Fleet`](crate::Fleet)'s
-/// calls and tickets, shard-local in a shard's
-/// [`ServiceReport`](crate::ServiceReport) — the same number on a fleet of one.
+/// Identifies an admitted session: the number the [`Fleet`](crate::Fleet)
+/// hands out at admission (directly, or through a resolved ticket), in
+/// admission order fleet-wide. Frame records, session summaries, migration
+/// records and the fleet's calls all name the session by it, on whichever
+/// shard it lives, before and after a migration.
 pub type SessionId = usize;
 
 /// Quality-of-service class, setting the frame-deadline budget and the
@@ -244,19 +246,17 @@ impl<'a> ServeSession<'a> {
     }
 }
 
-/// Owns the admitted sessions of one shard and routes
-/// streaming pose ingestion to them.
+/// Owns the sessions living on one shard and routes streaming pose
+/// ingestion to them.
 ///
-/// Session ids are indices into admission order, stable for the server's
-/// lifetime. Each id owns a *slot*: on a bare server every slot stays
-/// occupied forever, but a fleet failover [`take`](Self::take)s a live
-/// session out of a dead shard's manager, leaving a permanent vacancy — the
-/// id is never reused, and touching it surfaces
-/// [`ServeError::SessionMigrated`] instead of a panic. The manager is
-/// deliberately dumb about scheduling — policies and the scheduler decide
-/// everything — but it is the single place that keeps per-session serve
-/// bookkeeping (`ref_ready` ledgers) consistent as streaming sessions grow
-/// their schedules.
+/// Slots are indexed by [`SessionId`]: a shard occupies the slots of the
+/// sessions it admitted or adopted, and every other slot stays vacant — the
+/// session lives on a sibling, or left this one when it died (a fleet
+/// failover [`take`](Self::take)s it out). A fleet of one occupies every
+/// slot. The manager is deliberately dumb about scheduling — policies and
+/// the scheduler decide everything — but it is the single place that keeps
+/// per-session serve bookkeeping (`ref_ready` ledgers) consistent as
+/// streaming sessions grow their schedules.
 pub(crate) struct SessionManager<'a> {
     slots: Vec<Option<ServeSession<'a>>>,
 }
@@ -266,21 +266,18 @@ impl<'a> SessionManager<'a> {
         SessionManager { slots: Vec::new() }
     }
 
-    /// Session ids allocated so far (occupied and vacated slots alike — ids
-    /// are admission indices and never shift).
-    pub(crate) fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Adds an admitted session, returning its id (= admission index).
-    pub(crate) fn push(&mut self, sess: ServeSession<'a>) -> SessionId {
-        debug_assert_eq!(sess.id, self.slots.len());
-        self.slots.push(Some(sess));
-        self.slots.len() - 1
+    /// Moves a session in — admitted here or adopted — into its id's slot.
+    pub(crate) fn insert(&mut self, sess: ServeSession<'a>) {
+        let id = sess.id;
+        if id >= self.slots.len() {
+            self.slots.resize_with(id + 1, || None);
+        }
+        debug_assert!(self.slots[id].is_none(), "session ids are never reused");
+        self.slots[id] = Some(sess);
     }
 
     /// Removes and returns session `id` for migration, leaving its slot
-    /// permanently vacant. `None` if the slot is already vacant or unknown.
+    /// vacant. `None` if the slot is already vacant or unknown.
     pub(crate) fn take(&mut self, id: SessionId) -> Option<ServeSession<'a>> {
         self.slots.get_mut(id).and_then(Option::take)
     }
@@ -317,20 +314,17 @@ impl<'a> SessionManager<'a> {
             .collect()
     }
 
-    /// The streaming session `id`, validated for pose ingestion: the id must
-    /// be known and still resident (not migrated off this shard), the
-    /// session streaming, and (unless `allow_closed`, for the idempotent
-    /// close) its feed still open.
+    /// The streaming session `id`, validated for pose ingestion: the
+    /// session must live here and stream, and (unless `allow_closed`, for
+    /// the idempotent close) its feed must still be open.
     pub(crate) fn streaming_mut(
         &mut self,
         id: SessionId,
         allow_closed: bool,
     ) -> Result<&mut ServeSession<'a>, ServeError> {
-        let slot = self
-            .slots
-            .get_mut(id)
+        let sess = (self.slots.get_mut(id))
+            .and_then(Option::as_mut)
             .ok_or(ServeError::UnknownSession { id })?;
-        let sess = slot.as_mut().ok_or(ServeError::SessionMigrated { id })?;
         if !sess.pipe.is_streaming() {
             return Err(ServeError::NotStreaming { id });
         }
@@ -345,12 +339,12 @@ impl<'a> Index<SessionId> for SessionManager<'a> {
     type Output = ServeSession<'a>;
 
     fn index(&self, id: SessionId) -> &ServeSession<'a> {
-        self.slots[id].as_ref().expect("session migrated off shard")
+        self.slots[id].as_ref().expect("session lives here")
     }
 }
 
 impl<'a> IndexMut<SessionId> for SessionManager<'a> {
     fn index_mut(&mut self, id: SessionId) -> &mut ServeSession<'a> {
-        self.slots[id].as_mut().expect("session migrated off shard")
+        self.slots[id].as_mut().expect("session lives here")
     }
 }

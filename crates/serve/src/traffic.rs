@@ -251,7 +251,9 @@ impl TrafficProfile {
         let count: usize = count
             .parse()
             .map_err(|_| err(n, "sessions must be a count"))?;
-        let mut sessions = Vec::with_capacity(count);
+        // The count is the file's claim, not an allocation size: it is only
+        // checked against the session lines actually present.
+        let mut sessions = Vec::new();
         for (n, line) in lines {
             let line = line.trim();
             if line.is_empty() {
@@ -1169,6 +1171,16 @@ mod tests {
         assert!(TrafficProfile::parse(missing).is_err());
         let wrong_count = "cicero-traffic-profile v1\nseed 1\nduration_s 1.0\nsessions 3\n";
         assert!(TrafficProfile::parse(wrong_count).is_err());
+        // A declared count is never an allocation size: the largest one is
+        // a parse error like any other wrong count, not a capacity panic.
+        let huge = format!(
+            "cicero-traffic-profile v1\nseed 1\nduration_s 1.0\nsessions {}\n",
+            usize::MAX
+        );
+        assert!(matches!(
+            TrafficProfile::parse(&huge),
+            Err(TrafficError::Parse { .. })
+        ));
     }
 
     #[test]

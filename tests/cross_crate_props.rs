@@ -273,3 +273,170 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// The traffic-profile boundary: untrusted text in, a profile or a typed error
+// out
+// ---------------------------------------------------------------------------
+
+use cicero_serve::{ArrivalProcess, TrafficError, TrafficModel, TrafficProfile};
+
+/// A traffic model over the library's first scenes, every knob drawn from
+/// one of the inputs.
+fn traffic_model(sessions: usize, shape: (u64, f64, f64, f64), frames: u32) -> TrafficModel {
+    let (arrivals, duration_s, mix, frac) = shape;
+    let all = ["lego", "chair", "ship", "hotdog", "drums"];
+    TrafficModel {
+        sessions,
+        duration_s,
+        arrivals: match arrivals {
+            0 => ArrivalProcess::Uniform,
+            1 => ArrivalProcess::Diurnal {
+                peak_boost: 4.0 * frac,
+            },
+            _ => ArrivalProcess::FlashCrowd {
+                at_frac: frac,
+                width_frac: 0.05 + 0.2 * mix,
+                crowd_frac: mix,
+            },
+        },
+        scenes: all[..1 + sessions % all.len()]
+            .iter()
+            .map(|s| s.to_string())
+            .collect(),
+        zipf_s: 2.0 * mix,
+        qos_mix: [mix, 1.0 - mix, frac],
+        streaming_frac: frac,
+        frames,
+        base_fps: 15.0 + 60.0 * frac as f32,
+        fps_jitter: 0.3 * mix,
+    }
+}
+
+/// Parses `text` and requires the only two ways out: a profile, or a
+/// parse error. A panic fails the property through the shim's unwind
+/// guard.
+fn parse_is_total(text: &str) {
+    let parsed = TrafficProfile::parse(text);
+    assert!(
+        matches!(parsed, Ok(_) | Err(TrafficError::Parse { .. })),
+        "{parsed:?} from {text:?}"
+    );
+}
+
+/// Replacement tokens that probe each value parser's edges.
+const NASTY: [&str; 12] = [
+    "",
+    "=",
+    "18446744073709551615",
+    "18446744073709551616",
+    "-1",
+    "NaN",
+    "-inf",
+    "1e309",
+    "session",
+    "name=",
+    "qos=platinum",
+    "\u{0}",
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Random bytes — bare, or after a valid header whose `sessions` line
+    /// they complete — parse to a profile or a parse error, never a panic.
+    #[test]
+    fn profile_parse_never_panics_on_random_bytes(
+        bytes in prop::collection::vec(0u16..256, 0..200),
+    ) {
+        let bytes: Vec<u8> = bytes.iter().map(|&b| b as u8).collect();
+        let noise = String::from_utf8_lossy(&bytes);
+        parse_is_total(&noise);
+        parse_is_total(&format!(
+            "cicero-traffic-profile v1\nseed 1\nduration_s 1.0\nsessions {noise}"
+        ));
+    }
+
+    /// One token of a generated profile's text deleted, duplicated or
+    /// replaced — whole, or only its value after `=` — parses to a profile
+    /// or a parse error, never a panic.
+    #[test]
+    fn profile_parse_never_panics_on_token_mutations(
+        seed in 0u64..u64::MAX,
+        sessions in 1usize..12,
+        pick in 0usize..10_000,
+        edit in (0u64..4, 0usize..NASTY.len()),
+    ) {
+        let model = traffic_model(sessions, (seed % 3, 1.0, 0.5, 0.25), 6);
+        let text = model.generate(seed).to_text();
+        let mut lines: Vec<Vec<String>> = (text.lines())
+            .map(|l| l.split_whitespace().map(String::from).collect())
+            .collect();
+        let tokens: usize = lines.iter().map(Vec::len).sum();
+        let (mut at, (op, nasty)) = (pick % tokens, edit);
+        let line = (lines.iter_mut())
+            .find(|l| {
+                let here = at < l.len();
+                if !here {
+                    at -= l.len();
+                }
+                here
+            })
+            .expect("the pick lands on a token");
+        let nasty = NASTY[nasty].to_string();
+        match op {
+            0 => {
+                line.remove(at);
+            }
+            1 => {
+                let twin = line[at].clone();
+                line.insert(at, twin);
+            }
+            2 => line[at] = nasty,
+            _ => {
+                let key = line[at].split('=').next().unwrap_or("").to_string();
+                line[at] = format!("{key}={nasty}");
+            }
+        }
+        let mutated: Vec<String> = lines.iter().map(|l| l.join(" ")).collect();
+        parse_is_total(&mutated.join("\n"));
+    }
+
+    /// A declared session count of any magnitude is a claim checked against
+    /// the session lines present — the profile when it is true, a parse
+    /// error when it is not — and never an allocation size.
+    #[test]
+    fn profile_parse_checks_any_declared_count(
+        seed in 0u64..u64::MAX,
+        sessions in 1usize..6,
+        claim in (0u64..u64::MAX, 0u32..64),
+    ) {
+        let profile = traffic_model(sessions, (seed % 3, 1.0, 0.5, 0.25), 6).generate(seed);
+        let count = claim.0 >> claim.1;
+        let text = profile.to_text().replacen(
+            &format!("\nsessions {sessions}\n"),
+            &format!("\nsessions {count}\n"),
+            1,
+        );
+        let parsed = TrafficProfile::parse(&text);
+        if count == sessions as u64 {
+            prop_assert_eq!(parsed, Ok(profile));
+        } else {
+            prop_assert!(matches!(parsed, Err(TrafficError::Parse { .. })), "{parsed:?}");
+        }
+    }
+
+    /// Every generated profile's text parses back to the same profile, bit
+    /// for bit, across arrival processes, mixes and sizes.
+    #[test]
+    fn generated_profiles_round_trip_through_text(
+        seed in 0u64..u64::MAX,
+        sessions in 1usize..40,
+        shape in (0u64..3, 0.05f64..8.0, 0.0f64..1.0, 0.0f64..1.0),
+        frames in 1u32..40,
+    ) {
+        let profile = traffic_model(sessions, shape, frames).generate(seed);
+        let parsed = TrafficProfile::parse(&profile.to_text());
+        prop_assert_eq!(parsed, Ok(profile));
+    }
+}

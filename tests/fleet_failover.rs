@@ -1,4 +1,4 @@
-//! Fleet fault domains and failover determinism. Four contracts (that a
+//! Fleet fault domains and failover determinism. Five contracts (that a
 //! fleet of one serves exactly what its shard alone would is the crate's own
 //! unit test, which can reach the shard):
 //!
@@ -16,7 +16,10 @@
 //!     tickets to fleet-level ids, a queued stream flushes its buffered poses
 //!     through that id — and when their shard dies first, the tickets read
 //!     `Shed` with their demand accounted while the shard's admitted sessions
-//!     migrate, bit-identically across budgets.
+//!     migrate, bit-identically across budgets;
+//! (e) a migrated session keeps its one id: its frame records on the dead
+//!     shard and on the survivor, its summary, its migration record and the
+//!     fleet's stream calls all name it by the number admission handed out.
 
 use cicero::pipeline::PipelineConfig;
 use cicero::Variant;
@@ -343,6 +346,65 @@ fn last_shard_death_loses_sessions_without_panicking() {
         )),
         Err(ServeError::FleetDown)
     ));
+}
+
+/// (e) A stream admitted on shard 0 serves its first window there, loses
+/// its shard, and finishes on shard 1 under the id it was admitted with.
+#[test]
+fn migrated_session_keeps_one_id_everywhere() {
+    let (lego, lego_model, _) = assets("lego", 12);
+    let lego_traj = dolly(12);
+    let (ship, ship_model, ship_traj) = assets("ship", 16);
+    // Death at 0.15–0.30 s: after the stream's first window, while the
+    // bystander still runs.
+    let mut plan = FaultPlan::zero(crash_seed(0.1, 2..=5));
+    plan.shard_crash_rate = 0.1;
+    let mut fleet = Fleet::new(FleetConfig {
+        shards: 2,
+        base: ServeConfig {
+            faults: Some(plan),
+            ..Default::default()
+        },
+        heartbeat_interval_s: 0.05,
+        miss_threshold: 1,
+        ..Default::default()
+    })
+    .unwrap();
+    let k = Intrinsics::from_fov(24, 24, 0.9);
+    let victim = spec("victim", "lego", QosClass::Standard, 0.0);
+    let sub = Submission::stream(victim, &lego, &lego_model, lego_traj.fps(), k);
+    let id = fleet.submit(sub).unwrap().session().unwrap();
+    let bystander = spec("bystander", "ship", QosClass::Standard, 0.004);
+    let sub = Submission::trajectory(bystander, &ship, &ship_model, &ship_traj, k);
+    assert_eq!(fleet.submit(sub), Ok(SubmitOutcome::Admitted(id + 1)));
+    // Poses 0–5 plan the first window (frames 0–4); the stream then starves
+    // on shard 0 until the shard dies and it migrates.
+    let poses = lego_traj.poses();
+    for pose in &poses[..6] {
+        fleet.push_pose(id, *pose).unwrap();
+    }
+    let first = fleet.run();
+    assert_eq!((first.shard_crashes, first.migrations.len()), (1, 1));
+    // The rest of the stream goes in after the move, under the same id.
+    for pose in &poses[6..] {
+        fleet.push_pose(id, *pose).unwrap();
+    }
+    fleet.close_stream(id).unwrap();
+    let report = fleet.run();
+    let served_on = |shard: usize| {
+        let records = report.shards[shard].records.iter();
+        records.filter(|r| r.session == id).count()
+    };
+    assert!(served_on(0) > 0, "the stream served before its shard died");
+    assert!(served_on(1) > 0, "the stream served after the move");
+    assert_eq!(served_on(0) + served_on(1), poses.len());
+    let migration = &report.migrations[0];
+    assert_eq!((migration.name.as_str(), migration.session), ("victim", id));
+    assert_eq!((migration.from_shard, migration.to_shard), (0, 1));
+    assert!(migration.time_to_resume_s >= 0.0, "{migration:?}");
+    let summaries = &report.shards[1].sessions;
+    let ids: Vec<(usize, &str)> = summaries.iter().map(|s| (s.id, s.name.as_str())).collect();
+    assert_eq!(ids, [(id, "victim"), (id + 1, "bystander")]);
 }
 
 /// What the queue fixture hands back: the fleet (for ticket polls and a

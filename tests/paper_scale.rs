@@ -3,9 +3,8 @@
 //! one worker at the paper's 800×800 resolution — the `fig19` configuration
 //! routed through `cicero-serve` instead of the bare pipeline.
 //!
-//! The heavy test is `#[ignore]`d so the tier-1 debug suite stays fast; CI
-//! runs it explicitly in release (`cargo test --release --test paper_scale
-//! -- --ignored`).
+//! Part of the tier-1 suite: about 24 s at the dev profile's `opt-level = 1`
+//! (`cargo test --test paper_scale`).
 
 use cicero::pipeline::{PipelineConfig, PipelineSession};
 use cicero::Variant;
@@ -16,7 +15,6 @@ use cicero_scene::{library, Trajectory};
 use cicero_serve::{Fleet, FleetConfig, QosClass, ServeConfig, SessionSpec, Submission};
 
 #[test]
-#[ignore = "paper-scale (800×800): run in release, CI does so explicitly"]
 fn serve_layer_reproduces_direct_session_at_800() {
     const RES: usize = 800;
     let scene = library::scene_by_name("lego").unwrap();
