@@ -134,80 +134,10 @@ pub fn bake_hash(scene: &AnalyticScene, cfg: &HashConfig) -> HashModel {
 /// Bakes a hash-encoded model (coarse-to-fine residual scatter-averaging).
 pub fn bake_hash_with(scene: &AnalyticScene, cfg: &HashConfig, opts: &BakeOptions) -> HashModel {
     let bounds = RadianceSource::bounds(scene);
-    let shin = scene.dominant_shininess();
     let occupancy = bake_occupancy(scene, opts.occupancy_resolution);
     let mut grid = HashGrid::new(*cfg, bounds);
+    fit_hash_levels(scene, &occupancy, &mut grid, RECONSTRUCT_BATCH);
     let f = cfg.features_per_entry;
-
-    for level in 0..cfg.levels {
-        let res = grid.levels()[level].resolution;
-        let table_len = grid.levels()[level].table_len;
-        let mut sums = vec![0.0_f32; table_len * f];
-        let mut counts = vec![0u32; table_len];
-        let verts = res + 1;
-
-        let mut visit = |grid: &HashGrid, x: u32, y: u32, z: u32| {
-            let p = grid.vertex_position(level, x, y, z);
-            let target = signals_at(scene, p, shin);
-            let recon = grid.reconstruct_signals(p, level);
-            let e = grid.entry_index(level, x, y, z) as usize;
-            for i in 0..SIGNALS {
-                sums[e * f + i] += target[i] - recon[i];
-            }
-            counts[e] += 1;
-        };
-
-        // Coarse levels: visit every vertex (cheap, and empty space must
-        // carry its negative density raw value). Fine levels: only vertices
-        // near occupied space — hashed entries never see empty-space noise.
-        let dense_visit_cap = 200_000;
-        if verts * verts * verts <= dense_visit_cap {
-            for z in 0..verts as u32 {
-                for y in 0..verts as u32 {
-                    for x in 0..verts as u32 {
-                        visit(&grid, x, y, z);
-                    }
-                }
-            }
-        } else {
-            let mut visited = vec![false; verts * verts * verts];
-            let occ_res = occupancy.resolution();
-            let scale = res as f32 / occ_res as f32;
-            for oz in 0..occ_res {
-                for oy in 0..occ_res {
-                    for ox in 0..occ_res {
-                        if !occupancy.cell(ox as isize, oy as isize, oz as isize) {
-                            continue;
-                        }
-                        let lo = |c: usize| ((c as f32 * scale).floor() as usize).min(res);
-                        let hi =
-                            |c: usize| (((c + 1) as f32 * scale).ceil() as usize + 1).min(verts);
-                        for z in lo(oz)..hi(oz) {
-                            for y in lo(oy)..hi(oy) {
-                                for x in lo(ox)..hi(ox) {
-                                    let vi = (z * verts + y) * verts + x;
-                                    if !visited[vi] {
-                                        visited[vi] = true;
-                                        visit(&grid, x as u32, y as u32, z as u32);
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-
-        for e in 0..table_len {
-            if counts[e] > 0 {
-                let inv = 1.0 / counts[e] as f32;
-                let entry = grid.entry_mut(level, e as u64);
-                for (i, v) in entry.iter_mut().enumerate().take(f) {
-                    *v = sums[e * f + i] * inv;
-                }
-            }
-        }
-    }
 
     // Decode matrix: signal i sums slot i of every level (residual scheme).
     let in_dim = cfg.levels * f;
@@ -226,6 +156,137 @@ pub fn bake_hash_with(scene: &AnalyticScene, cfg: &HashConfig, opts: &BakeOption
         occupancy,
         background: scene.background(),
         scene_name: scene.name.clone(),
+    }
+}
+
+/// Vertices of a hash level whose reconstruction through the coarser levels
+/// one block gather computes.
+const RECONSTRUCT_BATCH: usize = 256;
+
+/// Fits every level of `grid`, coarse first: each visited vertex scatters
+/// its target signals minus their reconstruction through the levels before
+/// it, and each entry stores the average of what reached it.
+///
+/// The reconstructions run `batch` vertices at a time through
+/// [`HashGrid::interpolate_levels_block_into`], then each vertex's levels
+/// are summed in order and scattered in visiting order: per vertex the
+/// arithmetic of [`HashGrid::reconstruct_signals`] and the same update
+/// order of the sums, so every batch size gives the same tables.
+fn fit_hash_levels(
+    scene: &AnalyticScene,
+    occupancy: &OccupancyGrid,
+    grid: &mut HashGrid,
+    batch: usize,
+) {
+    let shin = scene.dominant_shininess();
+    let (levels, f) = (grid.config().levels, grid.config().features_per_entry);
+    let mut queue: Vec<[u32; 3]> = Vec::with_capacity(batch);
+    let mut ps = Vec::with_capacity(batch);
+    let mut recon = vec![0.0_f32; levels * f * batch];
+    for level in 0..levels {
+        let table_len = grid.levels()[level].table_len;
+        let mut sums = vec![0.0_f32; table_len * f];
+        let mut counts = vec![0u32; table_len];
+        {
+            let grid = &*grid;
+            let mut flush = |queue: &mut Vec<[u32; 3]>| {
+                ps.clear();
+                ps.extend(
+                    queue
+                        .iter()
+                        .map(|&[x, y, z]| grid.vertex_position(level, x, y, z)),
+                );
+                grid.interpolate_levels_block_into(level, &ps, &mut recon, batch);
+                for (s, &[x, y, z]) in queue.iter().enumerate() {
+                    let target = signals_at(scene, ps[s], shin);
+                    let mut signals = [0.0_f32; SIGNALS];
+                    for l in 0..level {
+                        for (i, v) in signals.iter_mut().enumerate() {
+                            *v += recon[(l * f + i) * batch + s];
+                        }
+                    }
+                    let e = grid.entry_index(level, x, y, z) as usize;
+                    for i in 0..SIGNALS {
+                        sums[e * f + i] += target[i] - signals[i];
+                    }
+                    counts[e] += 1;
+                }
+                queue.clear();
+            };
+            level_vertices(grid, level, occupancy, |vertex| {
+                queue.push(vertex);
+                if queue.len() == batch {
+                    flush(&mut queue);
+                }
+            });
+            flush(&mut queue);
+        }
+        store_level(grid, level, &sums, &counts);
+    }
+}
+
+/// The vertices a hash level is fitted at, in visiting order. Coarse
+/// levels: every vertex (cheap, and empty space must carry its negative
+/// density raw value). Fine levels: only vertices near occupied space —
+/// hashed entries never see empty-space noise.
+fn level_vertices(
+    grid: &HashGrid,
+    level: usize,
+    occupancy: &OccupancyGrid,
+    mut visit: impl FnMut([u32; 3]),
+) {
+    let res = grid.levels()[level].resolution;
+    let verts = res + 1;
+    let dense_visit_cap = 200_000;
+    if verts * verts * verts <= dense_visit_cap {
+        for z in 0..verts as u32 {
+            for y in 0..verts as u32 {
+                for x in 0..verts as u32 {
+                    visit([x, y, z]);
+                }
+            }
+        }
+        return;
+    }
+    let mut visited = vec![false; verts * verts * verts];
+    let occ_res = occupancy.resolution();
+    let scale = res as f32 / occ_res as f32;
+    for oz in 0..occ_res {
+        for oy in 0..occ_res {
+            for ox in 0..occ_res {
+                if !occupancy.cell(ox as isize, oy as isize, oz as isize) {
+                    continue;
+                }
+                let lo = |c: usize| ((c as f32 * scale).floor() as usize).min(res);
+                let hi = |c: usize| (((c + 1) as f32 * scale).ceil() as usize + 1).min(verts);
+                for z in lo(oz)..hi(oz) {
+                    for y in lo(oy)..hi(oy) {
+                        for x in lo(ox)..hi(ox) {
+                            let vi = (z * verts + y) * verts + x;
+                            if !visited[vi] {
+                                visited[vi] = true;
+                                visit([x as u32, y as u32, z as u32]);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Writes each entry of `level` that a vertex reached: the average of the
+/// residuals scattered into it.
+fn store_level(grid: &mut HashGrid, level: usize, sums: &[f32], counts: &[u32]) {
+    let f = grid.config().features_per_entry;
+    for (e, &count) in counts.iter().enumerate() {
+        if count > 0 {
+            let inv = 1.0 / count as f32;
+            let entry = grid.entry_mut(level, e as u64);
+            for (i, v) in entry.iter_mut().enumerate().take(f) {
+                *v = sums[e * f + i] * inv;
+            }
+        }
     }
 }
 
@@ -458,6 +519,67 @@ mod tests {
             (sigma - truth).abs() / truth.max(1.0) < 0.5,
             "sigma {sigma} vs {truth}"
         );
+    }
+
+    /// The hash bake with each vertex reconstructed on its own by
+    /// `reconstruct_signals`: the oracle of [`fit_hash_levels`].
+    fn fit_hash_levels_per_vertex(
+        scene: &AnalyticScene,
+        occupancy: &OccupancyGrid,
+        grid: &mut HashGrid,
+    ) {
+        let shin = scene.dominant_shininess();
+        let (levels, f) = (grid.config().levels, grid.config().features_per_entry);
+        for level in 0..levels {
+            let table_len = grid.levels()[level].table_len;
+            let mut sums = vec![0.0_f32; table_len * f];
+            let mut counts = vec![0u32; table_len];
+            level_vertices(grid, level, occupancy, |[x, y, z]| {
+                let p = grid.vertex_position(level, x, y, z);
+                let target = signals_at(scene, p, shin);
+                let recon = grid.reconstruct_signals(p, level);
+                let e = grid.entry_index(level, x, y, z) as usize;
+                for i in 0..SIGNALS {
+                    sums[e * f + i] += target[i] - recon[i];
+                }
+                counts[e] += 1;
+            });
+            store_level(grid, level, &sums, &counts);
+        }
+    }
+
+    /// Every stored feature of every level, as bits.
+    fn table_bits(grid: &HashGrid) -> Vec<u32> {
+        (0..grid.levels().len())
+            .flat_map(|l| (0..grid.levels()[l].table_len as u64).map(move |e| (l, e)))
+            .flat_map(|(l, e)| grid.entry(l, e).iter().map(|v| v.to_bits()))
+            .collect()
+    }
+
+    #[test]
+    fn batched_bake_reconstruction_is_the_per_vertex_one() {
+        // Over a 2¹⁰ table: level 0 (9³ vertices) dense, levels 1–3 hashed;
+        // level 3 (65³ vertices) visits only those near occupied space.
+        let s = scene();
+        let cfg = HashConfig {
+            levels: 4,
+            base_resolution: 8,
+            max_resolution: 64,
+            table_size_log2: 10,
+            ..Default::default()
+        };
+        let bounds = RadianceSource::bounds(&s);
+        let occupancy = bake_occupancy(&s, 24);
+        let mut oracle = HashGrid::new(cfg, bounds);
+        assert!(oracle.levels()[0].dense && !oracle.levels()[1].dense);
+        fit_hash_levels_per_vertex(&s, &occupancy, &mut oracle);
+        let want = table_bits(&oracle);
+        assert!(want.iter().any(|&b| b != 0), "nothing was fitted");
+        for batch in [1, 16, RECONSTRUCT_BATCH] {
+            let mut grid = HashGrid::new(cfg, bounds);
+            fit_hash_levels(&s, &occupancy, &mut grid, batch);
+            assert!(table_bits(&grid) == want, "batch {batch}");
+        }
     }
 
     #[test]

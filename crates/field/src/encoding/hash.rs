@@ -264,12 +264,36 @@ impl HashGrid {
     ///
     /// Panics if `out` is too short or `stride < ps.len()`.
     pub fn interpolate_block_into(&self, ps: &[Vec3], out: &mut [f32], stride: usize) {
+        self.interpolate_levels_block_into(self.cfg.levels, ps, out, stride);
+    }
+
+    /// [`HashGrid::interpolate_block_into`] over the first `levels` levels
+    /// only: the bake reconstructs a level's vertices through the coarser
+    /// ones with it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `levels` exceeds the encoding's, `out` is too short or
+    /// `stride < ps.len()`.
+    pub(crate) fn interpolate_levels_block_into(
+        &self,
+        levels: usize,
+        ps: &[Vec3],
+        out: &mut [f32],
+        stride: usize,
+    ) {
+        assert!(
+            levels <= self.cfg.levels,
+            "{levels} levels of {}",
+            self.cfg.levels
+        );
         assert!(stride >= ps.len(), "stride shorter than the block");
         assert!(
-            out.len() >= self.cfg.levels * self.cfg.features_per_entry * stride,
+            out.len() >= levels * self.cfg.features_per_entry * stride,
             "output matrix too short"
         );
         simd::dispatch(BlockGather {
+            levels: &self.levels[..levels],
             grid: self,
             ps,
             out,
@@ -278,8 +302,10 @@ impl HashGrid {
     }
 
     /// Sums per-level features into the 7 decoder signals (the residual
-    /// scheme: every level stores a residual of the same signals).
-    pub fn reconstruct_signals(&self, p: Vec3, up_to_level: usize) -> [f32; 7] {
+    /// scheme: every level stores a residual of the same signals): the
+    /// per-vertex oracle of the bake's batched reconstruction.
+    #[cfg(test)]
+    pub(crate) fn reconstruct_signals(&self, p: Vec3, up_to_level: usize) -> [f32; 7] {
         let f = self.cfg.features_per_entry;
         let mut buf = vec![0.0; f];
         let mut signals = [0.0_f32; 7];
@@ -343,8 +369,10 @@ impl HashGrid {
     }
 }
 
-/// [`HashGrid::interpolate_block_into`] as a [`Kernel`].
+/// [`HashGrid::interpolate_levels_block_into`] as a [`Kernel`].
 struct BlockGather<'a> {
+    /// The levels gathered, coarse first.
+    levels: &'a [HashLevel],
     grid: &'a HashGrid,
     ps: &'a [Vec3],
     out: &'a mut [f32],
@@ -358,7 +386,7 @@ impl Kernel for BlockGather<'_> {
         let f = grid.cfg.features_per_entry;
         for (ci, chunk) in self.ps.chunks(CHUNK).enumerate() {
             let ns = normalize_chunk(&grid.bounds, chunk);
-            for (li, l) in grid.levels.iter().enumerate() {
+            for (li, l) in self.levels.iter().enumerate() {
                 let rows = &mut self.out[li * f * stride + ci * CHUNK..];
                 let (res, at, len) = (l.resolution as u32, l.addressing(), chunk.len());
                 gather_level::<W, H, Q>(&l.data, f, res, at, &ns, len, rows, stride);
@@ -413,6 +441,7 @@ mod tests {
         simd::run_on(
             backend,
             BlockGather {
+                levels: &g.levels,
                 grid: g,
                 ps,
                 out: &mut out,
