@@ -236,7 +236,7 @@ impl Kernel for BlockGather<'_> {
         for (ci, chunk) in self.ps.chunks(CHUNK).enumerate() {
             let ns = normalize_chunk(&grid.bounds, chunk);
             let (rows, len) = (&mut self.out[ci * CHUNK..], chunk.len());
-            gather_level::<W, H, Q>(&grid.data, ch, res, at, &ns, len, rows, stride);
+            gather_level::<W, H, Q, _>(&grid.data, ch, res, at, &ns, len, rows, stride);
         }
     }
 }

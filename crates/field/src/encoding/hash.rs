@@ -6,12 +6,18 @@
 //! spatial hash — the inherently irregular accesses the paper calls out in
 //! §IV-A ("this reversion happens in, for instance, Instant-NGP from level 5
 //! (out of 8 levels) onwards").
+//!
+//! Rows are stored as IEEE half floats, as Instant-NGP stores its tables:
+//! the width the memory model prices ([`HashConfig::bytes_per_feature`]).
+//! A write rounds each value to the nearest half ([`HashGrid::set_entry`]);
+//! every read widens it back exactly, so the block gather and the
+//! per-sample interpolation see the same f32 values on every backend.
 
 use crate::encoding::{
     cell_fraction, gather_level, normalize_chunk, trilinear_weights, Addressing, CHUNK,
 };
 use crate::plan::{GatherPlan, LevelGather, RegionId};
-use crate::simd::{self, Kernel, Lanes};
+use crate::simd::{self, round_to_half, widen_half, Kernel, Lanes};
 use cicero_math::{Aabb, Vec3};
 
 /// Configuration of the hash encoding.
@@ -27,7 +33,8 @@ pub struct HashConfig {
     pub table_size_log2: u32,
     /// Feature channels per entry.
     pub features_per_entry: usize,
-    /// Storage bytes per feature value (2 = fp16).
+    /// Stored width of a feature value in bytes; only 2 (an IEEE half) is
+    /// accepted, so the width the memory model prices is the one stored.
     pub bytes_per_feature: u32,
 }
 
@@ -53,8 +60,9 @@ pub struct HashLevel {
     pub table_len: usize,
     /// Dense vertex addressing (no hashing)?
     pub dense: bool,
-    /// Feature storage: `data[entry * features + c]`.
-    data: Vec<f32>,
+    /// Feature storage, `data[entry * features + c]`: IEEE half floats,
+    /// as in Instant-NGP, widened to f32 as they are read.
+    pub(crate) data: Vec<u16>,
 }
 
 /// The full multi-resolution encoding.
@@ -103,10 +111,15 @@ impl HashGrid {
     ///
     /// Panics if `levels == 0`, resolutions are non-increasing or above
     /// 2²⁴ cells per axis (the gather's cell split is exact in f32 up to
-    /// there), `features_per_entry < 7`, or a level's table holds more
-    /// than `u32::MAX` feature values (the gather indexes them in `u32`).
+    /// there), `features_per_entry < 7`, a level's table holds more
+    /// than `u32::MAX` feature values (the gather indexes them in `u32`),
+    /// or `bytes_per_feature` is not 2 (rows are stored as halves).
     pub fn new(cfg: HashConfig, bounds: Aabb) -> Self {
         assert!(cfg.levels > 0);
+        assert_eq!(
+            cfg.bytes_per_feature, 2,
+            "hash rows are stored as halves: bytes_per_feature must be 2"
+        );
         assert!(cfg.max_resolution >= cfg.base_resolution);
         assert!(
             cfg.max_resolution <= 1 << 24,
@@ -139,7 +152,7 @@ impl HashGrid {
                     resolution,
                     table_len: len,
                     dense,
-                    data: vec![0.0; len * cfg.features_per_entry],
+                    data: vec![0; len * cfg.features_per_entry],
                 }
             })
             .collect();
@@ -188,18 +201,25 @@ impl HashGrid {
         }
     }
 
-    /// Mutable feature slice of one entry (baking).
-    pub fn entry_mut(&mut self, level: usize, entry: u64) -> &mut [f32] {
+    /// Writes `values` into the first `values.len()` features of one entry
+    /// (baking), each rounded to the nearest half, ties to even.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `values` is longer than `features_per_entry` or the entry
+    /// is outside the level's table.
+    pub fn set_entry(&mut self, level: usize, entry: u64, values: &[f32]) {
         let f = self.cfg.features_per_entry;
+        assert!(
+            values.len() <= f,
+            "{} values for {f} features",
+            values.len()
+        );
         let base = entry as usize * f;
-        &mut self.levels[level].data[base..base + f]
-    }
-
-    /// Feature slice of one entry.
-    pub fn entry(&self, level: usize, entry: u64) -> &[f32] {
-        let f = self.cfg.features_per_entry;
-        let base = entry as usize * f;
-        &self.levels[level].data[base..base + f]
+        let row = &mut self.levels[level].data[base..base + values.len()];
+        for (h, &v) in row.iter_mut().zip(values) {
+            *h = round_to_half(v);
+        }
     }
 
     /// World position of vertex `(x, y, z)` at `level`.
@@ -232,8 +252,8 @@ impl HashGrid {
             let vz = cz + ((corner as u32 >> 2) & 1);
             let e = self.entry_index(level, vx, vy, vz);
             let base = e as usize * f;
-            for (o, v) in out.iter_mut().zip(&l.data[base..base + f]) {
-                *o += weight * v;
+            for (o, &h) in out.iter_mut().zip(&l.data[base..base + f]) {
+                *o += weight * widen_half(h);
             }
         }
     }
@@ -257,7 +277,8 @@ impl HashGrid {
     /// One body on every [`simd`] backend: per chunk of [`CHUNK`] samples
     /// the positions are normalised once, then each level runs
     /// [`gather_level`] — an index pass, then an accumulate pass that loads
-    /// each entry row as one vector. Bit-identical to
+    /// each entry row of halves as one vector, widened by
+    /// [`Lanes::load_half`]. Bit-identical to
     /// [`HashGrid::interpolate_into`] per sample.
     ///
     /// # Panics
@@ -282,11 +303,6 @@ impl HashGrid {
         out: &mut [f32],
         stride: usize,
     ) {
-        assert!(
-            levels <= self.cfg.levels,
-            "{levels} levels of {}",
-            self.cfg.levels
-        );
         assert!(stride >= ps.len(), "stride shorter than the block");
         assert!(
             out.len() >= levels * self.cfg.features_per_entry * stride,
@@ -349,7 +365,8 @@ impl HashGrid {
         }
     }
 
-    /// Total feature storage bytes.
+    /// Total feature storage bytes: the stored tables' size, as
+    /// `bytes_per_feature` is the stored width.
     pub fn storage_bytes(&self) -> u64 {
         self.levels
             .iter()
@@ -389,7 +406,7 @@ impl Kernel for BlockGather<'_> {
             for (li, l) in self.levels.iter().enumerate() {
                 let rows = &mut self.out[li * f * stride + ci * CHUNK..];
                 let (res, at, len) = (l.resolution as u32, l.addressing(), chunk.len());
-                gather_level::<W, H, Q>(&l.data, f, res, at, &ns, len, rows, stride);
+                gather_level::<W, H, Q, _>(&l.data, f, res, at, &ns, len, rows, stride);
             }
         }
     }
@@ -415,8 +432,15 @@ mod tests {
         )
     }
 
+    /// A value a half holds exactly, from `seed`: a multiple of 2⁻¹⁰ in
+    /// [−1, 1).
+    fn exact_half(seed: u64) -> f32 {
+        (seed % 2048) as f32 / 1024.0 - 1.0
+    }
+
     /// A 4-level grid over a 2¹⁰ table (levels 0–1 dense, 2–3 hashed) with
-    /// `features` per entry, every entry filled.
+    /// `features` per entry, every entry filled with values halves hold
+    /// exactly.
     fn filled_grid(features: usize) -> HashGrid {
         let mut g = HashGrid::new(
             HashConfig {
@@ -427,12 +451,18 @@ mod tests {
         );
         for level in 0..4 {
             for e in 0..g.levels()[level].table_len as u64 {
-                for (c, v) in g.entry_mut(level, e).iter_mut().enumerate() {
-                    *v = ((e * 13 + c as u64 + level as u64 * 5) as f32 * 0.173).sin();
-                }
+                let row: Vec<f32> = (0..features as u64)
+                    .map(|c| exact_half(e * 13 + c * 331 + level as u64 * 5))
+                    .collect();
+                g.set_entry(level, e, &row);
             }
         }
         g
+    }
+
+    /// Feature `c` of entry `e` of `level`, widened.
+    fn stored(g: &HashGrid, level: usize, e: u64, c: usize) -> f32 {
+        widen_half(g.levels()[level].data[e as usize * g.cfg.features_per_entry + c])
     }
 
     /// The block gather on one named backend, over a NaN-filled matrix.
@@ -586,17 +616,54 @@ mod tests {
     fn vertex_write_read_roundtrip() {
         let mut g = grid();
         let e = g.entry_index(1, 2, 2, 2);
-        g.entry_mut(1, e)
-            .copy_from_slice(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]);
-        assert_eq!(g.entry(1, e)[2], 3.0);
+        g.set_entry(1, e, &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]);
+        assert_eq!(stored(&g, 1, e, 2), 3.0);
+        // A value between two halves is stored as the nearer one.
+        g.set_entry(1, e, &[1.0 + 1.0 / 4096.0]);
+        assert_eq!(stored(&g, 1, e, 0), 1.0);
+        assert_eq!(
+            stored(&g, 1, e, 1),
+            2.0,
+            "only the values given are written"
+        );
+    }
+
+    #[test]
+    fn storage_matches_pricing() {
+        // What the memory model prices is what is stored: 36.7 MB of
+        // halves on the default configuration, half the f32 tables.
+        let g = HashGrid::new(HashConfig::default(), Aabb::centered_cube(1.0));
+        let stored: usize = g
+            .levels()
+            .iter()
+            .map(|l| std::mem::size_of_val(l.data.as_slice()))
+            .sum();
+        assert_eq!(g.storage_bytes(), stored as u64);
+        let level_sum: u64 = (0..g.levels().len()).map(|l| g.level_bytes(l)).sum();
+        assert_eq!(level_sum, stored as u64);
+        assert!(
+            (36.6e6..36.8e6).contains(&(stored as f64)),
+            "{stored} bytes"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "stored as halves")]
+    fn other_feature_widths_are_rejected() {
+        HashGrid::new(
+            HashConfig {
+                bytes_per_feature: 4,
+                ..Default::default()
+            },
+            Aabb::centered_cube(1.0),
+        );
     }
 
     #[test]
     fn interpolation_at_vertex_recovers_entry() {
         let mut g = grid();
         let e = g.entry_index(0, 2, 2, 2);
-        g.entry_mut(0, e)
-            .copy_from_slice(&[9.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]);
+        g.set_entry(0, e, &[9.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]);
         let p = g.vertex_position(0, 2, 2, 2);
         let mut out = vec![0.0; 7];
         g.interpolate_level_into(0, p, &mut out);
@@ -612,7 +679,7 @@ mod tests {
         // Write constant 1.0 into signal 0 of every entry of levels 0 and 1.
         for level in 0..2 {
             for e in 0..g.levels()[level].table_len as u64 {
-                g.entry_mut(level, e)[0] = 1.0;
+                g.set_entry(level, e, &[1.0]);
             }
         }
         let s = g.reconstruct_signals(p, 2);
@@ -626,10 +693,8 @@ mod tests {
         let mut g = grid();
         for level in 0..4 {
             for e in 0..g.levels()[level].table_len as u64 {
-                for c in 0..7 {
-                    g.entry_mut(level, e)[c] =
-                        ((e as f32 + level as f32 * 13.0 + c as f32) * 0.271).sin();
-                }
+                let row = (0..7).map(|c| exact_half(e * 7 + level as u64 * 13 + c * 331));
+                g.set_entry(level, e, &row.collect::<Vec<_>>());
             }
         }
         let ps: Vec<Vec3> = (0..11)

@@ -184,11 +184,34 @@ impl IndexPass {
     }
 }
 
+/// An element of a feature table a block gather reads: `f32` (the grid)
+/// or an IEEE half as `u16` (the hash levels), widened exactly as it is
+/// loaded.
+pub(crate) trait Stored: Copy {
+    /// `V::N` consecutive values from `row`, as f32 lanes.
+    fn load<V: Lanes>(row: &[Self]) -> V;
+}
+
+impl Stored for f32 {
+    #[inline(always)]
+    fn load<V: Lanes>(row: &[f32]) -> V {
+        V::load(row)
+    }
+}
+
+impl Stored for u16 {
+    #[inline(always)]
+    fn load<V: Lanes>(row: &[u16]) -> V {
+        V::load_half(row)
+    }
+}
+
 /// One trilinear level of a block gather over the first `len` samples of
 /// a chunk of normalised positions `ns`: feature `c` of sample `s` goes to
 /// `rows[c * stride + s]`.
 ///
-/// `data` holds `width` features per entry, entry-major, over a grid of
+/// `data` holds `width` features per entry, entry-major, stored as `T`
+/// ([`Stored`]), over a grid of
 /// `cells` cells per axis, addressed by `at`. The [`IndexPass`] runs across
 /// the chunk's samples; the accumulate pass then loads entry rows, per
 /// lane group of features and sample. Per sample this is the per-sample
@@ -197,8 +220,8 @@ impl IndexPass {
 /// skipped — so it is bit-identical to it on every [`Lanes`] backend.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
-pub(crate) fn gather_level<W: Lanes, H: Lanes, Q: Lanes>(
-    data: &[f32],
+pub(crate) fn gather_level<W: Lanes, H: Lanes, Q: Lanes, T: Stored>(
+    data: &[T],
     width: usize,
     cells: u32,
     at: Addressing,
@@ -219,31 +242,31 @@ pub(crate) fn gather_level<W: Lanes, H: Lanes, Q: Lanes>(
     let mut tile = [[0.0f32; MAX_LANES]; CHUNK];
     let mut c = 0;
     while c + W::N <= width {
-        accumulate::<W>(data, &pass, len, c, &mut tile, rows, stride);
+        accumulate::<W, T>(data, &pass, len, c, &mut tile, rows, stride);
         c += W::N;
     }
     if c + H::N <= width {
-        accumulate::<H>(data, &pass, len, c, &mut tile, rows, stride);
+        accumulate::<H, T>(data, &pass, len, c, &mut tile, rows, stride);
         c += H::N;
     }
     if c + Q::N <= width {
-        accumulate::<Q>(data, &pass, len, c, &mut tile, rows, stride);
+        accumulate::<Q, T>(data, &pass, len, c, &mut tile, rows, stride);
         c += Q::N;
     }
     while c < width {
-        accumulate::<[f32; 1]>(data, &pass, len, c, &mut tile, rows, stride);
+        accumulate::<[f32; 1], T>(data, &pass, len, c, &mut tile, rows, stride);
         c += 1;
     }
 }
 
 /// Features `c..c + V::N` of the first `len` samples of a chunk: per
-/// sample the weighted sum of its 8 entry rows, one vector load per live
-/// corner, staged in `tile`; then each of the `V::N` feature rows is
+/// sample the weighted sum of its 8 entry rows, one vector load (and
+/// widening, for halves) per live corner, staged in `tile`; then each of the `V::N` feature rows is
 /// written contiguously.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
-fn accumulate<V: Lanes>(
-    data: &[f32],
+fn accumulate<V: Lanes, T: Stored>(
+    data: &[T],
     pass: &IndexPass,
     len: usize,
     c: usize,
@@ -258,7 +281,7 @@ fn accumulate<V: Lanes>(
             let weight = weights[s];
             if weight != 0.0 {
                 let row = &data[offsets[s] as usize + c..];
-                acc = acc.add_mul(V::splat(weight), V::load(row));
+                acc = acc.add_mul(V::splat(weight), T::load::<V>(row));
             }
         }
         acc.store(lanes);
@@ -607,7 +630,7 @@ mod tests {
         data[0] = 3.0;
         let mut rows = [f32::NAN];
         let (at, ns) = (Addressing::Dense { n: 3 }, [[0.0; CHUNK]; 3]);
-        gather_level::<[f32; 8], [f32; 4], [f32; 4]>(&data, 1, 2, at, &ns, 1, &mut rows, 1);
+        gather_level::<[f32; 8], [f32; 4], [f32; 4], f32>(&data, 1, 2, at, &ns, 1, &mut rows, 1);
         assert_eq!(rows, [3.0]);
     }
 

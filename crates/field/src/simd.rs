@@ -18,12 +18,16 @@
 //! The integer work after it (the gathers' corner offsets: strides or hash
 //! primes, `+` or `^`, the table mask, the row width) is plain `u32` code
 //! in a loop across a chunk's samples, written once and vectorised by the
-//! compiler inside each trampoline.
+//! compiler inside each trampoline. The one load of something other than
+//! f32 is [`Lanes::load_half`]: the hash tables store their rows as IEEE
+//! half floats, and it widens a row exactly as it loads it (`vcvtph2ps`
+//! on the AVX and AVX-512 instances, `widen_half` per lane elsewhere),
+//! so every backend still sees the same f32 values.
 //!
 //! | backend | `W` (widest) | `H` (half) | `Q` (4 lanes) | selected when |
 //! |---|---|---|---|---|
-//! | `avx512` | one `__m512` | one `__m256` | one `__m128` | x86_64, CPU reports AVX-512F |
-//! | `avx` | one `__m256` | one `__m128` | one `__m128` | x86_64, CPU reports AVX |
+//! | `avx512` | one `__m512` | one `__m256` | one `__m128` | x86_64, CPU reports AVX-512F and F16C |
+//! | `avx` | one `__m256` | one `__m128` | one `__m128` | x86_64, CPU reports AVX and F16C |
 //! | `sse2` | two `__m128` | one `__m128` | one `__m128` | x86_64 |
 //! | `portable` | `[f32; 8]` | `[f32; 4]` | `[f32; 4]` | capped, or another target |
 //!
@@ -76,8 +80,9 @@
 //! [`dispatch`] runs a [`Kernel`] on the widest one the host supports, and
 //! [`backend`] names it. One process-wide cap narrows that, and
 //! [`set_backend_cap`] is the only way to move it, so one binary can compare
-//! the instances (`tests/frame_matrix.rs`, `tests/zero_alloc.rs` and the
-//! `kernels` bench do); [`Backend::WIDEST`] is the cap that caps nothing.
+//! the instances (`tests/frame_matrix.rs`, `tests/zero_alloc.rs` and
+//! `tests/swarm_matrix.rs` do); [`Backend::WIDEST`] is the cap that caps
+//! nothing.
 //! The cap is not part of any configuration and no environment variable
 //! reads it: the output does not depend on it. Off x86_64 everything runs
 //! the portable instance.
@@ -159,7 +164,7 @@ impl Backend {
 
     /// Can this process run the backend? Needs x86_64 for anything but
     /// [`Backend::Portable`], and the CPU's say-so for [`Backend::Avx`] and
-    /// [`Backend::Avx512`].
+    /// [`Backend::Avx512`] (each with F16C).
     pub fn supported(self) -> bool {
         self <= host_widest()
     }
@@ -200,12 +205,15 @@ fn init_widest() -> Backend {
 }
 
 /// The widest backend this process can run: compiled in, and for AVX and
-/// AVX-512 reported by the CPU (`is_x86_feature_detected!` caches its
+/// AVX-512 reported by the CPU together with F16C, whose `vcvtph2ps` both
+/// use for [`Lanes::load_half`] (`is_x86_feature_detected!` caches its
 /// answer).
 fn host_widest() -> Backend {
     #[cfg(target_arch = "x86_64")]
     {
-        if std::arch::is_x86_feature_detected!("avx512f") {
+        if !std::arch::is_x86_feature_detected!("f16c") {
+            Backend::Sse2
+        } else if std::arch::is_x86_feature_detected!("avx512f") {
             Backend::Avx512
         } else if std::arch::is_x86_feature_detected!("avx") {
             Backend::Avx
@@ -219,8 +227,8 @@ fn host_widest() -> Backend {
 
 /// Caps the backend [`dispatch`] selects (uncapped until the first call);
 /// the host's widest still applies, so [`Backend::WIDEST`] means "no cap"
-/// and [`Backend::Portable`] is what "scalar" means. Only the determinism tests
-/// and the `kernels` bench have a reason to call it.
+/// and [`Backend::Portable`] is what "scalar" means. Only the determinism
+/// tests have a reason to call it.
 pub fn set_backend_cap(cap: Backend) {
     WIDEST.store(host_widest().min(cap).code(), Ordering::Relaxed);
 }
@@ -237,6 +245,11 @@ pub trait Lanes: Copy {
     fn splat(v: f32) -> Self;
     /// Load lanes from `src[0..N]`. Panics if `src` is shorter than `N`.
     fn load(src: &[f32]) -> Self;
+    /// Load lanes from the IEEE half floats `src[0..N]`, each widened by
+    /// `widen_half`: exactly (every half is an f32), a NaN made quiet
+    /// with its payload kept, as `vcvtph2ps` widens. Panics if `src` is
+    /// shorter than `N`.
+    fn load_half(src: &[u16]) -> Self;
     /// Store lanes to `dst[0..N]`. Panics if `dst` is shorter than `N`.
     fn store(self, dst: &mut [f32]);
     /// Lane-wise `self + o`, rounded once.
@@ -283,6 +296,18 @@ impl<const N: usize> Lanes for [f32; N] {
     fn load(src: &[f32]) -> Self {
         let mut lanes = [0.0f32; N];
         lanes.copy_from_slice(&src[..N]);
+        lanes
+    }
+
+    #[inline(always)]
+    fn load_half(src: &[u16]) -> Self {
+        let src = &src[..N];
+        let mut lanes = [0.0f32; N];
+        let mut i = 0;
+        while i < N {
+            lanes[i] = widen_half(src[i]);
+            i += 1;
+        }
         lanes
     }
 
@@ -363,6 +388,67 @@ impl<const N: usize> Lanes for [f32; N] {
     }
 }
 
+/// The IEEE half `h` as the f32 of the same value, exactly: the scalar
+/// widening every [`Lanes::load_half`] equals. A NaN comes out quiet, its
+/// 10 payload bits shifted to the top of the f32's and the quiet bit set,
+/// as `vcvtph2ps` widens one. Written with selects, not table lookups, so
+/// a loop of it vectorises.
+#[inline(always)]
+pub(crate) fn widen_half(h: u16) -> f32 {
+    let h = u32::from(h);
+    // Exponent and mantissa at the f32's place, rebiased from 15 to 127.
+    let magnitude = (h & 0x7fff) << 13;
+    let exponent = magnitude & 0x0f80_0000;
+    let rebiased = magnitude + ((127 - 15) << 23);
+    let bits = if exponent == 0x0f80_0000 {
+        // ∞ or NaN: the all-ones exponent, a NaN quieted.
+        let quiet = if magnitude & 0x007f_e000 != 0 {
+            0x0040_0000
+        } else {
+            0
+        };
+        (rebiased + ((128 - 16) << 23)) | quiet
+    } else if exponent == 0 {
+        // Zero or subnormal, m · 2⁻²⁴: 2⁻¹⁴ · (1 + m · 2⁻¹⁰) − 2⁻¹⁴, an
+        // exact difference of two normal f32s.
+        (f32::from_bits(rebiased + (1 << 23)) - f32::from_bits(113 << 23)).to_bits()
+    } else {
+        rebiased
+    };
+    f32::from_bits(bits | (h & 0x8000) << 16)
+}
+
+/// `v` rounded to the nearest IEEE half, ties to even, as `vcvtps2ph` with
+/// rounding mode 0 gives it: magnitudes from 65 520 (the tie between the
+/// largest finite half, 65 504, and 2¹⁶) up go to ∞, those up to 2⁻²⁵ (the
+/// tie with zero included) to a signed zero, and a NaN stays a quiet NaN
+/// with the top 9 bits of its payload.
+pub(crate) fn round_to_half(v: f32) -> u16 {
+    let bits = v.to_bits();
+    let sign = (bits >> 16) as u16 & 0x8000;
+    let abs = bits & 0x7fff_ffff;
+    let magnitude = if abs > 0x7f80_0000 {
+        0x7e00 | (abs >> 13) as u16 & 0x3ff
+    } else if abs >= 0x477f_f000 {
+        0x7c00
+    } else if abs >= 0x3880_0000 {
+        // Normal: rebias, then round off the low 13 mantissa bits; a carry
+        // out of the mantissa steps the exponent, as it should.
+        let rebiased = abs - ((127 - 15) << 23);
+        ((rebiased + 0x0fff + (rebiased >> 13 & 1)) >> 13) as u16
+    } else if abs > 0x3300_0000 {
+        // Subnormal: the multiple of 2⁻²⁴ nearest m · 2^(e − 150), ties to
+        // even (a round-up to 2¹⁰ · 2⁻²⁴ is the smallest normal's bits).
+        let shift = 126 - (abs >> 23);
+        let m = abs & 0x007f_ffff | 0x0080_0000;
+        let (q, rem, tie) = (m >> shift, m & ((1 << shift) - 1), 1 << (shift - 1));
+        (q + u32::from(rem > tie || rem == tie && q & 1 == 1)) as u16
+    } else {
+        0
+    };
+    sign | magnitude
+}
+
 /// The clamp bound and the last cell of `cell_fraction` on `cells` cells,
 /// the scalar values the x86 backends splat: `cells - 1e-4` (the clamp's
 /// upper bound) and `cells - 1` (exact for `cells <= 1 << 24`).
@@ -409,10 +495,11 @@ pub fn run_on<K: Kernel>(backend: Backend, kernel: K) {
     assert!(backend.supported(), "{backend:?} cannot run on this host");
     match backend {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: `supported` just confirmed the CPU reports AVX-512F.
+        // SAFETY: `supported` just confirmed the CPU reports AVX-512F and
+        // F16C.
         Backend::Avx512 => unsafe { backend::run_avx512(kernel) },
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: `supported` just confirmed the CPU reports AVX.
+        // SAFETY: `supported` just confirmed the CPU reports AVX and F16C.
         Backend::Avx => unsafe { backend::run_avx(kernel) },
         #[cfg(target_arch = "x86_64")]
         Backend::Sse2 => kernel.run::<backend::F32x8, backend::F32x4, backend::F32x4>(),
@@ -425,14 +512,15 @@ pub fn run_on<K: Kernel>(backend: Backend, kernel: K) {
 mod backend {
     use super::{cell_bounds, Kernel, Lanes};
     use std::arch::x86_64::{
-        __m128, __m256, __m512, _mm256_add_ps, _mm256_cvtepi32_ps, _mm256_cvttps_epi32,
-        _mm256_div_ps, _mm256_loadu_ps, _mm256_max_ps, _mm256_min_ps, _mm256_mul_ps,
-        _mm256_set1_ps, _mm256_setzero_ps, _mm256_storeu_ps, _mm256_storeu_si256, _mm256_sub_ps,
-        _mm512_add_ps, _mm512_cvtepi32_ps, _mm512_cvttps_epi32, _mm512_div_ps, _mm512_loadu_ps,
-        _mm512_max_ps, _mm512_min_ps, _mm512_mul_ps, _mm512_set1_ps, _mm512_setzero_ps,
-        _mm512_storeu_ps, _mm512_storeu_si512, _mm512_sub_ps, _mm_add_ps, _mm_cvtepi32_ps,
-        _mm_cvttps_epi32, _mm_div_ps, _mm_loadu_ps, _mm_max_ps, _mm_min_ps, _mm_mul_ps,
-        _mm_set1_ps, _mm_setzero_ps, _mm_storeu_ps, _mm_storeu_si128, _mm_sub_ps,
+        __m128, __m256, __m512, _mm256_add_ps, _mm256_cvtepi32_ps, _mm256_cvtph_ps,
+        _mm256_cvttps_epi32, _mm256_div_ps, _mm256_loadu_ps, _mm256_loadu_si256, _mm256_max_ps,
+        _mm256_min_ps, _mm256_mul_ps, _mm256_set1_ps, _mm256_setzero_ps, _mm256_storeu_ps,
+        _mm256_storeu_si256, _mm256_sub_ps, _mm512_add_ps, _mm512_cvtepi32_ps, _mm512_cvtph_ps,
+        _mm512_cvttps_epi32, _mm512_div_ps, _mm512_loadu_ps, _mm512_max_ps, _mm512_min_ps,
+        _mm512_mul_ps, _mm512_set1_ps, _mm512_setzero_ps, _mm512_storeu_ps, _mm512_storeu_si512,
+        _mm512_sub_ps, _mm_add_ps, _mm_cvtepi32_ps, _mm_cvttps_epi32, _mm_div_ps, _mm_loadu_ps,
+        _mm_loadu_si128, _mm_max_ps, _mm_min_ps, _mm_mul_ps, _mm_set1_ps, _mm_setzero_ps,
+        _mm_storeu_ps, _mm_storeu_si128, _mm_sub_ps,
     };
 
     /// 4 f32 lanes in one SSE2 register: the `Q` of every x86 instance, the
@@ -460,6 +548,13 @@ mod backend {
             // SAFETY: the assert guarantees 4 readable f32s at `src`;
             // loadu has no alignment requirement.
             Self(unsafe { _mm_loadu_ps(src.as_ptr()) })
+        }
+
+        /// The scalar widening per lane: F16C is not part of the SSE2
+        /// baseline this type also runs on.
+        #[inline(always)]
+        fn load_half(src: &[u16]) -> Self {
+            Self::load(&<[f32; 4]>::load_half(src))
         }
 
         #[inline(always)]
@@ -548,6 +643,11 @@ mod backend {
         }
 
         #[inline(always)]
+        fn load_half(src: &[u16]) -> Self {
+            Self(F32x4::load_half(src), F32x4::load_half(&src[4..]))
+        }
+
+        #[inline(always)]
         fn store(self, dst: &mut [f32]) {
             self.0.store(dst);
             self.1.store(&mut dst[4..]);
@@ -603,8 +703,8 @@ mod backend {
     ///
     /// SAFETY note shared by every intrinsic call below: each runs inlined
     /// into [`run_avx`] or [`run_avx512`], which [`super::run_on`] enters
-    /// only after the CPU reported AVX or AVX-512F (which implies AVX); the
-    /// register-only intrinsics touch no memory.
+    /// only after the CPU reported AVX and F16C, or AVX-512F (which implies
+    /// AVX) and F16C; the register-only intrinsics touch no memory.
     /// `vaddps` / `vsubps` / `vmulps` / `vdivps` / `vmaxps` on a `ymm`
     /// register are the `xmm` ops on eight lanes instead of four: per lane
     /// the same IEEE-754 result, and a separate `mul` and `add` are never
@@ -627,6 +727,17 @@ mod backend {
             // SAFETY: AVX detected (see type docs); the assert guarantees
             // 8 readable f32s at `src`, and loadu needs no alignment.
             Self(unsafe { _mm256_loadu_ps(src.as_ptr()) })
+        }
+
+        /// `vcvtph2ps` on a `ymm` register: F16C, which both trampolines
+        /// enable and [`super::host_widest`] requires of either backend.
+        #[inline(always)]
+        fn load_half(src: &[u16]) -> Self {
+            assert!(src.len() >= 8, "F32x8Avx::load_half needs 8 elements");
+            // SAFETY: AVX and F16C detected (see type docs); the assert
+            // guarantees 8 readable u16s (16 bytes) at `src`, and loadu
+            // needs no alignment.
+            Self(unsafe { _mm256_cvtph_ps(_mm_loadu_si128(src.as_ptr().cast())) })
         }
 
         #[inline(always)]
@@ -729,6 +840,16 @@ mod backend {
             Self(unsafe { _mm512_loadu_ps(src.as_ptr()) })
         }
 
+        /// `vcvtph2ps` on a `zmm` register (AVX-512F).
+        #[inline(always)]
+        fn load_half(src: &[u16]) -> Self {
+            assert!(src.len() >= 16, "F32x16::load_half needs 16 elements");
+            // SAFETY: AVX-512F detected (see type docs); the assert
+            // guarantees 16 readable u16s (32 bytes) at `src`, and loadu
+            // needs no alignment.
+            Self(unsafe { _mm512_cvtph_ps(_mm256_loadu_si256(src.as_ptr().cast())) })
+        }
+
         #[inline(always)]
         fn store(self, dst: &mut [f32]) {
             assert!(dst.len() >= 16, "F32x16::store needs 16 elements");
@@ -798,20 +919,22 @@ mod backend {
     }
 
     /// The AVX instance of a [`Kernel`]: `#[inline(always)]` bodies inlined
-    /// here are compiled with 256-bit registers available.
+    /// here are compiled with 256-bit registers and F16C's `vcvtph2ps`
+    /// available.
     ///
-    /// Callers must have checked that the CPU reports AVX.
-    #[target_feature(enable = "avx")]
+    /// Callers must have checked that the CPU reports AVX and F16C.
+    #[target_feature(enable = "avx,f16c")]
     pub fn run_avx<K: Kernel>(kernel: K) {
         kernel.run::<F32x8Avx, F32x4, F32x4>()
     }
 
     /// The AVX-512 instance of a [`Kernel`]: `#[inline(always)]` bodies
     /// inlined here are compiled with 512-bit registers available (and, as
-    /// `avx512f` implies them, AVX for the 8-lane `H`).
+    /// `avx512f` implies them, AVX for the 8-lane `H`), and F16C for its
+    /// `vcvtph2ps`.
     ///
-    /// Callers must have checked that the CPU reports AVX-512F.
-    #[target_feature(enable = "avx512f")]
+    /// Callers must have checked that the CPU reports AVX-512F and F16C.
+    #[target_feature(enable = "avx512f,f16c")]
     pub fn run_avx512<K: Kernel>(kernel: K) {
         kernel.run::<F32x16, F32x8Avx, F32x4>()
     }
@@ -1065,6 +1188,139 @@ mod tests {
     #[test]
     fn load_store_round_trip() {
         on_every_backend(OnEachVector(LoadStore));
+    }
+
+    #[derive(Clone, Copy)]
+    struct WidenEveryHalf;
+
+    impl PerVector for WidenEveryHalf {
+        #[inline(always)]
+        fn check<V: Lanes>(self) {
+            let halves: Vec<u16> = (0..=u16::MAX).collect();
+            let mut got = [0.0f32; MAX_LANES];
+            for at in (0..halves.len()).step_by(V::N) {
+                V::load_half(&halves[at..]).store(&mut got);
+                for (lane, &h) in halves[at..at + V::N].iter().enumerate() {
+                    assert_eq!(
+                        got[lane].to_bits(),
+                        widen_half(h).to_bits(),
+                        "half {h:#06x} on {} lanes",
+                        V::N
+                    );
+                }
+            }
+        }
+    }
+
+    /// Every half, NaNs included, through `load_half` on every backend's
+    /// `W`, `H`, `Q` and `[f32; 1]`: the bits of the scalar widening
+    /// (`vcvtph2ps` on the AVX and AVX-512 instances).
+    #[test]
+    fn load_half_widens_every_half_as_the_scalar() {
+        on_every_backend(OnEachVector(WidenEveryHalf));
+    }
+
+    /// The scalar widening against the value a half's fields spell:
+    /// `(−1)^s · m · 2⁻²⁴` subnormal, `(−1)^s · (2¹⁰ + m) · 2^(e − 25)`
+    /// normal, ±∞, and a NaN with its payload on top and the quiet bit set.
+    #[test]
+    fn widen_half_is_exact() {
+        for h in 0..=u16::MAX {
+            let (sign, e, m) = (h >> 15, i32::from(h >> 10 & 0x1f), u32::from(h & 0x3ff));
+            let got = widen_half(h);
+            assert_eq!(got.is_sign_negative(), sign == 1, "{h:#06x}");
+            if e == 31 && m != 0 {
+                let want = 0x7fc0_0000 | m << 13 | u32::from(sign) << 31;
+                assert_eq!(got.to_bits(), want, "NaN {h:#06x}");
+                continue;
+            }
+            let magnitude = match e {
+                0 => f64::from(m) * 2f64.powi(-24),
+                31 => f64::INFINITY,
+                _ => f64::from(1024 + m) * 2f64.powi(e - 25),
+            };
+            assert_eq!(f64::from(got).abs(), magnitude, "{h:#06x}");
+        }
+    }
+
+    /// `round_to_half` against every half: each one round-trips, and between
+    /// two neighbours the midpoint goes to the even one (ties to even, the
+    /// subnormals and the step to the smallest normal included) while one
+    /// f32 ulp off it goes to the nearer. Then the named edges.
+    #[test]
+    fn round_to_half_is_nearest_ties_to_even() {
+        for h in 0..=u16::MAX {
+            if h & 0x7c00 != 0x7c00 || h & 0x3ff == 0 {
+                assert_eq!(round_to_half(widen_half(h)), h, "{h:#06x} round trip");
+            }
+        }
+        for sign in [0u16, 0x8000] {
+            for h in 0..0x7bff_u16 {
+                let (lo, hi) = (sign | h, sign | (h + 1));
+                let (a, b) = (f64::from(widen_half(lo)), f64::from(widen_half(hi)));
+                // Two neighbouring halves' midpoint needs 12 significant
+                // bits: exact in f32.
+                let mid = ((a + b) / 2.0) as f32;
+                assert_eq!(f64::from(mid), (a + b) / 2.0);
+                let even = if h & 1 == 0 { lo } else { hi };
+                assert_eq!(
+                    round_to_half(mid),
+                    even,
+                    "tie between {lo:#06x} and {hi:#06x}"
+                );
+                let (toward_lo, toward_hi) = if sign == 0 {
+                    (mid.next_down(), mid.next_up())
+                } else {
+                    (mid.next_up(), mid.next_down())
+                };
+                assert_eq!(round_to_half(toward_lo), lo, "just past {lo:#06x}");
+                assert_eq!(round_to_half(toward_hi), hi, "just short of {hi:#06x}");
+            }
+        }
+        let named: [(f32, u16); 14] = [
+            (65504.0, 0x7bff),
+            (65520.0f32.next_down(), 0x7bff),
+            (65520.0, 0x7c00),
+            (-65520.0, 0xfc00),
+            (f32::MAX, 0x7c00),
+            (f32::INFINITY, 0x7c00),
+            (f32::NEG_INFINITY, 0xfc00),
+            (2f32.powi(-24), 0x0001),
+            (2f32.powi(-25), 0x0000),
+            (2f32.powi(-25).next_up(), 0x0001),
+            (-2f32.powi(-25), 0x8000),
+            (3.0 * 2f32.powi(-25), 0x0002),
+            (2f32.powi(-14), 0x0400),
+            (f32::MIN_POSITIVE, 0x0000),
+        ];
+        for (v, want) in named {
+            assert_eq!(round_to_half(v), want, "{v:e}");
+        }
+        assert_eq!(round_to_half(f32::NAN) & 0x7e00, 0x7e00, "a quiet NaN");
+        assert_eq!(round_to_half(-f32::NAN), 0x8000 | round_to_half(f32::NAN));
+    }
+
+    /// `round_to_half` against F16C's `vcvtps2ph` (round to nearest even)
+    /// on every 4099th f32 bit pattern, NaNs and both signs included,
+    /// where the CPU has it.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn round_to_half_is_vcvtps2ph() {
+        use std::arch::x86_64::{_mm_cvtps_ph, _mm_cvtsi128_si32, _mm_set1_ps};
+        #[target_feature(enable = "f16c")]
+        fn hardware(v: f32) -> u16 {
+            _mm_cvtsi128_si32(_mm_cvtps_ph::<0>(_mm_set1_ps(v))) as u16
+        }
+        if !std::arch::is_x86_feature_detected!("f16c") {
+            println!("skipping: the CPU does not report F16C");
+            return;
+        }
+        for bits in (0..=u32::MAX).step_by(4099) {
+            let v = f32::from_bits(bits);
+            // SAFETY: F16C was just detected.
+            let want = unsafe { hardware(v) };
+            assert_eq!(round_to_half(v), want, "{bits:#010x}");
+        }
     }
 
     #[test]

@@ -119,12 +119,15 @@ pub struct TrafficSession {
     pub scene: String,
     /// QoS class.
     pub qos: QosClass,
-    /// Arrival (submission) instant, simulated seconds.
+    /// Arrival (submission) instant, simulated seconds; a parsed profile's
+    /// is finite and not negative.
     pub start_s: f64,
     /// Frames the client wants served (for streaming sessions: poses the
-    /// client will push).
+    /// client will push); a parsed profile's is at most
+    /// [`MAX_SESSION_FRAMES`].
     pub frames: u32,
-    /// Client frame rate.
+    /// Client frame rate; a parsed profile's is finite and at least
+    /// [`MIN_SESSION_FPS`].
     pub fps: f32,
     /// Whether the client streams poses one at a time (closed-loop) instead
     /// of submitting a whole trajectory.
@@ -221,7 +224,9 @@ impl TrafficProfile {
     /// # Errors
     ///
     /// [`TrafficError::Parse`] with the offending line on any malformed
-    /// header, unknown version, missing field or unparsable value.
+    /// header, unknown version, missing field or unparsable value, and on
+    /// a session's `frames` above [`MAX_SESSION_FRAMES`], `fps` not finite
+    /// or below [`MIN_SESSION_FPS`], or `start_s` not finite or negative.
     pub fn parse(text: &str) -> Result<TrafficProfile, TrafficError> {
         let err = |line: usize, msg: &str| TrafficError::Parse {
             line,
@@ -303,6 +308,15 @@ fn sanitize(name: &str) -> String {
         .collect()
 }
 
+/// The most frames one session line may ask for: 2¹⁶, over half an hour
+/// at 30 fps. A session's trajectory is generated pose by pose from this
+/// number, so an untrusted profile must not be able to size it at will.
+pub const MAX_SESSION_FRAMES: u32 = 1 << 16;
+
+/// The lowest client frame rate a session line may state, in frames per
+/// second: a frame interval of at most a second.
+pub const MIN_SESSION_FPS: f32 = 1.0;
+
 fn parse_session(line: usize, body: &str) -> Result<TrafficSession, TrafficError> {
     let err = |msg: String| TrafficError::Parse { line, msg };
     let mut name = None;
@@ -328,25 +342,35 @@ fn parse_session(line: usize, body: &str) -> Result<TrafficSession, TrafficError
                 )
             }
             "start_s" => {
-                start_s = Some(
-                    value
-                        .parse::<f64>()
-                        .map_err(|_| err(format!("start_s {value:?} is not a float")))?,
-                )
+                let v = value
+                    .parse::<f64>()
+                    .map_err(|_| err(format!("start_s {value:?} is not a float")))?;
+                if !(v.is_finite() && v >= 0.0) {
+                    return Err(err(format!("start_s {value:?} is not finite and >= 0")));
+                }
+                start_s = Some(v)
             }
             "frames" => {
-                frames = Some(
-                    value
-                        .parse::<u32>()
-                        .map_err(|_| err(format!("frames {value:?} is not a u32")))?,
-                )
+                let v = value
+                    .parse::<u32>()
+                    .map_err(|_| err(format!("frames {value:?} is not a u32")))?;
+                if v > MAX_SESSION_FRAMES {
+                    return Err(err(format!(
+                        "frames {v} is above the cap of {MAX_SESSION_FRAMES}"
+                    )));
+                }
+                frames = Some(v)
             }
             "fps" => {
-                fps = Some(
-                    value
-                        .parse::<f32>()
-                        .map_err(|_| err(format!("fps {value:?} is not a float")))?,
-                )
+                let v = value
+                    .parse::<f32>()
+                    .map_err(|_| err(format!("fps {value:?} is not a float")))?;
+                if !(v.is_finite() && v >= MIN_SESSION_FPS) {
+                    return Err(err(format!(
+                        "fps {value:?} is not finite and >= {MIN_SESSION_FPS}"
+                    )));
+                }
+                fps = Some(v)
             }
             "streaming" => {
                 streaming = Some(
@@ -1181,6 +1205,53 @@ mod tests {
             TrafficProfile::parse(&huge),
             Err(TrafficError::Parse { .. })
         ));
+    }
+
+    /// A one-session profile whose session line has `field` set to `value`.
+    fn with_field(field: &str, value: &str) -> String {
+        let line = "session name=a scene=lego qos=standard start_s=0.0 frames=1 fps=30.0 streaming=false path=orbit path_seed=0"
+        .split_whitespace()
+        .map(|kv| match kv.split_once('=') {
+            Some((k, _)) if k == field => format!("{k}={value}"),
+            _ => kv.to_string(),
+        })
+        .collect::<Vec<_>>()
+        .join(" ");
+        format!("cicero-traffic-profile v1\nseed 1\nduration_s 1.0\nsessions 1\n{line}\n")
+    }
+
+    /// `value` for `field` is a parse error at the session's line, and
+    /// `ok` for it parses.
+    fn rejects(field: &str, value: &str, ok: &str) {
+        let parsed = TrafficProfile::parse(&with_field(field, value));
+        assert!(
+            matches!(parsed, Err(TrafficError::Parse { line: 5, .. })),
+            "{field}={value}: {parsed:?}"
+        );
+        assert!(
+            TrafficProfile::parse(&with_field(field, ok)).is_ok(),
+            "{field}={ok}"
+        );
+    }
+
+    #[test]
+    fn parse_caps_frames() {
+        rejects("frames", &(MAX_SESSION_FRAMES + 1).to_string(), "65536");
+        rejects("frames", "4294967295", "0");
+    }
+
+    #[test]
+    fn parse_requires_a_finite_frame_rate() {
+        for bad in ["1e-30", "0.5", "0", "-30", "NaN", "inf", "1e309"] {
+            rejects("fps", bad, "1.0");
+        }
+    }
+
+    #[test]
+    fn parse_requires_a_finite_non_negative_start() {
+        for bad in ["-0.25", "-1e-300", "NaN", "inf", "-inf", "1e309"] {
+            rejects("start_s", bad, "0.0");
+        }
     }
 
     #[test]

@@ -325,9 +325,11 @@ fn parse_is_total(text: &str) {
 }
 
 /// Replacement tokens that probe each value parser's edges.
-const NASTY: [&str; 12] = [
+const NASTY: [&str; 14] = [
     "",
     "=",
+    "4294967295",
+    "1e-30",
     "18446744073709551615",
     "18446744073709551616",
     "-1",
