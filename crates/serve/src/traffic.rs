@@ -123,8 +123,8 @@ pub struct TrafficSession {
     /// is finite and not negative.
     pub start_s: f64,
     /// Frames the client wants served (for streaming sessions: poses the
-    /// client will push); a parsed profile's is at most
-    /// [`MAX_SESSION_FRAMES`].
+    /// client will push); a parsed profile's is in
+    /// `1..=`[`MAX_SESSION_FRAMES`].
     pub frames: u32,
     /// Client frame rate; a parsed profile's is finite and at least
     /// [`MIN_SESSION_FPS`].
@@ -225,8 +225,9 @@ impl TrafficProfile {
     ///
     /// [`TrafficError::Parse`] with the offending line on any malformed
     /// header, unknown version, missing field or unparsable value, and on
-    /// a session's `frames` above [`MAX_SESSION_FRAMES`], `fps` not finite
-    /// or below [`MIN_SESSION_FPS`], or `start_s` not finite or negative.
+    /// a session's `frames` of 0 or above [`MAX_SESSION_FRAMES`], `fps`
+    /// not finite or below [`MIN_SESSION_FPS`], or `start_s` not finite or
+    /// negative.
     pub fn parse(text: &str) -> Result<TrafficProfile, TrafficError> {
         let err = |line: usize, msg: &str| TrafficError::Parse {
             line,
@@ -354,9 +355,9 @@ fn parse_session(line: usize, body: &str) -> Result<TrafficSession, TrafficError
                 let v = value
                     .parse::<u32>()
                     .map_err(|_| err(format!("frames {value:?} is not a u32")))?;
-                if v > MAX_SESSION_FRAMES {
+                if !(1..=MAX_SESSION_FRAMES).contains(&v) {
                     return Err(err(format!(
-                        "frames {v} is above the cap of {MAX_SESSION_FRAMES}"
+                        "frames {v} is not in 1..={MAX_SESSION_FRAMES}"
                     )));
                 }
                 frames = Some(v)
@@ -1237,7 +1238,9 @@ mod tests {
     #[test]
     fn parse_caps_frames() {
         rejects("frames", &(MAX_SESSION_FRAMES + 1).to_string(), "65536");
-        rejects("frames", "4294967295", "0");
+        rejects("frames", "4294967295", "1");
+        // Zero would replay one frame (`max(1)`) against none offered.
+        rejects("frames", "0", "1");
     }
 
     #[test]
