@@ -79,7 +79,7 @@ impl Lattice {
 
 /// Which cells of a model's lattice are empty — every corner's raw density
 /// at or below [`RAW_EMPTY`] — one bit a cell, x fastest.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 struct Support {
     lattice: Lattice,
     empty: Vec<u64>,
@@ -110,7 +110,7 @@ const PAD: usize = 2;
 /// cell: `0` is an occupied cell, and from a cell at distance `d` every cell
 /// less than `d` away along all three axes is empty — which is what lets the
 /// batched marcher skip space instead of testing every step.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OccupancyGrid {
     res: usize,
     bounds: Aabb,

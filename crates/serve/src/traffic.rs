@@ -119,14 +119,14 @@ pub struct TrafficSession {
     pub scene: String,
     /// QoS class.
     pub qos: QosClass,
-    /// Arrival (submission) instant, simulated seconds; a parsed profile's
-    /// is finite and not negative.
+    /// Arrival (submission) instant, simulated seconds; an accepted
+    /// profile's is finite and not negative.
     pub start_s: f64,
     /// Frames the client wants served (for streaming sessions: poses the
-    /// client will push); a parsed profile's is in
+    /// client will push); an accepted profile's is in
     /// `1..=`[`MAX_SESSION_FRAMES`].
     pub frames: u32,
-    /// Client frame rate; a parsed profile's is finite and at least
+    /// Client frame rate; an accepted profile's is finite and at least
     /// [`MIN_SESSION_FPS`].
     pub fps: f32,
     /// Whether the client streams poses one at a time (closed-loop) instead
@@ -136,6 +136,34 @@ pub struct TrafficSession {
     pub path: PathKind,
     /// Seed for seed-controlled paths (handheld shake phases).
     pub path_seed: u64,
+}
+
+impl TrafficSession {
+    /// The field laws a session must keep to be replayed: `frames` in
+    /// `1..=`[`MAX_SESSION_FRAMES`], `fps` finite and at least
+    /// [`MIN_SESSION_FPS`], `start_s` finite and not negative.
+    ///
+    /// # Errors
+    ///
+    /// The first law broken, in that order, as a message.
+    pub fn check(&self) -> Result<(), String> {
+        if !(1..=MAX_SESSION_FRAMES).contains(&self.frames) {
+            return Err(format!(
+                "frames {} is not in 1..={MAX_SESSION_FRAMES}",
+                self.frames
+            ));
+        }
+        if !(self.fps.is_finite() && self.fps >= MIN_SESSION_FPS) {
+            return Err(format!(
+                "fps {:?} is not finite and >= {MIN_SESSION_FPS}",
+                self.fps
+            ));
+        }
+        if !(self.start_s.is_finite() && self.start_s >= 0.0) {
+            return Err(format!("start_s {:?} is not finite and >= 0", self.start_s));
+        }
+        Ok(())
+    }
 }
 
 /// Why a traffic profile failed to parse or resolve.
@@ -153,6 +181,13 @@ pub enum TrafficError {
         /// The unresolvable scene name.
         name: String,
     },
+    /// A session breaks a field law of [`TrafficSession::check`].
+    InvalidSession {
+        /// The session's index in the profile.
+        index: usize,
+        /// What was wrong.
+        msg: String,
+    },
 }
 
 impl fmt::Display for TrafficError {
@@ -162,6 +197,9 @@ impl fmt::Display for TrafficError {
                 write!(f, "traffic profile parse error at line {line}: {msg}")
             }
             TrafficError::UnknownScene { name } => write!(f, "unknown library scene {name:?}"),
+            TrafficError::InvalidSession { index, msg } => {
+                write!(f, "traffic profile session {index}: {msg}")
+            }
         }
     }
 }
@@ -343,35 +381,25 @@ fn parse_session(line: usize, body: &str) -> Result<TrafficSession, TrafficError
                 )
             }
             "start_s" => {
-                let v = value
-                    .parse::<f64>()
-                    .map_err(|_| err(format!("start_s {value:?} is not a float")))?;
-                if !(v.is_finite() && v >= 0.0) {
-                    return Err(err(format!("start_s {value:?} is not finite and >= 0")));
-                }
-                start_s = Some(v)
+                start_s = Some(
+                    value
+                        .parse::<f64>()
+                        .map_err(|_| err(format!("start_s {value:?} is not a float")))?,
+                )
             }
             "frames" => {
-                let v = value
-                    .parse::<u32>()
-                    .map_err(|_| err(format!("frames {value:?} is not a u32")))?;
-                if !(1..=MAX_SESSION_FRAMES).contains(&v) {
-                    return Err(err(format!(
-                        "frames {v} is not in 1..={MAX_SESSION_FRAMES}"
-                    )));
-                }
-                frames = Some(v)
+                frames = Some(
+                    value
+                        .parse::<u32>()
+                        .map_err(|_| err(format!("frames {value:?} is not a u32")))?,
+                )
             }
             "fps" => {
-                let v = value
-                    .parse::<f32>()
-                    .map_err(|_| err(format!("fps {value:?} is not a float")))?;
-                if !(v.is_finite() && v >= MIN_SESSION_FPS) {
-                    return Err(err(format!(
-                        "fps {value:?} is not finite and >= {MIN_SESSION_FPS}"
-                    )));
-                }
-                fps = Some(v)
+                fps = Some(
+                    value
+                        .parse::<f32>()
+                        .map_err(|_| err(format!("fps {value:?} is not a float")))?,
+                )
             }
             "streaming" => {
                 streaming = Some(
@@ -396,7 +424,7 @@ fn parse_session(line: usize, body: &str) -> Result<TrafficSession, TrafficError
             other => return Err(err(format!("unknown field {other:?}"))),
         }
     }
-    Ok(TrafficSession {
+    let session = TrafficSession {
         name: name.ok_or_else(|| err("missing name".into()))?,
         scene: scene.ok_or_else(|| err("missing scene".into()))?,
         qos: qos.ok_or_else(|| err("missing qos".into()))?,
@@ -406,7 +434,9 @@ fn parse_session(line: usize, body: &str) -> Result<TrafficSession, TrafficError
         streaming: streaming.ok_or_else(|| err("missing streaming".into()))?,
         path: path.ok_or_else(|| err("missing path".into()))?,
         path_seed: path_seed.ok_or_else(|| err("missing path_seed".into()))?,
-    })
+    };
+    session.check().map_err(err)?;
+    Ok(session)
 }
 
 /// The session-arrival process of a [`TrafficModel`].
@@ -637,13 +667,17 @@ impl TrafficAssets {
     ///
     /// # Errors
     ///
-    /// [`TrafficError::UnknownScene`] if a session names a scene the
-    /// [`library`] does not know.
+    /// [`TrafficError::InvalidSession`] if a session fails
+    /// [`TrafficSession::check`] (a profile built in code need not have
+    /// been parsed), [`TrafficError::UnknownScene`] if a session names a
+    /// scene the [`library`] does not know.
     pub fn build(profile: &TrafficProfile, grid: &GridConfig) -> Result<Self, TrafficError> {
         let mut scenes: Vec<(String, AnalyticScene, GridModel)> = Vec::new();
         let mut trajectories = Vec::with_capacity(profile.sessions.len());
         let mut scene_of = Vec::with_capacity(profile.sessions.len());
-        for s in &profile.sessions {
+        for (index, s) in profile.sessions.iter().enumerate() {
+            s.check()
+                .map_err(|msg| TrafficError::InvalidSession { index, msg })?;
             let idx = match scenes.iter().position(|(n, _, _)| n == &s.scene) {
                 Some(idx) => idx,
                 None => {
@@ -657,10 +691,9 @@ impl TrafficAssets {
                     scenes.len() - 1
                 }
             };
-            let frames = s.frames.max(1) as usize;
             trajectories.push(Trajectory::generate(
                 &scenes[idx].1,
-                frames,
+                s.frames as usize,
                 s.fps,
                 s.path.to_trajectory_kind(),
                 s.path_seed,
@@ -680,14 +713,16 @@ impl TrafficAssets {
     }
 
     /// Whether these assets hold one trajectory per session of `profile`,
-    /// each session's on the scene it names.
+    /// each session's on the scene it names and of the frames it asks for.
     fn fit(&self, profile: &TrafficProfile) -> bool {
         self.trajectories.len() == profile.sessions.len()
             && profile
                 .sessions
                 .iter()
-                .zip(&self.scene_of)
-                .all(|(s, &idx)| self.scenes[idx].0 == s.scene)
+                .zip(self.scene_of.iter().zip(&self.trajectories))
+                .all(|(s, (&idx, traj))| {
+                    self.scenes[idx].0 == s.scene && traj.len() == s.frames as usize
+                })
     }
 }
 
@@ -1049,7 +1084,7 @@ impl<'p> Replay<'p> {
     fn schedule_stream(&mut self, s: usize, t: f64) {
         let sess = &self.profile.sessions[s];
         let interval = 1.0 / sess.fps as f64;
-        let frames = sess.frames.max(1) as usize;
+        let frames = sess.frames as usize;
         for k in 0..frames {
             let wobble = keyed_unit(self.opts.client_seed, TAG_CADENCE, s as u64, k as u64, 1);
             let at = t + k as f64 * interval + 0.4 * interval * wobble;
@@ -1239,8 +1274,28 @@ mod tests {
     fn parse_caps_frames() {
         rejects("frames", &(MAX_SESSION_FRAMES + 1).to_string(), "65536");
         rejects("frames", "4294967295", "1");
-        // Zero would replay one frame (`max(1)`) against none offered.
+        // Zero offers no frame: the session has nothing to serve.
         rejects("frames", "0", "1");
+    }
+
+    #[test]
+    fn assets_refuse_a_session_the_parser_would_refuse() {
+        let grid = GridConfig {
+            resolution: 8,
+            ..Default::default()
+        };
+        let valid = tiny_model().generate(5);
+        assert!(TrafficAssets::build(&valid, &grid).is_ok());
+        let mut zero = valid.clone();
+        zero.sessions[2].frames = 0;
+        match TrafficAssets::build(&zero, &grid) {
+            Err(TrafficError::InvalidSession { index, msg }) => {
+                assert_eq!(index, 2);
+                assert!(msg.starts_with("frames 0"), "{msg}");
+            }
+            Err(other) => panic!("expected InvalidSession, got {other:?}"),
+            Ok(_) => panic!("expected InvalidSession, got assets"),
+        }
     }
 
     #[test]
@@ -1331,7 +1386,9 @@ mod tests {
         } else {
             "lego".into()
         };
-        for other in [fewer, moved] {
+        let mut longer = p.clone();
+        longer.sessions[0].frames += 1;
+        for other in [fewer, moved, longer] {
             let assets = TrafficAssets::build(&other, &grid).expect("library scenes");
             match run_replay(&p, &assets, &ReplayOptions::default()) {
                 Err(ServeError::InvalidConfig { reason }) => {
