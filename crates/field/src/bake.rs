@@ -26,7 +26,7 @@ use crate::encoding::tensor::{Orientation, TensorConfig, VmTensor, ORIENTATIONS}
 use crate::model::{GridModel, HashModel, ModelKind, TensorModel};
 use crate::occupancy::{Lattice, OccupancyGrid};
 use cicero_math::Vec3;
-use cicero_scene::{AnalyticScene, RadianceSource};
+use cicero_scene::{AnalyticScene, Nearest, RadianceSource};
 
 /// Options shared by all bakers.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -55,8 +55,12 @@ impl Default for BakeOptions {
 /// material lobes with other exponents are re-folded toward it (their
 /// mismatch becomes reconstruction error, standing in for training residual).
 pub fn signals_at(scene: &AnalyticScene, p: Vec3, model_shininess: f32) -> [f32; SIGNALS] {
+    signals_of(scene, &scene.nearest(p), model_shininess)
+}
+
+/// [`signals_at`] from the scene's [`Nearest`] at the point.
+fn signals_of(scene: &AnalyticScene, near: &Nearest, model_shininess: f32) -> [f32; SIGNALS] {
     let mut s = [0.0_f32; SIGNALS];
-    let near = scene.nearest(p);
     s[0] = inverse_softplus(near.density());
     if radiance_reaches(scene, near.distance) {
         let (c, lobe) = near.surface();
@@ -73,11 +77,10 @@ pub fn signals_at(scene: &AnalyticScene, p: Vec3, model_shininess: f32) -> [f32;
     s
 }
 
-/// `signals_at(scene, p, model_shininess)[i]`, bit for bit, computing only
-/// what signal `i` reads: σ_raw shades nothing, and the radiance signals
-/// are zero beyond radiance reach.
-pub(crate) fn signal_at(scene: &AnalyticScene, p: Vec3, model_shininess: f32, i: usize) -> f32 {
-    let near = scene.nearest(p);
+/// `signals_of(scene, near, model_shininess)[i]`, bit for bit, computing
+/// only what signal `i` reads: σ_raw shades nothing, and the radiance
+/// signals are zero beyond radiance reach.
+fn signal_of(scene: &AnalyticScene, near: &Nearest, model_shininess: f32, i: usize) -> f32 {
     if i == 0 {
         return inverse_softplus(near.density());
     }
@@ -90,6 +93,33 @@ pub(crate) fn signal_at(scene: &AnalyticScene, p: Vec3, model_shininess: f32, i:
         _ => lobe.map_or(0.0, |(q, m_mat)| {
             refold_lobe(q, m_mat, model_shininess)[i - 4]
         }),
+    }
+}
+
+/// Calls `visit(i, near)` for each `i` of `indices`, in order, with `near`
+/// the scene at `pos(i)`: [`AnalyticScene::nearest`], queried eight points
+/// at a time through [`AnalyticScene::nearest8`].
+fn for_each_nearest<'s>(
+    scene: &'s AnalyticScene,
+    indices: impl IntoIterator<Item = usize>,
+    pos: impl Fn(usize) -> Vec3,
+    mut visit: impl FnMut(usize, &Nearest<'s>),
+) {
+    let (mut idx, mut pts, mut n) = ([0_usize; 8], [Vec3::ZERO; 8], 0);
+    for i in indices {
+        (idx[n], pts[n]) = (i, pos(i));
+        n += 1;
+        if n == 8 {
+            for (&i, near) in idx.iter().zip(&scene.nearest8(&pts)) {
+                visit(i, near);
+            }
+            n = 0;
+        }
+    }
+    // The lanes past `n` still hold earlier points; their answers are
+    // dropped.
+    for (&i, near) in idx[..n].iter().zip(&scene.nearest8(&pts)) {
+        visit(i, near);
     }
 }
 
@@ -138,14 +168,20 @@ pub fn bake_grid_with(scene: &AnalyticScene, cfg: &GridConfig, opts: &BakeOption
     let mut grid = DenseGrid::new(*cfg, bounds);
     let n = grid.verts_per_axis() as u32;
     let mut feats = vec![0.0_f32; cfg.channels];
+    let mut row = Vec::with_capacity(n as usize);
     for z in 0..n {
         for y in 0..n {
-            for x in 0..n {
-                let p = grid.vertex_position(x, y, z);
-                let s = signals_at(scene, p, shin);
-                feats[..SIGNALS].copy_from_slice(&s);
-                grid.set_vertex(x, y, z, &feats);
-            }
+            row.clear();
+            row.extend((0..n).map(|x| grid.vertex_position(x, y, z)));
+            for_each_nearest(
+                scene,
+                0..n as usize,
+                |x| row[x],
+                |x, near| {
+                    feats[..SIGNALS].copy_from_slice(&signals_of(scene, near, shin));
+                    grid.set_vertex(x as u32, y, z, &feats);
+                },
+            );
         }
     }
     let mut occupancy = bake_occupancy(scene, opts.occupancy_resolution);
@@ -236,6 +272,7 @@ fn level_residuals(
     let mut queue: Vec<[u32; 3]> = Vec::with_capacity(batch);
     let mut ps = Vec::with_capacity(batch);
     let mut recon = vec![0.0_f32; level * f * batch];
+    let mut targets = Vec::with_capacity(batch);
     let mut flush = |queue: &mut Vec<[u32; 3]>| {
         ps.clear();
         ps.extend(
@@ -244,8 +281,17 @@ fn level_residuals(
                 .map(|&[x, y, z]| grid.vertex_position(level, x, y, z)),
         );
         grid.interpolate_levels_block_into(level, &ps, &mut recon, batch);
+        targets.clear();
+        for_each_nearest(
+            scene,
+            0..ps.len(),
+            |s| ps[s],
+            |_, near| {
+                targets.push(signals_of(scene, near, shin));
+            },
+        );
         for (s, &[x, y, z]) in queue.iter().enumerate() {
-            let target = signals_at(scene, ps[s], shin);
+            let target = targets[s];
             let mut signals = [0.0_f32; SIGNALS];
             for l in 0..level {
                 for (i, v) in signals.iter_mut().enumerate() {
@@ -355,10 +401,12 @@ pub fn bake_tensor(scene: &AnalyticScene, cfg: &TensorConfig) -> TensorModel {
 /// - one classifying sweep fills σ_raw and marks, one bit a texel, where
 ///   all seven signals are the empty-space constants `[σ_raw(0), 0, …, 0]`
 ///   (no density and no radiance within reach);
-/// - the radiance signals are zero at a marked texel, `signal_at` —
+/// - the radiance signals are zero at a marked texel, `signal_of` —
 ///   which computes only what its signal reads — elsewhere, and the three
 ///   lobe signals of a scene without a specular material are zero
 ///   everywhere, without a query;
+/// - both sweeps query the scene eight texels at a time
+///   ([`AnalyticScene::nearest8`]);
 /// - the plane update, the line update and the deflation each sweep the
 ///   volume once in memory order, `(z, y, x)`, into per-cell and per-line
 ///   accumulators.
@@ -416,13 +464,12 @@ fn fit_tensor(scene: &AnalyticScene, tensor: &mut VmTensor, iters: usize) {
     let empty_raw = inverse_softplus(0.0);
     let mut t = vec![0.0_f32; res * res * res];
     let mut empty = vec![0_u64; t.len().div_ceil(64)];
-    for (i, v) in t.iter_mut().enumerate() {
-        let near = scene.nearest(pos(i));
-        *v = inverse_softplus(near.density());
-        if *v == empty_raw && !radiance_reaches(scene, near.distance) {
+    for_each_nearest(scene, 0..t.len(), pos, |i, near| {
+        t[i] = inverse_softplus(near.density());
+        if t[i] == empty_raw && !radiance_reaches(scene, near.distance) {
             empty[i / 64] |= 1 << (i % 64);
         }
-    }
+    });
     let lobe_free = !scene.has_specular();
 
     let mut plane = vec![0.0_f32; res * res];
@@ -434,13 +481,11 @@ fn fit_tensor(scene: &AnalyticScene, tensor: &mut VmTensor, iters: usize) {
             0 => {}
             4.. if lobe_free => t.fill(0.0),
             _ => {
-                for (i, v) in t.iter_mut().enumerate() {
-                    *v = if empty[i / 64] >> (i % 64) & 1 != 0 {
-                        0.0
-                    } else {
-                        signal_at(scene, pos(i), shin, signal)
-                    };
-                }
+                t.fill(0.0);
+                let filled = (0..t.len()).filter(|&i| empty[i / 64] >> (i % 64) & 1 == 0);
+                for_each_nearest(scene, filled, pos, |i, near| {
+                    t[i] = signal_of(scene, near, shin, signal);
+                });
             }
         }
         for (oi, &o) in ORIENTATIONS.iter().enumerate() {
@@ -971,6 +1016,9 @@ mod tests {
         }
     }
 
+    /// Each signal [`signal_of`] computes from the batched query of a point
+    /// ([`for_each_nearest`], over a lattice whose last batch is partial)
+    /// is the one [`signals_at`] computes there alone.
     #[test]
     fn signal_at_is_signals_at() {
         let n = 9;
@@ -980,16 +1028,22 @@ mod tests {
         {
             let s = library::scene_by_name(name).unwrap();
             let (b, shin) = (RadianceSource::bounds(&s), s.dominant_shininess());
-            for i in 0..n * n * n {
-                let f = |c: usize| c as f32 / (n - 1) as f32;
+            let f = |c: usize| c as f32 / (n - 1) as f32;
+            let pos = |i: usize| {
                 let [x, y, z] = [i % n, i / n % n, i / (n * n)].map(f);
-                let p = b.min + Vec3::new(b.size().x * x, b.size().y * y, b.size().z * z);
-                let all = signals_at(&s, p, shin);
+                b.min + Vec3::new(b.size().x * x, b.size().y * y, b.size().z * z)
+            };
+            let mut visited = 0;
+            for_each_nearest(&s, 0..n * n * n, pos, |i, near| {
+                assert_eq!(i, visited, "{name}: visiting order");
+                visited += 1;
+                let all = signals_at(&s, pos(i), shin);
                 for (k, v) in all.iter().enumerate() {
-                    let one = signal_at(&s, p, shin, k);
-                    assert_eq!(one.to_bits(), v.to_bits(), "{name} at {p:?}, signal {k}");
+                    let one = signal_of(&s, near, shin, k);
+                    assert_eq!(one.to_bits(), v.to_bits(), "{name} at {i}, signal {k}");
                 }
-            }
+            });
+            assert_eq!(visited, n * n * n);
         }
     }
 

@@ -73,6 +73,11 @@ impl Aabb {
     /// that axis's slab planes computes `0 · ∞ = NaN` there; `f32::max` and
     /// `f32::min` drop the NaN, so the axis imposes no constraint and the
     /// test errs toward a hit, never toward a miss.
+    ///
+    /// An unbounded interval is `None` too: no ray with a finite origin and
+    /// a non-zero direction has one through a finite box, and a zero or
+    /// all-NaN direction (whose every axis drops out as above) must not
+    /// hand a marcher `t_far = ∞` to step towards.
     pub fn intersect(&self, ray: &Ray) -> Option<(f32, f32)> {
         let mut t0 = 0.0_f32;
         let mut t1 = f32::INFINITY;
@@ -89,7 +94,7 @@ impl Aabb {
                 return None;
             }
         }
-        Some((t0, t1))
+        (t1 < f32::INFINITY).then_some((t0, t1))
     }
 }
 
@@ -138,6 +143,26 @@ mod tests {
             Vec3::new(0.0, 0.0, -1.0),
         );
         assert_eq!(b.intersect(&r), None);
+    }
+
+    #[test]
+    fn unbounded_intervals_miss() {
+        let b = Aabb::centered_cube(1.0);
+        // `Ray::new` normalises; these directions are set as they arrive.
+        let ray = |origin: Vec3, dir: Vec3| Ray { origin, dir };
+        for origin in [Vec3::ZERO, Vec3::new(0.5, -0.5, 0.25), Vec3::splat(5.0)] {
+            for dir in [
+                Vec3::splat(f32::NAN),
+                Vec3::ZERO,
+                -Vec3::ZERO,
+                Vec3::new(f32::NAN, 0.0, f32::NAN),
+            ] {
+                assert_eq!(b.intersect(&ray(origin, dir)), None, "{origin:?} {dir:?}");
+            }
+        }
+        // One finite axis bounds the interval again.
+        let r = ray(Vec3::new(0.0, 0.0, 5.0), Vec3::new(f32::NAN, 0.0, -1.0));
+        assert_eq!(b.intersect(&r), Some((4.0, 6.0)));
     }
 
     #[test]

@@ -123,9 +123,16 @@ impl Quat {
     }
 
     /// Returns the normalized quaternion.
+    ///
+    /// A quaternion whose norm is NaN normalises to NaN components without
+    /// tripping the zero-quaternion assertion.
+    ///
+    /// # Panics
+    ///
+    /// Panics in debug builds if the quaternion is (near) zero.
     pub fn normalized(self) -> Quat {
         let n = (self.w * self.w + self.x * self.x + self.y * self.y + self.z * self.z).sqrt();
-        debug_assert!(n > 1e-12, "normalizing a zero quaternion");
+        debug_assert!(n > 1e-12 || n.is_nan(), "normalizing a zero quaternion");
         Quat {
             w: self.w / n,
             x: self.x / n,

@@ -108,13 +108,17 @@ macro_rules! impl_binops {
             pub fn length_squared(self) -> f32 { self.dot(self) }
             /// Returns the unit-length vector pointing the same way.
             ///
+            /// A vector whose length is NaN normalises to NaN components
+            /// without tripping the zero-length assertion: a NaN pose's
+            /// rays reach the renderers, which treat them as misses.
+            ///
             /// # Panics
             ///
             /// Panics in debug builds if the vector is (near) zero length.
             #[inline]
             pub fn normalized(self) -> $ty {
                 let len = self.length();
-                debug_assert!(len > 1e-12, "normalizing a zero-length vector");
+                debug_assert!(len > 1e-12 || len.is_nan(), "normalizing a zero-length vector");
                 self / len
             }
             /// Component-wise minimum.

@@ -37,6 +37,7 @@
 #![warn(missing_docs)]
 
 pub mod ground_truth;
+mod lanes;
 pub mod library;
 mod material;
 mod primitive;

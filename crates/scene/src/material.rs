@@ -47,8 +47,12 @@ impl Texture {
             Texture::Solid(c) => c,
             Texture::Checker { a, b, scale } => {
                 let q = p / scale;
-                let parity =
-                    (q.x.floor() as i64 + q.y.floor() as i64 + q.z.floor() as i64).rem_euclid(2);
+                // Wrapping: at |q| past 2⁶² the saturated casts' sum
+                // overflows, and only its parity is read.
+                let parity = (floor(q.x) as i64)
+                    .wrapping_add(floor(q.y) as i64)
+                    .wrapping_add(floor(q.z) as i64)
+                    .rem_euclid(2);
                 if parity == 0 {
                     a
                 } else {
@@ -56,7 +60,7 @@ impl Texture {
                 }
             }
             Texture::Stripes { a, b, period } => {
-                let t = ((p.y / period).fract() + 1.0).fract();
+                let t = fract(fract(p.y / period) + 1.0);
                 if t < 0.5 {
                     a
                 } else {
@@ -68,9 +72,45 @@ impl Texture {
     }
 }
 
+/// Below this magnitude an `f32` may have a fraction; at and above it every
+/// finite `f32` is an integer.
+const FRACTIONAL_BELOW: f32 = 8_388_608.0; // 2²³
+
+/// `x.trunc()`, exactly, inline: `f32::trunc` and `f32::floor` are calls
+/// into the compiler's runtime library on a baseline x86_64 build (SSE2
+/// has no `roundss`). Below 2²³ the `i32` round trip truncates exactly;
+/// the sign is `x`'s, so `trunc(-0.5) == -0.0`. At or above 2²³, ±∞ and
+/// NaN, `x` is its own truncation.
+#[inline]
+fn trunc(x: f32) -> f32 {
+    if x.abs() < FRACTIONAL_BELOW {
+        (x as i32 as f32).copysign(x)
+    } else {
+        x
+    }
+}
+
+/// `x.floor()`, exactly, inline (see [`trunc`]): one below the truncation
+/// where that is above `x`, with `x`'s sign, so `floor(-0.0) == -0.0`.
+#[inline]
+fn floor(x: f32) -> f32 {
+    if x.abs() < FRACTIONAL_BELOW {
+        let t = x as i32 as f32;
+        (if t > x { t - 1.0 } else { t }).copysign(x)
+    } else {
+        x
+    }
+}
+
+/// `x.fract()`: `x - trunc(x)`.
+#[inline]
+fn fract(x: f32) -> f32 {
+    x - trunc(x)
+}
+
 /// Deterministic trilinear value noise in `[0, 1]`.
 fn value_noise(p: Vec3) -> f32 {
-    let base = Vec3::new(p.x.floor(), p.y.floor(), p.z.floor());
+    let base = Vec3::new(floor(p.x), floor(p.y), floor(p.z));
     let f = p - base;
     // Smooth the interpolation weights.
     let f = Vec3::new(smooth(f.x), smooth(f.y), smooth(f.z));
@@ -155,6 +195,127 @@ impl Default for Material {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// [`Texture::sample`] as it was written on `f32::floor` and
+    /// `f32::fract`: the oracle of the inline roundings.
+    fn sample_reference(t: &Texture, p: Vec3) -> Vec3 {
+        match *t {
+            Texture::Solid(c) => c,
+            Texture::Checker { a, b, scale } => {
+                let q = p / scale;
+                // Summed as a release build sums (an overflow wraps).
+                let parity = (q.x.floor() as i64)
+                    .wrapping_add(q.y.floor() as i64)
+                    .wrapping_add(q.z.floor() as i64)
+                    .rem_euclid(2);
+                if parity == 0 {
+                    a
+                } else {
+                    b
+                }
+            }
+            Texture::Stripes { a, b, period } => {
+                let t = ((p.y / period).fract() + 1.0).fract();
+                if t < 0.5 {
+                    a
+                } else {
+                    b
+                }
+            }
+            Texture::Noise { a, b, scale } => a.lerp(b, value_noise_reference(p / scale)),
+        }
+    }
+
+    fn value_noise_reference(p: Vec3) -> f32 {
+        let base = Vec3::new(p.x.floor(), p.y.floor(), p.z.floor());
+        let f = p - base;
+        let f = Vec3::new(smooth(f.x), smooth(f.y), smooth(f.z));
+        let mut acc = 0.0;
+        for dz in 0..2 {
+            for dy in 0..2 {
+                for dx in 0..2 {
+                    let corner = base + Vec3::new(dx as f32, dy as f32, dz as f32);
+                    let w = (if dx == 0 { 1.0 - f.x } else { f.x })
+                        * (if dy == 0 { 1.0 - f.y } else { f.y })
+                        * (if dz == 0 { 1.0 - f.z } else { f.z });
+                    acc += w * hash3(corner);
+                }
+            }
+        }
+        acc
+    }
+
+    /// Equal bit for bit, or both NaN (a produced NaN's sign and payload
+    /// are unspecified).
+    fn same(a: f32, b: f32) -> bool {
+        a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+    }
+
+    /// Every 4099th `f32` bit pattern (a prime stride, so every exponent
+    /// and both signs are visited), then the roundings' edges.
+    fn patterns() -> impl Iterator<Item = f32> {
+        let edges = [
+            0.0,
+            -0.0,
+            0.5,
+            -0.5,
+            1.0,
+            -1.0,
+            FRACTIONAL_BELOW,
+            -FRACTIONAL_BELOW,
+            FRACTIONAL_BELOW - 0.5,
+            -(FRACTIONAL_BELOW - 0.5),
+            f32::MIN_POSITIVE,
+            -1e-45,
+            f32::MAX,
+            f32::MIN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+        ];
+        (0..=u32::MAX)
+            .step_by(4099)
+            .map(f32::from_bits)
+            .chain(edges)
+    }
+
+    #[test]
+    fn inline_roundings_are_the_library_ones() {
+        for x in patterns() {
+            assert!(same(floor(x), x.floor()), "floor({x:e})");
+            assert!(same(trunc(x), x.trunc()), "trunc({x:e})");
+            assert!(same(fract(x), x.fract()), "fract({x:e})");
+        }
+        assert_eq!(floor(-0.0).to_bits(), (-0.0_f32).to_bits());
+    }
+
+    #[test]
+    fn textures_are_the_floor_based_reference() {
+        let (a, b) = (Vec3::new(0.1, 0.2, 0.3), Vec3::new(0.9, 0.6, 0.4));
+        let textures = [1.0, 0.07].map(|scale| {
+            [
+                Texture::Checker { a, b, scale },
+                Texture::Stripes {
+                    a,
+                    b,
+                    period: scale,
+                },
+                Texture::Noise { a, b, scale },
+            ]
+        });
+        for x in patterns() {
+            // Three different coordinates from one pattern.
+            let y = f32::from_bits(x.to_bits().wrapping_mul(0x9E37_79B9));
+            let p = Vec3::new(x, y, -x);
+            for t in textures.iter().flatten() {
+                let (got, want) = (t.sample(p), sample_reference(t, p));
+                assert!(
+                    same(got.x, want.x) && same(got.y, want.y) && same(got.z, want.z),
+                    "{t:?} at {p:?}: {got:?} vs {want:?}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn solid_is_position_independent() {

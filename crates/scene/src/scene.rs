@@ -1,5 +1,6 @@
 //! Analytic scenes: the ground-truth density and radiance field.
 
+use crate::lanes::V;
 use crate::volume::{march_ray, MarchParams, MarchResult};
 use crate::{Material, Object, Shape, Texture};
 use cicero_math::{smoothstep, Aabb, Ray, Vec3};
@@ -105,22 +106,34 @@ impl AnalyticScene {
     ///
     /// Returns `(f32::INFINITY, None)` for an empty scene.
     pub fn sdf(&self, p: Vec3) -> (f32, Option<usize>) {
-        self.sdf_among(p, u64::MAX)
+        let (d, i) = self.union_among(&[p], u64::MAX);
+        (d[0], (i[0] != u32::MAX).then_some(i[0] as usize))
     }
 
-    /// [`sdf`](Self::sdf) over the objects whose bits are set in `mask`,
-    /// taken in index order; the first of equal distances wins.
-    fn sdf_among(&self, p: Vec3, mask: u64) -> (f32, Option<usize>) {
-        let mut best = f32::INFINITY;
-        let mut idx = None;
-        for (i, o) in self.objects.iter().enumerate() {
-            if mask >> i & 1 == 0 {
-                continue;
-            }
-            let d = o.sdf(p);
-            if d < best {
-                best = d;
-                idx = Some(i);
+    /// The union signed distance at each of `N` points over the objects
+    /// whose bits are set in `mask`, and the index of the object that
+    /// realises it (`u32::MAX` where none does). Only the set bits are
+    /// walked, in index order, and each lane keeps the first of equal
+    /// distances (`d < best`): at every lane the scalar walk's answer.
+    #[inline]
+    fn union_among<const N: usize>(&self, p: &[Vec3; N], mask: u64) -> ([f32; N], [u32; N]) {
+        let p = V::from_points(p);
+        let mut best = [f32::INFINITY; N];
+        let mut idx = [u32::MAX; N];
+        // The bits of objects the scene has (it has at most 64).
+        let mut bits = mask
+            & u64::MAX
+                .checked_shr(64 - self.objects.len() as u32)
+                .unwrap_or(0);
+        while bits != 0 {
+            let i = bits.trailing_zeros();
+            bits &= bits - 1;
+            let d = self.objects[i as usize].sdf_lanes(&p).0;
+            for ((best, idx), d) in best.iter_mut().zip(&mut idx).zip(d) {
+                if d < *best {
+                    *best = d;
+                    *idx = i;
+                }
             }
         }
         (best, idx)
@@ -137,13 +150,26 @@ impl AnalyticScene {
         self.nearest_among(p, u64::MAX)
     }
 
+    /// [`nearest`](Self::nearest) at eight points at once, lane by lane:
+    /// every lane's distance and object are the scalar query's, bit for
+    /// bit.
+    pub fn nearest8(&self, p: &[Vec3; 8]) -> [Nearest<'_>; 8] {
+        let (distance, idx) = self.union_among(p, u64::MAX);
+        std::array::from_fn(|l| Nearest {
+            scene: self,
+            p: p[l],
+            distance: distance[l],
+            object: self.objects.get(idx[l] as usize),
+        })
+    }
+
     fn nearest_among(&self, p: Vec3, mask: u64) -> Nearest<'_> {
-        let (distance, idx) = self.sdf_among(p, mask);
+        let (distance, idx) = self.union_among(&[p], mask);
         Nearest {
             scene: self,
             p,
-            distance,
-            object: idx.map(|i| &self.objects[i]),
+            distance: distance[0],
+            object: self.objects.get(idx[0] as usize),
         }
     }
 
@@ -480,6 +506,84 @@ pub(crate) fn default_checker(a: Vec3, b: Vec3) -> Texture {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::library;
+
+    /// Holds [`AnalyticScene::nearest8`] to [`AnalyticScene::nearest`], and
+    /// `nearest` to the first minimum of every object's own distance in
+    /// index order, at every point of an `n³` lattice over the scene's
+    /// bounds grown by a quarter on each side (so some points lie outside
+    /// them): distance bits and object index.
+    fn assert_nearest8_is_nearest(s: &AnalyticScene, n: usize) {
+        let name = &s.name;
+        let b = s.bounds();
+        let (lo, size) = (b.min - b.size() * 0.25, b.size() * 1.5);
+        let f = |c: usize| c as f32 / (n - 1) as f32;
+        let lattice: Vec<Vec3> = (0..n * n * n)
+            .map(|i| {
+                let [x, y, z] = [i % n, i / n % n, i / (n * n)].map(f);
+                lo + Vec3::new(size.x * x, size.y * y, size.z * z)
+            })
+            .collect();
+        let index = |near: &Nearest| near.object.map(|o| o as *const Object);
+        for chunk in lattice.chunks(8) {
+            let mut p = [chunk[0]; 8];
+            p[..chunk.len()].copy_from_slice(chunk);
+            for (p, got) in p.iter().zip(s.nearest8(&p)) {
+                let want = s.nearest(*p);
+                assert_eq!(
+                    got.distance.to_bits(),
+                    want.distance.to_bits(),
+                    "{name} at {p:?}"
+                );
+                assert_eq!(index(&got), index(&want), "{name} at {p:?}");
+                let mut first_min = (f32::INFINITY, None);
+                for (i, o) in s.objects().iter().enumerate() {
+                    let d = o.sdf(*p);
+                    if d < first_min.0 {
+                        first_min = (d, Some(i));
+                    }
+                }
+                let (d, i) = s.sdf(*p);
+                assert_eq!((d.to_bits(), i), (first_min.0.to_bits(), first_min.1));
+            }
+        }
+    }
+
+    /// The benchmark's scene, a specular one and a real-world one; then
+    /// ties: a sphere, its mirror image across x = 0 and its duplicate,
+    /// whose distances are equal on the mirror plane (the odd lattice's
+    /// middle layer) and everywhere for the duplicate, so the first in
+    /// index order must win. The twin below covers every library scene on
+    /// a finer lattice.
+    #[test]
+    fn nearest8_is_nearest() {
+        for name in ["lego", "materials", library::REAL_WORLD_SCENES[0]] {
+            assert_nearest8_is_nearest(&library::scene_by_name(name).unwrap(), 13);
+        }
+        let sphere = Shape::Sphere { radius: 0.4 };
+        let m = Material::default();
+        let ties = SceneBuilder::new("ties")
+            .object(sphere, Vec3::new(0.5, 0.0, 0.0), m)
+            .object(sphere, Vec3::new(-0.5, 0.0, 0.0), m)
+            .object(sphere, Vec3::new(0.5, 0.0, 0.0), m)
+            .bounds(Aabb::centered_cube(1.0))
+            .build();
+        assert_nearest8_is_nearest(&ties, 13);
+        let on_plane = [Vec3::new(0.0, 0.1, 0.2); 8];
+        let first = |n: &Nearest| n.object.is_some_and(|o| std::ptr::eq(o, &ties.objects[0]));
+        assert!(ties.nearest8(&on_plane).iter().all(first));
+    }
+
+    #[test]
+    #[ignore = "slow unoptimized: CI runs it in the release-mode oracle step"]
+    fn nearest8_is_nearest_every_scene() {
+        for name in library::SYNTHETIC_SCENES
+            .iter()
+            .chain(&library::REAL_WORLD_SCENES)
+        {
+            assert_nearest8_is_nearest(&library::scene_by_name(name).unwrap(), 61);
+        }
+    }
 
     fn one_sphere() -> AnalyticScene {
         SceneBuilder::new("t")

@@ -51,6 +51,15 @@ pub enum ServeError {
         /// Which field was wrong, and how.
         reason: &'static str,
     },
+    /// A pushed pose cannot place a camera: a non-finite position, a
+    /// non-finite rotation or a zero quaternion. Refused at the door; the
+    /// session's stream is as it was.
+    InvalidPose {
+        /// The session.
+        id: SessionId,
+        /// Which part of the pose was wrong.
+        reason: &'static str,
+    },
     /// A configuration is malformed — refused before anything was built.
     InvalidConfig {
         /// Which field was wrong, and how.
@@ -78,6 +87,9 @@ impl fmt::Display for ServeError {
                 write!(f, "server overloaded; retry after {retry_after_s}s")
             }
             ServeError::InvalidSubmission { reason } => write!(f, "invalid submission: {reason}"),
+            ServeError::InvalidPose { id, reason } => {
+                write!(f, "invalid pose for session {id}: {reason}")
+            }
             ServeError::InvalidConfig { reason } => write!(f, "invalid configuration: {reason}"),
         }
     }

@@ -450,9 +450,14 @@ impl<'a> Fleet<'a> {
 
     /// Feeds one pose to a streaming session, following it to wherever
     /// failover moved it. Errors with [`ServeError::SessionLost`] if its
-    /// shard died with no survivor.
+    /// shard died with no survivor, and with [`ServeError::InvalidPose`]
+    /// (before the session sees it) for a pose with a non-finite position,
+    /// a non-finite rotation or a zero quaternion.
     pub fn push_pose(&mut self, id: SessionId, pose: Pose) -> Result<(), ServeError> {
         let shard = self.home(id)?;
+        if let Some(reason) = pose_fault(&pose) {
+            return Err(ServeError::InvalidPose { id, reason });
+        }
         self.servers[shard].push_pose(id, pose)
     }
 
@@ -674,6 +679,22 @@ impl<'a> Fleet<'a> {
             alive_shards: self.alive_shards(),
             shards,
         }
+    }
+}
+
+/// Why `pose` cannot place a camera, if it cannot: every coordinate
+/// must be finite and the rotation not the zero quaternion.
+fn pose_fault(pose: &Pose) -> Option<&'static str> {
+    let q = pose.rotation;
+    let q = [q.w, q.x, q.y, q.z];
+    if !pose.position.is_finite() {
+        Some("non-finite position")
+    } else if !q.iter().all(|c| c.is_finite()) {
+        Some("non-finite rotation")
+    } else if q == [0.0; 4] {
+        Some("zero quaternion")
+    } else {
+        None
     }
 }
 

@@ -442,3 +442,184 @@ proptest! {
         prop_assert_eq!(parsed, Ok(profile));
     }
 }
+
+// ---------------------------------------------------------------------------
+// The pose boundary: what a client may push, refused as typed errors at the
+// fleet and survived (no panic, no hang) by a bare session.
+// ---------------------------------------------------------------------------
+
+use cicero::{PipelineConfig, PipelineSession, Variant};
+use cicero_field::{bake, GridConfig, GridModel};
+use cicero_math::Quat;
+use cicero_scene::{library, AnalyticScene, Trajectory};
+use cicero_serve::{
+    Fleet, FleetConfig, QosClass, ServeError, SessionSpec, Submission, SubmitOutcome,
+};
+
+/// Coordinates a pose feed can carry: NaN, ±∞, a subnormal, ±1e30, and
+/// plain values.
+const POSE_EDGES: [f32; 8] = [
+    f32::NAN,
+    f32::INFINITY,
+    f32::NEG_INFINITY,
+    1e-40,
+    1e30,
+    -1e30,
+    0.0,
+    0.5,
+];
+
+/// The pose `base` with its position component `axis` (0–2) or rotation
+/// component `axis - 3` (3–6: w, x, y, z) replaced by `v`; `axis` 7 zeroes
+/// the quaternion.
+fn nasty_pose(base: Pose, axis: usize, v: f32) -> Pose {
+    let mut pose = base;
+    match axis {
+        0 => pose.position.x = v,
+        1 => pose.position.y = v,
+        2 => pose.position.z = v,
+        3 => pose.rotation.w = v,
+        4 => pose.rotation.x = v,
+        5 => pose.rotation.y = v,
+        6 => pose.rotation.z = v,
+        _ => {
+            pose.rotation = Quat {
+                w: 0.0,
+                x: 0.0,
+                y: 0.0,
+                z: 0.0,
+            }
+        }
+    }
+    pose
+}
+
+/// Whether `Fleet::push_pose` must refuse `pose`.
+fn refusable(pose: &Pose) -> bool {
+    let q = pose.rotation;
+    let finite = pose.position.is_finite() && [q.w, q.x, q.y, q.z].iter().all(|c| c.is_finite());
+    !finite || [q.w, q.x, q.y, q.z] == [0.0; 4]
+}
+
+fn pose_assets() -> (AnalyticScene, GridModel, Trajectory) {
+    let scene = library::scene_by_name("lego").unwrap();
+    let model = bake::bake_grid(
+        &scene,
+        &GridConfig {
+            resolution: 12,
+            ..Default::default()
+        },
+    );
+    let traj = Trajectory::orbit(&scene, 6, 30.0);
+    (scene, model, traj)
+}
+
+fn pose_cfg(variant: Variant) -> PipelineConfig {
+    PipelineConfig {
+        variant,
+        window: 2,
+        march: MarchParams {
+            step: 0.05,
+            ..Default::default()
+        },
+        collect_quality: true,
+        collect_traffic: true,
+        ..Default::default()
+    }
+}
+
+/// Steps a bare 12×12 streaming session over `traj` with every pose passed
+/// through `edit`, quality and traffic collection on, to the end of its
+/// stream; returns the number of steps.
+fn step_bare_session(
+    scene: &AnalyticScene,
+    model: &GridModel,
+    traj: &Trajectory,
+    variant: Variant,
+    edit: impl Fn(usize, Pose) -> Pose,
+) -> usize {
+    let k = Intrinsics::from_fov(12, 12, 0.9);
+    let mut session =
+        PipelineSession::new_streaming(scene, model, traj.fps(), k, &pose_cfg(variant));
+    for (i, pose) in traj.poses().iter().enumerate() {
+        session.push_pose(edit(i, *pose));
+    }
+    session.close_stream();
+    let mut steps = 0;
+    while session.step().is_some() {
+        steps += 1;
+    }
+    steps
+}
+
+/// A stream whose every rotation is `Quat { w: NaN, .. }`: each ray's
+/// direction is NaN, and the slab test once gave such a ray the interval
+/// `[0, ∞)`, which every marcher stepped through without end.
+#[test]
+fn nan_rotation_stream_steps_to_its_end() {
+    let (scene, model, traj) = pose_assets();
+    for variant in [Variant::Baseline, Variant::Cicero] {
+        let nan_w = |_, pose| nasty_pose(pose, 3, f32::NAN);
+        let steps = step_bare_session(&scene, &model, &traj, variant, nan_w);
+        assert_eq!(steps, traj.len(), "{variant:?}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// `Fleet::push_pose` refuses a non-finite position, a non-finite
+    /// rotation or a zero quaternion as `ServeError::InvalidPose`, and takes
+    /// everything else (subnormal and 1e30 coordinates included).
+    #[test]
+    fn fleet_refuses_non_finite_poses(
+        axis in 0usize..8,
+        edge in 0usize..8,
+        at in 0usize..6,
+    ) {
+        let (scene, model, traj) = pose_assets();
+        let mut fleet = Fleet::new(FleetConfig::default()).unwrap();
+        let spec = SessionSpec {
+            name: "s".into(),
+            scene_key: "lego".into(),
+            qos: QosClass::Standard,
+            start_offset_s: 0.0,
+            config: pose_cfg(Variant::Cicero),
+        };
+        let k = Intrinsics::from_fov(12, 12, 0.9);
+        let sub = Submission::stream(spec, &scene, &model, traj.fps(), k);
+        let Ok(SubmitOutcome::Admitted(id)) = fleet.submit(sub) else {
+            panic!("admission");
+        };
+        for (i, pose) in traj.poses().iter().enumerate() {
+            let pose = if i == at { nasty_pose(*pose, axis, POSE_EDGES[edge]) } else { *pose };
+            let pushed = fleet.push_pose(id, pose);
+            if refusable(&pose) {
+                prop_assert!(
+                    matches!(pushed, Err(ServeError::InvalidPose { id: got, .. }) if got == id),
+                    "{pose:?}: {pushed:?}"
+                );
+            } else {
+                prop_assert_eq!(pushed, Ok(()));
+            }
+        }
+        fleet.close_stream(id).unwrap();
+        fleet.run();
+    }
+
+    /// A bare streaming session fed any such pose, with quality and traffic
+    /// collection on, steps to the end of its stream: no panic, no hang.
+    #[test]
+    fn bare_session_survives_any_pose(
+        axis in 0usize..8,
+        edge in 0usize..8,
+        at in 0usize..6,
+        cicero in 0u8..2,
+    ) {
+        let (scene, model, traj) = pose_assets();
+        let variant = if cicero == 1 { Variant::Cicero } else { Variant::Baseline };
+        let edit = |i, pose| if i == at { nasty_pose(pose, axis, POSE_EDGES[edge]) } else { pose };
+        let steps = step_bare_session(&scene, &model, &traj, variant, edit);
+        prop_assert_eq!(steps, traj.len());
+    }
+}
