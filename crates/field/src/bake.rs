@@ -149,8 +149,9 @@ fn bake_occupancy(scene: &AnalyticScene, res: usize) -> OccupancyGrid {
         RadianceSource::bounds(scene),
         res,
         |p| {
-            let near = scene.nearest(p);
-            (near.density(), near.distance)
+            scene
+                .nearest8(p)
+                .map(|near| (near.density(), near.distance))
         },
         1e-2,
     )

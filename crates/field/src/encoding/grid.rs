@@ -37,6 +37,38 @@ impl Default for GridConfig {
     }
 }
 
+impl GridConfig {
+    /// Whether a [`DenseGrid`] can be built from this configuration: at
+    /// least one cell per axis, at least the seven decoder signals per
+    /// vertex, and no more feature values than the gather indexes in `u32`.
+    ///
+    /// # Errors
+    ///
+    /// What is wrong, in words.
+    pub fn check(&self) -> Result<(), String> {
+        if self.resolution == 0 {
+            return Err("resolution 0: a grid needs at least one cell per axis".into());
+        }
+        if self.channels < 7 {
+            return Err(format!(
+                "channels {}: need at least 7 channels for the decoder signals",
+                self.channels
+            ));
+        }
+        let values = (self.resolution as u64)
+            .checked_add(1)
+            .and_then(|per_axis| per_axis.checked_pow(3))
+            .and_then(|verts| verts.checked_mul(self.channels as u64));
+        if values.is_none_or(|values| values > u32::MAX as u64) {
+            return Err(format!(
+                "resolution {} × channels {}: the grid's feature values must be indexable in u32",
+                self.resolution, self.channels
+            ));
+        }
+        Ok(())
+    }
+}
+
 /// A dense vertex-feature grid over an axis-aligned bound.
 #[derive(Debug, Clone)]
 pub struct DenseGrid {
@@ -51,19 +83,14 @@ impl DenseGrid {
     ///
     /// # Panics
     ///
-    /// Panics if `channels < 7`, `resolution == 0`, or the grid holds more
-    /// than `u32::MAX` feature values (the gather indexes them in `u32`).
+    /// Panics if [`GridConfig::check`] refuses `cfg`: `channels < 7`,
+    /// `resolution == 0`, or more than `u32::MAX` feature values (the
+    /// gather indexes them in `u32`).
     pub fn new(cfg: GridConfig, bounds: Aabb) -> Self {
-        assert!(
-            cfg.channels >= 7,
-            "need at least 7 channels for the decoder signals"
-        );
-        assert!(cfg.resolution > 0);
+        if let Err(msg) = cfg.check() {
+            panic!("invalid grid configuration: {msg}");
+        }
         let verts = (cfg.resolution + 1).pow(3);
-        assert!(
-            (verts as u64).saturating_mul(cfg.channels as u64) <= u32::MAX as u64,
-            "the grid's feature values must be indexable in u32"
-        );
         DenseGrid {
             cfg,
             bounds,
@@ -435,5 +462,45 @@ mod tests {
         // DirectVoxGO-like: order 100 MB (paper Fig. 2 x-axis).
         let mb = g.storage_bytes() as f64 / (1024.0 * 1024.0);
         assert!(mb > 50.0 && mb < 200.0, "{mb} MB");
+    }
+
+    /// `check` refuses exactly what `new` cannot build, at the edges: the
+    /// largest 7-channel grid indexable in `u32` is 848³ (849³ vertices ×
+    /// 7 = 4 291 720 343 values), and a resolution whose vertex count
+    /// overflows is refused, not wrapped.
+    #[test]
+    fn check_refuses_what_new_cannot_build() {
+        let cfg = |resolution, channels| GridConfig {
+            resolution,
+            channels,
+            bytes_per_channel: 2,
+        };
+        for ok in [cfg(1, 7), cfg(160, 12), cfg(848, 7), cfg(4, 64)] {
+            assert_eq!(ok.check(), Ok(()), "{ok:?}");
+        }
+        for (bad, why) in [
+            (cfg(0, 12), "resolution 0"),
+            (cfg(8, 6), "channels 6"),
+            (cfg(8, 0), "channels 0"),
+            (cfg(849, 7), "indexable in u32"),
+            (cfg(2048, 12), "indexable in u32"),
+            (cfg(usize::MAX, 12), "indexable in u32"),
+        ] {
+            let msg = bad.check().expect_err("refused");
+            assert!(msg.contains(why), "{bad:?}: {msg}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid grid configuration: channels 6")]
+    fn new_panics_through_check() {
+        DenseGrid::new(
+            GridConfig {
+                resolution: 4,
+                channels: 6,
+                bytes_per_channel: 2,
+            },
+            Aabb::centered_cube(1.0),
+        );
     }
 }

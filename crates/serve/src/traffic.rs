@@ -188,6 +188,11 @@ pub enum TrafficError {
         /// What was wrong.
         msg: String,
     },
+    /// The grid to bake every scene at fails [`GridConfig::check`].
+    InvalidGrid {
+        /// What was wrong.
+        msg: String,
+    },
 }
 
 impl fmt::Display for TrafficError {
@@ -200,6 +205,7 @@ impl fmt::Display for TrafficError {
             TrafficError::InvalidSession { index, msg } => {
                 write!(f, "traffic profile session {index}: {msg}")
             }
+            TrafficError::InvalidGrid { msg } => write!(f, "asset grid: {msg}"),
         }
     }
 }
@@ -667,11 +673,14 @@ impl TrafficAssets {
     ///
     /// # Errors
     ///
-    /// [`TrafficError::InvalidSession`] if a session fails
-    /// [`TrafficSession::check`] (a profile built in code need not have
-    /// been parsed), [`TrafficError::UnknownScene`] if a session names a
-    /// scene the [`library`] does not know.
+    /// [`TrafficError::InvalidGrid`] if `grid` fails [`GridConfig::check`],
+    /// before anything is baked; [`TrafficError::InvalidSession`] if a
+    /// session fails [`TrafficSession::check`] (a profile built in code need
+    /// not have been parsed), [`TrafficError::UnknownScene`] if a session
+    /// names a scene the [`library`] does not know.
     pub fn build(profile: &TrafficProfile, grid: &GridConfig) -> Result<Self, TrafficError> {
+        grid.check()
+            .map_err(|msg| TrafficError::InvalidGrid { msg })?;
         let mut scenes: Vec<(String, AnalyticScene, GridModel)> = Vec::new();
         let mut trajectories = Vec::with_capacity(profile.sessions.len());
         let mut scene_of = Vec::with_capacity(profile.sessions.len());
@@ -1295,6 +1304,32 @@ mod tests {
             }
             Err(other) => panic!("expected InvalidSession, got {other:?}"),
             Ok(_) => panic!("expected InvalidSession, got assets"),
+        }
+    }
+
+    /// A grid `DenseGrid::new` would panic on is refused before any bake,
+    /// with what `GridConfig::check` says of it.
+    #[test]
+    fn assets_refuse_a_grid_the_bake_would_panic_on() {
+        let profile = tiny_model().generate(5);
+        for (resolution, channels, why) in [
+            (0, 12, "resolution 0"),
+            (8, 6, "channels 6"),
+            (2048, 12, "indexable in u32"),
+        ] {
+            let grid = GridConfig {
+                resolution,
+                channels,
+                ..Default::default()
+            };
+            match TrafficAssets::build(&profile, &grid) {
+                Err(TrafficError::InvalidGrid { msg }) => {
+                    assert!(msg.contains(why), "{msg}");
+                    assert_eq!(Err(msg), grid.check());
+                }
+                Err(other) => panic!("expected InvalidGrid, got {other:?}"),
+                Ok(_) => panic!("expected InvalidGrid, got assets"),
+            }
         }
     }
 
