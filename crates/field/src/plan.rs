@@ -85,10 +85,11 @@ pub trait GatherSink {
     /// Called once per processed (non-skipped) ray sample.
     fn on_sample(&mut self, ray_id: u32, sample_t: f32, plan: &GatherPlan);
 
-    /// Whether this sink actually observes samples. The tile-parallel
-    /// renderer buffers per-tile sample streams so it can replay them to the
-    /// sink in deterministic tile order; sinks that discard everything
-    /// return `false` here so that buffering is skipped entirely.
+    /// Whether this sink actually observes samples. The renderer records an
+    /// observing sink's committed samples and replays them to it ray-major,
+    /// building each sample's plan as it goes; for a sink that discards
+    /// everything (`false` here) nothing is recorded and no plan is built.
+    /// The march itself is the same either way.
     fn observes_samples(&self) -> bool {
         true
     }

@@ -17,6 +17,7 @@ use cicero_math::{Camera, Ray, Vec3};
 use cicero_scene::ground_truth::Frame;
 use cicero_scene::volume::MarchParams;
 use cicero_telemetry as telemetry;
+use std::ops::Range;
 
 /// Default sample-block size of the marcher: big enough that every MLP
 /// weight row amortizes over a SIMD-friendly sample vector, small enough
@@ -37,13 +38,10 @@ pub struct RenderOptions {
     /// marcher at every value — `1` is a one-lane block of the same engine,
     /// and `0` is read as `1`; the per-sample loop lives on only as the test
     /// oracle [`render_reference`]. It is also the number of rays the
-    /// marcher keeps in flight. It does *not* bound speculative work: for a
-    /// sink that does not observe
-    /// samples a block holds one lane from each ray in flight, so no lane is
-    /// evaluated past an early exit at any block size (128² lego, lanes
-    /// evaluated ÷ committed: 1.000 at 4, 16 and 64); a sink that observes
-    /// keeps the ray-major order and with it up to a block of speculation
-    /// per early-exiting ray (1.06× / 1.18× / 1.96×).
+    /// marcher keeps in flight, and a block holds one lane from each of them
+    /// whatever the sink, so no lane is evaluated past an early exit at any
+    /// block size (128² lego, lanes evaluated ÷ committed: 1.000 at 4, 16
+    /// and 64).
     /// Pure throughput knob: frames, statistics and sink streams are
     /// **bit-identical** at every value. Defaults to
     /// [`DEFAULT_SAMPLE_BLOCK`].
@@ -114,7 +112,8 @@ impl RenderStats {
 /// reused scratch is bit-identical to rendering through a fresh one.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct RenderScratch {
-    /// The one plan built for a sink that does not observe samples.
+    /// The one plan that prices every sample's gather: its entry reads and
+    /// bytes are constants of the encoding, so it is built once per band.
     plan: GatherPlan,
     /// SoA block scratch of the sample engine.
     block: SampleBlock,
@@ -191,13 +190,12 @@ impl RayCtx {
 /// flight that fill it (the paper's tile locality argument: weight reuse
 /// should not be capped by per-ray sample counts).
 ///
-/// The marcher parks every processed sample in a lane (t, position, gather
-/// plan, ray slot); a full block — or the band-end tail — is then evaluated
-/// in one batched features→MLP→activations pass and *committed* lane by lane
-/// in park order against each lane's [`RayCtx`]. All buffers, including
-/// each lane's [`GatherPlan`] level vector and the MLP ping-pong matrices,
-/// are reused across blocks, rays and frames, so a warmed batched frame
-/// performs zero heap allocations.
+/// The marcher parks every processed sample in a lane (t, position, ray
+/// slot); a full block — or the band-end tail — is then evaluated in one
+/// batched features→MLP→activations pass and *committed* lane by lane in
+/// park order against each lane's [`RayCtx`]. All buffers, including the
+/// MLP ping-pong matrices, are reused across blocks, rays and frames, so a
+/// warmed batched frame performs zero heap allocations.
 #[derive(Debug, Clone, Default)]
 struct SampleBlock {
     /// Ray parameter per lane.
@@ -206,9 +204,6 @@ struct SampleBlock {
     ps: Vec<Vec3>,
     /// Ray direction per lane (rays differ within a block).
     dirs: Vec<Vec3>,
-    /// Gather plan per lane (level buffers stay warm per lane); filled only
-    /// for sinks that observe samples.
-    plans: Vec<GatherPlan>,
     /// Candidates indexed since the owning ray's previous lane (inclusive of
     /// this lane's own indexing step).
     indexed: Vec<u64>,
@@ -239,7 +234,6 @@ impl SampleBlock {
             self.ts.resize(k, 0.0);
             self.ps.resize(k, Vec3::ZERO);
             self.dirs.resize(k, Vec3::ZERO);
-            self.plans.resize_with(k, GatherPlan::default);
             self.indexed.resize(k, 0);
             self.slots.resize(k, 0);
             self.sigma.resize(k, 0.0);
@@ -256,25 +250,22 @@ impl SampleBlock {
     ///
     /// Evaluation is batched (SoA features, block MLP); **commitment** is
     /// per-lane in park order and replicates [`render_reference`] exactly:
-    /// stats and sink first, then compositing into the lane's [`RayCtx`], then
-    /// the transmittance early-exit. When the exit fires at lane `j`, this ray's
-    /// later lanes were evaluated speculatively but are *not* committed — no
-    /// stats, no sink events, no compositing — so every observable output
-    /// matches the reference loop bit for bit.
+    /// stats and the band's trace first, then compositing into the lane's
+    /// [`RayCtx`], then the transmittance early-exit. When the exit fires at
+    /// lane `j`, this ray's later lanes (only at a band's tail can there be
+    /// any) were evaluated speculatively but are *not* committed — no stats,
+    /// no trace, no compositing — so every observable output matches the
+    /// reference loop bit for bit.
     ///
     /// `per_sample` is the `(entry reads, bytes)` of any one sample's gather
-    /// plan when the sink does not observe samples, and `None` when it does:
-    /// then every lane carries its own plan for the sink, and is counted by
-    /// it. `visited` is the number of candidate steps the marcher looked at
+    /// plan; `visited` is the number of candidate steps the marcher looked at
     /// since the previous flush (telemetry only).
-    #[allow(clippy::too_many_arguments)]
-    fn flush<M: NerfModel + ?Sized, S: GatherSink>(
+    fn flush<M: NerfModel + ?Sized>(
         &mut self,
         model: &M,
         march: &MarchParams,
-        per_sample: Option<(u64, u64)>,
+        per_sample: (u64, u64),
         visited: u64,
-        sink: &mut S,
         stats: &mut RenderStats,
         out: &mut RowBand<'_>,
     ) {
@@ -314,14 +305,12 @@ impl SampleBlock {
                 continue; // speculative lane past this ray's early exit
             }
             stats.samples_indexed += self.indexed[j];
-            let (entry_reads, bytes) = per_sample.unwrap_or_else(|| {
-                let plan = &self.plans[j];
-                sink.on_sample(ray.ray_id, self.ts[j], plan);
-                (plan.entry_reads(), plan.bytes())
-            });
+            if let Some(trace) = out.trace.as_deref_mut() {
+                trace.samples.push((ray.ray_id, self.ts[j]));
+            }
             stats.samples_processed += 1;
-            stats.gather_entry_reads += entry_reads;
-            stats.gather_bytes += bytes;
+            stats.gather_entry_reads += per_sample.0;
+            stats.gather_bytes += per_sample.1;
             stats.mlp_macs += macs_per_sample;
             let sigma = self.sigma[j];
             if sigma <= 0.0 {
@@ -374,6 +363,85 @@ pub(crate) struct RowBand<'a> {
     pub color: &'a mut [Vec3],
     /// Band depths, same indexing.
     pub depth: &'a mut [f32],
+    /// Where the band's committed samples are recorded for an observing
+    /// sink; `None` records nothing.
+    pub trace: Option<&'a mut SampleTrace>,
+}
+
+/// The committed samples of one row band, recorded by the marcher for a sink
+/// that observes samples, and their replay in [`render_reference`]'s order.
+///
+/// The marcher commits the samples of up to `sample_block` rays interleaved,
+/// each ray's in step order, and records only `(ray_id, t)`. A counting sort
+/// by pixel — stable, so each ray keeps its step order — lays the `t`s out
+/// ray-major, and the replay rebuilds each ray's primary ray once, each
+/// sample's position and [`GatherPlan`] as it hands it to the sink: 12 bytes
+/// a sample. Reused across frames: a warmed trace allocates nothing.
+#[derive(Debug, Default)]
+pub(crate) struct SampleTrace {
+    /// First pixel of the band.
+    first: usize,
+    /// `(ray_id, t)` per committed sample, in commit order.
+    samples: Vec<(u32, f32)>,
+    /// Per pixel of the band, where its samples start in `ts` (the sort's
+    /// counting offsets), plus one slot.
+    starts: Vec<u32>,
+    /// Every sample's `t`, ray-major.
+    ts: Vec<f32>,
+    /// The replay's gather plan.
+    plan: GatherPlan,
+}
+
+impl SampleTrace {
+    /// Empties the trace for the pixels `pixels` of a band.
+    fn begin(&mut self, pixels: Range<usize>) {
+        self.first = pixels.start;
+        self.samples.clear();
+        self.starts.clear();
+        self.starts.resize(pixels.len() + 1, 0);
+    }
+
+    /// Hands every recorded sample to `sink` with its gather plan: ray by
+    /// ray in pixel order, each ray's samples in step order.
+    pub(crate) fn replay<M: NerfModel + ?Sized, S: GatherSink>(
+        &mut self,
+        model: &M,
+        camera: &Camera,
+        sink: &mut S,
+    ) {
+        for &(ray, _) in &self.samples {
+            self.starts[ray as usize - self.first + 1] += 1;
+        }
+        for i in 1..self.starts.len() {
+            self.starts[i] += self.starts[i - 1];
+        }
+        self.ts.resize(self.samples.len(), 0.0);
+        for &(ray, t) in &self.samples {
+            let start = &mut self.starts[ray as usize - self.first];
+            self.ts[*start as usize] = t;
+            *start += 1;
+        }
+        // Each pixel's slot now holds where its samples end.
+        let mut begin = 0;
+        for (pixel, &end) in (self.first..).zip(&self.starts) {
+            if end > begin {
+                let primary = primary_ray(camera, pixel).0;
+                for &t in &self.ts[begin as usize..end as usize] {
+                    model.plan_into(primary.at(t), &mut self.plan);
+                    sink.on_sample(pixel as u32, t, &self.plan);
+                }
+            }
+            begin = end;
+        }
+    }
+}
+
+/// The primary ray through the centre of row-major `pixel`, and that
+/// centre's `(u, v)`.
+fn primary_ray(camera: &Camera, pixel: usize) -> (Ray, f32, f32) {
+    let w = camera.intrinsics.width;
+    let (u, v) = ((pixel % w) as f32 + 0.5, (pixel / w) as f32 + 0.5);
+    (camera.primary_ray(u, v), u, v)
 }
 
 /// Renders a full frame on the calling thread (one lane of
@@ -538,33 +606,29 @@ pub fn render_reference<M: NerfModel + ?Sized, S: GatherSink>(
 ///
 /// Up to `sample_block` rays are in flight, each in a stable slot. The
 /// marcher goes round the slots giving each ray a *turn*: the ray walks to
-/// its next occupied candidates ([`OccupancyGrid::first_occupied_step`]
+/// its next occupied candidate ([`OccupancyGrid::first_occupied_step`]
 /// jumps over provably empty space, counting the candidates it jumps) and
-/// parks up to `turn` of them in the block. A ray that ends with nothing
-/// parked is finished on the spot and its slot takes the next masked pixel
-/// within the same turn, so blocks stay full; a full block is evaluated
-/// through `features_into_block` → [`crate::Decoder::decode_block`] and committed
-/// by [`SampleBlock::flush`].
-///
-/// `turn` is the one thing read from the sink. A sink that does not observe
-/// samples gets `turn = 1`: a block holds one lane from each of
+/// parks it in the block. A ray that ends with nothing parked is finished
+/// on the spot and its slot takes the next masked pixel within the same
+/// turn, so blocks stay full; a full block is evaluated through
+/// `features_into_block` → [`crate::Decoder::decode_block`] and committed by
+/// [`SampleBlock::flush`]. A block thus holds one lane from each of
 /// `sample_block` rays, every ray's early exit is known before its next lane
 /// is parked, and no lane is evaluated that is not committed (only when the
 /// band has fewer pixels left than slots do the remaining rays go round more
-/// than once per block, so the tail is not a string of tiny blocks). A sink
-/// that observes gets `turn = sample_block`: one ray marches at a time and
-/// keeps the turn across flushes until it ends, so lanes reach the sink in
-/// the reference loop's ray-major order — at the price of evaluating, per
-/// early-exiting ray, the lanes it had parked past its exit.
+/// than once per block, so the tail is not a string of tiny blocks).
+///
+/// The sink plays no part in the march: when `out.trace` is given, the
+/// committed samples are recorded into it, and [`SampleTrace::replay`]
+/// hands them to the sink ray-major afterwards.
 ///
 /// [`OccupancyGrid::first_occupied_step`]: crate::OccupancyGrid::first_occupied_step
-pub(crate) fn render_rows<M: NerfModel + ?Sized, S: GatherSink>(
+pub(crate) fn render_rows<M: NerfModel + ?Sized>(
     model: &M,
     camera: &Camera,
     opts: &RenderOptions,
     mask: Option<&[bool]>,
     mut out: RowBand<'_>,
-    sink: &mut S,
     scratch: &mut RenderScratch,
 ) -> RenderStats {
     let w = camera.intrinsics.width;
@@ -575,17 +639,17 @@ pub(crate) fn render_rows<M: NerfModel + ?Sized, S: GatherSink>(
     let march = &opts.march;
     let step = march.step;
     let kmax = opts.sample_block.max(1);
-    let observe = sink.observes_samples();
-    let turn = if observe { kmax } else { 1 };
-    // What a sample's plan adds to the stats is the same at every position,
-    // so a sink that will not look at plans gets none built: one, anywhere.
-    let per_sample = (!observe).then(|| {
-        model.plan_into(bounds.center(), &mut scratch.plan);
-        (scratch.plan.entry_reads(), scratch.plan.bytes())
-    });
+    // What a sample's plan adds to the stats is the same at every position:
+    // one plan, anywhere, prices them all.
+    model.plan_into(bounds.center(), &mut scratch.plan);
+    let per_sample = (scratch.plan.entry_reads(), scratch.plan.bytes());
     let block = &mut scratch.block;
     block.ensure(kmax);
-    let mut pixels = (out.y0 * w..out.y1 * w).filter(|&i| mask.is_none_or(|m| m[i]));
+    let band = out.y0 * w..out.y1 * w;
+    if let Some(trace) = out.trace.as_deref_mut() {
+        trace.begin(band.clone());
+    }
+    let mut pixels = band.filter(|&i| mask.is_none_or(|m| m[i]));
 
     let mut slot = 0;
     // Consecutive turns that parked nothing; `kmax` of them is a whole round
@@ -594,18 +658,16 @@ pub(crate) fn render_rows<M: NerfModel + ?Sized, S: GatherSink>(
     let mut visited = 0u64;
     while idle < kmax {
         let ray = &mut block.rays[slot];
-        let room = turn.min(kmax - block.count);
-        let mut parked = 0;
-        while parked < room {
+        let parked = loop {
             if ray.next == ray.steps {
                 if ray.lanes > 0 {
-                    break; // ended; waits for its lanes to be committed
+                    break false; // ended; waits for its lanes to be committed
                 }
-                let Some(pixel) = pixels.next() else { break };
+                let Some(pixel) = pixels.next() else {
+                    break false;
+                };
                 stats.rays += 1;
-                let (x, y) = (pixel % w, pixel / w);
-                let (u, v) = (x as f32 + 0.5, y as f32 + 0.5);
-                let primary = camera.primary_ray(u, v);
+                let (primary, u, v) = primary_ray(camera, pixel);
                 // Steps with `t < t1`: `t` never decreases with the step
                 // index, so they are a prefix and the reference loop's
                 // `t >= t1` break is taken once, here.
@@ -653,38 +715,26 @@ pub(crate) fn render_rows<M: NerfModel + ?Sized, S: GatherSink>(
             }
             let c = block.count;
             let t = ray.t0 + (at as f32 + 0.5) * step;
-            let p = ray.origin + ray.dir * t;
             block.ts[c] = t;
-            block.ps[c] = p;
+            block.ps[c] = ray.origin + ray.dir * t;
             block.dirs[c] = ray.dir;
-            if observe {
-                model.plan_into(p, &mut block.plans[c]);
-            }
             block.indexed[c] = ray.pending + 1;
             block.slots[c] = slot as u32;
             block.count = c + 1;
             ray.pending = 0;
             ray.next = at + 1;
             ray.lanes += 1;
-            parked += 1;
-        }
+            break true;
+        };
         if block.count == kmax {
-            // The slot keeps the turn: an observed ray cut off by the block
-            // boundary marches on before any other ray parks a lane.
-            block.flush(
-                model, march, per_sample, visited, sink, &mut stats, &mut out,
-            );
+            block.flush(model, march, per_sample, visited, &mut stats, &mut out);
             visited = 0;
-            idle = 0;
-            continue;
         }
-        idle = if parked == 0 { idle + 1 } else { 0 };
+        idle = if parked { 0 } else { idle + 1 };
         slot = (slot + 1) % kmax;
     }
     // Band-end tail: evaluate the partial block, which finishes every ray.
-    block.flush(
-        model, march, per_sample, visited, sink, &mut stats, &mut out,
-    );
+    block.flush(model, march, per_sample, visited, &mut stats, &mut out);
     debug_assert!(
         block
             .rays
@@ -931,7 +981,7 @@ mod tests {
                 if sample_block == 1 {
                     continue;
                 }
-                // The marcher's other order (one lane per ray in flight).
+                // The same frame unobserved: no trace recorded, no plan built.
                 let mut unobserved = frame.clone();
                 let (opts, one_lane) = (at(0.01), TileOptions::default());
                 let null_stats = render_tiled(

@@ -13,24 +13,25 @@
 //! Zero-allocation contract: lanes write **directly into the output frame**
 //! through the claim queue ([`crate::pool::FrameTiles`]) — there are no
 //! per-tile staging buffers and no merge copies — per-lane sample scratch
-//! comes from each pool worker's persistent thread-local, and the per-tile
-//! trace slots live in a reused thread-local [`TileScratch`]. After the first
-//! (warm-up) frame, a pool-path render performs zero heap allocations and
-//! zero thread spawns; `tests/zero_alloc.rs` enforces this.
+//! comes from each pool worker's persistent thread-local, and the sample
+//! traces live in a reused thread-local. After the first (warm-up) frame, a
+//! pool-path render performs zero heap allocations and zero thread spawns;
+//! `tests/zero_alloc.rs` enforces this.
 //!
-//! Sample streams: observing sinks (memory-traffic replays) are inherently
-//! sequential, so each tile buffers its samples into a private trace and the
-//! merge replays the traces tile by tile. Sinks that discard samples
-//! ([`crate::NullSink`]; [`GatherSink::observes_samples`] returns `false`)
-//! skip the buffering entirely — the common quality-rendering path carries no
-//! trace overhead.
+//! Sample streams: every sink's frame is marched the same way. For an
+//! observing sink (memory-traffic replays) each band — the whole frame on
+//! one lane, else each tile — records its committed samples into a trace,
+//! and the traces are replayed to the sink in band order, each ray-major:
+//! the sink sees [`crate::render::render_reference`]'s stream. Sinks that
+//! discard samples ([`crate::NullSink`]; [`GatherSink::observes_samples`]
+//! returns `false`) get no trace and no plan built.
 
 use crate::model::NerfModel;
-use crate::plan::{GatherPlan, GatherSink, LevelGather, NullSink};
+use crate::plan::GatherSink;
 use crate::pool::{FrameTiles, RenderPool};
 use crate::render::{
     check_inputs, render_rows, with_thread_scratch, RenderOptions, RenderScratch, RenderStats,
-    RowBand,
+    RowBand, SampleTrace,
 };
 use cicero_math::Camera;
 use cicero_scene::ground_truth::Frame;
@@ -72,55 +73,11 @@ impl TileOptions {
     }
 }
 
-/// One tile's buffered sample stream: flat event records plus a shared
-/// level arena, so buffering a sample never allocates per-event beyond the
-/// amortized `Vec` growth.
-#[derive(Debug, Default)]
-struct TileTrace {
-    /// `(ray_id, sample_t, level_count)` per processed sample.
-    events: Vec<(u32, f32, u32)>,
-    /// Concatenated levels of every buffered plan.
-    levels: Vec<LevelGather>,
-}
-
-impl GatherSink for TileTrace {
-    fn on_sample(&mut self, ray_id: u32, sample_t: f32, plan: &GatherPlan) {
-        self.events
-            .push((ray_id, sample_t, plan.levels.len() as u32));
-        self.levels.extend_from_slice(&plan.levels);
-    }
-}
-
-impl TileTrace {
-    fn clear(&mut self) {
-        self.events.clear();
-        self.levels.clear();
-    }
-
-    /// Replays the buffered samples into `sink` through a reusable plan.
-    fn replay<S: GatherSink>(&self, sink: &mut S, plan: &mut GatherPlan) {
-        let mut off = 0usize;
-        for &(ray_id, sample_t, n) in &self.events {
-            plan.clear();
-            plan.levels
-                .extend_from_slice(&self.levels[off..off + n as usize]);
-            off += n as usize;
-            sink.on_sample(ray_id, sample_t, plan);
-        }
-    }
-}
-
-/// Per-frame merge scratch of the pool render path: the per-tile trace slots
-/// and the replay plan. Kept in a thread-local and reused across frames so a
-/// warmed traffic-collecting render allocates nothing either.
-#[derive(Debug, Default)]
-struct TileScratch {
-    traces: Vec<TileTrace>,
-    replay_plan: GatherPlan,
-}
-
 std::thread_local! {
-    static TILE_SCRATCH: RefCell<TileScratch> = RefCell::new(TileScratch::default());
+    /// The calling thread's sample traces, one per band of an observed
+    /// frame; reused across frames, so a warmed observed render allocates
+    /// nothing either.
+    static TRACES: RefCell<Vec<SampleTrace>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Tile/lane geometry of a frame `h` rows tall.
@@ -140,8 +97,8 @@ fn tile_geometry(h: usize, tile: &TileOptions) -> (usize, usize, usize) {
 ///
 /// Frame, stats and sink stream are bit-identical at any `tile.threads`.
 /// With `threads == 1` it *is* the sequential path: the calling thread
-/// renders every row through its own reused scratch (no tiles, no
-/// buffering). After warm-up either path performs zero heap allocations and
+/// renders every row through its own reused scratch as one band (no
+/// tiles). After warm-up either path performs zero heap allocations and
 /// zero thread spawns per frame.
 ///
 /// # Panics
@@ -160,7 +117,17 @@ pub fn render_tiled<M: NerfModel + ?Sized, S: GatherSink>(
     check_inputs(camera, mask, frame);
     let (w, h) = (camera.intrinsics.width, camera.intrinsics.height);
     let (tile_rows, n_tiles, workers) = tile_geometry(h, tile);
-    if workers <= 1 {
+    // One trace per band for an observing sink, none for the rest.
+    let bands = if workers <= 1 { 1 } else { n_tiles };
+    let n_traces = if sink.observes_samples() { bands } else { 0 };
+    // Taken out of the cell for the frame, so a render from a sink callback
+    // starts from an empty set instead of a `RefCell` panic.
+    let mut traces = TRACES.with(|t| std::mem::take(&mut *t.borrow_mut()));
+    if traces.len() < n_traces {
+        traces.resize_with(n_traces, SampleTrace::default);
+    }
+    let traces_used = &mut traces[..n_traces];
+    let stats = if workers <= 1 {
         // Sequential path: the calling thread's scratch is reused, so frame
         // loops stay allocation-free across frames too.
         let band = RowBand {
@@ -168,41 +135,24 @@ pub fn render_tiled<M: NerfModel + ?Sized, S: GatherSink>(
             y1: h,
             color: frame.color.pixels_mut(),
             depth: frame.depth.pixels_mut(),
+            trace: traces_used.first_mut(),
         };
-        return with_thread_scratch(|rs| render_rows(model, camera, opts, mask, band, sink, rs));
-    }
-
-    let buffer_trace = sink.observes_samples();
-    let mut scratch = TILE_SCRATCH.with(|s| std::mem::take(&mut *s.borrow_mut()));
-    if buffer_trace {
-        while scratch.traces.len() < n_tiles {
-            scratch.traces.push(TileTrace::default());
-        }
-        for t in &mut scratch.traces[..n_tiles] {
-            t.clear();
-        }
-    }
-
-    // One checkout serves the whole frame; lanes pull tiles from the claim
-    // queue and write straight into the frame's pixel buffers (tiles are
-    // disjoint row bands, so there is nothing to merge afterwards). Stats
-    // are u64 counters — summing per-lane subtotals is order-free and
-    // bit-equal to the sequential accumulation.
-    let total = Mutex::new(RenderStats::default());
-    {
+        with_thread_scratch(|rs| render_rows(model, camera, opts, mask, band, rs))
+    } else {
+        // One checkout serves the whole frame; lanes pull tiles from the
+        // claim queue and write straight into the frame's pixel buffers
+        // (tiles are disjoint row bands, so there is nothing to merge
+        // afterwards). Stats are u64 counters — summing per-lane subtotals
+        // is order-free and bit-equal to the sequential accumulation.
+        let total = Mutex::new(RenderStats::default());
         let co = RenderPool::global().checkout(workers - 1);
-        let extras = if buffer_trace {
-            Some(&mut scratch.traces[..n_tiles])
-        } else {
-            None
-        };
         // Each lane starts on its reserved tile (so every worker's scratch
         // warms deterministically on the first frame), then drains the
         // shared queue.
         let tiles = FrameTiles::new(
             frame.color.pixels_mut(),
             frame.depth.pixels_mut(),
-            extras,
+            (!traces_used.is_empty()).then_some(&mut *traces_used),
             w,
             h,
             tile_rows,
@@ -220,11 +170,9 @@ pub fn render_tiled<M: NerfModel + ?Sized, S: GatherSink>(
                         y1: t.y1,
                         color: t.color,
                         depth: t.depth,
+                        trace: t.extra,
                     };
-                    let stats = match t.extra {
-                        Some(trace) => render_rows(model, camera, opts, mask, band, trace, rs),
-                        None => render_rows(model, camera, opts, mask, band, &mut NullSink, rs),
-                    };
+                    let stats = render_rows(model, camera, opts, mask, band, rs);
                     if let Some(t0) = span_t0 {
                         telemetry::span_at(
                             telemetry::Phase::RenderTile,
@@ -241,23 +189,15 @@ pub fn render_tiled<M: NerfModel + ?Sized, S: GatherSink>(
                 total.lock().unwrap().accumulate(&local);
             });
         });
+        total.into_inner().unwrap()
+    };
+    // Bands in ascending order: they are full-width row bands, so this is
+    // the sequential row-major order.
+    for trace in traces_used {
+        trace.replay(model, camera, sink);
     }
-
-    // Deterministic trace replay: tiles in ascending order. Tiles are
-    // full-width row bands, so this order equals the sequential row-major
-    // order — the sink sees the exact sample stream the sequential renderer
-    // would produce.
-    if buffer_trace {
-        let TileScratch {
-            traces,
-            replay_plan,
-        } = &mut scratch;
-        for trace in &traces[..n_tiles] {
-            trace.replay(sink, replay_plan);
-        }
-    }
-    TILE_SCRATCH.with(|s| *s.borrow_mut() = scratch);
-    total.into_inner().unwrap()
+    TRACES.with(|t| *t.borrow_mut() = traces);
+    stats
 }
 
 /// Renders a full frame tile-parallel, returning the frame and statistics.
@@ -281,6 +221,7 @@ mod tests {
     use super::*;
     use crate::bake;
     use crate::encoding::grid::GridConfig;
+    use crate::plan::{GatherPlan, NullSink};
     use crate::render::render_full;
     use cicero_math::{Intrinsics, Pose};
     use cicero_scene::library;

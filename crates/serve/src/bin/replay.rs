@@ -96,17 +96,7 @@ fn cmd_generate(mut it: impl Iterator<Item = String>) {
             other => usage(&format!("unknown generate flag {other}")),
         }
     }
-    // The model asserts these; here they are the user's input.
-    if sessions == 0 {
-        usage("--sessions must be at least 1");
-    }
-    if !(duration.is_finite() && duration > 0.0) {
-        usage("--duration must be a positive number of seconds");
-    }
-    if !(0.0..=1.0).contains(&streaming) {
-        usage("--streaming must be a fraction in [0, 1]");
-    }
-    let profile = TrafficModel {
+    let model = TrafficModel {
         sessions,
         duration_s: duration,
         arrivals,
@@ -119,8 +109,12 @@ fn cmd_generate(mut it: impl Iterator<Item = String>) {
         frames: 5,
         base_fps: 30.0,
         fps_jitter: 0.1,
+    };
+    // The user's input: a law the model refuses is a usage error.
+    if let Err(e) = model.check() {
+        usage(&e);
     }
-    .generate(seed);
+    let profile = model.generate(seed);
     if let Err(e) = std::fs::write(&out, profile.to_text()) {
         fail(&format!("writing {out}"), e);
     }

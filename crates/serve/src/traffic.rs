@@ -561,19 +561,53 @@ impl Default for TrafficModel {
 }
 
 impl TrafficModel {
+    /// The laws [`generate`](Self::generate) needs: at least one session and
+    /// one scene, `duration_s` finite and positive, a QoS mix of positive
+    /// total weight, `streaming_frac` in `[0, 1]`.
+    ///
+    /// # Errors
+    ///
+    /// The first law broken, in that order, as a message.
+    pub fn check(&self) -> Result<(), String> {
+        if self.sessions == 0 {
+            return Err("sessions 0: a traffic model needs at least one session".into());
+        }
+        if self.scenes.is_empty() {
+            return Err("scenes: a traffic model needs at least one scene".into());
+        }
+        if !(self.duration_s.is_finite() && self.duration_s > 0.0) {
+            return Err(format!(
+                "duration_s {:?} is not finite and > 0",
+                self.duration_s
+            ));
+        }
+        let qos_total: f64 = self.qos_mix.iter().sum();
+        if qos_total.is_nan() || qos_total <= 0.0 {
+            return Err(format!(
+                "qos_mix {:?} has no positive total weight",
+                self.qos_mix
+            ));
+        }
+        if !(0.0..=1.0).contains(&self.streaming_frac) {
+            return Err(format!(
+                "streaming_frac {:?} is not in [0, 1]",
+                self.streaming_frac
+            ));
+        }
+        Ok(())
+    }
+
     /// Generates the profile for `seed`. Pure: same model + same seed ⇒
     /// byte-identical profile, every draw keyed and idempotent.
     ///
     /// # Panics
     ///
-    /// Panics if the model has no sessions, no scenes, a non-positive
-    /// duration or an all-zero QoS mix.
+    /// Panics if the model fails [`check`](Self::check).
     pub fn generate(&self, seed: u64) -> TrafficProfile {
-        assert!(self.sessions > 0, "traffic model needs sessions");
-        assert!(!self.scenes.is_empty(), "traffic model needs scenes");
-        assert!(self.duration_s > 0.0, "duration must be positive");
+        if let Err(e) = self.check() {
+            panic!("invalid traffic model: {e}");
+        }
         let qos_total: f64 = self.qos_mix.iter().sum();
-        assert!(qos_total > 0.0, "qos mix must have weight somewhere");
 
         // Zipf popularity over the scene list: weight 1/(k+1)^s.
         let zipf: Vec<f64> = (0..self.scenes.len())
@@ -1192,6 +1226,39 @@ mod tests {
             scenes: vec!["lego".into(), "chair".into()],
             frames: 4,
             ..Default::default()
+        }
+    }
+
+    #[test]
+    fn check_refuses_each_law_and_generate_panics_through_it() {
+        let m = tiny_model;
+        #[rustfmt::skip]
+        let cases = [
+            ("sessions 0", TrafficModel { sessions: 0, ..m() }),
+            ("scenes", TrafficModel { scenes: vec![], ..m() }),
+            ("duration_s 0.0", TrafficModel { duration_s: 0.0, ..m() }),
+            ("duration_s -1.0", TrafficModel { duration_s: -1.0, ..m() }),
+            ("duration_s NaN", TrafficModel { duration_s: f64::NAN, ..m() }),
+            ("duration_s inf", TrafficModel { duration_s: f64::INFINITY, ..m() }),
+            ("qos_mix [0.0, 0.0, 0.0]", TrafficModel { qos_mix: [0.0; 3], ..m() }),
+            ("qos_mix [NaN, 3.0, 1.0]", TrafficModel { qos_mix: [f64::NAN, 3.0, 1.0], ..m() }),
+            ("streaming_frac 1.5", TrafficModel { streaming_frac: 1.5, ..m() }),
+            ("streaming_frac NaN", TrafficModel { streaming_frac: f64::NAN, ..m() }),
+        ];
+        assert_eq!(m().check(), Ok(()));
+        for (law, m) in cases {
+            let err = m.check().unwrap_err();
+            assert!(err.starts_with(law), "{law}: {err}");
+            let panic = std::panic::catch_unwind(|| m.generate(1)).unwrap_err();
+            let message = panic.downcast_ref::<String>().unwrap();
+            assert!(message.contains(&err), "{law}: {message}");
+        }
+        for streaming_frac in [0.0, 1.0] {
+            let m = TrafficModel {
+                streaming_frac,
+                ..m()
+            };
+            assert_eq!(m.check(), Ok(()), "streaming_frac {streaming_frac}");
         }
     }
 

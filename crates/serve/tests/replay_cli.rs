@@ -43,21 +43,26 @@ fn assert_usage_error(run: &Output, flag: &str, what: &str) {
     );
 }
 
+/// Each `TrafficModel::check` law the flags can break is a usage error that
+/// gives the model's reason.
 #[test]
 fn bad_generate_arguments_are_usage_errors() {
     let out = scratch("replay_cli_rejected.profile");
-    for (flag, value) in [
-        ("--sessions", "0"),
-        ("--duration", "0"),
-        ("--duration", "-1"),
-        ("--duration", "nan"),
-        ("--duration", "inf"),
-        ("--streaming", "1.5"),
-        ("--streaming", "-0.2"),
-        ("--streaming", "nan"),
+    for (flag, value, reason) in [
+        ("--sessions", "0", "sessions 0"),
+        ("--duration", "0", "duration_s 0.0"),
+        ("--duration", "-1", "duration_s -1.0"),
+        ("--duration", "nan", "duration_s NaN"),
+        ("--duration", "inf", "duration_s inf"),
+        ("--streaming", "1.5", "streaming_frac 1.5"),
+        ("--streaming", "-0.2", "streaming_frac -0.2"),
+        ("--streaming", "nan", "streaming_frac NaN"),
     ] {
         let run = replay(&["generate", "--out", &out, flag, value]);
-        assert_usage_error(&run, flag, &format!("generate {flag} {value}"));
+        let what = format!("generate {flag} {value}");
+        assert_usage_error(&run, flag, &what);
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert!(stderr.contains(reason), "{what}: {stderr}");
     }
 }
 

@@ -18,7 +18,7 @@
 mod frame_matrix;
 
 use cicero::Variant;
-use frame_matrix::{check, pipeline, Case, Mask, ALL, BASE, GRID};
+use frame_matrix::{check, lanes, pipeline, Case, Mask, ALL, BASE, GRID};
 
 /// A zero-lane block could never park a sample, so `sample_block: 0` is
 /// read as one lane; at one lane every processed sample is evaluated and
@@ -68,9 +68,8 @@ fn batched_masked_render_matches_scalar() {
 /// The shapes the slot-stable marcher has to get right beyond full frames:
 /// fewer rays than slots (the whole render is a band end), a single row,
 /// one-row tile bands through the pool, rays that never skip (occupancy
-/// off), and both values of the one parameter it reads from the sink — an
-/// observing sink (the stream must come out ray-major) and `NullSink` (one
-/// lane per ray per block, no plans built).
+/// off), and both sink kinds — an observing sink (its trace must replay
+/// ray-major) and `NullSink` (no trace, no plans built).
 #[test]
 fn interleaved_marcher_matches_scalar_on_small_masks_thin_bands_and_both_sink_kinds() {
     let thin_bands = Case {
@@ -90,6 +89,26 @@ fn interleaved_marcher_matches_scalar_on_small_masks_thin_bands_and_both_sink_ki
         ("one row, NullSink, occupancy off, block 4, 2 lanes, 1-row bands", GRID,
             Case { mask: Mask::OneRow, observe: false, occupancy: false, block: 4, ..thin_bands }),
     ]);
+}
+
+/// One marching order for every sink: an observing sink's frame evaluates
+/// exactly the lanes `NullSink`'s does, and commits the same ones.
+#[test]
+fn observing_and_null_sinks_evaluate_the_same_lanes() {
+    for block in [4, 16, 64] {
+        let observed = Case {
+            block,
+            telemetry: true,
+            ..BASE
+        };
+        let null = Case {
+            observe: false,
+            ..observed
+        };
+        let (observed, null) = (lanes(&observed), lanes(&null));
+        println!("block {block}: [evaluated, committed] {observed:?} observed, {null:?} NullSink");
+        assert_eq!(observed, null, "block {block}: [evaluated, committed]");
+    }
 }
 
 /// The memory-trace sinks observe the per-sample gather stream, so equal

@@ -174,8 +174,8 @@ pub const BASE: Case = Case {
 };
 
 /// Every knob wide at once: the widest block and lanes, the backend uncapped
-/// (the host's widest), the sink that takes the one-lane-per-ray path,
-/// telemetry recording, a warm pool.
+/// (the host's widest), the sink that records no trace and gets no plan
+/// built, telemetry recording, a warm pool.
 pub const WIDE: Case = Case {
     block: 64,
     lanes: 8,
@@ -656,6 +656,21 @@ pub fn fixture() -> &'static Fixture {
 pub fn lock() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
     LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The marcher's lanes `[evaluated, committed]` over one pass of `case`, a
+/// telemetry case: what the recorder's counters read.
+pub fn lanes(case: &Case) -> [u64; 2] {
+    assert!(case.telemetry, "only a recording case counts lanes");
+    let _serial = lock();
+    run(fixture(), case);
+    let counters = [
+        telemetry::Counter::SampleLanesEvaluated,
+        telemetry::Counter::SampleLanesCommitted,
+    ];
+    let lanes = counters.map(telemetry::counter_value);
+    telemetry::reset();
+    lanes
 }
 
 /// Runs `rows` in order; a row that differs or panics is reported by name

@@ -311,9 +311,9 @@ fn warmed_sample_loop_performs_zero_heap_allocations() {
             );
 
             // Lane accounting of the batched marcher (this is the only test in
-            // its binary, so the global counters see this render alone). A sink
-            // that does not observe gets one lane per ray per block, so no lane
-            // is evaluated past an early exit while the band still has a pixel
+            // its binary, so the global counters see this render alone). Every
+            // sink gets one lane per ray per block, so no lane is evaluated
+            // past an early exit while the band still has a pixel
             // for every slot; only the last `block - 1` rays can share blocks,
             // and each of them can then lose at most `block - 1` lanes. And the
             // walk through the occupancy looks at far fewer candidates than the
@@ -458,11 +458,13 @@ fn warmed_sample_loop_performs_zero_heap_allocations() {
 
     // ---- The traffic sinks ----
     //
-    // A sink that observes samples gets a gather plan per lane from the
-    // marcher's warmed scratch; what is left to allocate is the sink itself
-    // (address map, cache tags, bank loads, one MVoxel partition per dense
-    // region) and the doubling of the pixel-centric wave's arenas. None of
-    // that depends on the kernels' backend, so this leg runs once, uncapped.
+    // A sink that observes samples gets the frame's committed samples
+    // recorded into this thread's reused trace and replayed with one reused
+    // plan; what is left to allocate is the trace's growth from the small
+    // warm-up frame to this one, the sink itself (address map, cache tags,
+    // bank loads, one MVoxel partition per dense region) and the doubling of
+    // the pixel-centric wave's arenas. None of that depends on the kernels'
+    // backend, so this leg runs once, uncapped.
     {
         let side = 48;
         let cam = Camera::new(Intrinsics::from_fov(side, side, 0.9), cam.pose);
@@ -473,9 +475,8 @@ fn warmed_sample_loop_performs_zero_heap_allocations() {
                 side,
                 side,
             );
-            // A small frame warms the per-lane plans of this thread's
-            // scratch (the legs above rendered into `NullSink`, which gets
-            // none).
+            // A small frame warms this thread's trace and replay plan (the
+            // legs above rendered into `NullSink`, which gets neither).
             let small = Camera::new(Intrinsics::from_fov(12, 12, 0.9), cam.pose);
             let mut warm = cicero_scene::ground_truth::background_frame(
                 &cicero_field::ModelSource(model),
