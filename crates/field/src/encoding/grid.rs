@@ -5,13 +5,20 @@
 //! containing voxel — the canonical Feature Gathering pattern of the paper's
 //! Fig. 1 ("each ray sample gathers and interpolates 3D features from eight
 //! vertices of the intersected voxel").
+//!
+//! Vertices are stored as IEEE half floats, the paper's fp16 MVoxels and
+//! the width the memory model prices ([`GridConfig::bytes_per_channel`]).
+//! A write rounds each value to the nearest half
+//! ([`DenseGrid::set_vertex`]); every read widens it back exactly, so the
+//! block gather and the per-sample interpolation see the same f32 values
+//! on every backend.
 
 use crate::encoding::{
     cell_fraction, dense_corners, gather_level, normalize_chunk, trilinear_weights, Addressing,
     CHUNK,
 };
 use crate::plan::{GatherPlan, LevelGather, RegionId};
-use crate::simd::{self, Kernel, Lanes};
+use crate::simd::{self, round_to_half, widen_half, Kernel, Lanes};
 use cicero_math::{Aabb, Vec3};
 
 /// Configuration of a dense feature grid.
@@ -22,8 +29,9 @@ pub struct GridConfig {
     /// Feature channels per vertex (≥ 7; extra channels are padding carried
     /// at full memory cost, like real models' unused capacity).
     pub channels: usize,
-    /// Storage bytes per channel in the modeled DRAM image (2 = fp16, as in
-    /// the paper's 32-channel × 2-byte MVoxels).
+    /// Stored width of a channel value in bytes; only 2 (an IEEE half, as
+    /// in the paper's 32-channel × 2-byte MVoxels) is accepted, so the
+    /// width the memory model prices is the one stored.
     pub bytes_per_channel: u32,
 }
 
@@ -40,7 +48,8 @@ impl Default for GridConfig {
 impl GridConfig {
     /// Whether a [`DenseGrid`] can be built from this configuration: at
     /// least one cell per axis, at least the seven decoder signals per
-    /// vertex, and no more feature values than the gather indexes in `u32`.
+    /// vertex, 2 bytes a channel (vertices are stored as halves), and no
+    /// more feature values than the gather indexes in `u32`.
     ///
     /// # Errors
     ///
@@ -53,6 +62,12 @@ impl GridConfig {
             return Err(format!(
                 "channels {}: need at least 7 channels for the decoder signals",
                 self.channels
+            ));
+        }
+        if self.bytes_per_channel != 2 {
+            return Err(format!(
+                "bytes_per_channel {}: vertices are stored as halves, 2 bytes a channel",
+                self.bytes_per_channel
             ));
         }
         let values = (self.resolution as u64)
@@ -74,8 +89,9 @@ impl GridConfig {
 pub struct DenseGrid {
     cfg: GridConfig,
     bounds: Aabb,
-    /// Vertex-major storage: `data[vertex * channels + c]`.
-    data: Vec<f32>,
+    /// Vertex-major storage, `data[vertex * channels + c]`: IEEE half
+    /// floats, widened to f32 as they are read.
+    data: Vec<u16>,
 }
 
 impl DenseGrid {
@@ -84,8 +100,8 @@ impl DenseGrid {
     /// # Panics
     ///
     /// Panics if [`GridConfig::check`] refuses `cfg`: `channels < 7`,
-    /// `resolution == 0`, or more than `u32::MAX` feature values (the
-    /// gather indexes them in `u32`).
+    /// `resolution == 0`, `bytes_per_channel != 2`, or more than
+    /// `u32::MAX` feature values (the gather indexes them in `u32`).
     pub fn new(cfg: GridConfig, bounds: Aabb) -> Self {
         if let Err(msg) = cfg.check() {
             panic!("invalid grid configuration: {msg}");
@@ -94,7 +110,7 @@ impl DenseGrid {
         DenseGrid {
             cfg,
             bounds,
-            data: vec![0.0; verts * cfg.channels],
+            data: vec![0; verts * cfg.channels],
         }
     }
 
@@ -127,7 +143,8 @@ impl DenseGrid {
         self.bounds.min + Vec3::new(s.x * x as f32 / r, s.y * y as f32 / r, s.z * z as f32 / r)
     }
 
-    /// Writes the feature vector of a vertex.
+    /// Writes the feature vector of a vertex, each value rounded to the
+    /// nearest half, ties to even.
     ///
     /// # Panics
     ///
@@ -137,13 +154,30 @@ impl DenseGrid {
         let n = self.verts_per_axis() as u32;
         assert!(x < n && y < n && z < n, "vertex out of range");
         let base = self.vertex_index(x, y, z) as usize * self.cfg.channels;
-        self.data[base..base + self.cfg.channels].copy_from_slice(features);
+        for (h, &v) in self.data[base..].iter_mut().zip(features) {
+            *h = round_to_half(v);
+        }
     }
 
-    /// Reads the feature vector of a vertex.
-    pub fn vertex(&self, x: u32, y: u32, z: u32) -> &[f32] {
+    /// The feature vector of a vertex, widened from its halves.
+    pub fn vertex(&self, x: u32, y: u32, z: u32) -> impl ExactSizeIterator<Item = f32> + '_ {
         let base = self.vertex_index(x, y, z) as usize * self.cfg.channels;
-        &self.data[base..base + self.cfg.channels]
+        self.data[base..base + self.cfg.channels]
+            .iter()
+            .map(|&h| widen_half(h))
+    }
+
+    /// Channel 0 (`σ_raw`) of vertex `(x, y, z)`: what
+    /// [`DenseGrid::interpolate_into`] gives there, where every weight but
+    /// the vertex's own is zero.
+    pub(crate) fn vertex_density_raw(&self, [x, y, z]: [u32; 3]) -> f32 {
+        widen_half(self.data[self.vertex_index(x, y, z) as usize * self.cfg.channels])
+    }
+
+    /// Every stored half, vertex-major.
+    #[cfg(test)]
+    pub(crate) fn halves(&self) -> &[u16] {
+        &self.data
     }
 
     /// Continuous grid coordinates of a world point (`[0, res]³` inside).
@@ -173,11 +207,11 @@ impl DenseGrid {
             let vy = cy + ((corner as u32 >> 1) & 1);
             let vz = cz + ((corner as u32 >> 2) & 1);
             let base = self.vertex_index(vx, vy, vz) as usize * self.cfg.channels;
-            for (o, v) in out
+            for (o, &h) in out
                 .iter_mut()
                 .zip(&self.data[base..base + self.cfg.channels])
             {
-                *o += weight * v;
+                *o += weight * widen_half(h);
             }
         }
     }
@@ -188,7 +222,8 @@ impl DenseGrid {
     ///
     /// One body on every [`simd`] backend: per chunk of [`CHUNK`] samples,
     /// [`gather_level`]'s index pass and then its accumulate pass, which
-    /// loads each vertex row as one vector. Bit-identical to
+    /// loads each vertex row of halves as one vector, widened by
+    /// [`Lanes::load_half`]. Bit-identical to
     /// [`DenseGrid::interpolate_into`] per sample.
     ///
     /// # Panics
@@ -238,7 +273,8 @@ impl DenseGrid {
         out.levels.push(self.plan_at(p, RegionId(0)));
     }
 
-    /// Feature storage bytes in the modeled DRAM image.
+    /// Feature storage bytes: the stored vertices' size, as
+    /// `bytes_per_channel` is the stored width.
     pub fn storage_bytes(&self) -> u64 {
         (self.verts_per_axis() as u64).pow(3)
             * self.cfg.channels as u64
@@ -263,7 +299,7 @@ impl Kernel for BlockGather<'_> {
         for (ci, chunk) in self.ps.chunks(CHUNK).enumerate() {
             let ns = normalize_chunk(&grid.bounds, chunk);
             let (rows, len) = (&mut self.out[ci * CHUNK..], chunk.len());
-            gather_level::<W, H, Q, _>(&grid.data, ch, res, at, &ns, len, rows, stride);
+            gather_level::<W, H, Q>(&grid.data, ch, res, at, &ns, len, rows, stride);
         }
     }
 }
@@ -360,7 +396,18 @@ mod tests {
         let mut g = small_grid();
         let f = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0];
         g.set_vertex(2, 3, 1, &f);
-        assert_eq!(g.vertex(2, 3, 1), &f);
+        assert!(g.vertex(2, 3, 1).eq(f));
+        assert_eq!(g.vertex_density_raw([2, 3, 1]), 1.0);
+        // A value between two halves is stored as the nearer one, and one
+        // past the largest half as ∞.
+        let f = [1.0 + 1.0 / 4096.0, -0.1, 65520.0, 0.0, 0.0, 0.0, 0.0];
+        g.set_vertex(2, 3, 1, &f);
+        let stored: Vec<f32> = g.vertex(2, 3, 1).collect();
+        assert_eq!(
+            stored[..3],
+            [1.0, widen_half(round_to_half(-0.1)), f32::INFINITY]
+        );
+        assert_ne!(stored[1], -0.1);
     }
 
     #[test]
@@ -455,6 +502,16 @@ mod tests {
         assert_eq!(g.storage_bytes(), 5u64.pow(3) * 7 * 2);
     }
 
+    /// What the memory model prices is what is stored.
+    #[test]
+    fn storage_bytes_are_the_bytes_held() {
+        for cfg in [*small_grid().config(), GridConfig::default()] {
+            let g = DenseGrid::new(cfg, Aabb::centered_cube(1.0));
+            let held = std::mem::size_of_val(g.data.as_slice());
+            assert_eq!(g.storage_bytes(), held as u64, "{cfg:?}");
+        }
+    }
+
     #[test]
     fn default_config_is_paper_scale() {
         let cfg = GridConfig::default();
@@ -475,6 +532,10 @@ mod tests {
             channels,
             bytes_per_channel: 2,
         };
+        let width = |bytes_per_channel| GridConfig {
+            bytes_per_channel,
+            ..cfg(8, 12)
+        };
         for ok in [cfg(1, 7), cfg(160, 12), cfg(848, 7), cfg(4, 64)] {
             assert_eq!(ok.check(), Ok(()), "{ok:?}");
         }
@@ -485,6 +546,9 @@ mod tests {
             (cfg(849, 7), "indexable in u32"),
             (cfg(2048, 12), "indexable in u32"),
             (cfg(usize::MAX, 12), "indexable in u32"),
+            (width(4), "bytes_per_channel 4"),
+            (width(1), "bytes_per_channel 1"),
+            (width(0), "bytes_per_channel 0"),
         ] {
             let msg = bad.check().expect_err("refused");
             assert!(msg.contains(why), "{bad:?}: {msg}");

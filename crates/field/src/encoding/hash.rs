@@ -51,6 +51,62 @@ impl Default for HashConfig {
     }
 }
 
+impl HashConfig {
+    /// Whether a [`HashGrid`] can be built from this configuration: at
+    /// least one level, at least one cell per axis at the coarsest level,
+    /// resolutions that do not shrink and stay within 2²⁴ cells per axis
+    /// (the gather's cell split is exact in f32 up to there), at least the
+    /// seven decoder signals per entry, 2 bytes a feature (rows are stored
+    /// as halves), and no more feature values in a level than the gather
+    /// indexes in `u32`.
+    ///
+    /// # Errors
+    ///
+    /// What is wrong, in words.
+    pub fn check(&self) -> Result<(), String> {
+        if self.levels == 0 {
+            return Err("levels 0: an encoding needs at least one level".into());
+        }
+        if self.base_resolution == 0 {
+            return Err("base_resolution 0: a level needs at least one cell per axis".into());
+        }
+        if self.max_resolution < self.base_resolution {
+            return Err(format!(
+                "max_resolution {} below base_resolution {}",
+                self.max_resolution, self.base_resolution
+            ));
+        }
+        if self.max_resolution > 1 << 24 {
+            return Err(format!(
+                "max_resolution {}: cells per axis must be exact in f32",
+                self.max_resolution
+            ));
+        }
+        if self.features_per_entry < 7 {
+            return Err(format!(
+                "features_per_entry {}: per-level features must carry all 7 decoder signals",
+                self.features_per_entry
+            ));
+        }
+        if self.bytes_per_feature != 2 {
+            return Err(format!(
+                "bytes_per_feature {}: rows are stored as halves, 2 bytes a feature",
+                self.bytes_per_feature
+            ));
+        }
+        let values = (self.table_size_log2 < 32)
+            .then(|| (self.features_per_entry as u64).checked_mul(1 << self.table_size_log2))
+            .flatten();
+        if values.is_none_or(|values| values > u32::MAX as u64) {
+            return Err(format!(
+                "table_size_log2 {} × features {}: a level's feature values must be indexable in u32",
+                self.table_size_log2, self.features_per_entry
+            ));
+        }
+        Ok(())
+    }
+}
+
 /// One resolution level.
 #[derive(Debug, Clone)]
 pub struct HashLevel {
@@ -97,7 +153,7 @@ impl HashLevel {
     /// them at once, in `u32`, with the y and z products shared. Hashed
     /// levels wrap: the power-of-two mask keeps only low bits, and the low
     /// 32 bits of the `u64` products are the `u32` products (`PRIMES` and
-    /// the mask fit `u32`; [`HashGrid::new`] checks the table does).
+    /// the mask fit `u32`; [`HashConfig::check`] holds the table to it).
     #[inline(always)]
     pub(crate) fn corner_entries(&self, cell: [u32; 3]) -> [u32; 8] {
         self.addressing().corners(cell)
@@ -109,31 +165,14 @@ impl HashGrid {
     ///
     /// # Panics
     ///
-    /// Panics if `levels == 0`, resolutions are non-increasing or above
-    /// 2²⁴ cells per axis (the gather's cell split is exact in f32 up to
-    /// there), `features_per_entry < 7`, a level's table holds more
-    /// than `u32::MAX` feature values (the gather indexes them in `u32`),
-    /// or `bytes_per_feature` is not 2 (rows are stored as halves).
+    /// Panics if [`HashConfig::check`] refuses `cfg`: no levels, a
+    /// coarsest level of 0 cells, resolutions that shrink or pass 2²⁴
+    /// cells per axis, `features_per_entry < 7`, `bytes_per_feature != 2`,
+    /// or a level's table holding more than `u32::MAX` feature values.
     pub fn new(cfg: HashConfig, bounds: Aabb) -> Self {
-        assert!(cfg.levels > 0);
-        assert_eq!(
-            cfg.bytes_per_feature, 2,
-            "hash rows are stored as halves: bytes_per_feature must be 2"
-        );
-        assert!(cfg.max_resolution >= cfg.base_resolution);
-        assert!(
-            cfg.max_resolution <= 1 << 24,
-            "cells per axis must be exact in f32"
-        );
-        assert!(
-            cfg.features_per_entry >= 7,
-            "per-level features must carry all decoder signals for residual baking"
-        );
-        assert!(
-            cfg.table_size_log2 < 32
-                && (cfg.features_per_entry as u64) << cfg.table_size_log2 <= u32::MAX as u64,
-            "a level's feature values must be indexable in u32"
-        );
+        if let Err(msg) = cfg.check() {
+            panic!("invalid hash configuration: {msg}");
+        }
         let table_len = 1usize << cfg.table_size_log2;
         let growth = if cfg.levels > 1 {
             (cfg.max_resolution as f64 / cfg.base_resolution as f64)
@@ -406,7 +445,7 @@ impl Kernel for BlockGather<'_> {
             for (li, l) in self.levels.iter().enumerate() {
                 let rows = &mut self.out[li * f * stride + ci * CHUNK..];
                 let (res, at, len) = (l.resolution as u32, l.addressing(), chunk.len());
-                gather_level::<W, H, Q, _>(&l.data, f, res, at, &ns, len, rows, stride);
+                gather_level::<W, H, Q>(&l.data, f, res, at, &ns, len, rows, stride);
             }
         }
     }
@@ -647,8 +686,127 @@ mod tests {
         );
     }
 
+    /// `check` refuses exactly what `new` cannot build, at the edges: the
+    /// largest 7-feature table indexable in `u32` is 2²⁹ entries (3.76 G
+    /// values), and a feature count whose table overflows is refused, not
+    /// wrapped.
     #[test]
-    #[should_panic(expected = "stored as halves")]
+    fn check_refuses_what_new_cannot_build() {
+        let base = *grid().config();
+        let ok = [
+            base,
+            HashConfig::default(),
+            HashConfig {
+                levels: 1,
+                base_resolution: 1,
+                max_resolution: 1,
+                ..base
+            },
+            HashConfig {
+                max_resolution: 1 << 24,
+                ..base
+            },
+            HashConfig {
+                table_size_log2: 29,
+                ..base
+            },
+        ];
+        for cfg in ok {
+            assert_eq!(cfg.check(), Ok(()), "{cfg:?}");
+        }
+        let bad = [
+            (HashConfig { levels: 0, ..base }, "levels 0"),
+            (
+                HashConfig {
+                    base_resolution: 0,
+                    ..base
+                },
+                "base_resolution 0",
+            ),
+            (
+                HashConfig {
+                    max_resolution: 3,
+                    ..base
+                },
+                "below base_resolution 4",
+            ),
+            (
+                HashConfig {
+                    max_resolution: (1 << 24) + 1,
+                    ..base
+                },
+                "exact in f32",
+            ),
+            (
+                HashConfig {
+                    features_per_entry: 6,
+                    ..base
+                },
+                "features_per_entry 6",
+            ),
+            (
+                HashConfig {
+                    bytes_per_feature: 4,
+                    ..base
+                },
+                "bytes_per_feature 4",
+            ),
+            (
+                HashConfig {
+                    bytes_per_feature: 0,
+                    ..base
+                },
+                "bytes_per_feature 0",
+            ),
+            (
+                HashConfig {
+                    table_size_log2: 30,
+                    ..base
+                },
+                "indexable in u32",
+            ),
+            (
+                HashConfig {
+                    table_size_log2: 32,
+                    ..base
+                },
+                "indexable in u32",
+            ),
+            (
+                HashConfig {
+                    features_per_entry: usize::MAX,
+                    ..base
+                },
+                "indexable in u32",
+            ),
+        ];
+        for (cfg, why) in bad {
+            let msg = cfg.check().expect_err("refused");
+            assert!(msg.contains(why), "{cfg:?}: {msg}");
+        }
+    }
+
+    /// What the memory model prices is what is stored, on the small grid
+    /// too (the default configuration is `storage_matches_pricing`).
+    #[test]
+    fn storage_bytes_are_the_bytes_held() {
+        let g = grid();
+        for (li, l) in g.levels().iter().enumerate() {
+            let held = std::mem::size_of_val(l.data.as_slice()) as u64;
+            assert_eq!(g.level_bytes(li), held, "level {li}");
+        }
+        let held: usize = g
+            .levels()
+            .iter()
+            .map(|l| std::mem::size_of_val(l.data.as_slice()))
+            .sum();
+        assert_eq!(g.storage_bytes(), held as u64);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "invalid hash configuration: bytes_per_feature 4: rows are stored as halves"
+    )]
     fn other_feature_widths_are_rejected() {
         HashGrid::new(
             HashConfig {

@@ -184,35 +184,12 @@ impl IndexPass {
     }
 }
 
-/// An element of a feature table a block gather reads: `f32` (the grid)
-/// or an IEEE half as `u16` (the hash levels), widened exactly as it is
-/// loaded.
-pub(crate) trait Stored: Copy {
-    /// `V::N` consecutive values from `row`, as f32 lanes.
-    fn load<V: Lanes>(row: &[Self]) -> V;
-}
-
-impl Stored for f32 {
-    #[inline(always)]
-    fn load<V: Lanes>(row: &[f32]) -> V {
-        V::load(row)
-    }
-}
-
-impl Stored for u16 {
-    #[inline(always)]
-    fn load<V: Lanes>(row: &[u16]) -> V {
-        V::load_half(row)
-    }
-}
-
 /// One trilinear level of a block gather over the first `len` samples of
 /// a chunk of normalised positions `ns`: feature `c` of sample `s` goes to
 /// `rows[c * stride + s]`.
 ///
-/// `data` holds `width` features per entry, entry-major, stored as `T`
-/// ([`Stored`]), over a grid of
-/// `cells` cells per axis, addressed by `at`. The [`IndexPass`] runs across
+/// `data` holds `width` features per entry, entry-major, stored as IEEE
+/// halves, over a grid of `cells` cells per axis, addressed by `at`. The [`IndexPass`] runs across
 /// the chunk's samples; the accumulate pass then loads entry rows, per
 /// lane group of features and sample. Per sample this is the per-sample
 /// oracle's sequence — same cell split, same weights, accumulators from
@@ -220,8 +197,8 @@ impl Stored for u16 {
 /// skipped — so it is bit-identical to it on every [`Lanes`] backend.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
-pub(crate) fn gather_level<W: Lanes, H: Lanes, Q: Lanes, T: Stored>(
-    data: &[T],
+pub(crate) fn gather_level<W: Lanes, H: Lanes, Q: Lanes>(
+    data: &[u16],
     width: usize,
     cells: u32,
     at: Addressing,
@@ -242,31 +219,31 @@ pub(crate) fn gather_level<W: Lanes, H: Lanes, Q: Lanes, T: Stored>(
     let mut tile = [[0.0f32; MAX_LANES]; CHUNK];
     let mut c = 0;
     while c + W::N <= width {
-        accumulate::<W, T>(data, &pass, len, c, &mut tile, rows, stride);
+        accumulate::<W>(data, &pass, len, c, &mut tile, rows, stride);
         c += W::N;
     }
     if c + H::N <= width {
-        accumulate::<H, T>(data, &pass, len, c, &mut tile, rows, stride);
+        accumulate::<H>(data, &pass, len, c, &mut tile, rows, stride);
         c += H::N;
     }
     if c + Q::N <= width {
-        accumulate::<Q, T>(data, &pass, len, c, &mut tile, rows, stride);
+        accumulate::<Q>(data, &pass, len, c, &mut tile, rows, stride);
         c += Q::N;
     }
     while c < width {
-        accumulate::<[f32; 1], T>(data, &pass, len, c, &mut tile, rows, stride);
+        accumulate::<[f32; 1]>(data, &pass, len, c, &mut tile, rows, stride);
         c += 1;
     }
 }
 
 /// Features `c..c + V::N` of the first `len` samples of a chunk: per
-/// sample the weighted sum of its 8 entry rows, one vector load (and
-/// widening, for halves) per live corner, staged in `tile`; then each of the `V::N` feature rows is
-/// written contiguously.
+/// sample the weighted sum of its 8 entry rows, one widening vector load
+/// ([`Lanes::load_half`]) per live corner, staged in `tile`; then each of
+/// the `V::N` feature rows is written contiguously.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
-fn accumulate<V: Lanes, T: Stored>(
-    data: &[T],
+fn accumulate<V: Lanes>(
+    data: &[u16],
     pass: &IndexPass,
     len: usize,
     c: usize,
@@ -281,7 +258,7 @@ fn accumulate<V: Lanes, T: Stored>(
             let weight = weights[s];
             if weight != 0.0 {
                 let row = &data[offsets[s] as usize + c..];
-                acc = acc.add_mul(V::splat(weight), T::load::<V>(row));
+                acc = acc.add_mul(V::splat(weight), V::load_half(row));
             }
         }
         acc.store(lanes);
@@ -626,11 +603,11 @@ mod tests {
     fn zero_weight_corners_are_skipped_not_multiplied() {
         // A sample on vertex 0 of a 2-cell level weights corner 0 alone;
         // the other rows hold inf, and 0 × inf would be NaN.
-        let mut data = [f32::INFINITY; 27];
-        data[0] = 3.0;
+        let mut data = [simd::round_to_half(f32::INFINITY); 27];
+        data[0] = simd::round_to_half(3.0);
         let mut rows = [f32::NAN];
         let (at, ns) = (Addressing::Dense { n: 3 }, [[0.0; CHUNK]; 3]);
-        gather_level::<[f32; 8], [f32; 4], [f32; 4], f32>(&data, 1, 2, at, &ns, 1, &mut rows, 1);
+        gather_level::<[f32; 8], [f32; 4], [f32; 4]>(&data, 1, 2, at, &ns, 1, &mut rows, 1);
         assert_eq!(rows, [3.0]);
     }
 

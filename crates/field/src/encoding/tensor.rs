@@ -8,9 +8,15 @@
 //! contiguously, so one bilinear plane gather reads 4 entries and one line
 //! gather reads 2 — the paper's "factorized tensor" feature representation
 //! with its own distinctive memory footprint and access shape.
+//!
+//! Planes and lines are stored as IEEE half floats, the width the memory
+//! model prices ([`TensorConfig::bytes_per_value`]). A write rounds each
+//! value to the nearest half ([`VmTensor::set_component`]); every read
+//! widens it back exactly, so the block gather and the per-sample
+//! interpolation see the same f32 values on every backend.
 
 use crate::plan::{GatherPlan, LevelGather, RegionId};
-use crate::simd::{self, Kernel, Lanes, MAX_LANES};
+use crate::simd::{self, round_to_half, widen_half, Kernel, Lanes, MAX_LANES};
 use cicero_math::{Aabb, Vec3};
 
 /// Number of decoder signals (mirrors `decoder::SIGNALS`).
@@ -23,7 +29,9 @@ pub struct TensorConfig {
     pub resolution: usize,
     /// Rank-1 components per signal per orientation.
     pub components_per_signal: usize,
-    /// Storage bytes per value (2 = fp16).
+    /// Stored width of a plane or line value in bytes; only 2 (an IEEE
+    /// half) is accepted, so the width the memory model prices is the one
+    /// stored.
     pub bytes_per_value: u32,
 }
 
@@ -34,6 +42,45 @@ impl Default for TensorConfig {
             components_per_signal: 4,
             bytes_per_value: 2,
         }
+    }
+}
+
+impl TensorConfig {
+    /// Whether a [`VmTensor`] can be built from this configuration: at
+    /// least two texels per axis (a lerp needs a texel after the first),
+    /// at least one component per signal, 2 bytes a value (planes and lines
+    /// are stored as halves), and no more plane values than `u32` indexes.
+    ///
+    /// # Errors
+    ///
+    /// What is wrong, in words.
+    pub fn check(&self) -> Result<(), String> {
+        if self.resolution < 2 {
+            return Err(format!(
+                "resolution {}: a tensor needs at least 2 texels per axis",
+                self.resolution
+            ));
+        }
+        if self.components_per_signal == 0 {
+            return Err("components_per_signal 0: each signal needs a component".into());
+        }
+        if self.bytes_per_value != 2 {
+            return Err(format!(
+                "bytes_per_value {}: planes and lines are stored as halves, 2 bytes a value",
+                self.bytes_per_value
+            ));
+        }
+        let values = (self.resolution as u64)
+            .checked_pow(2)
+            .and_then(|texels| texels.checked_mul(SIGNALS as u64))
+            .and_then(|v| v.checked_mul(self.components_per_signal as u64));
+        if values.is_none_or(|values| values > u32::MAX as u64) {
+            return Err(format!(
+                "resolution {} × components {}: a plane's values must be indexable in u32",
+                self.resolution, self.components_per_signal
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -85,10 +132,10 @@ pub(crate) fn texel_floor(u: f32, res: usize) -> (usize, f32) {
 pub struct VmTensor {
     cfg: TensorConfig,
     bounds: Aabb,
-    /// 3 planes: `planes[o][ (v*res + u) * channels + c ]`.
-    planes: [Vec<f32>; 3],
-    /// 3 lines: `lines[o][ w * channels + c ]`.
-    lines: [Vec<f32>; 3],
+    /// 3 planes: `planes[o][ (v*res + u) * channels + c ]`, IEEE halves.
+    planes: [Vec<u16>; 3],
+    /// 3 lines: `lines[o][ w * channels + c ]`, IEEE halves.
+    lines: [Vec<u16>; 3],
 }
 
 impl VmTensor {
@@ -96,12 +143,16 @@ impl VmTensor {
     ///
     /// # Panics
     ///
-    /// Panics if resolution or components are zero.
+    /// Panics if [`TensorConfig::check`] refuses `cfg`: fewer than 2
+    /// texels per axis, no components, `bytes_per_value != 2`, or more
+    /// plane values than `u32` indexes.
     pub fn new(cfg: TensorConfig, bounds: Aabb) -> Self {
-        assert!(cfg.resolution > 1 && cfg.components_per_signal > 0);
+        if let Err(msg) = cfg.check() {
+            panic!("invalid tensor configuration: {msg}");
+        }
         let ch = SIGNALS * cfg.components_per_signal;
-        let plane = vec![0.0; cfg.resolution * cfg.resolution * ch];
-        let line = vec![0.0; cfg.resolution * ch];
+        let plane = vec![0; cfg.resolution * cfg.resolution * ch];
+        let line = vec![0; cfg.resolution * ch];
         VmTensor {
             cfg,
             bounds,
@@ -125,23 +176,37 @@ impl VmTensor {
         SIGNALS * self.cfg.components_per_signal
     }
 
-    /// Mutable plane storage for orientation `o`.
-    pub fn plane_mut(&mut self, o: usize) -> &mut [f32] {
-        &mut self.planes[o]
+    /// Writes channel `c` of orientation `o`: `plane[b·res + a]` into
+    /// plane texel `(a, b)` and `line[w]` into line texel `w`, each rounded
+    /// to the nearest half, ties to even.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `c` is not a channel, or `plane` and `line` are not `res²`
+    /// and `res` values.
+    pub fn set_component(&mut self, o: usize, c: usize, plane: &[f32], line: &[f32]) {
+        let (res, ch) = (self.cfg.resolution, self.channels());
+        assert!(c < ch, "channel {c} of {ch}");
+        assert_eq!(plane.len(), res * res, "plane values");
+        assert_eq!(line.len(), res, "line values");
+        let store = |texels: &mut [u16], values: &[f32]| {
+            for (texel, &v) in texels.chunks_exact_mut(ch).zip(values) {
+                texel[c] = round_to_half(v);
+            }
+        };
+        store(&mut self.planes[o], plane);
+        store(&mut self.lines[o], line);
     }
 
-    /// Mutable line storage for orientation `o`.
-    pub fn line_mut(&mut self, o: usize) -> &mut [f32] {
-        &mut self.lines[o]
-    }
-
-    /// Plane storage for orientation `o`.
-    pub fn plane(&self, o: usize) -> &[f32] {
+    /// Plane storage for orientation `o`: IEEE halves.
+    #[cfg(test)]
+    pub(crate) fn plane(&self, o: usize) -> &[u16] {
         &self.planes[o]
     }
 
-    /// Line storage for orientation `o`.
-    pub fn line(&self, o: usize) -> &[f32] {
+    /// Line storage for orientation `o`: IEEE halves.
+    #[cfg(test)]
+    pub(crate) fn line(&self, o: usize) -> &[u16] {
         &self.lines[o]
     }
 
@@ -151,7 +216,7 @@ impl VmTensor {
         let ch = self.channels();
         let (x0, fx) = texel_floor(u, res);
         let (y0, fy) = texel_floor(v, res);
-        let at = |x: usize, y: usize| self.planes[o][(y * res + x) * ch + c];
+        let at = |x: usize, y: usize| widen_half(self.planes[o][(y * res + x) * ch + c]);
         let top = at(x0, y0) * (1.0 - fx) + at(x0 + 1, y0) * fx;
         let bot = at(x0, y0 + 1) * (1.0 - fx) + at(x0 + 1, y0 + 1) * fx;
         top * (1.0 - fy) + bot * fy
@@ -161,7 +226,8 @@ impl VmTensor {
     fn sample_line(&self, o: usize, w: f32, c: usize) -> f32 {
         let ch = self.channels();
         let (w0, fw) = texel_floor(w, self.cfg.resolution);
-        self.lines[o][w0 * ch + c] * (1.0 - fw) + self.lines[o][(w0 + 1) * ch + c] * fw
+        let at = |w: usize| widen_half(self.lines[o][w * ch + c]);
+        at(w0) * (1.0 - fw) + at(w0 + 1) * fw
     }
 
     /// Evaluates the 7 signals at world position `p` into `out`.
@@ -201,7 +267,11 @@ impl VmTensor {
             let (a, b, w) = o.split(vertex);
             let plane = &self.planes[oi][(b * res + a) * ch..][..k];
             let line = &self.lines[oi][w * ch..][..k];
-            raw += plane.iter().zip(line).map(|(p, l)| p * l).sum::<f32>();
+            raw += plane
+                .iter()
+                .zip(line)
+                .map(|(&p, &l)| widen_half(p) * widen_half(l))
+                .sum::<f32>();
         }
         raw
     }
@@ -212,7 +282,8 @@ impl VmTensor {
     ///
     /// One body on every [`simd`] backend: per sample and orientation the
     /// texels are addressed once, the four plane taps and two line taps are
-    /// loaded as channel vectors, and their product streams into the
+    /// loaded as channel vectors of halves, widened by
+    /// [`Lanes::load_half`], and their product streams into the
     /// per-signal component sums in ascending channel order. Bit-identical
     /// to [`VmTensor::interpolate_into`] per sample, at any channel count.
     ///
@@ -280,7 +351,8 @@ impl VmTensor {
         }
     }
 
-    /// Total feature storage bytes (planes + lines).
+    /// Total feature storage bytes (planes + lines): the stored halves'
+    /// size, as `bytes_per_value` is the stored width.
     pub fn storage_bytes(&self) -> u64 {
         let ch = self.channels() as u64;
         let res = self.cfg.resolution as u64;
@@ -370,7 +442,7 @@ impl Kernel for BlockGather<'_> {
 /// `(x0, y0)`, `(x0+1, y0)`, `(x0, y0+1)`, `(x0+1, y0+1)` and line texels
 /// `w0`, `w0+1`, and the lerp fractions along u, v and w.
 struct Taps<'a> {
-    rows: [&'a [f32]; 6],
+    rows: [&'a [u16]; 6],
     fractions: [f32; 3],
 }
 
@@ -385,12 +457,16 @@ impl Taps<'_> {
         let [p00, p10, p01, p11, l0, l1] = self.rows;
         let [fx, fy, fw] = self.fractions;
         let (gx, fx) = (V::splat(1.0 - fx), V::splat(fx));
-        let top = V::load(&p00[c..]).mul(gx).add_mul(V::load(&p10[c..]), fx);
-        let bot = V::load(&p01[c..]).mul(gx).add_mul(V::load(&p11[c..]), fx);
+        let top = V::load_half(&p00[c..])
+            .mul(gx)
+            .add_mul(V::load_half(&p10[c..]), fx);
+        let bot = V::load_half(&p01[c..])
+            .mul(gx)
+            .add_mul(V::load_half(&p11[c..]), fx);
         let plane = top.mul(V::splat(1.0 - fy)).add_mul(bot, V::splat(fy));
-        let line = V::load(&l0[c..])
+        let line = V::load_half(&l0[c..])
             .mul(V::splat(1.0 - fw))
-            .add_mul(V::load(&l1[c..]), V::splat(fw));
+            .add_mul(V::load_half(&l1[c..]), V::splat(fw));
         let mut products = [0.0f32; MAX_LANES];
         plane.mul(line).store(&mut products);
         products
@@ -414,6 +490,24 @@ mod tests {
         )
     }
 
+    /// Writes every value of `t` through [`VmTensor::set_component`]: the
+    /// `i`-th value of plane `o` in storage order is `plane(i, o)`, and of
+    /// line `o` is `line(i, o)`.
+    fn fill(
+        t: &mut VmTensor,
+        plane: impl Fn(usize, usize) -> f32,
+        line: impl Fn(usize, usize) -> f32,
+    ) {
+        let (res, ch) = (t.cfg.resolution, t.channels());
+        for o in 0..3 {
+            for c in 0..ch {
+                let p: Vec<f32> = (0..res * res).map(|cell| plane(cell * ch + c, o)).collect();
+                let l: Vec<f32> = (0..res).map(|w| line(w * ch + c, o)).collect();
+                t.set_component(o, c, &p, &l);
+            }
+        }
+    }
+
     /// An 8-texel tensor of `components` per signal, every value filled.
     fn filled_tensor(components: usize) -> VmTensor {
         let mut t = VmTensor::new(
@@ -424,14 +518,11 @@ mod tests {
             },
             Aabb::centered_cube(1.0),
         );
-        for o in 0..3 {
-            for (i, v) in t.plane_mut(o).iter_mut().enumerate() {
-                *v = ((i * 7 + o * 3) as f32 * 0.149).sin();
-            }
-            for (i, v) in t.line_mut(o).iter_mut().enumerate() {
-                *v = ((i * 5 + o * 11) as f32 * 0.097).cos();
-            }
-        }
+        fill(
+            &mut t,
+            |i, o| ((i * 7 + o * 3) as f32 * 0.149).sin(),
+            |i, o| ((i * 5 + o * 11) as f32 * 0.097).cos(),
+        );
         t
     }
 
@@ -495,36 +586,28 @@ mod tests {
     #[test]
     fn rank_one_product_reconstructs() {
         let mut t = tensor();
-        let ch = t.channels();
         let res = 8;
-        // Signal 0, component 0 of orientation XY·Z: plane = u, line = 2.
-        for y in 0..res {
-            for x in 0..res {
-                t.plane_mut(0)[(y * res + x) * ch] = x as f32 / (res - 1) as f32;
-            }
-        }
-        for w in 0..res {
-            t.line_mut(0)[w * ch] = 2.0;
-        }
-        // Point with normalized coords (0.5, *, *) → plane value 0.5, product 1.0.
+        // Signal 0, component 0 of orientation XY·Z: plane = texel u / 4,
+        // line = 2, values halves hold exactly.
+        let plane: Vec<f32> = (0..res * res)
+            .map(|cell| (cell % res) as f32 / 4.0)
+            .collect();
+        t.set_component(0, 0, &plane, &[2.0; 8]);
+        // Point with normalized coords (0.5, *, *) → texel u 3.5, plane
+        // value 0.875, product 1.75.
         let mut out = Vec::new();
         t.interpolate_into(Vec3::new(0.0, 0.1, -0.4), &mut out);
-        assert!((out[0] - 1.0).abs() < 1e-4, "{}", out[0]);
+        assert!((out[0] - 1.75).abs() < 1e-4, "{}", out[0]);
         assert!(out[1].abs() < 1e-6);
     }
 
     #[test]
     fn orientations_accumulate() {
         let mut t = tensor();
-        let ch = t.channels();
-        // Constant 1 × 1 on signal 2 in all three orientations.
+        // Constant 1 × 1 on signal 2, component 0, in all three
+        // orientations.
         for o in 0..3 {
-            for v in t.plane_mut(o).chunks_mut(ch) {
-                v[2 * 2] = 1.0; // signal 2, component 0
-            }
-            for v in t.line_mut(o).chunks_mut(ch) {
-                v[2 * 2] = 1.0;
-            }
+            t.set_component(o, 2 * 2, &[1.0; 64], &[1.0; 8]);
         }
         let mut out = Vec::new();
         t.interpolate_into(Vec3::ZERO, &mut out);
@@ -534,16 +617,12 @@ mod tests {
     #[test]
     fn block_interpolation_matches_scalar_bitwise() {
         let mut t = tensor();
-        let ch = t.channels();
-        for o in 0..3 {
-            for (i, v) in t.plane_mut(o).iter_mut().enumerate() {
-                *v = ((i + o * 31) as f32 * 0.113).sin();
-            }
-            for (i, v) in t.line_mut(o).iter_mut().enumerate() {
-                *v = ((i + o * 17) as f32 * 0.207).cos();
-            }
-        }
-        assert_eq!(ch, 14);
+        fill(
+            &mut t,
+            |i, o| ((i + o * 31) as f32 * 0.113).sin(),
+            |i, o| ((i + o * 17) as f32 * 0.207).cos(),
+        );
+        assert_eq!(t.channels(), 14);
         let ps: Vec<Vec3> = (0..9)
             .map(|i| {
                 let s = i as f32 * 0.53;
@@ -584,6 +663,87 @@ mod tests {
         let t = tensor();
         let total: u64 = (0..6).map(|r| t.region_bytes(r)).sum();
         assert_eq!(t.storage_bytes(), total);
+    }
+
+    /// What the memory model prices is what is stored, region by region.
+    #[test]
+    fn storage_bytes_are_the_bytes_held() {
+        for cfg in [*tensor().config(), TensorConfig::default()] {
+            let t = VmTensor::new(cfg, Aabb::centered_cube(1.0));
+            let regions = t.planes.iter().chain(&t.lines);
+            let held: Vec<u64> = regions
+                .map(|r| std::mem::size_of_val(r.as_slice()) as u64)
+                .collect();
+            let priced: Vec<u64> = (0..6).map(|r| t.region_bytes(r)).collect();
+            assert_eq!(priced, held, "{cfg:?}");
+            assert_eq!(t.storage_bytes(), held.iter().sum::<u64>(), "{cfg:?}");
+        }
+    }
+
+    #[test]
+    fn set_component_stores_the_nearest_half() {
+        let mut t = tensor();
+        let mut plane = [0.0f32; 64];
+        (plane[0], plane[1], plane[2]) = (1.0 + 1.0 / 4096.0, -0.1, 65520.0);
+        t.set_component(1, 3, &plane, &[0.5; 8]);
+        let ch = t.channels();
+        let stored = |i: usize| widen_half(t.plane(1)[i * ch + 3]);
+        assert_eq!(
+            [stored(0), stored(1), stored(2)],
+            [1.0, widen_half(round_to_half(-0.1)), f32::INFINITY]
+        );
+        assert!(t
+            .line(1)
+            .chunks(ch)
+            .all(|texel| widen_half(texel[3]) == 0.5));
+        // Only channel 3 of orientation 1 was written.
+        assert_eq!(t.plane(1).iter().filter(|&&h| h != 0).count(), 3);
+        assert!(t.plane(0).iter().chain(t.line(0)).all(|&h| h == 0));
+    }
+
+    /// `check` refuses exactly what `new` cannot build, at the edges: the
+    /// largest one-component tensor indexable in `u32` has 24 770 texels a
+    /// side (24 770² × 7 = 4 294 870 300 values), and a resolution whose
+    /// square overflows is refused, not wrapped.
+    #[test]
+    fn check_refuses_what_new_cannot_build() {
+        let cfg = |resolution, components_per_signal| TensorConfig {
+            resolution,
+            components_per_signal,
+            bytes_per_value: 2,
+        };
+        let width = |bytes_per_value| TensorConfig {
+            bytes_per_value,
+            ..cfg(8, 2)
+        };
+        for ok in [cfg(2, 1), cfg(128, 4), cfg(24_770, 1), cfg(8, 64)] {
+            assert_eq!(ok.check(), Ok(()), "{ok:?}");
+        }
+        for (bad, why) in [
+            (cfg(0, 4), "resolution 0"),
+            (cfg(1, 4), "resolution 1"),
+            (cfg(8, 0), "components_per_signal 0"),
+            (cfg(24_771, 1), "indexable in u32"),
+            (cfg(4096, 64), "indexable in u32"),
+            (cfg(usize::MAX, 4), "indexable in u32"),
+            (width(4), "bytes_per_value 4"),
+            (width(1), "bytes_per_value 1"),
+        ] {
+            let msg = bad.check().expect_err("refused");
+            assert!(msg.contains(why), "{bad:?}: {msg}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid tensor configuration: bytes_per_value 4")]
+    fn new_panics_through_check() {
+        VmTensor::new(
+            TensorConfig {
+                bytes_per_value: 4,
+                ..*tensor().config()
+            },
+            Aabb::centered_cube(1.0),
+        );
     }
 
     #[test]

@@ -19,15 +19,17 @@
 //! primes, `+` or `^`, the table mask, the row width) is plain `u32` code
 //! in a loop across a chunk's samples, written once and vectorised by the
 //! compiler inside each trampoline. The one load of something other than
-//! f32 is [`Lanes::load_half`]: the hash tables store their rows as IEEE
-//! half floats, and it widens a row exactly as it loads it (`vcvtph2ps`
-//! on the AVX and AVX-512 instances, `widen_half` per lane elsewhere),
-//! so every backend still sees the same f32 values.
+//! f32 is [`Lanes::load_half`]: every feature table (grid vertices, hash
+//! rows, tensor planes and lines) stores IEEE half floats, and it widens a
+//! row exactly as it loads it (`vcvtph2ps` on every vector of the AVX and
+//! AVX-512 instances, the 4-lane ones included; `widen_half` per lane on
+//! the SSE2 and portable ones), so every backend still sees the same f32
+//! values.
 //!
 //! | backend | `W` (widest) | `H` (half) | `Q` (4 lanes) | selected when |
 //! |---|---|---|---|---|
-//! | `avx512` | one `__m512` | one `__m256` | one `__m128` | x86_64, CPU reports AVX-512F and F16C |
-//! | `avx` | one `__m256` | one `__m128` | one `__m128` | x86_64, CPU reports AVX and F16C |
+//! | `avx512` | one `__m512` | one `__m256` | one `__m128`, F16C widening | x86_64, CPU reports AVX-512F and F16C |
+//! | `avx` | one `__m256` | one `__m128`, F16C widening | one `__m128`, F16C widening | x86_64, CPU reports AVX and F16C |
 //! | `sse2` | two `__m128` | one `__m128` | one `__m128` | x86_64 |
 //! | `portable` | `[f32; 8]` | `[f32; 4]` | `[f32; 4]` | capped, or another target |
 //!
@@ -518,13 +520,14 @@ mod backend {
         _mm256_storeu_si256, _mm256_sub_ps, _mm512_add_ps, _mm512_cvtepi32_ps, _mm512_cvtph_ps,
         _mm512_cvttps_epi32, _mm512_div_ps, _mm512_loadu_ps, _mm512_max_ps, _mm512_min_ps,
         _mm512_mul_ps, _mm512_set1_ps, _mm512_setzero_ps, _mm512_storeu_ps, _mm512_storeu_si512,
-        _mm512_sub_ps, _mm_add_ps, _mm_cvtepi32_ps, _mm_cvttps_epi32, _mm_div_ps, _mm_loadu_ps,
-        _mm_loadu_si128, _mm_max_ps, _mm_min_ps, _mm_mul_ps, _mm_set1_ps, _mm_setzero_ps,
-        _mm_storeu_ps, _mm_storeu_si128, _mm_sub_ps,
+        _mm512_sub_ps, _mm_add_ps, _mm_cvtepi32_ps, _mm_cvtph_ps, _mm_cvttps_epi32, _mm_div_ps,
+        _mm_loadl_epi64, _mm_loadu_ps, _mm_loadu_si128, _mm_max_ps, _mm_min_ps, _mm_mul_ps,
+        _mm_set1_ps, _mm_setzero_ps, _mm_storeu_ps, _mm_storeu_si128, _mm_sub_ps,
     };
 
-    /// 4 f32 lanes in one SSE2 register: the `Q` of every x86 instance, the
-    /// `H` of the SSE2 and AVX ones, and each half of the SSE2 [`F32x8`].
+    /// 4 f32 lanes in one SSE2 register: the `H` and `Q` of the SSE2
+    /// instance, each half of the SSE2 [`F32x8`], and the body of the AVX
+    /// and AVX-512 instances' 4-lane [`F32x4F16c`].
     ///
     /// SAFETY note shared by every intrinsic call below: SSE/SSE2 are part
     /// of the x86_64 baseline ABI, statically enabled for every x86_64
@@ -550,8 +553,10 @@ mod backend {
             Self(unsafe { _mm_loadu_ps(src.as_ptr()) })
         }
 
-        /// The scalar widening per lane: F16C is not part of the SSE2
-        /// baseline this type also runs on.
+        /// The scalar widening per lane. This type is the SSE2 backend's,
+        /// and F16C is not part of the SSE2 baseline: a host may have SSE2
+        /// and no `vcvtph2ps`. The AVX and AVX-512 trampolines, which
+        /// require F16C, use [`F32x4F16c`] instead.
         #[inline(always)]
         fn load_half(src: &[u16]) -> Self {
             Self::load(&<[f32; 4]>::load_half(src))
@@ -621,6 +626,83 @@ mod backend {
                 _mm_storeu_si128(cell.as_mut_ptr().cast(), whole);
                 Self(_mm_sub_ps(clamped, _mm_cvtepi32_ps(whole)))
             }
+        }
+    }
+
+    /// 4 f32 lanes in one SSE register, widened from halves by one
+    /// `vcvtph2ps` on an `xmm` register: the `Q` of the AVX and AVX-512
+    /// instances and the `H` of the AVX one. Every other op is
+    /// [`F32x4`]'s.
+    ///
+    /// Private to this module, and only ever named by [`run_avx`] and
+    /// [`run_avx512`], which [`super::run_on`] enters only after the CPU
+    /// reported F16C: no value of it exists outside those trampolines.
+    #[derive(Clone, Copy)]
+    struct F32x4F16c(F32x4);
+
+    impl Lanes for F32x4F16c {
+        const N: usize = 4;
+
+        #[inline(always)]
+        fn splat(v: f32) -> Self {
+            Self(F32x4::splat(v))
+        }
+
+        #[inline(always)]
+        fn load(src: &[f32]) -> Self {
+            Self(F32x4::load(src))
+        }
+
+        /// `vcvtph2ps` on an `xmm` register, from an 8-byte load.
+        #[inline(always)]
+        fn load_half(src: &[u16]) -> Self {
+            assert!(src.len() >= 4, "F32x4F16c::load_half needs 4 elements");
+            // SAFETY: F16C detected (see type docs); the assert guarantees
+            // 4 readable u16s (8 bytes) at `src`, and `movq` needs no
+            // alignment.
+            Self(F32x4(unsafe {
+                _mm_cvtph_ps(_mm_loadl_epi64(src.as_ptr().cast()))
+            }))
+        }
+
+        #[inline(always)]
+        fn store(self, dst: &mut [f32]) {
+            self.0.store(dst)
+        }
+
+        #[inline(always)]
+        fn add(self, o: Self) -> Self {
+            Self(self.0.add(o.0))
+        }
+
+        #[inline(always)]
+        fn sub(self, o: Self) -> Self {
+            Self(self.0.sub(o.0))
+        }
+
+        #[inline(always)]
+        fn mul(self, o: Self) -> Self {
+            Self(self.0.mul(o.0))
+        }
+
+        #[inline(always)]
+        fn div(self, o: Self) -> Self {
+            Self(self.0.div(o.0))
+        }
+
+        #[inline(always)]
+        fn add_mul(self, w: Self, x: Self) -> Self {
+            Self(self.0.add_mul(w.0, x.0))
+        }
+
+        #[inline(always)]
+        fn max(self, o: Self) -> Self {
+            Self(self.0.max(o.0))
+        }
+
+        #[inline(always)]
+        fn cell_fraction(self, cells: u32, cell: &mut [u32]) -> Self {
+            Self(self.0.cell_fraction(cells, cell))
         }
     }
 
@@ -925,7 +1007,7 @@ mod backend {
     /// Callers must have checked that the CPU reports AVX and F16C.
     #[target_feature(enable = "avx,f16c")]
     pub fn run_avx<K: Kernel>(kernel: K) {
-        kernel.run::<F32x8Avx, F32x4, F32x4>()
+        kernel.run::<F32x8Avx, F32x4F16c, F32x4F16c>()
     }
 
     /// The AVX-512 instance of a [`Kernel`]: `#[inline(always)]` bodies
@@ -936,7 +1018,7 @@ mod backend {
     /// Callers must have checked that the CPU reports AVX-512F and F16C.
     #[target_feature(enable = "avx512f,f16c")]
     pub fn run_avx512<K: Kernel>(kernel: K) {
-        kernel.run::<F32x16, F32x8Avx, F32x4>()
+        kernel.run::<F32x16, F32x8Avx, F32x4F16c>()
     }
 }
 

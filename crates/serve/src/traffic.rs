@@ -1400,6 +1400,29 @@ mod tests {
         }
     }
 
+    /// A grid stored at any width but the halves the memory model prices
+    /// is refused before any bake.
+    #[test]
+    fn assets_refuse_a_grid_of_another_width() {
+        let profile = tiny_model().generate(5);
+        for bytes_per_channel in [0, 1, 4] {
+            let grid = GridConfig {
+                resolution: 8,
+                bytes_per_channel,
+                ..Default::default()
+            };
+            match TrafficAssets::build(&profile, &grid) {
+                Err(TrafficError::InvalidGrid { msg }) => {
+                    let why = format!("bytes_per_channel {bytes_per_channel}");
+                    assert!(msg.contains(&why), "{msg}");
+                    assert_eq!(Err(msg), grid.check());
+                }
+                Err(other) => panic!("expected InvalidGrid, got {other:?}"),
+                Ok(_) => panic!("expected InvalidGrid, got assets"),
+            }
+        }
+    }
+
     #[test]
     fn parse_requires_a_finite_frame_rate() {
         for bad in ["1e-30", "0.5", "0", "-30", "NaN", "inf", "1e309"] {
