@@ -693,90 +693,33 @@ mod tests {
     #[test]
     fn check_refuses_what_new_cannot_build() {
         let base = *grid().config();
+        let with = |edit: fn(&mut HashConfig)| {
+            let mut cfg = base;
+            edit(&mut cfg);
+            cfg
+        };
         let ok = [
             base,
             HashConfig::default(),
-            HashConfig {
-                levels: 1,
-                base_resolution: 1,
-                max_resolution: 1,
-                ..base
-            },
-            HashConfig {
-                max_resolution: 1 << 24,
-                ..base
-            },
-            HashConfig {
-                table_size_log2: 29,
-                ..base
-            },
+            with(|c| (c.levels, c.base_resolution, c.max_resolution) = (1, 1, 1)),
+            with(|c| c.max_resolution = 1 << 24),
+            with(|c| c.table_size_log2 = 29),
         ];
         for cfg in ok {
             assert_eq!(cfg.check(), Ok(()), "{cfg:?}");
         }
         let bad = [
-            (HashConfig { levels: 0, ..base }, "levels 0"),
+            (with(|c| c.levels = 0), "levels 0"),
+            (with(|c| c.base_resolution = 0), "base_resolution 0"),
+            (with(|c| c.max_resolution = 3), "below base_resolution 4"),
+            (with(|c| c.max_resolution = (1 << 24) + 1), "exact in f32"),
+            (with(|c| c.features_per_entry = 6), "features_per_entry 6"),
+            (with(|c| c.bytes_per_feature = 4), "bytes_per_feature 4"),
+            (with(|c| c.bytes_per_feature = 0), "bytes_per_feature 0"),
+            (with(|c| c.table_size_log2 = 30), "indexable in u32"),
+            (with(|c| c.table_size_log2 = 32), "indexable in u32"),
             (
-                HashConfig {
-                    base_resolution: 0,
-                    ..base
-                },
-                "base_resolution 0",
-            ),
-            (
-                HashConfig {
-                    max_resolution: 3,
-                    ..base
-                },
-                "below base_resolution 4",
-            ),
-            (
-                HashConfig {
-                    max_resolution: (1 << 24) + 1,
-                    ..base
-                },
-                "exact in f32",
-            ),
-            (
-                HashConfig {
-                    features_per_entry: 6,
-                    ..base
-                },
-                "features_per_entry 6",
-            ),
-            (
-                HashConfig {
-                    bytes_per_feature: 4,
-                    ..base
-                },
-                "bytes_per_feature 4",
-            ),
-            (
-                HashConfig {
-                    bytes_per_feature: 0,
-                    ..base
-                },
-                "bytes_per_feature 0",
-            ),
-            (
-                HashConfig {
-                    table_size_log2: 30,
-                    ..base
-                },
-                "indexable in u32",
-            ),
-            (
-                HashConfig {
-                    table_size_log2: 32,
-                    ..base
-                },
-                "indexable in u32",
-            ),
-            (
-                HashConfig {
-                    features_per_entry: usize::MAX,
-                    ..base
-                },
+                with(|c| c.features_per_entry = usize::MAX),
                 "indexable in u32",
             ),
         ];
