@@ -49,7 +49,8 @@ pub mod traffic;
 
 pub use cicero_accel::soc::{Scenario, Variant};
 pub use pipeline::{
-    run_pipeline, FrameOutcome, PipelineConfig, PipelineRun, PipelineSession, SessionStep,
+    run_pipeline, FrameOutcome, PipelineConfig, PipelineRun, PipelineSession, SessionError,
+    SessionStep,
 };
 pub use schedule::{FramePlan, RefPlacement, Schedule};
 pub use sparw::{

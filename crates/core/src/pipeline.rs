@@ -227,6 +227,29 @@ impl TrajSource<'_> {
     }
 }
 
+/// Why [`PipelineSession::new_streaming`] refused to build a session.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum SessionError {
+    /// A warping variant asked for a window of 0 targets per reference.
+    ZeroWindow,
+    /// The stream's nominal pose rate is not a positive number.
+    NonPositiveFps {
+        /// The rate asked for.
+        fps: f32,
+    },
+}
+
+impl std::fmt::Display for SessionError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SessionError::ZeroWindow => write!(f, "warping window must be at least 1"),
+            SessionError::NonPositiveFps { fps } => write!(f, "fps {fps} is not positive"),
+        }
+    }
+}
+
+impl std::error::Error for SessionError {}
+
 /// An incremental pipeline execution over one trajectory.
 ///
 /// A session owns the warping-window [`Schedule`], the cursor into it, and
@@ -308,22 +331,29 @@ impl<'a> PipelineSession<'a> {
     /// grows with them. Equivalent to [`new`](Self::new) once every pose of a
     /// trajectory has been pushed and the stream closed.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `fps` is not positive or `cfg.window == 0` (for non-baseline
-    /// variants).
+    /// [`SessionError::NonPositiveFps`] if `fps` is not positive (NaN
+    /// included), [`SessionError::ZeroWindow`] if `cfg.window == 0` for a
+    /// non-baseline variant; nothing is built.
     pub fn new_streaming(
         scene: &'a AnalyticScene,
         model: &'a dyn NerfModel,
         fps: f32,
         intrinsics: Intrinsics,
         cfg: &PipelineConfig,
-    ) -> Self {
+    ) -> Result<Self, SessionError> {
+        if fps.is_nan() || fps <= 0.0 {
+            return Err(SessionError::NonPositiveFps { fps });
+        }
+        if cfg.window == 0 && cfg.variant != Variant::Baseline {
+            return Err(SessionError::ZeroWindow);
+        }
         let traj = TrajSource::Streaming {
             traj: Trajectory::streaming(fps),
             closed: false,
         };
-        Self::over(scene, model, traj, intrinsics, cfg)
+        Ok(Self::over(scene, model, traj, intrinsics, cfg))
     }
 
     /// The constructor body: a session over `traj` with nothing planned,
@@ -1024,6 +1054,45 @@ mod tests {
     }
 
     #[test]
+    fn new_streaming_refuses_a_bad_rate_or_window_with_a_typed_error() {
+        let (scene, model, _, k) = small_setup();
+        let refused = |fps: f32, cfg: &PipelineConfig| {
+            PipelineSession::new_streaming(&scene, &model, fps, k, cfg).err()
+        };
+        let cicero = fast_cfg(Variant::Cicero);
+        for fps in [0.0, -0.0, -30.0, f32::NEG_INFINITY] {
+            assert_eq!(
+                refused(fps, &cicero),
+                Some(SessionError::NonPositiveFps { fps })
+            );
+        }
+        assert!(matches!(
+            refused(f32::NAN, &cicero),
+            Some(SessionError::NonPositiveFps { fps }) if fps.is_nan()
+        ));
+        let zero_window = PipelineConfig {
+            window: 0,
+            ..cicero.clone()
+        };
+        assert_eq!(refused(30.0, &zero_window), Some(SessionError::ZeroWindow));
+        // The rate is checked first; a baseline session has no window.
+        assert!(matches!(
+            refused(0.0, &zero_window),
+            Some(SessionError::NonPositiveFps { .. })
+        ));
+        let baseline = PipelineConfig {
+            window: 0,
+            ..fast_cfg(Variant::Baseline)
+        };
+        assert_eq!(refused(30.0, &baseline), None);
+        assert_eq!(refused(30.0, &cicero), None);
+        assert_eq!(
+            SessionError::ZeroWindow.to_string(),
+            "warping window must be at least 1"
+        );
+    }
+
+    #[test]
     fn streaming_session_matches_whole_trajectory_session() {
         let (scene, model, traj, k) = small_setup();
         for variant in [Variant::Sparw, Variant::Cicero, Variant::Baseline] {
@@ -1033,7 +1102,8 @@ mod tests {
 
             // Feed poses one at a time, stepping greedily whenever the
             // window-atomic planner lets us.
-            let mut sess = PipelineSession::new_streaming(&scene, &model, traj.fps(), k, &cfg);
+            let mut sess =
+                PipelineSession::new_streaming(&scene, &model, traj.fps(), k, &cfg).unwrap();
             let mut outcomes = Vec::new();
             let mut frames = Vec::new();
             assert!(!sess.can_step() && !sess.is_done());

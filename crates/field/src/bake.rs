@@ -7,7 +7,12 @@
 //! - **hash** — coarse-to-fine *residual* scatter-averaging: each level stores
 //!   the residual of the reconstruction through the previous levels; hash
 //!   collisions average, producing the same kind of finite reconstruction
-//!   error a trained Instant-NGP exhibits,
+//!   error a trained Instant-NGP exhibits; then the model's own density
+//!   support is *sampled*, as Instant-NGP's density grid is: a cell of a
+//!   lattice at half the finest resolution stays occupied iff one of its
+//!   eight interior sub-samples reads σ_raw above `RAW_EMPTY` (a sample,
+//!   not a proof like the grid's and tensor's masks, so frames move a
+//!   little against the unmasked model; see `OccupancyGrid::tighten_sampled`),
 //! - **tensor** — greedy rank-1 deflation with power iterations (a few ALS
 //!   sweeps), the deterministic analogue of TensoRF's factor optimization.
 //!   One sweep classifies each texel (a bit: are all seven signals the
@@ -207,10 +212,13 @@ pub fn bake_hash(scene: &AnalyticScene, cfg: &HashConfig) -> HashModel {
 /// Bakes a hash-encoded model (coarse-to-fine residual scatter-averaging).
 pub fn bake_hash_with(scene: &AnalyticScene, cfg: &HashConfig, opts: &BakeOptions) -> HashModel {
     let bounds = RadianceSource::bounds(scene);
-    let occupancy = bake_occupancy(scene, opts.occupancy_resolution);
+    let mut occupancy = bake_occupancy(scene, opts.occupancy_resolution);
     let mut grid = HashGrid::new(*cfg, bounds);
     fit_hash_levels(scene, &occupancy, &mut grid, RECONSTRUCT_BATCH);
     let f = cfg.features_per_entry;
+    occupancy.tighten_sampled(hash_support_cells(cfg), |feats, ps, raw| {
+        sigma_raw_block(&grid, ps, feats, raw)
+    });
 
     // Decode matrix: signal i sums slot i of every level (residual scheme).
     let in_dim = cfg.levels * f;
@@ -235,6 +243,36 @@ pub fn bake_hash_with(scene: &AnalyticScene, cfg: &HashConfig, opts: &BakeOption
 /// Vertices of a hash level whose reconstruction through the coarser levels
 /// one block gather computes.
 const RECONSTRUCT_BATCH: usize = 256;
+
+/// Cells per axis of a hash model's sampled support
+/// ([`OccupancyGrid::tighten_sampled`]): half the finest level's, so a cell
+/// spans two of its cells and each sub-sample sits in a cell of its own
+/// (128 at the default configuration), up to [`MAX_SUPPORT_CELLS`].
+fn hash_support_cells(cfg: &HashConfig) -> usize {
+    (cfg.max_resolution / 2).clamp(1, MAX_SUPPORT_CELLS)
+}
+
+/// The finest sampled support a hash model gets: its mask is one bit a
+/// cell, 16 MiB at 512³, while [`HashConfig::check`] lets the finest level
+/// reach 2²⁴ cells per axis, where a lattice of half that needs 2⁶⁹ bits.
+const MAX_SUPPORT_CELLS: usize = 512;
+
+/// The raw density (decoder signal 0) of `grid` at each of `ps`, into
+/// `out`: one block gather into `feats`, then slot 0 summed over the
+/// levels in level order — the first row of the decode matrix
+/// [`bake_hash_with`] builds, which the decoder's MLP passes through bit
+/// for bit.
+fn sigma_raw_block(grid: &HashGrid, ps: &[Vec3], feats: &mut Vec<f32>, out: &mut [f32]) {
+    let (f, stride) = (grid.config().features_per_entry, ps.len());
+    feats.resize(grid.config().levels * f * stride, 0.0);
+    grid.interpolate_block_into(ps, feats, stride);
+    for (s, raw) in out[..stride].iter_mut().enumerate() {
+        *raw = feats
+            .chunks_exact(f * stride)
+            .map(|level| level[s])
+            .fold(0.0, |a, v| a + v);
+    }
+}
 
 /// Fits every level of `grid`, coarse first: each entry stores the
 /// average of the residuals [`level_residuals`] scattered into it.
@@ -737,6 +775,56 @@ mod tests {
             (rgb - truth).length() < 0.35,
             "rgb {rgb} vs {truth} (discretized reconstruction)"
         );
+    }
+
+    /// What the hash model's sampled support reads as the raw density is
+    /// the decoder's signal 0 bit for bit: [`sigma_raw_block`]'s slot-0 sum
+    /// against the MLP's first output on a block of hash samples, through
+    /// the block kernel and per sample, at 8 and 11 features per entry. The
+    /// block mixes samples above and at or below `RAW_EMPTY`.
+    #[test]
+    fn hash_opacity_raw_is_the_decoders_signal_0() {
+        use crate::occupancy::RAW_EMPTY;
+        use crate::MlpBlockScratch;
+        let scene = library::scene_by_name("lego").unwrap();
+        for features_per_entry in [8, 11] {
+            let cfg = HashConfig {
+                levels: 6,
+                base_resolution: 4,
+                max_resolution: 40,
+                table_size_log2: 11,
+                features_per_entry,
+                ..Default::default()
+            };
+            let model = bake_hash(&scene, &cfg);
+            let (b, k) = (model.bounds(), 301);
+            // A slanted line through the bounds, its two ends on the faces.
+            let ps: Vec<Vec3> = (0..k)
+                .map(|i| {
+                    let u = i as f32 / (k - 1) as f32;
+                    b.min + b.size() * Vec3::new(u, 0.3 + 0.4 * u, 1.0 - 0.8 * u)
+                })
+                .collect();
+            let mut raws = vec![0.0; k];
+            sigma_raw_block(&model.encoding, &ps, &mut Vec::new(), &mut raws);
+            let decoder = &model.decoder;
+            let fd = decoder.feature_dim();
+            let mut block = MlpBlockScratch::new();
+            let input = decoder.stage_block(&mut block, k);
+            model.features_into_block(&ps, &mut input[..fd * k], k);
+            let signal_0 = decoder.mlp().forward_block(&mut block, k)[..k].to_vec();
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&raws), bits(&signal_0), "{features_per_entry}");
+            let mut feats = Vec::new();
+            for (&p, &raw) in ps.iter().zip(&raws) {
+                model.features_into(p, &mut feats);
+                feats.extend([0.0, 0.0, 1.0]);
+                let one = decoder.mlp().forward(&feats)[0];
+                assert_eq!(raw.to_bits(), one.to_bits(), "{features_per_entry} {p:?}");
+            }
+            let live = raws.iter().filter(|&&r| r > RAW_EMPTY).count();
+            assert!(live > 10 && live < k - 10, "{live} of {k} above RAW_EMPTY");
+        }
     }
 
     #[test]

@@ -7,12 +7,18 @@
 
 use crate::encoding::cell_fraction;
 use crate::encoding::tensor::{texel, texel_floor};
+use crate::pool::{Bands, RenderPool, MAX_LANES};
 use cicero_math::{Aabb, Ray, Vec3};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// The raw density (decoder signal 0, before the softplus) at or below which
-/// a sample contributes nothing: a lattice cell of the model whose eight
-/// corners all read `<= RAW_EMPTY` is dropped from the occupied set (see
-/// [`OccupancyGrid::tighten`]).
+/// a sample contributes nothing: a lattice cell of a grid or tensor model
+/// whose eight corners all read `<= RAW_EMPTY` is dropped from the occupied
+/// set (see [`OccupancyGrid::tighten`]), and so is a cell of a hash model's
+/// plain lattice whose eight interior sub-samples all do (see
+/// [`OccupancyGrid::tighten_sampled`]). The first is a proof that every
+/// point of the cell is at or below the constant; the hash model's is a
+/// sample of eight points, and points between them may read above it.
 ///
 /// How large a `step` that is exact for. The renderer's
 /// `alpha = 1.0 - (-softplus(raw) * step).exp()` is `0.0` in f32 exactly
@@ -53,22 +59,28 @@ pub(crate) enum Lattice {
     /// [`crate::VmTensor`] of this many texels per axis: one cell between
     /// each pair of neighbouring texels, shared by planes and lines.
     Tensor(usize),
+    /// A plain lattice of this many cells per axis over the grid's bounds,
+    /// addressed as a grid of as many cells would be. It has no vertices of
+    /// a model behind it: [`OccupancyGrid::tighten_sampled`] marks its
+    /// cells by sub-samples of the density.
+    Sampled(u32),
 }
 
 impl Lattice {
     /// Cells per axis.
     fn cells(self) -> usize {
         match self {
-            Lattice::Grid(cells) => cells as usize,
+            Lattice::Grid(cells) | Lattice::Sampled(cells) => cells as usize,
             Lattice::Tensor(texels) => texels - 1,
         }
     }
 
-    /// The cell a point at normalised coordinates `u` interpolates from.
+    /// The cell a point at normalised coordinates `u` interpolates from (a
+    /// sampled lattice: the cell it lies in).
     #[inline(always)]
     fn cell(self, u: Vec3) -> [usize; 3] {
         match self {
-            Lattice::Grid(cells) => {
+            Lattice::Grid(cells) | Lattice::Sampled(cells) => {
                 let g = u * cells as f32;
                 [g.x, g.y, g.z].map(|g| cell_fraction(g, cells).0 as usize)
             }
@@ -78,7 +90,8 @@ impl Lattice {
 }
 
 /// Which cells of a model's lattice are empty — every corner's raw density
-/// at or below [`RAW_EMPTY`] — one bit a cell, x fastest.
+/// at or below [`RAW_EMPTY`] (a [`Lattice::Sampled`] one: every interior
+/// sub-sample's) — one bit a cell, x fastest.
 #[derive(Debug, Clone, PartialEq)]
 struct Support {
     lattice: Lattice,
@@ -134,6 +147,21 @@ pub struct OccupancyGrid {
 /// margin is ten times that (as `cicero_scene::volume`'s `CLEARANCE_MARGIN`
 /// argues for the marcher's jumps).
 const CLEARANCE_MARGIN: f32 = 1e-4;
+
+/// Points a [`OccupancyGrid::tighten_sampled`] call asks its density at once.
+const SAMPLED_BATCH: usize = 256;
+
+/// Interior sub-sample `s` (x, then y, then z fastest bit) of the cell `at`
+/// of a lattice of `cell`-sized cells from `origin`: the centre of one of
+/// the cell's eight octants.
+fn sub_sample(origin: Vec3, cell: Vec3, [x, y, z]: [usize; 3], s: usize) -> Vec3 {
+    let base = origin + Vec3::new(x as f32 * cell.x, y as f32 * cell.y, z as f32 * cell.z);
+    base + Vec3::new(
+        ((s & 1) as f32 + 0.5) * cell.x * 0.5,
+        ((s >> 1 & 1) as f32 + 0.5) * cell.y * 0.5,
+        ((s >> 2) as f32 + 0.5) * cell.z * 0.5,
+    )
+}
 
 impl OccupancyGrid {
     /// Builds a grid of `res³` cells where a cell is occupied iff `f` returns
@@ -212,15 +240,7 @@ impl OccupancyGrid {
         // diagonal; the margin covers the rounding of their positions and
         // of the clearance.
         let reach = cell.length() * 0.5 + CLEARANCE_MARGIN;
-        let sub_sample = |[x, y, z]: [usize; 3], s: usize| {
-            let base =
-                bounds.min + Vec3::new(x as f32 * cell.x, y as f32 * cell.y, z as f32 * cell.z);
-            base + Vec3::new(
-                ((s & 1) as f32 + 0.5) * cell.x * 0.5,
-                ((s >> 1 & 1) as f32 + 0.5) * cell.y * 0.5,
-                ((s >> 2) as f32 + 0.5) * cell.z * 0.5,
-            )
-        };
+        let sub_sample = |at, s| sub_sample(bounds.min, cell, at, s);
         // Cells past this one that a clearance `c` read at its first
         // sub-sample also covers: cell `x + j`'s farthest sub-sample is
         // `(j + ½, ½, ½)` cells away. A NaN or negative quotient casts to 0,
@@ -374,29 +394,10 @@ impl OccupancyGrid {
         lattice: Lattice,
         mut raw: impl FnMut(usize, usize, usize) -> f32,
     ) {
-        let (n, res) = (lattice.cells(), self.res);
-        let mut support = Support {
-            lattice,
-            empty: vec![0; (n * n * n).div_ceil(64)],
-        };
-        // Candidates first: every lattice cell that overlaps an occupied one.
-        let span = |c: usize| c * n / res..((c + 1) * n).div_ceil(res);
-        for z in 0..res {
-            for y in 0..res {
-                for x in (0..res).filter(|&x| self.dist[self.index(x, y, z)] == 0) {
-                    for cz in span(z) {
-                        for cy in span(y) {
-                            for cx in span(x) {
-                                let (word, bit) = support.bit([cx, cy, cz]);
-                                support.empty[word] |= bit;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        // Then one dense vertex refutes the (up to eight) candidates it is
-        // a corner of; a vertex with none left around it is not asked.
+        let mut support = self.candidates(lattice);
+        let n = lattice.cells();
+        // One dense vertex refutes the (up to eight) candidates it is a
+        // corner of; a vertex with none left around it is not asked.
         let around = |v: usize| v.saturating_sub(1)..(v + 1).min(n);
         for z in 0..=n {
             for y in 0..=n {
@@ -418,6 +419,116 @@ impl OccupancyGrid {
         self.support = Some(support);
     }
 
+    /// A support on `lattice` whose empty bits mark the candidates: every
+    /// lattice cell that overlaps an occupied cell of this grid.
+    fn candidates(&self, lattice: Lattice) -> Support {
+        let (n, res) = (lattice.cells(), self.res);
+        let mut support = Support {
+            lattice,
+            empty: vec![0; (n * n * n).div_ceil(64)],
+        };
+        let span = |c: usize| c * n / res..((c + 1) * n).div_ceil(res);
+        for z in 0..res {
+            for y in 0..res {
+                for x in (0..res).filter(|&x| self.dist[self.index(x, y, z)] == 0) {
+                    for cz in span(z) {
+                        for cy in span(y) {
+                            for cx in span(x) {
+                                let (word, bit) = support.bit([cx, cy, cz]);
+                                support.empty[word] |= bit;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        support
+    }
+
+    /// Drops from the occupied set what the model leaves empty at every
+    /// sub-sample of a plain lattice of `cells³` cells over the grid's
+    /// bounds ([`Lattice::Sampled`]): a lattice cell whose 2×2×2 interior
+    /// sub-samples (the sweep's, see [`sub_sample`]) all read a raw density
+    /// at or below [`RAW_EMPTY`] stops being [`occupied`](Self::occupied).
+    /// `raw(ps, out)` writes the raw density at each point of `ps` into
+    /// `out`.
+    ///
+    /// **A sample, not a proof.** Unlike [`tighten`](Self::tighten), which
+    /// reads every corner of a multi-affine cell, eight points say nothing
+    /// of the rest of the cell: a hash model's levels interpolate across
+    /// many such cells at once and their sum can peak between the
+    /// sub-samples. A sample the mask drops may have carried a small
+    /// `alpha`, and the frames move (below one 8-bit step on every library
+    /// scene at 128², the renderer's tests hold it), as Instant-NGP's own
+    /// density grid moves them.
+    ///
+    /// The candidates are the lattice cells that overlap an occupied cell of
+    /// this grid, as for `tighten`. They are asked in eight passes, one per
+    /// sub-sample, up to [`SAMPLED_BATCH`] points a call: a pass asks only
+    /// the candidates no earlier pass found live, so a cell stops at its
+    /// first sub-sample above `RAW_EMPTY`, and only the cells the mask drops
+    /// are asked all eight. The mask's words are split into up to
+    /// [`MAX_LANES`] bands that the lanes of a [`RenderPool::global`]
+    /// checkout (one per core) claim in turn, each running the eight passes
+    /// over its band with a scratch `S` of its own; every cell is decided by
+    /// its own sub-samples alone, so the mask is the same at any lane count.
+    pub(crate) fn tighten_sampled<S: Default>(
+        &mut self,
+        cells: usize,
+        raw: impl Fn(&mut S, &[Vec3], &mut [f32]) + Sync,
+    ) {
+        let mut support = self.candidates(Lattice::Sampled(cells as u32));
+        let (origin, cell) = (self.bounds.min, self.bounds.size() / cells as f32);
+        let at = |i: usize| [i % cells, i / cells % cells, i / (cells * cells)];
+        let chunk = support.empty.len().div_ceil(MAX_LANES).max(1);
+        let bands = Bands::new(&mut support.empty, chunk);
+        // The next band to claim; it orders nothing else (`Bands::take`
+        // hands each band's words over).
+        let next = AtomicUsize::new(0);
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let lanes = RenderPool::global().checkout(cores.min(bands.len()).saturating_sub(1));
+        lanes.run(|_| {
+            let mut scratch = S::default();
+            let (mut open, mut ps) = (Vec::with_capacity(SAMPLED_BATCH), Vec::new());
+            let mut raws = vec![0.0; SAMPLED_BATCH];
+            // `open` holds cell indices; a live one's bit is cleared.
+            let mut ask = |open: &mut Vec<usize>, s: usize, first: usize, words: &mut [u64]| {
+                ps.clear();
+                ps.extend(open.iter().map(|&i| sub_sample(origin, cell, at(i), s)));
+                raw(&mut scratch, &ps, &mut raws[..ps.len()]);
+                for (&i, &r) in open.iter().zip(&raws) {
+                    if r > RAW_EMPTY {
+                        words[(i - first) / 64] &= !(1 << (i % 64));
+                    }
+                }
+                open.clear();
+            };
+            loop {
+                let band = next.fetch_add(1, Ordering::Relaxed);
+                if band >= bands.len() {
+                    break;
+                }
+                let (words, first) = (bands.take(band), band * chunk * 64);
+                for s in 0..8 {
+                    // Each word is copied as it is read: a batch clears bits
+                    // of words the walk has passed.
+                    for w in 0..words.len() {
+                        let mut bits = words[w];
+                        while bits != 0 {
+                            open.push(first + w * 64 + bits.trailing_zeros() as usize);
+                            bits &= bits - 1;
+                            if open.len() == SAMPLED_BATCH {
+                                ask(&mut open, s, first, words);
+                            }
+                        }
+                    }
+                    ask(&mut open, s, first, words);
+                }
+            }
+        });
+        self.support = Some(support);
+    }
+
     /// Cell occupancy by integer coordinate (out-of-range ⇒ `false`), as
     /// marked at construction: a support mask is not consulted.
     pub fn cell(&self, x: isize, y: isize, z: isize) -> bool {
@@ -433,9 +544,11 @@ impl OccupancyGrid {
     /// [`occupied`](Self::occupied). A point outside the bounds reads `1`:
     /// not occupied, and nothing known about its surroundings — and so does
     /// a point of an occupied cell that the model's own density support
-    /// leaves empty (a baked grid or tensor model carries that mask), so the
-    /// distances themselves, and the jumps they license, are untouched by
-    /// it.
+    /// leaves empty, so the distances themselves, and the jumps they
+    /// license, are untouched by it. Every baked model carries that mask: a
+    /// grid or tensor model's is exact (`tighten`), a hash model's is
+    /// sampled (`tighten_sampled`) and may leave out points of small
+    /// density.
     pub fn clearance(&self, p: Vec3) -> u8 {
         if !self.bounds.contains(p) {
             return 1;
@@ -504,9 +617,11 @@ impl OccupancyGrid {
         self.bounds
     }
 
-    /// The grid as it was before [`tighten`](Self::tighten): the exactness
-    /// tests' other side. Not a switch — nothing outside the crate's tests
-    /// can un-mask a model.
+    /// The grid as it was before [`tighten`](Self::tighten) or
+    /// [`tighten_sampled`](Self::tighten_sampled): the other side of the
+    /// grid and tensor masks' exactness tests and of the hash mask's
+    /// quality claims. Not a switch — nothing outside the crate's tests can
+    /// un-mask a model.
     #[cfg(test)]
     pub(crate) fn untightened(&self) -> OccupancyGrid {
         OccupancyGrid {
@@ -1214,6 +1329,80 @@ mod tests {
                     "{name}: {empty} empty, {dropped} dropped"
                 );
             }
+        }
+    }
+
+    /// The sampled support's per-cell reference: every candidate cell of a
+    /// baked hash model asked at all eight sub-samples, one point at a time,
+    /// through `features_into` and the decoder's MLP (signal 0, the raw
+    /// density).
+    fn sampled_support_per_cell(model: &crate::HashModel) -> Support {
+        use crate::model::NerfModel;
+        let grid = &model.occupancy;
+        let lattice = grid
+            .support
+            .as_ref()
+            .expect("a baked model is tightened")
+            .lattice;
+        let cells = lattice.cells();
+        let mut support = grid.untightened().candidates(lattice);
+        let (origin, cell) = (grid.bounds().min, grid.bounds().size() / cells as f32);
+        let mut input = Vec::new();
+        for z in 0..cells {
+            for y in 0..cells {
+                for x in 0..cells {
+                    let candidate = support.is_empty([x, y, z]);
+                    let live = candidate
+                        && (0..8).any(|s| {
+                            model.features_into(sub_sample(origin, cell, [x, y, z], s), &mut input);
+                            input.extend([0.0, 0.0, 1.0]);
+                            model.decoder().mlp().forward(&input)[0] > RAW_EMPTY
+                        });
+                    if live {
+                        let (word, bit) = support.bit([x, y, z]);
+                        support.empty[word] &= !bit;
+                    }
+                }
+            }
+        }
+        support
+    }
+
+    /// A baked hash model's sampled support (the passes over sub-sample
+    /// indices, on the pool's lanes, through the block gather and the
+    /// slot-0 sum) is the per-cell reference's, bit for bit: dense and
+    /// hashed levels, 8 and 11 features per entry, at half the finest
+    /// resolution. It is a sample of the density, not a proof that a cell
+    /// is empty; this holds the sampling to its rule, and the renderer's
+    /// `hash_opacity` tests hold what it costs the frames.
+    #[test]
+    fn hash_opacity_mask_is_the_per_cell_reference() {
+        use crate::bake;
+        use crate::encoding::hash::HashConfig;
+        let count = |s: &Support| s.empty.iter().map(|w| w.count_ones()).sum::<u32>();
+        for (name, features_per_entry, max_resolution) in
+            [("lego", 8, 48), ("ship", 11, 40), ("ficus", 8, 33)]
+        {
+            let scene = cicero_scene::library::scene_by_name(name).unwrap();
+            let cfg = HashConfig {
+                levels: 5,
+                base_resolution: 6,
+                max_resolution,
+                table_size_log2: 12,
+                features_per_entry,
+                ..Default::default()
+            };
+            let model = bake::bake_hash(&scene, &cfg);
+            let support = model.occupancy.support.as_ref().unwrap();
+            let cells = (max_resolution / 2) as u32;
+            assert_eq!(support.lattice, Lattice::Sampled(cells), "{name}");
+            assert!(model.encoding.first_hashed_level() < cfg.levels, "{name}");
+            assert!(support == &sampled_support_per_cell(&model), "{name}");
+            // Not vacuous: some candidates are dropped and most are kept.
+            let candidates = count(&model.occupancy.untightened().candidates(support.lattice));
+            let dropped = count(support);
+            println!("{name}: {dropped} of {candidates} candidates dropped");
+            assert!(dropped > 0 && 2 * dropped < candidates, "{name}");
         }
     }
 

@@ -464,6 +464,7 @@ impl<'a> FrameServer<'a> {
             }
             Feed::Stream { fps } => {
                 PipelineSession::new_streaming(sub.scene, sub.model, fps, intrinsics, &spec.config)
+                    .expect("`Submission::validate` refuses a non-positive fps and a zero window")
             }
         };
         let id = ledger.admit(self.shard);

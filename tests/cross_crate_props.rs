@@ -540,7 +540,7 @@ fn step_bare_session(
 ) -> usize {
     let k = Intrinsics::from_fov(12, 12, 0.9);
     let mut session =
-        PipelineSession::new_streaming(scene, model, traj.fps(), k, &pose_cfg(variant));
+        PipelineSession::new_streaming(scene, model, traj.fps(), k, &pose_cfg(variant)).unwrap();
     for (i, pose) in traj.poses().iter().enumerate() {
         session.push_pose(edit(i, *pose));
     }

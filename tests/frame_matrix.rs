@@ -12,7 +12,10 @@
 //! must `==` the oracle of its content: [`render_reference`] (the
 //! per-sample loop), the serial `warp_frame`, the two in turn for a target
 //! frame, or a serial one-lane pipeline, each capped to
-//! [`Backend::Portable`]. Each row moves one axis away from
+//! [`Backend::Portable`]. Before that, every pass that rendered must keep
+//! the laws of its [`RenderStats`] ([`RenderStats::check`]: processed ≤
+//! indexed, reads, bytes and MACs in proportion to processed, rays ≤
+//! pixels). Each row moves one axis away from
 //! [`BASE`] — or, for the pool rows, from the 8-lane row — and the `all
 //! wide` rows start from [`WIDE`], every knob moved at once. A row runs on
 //! every family of its column: each encoding has its own block gather and
@@ -53,7 +56,7 @@ use cicero_field::render::render_reference;
 use cicero_field::simd::{self, Backend};
 use cicero_field::{
     bake, render_tiled, GatherPlan, GridConfig, HashConfig, ModelSource, NerfModel, NullSink,
-    RenderOptions, RenderStats, TensorConfig, TileOptions, DEFAULT_SAMPLE_BLOCK,
+    RenderOptions, RenderStats, StatsViolation, TensorConfig, TileOptions, DEFAULT_SAMPLE_BLOCK,
 };
 use cicero_math::{Camera, Intrinsics, Pose, Vec3};
 use cicero_scene::ground_truth::{background_frame, render_frame, Frame};
@@ -235,6 +238,16 @@ enum Pass {
 type Outcome = Vec<Pass>;
 
 impl Pass {
+    /// [`RenderStats::check`] of the pass's render, if it rendered: a full
+    /// frame of `SIDE²` pixels, or the holes of a `WARP_SIDE²` target.
+    fn check(&self, model: &dyn NerfModel) -> Result<(), Vec<StatsViolation>> {
+        match self {
+            Pass::Render(_, stats, _) => stats.check(model, (SIDE * SIDE) as u64),
+            Pass::Target(_, _, stats, _) => stats.check(model, (WARP_SIDE * WARP_SIDE) as u64),
+            Pass::Warp(..) | Pass::Pipeline(..) => Ok(()),
+        }
+    }
+
     /// The part that differs from `want`, for a failure message.
     fn difference(&self, want: &Pass) -> &'static str {
         match (self, want) {
@@ -623,6 +636,14 @@ fn check_case(fx: &Fixture, case: &Case, oracles: &mut Oracles) -> Result<(), St
         .entry(format!("{content:?}"))
         .or_insert_with(|| oracle(fx, case));
     let got = run(fx, case);
+    let model = fx.baked(case.family).model.as_ref();
+    for (i, pass) in got.iter().enumerate() {
+        if let Err(broken) = pass.check(model) {
+            return Err(format!(
+                "pass {i}: RenderStats break their laws: {broken:?}"
+            ));
+        }
+    }
     if let Some(i) = got.iter().position(|pass| pass != want) {
         let part = got[i].difference(want);
         return Err(format!("pass {i}: {part} differs from the oracle's"));

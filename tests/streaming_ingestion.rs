@@ -61,7 +61,8 @@ fn push_pose_stepping_matches_run_pipeline() {
     let k = Intrinsics::from_fov(24, 24, 0.9);
     for variant in [Variant::Sparw, Variant::Cicero] {
         let whole = run_pipeline(&scene, &model, &traj, k, &cfg(variant));
-        let mut sess = PipelineSession::new_streaming(&scene, &model, traj.fps(), k, &cfg(variant));
+        let mut sess =
+            PipelineSession::new_streaming(&scene, &model, traj.fps(), k, &cfg(variant)).unwrap();
         let mut frames = Vec::new();
         let mut outcomes = Vec::new();
         for pose in traj.poses() {
