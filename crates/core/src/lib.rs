@@ -55,5 +55,5 @@ pub use pipeline::{
 pub use schedule::{FramePlan, RefPlacement, Schedule};
 pub use sparw::{
     render_target, warp_frame, warp_frame_into, warp_frame_timed, PixelSource, TargetFrame,
-    WarpOptions, WarpResult, WarpScratch, WarpStats, WarpTiming,
+    TargetViolation, WarpOptions, WarpResult, WarpScratch, WarpStats, WarpTiming,
 };

@@ -20,7 +20,9 @@
 
 use cicero_field::pool::{Bands, Checkout, RenderPool};
 use cicero_field::simd::{self, Kernel, Lanes, MAX_LANES};
-use cicero_field::{render_tiled, GatherSink, NerfModel, RenderOptions, RenderStats, TileOptions};
+use cicero_field::{
+    render_tiled, GatherSink, NerfModel, RenderOptions, RenderStats, StatsViolation, TileOptions,
+};
 use cicero_math::{Camera, Mat3, Vec3};
 use cicero_scene::ground_truth::Frame;
 use cicero_telemetry as telemetry;
@@ -738,7 +740,7 @@ impl<'t> PassClock<'t> {
 }
 
 /// A target frame of [`render_target`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TargetFrame {
     /// The warped frame, its holes filled by the sparse render.
     pub frame: Frame,
@@ -746,6 +748,71 @@ pub struct TargetFrame {
     pub warp: WarpStats,
     /// The sparse render's work.
     pub render: RenderStats,
+}
+
+/// A law of [`TargetFrame`] that a target frame breaks; see
+/// [`TargetFrame::check`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TargetViolation {
+    /// `warped + disoccluded + void_pixels + rejected` is not `total`.
+    ClassesMissTotal {
+        /// The four classes' pixels, summed.
+        classes: u64,
+        /// `total`.
+        total: u64,
+    },
+    /// `total` is not the frame's pixel count.
+    TotalMissesFrame {
+        /// `total`.
+        total: u64,
+        /// The frame's width × height.
+        pixels: u64,
+    },
+    /// The sparse render breaks a law of [`RenderStats::check`] over the
+    /// `disoccluded + rejected` pixels it was given.
+    Render(StatsViolation),
+}
+
+impl TargetFrame {
+    /// The laws of a target frame of `model`:
+    ///
+    /// - every pixel is in exactly one of the warp's classes:
+    ///   `warped + disoccluded + void_pixels + rejected == total`;
+    /// - `total` is the frame's width × height;
+    /// - the sparse render keeps [`RenderStats::check`]'s laws over the
+    ///   pixels it rendered, `disoccluded + rejected`.
+    ///
+    /// # Errors
+    ///
+    /// Every law broken, in that order.
+    pub fn check<M: NerfModel + ?Sized>(&self, model: &M) -> Result<(), Vec<TargetViolation>> {
+        let w = &self.warp;
+        let sum = |counts: &[u64]| counts.iter().fold(0_u64, |a, &c| a.saturating_add(c));
+        let mut broken = Vec::new();
+        let classes = sum(&[w.warped, w.disoccluded, w.void_pixels, w.rejected]);
+        if classes != w.total {
+            broken.push(TargetViolation::ClassesMissTotal {
+                classes,
+                total: w.total,
+            });
+        }
+        let pixels = (self.frame.width() * self.frame.height()) as u64;
+        if w.total != pixels {
+            broken.push(TargetViolation::TotalMissesFrame {
+                total: w.total,
+                pixels,
+            });
+        }
+        let rendered = sum(&[w.disoccluded, w.rejected]);
+        if let Err(render) = self.render.check(model, rendered) {
+            broken.extend(render.into_iter().map(TargetViolation::Render));
+        }
+        if broken.is_empty() {
+            Ok(())
+        } else {
+            Err(broken)
+        }
+    }
 }
 
 /// SPARW's target frame (Eq. 4): warps `reference` (rendered at `ref_cam`)
@@ -1731,6 +1798,69 @@ mod tests {
             err / (n as f64) < 0.1,
             "mean depth error {}",
             err / n as f64
+        );
+    }
+
+    /// A real target frame keeps [`TargetFrame::check`]'s laws, and each
+    /// law, broken on its own, is reported as itself.
+    #[test]
+    fn target_frame_check_reports_each_broken_law() {
+        use cicero_field::{bake, GridConfig, NullSink};
+        let (scene, ref_cam, tgt_cam, reference) = setup(0.2);
+        let cfg = GridConfig {
+            resolution: 24,
+            ..Default::default()
+        };
+        let model = bake::bake_grid(&scene, &cfg);
+        let opts = RenderOptions::default();
+        let tile = TileOptions::default();
+        let target = render_target(
+            &model,
+            &opts,
+            &reference,
+            &ref_cam,
+            &tgt_cam,
+            &WarpOptions::default(),
+            &mut WarpScratch::new(),
+            &tile,
+            &mut NullSink,
+        );
+        assert_eq!(target.check(&model), Ok(()));
+        let (w, r) = (target.warp, target.render);
+        assert!(w.warped > 0 && w.disoccluded > 0 && r.rays > 0, "{w:?}");
+        let broken = |edit: fn(&mut TargetFrame)| {
+            let mut t = target.clone();
+            edit(&mut t);
+            t.check(&model).unwrap_err()
+        };
+        assert_eq!(
+            broken(|t| t.warp.void_pixels += 1),
+            [TargetViolation::ClassesMissTotal {
+                classes: w.total + 1,
+                total: w.total
+            }]
+        );
+        assert_eq!(
+            broken(|t| {
+                t.warp.total += 1;
+                t.warp.warped += 1;
+            }),
+            [TargetViolation::TotalMissesFrame {
+                total: w.total + 1,
+                pixels: w.total
+            }]
+        );
+        // A void pixel rendered: more rays than the render was given.
+        assert_eq!(
+            broken(|t| {
+                t.warp.disoccluded -= 1;
+                t.warp.void_pixels += 1;
+                t.render.rays = t.warp.disoccluded + t.warp.rejected + 1;
+            }),
+            [TargetViolation::Render(StatsViolation::RaysAbovePixels {
+                rays: w.disoccluded + w.rejected,
+                pixels: w.disoccluded + w.rejected - 1
+            })]
         );
     }
 }

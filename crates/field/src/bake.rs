@@ -21,6 +21,16 @@
 //!   order; none of it moves a bit against the textbook loops, which the
 //!   tests keep as the oracle (see [`bake_tensor_with`]).
 //!
+//! The hash and tensor bakes run on one pool lane per core
+//! ([`crate::pool`], over the crate-private `BandLanes`): the lanes
+//! compute the hash levels' vertex residuals, the hash model's support
+//! cells, and the tensor's classifying sweep and signal fills, each
+//! element on its own, so the bakes store the same bits at any lane count
+//! (the tests hold them to it at 1, 2 and 3 lanes). Two parts stay
+//! sequential, in their order: the scatter that adds each hash vertex's
+//! residual into its entry in visiting order, and the tensor's power
+//! iterations and deflation. The grid bake runs on the caller.
+//!
 //! Every baked vertex stores the seven decoder signals
 //! `[σ_raw, c_r, c_g, c_b, q_x, q_y, q_z]` (see [`crate::Decoder`]).
 
@@ -30,9 +40,11 @@ use crate::encoding::hash::{HashConfig, HashGrid};
 use crate::encoding::tensor::{Orientation, TensorConfig, VmTensor, ORIENTATIONS};
 use crate::model::{GridModel, HashModel, ModelKind, TensorModel};
 use crate::occupancy::{Lattice, OccupancyGrid};
+use crate::pool::{self, BandLanes};
 use crate::simd::{round_to_half, widen_half};
 use cicero_math::Vec3;
 use cicero_scene::{AnalyticScene, Nearest, RadianceSource};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Options shared by all bakers.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -211,12 +223,23 @@ pub fn bake_hash(scene: &AnalyticScene, cfg: &HashConfig) -> HashModel {
 
 /// Bakes a hash-encoded model (coarse-to-fine residual scatter-averaging).
 pub fn bake_hash_with(scene: &AnalyticScene, cfg: &HashConfig, opts: &BakeOptions) -> HashModel {
+    bake_hash_on(scene, cfg, opts, pool::cores())
+}
+
+/// [`bake_hash_with`] on up to `lanes` pool lanes: the same model at any
+/// lane count.
+fn bake_hash_on(
+    scene: &AnalyticScene,
+    cfg: &HashConfig,
+    opts: &BakeOptions,
+    lanes: usize,
+) -> HashModel {
     let bounds = RadianceSource::bounds(scene);
     let mut occupancy = bake_occupancy(scene, opts.occupancy_resolution);
     let mut grid = HashGrid::new(*cfg, bounds);
-    fit_hash_levels(scene, &occupancy, &mut grid, RECONSTRUCT_BATCH);
+    fit_hash_levels(scene, &occupancy, &mut grid, RECONSTRUCT_BATCH, lanes);
     let f = cfg.features_per_entry;
-    occupancy.tighten_sampled(hash_support_cells(cfg), |feats, ps, raw| {
+    occupancy.tighten_sampled(hash_support_cells(cfg), lanes, |feats, ps, raw| {
         sigma_raw_block(&grid, ps, feats, raw)
     });
 
@@ -243,6 +266,10 @@ pub fn bake_hash_with(scene: &AnalyticScene, cfg: &HashConfig, opts: &BakeOption
 /// Vertices of a hash level whose reconstruction through the coarser levels
 /// one block gather computes.
 const RECONSTRUCT_BATCH: usize = 256;
+
+/// Reconstruction batches in a round of [`level_residuals`]: the vertices
+/// the lanes share out between two scatters.
+const ROUND_BATCHES: usize = 16;
 
 /// Cells per axis of a hash model's sampled support
 /// ([`OccupancyGrid::tighten_sampled`]): half the finest level's, so a cell
@@ -281,66 +308,57 @@ fn fit_hash_levels(
     occupancy: &OccupancyGrid,
     grid: &mut HashGrid,
     batch: usize,
+    lanes: usize,
 ) {
     for level in 0..grid.config().levels {
-        let (mut sums, counts) = level_residuals(scene, occupancy, grid, level, batch);
+        let (mut sums, counts) = level_residuals(scene, occupancy, grid, level, batch, lanes);
         store_level(grid, level, &mut sums, &counts);
     }
 }
+
+/// A visited vertex's entry and the residual it scatters into it.
+type Residual = (usize, [f32; SIGNALS]);
 
 /// Per entry of `level`, the sum of what its visited vertices scatter
 /// into it — their target signals minus their reconstruction through the
 /// levels before it — and how many did.
 ///
-/// The reconstructions run `batch` vertices at a time through
-/// [`HashGrid::interpolate_levels_block_into`], then each vertex's levels
-/// are summed in order and scattered in visiting order: per vertex the
-/// arithmetic of `HashGrid::reconstruct_signals` (the test oracle) and
-/// the same update order of the sums, so every batch size gives the same
-/// bits.
+/// The vertices are taken in rounds of [`ROUND_BATCHES`] × `batch`, in
+/// visiting order. Up to `lanes` [`BandLanes`] compute each vertex's
+/// residual and entry ([`vertex_residuals`]: `batch` vertices at a time
+/// through [`HashGrid::interpolate_levels_block_into`], each vertex's
+/// levels summed in order); then the caller scatters the round in visiting
+/// order. Per vertex that is the arithmetic of
+/// `HashGrid::reconstruct_signals` (the test oracle), and every sum gets
+/// its terms in the same order, so every batch size and lane count gives
+/// the same bits.
 fn level_residuals(
     scene: &AnalyticScene,
     occupancy: &OccupancyGrid,
     grid: &HashGrid,
     level: usize,
     batch: usize,
+    lanes: usize,
 ) -> (Vec<f32>, Vec<u32>) {
-    let shin = scene.dominant_shininess();
     let f = grid.config().features_per_entry;
     let table_len = grid.levels()[level].table_len;
     let (mut sums, mut counts) = (vec![0.0_f32; table_len * f], vec![0u32; table_len]);
-    let mut queue: Vec<[u32; 3]> = Vec::with_capacity(batch);
-    let mut ps = Vec::with_capacity(batch);
-    let mut recon = vec![0.0_f32; level * f * batch];
-    let mut targets = Vec::with_capacity(batch);
+    let round = ROUND_BATCHES * batch;
+    let mut queue: Vec<[u32; 3]> = Vec::with_capacity(round);
+    let mut residuals: Vec<Residual> = vec![(0, [0.0; SIGNALS]); round];
+    let scratch = || (Vec::with_capacity(batch), vec![0.0_f32; level * f * batch]);
+    let mut lanes = BandLanes::new(lanes, scratch);
     let mut flush = |queue: &mut Vec<[u32; 3]>| {
-        ps.clear();
-        ps.extend(
-            queue
-                .iter()
-                .map(|&[x, y, z]| grid.vertex_position(level, x, y, z)),
-        );
-        grid.interpolate_levels_block_into(level, &ps, &mut recon, batch);
-        targets.clear();
-        for_each_nearest(
-            scene,
-            0..ps.len(),
-            |s| ps[s],
-            |_, near| {
-                targets.push(signals_of(scene, near, shin));
-            },
-        );
-        for (s, &[x, y, z]) in queue.iter().enumerate() {
-            let target = targets[s];
-            let mut signals = [0.0_f32; SIGNALS];
-            for l in 0..level {
-                for (i, v) in signals.iter_mut().enumerate() {
-                    *v += recon[(l * f + i) * batch + s];
-                }
+        let residuals = &mut residuals[..queue.len()];
+        lanes.run(residuals, batch, |scratch, first, out| {
+            let vertices = queue[first..][..out.len()].chunks(batch);
+            for (vertices, out) in vertices.zip(out.chunks_mut(batch)) {
+                vertex_residuals(scene, grid, level, batch, vertices, scratch, out);
             }
-            let e = grid.entry_index(level, x, y, z) as usize;
-            for i in 0..SIGNALS {
-                sums[e * f + i] += target[i] - signals[i];
+        });
+        for &(e, residual) in residuals.iter() {
+            for (sum, r) in sums[e * f..].iter_mut().zip(residual) {
+                *sum += r;
             }
             counts[e] += 1;
         }
@@ -348,12 +366,54 @@ fn level_residuals(
     };
     level_vertices(grid, level, occupancy, |vertex| {
         queue.push(vertex);
-        if queue.len() == batch {
+        if queue.len() == round {
             flush(&mut queue);
         }
     });
     flush(&mut queue);
     (sums, counts)
+}
+
+/// Into `out`, each of `vertices`' entry of `level` and residual: its
+/// target signals minus the sum, in level order, of its reconstruction
+/// through the levels before `level`. The scratch holds the vertices'
+/// positions and the `level × features × batch` matrix one block gather
+/// writes those reconstructions into (`batch >= vertices.len()`).
+fn vertex_residuals(
+    scene: &AnalyticScene,
+    grid: &HashGrid,
+    level: usize,
+    batch: usize,
+    vertices: &[[u32; 3]],
+    (ps, recon): &mut (Vec<Vec3>, Vec<f32>),
+    out: &mut [Residual],
+) {
+    let f = grid.config().features_per_entry;
+    ps.clear();
+    ps.extend(
+        vertices
+            .iter()
+            .map(|&[x, y, z]| grid.vertex_position(level, x, y, z)),
+    );
+    grid.interpolate_levels_block_into(level, ps, recon, batch);
+    let shin = scene.dominant_shininess();
+    for_each_nearest(
+        scene,
+        0..ps.len(),
+        |s| ps[s],
+        |s, near| {
+            let target = signals_of(scene, near, shin);
+            let mut signals = [0.0_f32; SIGNALS];
+            for l in 0..level {
+                for (i, v) in signals.iter_mut().enumerate() {
+                    *v += recon[(l * f + i) * batch + s];
+                }
+            }
+            let [x, y, z] = vertices[s];
+            let e = grid.entry_index(level, x, y, z) as usize;
+            out[s] = (e, std::array::from_fn(|i| target[i] - signals[i]));
+        },
+    );
 }
 
 /// The vertices a hash level is fitted at, in visiting order. Coarse
@@ -379,7 +439,8 @@ fn level_vertices(
         }
         return;
     }
-    let mut visited = vec![false; verts * verts * verts];
+    // One bit a vertex.
+    let mut visited = vec![0_u64; (verts * verts * verts).div_ceil(64)];
     let occ_res = occupancy.resolution();
     let scale = res as f32 / occ_res as f32;
     for oz in 0..occ_res {
@@ -394,8 +455,9 @@ fn level_vertices(
                     for y in lo(oy)..hi(oy) {
                         for x in lo(ox)..hi(ox) {
                             let vi = (z * verts + y) * verts + x;
-                            if !visited[vi] {
-                                visited[vi] = true;
+                            let (word, bit) = (&mut visited[vi / 64], 1 << (vi % 64));
+                            if *word & bit == 0 {
+                                *word |= bit;
                                 visit([x as u32, y as u32, z as u32]);
                             }
                         }
@@ -463,8 +525,19 @@ pub fn bake_tensor_with(
     cfg: &TensorConfig,
     opts: &BakeOptions,
 ) -> TensorModel {
+    bake_tensor_on(scene, cfg, opts, pool::cores())
+}
+
+/// [`bake_tensor_with`] on up to `lanes` pool lanes: the same model at any
+/// lane count.
+fn bake_tensor_on(
+    scene: &AnalyticScene,
+    cfg: &TensorConfig,
+    opts: &BakeOptions,
+    lanes: usize,
+) -> TensorModel {
     let mut tensor = VmTensor::new(*cfg, RadianceSource::bounds(scene));
-    fit_tensor(scene, &mut tensor, opts.tensor_power_iters);
+    fit_tensor(scene, &mut tensor, opts.tensor_power_iters, lanes);
     let mut occupancy = bake_occupancy(scene, opts.occupancy_resolution);
     occupancy.tighten(Lattice::Tensor(cfg.resolution), |x, y, z| {
         tensor.vertex_density_raw([x, y, z])
@@ -480,7 +553,12 @@ pub fn bake_tensor_with(
 
 /// Fits every plane and line of `tensor` to `scene`'s signals at its texels
 /// (see [`bake_tensor_with`]); the residual volume is gone when it returns.
-fn fit_tensor(scene: &AnalyticScene, tensor: &mut VmTensor, iters: usize) {
+///
+/// The classifying sweep and each signal's fill run on up to `lanes`
+/// [`BandLanes`], over bands of whole 64-texel words of the classifying
+/// bits; every texel's value is its own. The power iterations stay on the
+/// caller.
+fn fit_tensor(scene: &AnalyticScene, tensor: &mut VmTensor, iters: usize, lanes: usize) {
     let bounds = tensor.bounds();
     let shin = scene.dominant_shininess();
     let cfg = *tensor.config();
@@ -504,13 +582,25 @@ fn fit_tensor(scene: &AnalyticScene, tensor: &mut VmTensor, iters: usize) {
     // distance or density stays unmarked, and is evaluated).
     let empty_raw = inverse_softplus(0.0);
     let mut t = vec![0.0_f32; res * res * res];
-    let mut empty = vec![0_u64; t.len().div_ceil(64)];
-    for_each_nearest(scene, 0..t.len(), pos, |i, near| {
-        t[i] = inverse_softplus(near.density());
-        if t[i] == empty_raw && !radiance_reaches(scene, near.distance) {
-            empty[i / 64] |= 1 << (i % 64);
+    // Each word is stored once, by the band that holds its 64 texels.
+    let empty: Vec<AtomicU64> = (0..t.len().div_ceil(64))
+        .map(|_| AtomicU64::new(0))
+        .collect();
+    BandLanes::new(lanes, || ()).run(&mut t, 64, |_, first, band| {
+        for (w, t) in band.chunks_mut(64).enumerate() {
+            let first = first + 64 * w;
+            let mut bits = 0_u64;
+            for_each_nearest(scene, first..first + t.len(), pos, |i, near| {
+                let raw = inverse_softplus(near.density());
+                t[i - first] = raw;
+                if raw == empty_raw && !radiance_reaches(scene, near.distance) {
+                    bits |= 1 << (i % 64);
+                }
+            });
+            empty[first / 64].store(bits, Ordering::Relaxed);
         }
     });
+    let empty: Vec<u64> = empty.into_iter().map(AtomicU64::into_inner).collect();
     let lobe_free = !scene.has_specular();
 
     let mut plane = vec![0.0_f32; res * res];
@@ -521,13 +611,14 @@ fn fit_tensor(scene: &AnalyticScene, tensor: &mut VmTensor, iters: usize) {
         match signal {
             0 => {}
             4.. if lobe_free => t.fill(0.0),
-            _ => {
+            _ => BandLanes::new(lanes, || ()).run(&mut t, 64, |_, first, t| {
                 t.fill(0.0);
-                let filled = (0..t.len()).filter(|&i| empty[i / 64] >> (i % 64) & 1 == 0);
+                let texels = first..first + t.len();
+                let filled = texels.filter(|&i| empty[i / 64] >> (i % 64) & 1 == 0);
                 for_each_nearest(scene, filled, pos, |i, near| {
-                    t[i] = signal_of(scene, near, shin, signal);
+                    t[i - first] = signal_of(scene, near, shin, signal);
                 });
-            }
+            }),
         }
         for (oi, &o) in ORIENTATIONS.iter().enumerate() {
             for comp in 0..k {
@@ -880,19 +971,23 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn batched_bake_reconstruction_is_the_per_vertex_one() {
-        // Over a 2¹⁰ table: level 0 (9³ vertices) dense, levels 1–3 hashed;
-        // level 3 (65³ vertices) visits only those near occupied space and
-        // sums three coarser levels, where the order of the sum shows.
-        let s = scene();
-        let cfg = HashConfig {
+    /// Over a 2¹⁰ table: level 0 (9³ vertices) dense, levels 1–3 hashed;
+    /// level 3 (65³ vertices) visits only those near occupied space and
+    /// sums three coarser levels, where the order of the sum shows.
+    fn batched_config() -> HashConfig {
+        HashConfig {
             levels: 4,
             base_resolution: 8,
             max_resolution: 64,
             table_size_log2: 10,
             ..Default::default()
-        };
+        }
+    }
+
+    #[test]
+    fn batched_bake_reconstruction_is_the_per_vertex_one() {
+        let s = scene();
+        let cfg = batched_config();
         let bounds = RadianceSource::bounds(&s);
         let occupancy = bake_occupancy(&s, 24);
         let mut oracle = HashGrid::new(cfg, bounds);
@@ -906,7 +1001,7 @@ mod tests {
                 "level {level}: nothing fitted"
             );
             for batch in [1, 16, RECONSTRUCT_BATCH] {
-                let (got, got_counts) = level_residuals(&s, &occupancy, &oracle, level, batch);
+                let (got, got_counts) = level_residuals(&s, &occupancy, &oracle, level, batch, 1);
                 assert_eq!(got_counts, counts, "level {level}, batch {batch}");
                 assert!(bits(&got) == bits(&want), "level {level}, batch {batch}");
             }
@@ -915,8 +1010,65 @@ mod tests {
         // And the whole bake stores the same tables at every batch size.
         for batch in [1, 16, RECONSTRUCT_BATCH] {
             let mut grid = HashGrid::new(cfg, bounds);
-            fit_hash_levels(&s, &occupancy, &mut grid, batch);
+            fit_hash_levels(&s, &occupancy, &mut grid, batch, 1);
             assert!(table_bits(&grid) == table_bits(&oracle), "batch {batch}");
+        }
+    }
+
+    /// Bakes `name`'s hash model at `hash` and its tensor at `tensor` on each
+    /// of `lanes` pool lanes and asserts that every stored half and the
+    /// occupancy (the hash model's with its sampled support) are the same
+    /// bits as at the first.
+    fn assert_bakes_agree_across_lanes(
+        name: &str,
+        hash: &HashConfig,
+        tensor: &TensorConfig,
+        lanes: &[usize],
+    ) {
+        let s = library::scene_by_name(name).unwrap();
+        let opts = BakeOptions::default();
+        let hash_bits = |lanes| {
+            let model = bake_hash_on(&s, hash, &opts, lanes);
+            (table_bits(&model.encoding), model.occupancy)
+        };
+        let tensor_bits = |lanes| {
+            let model = bake_tensor_on(&s, tensor, &opts, lanes);
+            let t = &model.encoding;
+            let halves: Vec<u16> = (0..ORIENTATIONS.len())
+                .flat_map(|o| t.plane(o).iter().chain(t.line(o)).copied())
+                .collect();
+            (halves, model.occupancy)
+        };
+        let (want_hash, want_tensor) = (hash_bits(lanes[0]), tensor_bits(lanes[0]));
+        for &n in &lanes[1..] {
+            assert!(hash_bits(n) == want_hash, "{name}: hash at {n} lanes");
+            assert!(tensor_bits(n) == want_tensor, "{name}: tensor at {n} lanes");
+        }
+    }
+
+    /// The level fit and the sampled support over [`batched_config`] and a
+    /// 32³ tensor; the twin below bakes every library scene at the default
+    /// hash config and a 128³ tensor on one lane and on one a core.
+    #[test]
+    fn pooled_bakes_store_the_same_bits_at_any_lane_count() {
+        let tensor = TensorConfig {
+            resolution: 32,
+            ..Default::default()
+        };
+        assert_bakes_agree_across_lanes("mic", &batched_config(), &tensor, &[1, 2, 3]);
+    }
+
+    #[test]
+    #[ignore = "slow unoptimized: CI runs it in the release-mode oracle step"]
+    fn pooled_bakes_store_the_same_bits_at_any_lane_count_every_scene() {
+        // Two at least, so that a one-core host splits the bakes too.
+        let lanes = [1, pool::cores().max(2)];
+        let (hash, tensor) = (HashConfig::default(), TensorConfig::default());
+        for name in library::SYNTHETIC_SCENES
+            .iter()
+            .chain(&library::REAL_WORLD_SCENES)
+        {
+            assert_bakes_agree_across_lanes(name, &hash, &tensor, &lanes);
         }
     }
 

@@ -7,9 +7,8 @@
 
 use crate::encoding::cell_fraction;
 use crate::encoding::tensor::{texel, texel_floor};
-use crate::pool::{Bands, RenderPool, MAX_LANES};
+use crate::pool::BandLanes;
 use cicero_math::{Aabb, Ray, Vec3};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// The raw density (decoder signal 0, before the softplus) at or below which
 /// a sample contributes nothing: a lattice cell of a grid or tensor model
@@ -468,62 +467,54 @@ impl OccupancyGrid {
     /// the candidates no earlier pass found live, so a cell stops at its
     /// first sub-sample above `RAW_EMPTY`, and only the cells the mask drops
     /// are asked all eight. The mask's words are split into up to
-    /// [`MAX_LANES`] bands that the lanes of a [`RenderPool::global`]
-    /// checkout (one per core) claim in turn, each running the eight passes
-    /// over its band with a scratch `S` of its own; every cell is decided by
-    /// its own sub-samples alone, so the mask is the same at any lane count.
-    pub(crate) fn tighten_sampled<S: Default>(
+    /// [`MAX_LANES`](crate::pool::MAX_LANES) bands that up to `lanes`
+    /// [`BandLanes`] claim in turn,
+    /// each running the eight passes over its band with a scratch `S` of
+    /// its own; every cell is decided by its own sub-samples alone, so the
+    /// mask is the same at any lane count.
+    pub(crate) fn tighten_sampled<S: Default + Send>(
         &mut self,
         cells: usize,
+        lanes: usize,
         raw: impl Fn(&mut S, &[Vec3], &mut [f32]) + Sync,
     ) {
         let mut support = self.candidates(Lattice::Sampled(cells as u32));
         let (origin, cell) = (self.bounds.min, self.bounds.size() / cells as f32);
         let at = |i: usize| [i % cells, i / cells % cells, i / (cells * cells)];
-        let chunk = support.empty.len().div_ceil(MAX_LANES).max(1);
-        let bands = Bands::new(&mut support.empty, chunk);
-        // The next band to claim; it orders nothing else (`Bands::take`
-        // hands each band's words over).
-        let next = AtomicUsize::new(0);
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let lanes = RenderPool::global().checkout(cores.min(bands.len()).saturating_sub(1));
-        lanes.run(|_| {
-            let mut scratch = S::default();
-            let (mut open, mut ps) = (Vec::with_capacity(SAMPLED_BATCH), Vec::new());
-            let mut raws = vec![0.0; SAMPLED_BATCH];
+        let scratch = || {
+            let open = Vec::with_capacity(SAMPLED_BATCH);
+            (S::default(), open, Vec::new(), vec![0.0; SAMPLED_BATCH])
+        };
+        let mut lanes = BandLanes::new(lanes, scratch);
+        lanes.run(&mut support.empty, 1, |lane, first_word, words| {
+            let (scratch, open, ps, raws) = lane;
+            let first = first_word * 64;
             // `open` holds cell indices; a live one's bit is cleared.
-            let mut ask = |open: &mut Vec<usize>, s: usize, first: usize, words: &mut [u64]| {
+            let mut ask = |open: &mut Vec<usize>, s: usize, words: &mut [u64]| {
                 ps.clear();
                 ps.extend(open.iter().map(|&i| sub_sample(origin, cell, at(i), s)));
-                raw(&mut scratch, &ps, &mut raws[..ps.len()]);
-                for (&i, &r) in open.iter().zip(&raws) {
+                raw(scratch, ps, &mut raws[..ps.len()]);
+                for (&i, &r) in open.iter().zip(raws.iter()) {
                     if r > RAW_EMPTY {
                         words[(i - first) / 64] &= !(1 << (i % 64));
                     }
                 }
                 open.clear();
             };
-            loop {
-                let band = next.fetch_add(1, Ordering::Relaxed);
-                if band >= bands.len() {
-                    break;
-                }
-                let (words, first) = (bands.take(band), band * chunk * 64);
-                for s in 0..8 {
-                    // Each word is copied as it is read: a batch clears bits
-                    // of words the walk has passed.
-                    for w in 0..words.len() {
-                        let mut bits = words[w];
-                        while bits != 0 {
-                            open.push(first + w * 64 + bits.trailing_zeros() as usize);
-                            bits &= bits - 1;
-                            if open.len() == SAMPLED_BATCH {
-                                ask(&mut open, s, first, words);
-                            }
+            for s in 0..8 {
+                // Each word is copied as it is read: a batch clears bits of
+                // words the walk has passed.
+                for w in 0..words.len() {
+                    let mut bits = words[w];
+                    while bits != 0 {
+                        open.push(first + w * 64 + bits.trailing_zeros() as usize);
+                        bits &= bits - 1;
+                        if open.len() == SAMPLED_BATCH {
+                            ask(open, s, words);
                         }
                     }
-                    ask(&mut open, s, first, words);
                 }
+                ask(open, s, words);
             }
         });
         self.support = Some(support);

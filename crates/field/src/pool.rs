@@ -2,8 +2,10 @@
 //!
 //! Every data-parallel pass in the workspace — tile rendering
 //! ([`crate::tiles`]), the SPARW splat/normalize/classify/crack-fill waves
-//! (`cicero::sparw`), and the serve layer's concurrent session stepping —
-//! used to spawn fresh `std::thread::scope` crews per frame. Spawning a
+//! (`cicero::sparw`), the serve layer's concurrent session stepping, and
+//! the bakes ([`crate::bake`]: the hash levels' residuals, the tensor's
+//! texel sweeps and the hash model's sampled support, over `BandLanes`)
+//! — used to spawn fresh `std::thread::scope` crews per frame. Spawning a
 //! thread costs tens of microseconds; a small frame's worth of pixel work can
 //! be cheaper than the crew that renders it, and the warp path paid that tax
 //! up to four times per frame. This module replaces all of it with one
@@ -37,6 +39,8 @@
 //! [`Bands`] (indexed chunks of one slice, each handed out at most once) and
 //! [`FrameTiles`] (an atomic claim queue over a frame's row-band tiles,
 //! writing straight into the output buffers — no per-tile staging copies).
+//! The crate-private `BandLanes` puts `Bands` on one lane per core, each
+//! lane with scratch of its own.
 //!
 //! All `unsafe` in the workspace lives in this file, behind those two
 //! invariant-checked APIs and the job-dispatch trampoline; see the SAFETY
@@ -546,6 +550,74 @@ impl<'a, T> Bands<'a, T> {
     }
 }
 
+/// Lanes a pass that wants the whole host asks for, the caller's included:
+/// one per core.
+pub(crate) fn cores() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// The lanes of one [`RenderPool::global`] checkout, each with a scratch
+/// `S` of its own, for passes that [`run`](Self::run) over the bands of an
+/// output slice. The scratch is made once, on the caller's thread, and
+/// serves every band of every pass until the `BandLanes` drops.
+///
+/// A pass's output is the same at any lane count as long as each element
+/// of it is a function of its own index and of what the pass reads (never
+/// of which lane, band or scratch computed it): the bands are disjoint,
+/// and every element is written by exactly one of them.
+pub(crate) struct BandLanes<S> {
+    lanes: Checkout<'static>,
+    scratch: Vec<S>,
+}
+
+impl<S: Send> BandLanes<S> {
+    /// Checks out up to `lanes` lanes (the caller's included; fewer if the
+    /// pool is short, at least one) and makes each lane's scratch with
+    /// `make`.
+    pub(crate) fn new(lanes: usize, make: impl FnMut() -> S) -> Self {
+        let lanes = RenderPool::global().checkout(lanes.saturating_sub(1));
+        let scratch = std::iter::repeat_with(make).take(lanes.lanes()).collect();
+        BandLanes { lanes, scratch }
+    }
+
+    /// One pass: splits `out` into at most [`MAX_LANES`] bands, each a
+    /// multiple of `align` elements long but the last, and calls
+    /// `body(scratch, first, band)` once per band, with `first` the band's
+    /// offset in `out`. The lanes claim the bands in turn, each calling
+    /// with its own scratch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `align == 0`, or propagates a panic of `body`.
+    pub(crate) fn run<T: Send>(
+        &mut self,
+        out: &mut [T],
+        align: usize,
+        body: impl Fn(&mut S, usize, &mut [T]) + Sync,
+    ) {
+        let chunk = out
+            .len()
+            .div_ceil(MAX_LANES)
+            .next_multiple_of(align)
+            .max(align);
+        let bands = Bands::new(out, chunk);
+        let scratch = Bands::new(&mut self.scratch, 1);
+        // The next band to claim; it orders nothing else (`Bands::take`
+        // hands each band's elements over).
+        let next = AtomicUsize::new(0);
+        self.lanes.run(|lane| {
+            let scratch = &mut scratch.take(lane)[0];
+            loop {
+                let band = next.fetch_add(1, Ordering::Relaxed);
+                if band >= bands.len() {
+                    break;
+                }
+                body(scratch, band * chunk, bands.take(band));
+            }
+        });
+    }
+}
+
 /// A claimed tile: a row band of the output frame, writable in place.
 pub struct Tile<'q, X> {
     /// Tile index in top-to-bottom order.
@@ -772,6 +844,35 @@ mod tests {
             assert!(catch_unwind(AssertUnwindSafe(|| bands.take(0))).is_err());
         }
         assert_eq!((data[0], data[9]), (7, 9));
+    }
+
+    #[test]
+    fn band_lanes_write_every_element_once_and_make_scratch_once() {
+        for lanes in 1..=3 {
+            let made = AtomicU32::new(0);
+            let mut band_lanes = BandLanes::new(lanes, || {
+                made.fetch_add(1, Ordering::Relaxed);
+                0_usize
+            });
+            let granted = made.load(Ordering::Relaxed) as usize;
+            assert!((1..=lanes).contains(&granted), "{granted} of {lanes}");
+            for len in [0, 1, 7, 8, 1000] {
+                let mut out = vec![usize::MAX; len];
+                let bands = AtomicU32::new(0);
+                band_lanes.run(&mut out, 8, |calls, first, band| {
+                    *calls += 1;
+                    bands.fetch_add(1, Ordering::Relaxed);
+                    assert_eq!(first % 8, 0, "a band starts off the alignment");
+                    for (i, v) in band.iter_mut().enumerate() {
+                        assert_eq!(*v, usize::MAX, "written twice");
+                        *v = first + i;
+                    }
+                });
+                assert_eq!(out, (0..len).collect::<Vec<_>>(), "{lanes} lanes");
+                assert!(bands.load(Ordering::Relaxed) as usize <= MAX_LANES);
+            }
+            assert_eq!(made.load(Ordering::Relaxed) as usize, granted);
+        }
     }
 
     #[test]

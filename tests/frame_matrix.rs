@@ -48,7 +48,7 @@
 
 use cicero::pipeline::{PipelineConfig, PipelineSession};
 use cicero::sparw::{render_target, warp_frame, warp_frame_into, PixelSource, WarpOptions};
-use cicero::sparw::{WarpResult, WarpScratch, WarpStats};
+use cicero::sparw::{TargetFrame, WarpResult, WarpScratch, WarpStats};
 use cicero::Variant;
 use cicero_accel::soc::FrameReport;
 use cicero_field::pool::RenderPool;
@@ -56,7 +56,7 @@ use cicero_field::render::render_reference;
 use cicero_field::simd::{self, Backend};
 use cicero_field::{
     bake, render_tiled, GatherPlan, GridConfig, HashConfig, ModelSource, NerfModel, NullSink,
-    RenderOptions, RenderStats, StatsViolation, TensorConfig, TileOptions, DEFAULT_SAMPLE_BLOCK,
+    RenderOptions, RenderStats, TensorConfig, TileOptions, DEFAULT_SAMPLE_BLOCK,
 };
 use cicero_math::{Camera, Intrinsics, Pose, Vec3};
 use cicero_scene::ground_truth::{background_frame, render_frame, Frame};
@@ -228,8 +228,9 @@ enum Pass {
     Render(Frame, RenderStats, Events),
     /// Warped frame, pixel status.
     Warp(Frame, Vec<PixelSource>),
-    /// Target frame, warp stats, the sparse render's stats and sink stream.
-    Target(Frame, WarpStats, RenderStats, Events),
+    /// Target frame (with its warp stats and the sparse render's stats) and
+    /// sink stream.
+    Target(TargetFrame, Events),
     /// Frames, each frame's simulated report and warp stats.
     Pipeline(Vec<Frame>, Vec<(FrameReport, Option<WarpStats>)>),
 }
@@ -238,12 +239,17 @@ enum Pass {
 type Outcome = Vec<Pass>;
 
 impl Pass {
-    /// [`RenderStats::check`] of the pass's render, if it rendered: a full
-    /// frame of `SIDE²` pixels, or the holes of a `WARP_SIDE²` target.
-    fn check(&self, model: &dyn NerfModel) -> Result<(), Vec<StatsViolation>> {
+    /// The laws of the pass's render, if it rendered: a full frame's
+    /// [`RenderStats::check`] over `SIDE²` pixels, or a target's
+    /// [`TargetFrame::check`] (its render's over the holes it filled).
+    fn check(&self, model: &dyn NerfModel) -> Result<(), String> {
         match self {
-            Pass::Render(_, stats, _) => stats.check(model, (SIDE * SIDE) as u64),
-            Pass::Target(_, _, stats, _) => stats.check(model, (WARP_SIDE * WARP_SIDE) as u64),
+            Pass::Render(_, stats, _) => stats
+                .check(model, (SIDE * SIDE) as u64)
+                .map_err(|broken| format!("RenderStats break their laws: {broken:?}")),
+            Pass::Target(target, _) => target
+                .check(model)
+                .map_err(|broken| format!("the target frame breaks its laws: {broken:?}")),
             Pass::Warp(..) | Pass::Pipeline(..) => Ok(()),
         }
     }
@@ -262,12 +268,12 @@ impl Pass {
             }
             (Pass::Warp(f, _), Pass::Warp(wf, _)) if f != wf => "warped frame",
             (Pass::Warp(..), Pass::Warp(..)) => "pixel status",
-            (Pass::Target(f, w, s, _), Pass::Target(wf, ww, ws, _)) => {
-                if w != ww {
+            (Pass::Target(t, _), Pass::Target(want, _)) => {
+                if t.warp != want.warp {
                     "WarpStats"
-                } else if s != ws {
+                } else if t.render != want.render {
                     "RenderStats"
-                } else if f != wf {
+                } else if t.frame != want.frame {
                     "target frame"
                 } else {
                     "sink stream"
@@ -511,7 +517,7 @@ fn pass(fx: &Fixture, case: &Case, scratch: &mut WarpScratch) -> Pass {
                     model, &opts, reference, from, to, &warp, scratch, &tile, sink,
                 )
             };
-            Pass::Target(t.frame, t.warp, t.render, events)
+            Pass::Target(t, events)
         }
         Work::Pipeline(variant) => pipelines(fx, case, variant, &[case.lanes]).remove(0),
     }
@@ -613,7 +619,12 @@ fn oracle(fx: &Fixture, case: &Case) -> Pass {
             if !case.observe {
                 events.clear();
             }
-            Pass::Target(frame, warp_stats, stats, events)
+            let target = TargetFrame {
+                frame,
+                warp: warp_stats,
+                render: stats,
+            };
+            Pass::Target(target, events)
         }
         Work::Pipeline(variant) => {
             let serial = Case { block: 1, ..*case };
@@ -639,9 +650,7 @@ fn check_case(fx: &Fixture, case: &Case, oracles: &mut Oracles) -> Result<(), St
     let model = fx.baked(case.family).model.as_ref();
     for (i, pass) in got.iter().enumerate() {
         if let Err(broken) = pass.check(model) {
-            return Err(format!(
-                "pass {i}: RenderStats break their laws: {broken:?}"
-            ));
+            return Err(format!("pass {i}: {broken}"));
         }
     }
     if let Some(i) = got.iter().position(|pass| pass != want) {
