@@ -18,7 +18,7 @@
 //! and the one place a target frame is made; [`warp_frame`] and its
 //! variants are the warp alone.
 
-use cicero_field::pool::{Bands, Checkout, RenderPool};
+use cicero_field::pool::{Checkout, RenderPool};
 use cicero_field::simd::{self, Kernel, Lanes, MAX_LANES};
 use cicero_field::{
     render_tiled, GatherSink, NerfModel, RenderOptions, RenderStats, StatsViolation, TileOptions,
@@ -638,10 +638,10 @@ fn classify_finish(
 const MIN_BAND_ROWS: usize = 8;
 
 /// Runs `f` once per row band of the target frame, one band per lane of the
-/// pool checkout. Each invocation gets the band's first row and disjoint
-/// mutable slices of the frame color/depth and the status map; the closure
-/// may freely read shared state. Per-pixel work is independent, so the
-/// result is identical at any lane count.
+/// pool checkout ([`Checkout::run_items`]). Each invocation gets the band's
+/// first row and disjoint mutable slices of the frame color/depth and the
+/// status map; the closure may freely read shared state. Per-pixel work is
+/// independent, so the result is identical at any lane count.
 fn for_each_target_band<F>(co: &Checkout<'_>, out: &mut WarpResult, f: F)
 where
     F: Fn(usize, &mut [Vec3], &mut [f32], &mut [PixelSource]) + Sync,
@@ -649,29 +649,15 @@ where
     let WarpResult { frame, status } = out;
     let (tw, th) = (frame.width(), frame.height());
     let n_bands = co.lanes().min(th.div_ceil(MIN_BAND_ROWS)).max(1);
-    if n_bands <= 1 {
-        f(
-            0,
-            frame.color.pixels_mut(),
-            frame.depth.pixels_mut(),
-            status,
-        );
-        return;
-    }
     let rows_per_band = th.div_ceil(n_bands).max(1);
-    let chunk = rows_per_band * tw;
-    let color = Bands::new(frame.color.pixels_mut(), chunk);
-    let depth = Bands::new(frame.depth.pixels_mut(), chunk);
-    let status = Bands::new(status, chunk);
-    let n_bands = color.len();
-    co.run(|lane| {
-        if lane < n_bands {
-            f(
-                lane * rows_per_band,
-                color.take(lane),
-                depth.take(lane),
-                status.take(lane),
-            );
+    let chunk = (rows_per_band * tw).max(1);
+    let bands = (frame.color.pixels_mut().chunks_mut(chunk))
+        .zip(frame.depth.pixels_mut().chunks_mut(chunk))
+        .zip(status.chunks_mut(chunk))
+        .enumerate();
+    co.run_items(bands, |_, bands| {
+        for (band, ((cb, db), sb)) in bands {
+            f(band * rows_per_band, cb, db, sb);
         }
     });
 }
@@ -768,6 +754,13 @@ pub enum TargetViolation {
         /// The frame's width × height.
         pixels: u64,
     },
+    /// The sparse render did not march one ray per pixel it was given.
+    RaysMissRendered {
+        /// `render.rays`.
+        rays: u64,
+        /// `disoccluded + rejected`.
+        rendered: u64,
+    },
     /// The sparse render breaks a law of [`RenderStats::check`] over the
     /// `disoccluded + rejected` pixels it was given.
     Render(StatsViolation),
@@ -779,8 +772,10 @@ impl TargetFrame {
     /// - every pixel is in exactly one of the warp's classes:
     ///   `warped + disoccluded + void_pixels + rejected == total`;
     /// - `total` is the frame's width × height;
-    /// - the sparse render keeps [`RenderStats::check`]'s laws over the
-    ///   pixels it rendered, `disoccluded + rejected`.
+    /// - the sparse render marches one ray per pixel it renders:
+    ///   `render.rays == disoccluded + rejected`;
+    /// - it keeps [`RenderStats::check`]'s other laws over those pixels
+    ///   (its `rays <= pixels` is the law above, reported once, there).
     ///
     /// # Errors
     ///
@@ -804,8 +799,17 @@ impl TargetFrame {
             });
         }
         let rendered = sum(&[w.disoccluded, w.rejected]);
+        if self.render.rays != rendered {
+            broken.push(TargetViolation::RaysMissRendered {
+                rays: self.render.rays,
+                rendered,
+            });
+        }
         if let Err(render) = self.render.check(model, rendered) {
-            broken.extend(render.into_iter().map(TargetViolation::Render));
+            let others = render
+                .into_iter()
+                .filter(|v| !matches!(v, StatsViolation::RaysAbovePixels { .. }));
+            broken.extend(others.map(TargetViolation::Render));
         }
         if broken.is_empty() {
             Ok(())
@@ -976,7 +980,7 @@ fn warp_frame_impl(
     let mut clock = PassClock::start(timing);
     shape_output(out, tgt_cam, background);
     // One checkout serves every pass of this warp: the workers are reserved
-    // once, each `co.run` is one pass-barrier cycle, and the workers return
+    // once, each `co.run_items` is one pass-barrier cycle, and the workers return
     // to the pool when the checkout drops at the end of the warp.
     let warp = Warp {
         reference,
@@ -1042,20 +1046,14 @@ impl Warp<'_> {
         }
         let (reference, ref_cam, tgt_cam, opts) =
             (self.reference, self.ref_cam, self.tgt_cam, self.opts);
-        if n_bands == 1 {
-            let band = &mut scratch.band_splats[0];
-            splat_rows(reference, ref_cam, tgt_cam, opts, 0..rh, band);
-        } else {
-            let bands = Bands::new(&mut scratch.band_splats[..n_bands], 1);
-            self.co.run(|lane| {
-                if lane < n_bands {
-                    let y0 = lane * rows_per_band;
-                    let y1 = ((lane + 1) * rows_per_band).min(rh);
-                    let band = &mut bands.take(lane)[0];
-                    splat_rows(reference, ref_cam, tgt_cam, opts, y0..y1, band);
-                }
-            });
-        }
+        let bands = scratch.band_splats[..n_bands].iter_mut().enumerate();
+        self.co.run_items(bands, |_, bands| {
+            for (band, splats) in bands {
+                let y0 = band * rows_per_band;
+                let y1 = (y0 + rows_per_band).min(rh);
+                splat_rows(reference, ref_cam, tgt_cam, opts, y0..y1, splats);
+            }
+        });
         n_bands
     }
 
@@ -1850,17 +1848,25 @@ mod tests {
                 pixels: w.total
             }]
         );
-        // A void pixel rendered: more rays than the render was given.
+        // A void pixel rendered: one ray more than the render was given.
+        let holes = w.disoccluded + w.rejected;
         assert_eq!(
             broken(|t| {
                 t.warp.disoccluded -= 1;
                 t.warp.void_pixels += 1;
-                t.render.rays = t.warp.disoccluded + t.warp.rejected + 1;
             }),
-            [TargetViolation::Render(StatsViolation::RaysAbovePixels {
-                rays: w.disoccluded + w.rejected,
-                pixels: w.disoccluded + w.rejected - 1
-            })]
+            [TargetViolation::RaysMissRendered {
+                rays: holes,
+                rendered: holes - 1
+            }]
+        );
+        // A hole left unrendered: one ray fewer.
+        assert_eq!(
+            broken(|t| t.render.rays -= 1),
+            [TargetViolation::RaysMissRendered {
+                rays: holes - 1,
+                rendered: holes
+            }]
         );
     }
 }

@@ -21,12 +21,15 @@
 //!   order; none of it moves a bit against the textbook loops, which the
 //!   tests keep as the oracle (see [`bake_tensor_with`]).
 //!
-//! The hash and tensor bakes run on one pool lane per core
-//! ([`crate::pool`], over the crate-private `BandLanes`): the lanes
-//! compute the hash levels' vertex residuals, the hash model's support
-//! cells, and the tensor's classifying sweep and signal fills, each
-//! element on its own, so the bakes store the same bits at any lane count
-//! (the tests hold them to it at 1, 2 and 3 lanes). Two parts stay
+//! The hash and tensor bakes run on one pool lane per core: the
+//! crate-private `BandLanes` cuts a pass's output into aligned bands and
+//! hands them out by the pool's one rule
+//! ([`Checkout::run_items`](crate::pool::Checkout::run_items)), each lane
+//! with scratch of its own. The lanes compute the hash levels' vertex
+//! residuals, the hash model's support cells, and the tensor's classifying
+//! sweep and signal fills, each element on its own, so the bakes store the
+//! same bits at any lane count (the tests hold them to it at 1, 2 and 3
+//! lanes). Two parts stay
 //! sequential, in their order: the scatter that adds each hash vertex's
 //! residual into its entry in visiting order, and the tensor's power
 //! iterations and deflation. The grid bake runs on the caller.
@@ -347,7 +350,7 @@ fn level_residuals(
     let mut queue: Vec<[u32; 3]> = Vec::with_capacity(round);
     let mut residuals: Vec<Residual> = vec![(0, [0.0; SIGNALS]); round];
     let scratch = || (Vec::with_capacity(batch), vec![0.0_f32; level * f * batch]);
-    let mut lanes = BandLanes::new(lanes, scratch);
+    let lanes = BandLanes::new(lanes, scratch);
     let mut flush = |queue: &mut Vec<[u32; 3]>| {
         let residuals = &mut residuals[..queue.len()];
         lanes.run(residuals, batch, |scratch, first, out| {

@@ -31,7 +31,7 @@
 //! ```
 
 // `deny` instead of `forbid`: the two exceptions are `pool`, which implements
-// the persistent worker pool's job dispatch and disjoint-slice primitives,
+// the persistent worker pool's job dispatch (its work hand-out is safe code),
 // and `simd`, whose x86 backends use unaligned load/store intrinsics behind
 // slice-length asserts and enter the AVX and AVX-512 instances of a kernel
 // behind run-time detection (every block SAFETY-annotated). Everything else in the crate

@@ -468,8 +468,9 @@ impl OccupancyGrid {
     /// first sub-sample above `RAW_EMPTY`, and only the cells the mask drops
     /// are asked all eight. The mask's words are split into up to
     /// [`MAX_LANES`](crate::pool::MAX_LANES) bands that up to `lanes`
-    /// [`BandLanes`] claim in turn,
-    /// each running the eight passes over its band with a scratch `S` of
+    /// [`BandLanes`] share out by the pool's one hand-out rule
+    /// ([`Checkout::run_items`](crate::pool::Checkout::run_items)), each
+    /// lane running the eight passes over its bands with a scratch `S` of
     /// its own; every cell is decided by its own sub-samples alone, so the
     /// mask is the same at any lane count.
     pub(crate) fn tighten_sampled<S: Default + Send>(
@@ -485,7 +486,7 @@ impl OccupancyGrid {
             let open = Vec::with_capacity(SAMPLED_BATCH);
             (S::default(), open, Vec::new(), vec![0.0; SAMPLED_BATCH])
         };
-        let mut lanes = BandLanes::new(lanes, scratch);
+        let lanes = BandLanes::new(lanes, scratch);
         lanes.run(&mut support.empty, 1, |lane, first_word, words| {
             let (scratch, open, ps, raws) = lane;
             let first = first_word * 64;

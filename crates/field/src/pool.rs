@@ -2,14 +2,14 @@
 //!
 //! Every data-parallel pass in the workspace — tile rendering
 //! ([`crate::tiles`]), the SPARW splat/normalize/classify/crack-fill waves
-//! (`cicero::sparw`), the serve layer's concurrent session stepping, and
-//! the bakes ([`crate::bake`]: the hash levels' residuals, the tensor's
-//! texel sweeps and the hash model's sampled support, over `BandLanes`)
-//! — used to spawn fresh `std::thread::scope` crews per frame. Spawning a
-//! thread costs tens of microseconds; a small frame's worth of pixel work can
-//! be cheaper than the crew that renders it, and the warp path paid that tax
-//! up to four times per frame. This module replaces all of it with one
-//! process-wide pool of **parked** worker threads:
+//! (`cicero::sparw`), the serve layer's concurrent session stepping and
+//! reference renders, and the bakes ([`crate::bake`]: the hash levels'
+//! residuals, the tensor's texel sweeps and the hash model's sampled
+//! support) — used to spawn fresh `std::thread::scope` crews per frame.
+//! Spawning a thread costs tens of microseconds; a small frame's worth of
+//! pixel work can be cheaper than the crew that renders it, and the warp
+//! path paid that tax up to four times per frame. This module replaces all
+//! of it with one process-wide pool of **parked** worker threads:
 //!
 //! - [`RenderPool::global`] — the shared pool. Workers are spawned on first
 //!   demand (up to [`RenderPool::cap`]), then live for the process. After
@@ -24,6 +24,13 @@
 //!   caller is lane 0, each checked-out worker one more), then all lanes meet
 //!   at a barrier. Running several passes on one checkout is the
 //!   pass-barrier protocol that replaced SPARW's four spawn waves.
+//! - [`Checkout::run_items`] — the one rule by which every pass splits its
+//!   work: the caller hands in disjoint items (`chunks_mut` bands zipped
+//!   with their index, `iter_mut` over its entries), each lane gets one
+//!   first, and the lanes pull the rest. The borrow checker proves the
+//!   items disjoint, so the callers stay in safe code. The crate-private
+//!   `BandLanes` runs it on one lane per core with scratch of each lane's
+//!   own, for the bakes.
 //!
 //! Checkouts are opportunistic: if the pool is capped or other checkouts
 //! hold the workers, the caller gets fewer lanes (possibly just itself) and
@@ -34,23 +41,14 @@
 //! knob; nothing about the output, the statistics or the simulated timelines
 //! may depend on how many workers answered.
 //!
-//! The module also provides the two safe disjoint-access primitives the pass
-//! bodies are built from, so callers stay entirely in safe code:
-//! [`Bands`] (indexed chunks of one slice, each handed out at most once) and
-//! [`FrameTiles`] (an atomic claim queue over a frame's row-band tiles,
-//! writing straight into the output buffers — no per-tile staging copies).
-//! The crate-private `BandLanes` puts `Bands` on one lane per core, each
-//! lane with scratch of its own.
-//!
-//! All `unsafe` in the workspace lives in this file, behind those two
-//! invariant-checked APIs and the job-dispatch trampoline; see the SAFETY
-//! comments on each block.
+//! The job-dispatch trampoline, the gate and the worker loop below are this
+//! file's unsafe code; outside tests the only other is [`crate::simd`]'s
+//! x86_64 intrinsics. Each block's SAFETY note names the test that
+//! stresses it.
 
 #![allow(unsafe_code)]
 
-use cicero_math::Vec3;
 use cicero_telemetry as telemetry;
-use std::marker::PhantomData;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
@@ -78,14 +76,16 @@ struct Job {
 // `Checkout::run` does not return (even by unwinding) until every dispatched
 // lane has made that decrement — the pointees are live for the whole window
 // in which a worker can touch them. The closure behind `data` is `Sync`, and
-// every field of `Gate` is.
+// every field of `Gate` is. Stressed by `panic_mid_pass` (both of its tests:
+// no lane may still be inside the closure when the pass unwinds).
 unsafe impl Send for Job {}
 
 /// Monomorphic trampoline giving `Job` a thin function pointer instead of a
 /// fat `dyn` pointer (whose layout is unspecified).
 unsafe fn run_job<F: Fn(usize) + Sync>(data: *const (), lane: usize) {
     // SAFETY: `data` was produced from `&F` in `Checkout::run`, which keeps
-    // the closure alive until the gate opens.
+    // the closure alive until the gate opens, also when a lane panics
+    // (`panic_mid_pass`).
     unsafe { (*(data as *const F))(lane) }
 }
 
@@ -129,7 +129,9 @@ impl Gate {
     /// lane, and the caller must not touch the gate again.
     unsafe fn complete(gate: *const Gate, panicked: bool) {
         // SAFETY: the leader cannot see `remaining == 0` before this lane's
-        // decrement below, so the gate is live for both accesses.
+        // decrement below, so the gate is live for both accesses
+        // (`empty_passes_never_lose_a_wakeup` reuses the gate's stack slot
+        // thousands of times with lanes descheduled here).
         let leader = unsafe {
             if panicked {
                 (*gate).panicked.store(true, Ordering::Release);
@@ -138,7 +140,8 @@ impl Gate {
         };
         // SAFETY: as above. Release publishes this lane's writes (the pass
         // body's and `panicked`) to the leader's acquiring load in `wait`;
-        // nothing after this line reads or writes the gate.
+        // nothing after this line reads or writes the gate (stressed as
+        // above).
         let last = unsafe { (*gate).remaining.fetch_sub(1, Ordering::AcqRel) == 1 };
         if last {
             // Our own handle: valid whether or not the gate still exists.
@@ -221,13 +224,15 @@ fn worker_loop(shared: Arc<WorkerShared>) {
             Mail::Run(job) => {
                 let busy_t0 = telemetry::is_enabled().then(telemetry::now_ns);
                 // SAFETY: see `Job` — the closure and gate outlive this call
-                // because the leader blocks on the gate.
+                // because the leader blocks on the gate, whatever the pool's
+                // cap does meanwhile (`set_cap_mid_pass_hands_out_every_item_once`).
                 let result = catch_unwind(AssertUnwindSafe(|| unsafe {
                     (job.call)(job.data, job.lane)
                 }));
                 // SAFETY: the leader waits for this lane's decrement, which
                 // `complete` makes exactly once, and `job.gate` is not used
-                // after it.
+                // after it, a panicking job's too
+                // (`worker_lane_panicking_mid_pass_reaches_the_caller_every_time`).
                 unsafe { Gate::complete(job.gate, result.is_err()) };
                 if let Some(t0) = busy_t0 {
                     let t1 = telemetry::now_ns();
@@ -444,6 +449,65 @@ impl Checkout<'_> {
             telemetry::observe(telemetry::Hist::PoolPassNs, t1.saturating_sub(t0));
         }
     }
+
+    /// Runs one pass over `items`, disjoint pieces of work (`chunks_mut`
+    /// bands zipped with their index, `iter_mut` over entries), handing
+    /// each item to exactly one lane: `body(lane, lane_items)` runs once per
+    /// lane and takes that lane's items from `lane_items`.
+    ///
+    /// While items last, every lane gets at least one — lane `k` item `k`
+    /// first — so a warm-up pass warms every worker's thread-local scratch
+    /// whatever the timing (the pool legs of `tests/zero_alloc.rs` rely on
+    /// it); after that the lanes pull the rest in order. With one lane, or
+    /// at most one item, `body(0, items)` runs inline on the caller and no
+    /// pass is dispatched. The output is the same at any lane count as long
+    /// as what an item produces depends on the item alone.
+    ///
+    /// # Panics
+    ///
+    /// As [`run`](Self::run); no item is handed out twice.
+    pub fn run_items<I, F>(&self, items: I, body: F)
+    where
+        I: Iterator + Send,
+        I::Item: Send,
+        F: Fn(usize, &mut dyn Iterator<Item = I::Item>) + Sync,
+    {
+        let mut items = items.peekable();
+        let head = items.next();
+        if self.count == 0 || items.peek().is_none() {
+            body(0, &mut head.into_iter().chain(items));
+            return;
+        }
+        let mut first: [Option<I::Item>; MAX_LANES] = std::array::from_fn(|_| None);
+        first[0] = head;
+        for slot in &mut first[1..self.lanes()] {
+            *slot = items.next();
+        }
+        let hand = Mutex::new(HandOut { first, rest: items });
+        self.run(|lane| body(lane, &mut LaneItems { lane, hand: &hand }));
+    }
+}
+
+/// The items of one [`Checkout::run_items`] pass: each lane's first item,
+/// then the rest.
+struct HandOut<I: Iterator> {
+    first: [Option<I::Item>; MAX_LANES],
+    rest: I,
+}
+
+/// One lane's items of a [`HandOut`]: its first, then the next of the rest.
+struct LaneItems<'h, I: Iterator> {
+    lane: usize,
+    hand: &'h Mutex<HandOut<I>>,
+}
+
+impl<I: Iterator> Iterator for LaneItems<'_, I> {
+    type Item = I::Item;
+
+    fn next(&mut self) -> Option<I::Item> {
+        let mut hand = self.hand.lock().expect("the items' iterator panicked");
+        hand.first[self.lane].take().or_else(|| hand.rest.next())
+    }
 }
 
 impl Drop for RenderPool {
@@ -477,79 +541,6 @@ impl Drop for Checkout<'_> {
     }
 }
 
-/// Indexed disjoint chunks of one mutable slice, for static band
-/// partitioning: band `i` covers `[i * chunk, (i + 1) * chunk)` (the last
-/// band is shorter). Each band can be taken **at most once**, which is what
-/// makes handing `&mut` bands to concurrent lanes sound; a double take
-/// panics instead of aliasing.
-pub struct Bands<'a, T> {
-    ptr: *mut T,
-    slice_len: usize,
-    chunk: usize,
-    n: usize,
-    taken: AtomicU64,
-    _marker: PhantomData<&'a mut [T]>,
-}
-
-// SAFETY: `Bands` hands out non-overlapping `&mut [T]` sub-slices (enforced
-// by the take-once bitmap), so sharing it across lanes is as safe as
-// `chunks_mut` handed to scoped threads.
-unsafe impl<T: Send> Sync for Bands<'_, T> {}
-unsafe impl<T: Send> Send for Bands<'_, T> {}
-
-impl<'a, T> Bands<'a, T> {
-    /// Partitions `slice` into ceil(len / chunk) bands.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk == 0` or the band count exceeds [`MAX_LANES`].
-    pub fn new(slice: &'a mut [T], chunk: usize) -> Self {
-        assert!(chunk > 0, "band chunk must be positive");
-        let n = slice.len().div_ceil(chunk);
-        assert!(n <= MAX_LANES, "too many bands ({n} > {MAX_LANES})");
-        Bands {
-            ptr: slice.as_mut_ptr(),
-            slice_len: slice.len(),
-            chunk,
-            n,
-            taken: AtomicU64::new(0),
-            _marker: PhantomData,
-        }
-    }
-
-    /// Number of bands.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// `true` when the source slice was empty.
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
-    /// Takes band `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range or the band was already taken.
-    // `&mut` out of `&self` is the whole point here: concurrent lanes each
-    // take a distinct band through a shared reference, and the take-once
-    // bitmap (plus the panic) is what rules out aliasing.
-    #[allow(clippy::mut_from_ref)]
-    pub fn take(&self, i: usize) -> &mut [T] {
-        assert!(i < self.n, "band {i} out of range ({})", self.n);
-        let bit = 1u64 << i;
-        let prev = self.taken.fetch_or(bit, Ordering::AcqRel);
-        assert!(prev & bit == 0, "band {i} taken twice");
-        let start = i * self.chunk;
-        let end = ((i + 1) * self.chunk).min(self.slice_len);
-        // SAFETY: `start..end` is in bounds and, by the take-once bitmap,
-        // no other `&mut` to this range exists or can be created; the
-        // returned borrow is tied to `&self`, which outlives no lane.
-        unsafe { std::slice::from_raw_parts_mut(self.ptr.add(start), end - start) }
-    }
-}
-
 /// Lanes a pass that wants the whole host asks for, the caller's included:
 /// one per core.
 pub(crate) fn cores() -> usize {
@@ -567,30 +558,33 @@ pub(crate) fn cores() -> usize {
 /// and every element is written by exactly one of them.
 pub(crate) struct BandLanes<S> {
     lanes: Checkout<'static>,
-    scratch: Vec<S>,
+    /// One per lane; a lane locks its own once a pass.
+    scratch: Vec<Mutex<S>>,
 }
 
 impl<S: Send> BandLanes<S> {
     /// Checks out up to `lanes` lanes (the caller's included; fewer if the
     /// pool is short, at least one) and makes each lane's scratch with
     /// `make`.
-    pub(crate) fn new(lanes: usize, make: impl FnMut() -> S) -> Self {
+    pub(crate) fn new(lanes: usize, mut make: impl FnMut() -> S) -> Self {
         let lanes = RenderPool::global().checkout(lanes.saturating_sub(1));
-        let scratch = std::iter::repeat_with(make).take(lanes.lanes()).collect();
+        let scratch = std::iter::repeat_with(|| Mutex::new(make()))
+            .take(lanes.lanes())
+            .collect();
         BandLanes { lanes, scratch }
     }
 
     /// One pass: splits `out` into at most [`MAX_LANES`] bands, each a
     /// multiple of `align` elements long but the last, and calls
     /// `body(scratch, first, band)` once per band, with `first` the band's
-    /// offset in `out`. The lanes claim the bands in turn, each calling
+    /// offset in `out`, through [`Checkout::run_items`]: each lane calls
     /// with its own scratch.
     ///
     /// # Panics
     ///
     /// Panics if `align == 0`, or propagates a panic of `body`.
     pub(crate) fn run<T: Send>(
-        &mut self,
+        &self,
         out: &mut [T],
         align: usize,
         body: impl Fn(&mut S, usize, &mut [T]) + Sync,
@@ -600,177 +594,14 @@ impl<S: Send> BandLanes<S> {
             .div_ceil(MAX_LANES)
             .next_multiple_of(align)
             .max(align);
-        let bands = Bands::new(out, chunk);
-        let scratch = Bands::new(&mut self.scratch, 1);
-        // The next band to claim; it orders nothing else (`Bands::take`
-        // hands each band's elements over).
-        let next = AtomicUsize::new(0);
-        self.lanes.run(|lane| {
-            let scratch = &mut scratch.take(lane)[0];
-            loop {
-                let band = next.fetch_add(1, Ordering::Relaxed);
-                if band >= bands.len() {
-                    break;
+        self.lanes
+            .run_items(out.chunks_mut(chunk).enumerate(), |lane, bands| {
+                let scratch = self.scratch[lane].lock();
+                let scratch = &mut *scratch.expect("an earlier pass panicked on this scratch");
+                for (band, out) in bands {
+                    body(scratch, band * chunk, out);
                 }
-                body(scratch, band * chunk, bands.take(band));
-            }
-        });
-    }
-}
-
-/// A claimed tile: a row band of the output frame, writable in place.
-pub struct Tile<'q, X> {
-    /// Tile index in top-to-bottom order.
-    pub index: usize,
-    /// First row (inclusive).
-    pub y0: usize,
-    /// Last row (exclusive).
-    pub y1: usize,
-    /// The band's pixels of the output frame, `(y - y0) * width + x`.
-    pub color: &'q mut [Vec3],
-    /// The band's depths, same indexing.
-    pub depth: &'q mut [f32],
-    /// The tile's extra slot (e.g. a sample-trace buffer), when provided.
-    pub extra: Option<&'q mut X>,
-}
-
-/// An atomic claim queue over a frame's row-band tiles.
-///
-/// Workers call [`claim`](Self::claim) until it returns `None`; every tile is
-/// handed out exactly once (uniqueness comes from a single `fetch_add`
-/// counter), and each claim yields disjoint `&mut` bands of the **actual
-/// output frame** — the pool render path has no per-tile staging buffers and
-/// therefore no per-frame allocations or merge copies.
-pub struct FrameTiles<'a, X> {
-    color: *mut Vec3,
-    depth: *mut f32,
-    extras: *mut X,
-    has_extras: bool,
-    width: usize,
-    height: usize,
-    tile_rows: usize,
-    n_tiles: usize,
-    /// Tiles `0..reserved` are pre-assigned one per lane (see
-    /// [`first_for_lane`](Self::first_for_lane)); the shared counter hands
-    /// out the rest.
-    reserved: usize,
-    next: AtomicUsize,
-    _marker: PhantomData<(&'a mut [Vec3], &'a mut [X])>,
-}
-
-// SAFETY: every `&mut` handed out by `claim` covers a distinct tile (unique
-// `fetch_add` ticket) and tiles are disjoint row ranges of the underlying
-// buffers — concurrent claims never alias.
-unsafe impl<X: Send> Sync for FrameTiles<'_, X> {}
-unsafe impl<X: Send> Send for FrameTiles<'_, X> {}
-
-impl<'a, X> FrameTiles<'a, X> {
-    /// Builds the queue over a frame's pixel buffers for `lanes` workers.
-    /// `extras`, when given, must hold one slot per tile
-    /// (`ceil(height / tile_rows)`).
-    ///
-    /// The first `min(lanes, n_tiles)` tiles are **reserved one per lane**
-    /// (fetched via [`first_for_lane`](Self::first_for_lane)) so that every
-    /// lane is guaranteed to render at least one tile per frame whenever
-    /// tiles are plentiful. Without the reservation a fast lane can drain
-    /// the whole queue before another wakes, leaving that worker's
-    /// thread-local scratch cold after the warm-up frame — which would turn
-    /// the zero-allocation guarantee into a race. Assignment never affects
-    /// output, only which worker renders which band.
-    ///
-    /// # Panics
-    ///
-    /// Panics on buffer/size mismatches.
-    pub fn new(
-        color: &'a mut [Vec3],
-        depth: &'a mut [f32],
-        extras: Option<&'a mut [X]>,
-        width: usize,
-        height: usize,
-        tile_rows: usize,
-        lanes: usize,
-    ) -> Self {
-        assert!(tile_rows > 0, "tile_rows must be positive");
-        assert_eq!(color.len(), width * height, "color buffer size mismatch");
-        assert_eq!(depth.len(), width * height, "depth buffer size mismatch");
-        let n_tiles = height.div_ceil(tile_rows);
-        let (extras, has_extras) = match extras {
-            Some(e) => {
-                assert_eq!(e.len(), n_tiles, "one extra slot per tile");
-                (e.as_mut_ptr(), true)
-            }
-            None => (std::ptr::NonNull::dangling().as_ptr(), false),
-        };
-        let reserved = lanes.min(n_tiles);
-        FrameTiles {
-            color: color.as_mut_ptr(),
-            depth: depth.as_mut_ptr(),
-            extras,
-            has_extras,
-            width,
-            height,
-            tile_rows,
-            n_tiles,
-            reserved,
-            next: AtomicUsize::new(reserved),
-            _marker: PhantomData,
-        }
-    }
-
-    /// Total tiles in the queue.
-    pub fn n_tiles(&self) -> usize {
-        self.n_tiles
-    }
-
-    /// The calling lane's reserved first tile, or its first dynamic claim
-    /// when no tile is reserved for it. Call at most once per lane per
-    /// frame, before the [`claim`](Self::claim) loop — a second call for
-    /// the same lane would alias the reserved tile.
-    pub fn first_for_lane(&self, lane: usize) -> Option<Tile<'_, X>> {
-        if lane < self.reserved {
-            Some(self.tile(lane))
-        } else {
-            self.claim()
-        }
-    }
-
-    /// Claims the next unrendered tile, or `None` when the queue is drained.
-    pub fn claim(&self) -> Option<Tile<'_, X>> {
-        let t = self.next.fetch_add(1, Ordering::Relaxed);
-        if t >= self.n_tiles {
-            return None;
-        }
-        Some(self.tile(t))
-    }
-
-    /// Materializes tile `t`'s bands. Callers guarantee each `t` is used at
-    /// most once (reserved tiles: one lane each; the rest: unique counter
-    /// tickets).
-    fn tile(&self, t: usize) -> Tile<'_, X> {
-        let y0 = t * self.tile_rows;
-        let y1 = ((t + 1) * self.tile_rows).min(self.height);
-        let start = y0 * self.width;
-        let len = (y1 - y0) * self.width;
-        // SAFETY: `t` is handed out at most once (a reserved tile belongs to
-        // exactly one lane; dynamic tickets come from a single fetch_add
-        // counter starting past the reserved range), tiles are disjoint row
-        // ranges within the buffers, and the borrows are tied to `&self`
-        // which the caller keeps alive across the pass.
-        let (color, depth, extra) = unsafe {
-            (
-                std::slice::from_raw_parts_mut(self.color.add(start), len),
-                std::slice::from_raw_parts_mut(self.depth.add(start), len),
-                self.has_extras.then(|| &mut *self.extras.add(t)),
-            )
-        };
-        Tile {
-            index: t,
-            y0,
-            y1,
-            color,
-            depth,
-            extra,
-        }
+            });
     }
 }
 
@@ -829,28 +660,10 @@ mod tests {
     }
 
     #[test]
-    fn bands_partition_and_reject_double_take() {
-        let mut data = vec![0u32; 10];
-        {
-            let bands = Bands::new(&mut data, 4);
-            assert_eq!(bands.len(), 3);
-            {
-                let b0 = bands.take(0);
-                let b2 = bands.take(2);
-                assert_eq!((b0.len(), b2.len()), (4, 2));
-                b0[0] = 7;
-                b2[1] = 9;
-            }
-            assert!(catch_unwind(AssertUnwindSafe(|| bands.take(0))).is_err());
-        }
-        assert_eq!((data[0], data[9]), (7, 9));
-    }
-
-    #[test]
     fn band_lanes_write_every_element_once_and_make_scratch_once() {
         for lanes in 1..=3 {
             let made = AtomicU32::new(0);
-            let mut band_lanes = BandLanes::new(lanes, || {
+            let band_lanes = BandLanes::new(lanes, || {
                 made.fetch_add(1, Ordering::Relaxed);
                 0_usize
             });
@@ -876,31 +689,39 @@ mod tests {
     }
 
     #[test]
-    fn frame_tiles_claim_each_tile_once() {
-        let (w, h) = (4, 10);
-        let mut color = vec![Vec3::ZERO; w * h];
-        let mut depth = vec![0.0f32; w * h];
-        let mut extras = vec![0u8; 4];
-        let mut seen = Vec::new();
-        {
-            // Built for 2 lanes: tiles 0 and 1 are reserved, 2 and 3 pool.
-            let tiles = FrameTiles::new(&mut color, &mut depth, Some(&mut extras), w, h, 3, 2);
-            assert_eq!(tiles.n_tiles(), 4);
-            for lane in 0..2 {
-                let mut next = tiles.first_for_lane(lane);
-                while let Some(t) = next {
-                    seen.push((t.index, t.y0, t.y1, t.color.len()));
-                    *t.extra.unwrap() = t.index as u8 + 1;
-                    next = tiles.claim();
+    fn run_items_hands_each_item_to_one_lane_and_every_lane_one() {
+        let pool = RenderPool::new(4);
+        let caller = std::thread::current().id();
+        for extra in 0..4 {
+            let co = pool.checkout(extra);
+            let lanes = co.lanes();
+            for n in [0, 1, 2, 3, 4, 7, 100] {
+                let mut taker = vec![usize::MAX; n];
+                let (calls, away) = (AtomicU32::new(0), AtomicU32::new(0));
+                co.run_items(taker.iter_mut(), |lane, items| {
+                    calls.fetch_add(1, Ordering::Relaxed);
+                    if std::thread::current().id() != caller {
+                        away.fetch_add(1, Ordering::Relaxed);
+                    }
+                    for t in items {
+                        assert_eq!(*t, usize::MAX, "an item handed out twice");
+                        *t = lane;
+                    }
+                });
+                assert!(taker.iter().all(|&t| t < lanes), "an item never ran");
+                let (calls, away) = (calls.into_inner(), away.into_inner());
+                if lanes == 1 || n <= 1 {
+                    // Inline: one call on the caller, no pass dispatched.
+                    assert_eq!((calls, away), (1, 0), "{lanes} lanes, {n} items");
+                } else {
+                    assert_eq!(calls as usize, lanes, "{lanes} lanes, {n} items");
+                    // Lane `k` takes item `k` first, whatever the timing.
+                    let firsts: Vec<usize> = taker.iter().copied().take(lanes).collect();
+                    let want: Vec<usize> = (0..lanes.min(n)).collect();
+                    assert_eq!(firsts, want, "{lanes} lanes, {n} items");
                 }
             }
         }
-        seen.sort();
-        assert_eq!(
-            seen,
-            vec![(0, 0, 3, 12), (1, 3, 6, 12), (2, 6, 9, 12), (3, 9, 10, 4)]
-        );
-        assert_eq!(extras, vec![1, 2, 3, 4]);
     }
 
     #[test]
@@ -1042,6 +863,71 @@ mod tests {
     #[test]
     fn leader_lane_panicking_mid_pass_waits_for_every_worker() {
         panic_mid_pass(true);
+    }
+
+    #[test]
+    fn set_cap_mid_pass_hands_out_every_item_once() {
+        // Lanes drop the cap to zero and raise it back while the others
+        // are mid-pass: idle workers retire under the pass's feet, the
+        // checked-out ones must finish it and retire (or park) on release.
+        under_watchdog(|| {
+            let lanes = oversubscribed_lanes();
+            let pool = RenderPool::new(lanes);
+            for round in 0..100 {
+                let co = pool.checkout(lanes);
+                for pass in 0..5 {
+                    let mut hits = vec![0_u32; 3 * co.lanes() + round % 7];
+                    co.run_items(hits.iter_mut().enumerate(), |_, items| {
+                        for (i, hit) in items {
+                            pool.set_cap(if (i + pass) % 2 == 0 { 0 } else { lanes });
+                            *hit += 1;
+                            std::thread::yield_now();
+                        }
+                    });
+                    assert!(hits.iter().all(|&h| h == 1), "round {round} pass {pass}");
+                }
+                drop(co);
+                let (idle, live) = (pool.idle_workers(), pool.live_workers());
+                assert_eq!(idle, live, "round {round}: a worker still out");
+                assert!(live <= pool.cap(), "round {round}: {live} workers live");
+            }
+        });
+    }
+
+    #[test]
+    fn an_item_panicking_mid_hand_out_runs_no_item_twice() {
+        // One item's body unwinds while the other lanes are pulling items:
+        // the panic reaches the caller, no item ran twice, and the next pass
+        // on the same checkout runs every item.
+        under_watchdog(|| {
+            let pool = RenderPool::new(oversubscribed_lanes());
+            let co = pool.checkout(oversubscribed_lanes());
+            let n = 4 * co.lanes();
+            for pass in 0..500 {
+                let victim = (7 * pass) % n;
+                let mut hits = vec![0_u32; n];
+                let outcome = catch_unwind(AssertUnwindSafe(|| {
+                    co.run_items(hits.iter_mut().enumerate(), |_, items| {
+                        for (i, hit) in items {
+                            *hit += 1;
+                            if i == victim {
+                                std::panic::resume_unwind(Box::new("item panic"));
+                            }
+                            std::thread::yield_now();
+                        }
+                    });
+                }));
+                assert!(outcome.is_err(), "pass {pass}: the panic was swallowed");
+                assert_eq!(hits[victim], 1, "pass {pass}");
+                assert!(
+                    hits.iter().all(|&h| h <= 1),
+                    "pass {pass}: an item ran twice"
+                );
+                let mut hits = vec![0_u32; n];
+                co.run_items(hits.iter_mut(), |_, items| items.for_each(|h| *h += 1));
+                assert!(hits.iter().all(|&h| h == 1), "after pass {pass}");
+            }
+        });
     }
 
     #[test]

@@ -462,9 +462,9 @@ impl SampleBlock {
 }
 
 /// A mutable row band of an output frame: rows `y0..y1`, row-major, with
-/// `color`/`depth` indexed from the band's first row. The tile renderer hands
-/// each worker a band backed by tile-local buffers; the sequential path hands
-/// the whole frame.
+/// `color`/`depth` indexed from the band's first row: a `chunks_mut` band
+/// of the output frame itself, which [`crate::tiles::render_tiled`] cuts
+/// (the whole frame on one lane).
 pub(crate) struct RowBand<'a> {
     /// First row (inclusive).
     pub y0: usize,

@@ -1,34 +1,36 @@
 //! Tile-parallel frame rendering on the persistent worker pool.
 //!
 //! The paper's SoC pool is simulated, but wall-clock rendering on the host
-//! is real: a frame is partitioned into fixed-height row-band tiles and the
-//! tiles are claimed by the lanes of a [`crate::pool::RenderPool`] checkout —
-//! long-lived parked workers, not per-frame `std::thread::scope` spawns.
-//! Because every tile runs the exact same per-pixel code as the sequential
-//! renderer (see [`crate::render`]'s `render_rows`) and all merging is
-//! order-fixed (or an order-free integer sum), the output frame, the
-//! [`RenderStats`] and the [`GatherSink`] sample stream are all bit-identical
-//! to the sequential path at **any** lane count.
+//! is real: a frame is cut into full-width row bands — the whole frame on
+//! one lane, fixed-height tiles on more — and the bands are handed to the
+//! lanes of a [`crate::pool::RenderPool`] checkout by
+//! [`crate::pool::Checkout::run_items`] — long-lived parked workers, not
+//! per-frame `std::thread::scope` spawns. Because every band runs the exact
+//! same per-pixel code as the sequential renderer (see [`crate::render`]'s
+//! `render_rows`) and all merging is order-fixed (or an order-free integer
+//! sum), the output frame, the [`RenderStats`] and the [`GatherSink`]
+//! sample stream are all bit-identical to the sequential path at **any**
+//! lane count.
 //!
-//! Zero-allocation contract: lanes write **directly into the output frame**
-//! through the claim queue ([`crate::pool::FrameTiles`]) — there are no
-//! per-tile staging buffers and no merge copies — per-lane sample scratch
-//! comes from each pool worker's persistent thread-local, and the sample
-//! traces live in a reused thread-local. After the first (warm-up) frame, a
-//! pool-path render performs zero heap allocations and zero thread spawns;
-//! `tests/zero_alloc.rs` enforces this.
+//! Zero-allocation contract: the bands are `chunks_mut` of the **output
+//! frame** itself — there are no per-tile staging buffers and no merge
+//! copies — per-lane sample scratch comes from each pool worker's
+//! persistent thread-local, and the sample traces live in a reused
+//! thread-local. After the first (warm-up) frame, a render performs zero
+//! heap allocations and zero thread spawns; `tests/zero_alloc.rs` enforces
+//! this.
 //!
 //! Sample streams: every sink's frame is marched the same way. For an
-//! observing sink (memory-traffic replays) each band — the whole frame on
-//! one lane, else each tile — records its committed samples into a trace,
-//! and the traces are replayed to the sink in band order, each ray-major:
-//! the sink sees [`crate::render::render_reference`]'s stream. Sinks that
-//! discard samples ([`crate::NullSink`]; [`GatherSink::observes_samples`]
-//! returns `false`) get no trace and no plan built.
+//! observing sink (memory-traffic replays) each band records its committed
+//! samples into a trace, and the traces are replayed to the sink in band
+//! order, each ray-major: the sink sees
+//! [`crate::render::render_reference`]'s stream. Sinks that discard samples
+//! ([`crate::NullSink`]; [`GatherSink::observes_samples`] returns `false`)
+//! get no trace and no plan built.
 
 use crate::model::NerfModel;
 use crate::plan::GatherSink;
-use crate::pool::{FrameTiles, RenderPool};
+use crate::pool::RenderPool;
 use crate::render::{
     check_inputs, render_rows, with_thread_scratch, RenderOptions, RenderScratch, RenderStats,
     RowBand, SampleTrace,
@@ -80,16 +82,17 @@ std::thread_local! {
     static TRACES: RefCell<Vec<SampleTrace>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Tile/lane geometry of a frame `h` rows tall.
-fn tile_geometry(h: usize, tile: &TileOptions) -> (usize, usize, usize) {
+/// Rows per band and lanes of a frame `h` rows tall: one band of `h` rows
+/// on one lane, else bands of the tile height.
+fn tile_geometry(h: usize, tile: &TileOptions) -> (usize, usize) {
     // Shrink tiles when the frame is shorter than `threads × tile_rows`, so
     // small frames still split across every lane instead of collapsing to
     // one tile (tiling never affects results, only load balance).
     let threads = tile.threads.max(1);
     let tile_rows = tile.tile_rows.max(1).min(h.div_ceil(threads).max(1));
-    let n_tiles = h.div_ceil(tile_rows);
-    let workers = threads.min(n_tiles.max(1));
-    (tile_rows, n_tiles, workers)
+    let workers = threads.min(h.div_ceil(tile_rows).max(1));
+    let band_rows = if workers == 1 { h.max(1) } else { tile_rows };
+    (band_rows, workers)
 }
 
 /// Renders the pixels selected by `mask` (or all pixels when `None`) into an
@@ -97,8 +100,8 @@ fn tile_geometry(h: usize, tile: &TileOptions) -> (usize, usize, usize) {
 ///
 /// Frame, stats and sink stream are bit-identical at any `tile.threads`.
 /// With `threads == 1` it *is* the sequential path: the calling thread
-/// renders every row through its own reused scratch as one band (no
-/// tiles). After warm-up either path performs zero heap allocations and
+/// renders every row through its own reused scratch as one band, with no
+/// pass dispatched. After warm-up it performs zero heap allocations and
 /// zero thread spawns per frame.
 ///
 /// # Panics
@@ -116,10 +119,14 @@ pub fn render_tiled<M: NerfModel + ?Sized, S: GatherSink>(
 ) -> RenderStats {
     check_inputs(camera, mask, frame);
     let (w, h) = (camera.intrinsics.width, camera.intrinsics.height);
-    let (tile_rows, n_tiles, workers) = tile_geometry(h, tile);
+    let (band_rows, workers) = tile_geometry(h, tile);
+    let band_px = (band_rows * w).max(1);
     // One trace per band for an observing sink, none for the rest.
-    let bands = if workers <= 1 { 1 } else { n_tiles };
-    let n_traces = if sink.observes_samples() { bands } else { 0 };
+    let n_traces = if sink.observes_samples() {
+        (w * h).div_ceil(band_px)
+    } else {
+        0
+    };
     // Taken out of the cell for the frame, so a render from a sink callback
     // starts from an empty set instead of a `RefCell` panic.
     let mut traces = TRACES.with(|t| std::mem::take(&mut *t.borrow_mut()));
@@ -127,77 +134,61 @@ pub fn render_tiled<M: NerfModel + ?Sized, S: GatherSink>(
         traces.resize_with(n_traces, SampleTrace::default);
     }
     let traces_used = &mut traces[..n_traces];
-    let stats = if workers <= 1 {
-        // Sequential path: the calling thread's scratch is reused, so frame
-        // loops stay allocation-free across frames too.
-        let band = RowBand {
-            y0: 0,
-            y1: h,
-            color: frame.color.pixels_mut(),
-            depth: frame.depth.pixels_mut(),
-            trace: traces_used.first_mut(),
-        };
-        with_thread_scratch(|rs| render_rows(model, camera, opts, mask, band, rs))
-    } else {
-        // One checkout serves the whole frame; lanes pull tiles from the
-        // claim queue and write straight into the frame's pixel buffers
-        // (tiles are disjoint row bands, so there is nothing to merge
-        // afterwards). Stats are u64 counters — summing per-lane subtotals
-        // is order-free and bit-equal to the sequential accumulation.
-        let total = Mutex::new(RenderStats::default());
-        let co = RenderPool::global().checkout(workers - 1);
-        // Each lane starts on its reserved tile (so every worker's scratch
-        // warms deterministically on the first frame), then drains the
-        // shared queue.
-        let tiles = FrameTiles::new(
-            frame.color.pixels_mut(),
-            frame.depth.pixels_mut(),
-            (!traces_used.is_empty()).then_some(&mut *traces_used),
-            w,
-            h,
-            tile_rows,
-            co.lanes(),
-        );
-        co.run(|lane| {
+    let bands = (frame.color.pixels_mut().chunks_mut(band_px))
+        .zip(frame.depth.pixels_mut().chunks_mut(band_px))
+        .zip(
+            traces_used
+                .iter_mut()
+                .map(Some)
+                .chain(std::iter::repeat_with(|| None)),
+        )
+        .enumerate();
+    // Stats are u64 counters: summing per-lane subtotals is order-free and
+    // bit-equal to the sequential accumulation.
+    let total = Mutex::new(RenderStats::default());
+    // The checkout is a temporary: its workers go back to the pool before
+    // the replay.
+    RenderPool::global()
+        .checkout(workers - 1)
+        .run_items(bands, |lane, bands| {
             with_thread_scratch(|rs: &mut RenderScratch| {
                 let mut local = RenderStats::default();
-                let mut next = tiles.first_for_lane(lane);
-                while let Some(t) = next {
+                for (i, ((color, depth), trace)) in bands {
                     let span_t0 = telemetry::is_enabled().then(telemetry::now_ns);
-                    let (ty0, ty1) = (t.y0, t.y1);
+                    let y0 = i * band_rows;
+                    let y1 = (y0 + band_rows).min(h);
                     let band = RowBand {
-                        y0: t.y0,
-                        y1: t.y1,
-                        color: t.color,
-                        depth: t.depth,
-                        trace: t.extra,
+                        y0,
+                        y1,
+                        color,
+                        depth,
+                        trace,
                     };
-                    let stats = render_rows(model, camera, opts, mask, band, rs);
+                    local.accumulate(&render_rows(model, camera, opts, mask, band, rs));
                     if let Some(t0) = span_t0 {
                         telemetry::span_at(
                             telemetry::Phase::RenderTile,
                             t0,
                             telemetry::now_ns(),
-                            ty0 as u64,
-                            (ty1 - ty0) as u64,
+                            y0 as u64,
+                            (y1 - y0) as u64,
                             lane as u64,
                         );
                     }
-                    local.accumulate(&stats);
-                    next = tiles.claim();
                 }
-                total.lock().unwrap().accumulate(&local);
+                let mut total = total.lock().expect("a lane panicked adding its stats");
+                total.accumulate(&local);
             });
         });
-        total.into_inner().unwrap()
-    };
     // Bands in ascending order: they are full-width row bands, so this is
     // the sequential row-major order.
     for trace in traces_used {
         trace.replay(model, camera, sink);
     }
     TRACES.with(|t| *t.borrow_mut() = traces);
-    stats
+    total
+        .into_inner()
+        .expect("a lane panicked adding its stats")
 }
 
 /// Renders a full frame tile-parallel, returning the frame and statistics.

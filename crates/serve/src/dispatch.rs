@@ -14,15 +14,16 @@ use crate::cache::{CacheKey, CachedReference, RefCache};
 use crate::fault::FaultKind;
 use crate::policy::JobKind;
 use crate::recovery::{Job, SimCtx};
-use crate::scheduler::{fan_out, FrameServer};
+use crate::scheduler::FrameServer;
 use crate::session::{ServeSession, SessionId};
 use cicero_accel::soc::{FrameKind, SocModel};
 use cicero_accel::FrameWorkload;
+use cicero_field::pool::RenderPool;
 use cicero_math::Pose;
 use cicero_scene::ground_truth::Frame;
 use cicero_telemetry as telemetry;
 use std::collections::HashSet;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// One planned full reference render.
 struct RefJob {
@@ -38,7 +39,7 @@ struct RefJob {
 #[derive(Default)]
 struct Plan {
     /// Misses that became render jobs, in plan order.
-    jobs: Vec<Mutex<RefJob>>,
+    jobs: Vec<RefJob>,
     /// Misses whose quantized cell was already planned this batch: they
     /// defer to the producer's commit.
     deferred: Vec<(SessionId, usize)>,
@@ -62,14 +63,14 @@ impl Plan {
 
     fn push(&mut self, sess: &ServeSession<'_>, r: usize, kind: JobKind, cell: CacheKey) {
         self.pending.insert(cell);
-        self.jobs.push(Mutex::new(RefJob {
+        self.jobs.push(RefJob {
             sess: sess.id,
             r,
             kind,
             pose: sess.pipe.reference_pose(r),
             dispatch_at: sess.next_arrival_s(),
             rendered: None,
-        }));
+        });
     }
 }
 
@@ -90,7 +91,7 @@ impl<'a> FrameServer<'a> {
     pub(crate) fn dispatch_references(&mut self) {
         let mut plan = self.plan_references();
         self.plan_prefetch(&mut plan);
-        self.render_references(&plan.jobs);
+        self.render_references(&mut plan.jobs);
         self.commit_references(plan);
     }
 
@@ -174,22 +175,21 @@ impl<'a> FrameServer<'a> {
     /// pool (each render's own tile passes use the session's lane count, so
     /// nested checkouts divide whatever is left of the budget). Host threads
     /// decide who renders what, never what is rendered.
-    fn render_references(&mut self, jobs: &[Mutex<RefJob>]) {
-        if jobs.is_empty() {
-            return;
-        }
+    fn render_references(&mut self, jobs: &mut [RefJob]) {
         let budget = self.cfg.render_threads;
         let drivers = jobs.len().min(budget).max(1);
         if budget >= 1 {
-            for job in jobs {
-                let sess = job.lock().unwrap().sess;
-                self.sessions[sess]
+            for job in jobs.iter() {
+                self.sessions[job.sess]
                     .pipe
                     .set_render_threads((budget / drivers).max(1));
             }
         }
-        fan_out(jobs, drivers, |job| {
-            job.rendered = Some(self.sessions[job.sess].pipe.render_reference(job.r));
+        let lanes = RenderPool::global().checkout(drivers - 1);
+        lanes.run_items(jobs.iter_mut(), |_, jobs| {
+            for job in jobs {
+                job.rendered = Some(self.sessions[job.sess].pipe.render_reference(job.r));
+            }
         });
     }
 
@@ -198,7 +198,6 @@ impl<'a> FrameServer<'a> {
     fn commit_references(&mut self, plan: Plan) {
         let (mut sim, sessions) = self.sim();
         for job in plan.jobs {
-            let job = job.into_inner().unwrap();
             commit_reference(&mut sim, &mut sessions[job.sess], job);
         }
         for (id, r) in plan.deferred {

@@ -73,7 +73,6 @@ use cicero_accel::soc::SocModel;
 use cicero_field::pool::RenderPool;
 use cicero_math::Pose;
 use cicero_telemetry as telemetry;
-use std::sync::Mutex;
 
 /// Frame-server configuration.
 #[derive(Debug, Clone, Default)]
@@ -114,28 +113,6 @@ pub struct ServeConfig {
     /// of rejected. `None` keeps admit-or-reject; an armed server whose
     /// queue never engages serves byte-for-byte the same frames.
     pub overload: Option<OverloadControl>,
-}
-
-/// Runs `work` over every entry, fanning out across up to `drivers`
-/// concurrent render-pool lanes (inline when the budget grants only one, or
-/// when there is at most one entry). Each entry is processed exactly once;
-/// within a lane the order is deterministic, but cross-lane interleaving is
-/// not — callers must keep all order-sensitive bookkeeping *out* of `work`
-/// and apply it afterwards in entry order.
-pub(crate) fn fan_out<T: Send>(entries: &[Mutex<T>], drivers: usize, work: impl Fn(&mut T) + Sync) {
-    if drivers <= 1 || entries.len() <= 1 {
-        for entry in entries {
-            work(&mut entry.lock().unwrap());
-        }
-    } else {
-        let co = RenderPool::global().checkout(drivers - 1);
-        let lanes = co.lanes();
-        co.run(|lane| {
-            for entry in entries.iter().skip(lane).step_by(lanes) {
-                work(&mut entry.lock().unwrap());
-            }
-        });
-    }
 }
 
 /// One shard: a multi-session frame-serving engine over borrowed scene
@@ -358,30 +335,30 @@ impl<'a> FrameServer<'a> {
         let budget = self.cfg.render_threads;
         let drivers = batch.len().min(budget).max(1);
         let ids: Vec<SessionId> = batch.iter().map(|r| r.session).collect();
-        let entries: Vec<Mutex<(&mut ServeSession<'a>, Ready, Option<Stepped>)>> =
+        let mut entries: Vec<(&mut ServeSession<'a>, Ready, Option<Stepped>)> =
             (self.sessions.many_mut(&ids).into_iter().zip(batch))
                 .map(|(sess, &ready)| {
                     if budget >= 1 {
                         sess.pipe.set_render_threads((budget / drivers).max(1));
                     }
-                    Mutex::new((sess, ready, None))
+                    (sess, ready, None)
                 })
                 .collect();
-        fan_out(&entries, drivers, |(sess, ready, stepped)| {
-            let frame_index = sess.pipe.cursor();
-            *stepped = Some(Stepped {
-                ready: *ready,
-                frame_index,
-                arrival_s: sess.arrival_s(frame_index),
-                plan: sess.pipe.next_plan(),
-                step: sess.pipe.step().expect("session not done"),
-            });
+        let lanes = RenderPool::global().checkout(drivers - 1);
+        lanes.run_items(entries.iter_mut(), |_, entries| {
+            for (sess, ready, stepped) in entries {
+                let frame_index = sess.pipe.cursor();
+                *stepped = Some(Stepped {
+                    ready: *ready,
+                    frame_index,
+                    arrival_s: sess.arrival_s(frame_index),
+                    plan: sess.pipe.next_plan(),
+                    step: sess.pipe.step().expect("session not done"),
+                });
+            }
         });
         (entries.into_iter())
-            .map(|entry| {
-                let (_, _, stepped) = entry.into_inner().unwrap();
-                stepped.expect("every batch entry stepped")
-            })
+            .map(|(_, _, stepped)| stepped.expect("every batch entry stepped"))
             .collect()
     }
 

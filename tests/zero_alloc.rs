@@ -295,9 +295,15 @@ fn warmed_sample_loop_performs_zero_heap_allocations() {
                 .map(telemetry::counter_value)
             };
             let counts_before = marcher_counts();
+            let jobs_before = telemetry::counter_value(telemetry::Counter::PoolJobs);
             let before = ALLOCATIONS.load(Ordering::SeqCst);
             let stats = render_tiled(model, &cam, &opts, None, &mut frame, &mut NullSink, &one);
             let after = ALLOCATIONS.load(Ordering::SeqCst);
+            assert_eq!(
+                telemetry::counter_value(telemetry::Counter::PoolJobs),
+                jobs_before,
+                "a one-lane render dispatched a pool pass"
+            );
             assert!(stats.samples_processed > 0);
             assert_eq!(
                 after - before,
